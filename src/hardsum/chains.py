@@ -64,7 +64,7 @@ def psi(x, order: int = 0):
     x = np.atleast_1d(x)
     out = np.zeros_like(x)
     m = x > _PSI_CUTOFF
-    if np.any(m):
+    if m.any():
         u = 2.0 * x[m] - 1.0
         val = np.exp(np.maximum(1.0 - u ** -2, _EXP_FLOOR))
         if order == 0:
@@ -123,14 +123,19 @@ def chain_eval(K: int, mask, x, order: int = 0) -> Derivatives:
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be in 0..2, got {order}")
-    x = as_vector(x, dim=K)
-    m = _check_mask(mask, K)
+    return _chain_eval(K, _check_mask(mask, K), as_vector(x, dim=K), order)
 
-    # Precompute psi/phi tables at +-x for all needed orders.
-    ps = [psi(x, q) for q in range(order + 1)]
-    ns = [psi(-x, q) for q in range(order + 1)]
-    pf = [phi(x, q) for q in range(order + 1)]
-    nf = [phi(-x, q) for q in range(order + 1)]
+
+def _chain_eval(K: int, m: np.ndarray, x: np.ndarray, order: int) -> Derivatives:
+    """``chain_eval`` on an already validated mask and point."""
+    # psi/phi tables at +-x for all needed orders, one call each over [x; -x]
+    xx = np.concatenate((x, -x))
+    psi_xx = [psi(xx, q) for q in range(order + 1)]
+    phi_xx = [phi(xx, q) for q in range(order + 1)]
+    ps = [t[:K] for t in psi_xx]
+    ns = [t[K:] for t in psi_xx]
+    pf = [t[:K] for t in phi_xx]
+    nf = [t[K:] for t in phi_xx]
 
     val = -m[0] * pf[0][0]  # psi(1) = 1 exactly
     if K > 1:
@@ -162,10 +167,10 @@ def chain_eval(K: int, mask, x, order: int = 0) -> Derivatives:
         # mixed:         psi'(-x_{k-1}) phi'(-x_k) - psi'(x_{k-1}) phi'(x_k)
         d_ab = m[1:] * (ns[1][a] * nf[1][b] - ps[1][a] * pf[1][b])
         idx = np.arange(K - 1)
-        np.add.at(H, (idx, idx), d_aa)
-        np.add.at(H, (idx + 1, idx + 1), d_bb)
-        np.add.at(H, (idx, idx + 1), d_ab)
-        np.add.at(H, (idx + 1, idx), d_ab)
+        H[idx, idx] += d_aa
+        H[idx + 1, idx + 1] += d_bb
+        H[idx, idx + 1] = d_ab
+        H[idx + 1, idx] = d_ab
     return Derivatives(val, grad, H)
 
 
@@ -233,7 +238,7 @@ def hat_f_eval(K: int, B: TallOrthogonal, y, order: int = 0,
 
     rho, J, d2c = soft_clamp(y, R, order)
     w = B.columns.T @ rho
-    ch = chain_eval(K, np.ones(K), w, order)
+    ch = _chain_eval(K, np.ones(K), w, order)
 
     val = ch.value + 0.1 * float(y @ y)
     if order == 0:

@@ -8,8 +8,8 @@ run     build the instance, run an optimizer against the metered oracle,
         object; deterministic given (config, seed).
 verify  run the property-check battery; exit 1 if any check fails.
 
-Flags --seed/--out/--budget override the config file.  HARDSUM_THREADS caps
-how many seeds of a multi-seed run execute concurrently.
+Flags --seed/--out/--budget override the config file.  A multi-seed run
+executes up to one seed per CPU at a time; HARDSUM_THREADS lowers that cap.
 """
 from __future__ import annotations
 
@@ -124,7 +124,6 @@ def _row(idx: int, rec) -> dict:
         "iter": idx, "epoch": rec.epoch, "step": rec.step, "f": rec.f,
         "grad_norm": rec.grad_norm, "mu": rec.mu, "h_norm": rec.h_norm,
         "q_val": c["value"], "q_grad": c["grad"], "q_hess": c["hess"],
-        "i_queried": rec.i_queried,
     }
 
 
@@ -219,7 +218,9 @@ def cmd_run(cfg: RunConfig, quiet: bool = False,
         if not cfg.out:
             print("error: multi-seed runs require --out", file=sys.stderr)
             return 2
-        workers = max(1, int(os.environ.get("HARDSUM_THREADS", "4")))
+        workers = min(len(seeds), os.cpu_count() or 1)
+        if "HARDSUM_THREADS" in os.environ:
+            workers = min(workers, max(1, int(os.environ["HARDSUM_THREADS"])))
         configs = [dataclasses.replace(cfg, seed=s) for s in seeds]
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
             results = list(pool.map(lambda c: _run_one(c, quiet), configs))

@@ -123,16 +123,17 @@ def solve(model: CubicModel, tol: float | None = None) -> CubicSolution:
     hard_threshold = _HARD_CASE_TOL * (1.0 + norm_v)
     L0 = np.sqrt(np.sum(w2[interior] / shift[interior] ** 2)) if interior.any() else 0.0
 
-    h = None
-    if w_bot <= hard_threshold and L0 <= s0:
-        # hard case: interior part at the pole plus a boundary component
-        # along the bottom eigenvector to stretch the step to length s0
+    def hard_case_step() -> np.ndarray:
+        # interior part at the pole plus a boundary component along the
+        # bottom eigenvector to stretch the step to length s0
         y = np.zeros_like(w)
         y[interior] = -w[interior] / shift[interior]
-        alpha = np.sqrt(max(s0 ** 2 - L0 ** 2, 0.0))
-        y[np.argmax(bottom)] += alpha
-        h = Q @ y
-        s = s0
+        if bottom.any():
+            y[np.argmax(bottom)] += np.sqrt(max(s0 ** 2 - L0 ** 2, 0.0))
+        return Q @ y
+
+    if w_bot <= hard_threshold and L0 <= s0:
+        h = hard_case_step()
     else:
         # easy case: bracket the root of phi(u) = |h(u)| - (s0 + u) in u > 0
         def phi_u(u: float) -> float:
@@ -152,17 +153,11 @@ def solve(model: CubicModel, tol: float | None = None) -> CubicSolution:
                 u_lo = 0.0
                 break
         if u_lo == 0.0:
-            y = np.zeros_like(w)
-            y[interior] = -w[interior] / shift[interior]
-            alpha = np.sqrt(max(s0 ** 2 - L0 ** 2, 0.0))
-            y[np.argmax(bottom)] += alpha if bottom.any() else 0.0
-            h = Q @ y
-            s = float(np.linalg.norm(h))
+            h = hard_case_step()
         else:
             u_star = brentq(phi_u, u_lo, u_hi, xtol=1e-300, rtol=8.9e-16,
                             maxiter=200)
             h = h_from_u(u_star)
-            s = s0 + u_star
 
     s_actual = float(np.linalg.norm(h))
     stationarity = float(np.linalg.norm(v + U @ h + half_m * s_actual * h))

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..chains import Derivatives, chain_eval
 from ..linalg import as_rng, as_vector
-from ..oracle import FiniteSumFunction
+from ..oracle import FiniteSumFunction, mean_derivatives
 from .params import HardInstanceSpec
 
 __all__ = ["ResistingOracle", "ResistingCertificate", "NotFinalizedError"]
@@ -238,22 +238,9 @@ class ResistingOracle(FiniteSumFunction):
         """
         x = as_vector(x, dim=self.d)
         active = self._K + 1 if self.finalized else self._round - 1
-        val, grad, hess = 0.0, None, None
-        if order >= 1:
-            grad = np.zeros(self.d)
-        if order >= 2:
-            hess = np.zeros((self.d, self.d))
-        for i in range(self.n):
-            der = self._masked_component(i, x, order, active)
-            val += der.value
-            if order >= 1:
-                grad += der.grad
-            if order >= 2:
-                hess += der.hess
-        n = float(self.n)
-        return Derivatives(val / n,
-                           None if grad is None else grad / n,
-                           None if hess is None else hess / n)
+        return mean_derivatives(
+            (self._masked_component(i, x, order, active)
+             for i in range(self.n)), self.d, order)
 
     @property
     def rounds_closed(self) -> int:

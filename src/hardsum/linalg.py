@@ -49,7 +49,7 @@ def as_vector(x, dim: int | None = None) -> Vector:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"expected dimension {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     return v
 
@@ -136,29 +136,6 @@ def default_fd_step(x: Vector) -> float:
     return 1e-5 * max(1.0, float(np.linalg.norm(x)))
 
 
-def _central_diff_gradient(f, x: Vector, h: float) -> Vector:
-    g = np.empty_like(x)
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
-        g[j] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
-
-
-def finite_diff_gradient(f, x: Vector, step: float | None = None) -> Vector:
-    """Componentwise central-difference gradient of a scalar function,
-    Richardson-extrapolated to fourth order (the chain bumps have fourth
-    derivatives large enough that a plain second-order stencil cannot reach
-    1e-6 relative accuracy)."""
-    x = np.asarray(x, dtype=float)
-    h = default_fd_step(x) if step is None else float(step)
-    if h <= 0:
-        raise ValueError("step must be positive")
-    coarse = _central_diff_gradient(f, x, h)
-    fine = _central_diff_gradient(f, x, 0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
-
-
 def _central_diff_jacobian(g, x: Vector, h: float) -> np.ndarray:
     cols = []
     for j in range(x.size):
@@ -166,6 +143,26 @@ def _central_diff_jacobian(g, x: Vector, h: float) -> np.ndarray:
         e[j] = h
         cols.append((np.asarray(g(x + e)) - np.asarray(g(x - e))) / (2.0 * h))
     return np.stack(cols, axis=-1)
+
+
+def _richardson_jacobian(g, x, step: float | None) -> np.ndarray:
+    """Central differences at steps h and h/2, extrapolated to fourth order."""
+    x = np.asarray(x, dtype=float)
+    h = default_fd_step(x) if step is None else float(step)
+    if h <= 0:
+        raise ValueError("step must be positive")
+    coarse = _central_diff_jacobian(g, x, h)
+    fine = _central_diff_jacobian(g, x, 0.5 * h)
+    return (4.0 * fine - coarse) / 3.0
+
+
+def finite_diff_gradient(f, x: Vector, step: float | None = None) -> Vector:
+    """Componentwise central-difference gradient of a scalar function,
+    Richardson-extrapolated to fourth order (the chain bumps have fourth
+    derivatives large enough that a plain second-order stencil cannot reach
+    1e-6 relative accuracy).  This is the Jacobian stencil applied to a
+    scalar function."""
+    return _richardson_jacobian(f, x, step)
 
 
 def finite_diff_jacobian(g, x: Vector, step: float | None = None) -> np.ndarray:
@@ -176,13 +173,7 @@ def finite_diff_jacobian(g, x: Vector, step: float | None = None) -> np.ndarray:
     differencing the gradient keeps one order of accuracy in hand compared
     with double-differencing values.
     """
-    x = np.asarray(x, dtype=float)
-    h = default_fd_step(x) if step is None else float(step)
-    if h <= 0:
-        raise ValueError("step must be positive")
-    coarse = _central_diff_jacobian(g, x, h)
-    fine = _central_diff_jacobian(g, x, 0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    return _richardson_jacobian(g, x, step)
 
 
 def finite_diff_hessian(f, x: Vector, step: float | None = None) -> SymMatrix:

@@ -19,9 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chains import Derivatives
 from .cubic import CubicModel, solve
 from .linalg import as_rng, as_vector, eig_sym
-from .oracle import FiniteSumFunction, OracleLedger, query, record_iterate
+from .oracle import (FiniteSumFunction, OracleLedger, mean_derivatives, query,
+                     record_iterate)
 
 __all__ = [
     "C_M",
@@ -83,7 +85,6 @@ class TrajectoryRecord:
     mu: float | None
     h_norm: float
     counters: dict = field(repr=False)
-    i_queried: int | None = None
 
 
 def svrc_default_params(n: int, d: int, Delta: float, L2: float,
@@ -108,12 +109,30 @@ def svrc_default_params(n: int, d: int, Delta: float, L2: float,
                       eps=eps, Delta=Delta, L2=L2, seed=seed)
 
 
-def _batch_counts(batch) -> tuple[np.ndarray, np.ndarray, int]:
+def _batch_counts(batch, n: int) -> tuple[np.ndarray, int]:
+    """Draw count of every component index 0..n-1 in a batch, and the batch
+    size."""
     idx = np.asarray(batch, dtype=int).ravel()
     if idx.size == 0:
         raise ValueError("batch must be non-empty")
-    uniq, counts = np.unique(idx, return_counts=True)
-    return uniq, counts, idx.size
+    lo, hi = int(idx.min()), int(idx.max())
+    if lo < 0 or hi >= n:
+        raise ValueError(f"component index {lo if lo < 0 else hi} out of "
+                         f"range [0, {n})")
+    return np.bincount(idx, minlength=n), idx.size
+
+
+def _gradient_estimate(counts, dG, Hdx, b, g_s, H_s, dx) -> np.ndarray:
+    """v = sum_i (c_i/b) dG_i + g_s - (sum_i (c_i/b) Hdx_i - H_s dx) over
+    rows drawn c_i times, with dG_i = grad f_i(x) - grad f_i(xh) and
+    Hdx_i = hess f_i(xh) dx."""
+    w = counts / b
+    return w @ dG + g_s - (w @ Hdx - H_s @ dx)
+
+
+def _hessian_estimate(counts, dH, b, H_s) -> np.ndarray:
+    """U = sum_i (c_i/b) dH_i + H_s with dH_i = hess f_i(x) - hess f_i(xh)."""
+    return np.tensordot(counts / b, dH, axes=1) + H_s
 
 
 def svrc_gradient_estimator(F: FiniteSumFunction, ledger: OracleLedger,
@@ -129,18 +148,18 @@ def svrc_gradient_estimator(F: FiniteSumFunction, ledger: OracleLedger,
     """
     x = as_vector(x, dim=F.d)
     x_hat = as_vector(x_hat, dim=F.d)
-    uniq, counts, b = _batch_counts(batch)
+    counts, b = _batch_counts(batch, F.n)
+    rows = np.flatnonzero(counts)
     dx = x - x_hat
-    diff = np.zeros(F.d)
-    hdx = np.zeros(F.d)
-    for i, c in zip(uniq, counts):
-        at_x = query(ledger, F, int(i), x, order=1, count=int(c))
-        at_hat = query(ledger, F, int(i), x_hat, order=2, count=int(c),
-                       requery=True)
-        w = c / b
-        diff += w * (at_x.grad - at_hat.grad)
-        hdx += w * (at_hat.hess @ dx)
-    return diff + g_s - (hdx - H_s @ dx)
+    dG = np.empty((rows.size, F.d))
+    Hdx = np.empty((rows.size, F.d))
+    for k, i in enumerate(rows.tolist()):
+        c = int(counts[i])
+        at_x = query(ledger, F, i, x, order=1, count=c)
+        at_hat = query(ledger, F, i, x_hat, order=2, count=c, requery=True)
+        dG[k] = at_x.grad - at_hat.grad
+        Hdx[k] = at_hat.hess @ dx
+    return _gradient_estimate(counts[rows], dG, Hdx, b, g_s, H_s, dx)
 
 
 def svrc_hessian_estimator(F: FiniteSumFunction, ledger: OracleLedger,
@@ -155,19 +174,27 @@ def svrc_hessian_estimator(F: FiniteSumFunction, ledger: OracleLedger,
     """
     x = as_vector(x, dim=F.d)
     x_hat = as_vector(x_hat, dim=F.d)
-    uniq, counts, b = _batch_counts(batch)
-    diff = np.zeros((F.d, F.d))
-    for j, c in zip(uniq, counts):
-        at_x = query(ledger, F, int(j), x, order=2, count=int(c))
-        if snapshot_cache is not None and int(j) in snapshot_cache:
-            hess_hat = snapshot_cache[int(j)][1]
-            ledger.record_cache_hit(int(c))
+    counts, b = _batch_counts(batch, F.n)
+    rows = np.flatnonzero(counts)
+    dH = np.empty((rows.size, F.d, F.d))
+    for k, j in enumerate(rows.tolist()):
+        c = int(counts[j])
+        at_x = query(ledger, F, j, x, order=2, count=c)
+        if snapshot_cache is not None and j in snapshot_cache:
+            hess_hat = snapshot_cache[j][1]
+            ledger.record_cache_hit(c)
         else:
-            hess_hat = query(ledger, F, int(j), x_hat, order=2, count=int(c),
+            hess_hat = query(ledger, F, j, x_hat, order=2, count=c,
                              requery=True).hess
-        diff += (c / b) * (at_x.hess - hess_hat)
-    U = diff + H_s
-    return 0.5 * (U + U.T)
+        dH[k] = at_x.hess - hess_hat
+    return _hessian_estimate(counts[rows], dH, b, H_s)
+
+
+def _stationarity(der: Derivatives, L2: float) -> tuple[float, float]:
+    """(|grad F|, mu) from one order-2 measurement of F; see :func:`mu`."""
+    gnorm = float(np.linalg.norm(der.grad))
+    lam_min = float(eig_sym(der.hess)[0][0])
+    return gnorm, max(gnorm ** 1.5, -(lam_min ** 3) / L2 ** 1.5)
 
 
 def mu(F: FiniteSumFunction, x, L2: float) -> float:
@@ -179,18 +206,7 @@ def mu(F: FiniteSumFunction, x, L2: float) -> float:
     """
     if not L2 > 0:
         raise ValueError("L2 must be positive")
-    der = F.full(x, order=2)
-    gnorm = float(np.linalg.norm(der.grad))
-    lam_min = float(eig_sym(der.hess)[0][0])
-    return max(gnorm ** 1.5, -(lam_min ** 3) / L2 ** 1.5)
-
-
-def _measure(F, x, L2):
-    der = F.full(x, order=2)
-    gnorm = float(np.linalg.norm(der.grad))
-    lam_min = float(eig_sym(der.hess)[0][0])
-    m = max(gnorm ** 1.5, -(lam_min ** 3) / L2 ** 1.5)
-    return float(der.value), gnorm, m
+    return _stationarity(F.full(x, order=2), L2)[1]
 
 
 def svrc_run(F: FiniteSumFunction, params: SvrcParams, eps: float | None = None,
@@ -224,16 +240,10 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, eps: float | None = None,
             break
         # snapshot pass: exact g, H and the per-component cache
         x_hat = x.copy()
-        g_sum = np.zeros(d)
-        h_sum = np.zeros((d, d))
-        cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for i in range(n):
-            der = query(ledger, F, i, x_hat, order=2)
-            cache[i] = (der.grad, der.hess)
-            g_sum += der.grad
-            h_sum += der.hess
-        g_s = g_sum / n
-        H_s = h_sum / n
+        answers = [query(ledger, F, i, x_hat, order=2) for i in range(n)]
+        snapshot = mean_derivatives(answers, d, 2)
+        g_s, H_s = snapshot.grad, snapshot.hess
+        cache = {i: (der.grad, der.hess) for i, der in enumerate(answers)}
 
         for t in range(params.T):
             if budget is not None and ledger.total + step_cost > budget:
@@ -255,11 +265,12 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, eps: float | None = None,
                 break
             x = x + sol.h
             iterates.append(x.copy())
-            f_val, gnorm, m = _measure(F, x, params.L2)
+            measured = F.full(x, order=2)
+            gnorm, m = _stationarity(measured, params.L2)
             record_iterate(ledger, gnorm)
             trajectory.append(TrajectoryRecord(
-                epoch=s, step=t, f=f_val, grad_norm=gnorm, mu=m,
-                h_norm=float(np.linalg.norm(sol.h)),
+                epoch=s, step=t, f=float(measured.value), grad_norm=gnorm,
+                mu=m, h_norm=float(np.linalg.norm(sol.h)),
                 counters=ledger.counters()))
         if aborted:
             break
@@ -296,20 +307,16 @@ def baseline_full_gd(F: FiniteSumFunction, step_rule, budget: int,
     trajectory: list[TrajectoryRecord] = []
     t = 0
     while ledger.total + n <= budget:
-        g_sum = np.zeros(d)
-        val = 0.0
-        for i in range(n):
-            der = query(ledger, F, i, x, order=1)
-            g_sum += der.grad
-            val += der.value
-        grad = g_sum / n
+        der = mean_derivatives(
+            (query(ledger, F, i, x, order=1) for i in range(n)), d, 1)
+        grad = der.grad
         gnorm = float(np.linalg.norm(grad))
         record_iterate(ledger, gnorm)
         m = mu(F, x, L2) if L2 is not None else None
         step = _resolve_step(step_rule, t, x, grad)
         h = -step * grad
         trajectory.append(TrajectoryRecord(
-            epoch=0, step=t, f=val / n, grad_norm=gnorm, mu=m,
+            epoch=0, step=t, f=der.value, grad_norm=gnorm, mu=m,
             h_norm=float(np.linalg.norm(h)), counters=ledger.counters()))
         x = x + h
         t += 1
@@ -333,26 +340,20 @@ def baseline_full_cubic(F: FiniteSumFunction, M: float, budget: int,
     trajectory: list[TrajectoryRecord] = []
     t = 0
     while ledger.total + 2 * n <= budget:
-        g_sum = np.zeros(d)
-        val = 0.0
-        for i in range(n):
-            der = query(ledger, F, i, x, order=1)
-            g_sum += der.grad
-            val += der.value
-        h_sum = np.zeros((d, d))
-        for i in range(n):
-            h_sum += query(ledger, F, i, x, order=2).hess
-        grad = g_sum / n
-        hess = h_sum / n
+        der = mean_derivatives(
+            (query(ledger, F, i, x, order=1) for i in range(n)), d, 1)
+        grad = der.grad
+        hess = mean_derivatives(
+            (query(ledger, F, i, x, order=2) for i in range(n)), d, 2).hess
         gnorm = float(np.linalg.norm(grad))
         record_iterate(ledger, gnorm)
         m = mu(F, x, L2) if L2 is not None else None
         try:
-            sol = solve(CubicModel(v=grad, U=0.5 * (hess + hess.T), M=M))
+            sol = solve(CubicModel(v=grad, U=hess, M=M))
         except ArithmeticError:
             break
         trajectory.append(TrajectoryRecord(
-            epoch=0, step=t, f=val / n, grad_norm=gnorm, mu=m,
+            epoch=0, step=t, f=der.value, grad_norm=gnorm, mu=m,
             h_norm=float(np.linalg.norm(sol.h)), counters=ledger.counters()))
         x = x + sol.h
         t += 1

@@ -19,6 +19,7 @@ from .linalg import as_rng, as_vector, sym_matrix
 __all__ = [
     "FiniteSumFunction",
     "CallableFiniteSum",
+    "mean_derivatives",
     "quadratic_cosine_sum",
     "OracleLedger",
     "query",
@@ -51,22 +52,31 @@ class FiniteSumFunction:
         Never goes through a ledger; use :func:`query` for charged access.
         """
         x = as_vector(x, dim=self.d)
-        val = 0.0
-        grad = np.zeros(self.d) if order >= 1 else None
-        hess = np.zeros((self.d, self.d)) if order >= 2 else None
-        for i in range(self.n):
-            der = self.component(i, x, order)
-            val += der.value
-            if order >= 1:
-                grad += der.grad
-            if order >= 2:
-                hess += der.hess
-        val /= self.n
+        return mean_derivatives(
+            (self.component(i, x, order) for i in range(self.n)),
+            self.d, order)
+
+
+def mean_derivatives(answers, d: int, order: int) -> Derivatives:
+    """Mean of component answers, summed in the order given (component
+    index order everywhere in the package), then divided by their count.
+
+    The one averaging pass behind every full-sum quantity: the free
+    measurement channel and the charged snapshot and baseline passes.
+    """
+    val, count = 0.0, 0
+    grad = np.zeros(d) if order >= 1 else None
+    hess = np.zeros((d, d)) if order >= 2 else None
+    for der in answers:
+        count += 1
+        val += der.value
         if order >= 1:
-            grad /= self.n
+            grad += der.grad
         if order >= 2:
-            hess /= self.n
-        return Derivatives(val, grad, hess)
+            hess += der.hess
+    return Derivatives(val / count,
+                       None if grad is None else grad / count,
+                       None if hess is None else hess / count)
 
 
 class CallableFiniteSum(FiniteSumFunction):
@@ -202,6 +212,8 @@ def query(ledger: OracleLedger, F: FiniteSumFunction, i: int, x,
     """Charged oracle access to component i of F at x.
 
     Returns f_i(x) and derivatives up to ``order`` and charges the ledger.
+    A returned Hessian has passed the symmetry check and is exactly
+    symmetric, so callers never re-symmetrize.
     ``count > 1`` records `count` i.i.d. repetitions of the identical query
     (the answer is deterministic, so it is evaluated once); this keeps the
     accounting exact while letting batch samplers aggregate repeated draws.
@@ -213,8 +225,7 @@ def query(ledger: OracleLedger, F: FiniteSumFunction, i: int, x,
     i = F.check_index(i)
     der = F.component(i, x, order)
     if der.hess is not None:
-        # returned Hessians are symmetric by contract
-        sym_matrix(der.hess)
+        der = Derivatives(der.value, der.grad, sym_matrix(der.hess))
     ledger.charge(i, order, count, requery=requery)
     return der
 

@@ -25,7 +25,8 @@ from .instances.resisting import ResistingCertificate, ResistingOracle
 from .linalg import (as_rng, as_vector, finite_diff_gradient,
                      finite_diff_jacobian, sample_orthonormal_columns)
 from .oracle import FiniteSumFunction, OracleLedger, quadratic_cosine_sum
-from .optim import (SvrcParams, svrc_gradient_estimator,
+from .optim import (SvrcParams, _batch_counts, _gradient_estimate,
+                    _hessian_estimate, svrc_gradient_estimator,
                     svrc_hessian_estimator)
 
 __all__ = [
@@ -340,9 +341,11 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     E ||hess F(x) - U||^3      <=  15000 L2^3 (log d / b_h)^(3/2) ||x - xh||^3
 
     Pass iff each mean is at most bound * (1 + slack).  The Hessian bound's
-    premise (b_h >= 12000 log^3 d) is reported, not enforced.  A handful of
-    trials are cross-checked against the real estimator code path; the bulk
-    runs through a vectorized equivalent.
+    premise (b_h >= 12000 log^3 d) is reported, not enforced.  A full-batch
+    schedule draws every index once, so b = n there.  Every trial applies the
+    estimators' own count-weighted contractions to per-component tables
+    evaluated once; a handful of trials are cross-checked against the metered
+    estimator calls.
     """
     if trials < 1000:
         raise ValueError("trials must be at least 10^3")
@@ -371,35 +374,22 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     Hdx = H_h @ dx                       # (n, d)
     dH = H_x - H_h                       # (n, d, d)
 
-    def grad_dev(counts: np.ndarray) -> float:
-        v = (counts @ dG) / params.b_g + g_s \
-            - ((counts @ Hdx) / params.b_g - H_s @ dx)
-        return float(np.linalg.norm(gF - v))
-
-    def hess_dev(counts: np.ndarray) -> float:
-        U = np.tensordot(counts, dH, axes=1) / params.b_h + H_s
-        return _op_norm(HF - U)
-
+    b_g, b_h = (n, n) if params.full_batch else (params.b_g, params.b_h)
     g_moments = np.empty(trials)
     h_moments = np.empty(trials)
     cross_err = 0.0
     n_cross = min(8, trials)
     for t in range(trials):
         if params.full_batch:
-            idx_g = np.arange(n, dtype=np.int64)
-            idx_h = np.arange(n, dtype=np.int64)
-            cg = np.ones(n); ch = np.ones(n)
-            # full batch means b = n regardless of params
-            v = dG.mean(axis=0) + g_s - (Hdx.mean(axis=0) - H_s @ dx)
-            g_moments[t] = float(np.linalg.norm(gF - v)) ** 1.5
-            h_moments[t] = _op_norm(HF - (dH.mean(axis=0) + H_s)) ** 3
+            idx_g = idx_h = np.arange(n)
         else:
-            idx_g = rng.integers(0, n, size=params.b_g)
-            idx_h = rng.integers(0, n, size=params.b_h)
-            cg = np.bincount(idx_g, minlength=n).astype(float)
-            ch = np.bincount(idx_h, minlength=n).astype(float)
-            g_moments[t] = grad_dev(cg) ** 1.5
-            h_moments[t] = hess_dev(ch) ** 3
+            idx_g = rng.integers(0, n, size=b_g)
+            idx_h = rng.integers(0, n, size=b_h)
+        v = _gradient_estimate(_batch_counts(idx_g, n)[0], dG, Hdx, b_g,
+                               g_s, H_s, dx)
+        U = _hessian_estimate(_batch_counts(idx_h, n)[0], dH, b_h, H_s)
+        g_moments[t] = float(np.linalg.norm(gF - v)) ** 1.5
+        h_moments[t] = _op_norm(HF - U) ** 3
         if t < n_cross:
             led = OracleLedger(n=n)
             v_ref = svrc_gradient_estimator(instance, led, x, x_hat,
@@ -413,12 +403,8 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
                      abs(dev_g)),
                 _rel(abs(_op_norm(HF - U_ref) ** 3 - dev_h), abs(dev_h)))
 
-    grad_bound = 2.0 * L2_hat ** 1.5 * params.b_g ** -0.75 * dist ** 3
-    hess_bound = 15000.0 * L2_hat ** 3 \
-        * (math.log(d) / params.b_h) ** 1.5 * dist ** 3
-    if params.full_batch:
-        grad_bound = 2.0 * L2_hat ** 1.5 * n ** -0.75 * dist ** 3
-        hess_bound = 15000.0 * L2_hat ** 3 * (math.log(d) / n) ** 1.5 * dist ** 3
+    grad_bound = 2.0 * L2_hat ** 1.5 * b_g ** -0.75 * dist ** 3
+    hess_bound = 15000.0 * L2_hat ** 3 * (math.log(d) / b_h) ** 1.5 * dist ** 3
     grad_mean = float(g_moments.mean())
     hess_mean = float(h_moments.mean())
     grad_pass = grad_mean <= grad_bound * (1.0 + slack)

@@ -8,7 +8,7 @@ from hardsum.instances import ell_p
 from hardsum.verify import BatteryCheck
 
 ROW_KEYS = {"iter", "epoch", "step", "f", "grad_norm", "mu", "h_norm",
-            "q_val", "q_grad", "q_hess", "i_queried"}
+            "q_val", "q_grad", "q_hess"}
 
 
 def _write(tmp_path, name, text):
@@ -165,7 +165,6 @@ class TestRun:
         assert len(rows) == 4                      # S*T steps
         assert all(set(r) == ROW_KEYS for r in rows)
         assert [r["iter"] for r in rows] == [0, 1, 2, 3]
-        assert rows[0]["i_queried"] is None        # batch steps, not single i
         # raw total = S n + S T (2 b_g + b_h); adjusted credits the re-reads
         assert summary["totals"]["total"] == 2 * 4 + 4 * 9
         assert summary["totals"]["adjusted_total"] == 2 * 4 + 4 * 6
@@ -241,6 +240,17 @@ class TestRun:
             rows, summary = _jsonl(tmp_path / f"multi.seed{s}.jsonl")
             assert summary["seed"] == s
             assert len(rows) == 4
+
+    def test_multi_seed_files_match_single_seed_runs(self, tmp_path):
+        cfg_path = _write(tmp_path, "c.ini", _synthetic_svrc_ini())
+        assert main(["run", "--config", cfg_path, "--quiet", "--seeds", "5,6",
+                     "--out", str(tmp_path / "multi.jsonl")]) == 0
+        for s in (5, 6):
+            single = tmp_path / f"single{s}.jsonl"
+            assert main(["run", "--config", cfg_path, "--quiet", "--seed",
+                         str(s), "--out", str(single)]) == 0
+            assert (tmp_path / f"multi.seed{s}.jsonl").read_bytes() \
+                == single.read_bytes()
 
     def test_multi_seed_requires_out(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "c.ini", _synthetic_svrc_ini())

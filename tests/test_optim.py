@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hardsum.chains import Derivatives
-from hardsum.oracle import CallableFiniteSum, OracleLedger, quadratic_cosine_sum
+from hardsum.oracle import (CallableFiniteSum, OracleLedger,
+                            quadratic_cosine_sum, query)
 from hardsum.optim import (
     C_M,
     SvrcParams,
@@ -132,6 +133,55 @@ class TestEstimators:
         svrc_hessian_estimator(F, led, x, x_hat, H_s, np.array([2, 2]))
         assert led.total == 4
         assert led.requery_queries == 2
+
+    def test_estimators_match_per_draw_reference(self):
+        # a loop over the draws, one query per draw, against the estimators'
+        # per-unique-index rows and count-weighted contractions
+        F, x, x_hat, g_s, H_s = self._setup(n=7, d=5)
+        batch = np.array([3, 0, 3, 6, 3, 0, 2, 6, 6, 6])
+        b, dx = batch.size, x - x_hat
+        cache = {i: (F.component(i, x_hat, 2).grad, F.component(i, x_hat, 2).hess)
+                 for i in range(F.n)}
+
+        ref_g = OracleLedger(n=F.n)
+        v_ref = g_s + H_s @ dx
+        for i in batch:
+            at_x = query(ref_g, F, i, x, order=1)
+            at_hat = query(ref_g, F, i, x_hat, order=2, requery=True)
+            v_ref = v_ref + (at_x.grad - at_hat.grad - at_hat.hess @ dx) / b
+        led_g = OracleLedger(n=F.n)
+        v = svrc_gradient_estimator(F, led_g, x, x_hat, g_s, H_s, batch)
+        assert np.linalg.norm(v - v_ref) <= 1e-12 * np.linalg.norm(v_ref)
+        assert led_g.counters() == ref_g.counters()
+        assert np.array_equal(led_g.per_index, ref_g.per_index)
+
+        for snapshot_cache in (None, cache):
+            ref_h = OracleLedger(n=F.n)
+            U_ref = H_s.copy()
+            for j in batch:
+                hess_x = query(ref_h, F, j, x, order=2).hess
+                if snapshot_cache is None:
+                    hess_hat = query(ref_h, F, j, x_hat, order=2,
+                                     requery=True).hess
+                else:
+                    hess_hat = snapshot_cache[j][1]
+                    ref_h.record_cache_hit()
+                U_ref = U_ref + (hess_x - hess_hat) / b
+            led_h = OracleLedger(n=F.n)
+            U = svrc_hessian_estimator(F, led_h, x, x_hat, H_s, batch,
+                                       snapshot_cache=snapshot_cache)
+            assert np.linalg.norm(U - U_ref) <= 1e-12 * np.linalg.norm(U_ref)
+            assert led_h.counters() == ref_h.counters()
+            assert np.array_equal(led_h.per_index, ref_h.per_index)
+
+    def test_out_of_range_batch_rejected_before_charging(self):
+        F, x, x_hat, g_s, H_s = self._setup()
+        led = OracleLedger(n=F.n)
+        with pytest.raises(ValueError, match="out of range"):
+            svrc_gradient_estimator(F, led, x, x_hat, g_s, H_s, [0, F.n])
+        with pytest.raises(ValueError, match="out of range"):
+            svrc_hessian_estimator(F, led, x, x_hat, H_s, [-1, 0])
+        assert led.total == 0
 
     def test_empty_batch_rejected(self):
         F, x, x_hat, g_s, H_s = self._setup()

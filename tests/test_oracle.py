@@ -140,6 +140,32 @@ class TestLedger:
             query(led, F, 0, np.zeros(3), order=3)
 
 
+class TestQuery:
+    @staticmethod
+    def _constant_hessian_sum(H):
+        def f(x, order=2):
+            return Derivatives(0.0, np.zeros(2), H if order >= 2 else None)
+        return CallableFiniteSum([f], d=2)
+
+    def test_rejects_asymmetric_hessian(self):
+        F = self._constant_hessian_sum(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        led = OracleLedger(n=1)
+        with pytest.raises(ValueError, match="symmetric"):
+            query(led, F, 0, np.zeros(2))
+        assert led.total == 0               # a rejected answer is not charged
+        # order-1 queries carry no Hessian and pass
+        query(led, F, 0, np.zeros(2), order=1)
+        assert led.total == 1
+
+    def test_returns_exactly_symmetric_hessian(self):
+        H = np.array([[2.0, 1.0 + 1e-14], [1.0, 3.0]])
+        F = self._constant_hessian_sum(H)
+        der = query(OracleLedger(n=1), F, 0, np.zeros(2))
+        assert not np.array_equal(H, H.T)
+        assert np.array_equal(der.hess, der.hess.T)
+        assert np.allclose(der.hess, H, rtol=0.0, atol=1e-14)
+
+
 class TestFirstHit:
     def test_latches_first_crossing(self):
         led = OracleLedger(n=2, eps=0.5)
