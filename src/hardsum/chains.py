@@ -13,6 +13,7 @@ finite-difference test in the suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc
@@ -174,9 +175,10 @@ def _chain_eval(K: int, m: np.ndarray, x: np.ndarray, order: int) -> Derivatives
     return Derivatives(val, grad, H)
 
 
+@lru_cache(maxsize=64)
 def clamp_radius(K: int) -> float:
     """The clamp radius paired with a chain of length K in the randomized
-    instances: R = 230 * sqrt(K)."""
+    instances: R = 230 * sqrt(K).  Cached: every hat_f_eval call asks."""
     if K < 1:
         raise ValueError("K must be >= 1")
     return 230.0 * np.sqrt(K)
@@ -215,15 +217,14 @@ def soft_clamp(y, R: float, order: int = 0):
     return rho, J, d2_contract
 
 
-def hat_f_eval(K: int, B: TallOrthogonal, y, order: int = 0,
-               R: float | None = None) -> Derivatives:
+def hat_f_eval(K: int, B: TallOrthogonal, y, order: int = 0) -> Derivatives:
     """The clamped-and-rotated chain block on R^m:
 
         hat_f(y) = chain(B^T rho(y)) + |y|^2 / 10,
 
     with B an m x K matrix with orthonormal columns and rho the soft clamp of
-    radius R (default 230 sqrt(K)).  Value/gradient/Hessian are assembled by
-    the chain rule; the Hessian is
+    radius clamp_radius(K) = 230 sqrt(K).  Value/gradient/Hessian are
+    assembled by the chain rule; the Hessian is
 
         J_rho B H_chain B^T J_rho + (second-derivative contraction of rho
         against B grad_chain) + I/5.
@@ -233,10 +234,8 @@ def hat_f_eval(K: int, B: TallOrthogonal, y, order: int = 0,
     if B.k != K:
         raise ValueError(f"B must have K={K} columns, got {B.k}")
     y = as_vector(y, dim=B.d)
-    if R is None:
-        R = clamp_radius(K)
 
-    rho, J, d2c = soft_clamp(y, R, order)
+    rho, J, d2c = soft_clamp(y, clamp_radius(K), order)
     w = B.columns.T @ rho
     ch = _chain_eval(K, np.ones(K), w, order)
 

@@ -10,6 +10,8 @@ verify  run the property-check battery; exit 1 if any check fails.
 
 Flags --seed/--out/--budget override the config file.  A multi-seed run
 executes up to one seed per CPU at a time; HARDSUM_THREADS lowers that cap.
+Unusable input (a bad config, seed list or HARDSUM_THREADS, or a gap too
+small for any chain) exits 2 with an ``error:`` line on stderr.
 """
 from __future__ import annotations
 
@@ -51,49 +53,37 @@ def _make_spec(cfg: RunConfig):
 def cmd_gen(cfg: RunConfig, quiet: bool = False) -> int:
     out_dir = cfg.out or "."
     if cfg.mode == "synthetic":
-        os.makedirs(out_dir, exist_ok=True)
+        spec = None
         payload = {"mode": "synthetic", "n": cfg.n, "d": cfg.d or 8,
                    "seed": cfg.seed, "curvature": cfg.curvature,
                    "ripple": cfg.ripple}
-        path = os.path.join(out_dir, "instance.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _say(quiet, f"wrote {path}")
-        return 0
-    try:
+    else:
         spec = _make_spec(cfg)
-    except InstanceTooSmallError as err:
-        print(f"error: {err}", file=sys.stderr)
-        print(f"hint: increase the gap to at least {err.min_delta:.6g} "
-              "(or relax eps)", file=sys.stderr)
-        return 2
+        payload = spec.to_dict() | {"seed": cfg.seed}
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "instance.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_dict() | {"seed": cfg.seed}, fh, indent=2,
-                  sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     files = [path]
-    if cfg.mode != "deterministic":
-        inst = sample_randomized_instance(spec, seed=cfg.seed,
-                                          haar_c=cfg.haar_c)
-        bpath = os.path.join(out_dir, "b_matrix.bin")
-        save_b_matrix(bpath, inst.B, spec.n, spec.K)
-        files.append(bpath)
-    if cfg.mode == "deterministic":
-        _say(quiet, f"K+1 = {spec.K + 1}")
-    else:
-        _say(quiet, f"K = {spec.K}")
-    _say(quiet, f"lambda = {spec.lam:.6g}  sigma = {spec.sigma:.6g}  "
-                f"d = {spec.d}")
-    if spec.d_required is not None:
-        _say(quiet, f"d_required (high-probability regime) = "
-                    f"{spec.d_required:.6g}")
-        if spec.d < spec.d_required:
-            _say(quiet, "warning: d is below the high-probability threshold; "
-                        "the instance is valid but the probabilistic "
-                        "guarantee does not apply")
+    if spec is not None:
+        if cfg.mode == "deterministic":
+            _say(quiet, f"K+1 = {spec.K + 1}")
+        else:
+            inst = sample_randomized_instance(spec, seed=cfg.seed,
+                                              haar_c=cfg.haar_c)
+            files.append(os.path.join(out_dir, "b_matrix.bin"))
+            save_b_matrix(files[-1], inst.B, spec.n, spec.K)
+            _say(quiet, f"K = {spec.K}")
+        _say(quiet, f"lambda = {spec.lam:.6g}  sigma = {spec.sigma:.6g}  "
+                    f"d = {spec.d}")
+        if spec.d_required is not None:
+            _say(quiet, f"d_required (high-probability regime) = "
+                        f"{spec.d_required:.6g}")
+            if spec.d < spec.d_required:
+                _say(quiet, "warning: d is below the high-probability "
+                            "threshold; the instance is valid but the "
+                            "probabilistic guarantee does not apply")
     _say(quiet, "wrote " + ", ".join(files))
     return 0
 
@@ -133,7 +123,8 @@ def _run_one(cfg: RunConfig, quiet: bool) -> tuple[int, list[str]]:
     if cfg.budget is not None:
         budget = cfg.budget
     elif spec is not None and cfg.mode == "deterministic":
-        budget = 2 * F.n * (spec.K + 2)
+        # the game length the adversary's dimension was sized for
+        budget = spec.d - spec.K - 1
     else:
         budget = 50 * F.n
 
@@ -144,18 +135,18 @@ def _run_one(cfg: RunConfig, quiet: bool) -> tuple[int, list[str]]:
         overrides = {k: getattr(cfg, k) for k in ("M", "b_g", "b_h", "S", "T")
                      if getattr(cfg, k) is not None}
         if cfg.full_batch:
-            overrides |= {"b_g": F.n, "b_h": F.n, "full_batch": True}
+            overrides["full_batch"] = True
         if overrides:
             params = dataclasses.replace(params, **overrides)
         # the theory schedule grows like eps^(-3/2) with a huge constant;
         # announce the commitment up front so runaway runs are visible
-        raw_cost = params.S * (F.n + params.T * (2 * params.b_g + params.b_h))
+        b_g, b_h = params.batch_sizes(F.n)
+        raw_cost = params.S * (F.n + params.T * params.step_cost(F.n))
         _say(quiet, f"seed {cfg.seed}: svrc schedule S={params.S} "
-                    f"T={params.T} b_g={params.b_g} b_h={params.b_h} "
+                    f"T={params.T} b_g={b_g} b_h={b_h} "
                     f"M={params.M:g}; raw query cost {raw_cost}"
                     + (f" (budget {cfg.budget})" if cfg.budget else ""))
-        _, trajectory = svrc_run(F, params, cfg.eps, ledger=ledger,
-                                 budget=cfg.budget)
+        _, trajectory = svrc_run(F, params, ledger=ledger, budget=cfg.budget)
     elif cfg.optimizer == "gd":
         trajectory = baseline_full_gd(F, cfg.step, budget, ledger=ledger,
                                       eps=cfg.eps, L2=L2)
@@ -200,40 +191,57 @@ def _seed_out_path(base: str, seed: int) -> str:
     return f"{root}.seed{seed}{ext or '.jsonl'}"
 
 
+def _thread_cap() -> int | None:
+    """The HARDSUM_THREADS worker cap (values below 1 act as 1), or None."""
+    raw = os.environ.get("HARDSUM_THREADS")
+    if raw is None:
+        return None
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(
+            f"HARDSUM_THREADS must be an integer, got {raw!r}") from None
+
+
+def _parse_seeds(text: str | None) -> list[int] | None:
+    if not text:
+        return None
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise ValueError(
+            f"--seeds must be comma-separated integers, got {text!r}") from None
+
+
 def cmd_run(cfg: RunConfig, quiet: bool = False,
             seeds: list[int] | None = None) -> int:
-    try:
-        if seeds is None or len(seeds) <= 1:
-            if seeds:
-                cfg = dataclasses.replace(cfg, seed=seeds[0])
-            code, lines = _run_one(cfg, quiet)
-            text = "\n".join(lines) + "\n"
-            if cfg.out:
-                with open(cfg.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            return code
+    if seeds is None or len(seeds) <= 1:
+        if seeds:
+            cfg = dataclasses.replace(cfg, seed=seeds[0])
+        code, lines = _run_one(cfg, quiet)
+        text = "\n".join(lines) + "\n"
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
 
-        if not cfg.out:
-            print("error: multi-seed runs require --out", file=sys.stderr)
-            return 2
-        workers = min(len(seeds), os.cpu_count() or 1)
-        if "HARDSUM_THREADS" in os.environ:
-            workers = min(workers, max(1, int(os.environ["HARDSUM_THREADS"])))
-        configs = [dataclasses.replace(cfg, seed=s) for s in seeds]
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(lambda c: _run_one(c, quiet), configs))
-        for c, (_, lines) in zip(configs, results):
-            path = _seed_out_path(cfg.out, c.seed)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-        return max(code for code, _ in results)
-    except InstanceTooSmallError as err:
-        print(f"error: {err}", file=sys.stderr)
-        print(f"hint: increase the gap to at least {err.min_delta:.6g}",
-              file=sys.stderr)
+    if not cfg.out:
+        print("error: multi-seed runs require --out", file=sys.stderr)
         return 2
+    workers = min(len(seeds), os.cpu_count() or 1)
+    cap = _thread_cap()
+    if cap is not None:
+        workers = min(workers, cap)
+    configs = [dataclasses.replace(cfg, seed=s) for s in seeds]
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        results = list(pool.map(lambda c: _run_one(c, quiet), configs))
+    for c, (_, lines) in zip(configs, results):
+        path = _seed_out_path(cfg.out, c.seed)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    return max(code for code, _ in results)
 
 
 def cmd_verify(cfg: RunConfig, quiet: bool = False) -> int:
@@ -293,14 +301,25 @@ def main(argv=None) -> int:
     if args.budget is not None:
         cfg = dataclasses.replace(cfg, budget=args.budget)
 
-    if args.command == "gen":
-        return cmd_gen(cfg, quiet=args.quiet)
     if args.command == "run":
-        seeds = None
-        if getattr(args, "seeds", None):
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        return cmd_run(cfg, quiet=args.quiet, seeds=seeds)
-    return cmd_verify(cfg, quiet=args.quiet)
+        try:
+            seeds = _parse_seeds(args.seeds)
+            _thread_cap()  # reject a bad cap before any seed runs
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+
+    try:
+        if args.command == "gen":
+            return cmd_gen(cfg, quiet=args.quiet)
+        if args.command == "run":
+            return cmd_run(cfg, quiet=args.quiet, seeds=seeds)
+        return cmd_verify(cfg, quiet=args.quiet)
+    except InstanceTooSmallError as err:
+        print(f"error: {err}", file=sys.stderr)
+        print(f"hint: increase the gap to at least {err.min_delta:.6g} "
+              "(or relax eps)", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

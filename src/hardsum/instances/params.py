@@ -10,7 +10,7 @@ carrying the smallest workable Delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 __all__ = [
     "ell_p",
@@ -68,12 +68,7 @@ class HardInstanceSpec:
             raise ValueError("sigma and lambda must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "p": self.p, "n": self.n, "Delta": self.Delta,
-            "L": self.L, "eps": self.eps, "lam": self.lam,
-            "sigma": self.sigma, "K": self.K, "d": self.d, "ell": self.ell,
-            "d_required": self.d_required,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "HardInstanceSpec":
@@ -86,18 +81,16 @@ def _check_positive(**kwargs):
             raise ValueError(f"{name} must be positive, got {value}")
 
 
-def lemma_d_requirement(n: int, K: int, fail_prob: float = 0.1,
-                        c0: float = 1.0) -> float:
+def lemma_d_requirement(n: int, K: int, fail_prob: float = 0.1) -> float:
     """Dimension the high-probability small-inner-product argument asks for:
-    c0 * n^3 K^2 * log(n^2 K^2 / fail_prob).
+    n^3 K^2 * log(n^2 K^2 / fail_prob).
 
-    The constant c0 is not pinned down by the analysis; it is exposed as
-    configuration (default 1) and the requirement is only ever reported as a
-    warning, never enforced.
+    The analysis leaves the leading constant unspecified; it is taken as 1,
+    and the requirement is only ever reported as a warning, never enforced.
     """
     if not 0 < fail_prob < 1:
         raise ValueError("fail_prob must lie in (0, 1)")
-    return c0 * n ** 3 * K ** 2 * math.log(n ** 2 * K ** 2 / fail_prob)
+    return n ** 3 * K ** 2 * math.log(n ** 2 * K ** 2 / fail_prob)
 
 
 def deterministic_params(p: int, n: int, Delta: float, L: float, eps: float,
@@ -133,8 +126,7 @@ def deterministic_params(p: int, n: int, Delta: float, L: float, eps: float,
 
 def randomized_params(mode: str, p: int, n: int, Delta: float, L: float,
                       eps: float, ell_hat: float | None = None,
-                      d: int | None = None, fail_prob: float = 0.1,
-                      c0: float = 1.0) -> HardInstanceSpec:
+                      d: int | None = None) -> HardInstanceSpec:
     """Scalings for the randomized hard distribution.
 
     mode "randomized-individual" (any p >= 1):
@@ -186,7 +178,7 @@ def randomized_params(mode: str, p: int, n: int, Delta: float, L: float,
     if d // n < n * K:
         raise ValueError(
             f"d/n = {d // n} too small to draw {n * K} orthonormal columns")
-    d_req = lemma_d_requirement(n, K, fail_prob=fail_prob, c0=c0)
+    d_req = lemma_d_requirement(n, K)
     return HardInstanceSpec(mode=mode, p=p, n=n, Delta=Delta, L=L, eps=eps,
                             lam=lam, sigma=sigma, K=K, d=d, ell=ell_hat,
                             d_required=d_req)

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from ..chains import Derivatives, clamp_radius, hat_f_eval
+from ..chains import Derivatives, hat_f_eval
 from ..linalg import TallOrthogonal, as_rng, as_vector, sample_orthonormal_columns
 from ..oracle import FiniteSumFunction
 from .params import HardInstanceSpec
@@ -53,8 +53,9 @@ def load_b_matrix(path) -> tuple[TallOrthogonal, int, int]:
         magic, d, n, K = _HEADER.unpack(raw)
         if magic != _MAGIC:
             raise ValueError(f"bad magic {magic!r}; not a basis file")
-        if n == 0 or d % n != 0:
-            raise ValueError(f"header dimensions inconsistent: d={d}, n={n}")
+        if n == 0 or K == 0 or d % n != 0:
+            raise ValueError(
+                f"header dimensions inconsistent: d={d}, n={n}, K={K}")
         m = d // n
         body = fh.read()
     expected = m * n * K * 8
@@ -96,7 +97,6 @@ class RandomizedHardInstance(FiniteSumFunction):
             TallOrthogonal(np.ascontiguousarray(B.columns[:, i * spec.K:(i + 1) * spec.K]))
             for i in range(spec.n)
         ]
-        self._R = clamp_radius(spec.K)
         if scaled:
             self._sigma = spec.sigma
             self._pref = spec.lam * spec.sigma ** (spec.p + 1)
@@ -115,13 +115,14 @@ class RandomizedHardInstance(FiniteSumFunction):
             return x[i * self._m:(i + 1) * self._m]
         return self.C.columns[:, i * self._m:(i + 1) * self._m].T @ x
 
-    def _unslot_grad(self, i: int, g: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.d)
+    def embed(self, i: int, v: np.ndarray) -> np.ndarray:
+        """The ambient d-vector C_i v that places the m-vector v in slot i
+        (with C the identity, v written into coordinates i*m..(i+1)*m-1)."""
         if self.C is None:
-            out[i * self._m:(i + 1) * self._m] = g
-        else:
-            out = self.C.columns[:, i * self._m:(i + 1) * self._m] @ g
-        return out
+            out = np.zeros(self.d)
+            out[i * self._m:(i + 1) * self._m] = v
+            return out
+        return self.C.columns[:, i * self._m:(i + 1) * self._m] @ v
 
     def _unslot_hess(self, i: int, H: np.ndarray) -> np.ndarray:
         out = np.zeros((self.d, self.d))
@@ -137,11 +138,11 @@ class RandomizedHardInstance(FiniteSumFunction):
         i = self.check_index(i)
         x = as_vector(x, dim=self.d)
         y = self._slot(i, x) / self._sigma
-        base = hat_f_eval(self._K, self._blocks[i], y, order, R=self._R)
+        base = hat_f_eval(self._K, self._blocks[i], y, order)
         val = self._pref * base.value
         if order == 0:
             return Derivatives(val)
-        grad = self._unslot_grad(i, (self._pref / self._sigma) * base.grad)
+        grad = self.embed(i, (self._pref / self._sigma) * base.grad)
         if order == 1:
             return Derivatives(val, grad)
         hess = self._unslot_hess(i, (self._pref / self._sigma ** 2) * base.hess)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..chains import Derivatives, chain_eval
-from ..linalg import as_rng, as_vector
+from ..linalg import as_rng, as_vector, rel_err
 from ..oracle import FiniteSumFunction, mean_derivatives
 from .params import HardInstanceSpec
 
@@ -271,14 +271,12 @@ class ResistingOracle(FiniteSumFunction):
             inner.append(abs(float(v_last @ rec.x)))
             gnorms.append(float(np.linalg.norm(self.full(rec.x, order=1).grad)))
             replay = self._masked_component(rec.i, rec.x, rec.order, self._K + 1)
-            err = abs(replay.value - rec.response.value) / max(1.0, abs(replay.value))
+            err = rel_err(replay.value, rec.response.value)
             if rec.order >= 1:
-                err = max(err, np.linalg.norm(replay.grad - rec.response.grad)
-                          / max(1.0, np.linalg.norm(replay.grad)))
+                err = max(err, rel_err(replay.grad, rec.response.grad))
             if rec.order >= 2:
-                err = max(err, np.linalg.norm(replay.hess - rec.response.hess)
-                          / max(1.0, np.linalg.norm(replay.hess)))
-            max_replay = max(max_replay, float(err))
+                err = max(err, rel_err(replay.hess, rec.response.hess))
+            max_replay = max(max_replay, err)
 
         inner = np.asarray(inner)
         gnorms = np.asarray(gnorms)

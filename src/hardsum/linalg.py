@@ -18,6 +18,7 @@ __all__ = [
     "as_vector",
     "sym_matrix",
     "as_rng",
+    "rel_err",
     "sample_orthonormal_columns",
     "eig_sym",
     "finite_diff_gradient",
@@ -54,7 +55,15 @@ def as_vector(x, dim: int | None = None) -> Vector:
     return v
 
 
-def sym_matrix(a, tol: float = SYMMETRY_TOL) -> SymMatrix:
+def rel_err(a, b) -> float:
+    """||a - b|| / max(1, ||a||): absolute near the origin, relative at
+    scale.  ``a`` is the reference; scalars, vectors and matrices (Frobenius
+    norm) alike."""
+    a = np.asarray(a, dtype=float)
+    return float(np.linalg.norm(a - b)) / max(1.0, float(np.linalg.norm(a)))
+
+
+def sym_matrix(a) -> SymMatrix:
     """Validate symmetry of a square matrix (relative max-norm test) and
     return the exactly symmetrized copy (A + A^T)/2."""
     A = np.asarray(a, dtype=float)
@@ -63,9 +72,10 @@ def sym_matrix(a, tol: float = SYMMETRY_TOL) -> SymMatrix:
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
     scale = np.abs(A).max()
-    # the absolute floor keeps tol * scale from underflowing to zero when
+    # the absolute floor keeps the tolerance from underflowing to zero when
     # every entry is subnormal (one-ulp asymmetry is still symmetry there)
-    if np.abs(A - A.T).max() > max(tol * scale, np.finfo(float).tiny):
+    if np.abs(A - A.T).max() > max(SYMMETRY_TOL * scale,
+                                   np.finfo(float).tiny):
         raise ValueError("matrix is not symmetric within tolerance")
     return 0.5 * (A + A.T)
 

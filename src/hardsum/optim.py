@@ -73,6 +73,17 @@ class SvrcParams:
         if not (self.eps > 0 and self.Delta > 0 and self.L2 > 0):
             raise ValueError("eps, Delta and L2 must be positive")
 
+    def batch_sizes(self, n: int) -> tuple[int, int]:
+        """(b_g, b_h) as drawn over n components: a full-batch schedule reads
+        every index once, so both are n there."""
+        return (n, n) if self.full_batch else (self.b_g, self.b_h)
+
+    def step_cost(self, n: int) -> int:
+        """Raw queries one step charges: b_g at x, b_g snapshot re-reads and
+        b_h Hessians at x."""
+        b_g, b_h = self.batch_sizes(n)
+        return 2 * b_g + b_h
+
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
@@ -109,12 +120,25 @@ def svrc_default_params(n: int, d: int, Delta: float, L2: float,
                       eps=eps, Delta=Delta, L2=L2, seed=seed)
 
 
+def _draw_batches(params: SvrcParams, n: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One step's (gradient, Hessian) batches: i.i.d. uniform indices drawn
+    gradient batch first, or every index once under a full-batch schedule."""
+    if params.full_batch:
+        return np.arange(n), np.arange(n)
+    batch_g = rng.integers(0, n, size=params.b_g)
+    return batch_g, rng.integers(0, n, size=params.b_h)
+
+
 def _batch_counts(batch, n: int) -> tuple[np.ndarray, int]:
     """Draw count of every component index 0..n-1 in a batch, and the batch
     size."""
-    idx = np.asarray(batch, dtype=int).ravel()
+    idx = np.asarray(batch).ravel()
     if idx.size == 0:
         raise ValueError("batch must be non-empty")
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"batch indices must be integers, got {idx.dtype}")
+    idx = idx.astype(int, copy=False)
     lo, hi = int(idx.min()), int(idx.max())
     if lo < 0 or hi >= n:
         raise ValueError(f"component index {lo if lo < 0 else hi} out of "
@@ -209,9 +233,8 @@ def mu(F: FiniteSumFunction, x, L2: float) -> float:
     return _stationarity(F.full(x, order=2), L2)[1]
 
 
-def svrc_run(F: FiniteSumFunction, params: SvrcParams, eps: float | None = None,
-             x0=None, ledger: OracleLedger | None = None,
-             budget: int | None = None
+def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
+             ledger: OracleLedger | None = None, budget: int | None = None
              ) -> tuple[np.ndarray, list[TrajectoryRecord]]:
     """Run the full S x T schedule; returns (x_out, trajectory).
 
@@ -219,21 +242,20 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, eps: float | None = None,
     seeded RNG.  A cubic-solver failure aborts with the partial trajectory;
     an optional raw-query budget stops the run before the step that would
     exceed it.  Stats in the trajectory (f, gradient norm, mu) come from the
-    free measurement channel and charge nothing.
+    free measurement channel and charge nothing.  The ledger's first-hit
+    threshold defaults to ``params.eps``.
     """
-    if eps is None:
-        eps = params.eps
     n, d = F.n, F.d
     if ledger is None:
-        ledger = OracleLedger(n=n, eps=eps)
+        ledger = OracleLedger(n=n, eps=params.eps)
     elif ledger.eps is None:
-        ledger.eps = eps
+        ledger.eps = params.eps
     rng = as_rng(params.seed)
     x = np.zeros(d) if x0 is None else as_vector(x0, dim=d).copy()
 
     trajectory: list[TrajectoryRecord] = []
     iterates: list[np.ndarray] = []
-    step_cost = 2 * params.b_g + params.b_h
+    step_cost = params.step_cost(n)
     aborted = False
     for s in range(params.S):
         if budget is not None and ledger.total + n > budget:
@@ -249,12 +271,7 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, eps: float | None = None,
             if budget is not None and ledger.total + step_cost > budget:
                 aborted = True
                 break
-            if params.full_batch:
-                batch_g = np.arange(n)
-                batch_h = np.arange(n)
-            else:
-                batch_g = rng.integers(0, n, size=params.b_g)
-                batch_h = rng.integers(0, n, size=params.b_h)
+            batch_g, batch_h = _draw_batches(params, n, rng)
             v = svrc_gradient_estimator(F, ledger, x, x_hat, g_s, H_s, batch_g)
             U = svrc_hessian_estimator(F, ledger, x, x_hat, H_s, batch_h,
                                        snapshot_cache=cache)

@@ -2,32 +2,32 @@
 empirical smoothness constants, estimator deviation bounds, gradient floors
 and suboptimality gaps.
 
-Every check returns a small report object (JSON-serializable, stable field
-order) rather than raising, so a battery run can aggregate pass/fail/skip
+Every check returns a small report object (JSON-serializable; ``to_dict``
+keeps the dataclass field order) rather than raising, so a battery run can aggregate pass/fail/skip
 statuses.  All sampling is seed-deterministic, and sample streams are
 prefix-extendable: growing the sample count keeps the earlier samples.
 
-Relative errors throughout are ||a - b|| / max(1, ||a||): absolute near the
-origin, relative at scale.
+Relative errors throughout are :func:`hardsum.linalg.rel_err`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .chains import Derivatives, chain_eval, clamp_radius, hat_f_eval
+from .chains import Derivatives, chain_eval, hat_f_eval
 from .instances.params import HardInstanceSpec
 from .instances.randomized import RandomizedHardInstance
 from .instances.resisting import ResistingCertificate, ResistingOracle
 from .linalg import (as_rng, as_vector, finite_diff_gradient,
-                     finite_diff_jacobian, sample_orthonormal_columns)
+                     finite_diff_jacobian, rel_err,
+                     sample_orthonormal_columns)
 from .oracle import FiniteSumFunction, OracleLedger, quadratic_cosine_sum
-from .optim import (SvrcParams, _batch_counts, _gradient_estimate,
-                    _hessian_estimate, svrc_gradient_estimator,
-                    svrc_hessian_estimator)
+from .optim import (SvrcParams, _batch_counts, _draw_batches,
+                    _gradient_estimate, _hessian_estimate,
+                    svrc_gradient_estimator, svrc_hessian_estimator)
 
 __all__ = [
     "DerivativeCheckReport",
@@ -48,8 +48,11 @@ __all__ = [
 ]
 
 
-def _rel(diff_norm: float, ref_norm: float) -> float:
-    return diff_norm / max(1.0, ref_norm)
+class _Report:
+    """Reports serialize their dataclass fields, in declaration order."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -57,17 +60,12 @@ def _rel(diff_norm: float, ref_norm: float) -> float:
 
 
 @dataclass(frozen=True)
-class DerivativeCheckReport:
+class DerivativeCheckReport(_Report):
     passed: bool
     max_rel_err: float
     tol: float
     num_points: int
     worst: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "max_rel_err": self.max_rel_err,
-                "tol": self.tol, "num_points": self.num_points,
-                "worst": dict(self.worst)}
 
 
 def check_derivatives(F: FiniteSumFunction, num_points: int, tol: float,
@@ -91,12 +89,10 @@ def check_derivatives(F: FiniteSumFunction, num_points: int, tol: float,
             der = F.component(i, x, order=2)
             g_fd = finite_diff_gradient(
                 lambda z, i=i: F.component(i, z, order=0).value, x)
-            e_g = _rel(np.linalg.norm(der.grad - g_fd),
-                       np.linalg.norm(der.grad))
+            e_g = rel_err(der.grad, g_fd)
             H_fd = finite_diff_jacobian(
                 lambda z, i=i: F.component(i, z, order=1).grad, x)
-            e_h = _rel(np.linalg.norm(der.hess - H_fd),
-                       np.linalg.norm(der.hess))
+            e_h = rel_err(der.hess, H_fd)
             err, which = max((e_g, "grad"), (e_h, "hess"))
             if err > worst["rel_err"]:
                 worst = {"rel_err": float(err), "component": i,
@@ -109,7 +105,7 @@ def check_derivatives(F: FiniteSumFunction, num_points: int, tol: float,
 
 
 @dataclass(frozen=True)
-class ZeroChainReport:
+class ZeroChainReport(_Report):
     passed: bool
     K: int
     num_samples: int
@@ -117,12 +113,6 @@ class ZeroChainReport:
     skipped: int
     max_partial: float
     max_value_change: float
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "K": self.K,
-                "num_samples": self.num_samples, "checked": self.checked,
-                "skipped": self.skipped, "max_partial": self.max_partial,
-                "max_value_change": self.max_value_change}
 
 
 def check_zero_chain(K: int, num_samples: int, seed=0,
@@ -172,7 +162,7 @@ _PAIR_SCHEME = ("cycled kinds: global / local 1e-3 / local 1e-1 / local 1 / "
 
 
 @dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(_Report):
     """Empirical smoothness constant: the max observed difference ratio.
 
     This is a lower bound on the true constant -- sampling can only exhibit,
@@ -191,11 +181,6 @@ class SmoothnessReport:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.constant < 0:
             raise ValueError("constant must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "constant": self.constant,
-                "num_pairs": self.num_pairs, "scheme": self.scheme,
-                "seed": self.seed}
 
 
 def _pair_stream(d: int, num_pairs: int, rng):
@@ -306,7 +291,7 @@ def default_ell_hat(p: int) -> float:
 
 
 @dataclass(frozen=True)
-class EstimatorBoundsReport:
+class EstimatorBoundsReport(_Report):
     passed: bool
     trials: int
     dist: float
@@ -321,15 +306,6 @@ class EstimatorBoundsReport:
     premise_ok: bool
     cross_check_rel_err: float
 
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "trials": self.trials,
-                "dist": self.dist, "L2_hat": self.L2_hat,
-                "grad_mean": self.grad_mean, "grad_bound": self.grad_bound,
-                "grad_pass": self.grad_pass, "hess_mean": self.hess_mean,
-                "hess_bound": self.hess_bound, "hess_pass": self.hess_pass,
-                "slack": self.slack, "premise_ok": self.premise_ok,
-                "cross_check_rel_err": self.cross_check_rel_err}
-
 
 def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
                             params: SvrcParams, trials: int, seed=0,
@@ -341,11 +317,11 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     E ||hess F(x) - U||^3      <=  15000 L2^3 (log d / b_h)^(3/2) ||x - xh||^3
 
     Pass iff each mean is at most bound * (1 + slack).  The Hessian bound's
-    premise (b_h >= 12000 log^3 d) is reported, not enforced.  A full-batch
-    schedule draws every index once, so b = n there.  Every trial applies the
-    estimators' own count-weighted contractions to per-component tables
-    evaluated once; a handful of trials are cross-checked against the metered
-    estimator calls.
+    premise (b_h >= 12000 log^3 d) is reported, not enforced.  Trials draw
+    their batches as the run does (a full-batch schedule has b = n).  Every
+    trial applies the estimators' own count-weighted contractions to
+    per-component tables evaluated once; a handful of trials are
+    cross-checked against the metered estimator calls.
     """
     if trials < 1000:
         raise ValueError("trials must be at least 10^3")
@@ -374,17 +350,13 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     Hdx = H_h @ dx                       # (n, d)
     dH = H_x - H_h                       # (n, d, d)
 
-    b_g, b_h = (n, n) if params.full_batch else (params.b_g, params.b_h)
+    b_g, b_h = params.batch_sizes(n)
     g_moments = np.empty(trials)
     h_moments = np.empty(trials)
     cross_err = 0.0
     n_cross = min(8, trials)
     for t in range(trials):
-        if params.full_batch:
-            idx_g = idx_h = np.arange(n)
-        else:
-            idx_g = rng.integers(0, n, size=b_g)
-            idx_h = rng.integers(0, n, size=b_h)
+        idx_g, idx_h = _draw_batches(params, n, rng)
         v = _gradient_estimate(_batch_counts(idx_g, n)[0], dG, Hdx, b_g,
                                g_s, H_s, dx)
         U = _hessian_estimate(_batch_counts(idx_h, n)[0], dH, b_h, H_s)
@@ -399,9 +371,8 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
             dev_g, dev_h = g_moments[t], h_moments[t]
             cross_err = max(
                 cross_err,
-                _rel(abs(float(np.linalg.norm(gF - v_ref)) ** 1.5 - dev_g),
-                     abs(dev_g)),
-                _rel(abs(_op_norm(HF - U_ref) ** 3 - dev_h), abs(dev_h)))
+                rel_err(dev_g, float(np.linalg.norm(gF - v_ref)) ** 1.5),
+                rel_err(dev_h, _op_norm(HF - U_ref) ** 3))
 
     grad_bound = 2.0 * L2_hat ** 1.5 * b_g ** -0.75 * dist ** 3
     hess_bound = 15000.0 * L2_hat ** 3 * (math.log(d) / b_h) ** 1.5 * dist ** 3
@@ -409,7 +380,7 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     hess_mean = float(h_moments.mean())
     grad_pass = grad_mean <= grad_bound * (1.0 + slack)
     hess_pass = hess_mean <= hess_bound * (1.0 + slack)
-    premise_ok = params.b_h >= 12000.0 * math.log(d) ** 3
+    premise_ok = b_h >= 12000.0 * math.log(d) ** 3
     return EstimatorBoundsReport(
         passed=bool(grad_pass and hess_pass and cross_err <= 1e-9),
         trials=trials, dist=dist, L2_hat=float(L2_hat),
@@ -425,18 +396,13 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
 
 
 @dataclass(frozen=True)
-class LargeGradientReport:
+class LargeGradientReport(_Report):
     passed: bool
     kind: str
     bound: float
     min_grad_norm: float
     num_points: int
     details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "kind": self.kind, "bound": self.bound,
-                "min_grad_norm": self.min_grad_norm,
-                "num_points": self.num_points, "details": dict(self.details)}
 
 
 def verify_large_gradient(subject, seed=0) -> LargeGradientReport:
@@ -463,7 +429,7 @@ def verify_large_gradient(subject, seed=0) -> LargeGradientReport:
                         "or ResistingCertificate")
     inst = subject.unscaled_view()
     spec = inst.spec
-    n, K, m = spec.n, spec.K, inst.d // spec.n
+    n, K = spec.n, spec.K
     bound = 1.0 / (4.0 * math.sqrt(n))
     rng = as_rng(seed)
     points = [np.zeros(inst.d)]
@@ -475,11 +441,7 @@ def verify_large_gradient(subject, seed=0) -> LargeGradientReport:
                     break
                 w = rng.standard_normal(prefix)
                 w *= scale / np.linalg.norm(w)
-                slot = inst.B.columns[:, i * K:i * K + prefix] @ w
-                if inst.C is None:
-                    x[i * m:(i + 1) * m] = slot
-                else:
-                    x += inst.C.columns[:, i * m:(i + 1) * m] @ slot
+                x += inst.embed(i, inst.B.columns[:, i * K:i * K + prefix] @ w)
             points.append(x)
             if prefix == 0:
                 break
@@ -492,18 +454,13 @@ def verify_large_gradient(subject, seed=0) -> LargeGradientReport:
 
 
 @dataclass(frozen=True)
-class SuboptimalityReport:
+class SuboptimalityReport(_Report):
     passed: bool
     f_origin: float
     best_found: float
     gap: float
     bound: float
     num_starts: int
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "f_origin": self.f_origin,
-                "best_found": self.best_found, "gap": self.gap,
-                "bound": self.bound, "num_starts": self.num_starts}
 
 
 def _gd_backtracking(F: FiniteSumFunction, x0: np.ndarray,
@@ -562,14 +519,10 @@ def verify_suboptimality(instance: RandomizedHardInstance,
 
 
 @dataclass(frozen=True)
-class BatteryCheck:
+class BatteryCheck(_Report):
     name: str
     status: str  # "passed" | "failed" | "skipped"
     details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status,
-                "details": dict(self.details)}
 
 
 def _status(passed: bool) -> str:
@@ -586,10 +539,9 @@ def _chain_component(K: int):
 
 def _hat_component(K: int, m: int, seed: int):
     B = sample_orthonormal_columns(m, K, seed=seed)
-    R = clamp_radius(K)
 
     def f(y, order=2):
-        return hat_f_eval(K, B, y, order, R=R)
+        return hat_f_eval(K, B, y, order)
     return f
 
 

@@ -265,6 +265,43 @@ class TestRun:
         assert main(["run", "--config", cfg_path, "--quiet"]) == 2
         assert "hint" in capsys.readouterr().err
 
+    def test_run_and_gen_give_the_same_hint(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "c.ini", (
+            "[instance]\nmode = deterministic\np = 1\nn = 2\n"
+            "delta = 10.0\nL = 1.0\neps = 1.0\n"))
+        assert main(["run", "--config", cfg_path, "--quiet"]) == 2
+        run_err = capsys.readouterr().err
+        assert main(["gen", "--config", cfg_path, "--quiet",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == run_err
+        assert "(or relax eps)" in run_err
+
+    def test_bad_thread_cap_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HARDSUM_THREADS", "abc")
+        cfg_path = _write(tmp_path, "c.ini", _synthetic_svrc_ini())
+        out = tmp_path / "multi.jsonl"
+        assert main(["run", "--config", cfg_path, "--quiet", "--out",
+                     str(out), "--seeds", "1,2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "HARDSUM_THREADS" in err
+        assert not list(tmp_path.glob("multi*"))
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_thread_cap_below_one_acts_as_one(self, tmp_path, monkeypatch,
+                                              cap):
+        monkeypatch.setenv("HARDSUM_THREADS", cap)
+        cfg_path = _write(tmp_path, "c.ini", _synthetic_svrc_ini())
+        assert main(["run", "--config", cfg_path, "--quiet", "--out",
+                     str(tmp_path / "m.jsonl"), "--seeds", "1,2"]) == 0
+        assert (tmp_path / "m.seed2.jsonl").exists()
+
+    def test_bad_seed_list_exits_2(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "c.ini", _synthetic_svrc_ini())
+        assert main(["run", "--config", cfg_path, "--quiet", "--out",
+                     str(tmp_path / "m.jsonl"), "--seeds", "1,x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seeds" in err
+
 
 class TestVerify:
     def test_small_battery_exit_0(self, tmp_path, capsys):

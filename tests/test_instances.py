@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -189,6 +190,13 @@ class TestBMatrixFile:
         with pytest.raises(ValueError, match="header"):
             load_b_matrix(path)
 
+    def test_zero_chain_length_header(self, tmp_path):
+        # a K = 0 header describes an empty basis; reject it at the header
+        path = tmp_path / "b.bin"
+        path.write_bytes(struct.pack("<4sIII", b"HSB1", 4, 2, 0))
+        with pytest.raises(ValueError, match="header"):
+            load_b_matrix(path)
+
     def test_save_validates_columns(self, tmp_path):
         spec, B = self._instance_parts()
         with pytest.raises(ValueError, match="columns"):
@@ -258,6 +266,18 @@ class TestRandomizedInstance:
                                     step=1e-5)
         assert np.allclose(d.grad, fd_g, rtol=1e-4, atol=1e-5)
         assert np.allclose(d.hess, d.hess.T)
+
+    @pytest.mark.parametrize("haar_c", [False, True])
+    def test_embed_places_a_slot_vector(self, rng, haar_c):
+        # embed(i, v) is the ambient point whose slot i reads v and whose
+        # other slots read zero
+        spec, F = self._make(haar_c=haar_c)
+        m = spec.d // spec.n
+        v = rng.standard_normal(m)
+        x = F.embed(1, v)
+        assert x.shape == (spec.d,)
+        assert np.allclose(F._slot(1, x), v, atol=1e-12)
+        assert np.allclose(F._slot(0, x), 0.0, atol=1e-12)
 
     def test_sampling_deterministic(self):
         spec, F1 = self._make(seed=42)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -189,6 +190,18 @@ class TestEstimators:
         with pytest.raises(ValueError, match="batch"):
             svrc_gradient_estimator(F, led, x, x_hat, g_s, H_s, [])
 
+    @pytest.mark.parametrize("batch", [[1.5], [1.5, 2.7], [1.0, 2.0],
+                                       [True, False]])
+    def test_non_integer_batch_rejected_before_charging(self, batch):
+        # a float index used to be truncated and charged to the wrong row
+        F, x, x_hat, g_s, H_s = self._setup()
+        led = OracleLedger(n=F.n)
+        with pytest.raises(ValueError, match="integers"):
+            svrc_gradient_estimator(F, led, x, x_hat, g_s, H_s, batch)
+        with pytest.raises(ValueError, match="integers"):
+            svrc_hessian_estimator(F, led, x, x_hat, H_s, batch)
+        assert led.total == 0
+
 
 class TestMu:
     def test_zero_at_sosp(self):
@@ -291,11 +304,30 @@ class TestSvrcRun:
         assert led.total <= budget
         assert len(traj) == 2
 
+    def test_full_batch_budget_counts_every_index(self):
+        # a full-batch step reads all n indices: 3n raw queries, whatever
+        # b_g and b_h say; snapshot 6 + two steps of 18 fit in 45, a third
+        # step would overshoot to 60
+        F = quadratic_cosine_sum(6, 4, seed=15)
+        params = self._params(6, S=1, T=5, b_g=1, b_h=1, full_batch=True)
+        led = OracleLedger(n=6)
+        _, traj = svrc_run(F, params, ledger=led, budget=6 + 2 * 3 * 6 + 3)
+        assert led.total == 42
+        assert len(traj) == 2
+
+    def test_batch_plan(self):
+        sampled = self._params(6, b_g=5, b_h=7)
+        assert sampled.batch_sizes(6) == (5, 7)
+        assert sampled.step_cost(6) == 2 * 5 + 7
+        full = dataclasses.replace(sampled, full_batch=True)
+        assert full.batch_sizes(6) == (6, 6)
+        assert full.step_cost(6) == 18
+
     def test_first_hit_recorded(self):
         F = _identity_quadratic(d=3, n=2)
         params = self._params(2, S=1, T=2, b_g=1, b_h=1)
-        led = OracleLedger(n=2)
-        svrc_run(F, params, eps=1e9, ledger=led)   # trivially hit at step 0
+        led = OracleLedger(n=2, eps=1e9)
+        svrc_run(F, params, ledger=led)   # trivially hit at step 0
         assert led.first_hit == 0
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from hardsum.instances import (
 from hardsum.oracle import CallableFiniteSum, quadratic_cosine_sum
 from hardsum.optim import SvrcParams
 from hardsum.verify import (
+    BatteryCheck,
     SmoothnessReport,
     check_derivatives,
     check_zero_chain,
@@ -262,6 +265,20 @@ class TestLargeGradient:
         assert rep.bound == pytest.approx(1.0 / 8.0)
         assert rep.min_grad_norm > rep.bound
 
+    def test_haar_rotated_instance(self):
+        # the sampled points reach their slots through the rotation C
+        Delta = 192.0 * 2.5 * 3.0   # K = floor(Delta / (192 n)) = 2
+        spec = randomized_params("randomized-individual", p=1, n=3,
+                                 Delta=Delta, L=1.0, eps=1.0, ell_hat=1.0)
+        with pytest.warns(UserWarning):
+            inst = sample_randomized_instance(spec, seed=4, haar_c=True)
+        assert inst.C is not None
+        rep = verify_large_gradient(inst, seed=5)
+        assert rep.passed
+        assert rep.num_points == 2 + 3 * (spec.K - 1)
+        assert rep.bound == pytest.approx(1.0 / (4.0 * math.sqrt(3)))
+        assert rep.min_grad_norm > rep.bound
+
     def test_single_component(self):
         inst = _tiny_randomized(n=1, K=3)
         rep = verify_large_gradient(inst, seed=2)
@@ -330,3 +347,28 @@ class TestBattery:
         assert by_name["check_derivatives"] == "passed"
         assert by_name["check_derivatives_chain"] == "failed"
         assert by_name["check_derivatives_composite"] == "failed"
+
+
+def test_report_to_dict_follows_dataclass_fields():
+    """Every report serializes exactly its fields, in declaration order, to
+    JSON-ready types."""
+    F = quadratic_cosine_sum(4, 3, seed=0)
+    params = SvrcParams(M=1.0, b_g=2, b_h=3, S=1, T=1, eps=1.0, Delta=1.0,
+                        L2=1.0)
+    x = np.ones(3)
+    inst = _tiny_randomized(n=2, K=2)
+    reports = [
+        check_derivatives(F, num_points=1, tol=1e-6),
+        check_zero_chain(3, num_samples=5),
+        estimate_smoothness(F, "individual", 3),
+        verify_estimator_bounds(F, np.zeros(3), x, params, trials=1000,
+                                L2_hat=1.0),
+        verify_large_gradient(inst),
+        verify_suboptimality(inst, num_starts=1, gd_iters=2),
+        BatteryCheck("x", "passed", {"a": 1.0}),
+        inst.spec,
+    ]
+    for rep in reports:
+        d = rep.to_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(rep)]
+        json.loads(json.dumps(d))
