@@ -149,11 +149,10 @@ def _run_one(cfg: RunConfig, quiet: bool) -> tuple[int, list[str]]:
         _, trajectory = svrc_run(F, params, ledger=ledger, budget=cfg.budget)
     elif cfg.optimizer == "gd":
         trajectory = baseline_full_gd(F, cfg.step, budget, ledger=ledger,
-                                      eps=cfg.eps, L2=L2)
+                                      L2=L2)
     else:
         M = cfg.M if cfg.M is not None else C_M * L2
-        trajectory = baseline_full_cubic(F, M, budget, ledger=ledger,
-                                         eps=cfg.eps, L2=L2)
+        trajectory = baseline_full_cubic(F, M, budget, ledger=ledger, L2=L2)
 
     lines = [json.dumps(_row(i, rec)) for i, rec in enumerate(trajectory)]
     summary = {

@@ -14,6 +14,7 @@ from the snapshot cache and recorded as zero-cost cache hits.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -240,8 +241,8 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
 
     x_out is drawn uniformly from all post-step iterates with the run's own
     seeded RNG.  A cubic-solver failure aborts with the partial trajectory;
-    an optional raw-query budget stops the run before the step that would
-    exceed it.  Stats in the trajectory (f, gradient norm, mu) come from the
+    an optional raw-query budget stops the run before the snapshot pass or
+    step that would exceed it.  Stats in the trajectory (f, gradient norm, mu) come from the
     free measurement channel and charge nothing.  The ledger's first-hit
     threshold defaults to ``params.eps``.
     """
@@ -256,42 +257,37 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
     trajectory: list[TrajectoryRecord] = []
     iterates: list[np.ndarray] = []
     step_cost = params.step_cost(n)
-    aborted = False
-    for s in range(params.S):
-        if budget is not None and ledger.total + n > budget:
+    # t = -1 is each epoch's snapshot pass, which anchors the epoch at the
+    # current iterate; t = 0..T-1 are its steps
+    for s, t in itertools.product(range(params.S), range(-1, params.T)):
+        cost = n if t < 0 else step_cost
+        if budget is not None and ledger.total + cost > budget:
             break
-        # snapshot pass: exact g, H and the per-component cache
-        x_hat = x.copy()
-        answers = [query(ledger, F, i, x_hat, order=2) for i in range(n)]
-        snapshot = mean_derivatives(answers, d, 2)
-        g_s, H_s = snapshot.grad, snapshot.hess
-        cache = {i: (der.grad, der.hess) for i, der in enumerate(answers)}
-
-        for t in range(params.T):
-            if budget is not None and ledger.total + step_cost > budget:
-                aborted = True
-                break
-            batch_g, batch_h = _draw_batches(params, n, rng)
-            v = svrc_gradient_estimator(F, ledger, x, x_hat, g_s, H_s, batch_g)
-            U = svrc_hessian_estimator(F, ledger, x, x_hat, H_s, batch_h,
-                                       snapshot_cache=cache)
-            try:
-                sol = solve(CubicModel(v=v, U=U, M=params.M))
-            except ArithmeticError:
-                aborted = True
-                break
-            x = x + sol.h
-            iterates.append(x.copy())
-            measured = F.full(x, order=2)
-            gnorm, m = _stationarity(measured, params.L2)
-            record_iterate(ledger, gnorm)
-            trajectory.append(TrajectoryRecord(
-                epoch=s, step=t, f=float(measured.value), grad_norm=gnorm,
-                mu=m, h_norm=float(np.linalg.norm(sol.h)),
-                counters=ledger.counters()))
-        if aborted:
+        if t < 0:
+            # exact g, H and the per-component cache
+            x_hat = x.copy()
+            answers = [query(ledger, F, i, x_hat, order=2) for i in range(n)]
+            snapshot = mean_derivatives(answers, d, 2)
+            g_s, H_s = snapshot.grad, snapshot.hess
+            cache = {i: (der.grad, der.hess) for i, der in enumerate(answers)}
+            continue
+        batch_g, batch_h = _draw_batches(params, n, rng)
+        v = svrc_gradient_estimator(F, ledger, x, x_hat, g_s, H_s, batch_g)
+        U = svrc_hessian_estimator(F, ledger, x, x_hat, H_s, batch_h,
+                                   snapshot_cache=cache)
+        try:
+            sol = solve(CubicModel(v=v, U=U, M=params.M))
+        except ArithmeticError:
             break
-        # next epoch anchors at the last iterate of this one
+        x = x + sol.h
+        iterates.append(x.copy())
+        measured = F.full(x, order=2)
+        gnorm, m = _stationarity(measured, params.L2)
+        record_iterate(ledger, gnorm)
+        trajectory.append(TrajectoryRecord(
+            epoch=s, step=t, f=float(measured.value), grad_norm=gnorm,
+            mu=m, h_norm=float(np.linalg.norm(sol.h)),
+            counters=ledger.counters()))
 
     if iterates:
         x_out = iterates[int(rng.integers(0, len(iterates)))].copy()
@@ -300,78 +296,71 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
     return x_out, trajectory
 
 
-def _resolve_step(step_rule, t, x, grad):
-    if callable(step_rule):
-        return float(step_rule(t, x, grad))
-    return float(step_rule)
+def _exact_information_run(F: FiniteSumFunction, p: int, step, budget: int,
+                           x0, ledger: OracleLedger | None,
+                           L2: float | None) -> list[TrajectoryRecord]:
+    """The p-th order method with exact full-sum derivatives.
 
-
-def baseline_full_gd(F: FiniteSumFunction, step_rule, budget: int,
-                     x0=None, ledger: OracleLedger | None = None,
-                     eps: float | None = None, L2: float | None = None
-                     ) -> list[TrajectoryRecord]:
-    """Full gradient descent; each iteration pays one order-1 pass (n queries).
-
-    ``step_rule`` is a constant or a callable (t, x, grad) -> step size.
-    Runs until the next pass would exceed the query budget.
+    Each iteration pays one charged pass over all n components per
+    derivative order 1..p (p*n queries, order 1 first), records the iterate
+    with the gradient norm of that first pass, measures mu when L2 is given
+    and moves by ``step(t, x, grad, hess) -> h`` (``hess`` is None for
+    p = 1).  A step of None ends the run without a row.  Runs until the next
+    iteration would exceed the query budget.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     n, d = F.n, F.d
     if ledger is None:
-        ledger = OracleLedger(n=n, eps=eps)
+        ledger = OracleLedger(n=n)
     x = np.zeros(d) if x0 is None else as_vector(x0, dim=d).copy()
     trajectory: list[TrajectoryRecord] = []
-    t = 0
-    while ledger.total + n <= budget:
-        der = mean_derivatives(
-            (query(ledger, F, i, x, order=1) for i in range(n)), d, 1)
-        grad = der.grad
+    while ledger.total + p * n <= budget:
+        passes = [mean_derivatives(
+            (query(ledger, F, i, x, order=order) for i in range(n)), d, order)
+            for order in range(1, p + 1)]
+        grad = passes[0].grad
         gnorm = float(np.linalg.norm(grad))
         record_iterate(ledger, gnorm)
         m = mu(F, x, L2) if L2 is not None else None
-        step = _resolve_step(step_rule, t, x, grad)
-        h = -step * grad
+        t = len(trajectory)
+        h = step(t, x, grad, passes[-1].hess)
+        if h is None:
+            break
         trajectory.append(TrajectoryRecord(
-            epoch=0, step=t, f=der.value, grad_norm=gnorm, mu=m,
+            epoch=0, step=t, f=passes[0].value, grad_norm=gnorm, mu=m,
             h_norm=float(np.linalg.norm(h)), counters=ledger.counters()))
         x = x + h
-        t += 1
     return trajectory
+
+
+def baseline_full_gd(F: FiniteSumFunction, step_rule, budget: int,
+                     x0=None, ledger: OracleLedger | None = None,
+                     L2: float | None = None) -> list[TrajectoryRecord]:
+    """Full gradient descent; each iteration pays one order-1 pass (n queries).
+
+    ``step_rule`` is a constant or a callable (t, x, grad) -> step size.
+    Runs until the next pass would exceed the query budget.
+    """
+    def gd_step(t, x, grad, _):
+        size = step_rule(t, x, grad) if callable(step_rule) else step_rule
+        return -float(size) * grad
+
+    return _exact_information_run(F, 1, gd_step, budget, x0, ledger, L2)
 
 
 def baseline_full_cubic(F: FiniteSumFunction, M: float, budget: int,
                         x0=None, ledger: OracleLedger | None = None,
-                        eps: float | None = None, L2: float | None = None
-                        ) -> list[TrajectoryRecord]:
+                        L2: float | None = None) -> list[TrajectoryRecord]:
     """Cubic-regularized Newton with exact derivatives; one order-1 pass plus
     one order-2 pass (2n queries) per iteration."""
-    if budget <= 0:
-        raise ValueError("budget must be positive")
     if not M > 0:
         raise ValueError("M must be positive")
-    n, d = F.n, F.d
-    if ledger is None:
-        ledger = OracleLedger(n=n, eps=eps)
-    x = np.zeros(d) if x0 is None else as_vector(x0, dim=d).copy()
-    trajectory: list[TrajectoryRecord] = []
-    t = 0
-    while ledger.total + 2 * n <= budget:
-        der = mean_derivatives(
-            (query(ledger, F, i, x, order=1) for i in range(n)), d, 1)
-        grad = der.grad
-        hess = mean_derivatives(
-            (query(ledger, F, i, x, order=2) for i in range(n)), d, 2).hess
-        gnorm = float(np.linalg.norm(grad))
-        record_iterate(ledger, gnorm)
-        m = mu(F, x, L2) if L2 is not None else None
+
+    def cubic_step(t, x, grad, hess):
         try:
-            sol = solve(CubicModel(v=grad, U=hess, M=M))
+            return solve(CubicModel(v=grad, U=hess, M=M)).h
         except ArithmeticError:
-            break
-        trajectory.append(TrajectoryRecord(
-            epoch=0, step=t, f=der.value, grad_norm=gnorm, mu=m,
-            h_norm=float(np.linalg.norm(sol.h)), counters=ledger.counters()))
-        x = x + sol.h
-        t += 1
-    return trajectory
+            return None
+
+    return _exact_information_run(F, 2, cubic_step, budget, x0, ledger, L2)

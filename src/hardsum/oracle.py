@@ -139,7 +139,8 @@ class OracleLedger:
 
     ``per_index[i]`` counts queries to component i (one per draw, so batched
     repetitions of the same index all count); the per-order counters count
-    the derivative orders actually returned.  ``cache_hits`` counts
+    the derivative orders actually returned (every query returns a value, so
+    the value count is ``total``).  ``cache_hits`` counts
     snapshot-cache lookups that were served at zero query cost.  First-hit
     tracking records the first recorded iterate whose (externally measured)
     full-gradient norm fell to ``eps`` or below.
@@ -148,7 +149,6 @@ class OracleLedger:
     n: int
     eps: float | None = None
     per_index: np.ndarray = field(default=None, repr=False)
-    value_queries: int = 0
     grad_queries: int = 0
     hess_queries: int = 0
     cache_hits: int = 0
@@ -180,7 +180,6 @@ class OracleLedger:
         if count < 0:
             raise ValueError("count must be non-negative")
         self.per_index[i] += count
-        self.value_queries += count
         if order >= 1:
             self.grad_queries += count
         if order >= 2:
@@ -198,7 +197,7 @@ class OracleLedger:
         return {
             "total": self.total,
             "adjusted_total": self.adjusted_total,
-            "value": self.value_queries,
+            "value": self.total,
             "grad": self.grad_queries,
             "hess": self.hess_queries,
             "cache_hits": self.cache_hits,

@@ -176,9 +176,9 @@ def test_acceptance_03_resisting_oracle():
                 F = ResistingOracle(spec, seed=100 * p + n)
                 ledger = OracleLedger(n=n, eps=1.0)
                 if algo == "gd":
-                    baseline_full_gd(F, step, budget, ledger=ledger, eps=1.0)
+                    baseline_full_gd(F, step, budget, ledger=ledger)
                 else:
-                    baseline_full_cubic(F, M, budget, ledger=ledger, eps=1.0)
+                    baseline_full_cubic(F, M, budget, ledger=ledger)
                 F.finalize()
                 cert = F.certificate()
                 ok = ok and cert.passed and cert.num_queries > 0

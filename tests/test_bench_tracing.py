@@ -15,9 +15,10 @@ from hardsum.optim import C_M, SvrcParams
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
-TOUCHED_SPANS = ("oracle.query", "optim.svrc_gradient_estimator",
-                 "optim.svrc_hessian_estimator", "oracle.full", "optim.mu",
-                 "linalg.eig_sym", "cubic.solve",
+TOUCHED_SPANS = ("oracle.query", "optim.svrc_run",
+                 "optim.svrc_gradient_estimator",
+                 "optim.svrc_hessian_estimator", "optim.baseline_full_cubic",
+                 "oracle.full", "optim.mu", "linalg.eig_sym", "cubic.solve",
                  "instances.resisting.certificate")
 
 
@@ -54,7 +55,7 @@ def test_traced_runs_touch_every_layer(tracing):
         adversary = hardsum.ResistingOracle(spec, seed=0)
         ledgers.append(OracleLedger(n=spec.n, eps=1.0))
         hardsum.baseline_full_cubic(adversary, C_M * L, 2 * spec.n * (spec.K + 2),
-                                    ledger=ledgers[-1], eps=1.0, L2=L)
+                                    ledger=ledgers[-1], L2=L)
         adversary.finalize()
         assert adversary.certificate().passed
 

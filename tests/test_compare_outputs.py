@@ -1,0 +1,67 @@
+"""tools/compare_outputs.py: its entry list still parses, a tree compared
+with itself reads identical, and a changed output or exit code is caught."""
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from hardsum.cli import RunConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "compare_outputs.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve their module through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+def _fake_tree(root: Path, body: str) -> Path:
+    """A source tree whose ``hardsum.cli.main`` is ``body``."""
+    cli = root / "src" / "hardsum" / "cli"
+    cli.mkdir(parents=True)
+    (root / "src" / "hardsum" / "__init__.py").write_text("")
+    (cli / "__init__.py").write_text(
+        f"def main(argv):\n    {body}\n", encoding="utf-8")
+    return root
+
+
+def test_every_entry_config_parses(tool):
+    names = [entry.name for entry in tool.ENTRIES]
+    assert len(names) == len(set(names))
+    for entry in tool.ENTRIES:
+        if entry.config is not None:
+            RunConfig.from_ini(entry.config)
+
+
+def test_tree_against_itself_is_identical(tool):
+    entry = next(e for e in tool.ENTRIES if e.name == "acc10-synth-svrc")
+    out = io.StringIO()
+    assert tool.compare(ROOT, ROOT, [entry], out=out)
+    lines = out.getvalue().splitlines()
+    assert [line.split()[-1] for line in lines] == [
+        "acc10-synth-svrc/exit", "acc10-synth-svrc/run.jsonl",
+        "acc10-synth-svrc/stderr", "acc10-synth-svrc/stdout"]
+    assert all(line.startswith("same ") for line in lines)
+
+
+def test_changed_output_and_bad_exit_are_reported(tool, tmp_path):
+    entry = tool.Entry("echo", None, ("run",))
+    a = _fake_tree(tmp_path / "a", "print('a'); return 0")
+    b = _fake_tree(tmp_path / "b", "print('b'); return 0")
+    out = io.StringIO()
+    assert not tool.compare(a, b, [entry], out=out)
+    assert "DIFF     echo/stdout" in out.getvalue().splitlines()
+
+    failing = _fake_tree(tmp_path / "c", "return 3")
+    out = io.StringIO()
+    assert not tool.compare(failing, failing, [entry], out=out)
+    assert "EXIT 3 (expected 0) echo/exit" in out.getvalue()

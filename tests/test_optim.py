@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hardsum.chains import Derivatives
+from hardsum.cubic import solve
 from hardsum.oracle import (CallableFiniteSum, OracleLedger,
                             quadratic_cosine_sum, query)
 from hardsum.optim import (
@@ -32,6 +33,23 @@ def _identity_quadratic(d=4, n=3):
             return Derivatives(v, x.copy())
         return Derivatives(v, x.copy(), np.eye(x.size))
     return CallableFiniteSum([f] * n, d=d)
+
+
+def _fail_solve_on_second_call(monkeypatch):
+    """Patch the cubic solver the optimizers call so that its second call
+    raises ArithmeticError; returns the list of steps it returned before."""
+    real = solve
+    steps = []
+
+    def flaky(model):
+        if steps:
+            raise ArithmeticError("injected solver failure")
+        sol = real(model)
+        steps.append(sol.h)
+        return sol
+
+    monkeypatch.setattr("hardsum.optim.solve", flaky)
+    return steps
 
 
 class TestSchedule:
@@ -330,6 +348,20 @@ class TestSvrcRun:
         svrc_run(F, params, ledger=led)   # trivially hit at step 0
         assert led.first_hit == 0
 
+    def test_solver_failure_ends_run_after_last_iterate(self, monkeypatch):
+        F = quadratic_cosine_sum(4, 3, seed=16)
+        params = self._params(4, S=1, T=3, b_g=2, b_h=3)
+        steps = _fail_solve_on_second_call(monkeypatch)
+        led = OracleLedger(n=4)
+        x0 = np.ones(3)
+        x_out, traj = svrc_run(F, params, x0=x0, ledger=led)
+        assert len(traj) == 1
+        # the snapshot and both steps' estimators were paid before the
+        # second solve failed
+        assert led.total == 4 + 2 * params.step_cost(4)
+        assert led.iterates_recorded == 1
+        assert np.array_equal(x_out, x0 + steps[0])
+
 
 class TestBaselines:
     def test_gd_on_quadratic_converges_in_one_step(self):
@@ -375,6 +407,26 @@ class TestBaselines:
                                    x0=rng.standard_normal(4))
         fs = [rec.f for rec in traj]
         assert fs[-1] <= fs[0] + 1e-12
+
+    def test_cubic_solver_failure_ends_run(self, monkeypatch):
+        F = quadratic_cosine_sum(4, 3, seed=17)
+        _fail_solve_on_second_call(monkeypatch)
+        led = OracleLedger(n=4)
+        traj = baseline_full_cubic(F, M=20.0, budget=100, ledger=led)
+        # the second iteration paid its 2n queries and recorded its iterate
+        # before its step failed; it adds no row
+        assert len(traj) == 1
+        assert led.total == 4 * 4
+        assert led.iterates_recorded == 2
+
+    def test_gd_step_rule_error_propagates(self):
+        F = _identity_quadratic(d=2, n=2)
+
+        def rule(t, x, grad):
+            return 1.0 / (1 - t)        # ZeroDivisionError at t = 1
+
+        with pytest.raises(ZeroDivisionError):
+            baseline_full_gd(F, step_rule=rule, budget=10)
 
     def test_mu_reported_only_with_l2(self):
         F = _identity_quadratic(d=2, n=2)

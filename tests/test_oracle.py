@@ -91,7 +91,7 @@ class TestLedger:
         query(led, F, 0, x, order=1)
         query(led, F, 1, x, order=2)
         assert led.total == 3
-        assert led.value_queries == 3
+        assert led.counters()["value"] == 3
         assert led.grad_queries == 2
         assert led.hess_queries == 1
         assert list(led.per_index) == [2, 1]

@@ -1,0 +1,191 @@
+"""Compare the CLI outputs of two hardsum source trees byte for byte.
+
+    python tools/compare_outputs.py PARENT CHANGE
+
+PARENT and CHANGE are checkouts of the repository (each with a ``src/``).
+Every entry of :data:`ENTRIES` runs once against each tree's ``src/``, in a
+fresh temporary directory, with BLAS pinned to one thread.  Every file the
+run writes, its stdout, its stderr and its exit code are compared byte for
+byte; one line per output is printed, and the exit status is 1 when any
+output differs or any run exits with a code other than the entry's expected
+one (so an entry whose config stops parsing fails instead of comparing two
+identical error messages).
+
+Warnings are printed as ``Category: message`` and each tree's root is
+replaced by ``<tree>``, so only what the program says is compared, not where
+its source lives.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+#: runs hardsum's CLI with location-free warnings
+RUNNER = """\
+import sys, warnings
+warnings.formatwarning = (
+    lambda message, category, *_, **__: f"{category.__name__}: {message}\\n")
+from hardsum.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+#: BLAS thread caps, so threaded reductions cannot reorder sums
+PINNED = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS")}
+
+#: the config file every entry's run reads; not itself compared
+CONFIG = "c.ini"
+
+ELL_1 = "58602877.71581407"   # ell_p(1)
+
+SYNTH_SVRC = ("[instance]\nmode = synthetic\nn = 4\nd = 5\neps = 1e6\n"
+              "[optimizer]\noptimizer = svrc\nb_g = 3\nb_h = 3\nS = 2\n"
+              "T = 2\nL2 = 1.0\nseed = 3\n")
+ADV_CUBIC = ("[instance]\nmode = deterministic\np = 1\nn = 4\n"
+             f"delta = 960.0\nL = {ELL_1}\neps = 1.0\n"
+             "[optimizer]\noptimizer = cubic\nseed = 1\n")
+BENCH_ADV_CUBIC = ("[instance]\nmode = deterministic\np = 1\nn = 4\n"
+                   f"delta = 4040.0\nL = {ELL_1}\neps = 1.0\n"
+                   "[optimizer]\noptimizer = cubic\n")
+SVRC_SAMPLED = ("[instance]\nmode = synthetic\nn = 16\nd = 6\neps = 1e-3\n"
+                "[optimizer]\noptimizer = svrc\nb_g = 5\nb_h = 9\nS = 2\n"
+                "T = 3\nL2 = 1.0\nseed = 7\n")
+SVRC_FULL = ("[instance]\nmode = synthetic\nn = 6\nd = 4\neps = 1e-3\n"
+             "[optimizer]\noptimizer = svrc\nfull_batch = true\nS = 2\n"
+             "T = 3\nL2 = 1.0\nseed = 2\n")
+SVRC_ADV = ("[instance]\nmode = deterministic\np = 1\nn = 4\n"
+            f"delta = 960.0\nL = {ELL_1}\neps = 1.0\n"
+            "[optimizer]\noptimizer = svrc\nb_g = 2\nb_h = 2\nS = 2\nT = 2\n"
+            "seed = 4\n")
+GD_SYNTH = ("[instance]\nmode = synthetic\nn = 3\nd = 4\neps = 1e-9\n"
+            "[optimizer]\noptimizer = gd\nstep = 0.05\nbudget = 12\n"
+            "L2 = 1.0\n")
+GD_ADV = ("[instance]\nmode = deterministic\np = 1\nn = 4\n"
+          f"delta = 960.0\nL = {ELL_1}\neps = 1.0\n"
+          "[optimizer]\noptimizer = gd\nstep = 1e-6\nseed = 5\n")
+GD_THIRD_MOMENT = ("[instance]\nmode = randomized-third-moment\np = 2\n"
+                   "n = 2\ndelta = 800.0\nL = 1.0\neps = 1.0\nell_hat = 1.0\n"
+                   "[optimizer]\noptimizer = gd\nstep = 0.01\nbudget = 20\n"
+                   "seed = 6\n")
+CUBIC_SYNTH = ("[instance]\nmode = synthetic\nn = 5\nd = 4\neps = 1e-6\n"
+               "[optimizer]\noptimizer = cubic\nL2 = 1.0\nbudget = 40\n"
+               "seed = 8\n")
+CUBIC_HAAR = ("[instance]\nmode = randomized-individual\np = 1\nn = 2\n"
+              "delta = 800.0\nL = 1.0\neps = 1.0\nell_hat = 1.0\n"
+              "haar_c = true\n"
+              "[optimizer]\noptimizer = cubic\nbudget = 24\nseed = 9\n")
+VERIFY_SMALL = ("[verify]\nnum_points = 4\nzero_chain_samples = 40\n"
+                "pairs = 12\ntrials = 1000\nstarts = 2\n")
+
+
+@dataclass(frozen=True)
+class Entry:
+    """One CLI invocation: its name, config text (None: no ``--config``),
+    the arguments after the config and the exit code it must end with."""
+
+    name: str
+    config: str | None
+    args: tuple[str, ...]
+    exit_code: int = 0
+
+
+def _run(name, config, *args):
+    return Entry(name, config, ("run", "--out", "run.jsonl") + args)
+
+
+ENTRIES = (
+    _run("acc10-synth-svrc", SYNTH_SVRC),
+    _run("acc10-adv-cubic", ADV_CUBIC),
+    *(_run(f"acc10-synth-svrc-budget{b}", SYNTH_SVRC, "--budget", str(b))
+      for b in (30, 40, 50)),
+    *(_run(f"bench-adv-cubic-seed{s}", BENCH_ADV_CUBIC, "--seed", str(s))
+      for s in (0, 1, 2)),
+    _run("svrc-sampled", SVRC_SAMPLED),
+    _run("svrc-full-batch", SVRC_FULL),
+    _run("svrc-full-batch-budget80", SVRC_FULL, "--budget", "80"),
+    _run("svrc-adversary", SVRC_ADV),
+    _run("gd-synthetic", GD_SYNTH),
+    _run("gd-adversary", GD_ADV),
+    _run("gd-third-moment", GD_THIRD_MOMENT),
+    _run("cubic-synthetic", CUBIC_SYNTH),
+    _run("cubic-haar-c", CUBIC_HAAR),
+    _run("seeds-1-2", SYNTH_SVRC, "--seeds", "1,2", "--quiet"),
+    Entry("verify-defaults", None, ("verify", "--out", "rep.json")),
+    Entry("verify-small", VERIFY_SMALL, ("verify", "--out", "rep.json")),
+    Entry("gen-synthetic", SYNTH_SVRC, ("gen", "--out", "gen")),
+    Entry("gen-deterministic", ADV_CUBIC, ("gen", "--out", "gen")),
+    Entry("gen-haar-c", CUBIC_HAAR, ("gen", "--out", "gen")),
+)
+
+
+def run_entry(tree: Path, entry: Entry, workdir: Path) -> dict[str, bytes]:
+    """Run one entry against ``tree/src`` in ``workdir``; returns every
+    output by name: ``exit``, ``stdout``, ``stderr`` and each written file's
+    path relative to ``workdir``."""
+    tree = tree.resolve()
+    argv = [sys.executable, "-c", RUNNER, entry.args[0]]
+    if entry.config is not None:
+        (workdir / CONFIG).write_text(entry.config, encoding="utf-8")
+        argv += ["--config", CONFIG]
+    argv += entry.args[1:]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **PINNED)
+    proc = subprocess.run(argv, cwd=workdir, env=env, capture_output=True,
+                          check=False)
+    root = str(tree).encode()
+    outputs = {"exit": str(proc.returncode).encode(),
+               "stdout": proc.stdout.replace(root, b"<tree>"),
+               "stderr": proc.stderr.replace(root, b"<tree>")}
+    for path in sorted(workdir.rglob("*")):
+        rel = path.relative_to(workdir).as_posix()
+        if path.is_file() and rel != CONFIG:
+            outputs[rel] = path.read_bytes()
+    return outputs
+
+
+def compare(parent: Path, change: Path, entries=ENTRIES, out=None
+            ) -> bool:
+    """Run every entry against both trees, print one line per output and
+    return True when all outputs are identical and every run exited with
+    its entry's code."""
+    ok = True
+    for entry in entries:
+        runs = []
+        for tree in (parent, change):
+            with tempfile.TemporaryDirectory(prefix="hardsum-cmp-") as tmp:
+                runs.append(run_entry(Path(tree), entry, Path(tmp)))
+        want = str(entry.exit_code).encode()
+        for key in sorted(set(runs[0]) | set(runs[1])):
+            a, b = runs[0].get(key), runs[1].get(key)
+            if a is None or b is None:
+                verdict = "MISSING in " + ("parent" if a is None else "change")
+            elif a != b:
+                verdict = "DIFF"
+            elif key == "exit" and a != want:
+                verdict = f"EXIT {a.decode()} (expected {entry.exit_code})"
+            else:
+                verdict = "same"
+            ok = ok and verdict == "same"
+            print(f"{verdict:<8} {entry.name}/{key}", file=out, flush=True)
+    return ok
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: python tools/compare_outputs.py PARENT CHANGE",
+              file=sys.stderr)
+        return 2
+    parent, change = (Path(a) for a in argv)
+    for tree in (parent, change):
+        if not (tree / "src" / "hardsum").is_dir():
+            print(f"error: {tree} has no src/hardsum", file=sys.stderr)
+            return 2
+    return 0 if compare(parent, change) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
