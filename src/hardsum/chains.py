@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc
 
-from .linalg import TallOrthogonal, as_vector
+from .linalg import TallOrthogonal, as_points, row_dot, row_matvec
 
 __all__ = [
     "SQRT_E",
@@ -45,9 +45,11 @@ _EXP_FLOOR = -745.0
 
 @dataclass(frozen=True)
 class Derivatives:
-    """Value + optional gradient + optional Hessian of a scalar function."""
+    """Value + optional gradient + optional Hessian of a scalar function:
+    a float, (d,) and (d, d) at one point; arrays (P,), (P, d) and
+    (P, d, d) at a stack of P points."""
 
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray | None = None
     hess: np.ndarray | None = None
 
@@ -62,8 +64,9 @@ def psi(x, order: int = 0):
         raise ValueError(f"order must be in 0..3, got {order}")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.zeros_like(x)
+    if scalar:
+        x = x.reshape(1)
+    out = np.zeros(x.shape)
     m = x > _PSI_CUTOFF
     if m.any():
         u = 2.0 * x[m] - 1.0
@@ -90,7 +93,8 @@ def phi(x, order: int = 0):
         raise ValueError(f"order must be in 0..3, got {order}")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
-    x = np.atleast_1d(x)
+    if scalar:
+        x = x.reshape(1)
     if order == 0:
         out = PHI_AT_ZERO * erfc(-x / np.sqrt(2.0))
     else:
@@ -113,6 +117,21 @@ def _check_mask(mask, K: int) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=64)
+def _eye(m: int) -> np.ndarray:
+    """The m x m identity, read-only and shared (the clamp asks for it on
+    every derivative call)."""
+    out = np.eye(m)
+    out.flags.writeable = False
+    return out
+
+
+def _as_value(v):
+    """A value as the answer carries it: a float at one point, an array of
+    shape (P,) at a stack of P points."""
+    return float(v) if v.ndim == 0 else v
+
+
 def chain_eval(K: int, mask, x, order: int = 0) -> Derivatives:
     """Evaluate the masked chain function on R^K up to second order.
 
@@ -121,57 +140,61 @@ def chain_eval(K: int, mask, x, order: int = 0) -> Derivatives:
 
     Only adjacent coordinates couple, so the Hessian is tridiagonal; it is
     assembled densely here since K stays small at desk scale.
+
+    ``x`` is one point, shape (K,), or a stack of P points, shape (P, K);
+    a stack's answer holds values (P,), gradients (P, K) and Hessians
+    (P, K, K), row p equal to the answer at ``x[p]``.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be in 0..2, got {order}")
-    return _chain_eval(K, _check_mask(mask, K), as_vector(x, dim=K), order)
+    return _chain_eval(K, _check_mask(mask, K), as_points(x, dim=K), order)
 
 
 def _chain_eval(K: int, m: np.ndarray, x: np.ndarray, order: int) -> Derivatives:
-    """``chain_eval`` on an already validated mask and point."""
-    # psi/phi tables at +-x for all needed orders, one call each over [x; -x]
-    xx = np.concatenate((x, -x))
+    """``chain_eval`` on an already validated mask and point or stack."""
+    # psi/phi tables at +-x for all needed orders, one call each over [x; -x],
+    # cut into the factors of the terms k = 2..K: psi(+-x_{k-1}), phi(+-x_k)
+    xx = np.concatenate((x, -x), axis=-1)
     psi_xx = [psi(xx, q) for q in range(order + 1)]
     phi_xx = [phi(xx, q) for q in range(order + 1)]
-    ps = [t[:K] for t in psi_xx]
-    ns = [t[K:] for t in psi_xx]
-    pf = [t[:K] for t in phi_xx]
-    nf = [t[K:] for t in phi_xx]
+    ps = [t[..., :K - 1] for t in psi_xx]
+    ns = [t[..., K:-1] for t in psi_xx]
+    pf = [t[..., 1:K] for t in phi_xx]
+    nf = [t[..., K + 1:] for t in phi_xx]
+    m1 = m[1:]
 
-    val = -m[0] * pf[0][0]  # psi(1) = 1 exactly
+    val = -m[0] * phi_xx[0][..., 0]  # psi(1) = 1 exactly
     if K > 1:
-        a = slice(0, K - 1)  # index k-1 for terms k = 2..K
-        b = slice(1, K)      # index k
-        terms = m[1:] * (ns[0][a] * nf[0][b] - ps[0][a] * pf[0][b])
-        val += float(terms.sum())
-    val = float(val)
+        terms = m1 * (ns[0] * nf[0] - ps[0] * pf[0])
+        val = val + terms.sum(axis=-1)
+    val = _as_value(val)
     if order == 0:
         return Derivatives(val)
 
-    grad = np.zeros(K)
-    grad[0] = -m[0] * pf[1][0]
+    grad = np.zeros(x.shape)
+    grad[..., 0] = -m[0] * phi_xx[1][..., 0]
     if K > 1:
         # d/dx_{k-1}: -psi'(-x_{k-1}) phi(-x_k) - psi'(x_{k-1}) phi(x_k)
-        grad[:-1] += m[1:] * (-ns[1][a] * nf[0][b] - ps[1][a] * pf[0][b])
+        grad[..., :-1] += m1 * (-ns[1] * nf[0] - ps[1] * pf[0])
         # d/dx_k:    -psi(-x_{k-1}) phi'(-x_k) - psi(x_{k-1}) phi'(x_k)
-        grad[1:] += m[1:] * (-ns[0][a] * nf[1][b] - ps[0][a] * pf[1][b])
+        grad[..., 1:] += m1 * (-ns[0] * nf[1] - ps[0] * pf[1])
     if order == 1:
         return Derivatives(val, grad)
 
-    H = np.zeros((K, K))
-    H[0, 0] = -m[0] * pf[2][0]
+    H = np.zeros(x.shape + (K,))
+    # the diagonal, super- and sub-diagonal as strided views of flat H
+    flat = H.reshape(x.shape[:-1] + (K * K,))
+    diag = flat[..., ::K + 1]
+    diag[..., 0] = -m[0] * phi_xx[2][..., 0]
     if K > 1:
         # d2/dx_{k-1}^2: psi''(-x_{k-1}) phi(-x_k) - psi''(x_{k-1}) phi(x_k)
-        d_aa = m[1:] * (ns[2][a] * nf[0][b] - ps[2][a] * pf[0][b])
+        diag[..., :-1] += m1 * (ns[2] * nf[0] - ps[2] * pf[0])
         # d2/dx_k^2:     psi(-x_{k-1}) phi''(-x_k) - psi(x_{k-1}) phi''(x_k)
-        d_bb = m[1:] * (ns[0][a] * nf[2][b] - ps[0][a] * pf[2][b])
+        diag[..., 1:] += m1 * (ns[0] * nf[2] - ps[0] * pf[2])
         # mixed:         psi'(-x_{k-1}) phi'(-x_k) - psi'(x_{k-1}) phi'(x_k)
-        d_ab = m[1:] * (ns[1][a] * nf[1][b] - ps[1][a] * pf[1][b])
-        idx = np.arange(K - 1)
-        H[idx, idx] += d_aa
-        H[idx + 1, idx + 1] += d_bb
-        H[idx, idx + 1] = d_ab
-        H[idx + 1, idx] = d_ab
+        d_ab = m1 * (ns[1] * nf[1] - ps[1] * pf[1])
+        flat[..., 1::K + 1] = d_ab
+        flat[..., K::K + 1] = d_ab
     return Derivatives(val, grad, H)
 
 
@@ -192,26 +215,47 @@ def soft_clamp(y, R: float, order: int = 0):
     sum_k a_k * (second-derivative matrix of rho_k at y) -- the bilinear form
     needed for chain-rule Hessian assembly.
 
+    ``y`` is one point, shape (m,), or a stack of P points, shape (P, m);
+    a stack gives rho (P, m), Jacobians (P, m, m) and a ``d2_contract``
+    taking one vector per point, (P, m) -> (P, m, m).  Rows equal the
+    single-point answers bit for bit, except that the Jacobian and the
+    contraction may differ in the last bit: they use s^3 and s^5, which
+    numpy computes with the C library's pow at one point and with a
+    vectorized pow over a stack.
+
     |rho(y)| < R for every y.
     """
     if R <= 0:
         raise ValueError("R must be positive")
     if order not in (0, 1, 2):
         raise ValueError(f"order must be in 0..2, got {order}")
-    y = as_vector(y)
-    s = 1.0 / np.sqrt(1.0 + (y @ y) / R ** 2)
-    rho = s * y
+    y = as_points(y)
+    return _soft_clamp(y, row_dot(y, y), R, order)
+
+
+def _soft_clamp(y: np.ndarray, yy, R: float, order: int):
+    """``soft_clamp`` on an already validated point or stack with squared
+    norms ``yy``."""
+    s = 1.0 / np.sqrt(1.0 + yy / R ** 2)
+    rho = s[..., None] * y
     if order == 0:
         return rho, None, None
-    J = s * np.eye(y.size) - (s ** 3 / R ** 2) * np.outer(y, y)
+    eye = _eye(y.shape[-1])
+    c3 = s ** 3 / R ** 2
+    yyT = y[..., :, None] * y[..., None, :]
+    J = s[..., None, None] * eye - c3[..., None, None] * yyT
     if order == 1:
         return rho, J, None
 
     def d2_contract(a) -> np.ndarray:
-        a = as_vector(a, dim=y.size)
-        ay = float(a @ y)
-        M = -(s ** 3 / R ** 2) * (np.outer(a, y) + np.outer(y, a) + ay * np.eye(y.size))
-        M += (3.0 * s ** 5 / R ** 4) * ay * np.outer(y, y)
+        a = as_points(a, dim=y.shape[-1])
+        if a.shape != y.shape:
+            raise ValueError(f"expected shape {y.shape}, got {a.shape}")
+        ay = row_dot(a, y)
+        M = -c3[..., None, None] * (a[..., :, None] * y[..., None, :]
+                                    + y[..., :, None] * a[..., None, :]
+                                    + ay[..., None, None] * eye)
+        M += (3.0 * s ** 5 / R ** 4 * ay)[..., None, None] * yyT
         return M
 
     return rho, J, d2_contract
@@ -228,27 +272,33 @@ def hat_f_eval(K: int, B: TallOrthogonal, y, order: int = 0) -> Derivatives:
 
         J_rho B H_chain B^T J_rho + (second-derivative contraction of rho
         against B grad_chain) + I/5.
+
+    ``y`` is one point, shape (m,), or a stack of P points, shape (P, m),
+    answered as :func:`chain_eval` answers a stack.  Values equal the
+    single-point answers bit for bit; gradients and Hessians go through the
+    clamp's Jacobian and agree to rounding (see :func:`soft_clamp`).
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be in 0..2, got {order}")
     if B.k != K:
         raise ValueError(f"B must have K={K} columns, got {B.k}")
-    y = as_vector(y, dim=B.d)
+    y = as_points(y, dim=B.d)
 
-    rho, J, d2c = soft_clamp(y, clamp_radius(K), order)
-    w = B.columns.T @ rho
+    yy = row_dot(y, y)
+    rho, J, d2c = _soft_clamp(y, yy, clamp_radius(K), order)
+    w = row_matvec(B.columns.T, rho)
     ch = _chain_eval(K, np.ones(K), w, order)
 
-    val = ch.value + 0.1 * float(y @ y)
+    val = _as_value(ch.value + 0.1 * yy)
     if order == 0:
         return Derivatives(val)
 
-    g_chain = B.columns @ ch.grad  # gradient w.r.t. rho
-    grad = J @ g_chain + 0.2 * y   # J is symmetric
+    g_chain = row_matvec(B.columns, ch.grad)  # gradient w.r.t. rho
+    grad = row_matvec(J, g_chain) + 0.2 * y   # J is symmetric
     if order == 1:
         return Derivatives(val, grad)
 
     H = J @ (B.columns @ ch.hess @ B.columns.T) @ J
     H += d2c(g_chain)
-    H += 0.2 * np.eye(y.size)
-    return Derivatives(val, grad, 0.5 * (H + H.T))
+    H += 0.2 * _eye(y.shape[-1])
+    return Derivatives(val, grad, 0.5 * (H + np.swapaxes(H, -1, -2)))

@@ -61,6 +61,9 @@ class RunConfig:
         if self.mode not in _INSTANCE_MODES:
             raise ValueError(f"unknown instance mode {self.mode!r}; "
                              f"expected one of {_INSTANCE_MODES}")
+        if self.mode == "randomized-third-moment" and self.p != 2:
+            raise ValueError("mode randomized-third-moment is defined for "
+                             f"p = 2, got p = {self.p}")
         if self.optimizer not in _OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}; "
                              f"expected one of {_OPTIMIZERS}")

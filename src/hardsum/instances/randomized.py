@@ -15,7 +15,8 @@ import warnings
 import numpy as np
 
 from ..chains import Derivatives, hat_f_eval
-from ..linalg import TallOrthogonal, as_rng, as_vector, sample_orthonormal_columns
+from ..linalg import (TallOrthogonal, as_points, as_rng, row_matvec,
+                      sample_orthonormal_columns)
 from ..oracle import FiniteSumFunction
 from .params import HardInstanceSpec
 
@@ -112,31 +113,34 @@ class RandomizedHardInstance(FiniteSumFunction):
 
     def _slot(self, i: int, x: np.ndarray) -> np.ndarray:
         if self.C is None:
-            return x[i * self._m:(i + 1) * self._m]
-        return self.C.columns[:, i * self._m:(i + 1) * self._m].T @ x
+            return x[..., i * self._m:(i + 1) * self._m]
+        return row_matvec(self.C.columns[:, i * self._m:(i + 1) * self._m].T, x)
 
     def embed(self, i: int, v: np.ndarray) -> np.ndarray:
         """The ambient d-vector C_i v that places the m-vector v in slot i
-        (with C the identity, v written into coordinates i*m..(i+1)*m-1)."""
+        (with C the identity, v written into coordinates i*m..(i+1)*m-1);
+        a stack of m-vectors gives a stack of d-vectors."""
         if self.C is None:
-            out = np.zeros(self.d)
-            out[i * self._m:(i + 1) * self._m] = v
+            out = np.zeros(v.shape[:-1] + (self.d,))
+            out[..., i * self._m:(i + 1) * self._m] = v
             return out
-        return self.C.columns[:, i * self._m:(i + 1) * self._m] @ v
+        return row_matvec(self.C.columns[:, i * self._m:(i + 1) * self._m], v)
 
     def _unslot_hess(self, i: int, H: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.d, self.d))
         if self.C is None:
+            out = np.zeros(H.shape[:-2] + (self.d, self.d))
             s = slice(i * self._m, (i + 1) * self._m)
-            out[s, s] = H
+            out[..., s, s] = H
         else:
             Ci = self.C.columns[:, i * self._m:(i + 1) * self._m]
             out = Ci @ H @ Ci.T
         return out
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
+        """Component i at one point, or at every point of a stack in one
+        batched :func:`hat_f_eval` call."""
         i = self.check_index(i)
-        x = as_vector(x, dim=self.d)
+        x = as_points(x, dim=self.d)
         y = self._slot(i, x) / self._sigma
         base = hat_f_eval(self._K, self._blocks[i], y, order)
         val = self._pref * base.value

@@ -240,7 +240,7 @@ class ResistingOracle(FiniteSumFunction):
         active = self._K + 1 if self.finalized else self._round - 1
         return mean_derivatives(
             (self._masked_component(i, x, order, active)
-             for i in range(self.n)), self.d, order)
+             for i in range(self.n)), (self.d,), order)
 
     @property
     def rounds_closed(self) -> int:

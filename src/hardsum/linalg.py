@@ -16,6 +16,9 @@ __all__ = [
     "SymMatrix",
     "TallOrthogonal",
     "as_vector",
+    "as_points",
+    "row_dot",
+    "row_matvec",
     "sym_matrix",
     "as_rng",
     "rel_err",
@@ -48,11 +51,39 @@ def as_vector(x, dim: int | None = None) -> Vector:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise ValueError(f"expected dimension {dim}, got {v.shape[0]}")
+    return as_points(v, dim)
+
+
+def as_points(x, dim: int | None = None) -> np.ndarray:
+    """Validate and return one finite point, shape (d,), or a stack of P
+    finite points, shape (P, d)."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim not in (1, 2):
+        raise ValueError(
+            f"expected a point or a stack of points, got shape {v.shape}")
+    if dim is not None and v.shape[-1] != dim:
+        raise ValueError(f"expected dimension {dim}, got {v.shape[-1]}")
     if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     return v
+
+
+# The two products below put a unit axis on each row so that numpy's matmul
+# makes, row by row, the same BLAS call (dot or gemv) that the plain product
+# of one vector makes: a stack's rows agree bit for bit with the answers at
+# the single points.
+
+
+def row_dot(a: np.ndarray, b: np.ndarray):
+    """a @ b for two vectors, or the dot product of each pair of rows of two
+    stacks (shape (..., d) each)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def row_matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for a vector x, or for each row of a stack x (A may be a stack
+    of matrices of the same leading shape)."""
+    return (A @ x[..., :, None])[..., 0]
 
 
 def rel_err(a, b) -> float:

@@ -241,10 +241,11 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
 
     x_out is drawn uniformly from all post-step iterates with the run's own
     seeded RNG.  A cubic-solver failure aborts with the partial trajectory;
-    an optional raw-query budget stops the run before the snapshot pass or
-    step that would exceed it.  Stats in the trajectory (f, gradient norm, mu) come from the
-    free measurement channel and charge nothing.  The ledger's first-hit
-    threshold defaults to ``params.eps``.
+    an optional raw-query budget stops the run before a step that would
+    exceed it, and before a snapshot pass unless one step fits after it (a
+    snapshot alone buys no iterate).  Stats in the trajectory (f, gradient
+    norm, mu) come from the free measurement channel and charge nothing.
+    The ledger's first-hit threshold defaults to ``params.eps``.
     """
     n, d = F.n, F.d
     if ledger is None:
@@ -260,14 +261,15 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
     # t = -1 is each epoch's snapshot pass, which anchors the epoch at the
     # current iterate; t = 0..T-1 are its steps
     for s, t in itertools.product(range(params.S), range(-1, params.T)):
-        cost = n if t < 0 else step_cost
+        # a snapshot pass is only worth paying if a step can follow it
+        cost = n + step_cost if t < 0 else step_cost
         if budget is not None and ledger.total + cost > budget:
             break
         if t < 0:
             # exact g, H and the per-component cache
             x_hat = x.copy()
             answers = [query(ledger, F, i, x_hat, order=2) for i in range(n)]
-            snapshot = mean_derivatives(answers, d, 2)
+            snapshot = mean_derivatives(answers, (d,), 2)
             g_s, H_s = snapshot.grad, snapshot.hess
             cache = {i: (der.grad, der.hess) for i, der in enumerate(answers)}
             continue
@@ -317,7 +319,7 @@ def _exact_information_run(F: FiniteSumFunction, p: int, step, budget: int,
     trajectory: list[TrajectoryRecord] = []
     while ledger.total + p * n <= budget:
         passes = [mean_derivatives(
-            (query(ledger, F, i, x, order=order) for i in range(n)), d, order)
+            (query(ledger, F, i, x, order=order) for i in range(n)), (d,), order)
             for order in range(1, p + 1)]
         grad = passes[0].grad
         gnorm = float(np.linalg.norm(grad))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import Derivatives
-from .linalg import as_rng, as_vector, sym_matrix
+from .linalg import as_points, as_rng, sym_matrix
 
 __all__ = [
     "FiniteSumFunction",
@@ -31,7 +31,10 @@ class FiniteSumFunction:
     """A finite sum F = (1/n) * sum_i f_i with components on R^d answering
     value/gradient/Hessian queries.
 
-    Subclasses implement :meth:`component`.  Component indices are 0-based.
+    Subclasses implement :meth:`component`, which answers one point x of
+    shape (d,) or a stack of P points of shape (P, d); a stack's answer
+    holds values (P,), gradients (P, d) and Hessians (P, d, d).  Component
+    indices are 0-based.
     """
 
     n: int
@@ -49,24 +52,28 @@ class FiniteSumFunction:
     def full(self, x, order: int = 1) -> Derivatives:
         """Average of all components -- the free measurement side channel.
 
-        Never goes through a ledger; use :func:`query` for charged access.
+        ``x`` is one point or a stack of points, answered as
+        :meth:`component` answers it.  Never goes through a ledger; use
+        :func:`query` for charged access.
         """
-        x = as_vector(x, dim=self.d)
+        x = as_points(x, dim=self.d)
         return mean_derivatives(
             (self.component(i, x, order) for i in range(self.n)),
-            self.d, order)
+            x.shape, order)
 
 
-def mean_derivatives(answers, d: int, order: int) -> Derivatives:
+def mean_derivatives(answers, shape: tuple, order: int) -> Derivatives:
     """Mean of component answers, summed in the order given (component
     index order everywhere in the package), then divided by their count.
+    ``shape`` is the gradients' shape: (d,) for answers at one point,
+    (P, d) for answers at a stack of P points.
 
     The one averaging pass behind every full-sum quantity: the free
     measurement channel and the charged snapshot and baseline passes.
     """
     val, count = 0.0, 0
-    grad = np.zeros(d) if order >= 1 else None
-    hess = np.zeros((d, d)) if order >= 2 else None
+    grad = np.zeros(shape) if order >= 1 else None
+    hess = np.zeros(shape + shape[-1:]) if order >= 2 else None
     for der in answers:
         count += 1
         val += der.value
@@ -80,7 +87,11 @@ def mean_derivatives(answers, d: int, order: int) -> Derivatives:
 
 
 class CallableFiniteSum(FiniteSumFunction):
-    """Finite sum built from a list of ``f(x, order) -> Derivatives``."""
+    """Finite sum built from a list of ``f(x, order) -> Derivatives``.
+
+    The callables take one point; a stack of points is answered point by
+    point and the answers stacked.
+    """
 
     def __init__(self, components, d: int):
         self._components = list(components)
@@ -91,8 +102,15 @@ class CallableFiniteSum(FiniteSumFunction):
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
         i = self.check_index(i)
-        x = as_vector(x, dim=self.d)
-        return self._components[i](x, order)
+        x = as_points(x, dim=self.d)
+        f = self._components[i]
+        if x.ndim == 1:
+            return f(x, order)
+        answers = [f(point, order) for point in x]
+        return Derivatives(
+            np.array([der.value for der in answers]),
+            np.stack([der.grad for der in answers]) if order >= 1 else None,
+            np.stack([der.hess for der in answers]) if order >= 2 else None)
 
 
 def quadratic_cosine_sum(n: int, d: int, seed, *, curvature: float = 1.0,
@@ -208,9 +226,10 @@ class OracleLedger:
 def query(ledger: OracleLedger, F: FiniteSumFunction, i: int, x,
           order: int = 2, *, count: int = 1,
           requery: bool = False) -> Derivatives:
-    """Charged oracle access to component i of F at x.
+    """Charged oracle access to component i of F at one point x.
 
     Returns f_i(x) and derivatives up to ``order`` and charges the ledger.
+    A stack of points is rejected: charged access is one point per call.
     A returned Hessian has passed the symmetry check and is exactly
     symmetric, so callers never re-symmetrize.
     ``count > 1`` records `count` i.i.d. repetitions of the identical query
@@ -221,6 +240,9 @@ def query(ledger: OracleLedger, F: FiniteSumFunction, i: int, x,
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be in 0..2, got {order}")
+    x = np.asarray(x)
+    if x.ndim != 1:
+        raise ValueError(f"query takes one point, got shape {x.shape}")
     i = F.check_index(i)
     der = F.component(i, x, order)
     if der.hess is not None:

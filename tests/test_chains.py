@@ -16,6 +16,7 @@ from hardsum.chains import (
 from hardsum.linalg import (
     finite_diff_gradient,
     finite_diff_jacobian,
+    rel_err,
     sample_orthonormal_columns,
 )
 
@@ -262,6 +263,92 @@ class TestHatF:
         B = self._make(K=3)
         with pytest.raises(ValueError, match="columns"):
             hat_f_eval(4, B, np.zeros(8))
+
+
+class TestStacks:
+    """A stack of P points is answered row by row exactly as the single
+    points are.  Values, the chain's derivatives and the clamp itself are
+    bit-identical.  The clamp's Jacobian and second-derivative contraction
+    (and the composite's gradient and Hessian, which go through them) use
+    s^3 and s^5, which numpy computes with the C library's pow for one point
+    but with a vectorized pow over a stack; the two may differ in the last
+    bit, so those rows agree to 1e-15 relative instead."""
+
+    SCALES = (0.3, 3.0, 300.0, 3000.0)   # inside, near and beyond the radius
+
+    @pytest.mark.parametrize("P", range(1, 8))
+    def test_chain_eval_rows_equal_single_calls(self, P, rng):
+        for K in (1, 3, 9):
+            mask = (rng.random(K) < 0.6).astype(float)
+            X = rng.uniform(-2.5, 2.5, (P, K))
+            for order in range(3):
+                stacked = chain_eval(K, mask, X, order)
+                assert stacked.value.shape == (P,)
+                for p in range(P):
+                    single = chain_eval(K, mask, X[p], order)
+                    assert stacked.value[p] == single.value
+                    if order >= 1:
+                        assert np.array_equal(stacked.grad[p], single.grad)
+                    if order == 2:
+                        assert np.array_equal(stacked.hess[p], single.hess)
+
+    @pytest.mark.parametrize("P", range(1, 8))
+    def test_soft_clamp_rows_equal_single_calls(self, P, rng):
+        m, R = 6, 40.0
+        Y = rng.standard_normal((P, m)) * rng.choice(self.SCALES, (P, 1))
+        A = rng.standard_normal((P, m))
+        for order in range(3):
+            rho, J, d2c = soft_clamp(Y, R, order)
+            assert rho.shape == (P, m)
+            for p in range(P):
+                rho1, J1, d2c1 = soft_clamp(Y[p], R, order)
+                assert np.array_equal(rho[p], rho1)
+                if order >= 1:
+                    assert J.shape == (P, m, m)
+                    assert rel_err(J1, J[p]) <= 1e-15
+                if order == 2:
+                    assert rel_err(d2c1(A[p]), d2c(A)[p]) <= 1e-15
+
+    @pytest.mark.parametrize("P", range(1, 8))
+    def test_hat_f_eval_rows_equal_single_calls(self, P, rng):
+        K, m = 3, 12
+        B = sample_orthonormal_columns(m, K, seed=P)
+        Y = rng.standard_normal((P, m)) * rng.choice(self.SCALES, (P, 1))
+        for order in range(3):
+            stacked = hat_f_eval(K, B, Y, order)
+            assert stacked.value.shape == (P,)
+            for p in range(P):
+                single = hat_f_eval(K, B, Y[p], order)
+                assert stacked.value[p] == single.value
+                if order >= 1:
+                    assert rel_err(single.grad, stacked.grad[p]) <= 1e-15
+                if order == 2:
+                    assert rel_err(single.hess, stacked.hess[p]) <= 1e-15
+                    assert np.array_equal(stacked.hess[p],
+                                          stacked.hess[p].T)
+
+    def test_single_point_answers_stay_scalar(self):
+        B = sample_orthonormal_columns(5, 2, seed=0)
+        assert type(chain_eval(2, np.ones(2), np.zeros(2)).value) is float
+        assert type(hat_f_eval(2, B, np.zeros(5)).value) is float
+
+    def test_bad_stacks_are_rejected(self):
+        B = sample_orthonormal_columns(5, 2, seed=0)
+        bad_row = np.zeros((3, 5))
+        bad_row[1, 2] = np.nan
+        sized = (lambda Y: chain_eval(5, np.ones(5), Y),
+                 lambda Y: hat_f_eval(2, B, Y))
+        for call in sized + (lambda Y: soft_clamp(Y, R=2.0),):
+            with pytest.raises(ValueError, match="non-finite"):
+                call(bad_row)
+            with pytest.raises(ValueError, match="stack"):
+                call(np.zeros((2, 3, 5)))
+        for call in sized:
+            with pytest.raises(ValueError, match="dimension"):
+                call(np.zeros((3, 4)))
+        _, _, d2c = soft_clamp(np.ones((3, 5)), R=2.0, order=2)
+        with pytest.raises(ValueError, match="shape"):
+            d2c(np.ones(5))   # one vector per point of the stack
 
 
 @given(st.floats(-100.0, 100.0, allow_nan=False))

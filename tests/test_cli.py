@@ -32,6 +32,12 @@ def _synthetic_svrc_ini(eps="1e6"):
     )
 
 
+_THIRD_MOMENT_P1_INI = (
+    "[instance]\nmode = randomized-third-moment\np = 1\nn = 2\n"
+    "delta = 800.0\nL = 1.0\neps = 1.0\nell_hat = 1.0\n"
+    "[optimizer]\noptimizer = gd\nbudget = 20\n")
+
+
 def _jsonl(path):
     lines = [json.loads(s) for s in
              open(path, encoding="utf-8").read().splitlines() if s]
@@ -76,6 +82,11 @@ class TestRunConfig:
             RunConfig(mode="other")
         with pytest.raises(ValueError, match="optimizer"):
             RunConfig(optimizer="adam")
+
+    def test_third_moment_needs_p_2(self):
+        with pytest.raises(ValueError, match="p = 2"):
+            RunConfig(mode="randomized-third-moment", p=1)
+        RunConfig(mode="randomized-third-moment", p=2)
 
     def test_load_save(self, tmp_path):
         cfg = RunConfig(n=7, seed=2)
@@ -153,6 +164,14 @@ class TestGen:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["gen", "--config", str(tmp_path / "nope.ini")]) == 2
         assert "bad config" in capsys.readouterr().err
+
+    def test_third_moment_with_p_1_exits_2(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "c.ini", _THIRD_MOMENT_P1_INI)
+        out = tmp_path / "o"
+        assert main(["gen", "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config:") and "p = 2" in err
+        assert not out.exists()
 
 
 class TestRun:
@@ -294,6 +313,16 @@ class TestRun:
         assert main(["run", "--config", cfg_path, "--quiet", "--out",
                      str(tmp_path / "m.jsonl"), "--seeds", "1,2"]) == 0
         assert (tmp_path / "m.seed2.jsonl").exists()
+
+    def test_third_moment_with_p_1_exits_2(self, tmp_path, capsys):
+        # rejected with the config, before any seed runs
+        cfg_path = _write(tmp_path, "c.ini", _THIRD_MOMENT_P1_INI)
+        out = tmp_path / "m.jsonl"
+        assert main(["run", "--config", cfg_path, "--quiet", "--out",
+                     str(out), "--seeds", "1,2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config:") and "p = 2" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.ini"]
 
     def test_bad_seed_list_exits_2(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "c.ini", _synthetic_svrc_ini())

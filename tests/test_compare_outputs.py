@@ -35,10 +35,16 @@ def _fake_tree(root: Path, body: str) -> Path:
 
 
 def test_every_entry_config_parses(tool):
+    # entries expected to exit 2 hold configs the parser must reject
     names = [entry.name for entry in tool.ENTRIES]
     assert len(names) == len(set(names))
     for entry in tool.ENTRIES:
-        if entry.config is not None:
+        if entry.config is None:
+            continue
+        if entry.exit_code == 2:
+            with pytest.raises(ValueError):
+                RunConfig.from_ini(entry.config)
+        else:
             RunConfig.from_ini(entry.config)
 
 

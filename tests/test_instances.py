@@ -22,6 +22,7 @@ from hardsum.instances import (
 from hardsum.linalg import (
     finite_diff_gradient,
     finite_diff_jacobian,
+    rel_err,
     sample_orthonormal_columns,
 )
 
@@ -278,6 +279,28 @@ class TestRandomizedInstance:
         assert x.shape == (spec.d,)
         assert np.allclose(F._slot(1, x), v, atol=1e-12)
         assert np.allclose(F._slot(0, x), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("haar_c", [False, True])
+    def test_stack_rows_equal_single_points(self, rng, haar_c):
+        # one batched hat_f_eval per component answers the whole stack;
+        # values are bit-identical, derivatives agree to rounding (the
+        # clamp's powers, see tests/test_chains.py TestStacks)
+        spec, F = self._make(n=3, haar_c=haar_c)
+        X = rng.standard_normal((5, spec.d)) * 3.0
+        for order in range(3):
+            for stacked, single in (
+                    (F.component(2, X, order),
+                     [F.component(2, x, order) for x in X]),
+                    (F.full(X, order), [F.full(x, order) for x in X])):
+                assert stacked.value.shape == (5,)
+                for p, der in enumerate(single):
+                    assert stacked.value[p] == der.value
+                    if order >= 1:
+                        assert stacked.grad.shape == (5, spec.d)
+                        assert rel_err(der.grad, stacked.grad[p]) <= 1e-15
+                    if order == 2:
+                        assert stacked.hess.shape == (5, spec.d, spec.d)
+                        assert rel_err(der.hess, stacked.hess[p]) <= 1e-15
 
     def test_sampling_deterministic(self):
         spec, F1 = self._make(seed=42)

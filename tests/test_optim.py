@@ -322,6 +322,23 @@ class TestSvrcRun:
         assert led.total <= budget
         assert len(traj) == 2
 
+    def test_snapshot_is_paid_only_if_a_step_fits_after_it(self):
+        # n = 4, step cost 2*3 + 3 = 9: the second epoch's snapshot (4)
+        # would take 22 queries to 26, where no step fits under 30, so the
+        # run stops at 22 with the rows and x_out of a budget of 22
+        F = quadratic_cosine_sum(4, 5, seed=3)
+        params = self._params(4, S=2, T=2, b_g=3, b_h=3)
+        runs = {}
+        for budget in (22, 30, 40, 50, None):
+            led = OracleLedger(n=4)
+            x_out, traj = svrc_run(F, params, ledger=led, budget=budget)
+            runs[budget] = (led.total, x_out, [r.f for r in traj])
+        assert runs[30][0] == runs[22][0] == 22
+        assert np.array_equal(runs[30][1], runs[22][1])
+        assert runs[30][2] == runs[22][2] and len(runs[30][2]) == 2
+        assert [runs[b][0] for b in (40, 50, None)] == [35, 44, 44]
+        assert runs[50][2] == runs[None][2] and len(runs[None][2]) == 4
+
     def test_full_batch_budget_counts_every_index(self):
         # a full-batch step reads all n indices: 3n raw queries, whatever
         # b_g and b_h say; snapshot 6 + two steps of 18 fit in 45, a third

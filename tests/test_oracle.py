@@ -51,6 +51,23 @@ class TestFiniteSum:
         with pytest.raises(ValueError, match="out of range"):
             F.component(-1, np.zeros(3))
 
+    def test_stack_is_answered_point_by_point(self, rng):
+        F = quadratic_cosine_sum(3, 4, seed=2)
+        X = rng.standard_normal((6, 4))
+        for order in range(3):
+            stacked = F.component(1, X, order)
+            full = F.full(X, order)
+            for p, x in enumerate(X):
+                for got, want in ((stacked, F.component(1, x, order)),
+                                  (full, F.full(x, order))):
+                    assert got.value[p] == want.value
+                    if order >= 1:
+                        assert np.array_equal(got.grad[p], want.grad)
+                    if order == 2:
+                        assert np.array_equal(got.hess[p], want.hess)
+            assert (order >= 1) == (stacked.grad is not None)
+            assert (order >= 2) == (stacked.hess is not None)
+
     def test_empty_sum_rejected(self):
         with pytest.raises(ValueError):
             CallableFiniteSum([], d=2)
@@ -156,6 +173,14 @@ class TestQuery:
         # order-1 queries carry no Hessian and pass
         query(led, F, 0, np.zeros(2), order=1)
         assert led.total == 1
+
+    def test_rejects_a_stack(self):
+        # charged access is one point per call: a stack is not a query
+        F = quadratic_cosine_sum(2, 3, seed=0)
+        led = OracleLedger(n=2)
+        with pytest.raises(ValueError, match="one point"):
+            query(led, F, 0, np.zeros((2, 3)))
+        assert led.total == 0
 
     def test_returns_exactly_symmetric_hessian(self):
         H = np.array([[2.0, 1.0 + 1e-14], [1.0, 3.0]])

@@ -7,6 +7,7 @@ import pytest
 
 import hardsum.chains
 from hardsum.chains import Derivatives, chain_eval
+from hardsum.linalg import as_rng
 from hardsum.instances import (
     ResistingOracle,
     deterministic_params,
@@ -17,6 +18,8 @@ from hardsum.instances import (
 from hardsum.oracle import CallableFiniteSum, quadratic_cosine_sum
 from hardsum.optim import SvrcParams
 from hardsum.verify import (
+    _battery_instance,
+    _gd_backtracking,
     BatteryCheck,
     SmoothnessReport,
     check_derivatives,
@@ -308,6 +311,113 @@ class TestSuboptimality:
         assert rep.bound == 24.0
         assert rep.gap >= 0.0
         assert rep.gap <= rep.bound
+
+
+def _sequential_gd(F, x0, iters):
+    """Gradient descent with backtracking from one start, one point per
+    call: the reference the lockstep routine must reproduce start by
+    start."""
+    x = x0.copy()
+    der = F.full(x, 1)
+    f_val, g = der.value, der.grad
+    for _ in range(iters):
+        gnorm2 = float(g @ g)
+        if gnorm2 < 1e-18:
+            break
+        step = 1.0
+        for _ in range(40):
+            cand = x - step * g
+            f_new = F.full(cand, 0).value
+            if f_new <= f_val - 1e-4 * step * gnorm2:
+                break
+            step *= 0.5
+        else:
+            break
+        x = x - step * g
+        der = F.full(x, 1)
+        f_val, g = der.value, der.grad
+    return f_val
+
+
+def _suboptimality_starts(view, num_starts, seed):
+    """verify_suboptimality's starts: its seeded random draws, then the
+    origin."""
+    rng = as_rng(seed)
+    scales = (0.5, 2.0, 5.0)
+    return np.array([rng.standard_normal(view.d) * scales[s % 3]
+                     for s in range(num_starts)] + [np.zeros(view.d)])
+
+
+class TestLockstepDescent:
+    """The lockstep multistart descent ends every start where a descent run
+    from that start alone ends."""
+
+    @staticmethod
+    def _agree(F, starts, iters):
+        """Asserts lockstep and one-start runs end at the same values;
+        returns the one-start values."""
+        lockstep = _gd_backtracking(F, starts, iters=iters)
+        want = np.array([_sequential_gd(F, x0, iters) for x0 in starts])
+        assert lockstep.shape == want.shape
+        assert np.all(np.abs(lockstep - want)
+                      <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        return want
+
+    @pytest.mark.parametrize("case", ["tiny", "battery-6", "battery-7"])
+    def test_suboptimality_matches_sequential(self, case):
+        if case == "tiny":
+            inst = _tiny_randomized(n=2, K=2, seed=5)
+            starts, iters, seed = 6, 40, 6
+        else:
+            with pytest.warns(UserWarning):
+                inst = _battery_instance(int(case[-1]))
+            starts, iters, seed = 6, 200, 8
+        view = inst.unscaled_view()
+        rows = _suboptimality_starts(view, starts, seed)
+        assert not rows[-1].any()            # the origin is a start
+        finals = self._agree(view, rows, iters)
+        # the report is the one-start runs' verdict on the gap
+        rep = verify_suboptimality(inst, num_starts=starts, gd_iters=iters,
+                                   seed=seed)
+        f0 = view.full(np.zeros(view.d), 0).value
+        best = min(f0, *finals)
+        assert rep.f_origin == f0
+        assert abs(rep.best_found - best) <= 1e-12 * max(1.0, abs(best))
+        assert rep.passed == (f0 - best <= rep.bound + 1e-9)
+        assert rep.passed and 0.0 <= rep.gap <= rep.bound
+
+    def test_callable_sum_matches_sequential(self, rng):
+        F = quadratic_cosine_sum(6, 5, seed=3)
+        self._agree(F, rng.standard_normal((5, 5)) * 2.0, iters=60)
+
+    def test_single_start_is_a_stack_of_one(self, rng):
+        F = quadratic_cosine_sum(4, 3, seed=1)
+        x0 = rng.standard_normal(3)
+        got = _gd_backtracking(F, x0[None, :], iters=30)
+        assert got.shape == (1,)
+        assert got[0] == _sequential_gd(F, x0, 30)
+
+    def test_starts_stop_on_their_own_rounds(self):
+        # (1/6)|x|^3 is stationary at the origin: that start stops at once
+        # while the others keep descending
+        F = CallableFiniteSum([_cubic_norm_component(1.0)], d=2)
+        starts = np.array([[0.0, 0.0], [3.0, -1.0], [-0.2, 0.1]])
+        self._agree(F, starts, iters=25)
+        assert _gd_backtracking(F, starts, iters=25)[0] == 0.0
+
+    def test_failed_line_search_stops_only_its_start(self):
+        # 0.5|x|^2 with the gradient's sign flipped where x_0 < 0: there no
+        # trial step decreases f, so those starts stop in the first round
+        def f(x, order=2):
+            g = x if x[0] > 0 else -x
+            return Derivatives(0.5 * float(x @ x),
+                               g if order >= 1 else None,
+                               np.eye(x.size) if order >= 2 else None)
+        F = CallableFiniteSum([f], d=2)
+        starts = np.array([[-1.0, 2.0], [1.5, -0.5], [-0.3, 0.0]])
+        finals = self._agree(F, starts, iters=10)
+        assert finals[0] == 2.5 and finals[2] == 0.5 * 0.3 ** 2
+        assert finals[1] < 1e-12
 
 
 class TestBattery:

@@ -78,6 +78,9 @@ CUBIC_HAAR = ("[instance]\nmode = randomized-individual\np = 1\nn = 2\n"
               "delta = 800.0\nL = 1.0\neps = 1.0\nell_hat = 1.0\n"
               "haar_c = true\n"
               "[optimizer]\noptimizer = cubic\nbudget = 24\nseed = 9\n")
+THIRD_MOMENT_P1 = ("[instance]\nmode = randomized-third-moment\np = 1\n"
+                   "n = 2\ndelta = 800.0\nL = 1.0\neps = 1.0\nell_hat = 1.0\n"
+                   "[optimizer]\noptimizer = gd\nbudget = 20\n")
 VERIFY_SMALL = ("[verify]\nnum_points = 4\nzero_chain_samples = 40\n"
                 "pairs = 12\ntrials = 1000\nstarts = 2\n")
 
@@ -116,9 +119,14 @@ ENTRIES = (
     _run("seeds-1-2", SYNTH_SVRC, "--seeds", "1,2", "--quiet"),
     Entry("verify-defaults", None, ("verify", "--out", "rep.json")),
     Entry("verify-small", VERIFY_SMALL, ("verify", "--out", "rep.json")),
+    Entry("verify-seed3", None, ("verify", "--seed", "3", "--out", "rep.json")),
     Entry("gen-synthetic", SYNTH_SVRC, ("gen", "--out", "gen")),
     Entry("gen-deterministic", ADV_CUBIC, ("gen", "--out", "gen")),
     Entry("gen-haar-c", CUBIC_HAAR, ("gen", "--out", "gen")),
+    # a config the parser rejects: exit 2 with an error line, no traceback
+    Entry("gen-third-moment-p1", THIRD_MOMENT_P1, ("gen", "--out", "gen"), 2),
+    Entry("run-third-moment-p1", THIRD_MOMENT_P1,
+          ("run", "--out", "run.jsonl"), 2),
 )
 
 
