@@ -17,8 +17,7 @@ from .instances import (HardInstanceSpec, InstanceTooSmallError,
                         load_b_matrix, randomized_params,
                         sample_randomized_instance, save_b_matrix)
 from .linalg import (TallOrthogonal, eig_sym, finite_diff_gradient,
-                     finite_diff_hessian, finite_diff_jacobian,
-                     sample_orthonormal_columns)
+                     finite_diff_jacobian, sample_orthonormal_columns)
 from .optim import (SvrcParams, TrajectoryRecord, baseline_full_cubic,
                     baseline_full_gd, mu, svrc_default_params,
                     svrc_gradient_estimator, svrc_hessian_estimator, svrc_run)
@@ -41,8 +40,7 @@ __all__ = [
     "ell_p", "lemma_d_requirement", "load_b_matrix", "randomized_params",
     "sample_randomized_instance", "save_b_matrix",
     "TallOrthogonal", "eig_sym", "finite_diff_gradient",
-    "finite_diff_hessian", "finite_diff_jacobian",
-    "sample_orthonormal_columns",
+    "finite_diff_jacobian", "sample_orthonormal_columns",
     "SvrcParams", "TrajectoryRecord", "baseline_full_cubic",
     "baseline_full_gd", "mu", "svrc_default_params",
     "svrc_gradient_estimator", "svrc_hessian_estimator", "svrc_run",

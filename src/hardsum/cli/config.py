@@ -64,6 +64,10 @@ class RunConfig:
         if self.mode == "randomized-third-moment" and self.p != 2:
             raise ValueError("mode randomized-third-moment is defined for "
                              f"p = 2, got p = {self.p}")
+        if self.mode.startswith("randomized") and self.ell_hat is None \
+                and self.p not in (1, 2):
+            raise ValueError("ell_hat is estimated only for p in {1, 2}; "
+                             f"set ell_hat for p = {self.p}")
         if self.optimizer not in _OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}; "
                              f"expected one of {_OPTIMIZERS}")

@@ -26,7 +26,6 @@ __all__ = [
     "eig_sym",
     "finite_diff_gradient",
     "finite_diff_jacobian",
-    "finite_diff_hessian",
     "default_fd_step",
 ]
 
@@ -177,24 +176,42 @@ def default_fd_step(x: Vector) -> float:
     return 1e-5 * max(1.0, float(np.linalg.norm(x)))
 
 
-def _central_diff_jacobian(g, x: Vector, h: float) -> np.ndarray:
-    cols = []
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
-        cols.append((np.asarray(g(x + e)) - np.asarray(g(x - e))) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+def _stencil_points(x, step: float | None) -> tuple[np.ndarray, float]:
+    """The Richardson stencil's shifted points around one point x, as a
+    (4d, d) stack, and the step h.
 
-
-def _richardson_jacobian(g, x, step: float | None) -> np.ndarray:
-    """Central differences at steps h and h/2, extrapolated to fourth order."""
+    For the steps h and h/2 in turn and for j = 0..d-1, the stack holds
+    x + step e_j then x - step e_j (only coordinate j moves).
+    """
     x = np.asarray(x, dtype=float)
     h = default_fd_step(x) if step is None else float(step)
     if h <= 0:
         raise ValueError("step must be positive")
-    coarse = _central_diff_jacobian(g, x, h)
-    fine = _central_diff_jacobian(g, x, 0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    d = x.size
+    points = np.tile(x, (2, d, 2, 1))   # (step, j, sign, coordinate)
+    j = np.arange(d)
+    for s, shift in enumerate((h, 0.5 * h)):
+        points[s, j, 0, j] += shift
+        points[s, j, 1, j] -= shift
+    return points.reshape(4 * d, d), h
+
+
+def _richardson_combine(values, h: float) -> np.ndarray:
+    """Central differences at steps h and h/2 from the values at
+    :func:`_stencil_points` (one row per point), extrapolated to fourth
+    order.  The derivative in x_j is the last axis."""
+    values = np.asarray(values)
+    d = len(values) // 4
+    v = values.reshape((2, d, 2) + values.shape[1:])
+    coarse = (v[0, :, 0] - v[0, :, 1]) / (2.0 * h)
+    fine = (v[1, :, 0] - v[1, :, 1]) / (2.0 * (0.5 * h))
+    return np.ascontiguousarray(np.moveaxis((4.0 * fine - coarse) / 3.0, 0, -1))
+
+
+def _richardson_jacobian(g, x, step: float | None) -> np.ndarray:
+    """The Richardson stencil with g evaluated at one point per call."""
+    points, h = _stencil_points(x, step)
+    return _richardson_combine([np.asarray(g(z)) for z in points], h)
 
 
 def finite_diff_gradient(f, x: Vector, step: float | None = None) -> Vector:
@@ -215,25 +232,3 @@ def finite_diff_jacobian(g, x: Vector, step: float | None = None) -> np.ndarray:
     with double-differencing values.
     """
     return _richardson_jacobian(g, x, step)
-
-
-def finite_diff_hessian(f, x: Vector, step: float | None = None) -> SymMatrix:
-    """Central-difference Hessian of a scalar function (4-point stencil)."""
-    x = np.asarray(x, dtype=float)
-    h = default_fd_step(x) if step is None else float(step)
-    if h <= 0:
-        raise ValueError("step must be positive")
-    d = x.size
-    H = np.empty((d, d))
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h
-        for j in range(i, d):
-            ej = np.zeros(d)
-            ej[j] = h
-            val = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * h * h)
-            H[i, j] = val
-            H[j, i] = val
-    return H

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import Derivatives
-from .linalg import as_points, as_rng, sym_matrix
+from .linalg import as_points, as_rng, row_dot, row_matvec, sym_matrix
 
 __all__ = [
     "FiniteSumFunction",
@@ -113,8 +113,44 @@ class CallableFiniteSum(FiniteSumFunction):
             np.stack([der.hess for der in answers]) if order >= 2 else None)
 
 
+class _QuadraticCosineSum(FiniteSumFunction):
+    """The components of :func:`quadratic_cosine_sum`, held as stacked
+    arrays: A (n, d, d), b (n, d), c (n,), r (n, d) and b b^T (n, d, d).
+
+    One point is answered with plain products (charged access is one point
+    per call, and the plain products cost less per call there); a stack is
+    answered in one vectorized evaluation whose products go through
+    ``row_dot`` / ``row_matvec``, so each row equals the answer at that
+    point bit for bit.
+    """
+
+    def __init__(self, A, b, c, r):
+        self._A, self._b, self._c, self._r = A, b, c, r
+        self._bbT = b[:, :, None] * b[:, None, :]
+        self.n, self.d = b.shape
+
+    def component(self, i: int, x, order: int = 2) -> Derivatives:
+        i = self.check_index(i)
+        x = as_points(x, dim=self.d)
+        A, b, c, r = self._A[i], self._b[i], self._c[i], self._r[i]
+        if x.ndim == 1:
+            t, Ax, rx = b @ x, A @ x, r @ x
+            xAx = x @ Ax
+        else:
+            t, Ax, rx = row_dot(x, b), row_matvec(A, x), row_dot(x, r)
+            xAx = row_dot(x, Ax)
+        val = 0.5 * xAx + c * np.cos(t) + rx
+        if order == 0:
+            return Derivatives(val)
+        grad = Ax - (c * np.sin(t))[..., None] * b + r
+        if order == 1:
+            return Derivatives(val, grad)
+        hess = A - (c * np.cos(t))[..., None, None] * self._bbT[i]
+        return Derivatives(val, grad, hess)
+
+
 def quadratic_cosine_sum(n: int, d: int, seed, *, curvature: float = 1.0,
-                         ripple: float = 1.0) -> CallableFiniteSum:
+                         ripple: float = 1.0) -> FiniteSumFunction:
     """A smooth non-convex synthetic benchmark sum.
 
     Component i is  0.5 x^T A_i x + c_i * cos(<b_i, x>) + <r_i, x>  with a
@@ -122,33 +158,24 @@ def quadratic_cosine_sum(n: int, d: int, seed, *, curvature: float = 1.0,
     cosine term, so the Hessian-difference Lipschitz constant of component i
     is exactly |c_i| * |b_i|^3, which makes the sum a convenient target for
     smoothness estimation with a known ground truth.
+
+    Components answer one point or a stack of points (one vectorized
+    evaluation per stack).
     """
+    if n < 1:
+        raise ValueError("need at least one component")
     rng = as_rng(seed)
-    comps = []
+    A, b, c, r = [], [], [], []
     for _ in range(n):
         G = rng.standard_normal((d, d)) / np.sqrt(d)
-        A = curvature * (G @ G.T)
-        b = rng.standard_normal(d)
-        b *= rng.uniform(0.5, 1.5) / np.linalg.norm(b)
-        c = ripple * rng.uniform(0.5, 1.5)
-        r = 0.3 * rng.standard_normal(d)
-
-        def make(A=A, b=b, c=c, r=r):
-            def f(x, order=2):
-                t = float(b @ x)
-                Ax = A @ x
-                val = 0.5 * float(x @ Ax) + c * np.cos(t) + float(r @ x)
-                if order == 0:
-                    return Derivatives(val)
-                grad = Ax - c * np.sin(t) * b + r
-                if order == 1:
-                    return Derivatives(val, grad)
-                hess = A - c * np.cos(t) * np.outer(b, b)
-                return Derivatives(val, grad, hess)
-            return f
-
-        comps.append(make())
-    return CallableFiniteSum(comps, d)
+        A.append(curvature * (G @ G.T))
+        b_i = rng.standard_normal(d)
+        b_i *= rng.uniform(0.5, 1.5) / np.linalg.norm(b_i)
+        b.append(b_i)
+        c.append(ripple * rng.uniform(0.5, 1.5))
+        r.append(0.3 * rng.standard_normal(d))
+    return _QuadraticCosineSum(np.array(A), np.array(b), np.array(c),
+                               np.array(r))
 
 
 @dataclass

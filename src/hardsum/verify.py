@@ -22,10 +22,10 @@ from .instances.params import HardInstanceSpec, randomized_params
 from .instances.randomized import (RandomizedHardInstance,
                                    sample_randomized_instance)
 from .instances.resisting import ResistingCertificate, ResistingOracle
-from .linalg import (as_rng, as_vector, finite_diff_gradient,
-                     finite_diff_jacobian, rel_err, row_dot,
-                     sample_orthonormal_columns)
-from .oracle import FiniteSumFunction, OracleLedger, quadratic_cosine_sum
+from .linalg import (_richardson_combine, _stencil_points, as_rng, as_vector,
+                     rel_err, row_dot, sample_orthonormal_columns)
+from .oracle import (CallableFiniteSum, FiniteSumFunction, OracleLedger,
+                     quadratic_cosine_sum)
 from .optim import (SvrcParams, _batch_counts, _draw_batches,
                     _gradient_estimate, _hessian_estimate,
                     svrc_gradient_estimator, svrc_hessian_estimator)
@@ -77,28 +77,27 @@ def check_derivatives(F: FiniteSumFunction, num_points: int, tol: float,
     Gradients are differenced from values; Hessians are differenced from the
     analytic gradient (a value-based second difference would drown in noise
     wherever third derivatives are large, as they are for the chain bumps).
+    Each component answers the whole stencil around a point in one stacked
+    call per order, so ``F.component`` must answer stacks of points.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     rng = as_rng(seed)
     scales = (0.25, 0.5, 1.0, 2.0)
     worst = {"rel_err": 0.0}
-    checked = 0
     for t in range(num_points):
         x = rng.standard_normal(F.d) * scales[t % len(scales)]
+        stencil, h = _stencil_points(x, None)
         for i in range(F.n):
             der = F.component(i, x, order=2)
-            g_fd = finite_diff_gradient(
-                lambda z, i=i: F.component(i, z, order=0).value, x)
+            g_fd = _richardson_combine(F.component(i, stencil, 0).value, h)
             e_g = rel_err(der.grad, g_fd)
-            H_fd = finite_diff_jacobian(
-                lambda z, i=i: F.component(i, z, order=1).grad, x)
+            H_fd = _richardson_combine(F.component(i, stencil, 1).grad, h)
             e_h = rel_err(der.hess, H_fd)
             err, which = max((e_g, "grad"), (e_h, "hess"))
             if err > worst["rel_err"]:
                 worst = {"rel_err": float(err), "component": i,
                          "point_index": t, "which": which}
-            checked += 1
     return DerivativeCheckReport(
         passed=bool(worst["rel_err"] <= tol),
         max_rel_err=float(worst["rel_err"]), tol=tol,
@@ -123,31 +122,32 @@ def check_zero_chain(K: int, num_samples: int, seed=0,
     position m+1 and zeroing everything beyond m+1 leaves the value unchanged.
 
     Trials whose sampled prefix covers the whole chain are vacuous and
-    counted as skipped.
+    counted as skipped.  The samples are drawn first and the chain is then
+    evaluated at all of them in one stacked call per order.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
     rng = as_rng(seed)
     mask = np.ones(K)
-    max_partial = 0.0
-    max_change = 0.0
-    checked = skipped = 0
+    prefixes, points = [], []
     for _ in range(num_samples):
         m = int(rng.integers(0, K + 1))  # length of the "discovered" prefix
         x = rng.uniform(-0.45, 0.45, size=K)
         x[:m] = rng.uniform(-2.5, 2.5, size=m)
-        if m >= K:
-            skipped += 1
-            continue
+        if m < K:
+            prefixes.append(m)
+            points.append(x)
+    checked = len(points)
+    skipped = num_samples - checked
+    max_partial = max_change = 0.0
+    if checked:
+        # coordinates m+1..K-1 of each sample: beyond the next one in line
+        beyond = np.arange(K) > np.array(prefixes)[:, None]
+        x = np.array(points)
         der = chain_eval(K, mask, x, order=1)
-        if m + 1 < K:
-            max_partial = max(max_partial,
-                              float(np.abs(der.grad[m + 1:]).max()))
-        x_zeroed = x.copy()
-        x_zeroed[m + 1:] = 0.0
-        val_zeroed = chain_eval(K, mask, x_zeroed, order=0).value
-        max_change = max(max_change, abs(der.value - val_zeroed))
-        checked += 1
+        val_zeroed = chain_eval(K, mask, np.where(beyond, 0.0, x), 0).value
+        max_partial = float(np.abs(np.where(beyond, der.grad, 0.0)).max())
+        max_change = float(np.abs(der.value - val_zeroed).max())
     return ZeroChainReport(
         passed=bool(max_partial <= tol and max_change <= tol),
         K=K, num_samples=num_samples, checked=checked, skipped=skipped,
@@ -218,8 +218,11 @@ def _pair_stream(d: int, num_pairs: int, rng):
             yield base, base + 0.3 * delta / nrm
 
 
-def _op_norm(A: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(0.5 * (A + A.T))).max())
+def _op_norm(A: np.ndarray):
+    """Operator norm of the symmetric part of one matrix, or of each matrix
+    of a stack (one stacked ``eigvalsh``)."""
+    sym = 0.5 * (A + np.swapaxes(A, -1, -2))
+    return np.abs(np.linalg.eigvalsh(sym)).max(axis=-1)
 
 
 def estimate_smoothness(F: FiniteSumFunction, mode: str, num_pairs: int,
@@ -231,7 +234,9 @@ def estimate_smoothness(F: FiniteSumFunction, mode: str, num_pairs: int,
     third-moment:  (mean_i ||hess f_i(x) - hess f_i(y)||^3)^(1/3) / ||x - y||
 
     Matrix norms are operator norms.  For a fixed seed the pair stream is
-    prefix-extendable, so the estimate is monotone in ``num_pairs``.
+    prefix-extendable, so the estimate is monotone in ``num_pairs``.  Each
+    component is evaluated once at the stack of all x's and once at the
+    stack of all y's, so ``F.component`` must answer stacks of points.
     """
     if mode not in _SMOOTHNESS_MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -239,26 +244,33 @@ def estimate_smoothness(F: FiniteSumFunction, mode: str, num_pairs: int,
         raise ValueError("num_pairs must be >= 1")
     rng = as_rng(seed)
     order = 1 if mode == "mean-squared" else 2
+    pairs = list(_pair_stream(F.d, num_pairs, rng))
+    xs = np.array([x for x, _ in pairs])
+    ys = np.array([y for _, y in pairs])
+    # per component, one call at all x's and one at all y's; the pair
+    # stream is never stacked across components, so memory stays at one
+    # component's answers
+    if mode == "mean-squared":
+        acc = np.zeros(num_pairs)
+        for i in range(F.n):
+            dg = F.component(i, xs, order).grad - F.component(i, ys, order).grad
+            acc += row_dot(dg, dg)
+    else:
+        norms = np.empty((num_pairs, F.n))
+        for i in range(F.n):
+            dH = F.component(i, xs, order).hess - F.component(i, ys, order).hess
+            norms[:, i] = _op_norm(dH)
     best = 0.0
-    for x, y in _pair_stream(F.d, num_pairs, rng):
+    for k, (x, y) in enumerate(pairs):
         dist = float(np.linalg.norm(x - y))
         if dist == 0.0:
             continue
         if mode == "mean-squared":
-            acc = 0.0
-            for i in range(F.n):
-                dg = F.component(i, x, order).grad - F.component(i, y, order).grad
-                acc += float(dg @ dg)
-            ratio = math.sqrt(acc / F.n) / dist
+            ratio = math.sqrt(acc[k] / F.n) / dist
+        elif mode == "individual":
+            ratio = float(norms[k].max()) / dist
         else:
-            norms = np.empty(F.n)
-            for i in range(F.n):
-                dH = F.component(i, x, order).hess - F.component(i, y, order).hess
-                norms[i] = _op_norm(dH)
-            if mode == "individual":
-                ratio = float(norms.max()) / dist
-            else:
-                ratio = float((norms ** 3).mean()) ** (1.0 / 3.0) / dist
+            ratio = float((norms[k] ** 3).mean()) ** (1.0 / 3.0) / dist
         best = max(best, ratio)
     return SmoothnessReport(mode=mode, constant=best, num_pairs=num_pairs,
                             seed=int(seed) if isinstance(seed, int) else 0)
@@ -362,7 +374,7 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
                                g_s, H_s, dx)
         U = _hessian_estimate(_batch_counts(idx_h, n)[0], dH, b_h, H_s)
         g_moments[t] = float(np.linalg.norm(gF - v)) ** 1.5
-        h_moments[t] = _op_norm(HF - U) ** 3
+        h_moments[t] = float(_op_norm(HF - U)) ** 3
         if t < n_cross:
             led = OracleLedger(n=n)
             v_ref = svrc_gradient_estimator(instance, led, x, x_hat,
@@ -373,7 +385,7 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
             cross_err = max(
                 cross_err,
                 rel_err(dev_g, float(np.linalg.norm(gF - v_ref)) ** 1.5),
-                rel_err(dev_h, _op_norm(HF - U_ref) ** 3))
+                rel_err(dev_h, float(_op_norm(HF - U_ref)) ** 3))
 
     grad_bound = 2.0 * L2_hat ** 1.5 * b_g ** -0.75 * dist ** 3
     hess_bound = 15000.0 * L2_hat ** 3 * (math.log(d) / b_h) ** 1.5 * dist ** 3
@@ -558,20 +570,24 @@ def _status(passed: bool) -> str:
     return "passed" if passed else "failed"
 
 
-def _chain_component(K: int):
+class _StackSum(CallableFiniteSum):
+    """A :class:`CallableFiniteSum` whose callables answer stacks of points
+    themselves, so a stack goes to them in one call."""
+
+    def component(self, i: int, x, order: int = 2) -> Derivatives:
+        return self._components[self.check_index(i)](x, order)
+
+
+def _chain_sum(K: int) -> _StackSum:
+    """The unmasked chain on R^K as a one-component sum."""
     mask = np.ones(K)
-
-    def f(x, order=2):
-        return chain_eval(K, mask, x, order)
-    return f
+    return _StackSum([lambda x, order: chain_eval(K, mask, x, order)], d=K)
 
 
-def _hat_component(K: int, m: int, seed: int):
+def _hat_sum(K: int, m: int, seed: int) -> _StackSum:
+    """The clamped chain block on R^m as a one-component sum."""
     B = sample_orthonormal_columns(m, K, seed=seed)
-
-    def f(y, order=2):
-        return hat_f_eval(K, B, y, order)
-    return f
+    return _StackSum([lambda y, order: hat_f_eval(K, B, y, order)], d=m)
 
 
 def _battery_instance(seed: int) -> RandomizedHardInstance:
@@ -594,8 +610,6 @@ def run_battery(num_points: int = 60, zero_chain_samples: int = 500,
     is a list of named checks with statuses; a run passes iff no check
     failed (skips are allowed).
     """
-    from .oracle import CallableFiniteSum  # local import keeps module order
-
     checks: list[BatteryCheck] = []
 
     if num_points <= 0:
@@ -605,12 +619,12 @@ def run_battery(num_points: int = 60, zero_chain_samples: int = 500,
         rep = check_derivatives(synth, num_points, 1e-6, seed=seed)
         checks.append(BatteryCheck("check_derivatives",
                                    _status(rep.passed), rep.to_dict()))
-        chain = CallableFiniteSum([_chain_component(4)], d=4)
-        rep = check_derivatives(chain, num_points, 1e-6, seed=seed + 1)
+        rep = check_derivatives(_chain_sum(4), num_points, 1e-6,
+                                seed=seed + 1)
         checks.append(BatteryCheck("check_derivatives_chain",
                                    _status(rep.passed), rep.to_dict()))
-        comp = CallableFiniteSum([_hat_component(3, 12, seed=seed + 2)], d=12)
-        rep = check_derivatives(comp, num_points, 1e-6, seed=seed + 2)
+        rep = check_derivatives(_hat_sum(3, 12, seed=seed + 2), num_points,
+                                1e-6, seed=seed + 2)
         checks.append(BatteryCheck("check_derivatives_composite",
                                    _status(rep.passed), rep.to_dict()))
 

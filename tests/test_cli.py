@@ -37,6 +37,11 @@ _THIRD_MOMENT_P1_INI = (
     "delta = 800.0\nL = 1.0\neps = 1.0\nell_hat = 1.0\n"
     "[optimizer]\noptimizer = gd\nbudget = 20\n")
 
+_P3_NO_ELL_HAT_INI = (
+    "[instance]\nmode = randomized-individual\np = 3\nn = 2\n"
+    "delta = 800.0\nL = 1.0\neps = 1.0\n"
+    "[optimizer]\noptimizer = gd\nbudget = 20\n")
+
 
 def _jsonl(path):
     lines = [json.loads(s) for s in
@@ -87,6 +92,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="p = 2"):
             RunConfig(mode="randomized-third-moment", p=1)
         RunConfig(mode="randomized-third-moment", p=2)
+
+    def test_randomized_p_3_needs_ell_hat(self):
+        with pytest.raises(ValueError, match="set ell_hat for p = 3"):
+            RunConfig(mode="randomized-individual", p=3)
+        RunConfig(mode="randomized-individual", p=3, ell_hat=1.0)
+        RunConfig(mode="deterministic", p=3)
 
     def test_load_save(self, tmp_path):
         cfg = RunConfig(n=7, seed=2)
@@ -171,6 +182,15 @@ class TestGen:
         assert main(["gen", "--config", cfg_path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad config:") and "p = 2" in err
+        assert not out.exists()
+
+    def test_randomized_p_3_without_ell_hat_exits_2(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "c.ini", _P3_NO_ELL_HAT_INI)
+        out = tmp_path / "o"
+        assert main(["gen", "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config:") and "ell_hat" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 
@@ -322,6 +342,14 @@ class TestRun:
                      str(out), "--seeds", "1,2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad config:") and "p = 2" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.ini"]
+
+    def test_randomized_p_3_without_ell_hat_exits_2(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "c.ini", _P3_NO_ELL_HAT_INI)
+        assert main(["run", "--config", cfg_path, "--quiet", "--out",
+                     str(tmp_path / "m.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config:") and "ell_hat" in err
         assert list(tmp_path.iterdir()) == [tmp_path / "c.ini"]
 
     def test_bad_seed_list_exits_2(self, tmp_path, capsys):

@@ -243,3 +243,73 @@ def test_ledger_arithmetic_property(ops):
     assert led.grad_queries == g
     assert led.hess_queries == h
     assert led.per_index.sum() == total
+
+
+def _closure_quadratic_cosine_sum(n, d, seed):
+    """Reference: the construction the array-backed sum replaced, one
+    one-point closure per component over the same draws."""
+    rng = np.random.default_rng(seed)
+    comps = []
+    for _ in range(n):
+        G = rng.standard_normal((d, d)) / np.sqrt(d)
+        A = G @ G.T
+        b = rng.standard_normal(d)
+        b *= rng.uniform(0.5, 1.5) / np.linalg.norm(b)
+        c = rng.uniform(0.5, 1.5)
+        r = 0.3 * rng.standard_normal(d)
+
+        def f(x, order=2, A=A, b=b, c=c, r=r):
+            t = float(b @ x)
+            Ax = A @ x
+            val = 0.5 * float(x @ Ax) + c * np.cos(t) + float(r @ x)
+            if order == 0:
+                return Derivatives(val)
+            grad = Ax - c * np.sin(t) * b + r
+            if order == 1:
+                return Derivatives(val, grad)
+            return Derivatives(val, grad, A - c * np.cos(t) * np.outer(b, b))
+        comps.append(f)
+    return CallableFiniteSum(comps, d)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_answer(a: Derivatives, b: Derivatives) -> bool:
+    return all((u is None and v is None)
+               or (u is not None and v is not None and _same_bits(u, v))
+               for u, v in ((a.value, b.value), (a.grad, b.grad),
+                            (a.hess, b.hess)))
+
+
+class TestQuadraticCosineStacks:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("P", range(1, 8))
+    def test_stack_rows_equal_single_points(self, P, order):
+        F = quadratic_cosine_sum(5, 6, seed=P)
+        X = np.random.default_rng(P).standard_normal((P, 6)) * 2.0
+        for i in range(F.n):
+            stacked = F.component(i, X, order)
+            assert np.shape(stacked.value) == (P,)
+            for p in range(P):
+                one = F.component(i, X[p], order)
+                row = Derivatives(
+                    stacked.value[p],
+                    None if order < 1 else stacked.grad[p],
+                    None if order < 2 else stacked.hess[p])
+                assert _same_answer(one, row)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_single_points_equal_closure_reference(self, order):
+        F = quadratic_cosine_sum(6, 5, seed=9)
+        ref = _closure_quadratic_cosine_sum(6, 5, seed=9)
+        for x in np.random.default_rng(1).standard_normal((4, 5)) * 3.0:
+            for i in range(F.n):
+                assert _same_answer(F.component(i, x, order),
+                                    ref.component(i, x, order))
+
+    def test_rejects_empty_sum(self):
+        with pytest.raises(ValueError, match="at least one"):
+            quadratic_cosine_sum(0, 3, seed=0)

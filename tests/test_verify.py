@@ -7,7 +7,8 @@ import pytest
 
 import hardsum.chains
 from hardsum.chains import Derivatives, chain_eval
-from hardsum.linalg import as_rng
+from hardsum.linalg import (as_rng, finite_diff_gradient, finite_diff_jacobian,
+                            rel_err)
 from hardsum.instances import (
     ResistingOracle,
     deterministic_params,
@@ -19,7 +20,10 @@ from hardsum.oracle import CallableFiniteSum, quadratic_cosine_sum
 from hardsum.optim import SvrcParams
 from hardsum.verify import (
     _battery_instance,
+    _chain_sum,
     _gd_backtracking,
+    _hat_sum,
+    _pair_stream,
     BatteryCheck,
     SmoothnessReport,
     check_derivatives,
@@ -482,3 +486,134 @@ def test_report_to_dict_follows_dataclass_fields():
         d = rep.to_dict()
         assert list(d) == [f.name for f in dataclasses.fields(rep)]
         json.loads(json.dumps(d))
+
+
+# ---------------------------------------------------------------------------
+# the stacked checks against their one-point loops
+
+
+def _one_point_check_derivatives(F, num_points, tol, seed):
+    """Reference: every finite-difference point is its own component call."""
+    rng = as_rng(seed)
+    scales = (0.25, 0.5, 1.0, 2.0)
+    worst = {"rel_err": 0.0}
+    for t in range(num_points):
+        x = rng.standard_normal(F.d) * scales[t % len(scales)]
+        for i in range(F.n):
+            der = F.component(i, x, order=2)
+            g_fd = finite_diff_gradient(
+                lambda z, i=i: F.component(i, z, order=0).value, x)
+            H_fd = finite_diff_jacobian(
+                lambda z, i=i: F.component(i, z, order=1).grad, x)
+            err, which = max((rel_err(der.grad, g_fd), "grad"),
+                             (rel_err(der.hess, H_fd), "hess"))
+            if err > worst["rel_err"]:
+                worst = {"rel_err": float(err), "component": i,
+                         "point_index": t, "which": which}
+    return {"passed": bool(worst["rel_err"] <= tol),
+            "max_rel_err": float(worst["rel_err"]), "tol": tol,
+            "num_points": num_points, "worst": worst}
+
+
+def _one_point_smoothness(F, mode, num_pairs, seed):
+    """Reference: one component call per (pair, point, component) and one
+    eigvalsh per Hessian difference."""
+    rng = as_rng(seed)
+    order = 1 if mode == "mean-squared" else 2
+    best = 0.0
+    for x, y in _pair_stream(F.d, num_pairs, rng):
+        dist = float(np.linalg.norm(x - y))
+        if dist == 0.0:
+            continue
+        if mode == "mean-squared":
+            acc = 0.0
+            for i in range(F.n):
+                dg = F.component(i, x, order).grad - F.component(i, y, order).grad
+                acc += float(dg @ dg)
+            ratio = math.sqrt(acc / F.n) / dist
+        else:
+            norms = np.empty(F.n)
+            for i in range(F.n):
+                dH = F.component(i, x, order).hess - F.component(i, y, order).hess
+                norms[i] = np.abs(np.linalg.eigvalsh(0.5 * (dH + dH.T))).max()
+            if mode == "individual":
+                ratio = float(norms.max()) / dist
+            else:
+                ratio = float((norms ** 3).mean()) ** (1.0 / 3.0) / dist
+        best = max(best, ratio)
+    return best
+
+
+def _one_point_zero_chain(K, num_samples, seed, tol=1e-12):
+    """Reference: two chain calls per sample, drawn and evaluated in turn."""
+    rng = as_rng(seed)
+    mask = np.ones(K)
+    max_partial = max_change = 0.0
+    checked = skipped = 0
+    for _ in range(num_samples):
+        m = int(rng.integers(0, K + 1))
+        x = rng.uniform(-0.45, 0.45, size=K)
+        x[:m] = rng.uniform(-2.5, 2.5, size=m)
+        if m >= K:
+            skipped += 1
+            continue
+        der = chain_eval(K, mask, x, order=1)
+        if m + 1 < K:
+            max_partial = max(max_partial,
+                              float(np.abs(der.grad[m + 1:]).max()))
+        x_zeroed = x.copy()
+        x_zeroed[m + 1:] = 0.0
+        val_zeroed = chain_eval(K, mask, x_zeroed, order=0).value
+        max_change = max(max_change, abs(der.value - val_zeroed))
+        checked += 1
+    return {"passed": bool(max_partial <= tol and max_change <= tol), "K": K,
+            "num_samples": num_samples, "checked": checked,
+            "skipped": skipped, "max_partial": max_partial,
+            "max_value_change": max_change}
+
+
+def _subjects():
+    """The battery's sums, a randomized instance and a sum of one-point
+    callables (answered point by point)."""
+    rng = np.random.default_rng(5)
+    return {
+        "synthetic": quadratic_cosine_sum(4, 6, seed=1),
+        "chain": _chain_sum(4),
+        "composite": _hat_sum(3, 12, seed=2),
+        "randomized": _tiny_randomized(n=2, K=2).unscaled_view(),
+        "one-point": CallableFiniteSum(
+            [_cubic_norm_component(2.0),
+             _linear_component(rng.standard_normal(3))], d=3),
+    }
+
+
+def _bits(report: dict) -> str:
+    # floats serialize by repr, so equal text is equal bits
+    return json.dumps(report, sort_keys=True)
+
+
+class TestStackedChecksMatchOnePointLoops:
+    @pytest.mark.parametrize("name", ["synthetic", "chain", "composite",
+                                      "randomized", "one-point"])
+    def test_check_derivatives(self, name):
+        F = _subjects()[name]
+        got = check_derivatives(F, 5, 1e-6, seed=3)
+        assert _bits(got.to_dict()) == _bits(
+            _one_point_check_derivatives(F, 5, 1e-6, seed=3))
+
+    @pytest.mark.parametrize("mode", ["individual", "mean-squared",
+                                      "third-moment"])
+    @pytest.mark.parametrize("name", ["synthetic", "chain", "composite",
+                                      "randomized", "one-point"])
+    def test_estimate_smoothness(self, name, mode):
+        F = _subjects()[name]
+        got = estimate_smoothness(F, mode, 25, seed=4)
+        assert _bits(got.constant) == _bits(
+            _one_point_smoothness(F, mode, 25, seed=4))
+
+    @pytest.mark.parametrize("K,num_samples", [(2, 60), (4, 60), (8, 60),
+                                               (2, 1), (3, 0)])
+    def test_check_zero_chain(self, K, num_samples):
+        got = check_zero_chain(K, num_samples, seed=K)
+        assert _bits(got.to_dict()) == _bits(
+            _one_point_zero_chain(K, num_samples, seed=K))

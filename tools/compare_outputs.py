@@ -81,6 +81,14 @@ CUBIC_HAAR = ("[instance]\nmode = randomized-individual\np = 1\nn = 2\n"
 THIRD_MOMENT_P1 = ("[instance]\nmode = randomized-third-moment\np = 1\n"
                    "n = 2\ndelta = 800.0\nL = 1.0\neps = 1.0\nell_hat = 1.0\n"
                    "[optimizer]\noptimizer = gd\nbudget = 20\n")
+SYNTH_SVRC_NO_L2 = SYNTH_SVRC.replace("L2 = 1.0\n", "")
+RANDOMIZED_P1 = ("[instance]\nmode = randomized-individual\np = 1\nn = 2\n"
+                 "delta = 150000.0\nL = 1.0\neps = 1.0\n")
+RANDOMIZED_P2 = ("[instance]\nmode = randomized-individual\np = 2\nn = 2\n"
+                 "delta = 25000.0\nL = 1.0\neps = 1.0\n")
+RANDOMIZED_P3 = ("[instance]\nmode = randomized-individual\np = 3\nn = 2\n"
+                 "delta = 800.0\nL = 1.0\neps = 1.0\n"
+                 "[optimizer]\noptimizer = gd\nbudget = 20\n")
 VERIFY_SMALL = ("[verify]\nnum_points = 4\nzero_chain_samples = 40\n"
                 "pairs = 12\ntrials = 1000\nstarts = 2\n")
 
@@ -117,15 +125,28 @@ ENTRIES = (
     _run("cubic-synthetic", CUBIC_SYNTH),
     _run("cubic-haar-c", CUBIC_HAAR),
     _run("seeds-1-2", SYNTH_SVRC, "--seeds", "1,2", "--quiet"),
+    # no L2: the run estimates it from 60 sampled pairs
+    _run("synth-svrc-estimated-L2", SYNTH_SVRC_NO_L2),
     Entry("verify-defaults", None, ("verify", "--out", "rep.json")),
     Entry("verify-small", VERIFY_SMALL, ("verify", "--out", "rep.json")),
     Entry("verify-seed3", None, ("verify", "--seed", "3", "--out", "rep.json")),
     Entry("gen-synthetic", SYNTH_SVRC, ("gen", "--out", "gen")),
     Entry("gen-deterministic", ADV_CUBIC, ("gen", "--out", "gen")),
     Entry("gen-haar-c", CUBIC_HAAR, ("gen", "--out", "gen")),
+    # no ell_hat: gen estimates it (mean-squared probe at p = 1,
+    # individual probe at p = 2)
+    Entry("gen-randomized-p1-default-ell-hat", RANDOMIZED_P1,
+          ("gen", "--out", "gen")),
+    Entry("gen-randomized-p2-default-ell-hat", RANDOMIZED_P2,
+          ("gen", "--out", "gen")),
     # a config the parser rejects: exit 2 with an error line, no traceback
     Entry("gen-third-moment-p1", THIRD_MOMENT_P1, ("gen", "--out", "gen"), 2),
     Entry("run-third-moment-p1", THIRD_MOMENT_P1,
+          ("run", "--out", "run.jsonl"), 2),
+    # no ell_hat estimate exists for p = 3
+    Entry("gen-randomized-p3-no-ell-hat", RANDOMIZED_P3,
+          ("gen", "--out", "gen"), 2),
+    Entry("run-randomized-p3-no-ell-hat", RANDOMIZED_P3,
           ("run", "--out", "run.jsonl"), 2),
 )
 
