@@ -61,6 +61,10 @@ class RunConfig:
         if self.mode not in _INSTANCE_MODES:
             raise ValueError(f"unknown instance mode {self.mode!r}; "
                              f"expected one of {_INSTANCE_MODES}")
+        for name in ("p", "n"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"got {name} = {getattr(self, name)}")
         if self.mode == "randomized-third-moment" and self.p != 2:
             raise ValueError("mode randomized-third-moment is defined for "
                              f"p = 2, got p = {self.p}")

@@ -2,9 +2,9 @@
 
     minimize_h  <v, h> + 0.5 <U h, h> + (M/6) |h|^3.
 
-Strategy: eigendecompose U once and solve the scalar secular equation in the
-step length.  The stationarity system is (U + (M/2) s I) h = -v with
-s = |h|, which pins s as the root of
+Strategy: eigendecompose U on a subspace that holds the minimizer and solve
+the scalar secular equation in the step length.  The stationarity system is
+(U + (M/2) s I) h = -v with s = |h|, which pins s as the root of
 
     phi(s) = | (U + (M/2) s I)^{-1} v |  -  s,
 
@@ -19,6 +19,20 @@ matter:
   interior solution at s0 is short, the minimizer picks up a boundary
   component along the bottom eigenvector (the hard case).
 
+Two subspaces are tried in turn:
+
+* the Krylov space of U from v, built by Lanczos with full
+  reorthogonalization (the subproblem solver of ARC and GLTR; Cartis, Gould
+  & Toint 2011).  When it closes (U maps it into itself) the easy-case
+  minimizer lies in it, and the secular equation of the projected matrix
+  T = Q^T U Q gives that minimizer exactly; lmin(U) for the PSD condition
+  comes from one subset eigensolve.  Low-rank Hessians, such as the
+  resisting oracle's (rank at most K + 1), close in a few dimensions;
+* the whole space, from a dense eigendecomposition of U, when the Krylov
+  space does not close within d/2 dimensions or its step fails a check.  The
+  hard case, whose minimizer leaves the Krylov space, fails the PSD check
+  there and is solved here.
+
 The three optimality conditions -- zero stationarity residual, positive
 semidefiniteness of the shifted Hessian, and model decrease of at least
 (M/12)|h|^3 -- are asserted after every solve, not merely hoped for.
@@ -30,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .linalg import as_vector, eig_sym, sym_matrix
+from .linalg import _lambda_min, as_vector, eig_sym, sym_matrix
 
 __all__ = ["CubicModel", "CubicSolution", "solve", "model_value"]
 
@@ -38,6 +52,11 @@ __all__ = ["CubicModel", "CubicSolution", "solve", "model_value"]
 # treated as zero when classifying the hard case; the neglected mass shows up
 # in the stationarity residual and stays far below the default tolerance.
 _HARD_CASE_TOL = 1e-13
+
+# The Krylov space counts as closed once the Lanczos residual is this small
+# relative to max|U|; the neglected coupling is then a perturbation of U at
+# that size, and the stationarity check still bounds its effect on the step.
+_KRYLOV_CLOSED = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,10 +84,6 @@ class CubicSolution:
     eig_slack: float          # lmin(U) + (M/2)|h|   (must be >= -tol)
     model_val: float          # value of the model at h
 
-    @property
-    def residuals(self) -> tuple[float, float, float]:
-        return (self.stationarity, self.eig_slack, self.model_val)
-
 
 def model_value(model: CubicModel, h) -> float:
     """<v,h> + 0.5 h^T U h + (M/6)|h|^3, evaluated exactly as written."""
@@ -83,24 +98,10 @@ def _secular_norm(w2, lam_shift, half_m, u):
     return float(np.sqrt(np.sum(w2 / d ** 2)))
 
 
-def solve(model: CubicModel, tol: float | None = None) -> CubicSolution:
-    """Global minimizer of the cubic model, with certified residuals.
-
-    Raises ``np.linalg.LinAlgError`` if the eigendecomposition fails and
-    ``ArithmeticError`` if the optimality conditions cannot be met within
-    tolerance (which would indicate a solver bug, not a property of the
-    model: the subproblem always has a global minimizer).
-    """
-    v, U, M = model.v, model.U, model.M
-    norm_v = float(np.linalg.norm(v))
-    if tol is None:
-        tol = 1e-10 * (1.0 + norm_v)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-    lam, Q = eig_sym(U)
+def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
+    """The minimizer's coordinates in an eigenbasis: lam holds the
+    eigenvalues (ascending) and w the coordinates of v in that basis."""
     lmin = float(lam[0])
-    w = Q.T @ v
     w2 = w ** 2
     half_m = M / 2.0
 
@@ -114,51 +115,98 @@ def solve(model: CubicModel, tol: float | None = None) -> CubicSolution:
     w_bot = float(np.sqrt(w2[bottom].sum()))
     interior = ~bottom
 
-    def h_from_u(u: float) -> np.ndarray:
+    def coords_at(u: float) -> np.ndarray:
         d = shift + half_m * u
         y = np.zeros_like(w)
         y[d > 0] = -w[d > 0] / d[d > 0]
-        return Q @ y
+        return y
 
     hard_threshold = _HARD_CASE_TOL * (1.0 + norm_v)
     L0 = np.sqrt(np.sum(w2[interior] / shift[interior] ** 2)) if interior.any() else 0.0
 
-    def hard_case_step() -> np.ndarray:
+    def hard_case_coords() -> np.ndarray:
         # interior part at the pole plus a boundary component along the
         # bottom eigenvector to stretch the step to length s0
         y = np.zeros_like(w)
         y[interior] = -w[interior] / shift[interior]
         if bottom.any():
             y[np.argmax(bottom)] += np.sqrt(max(s0 ** 2 - L0 ** 2, 0.0))
-        return Q @ y
+        return y
 
     if w_bot <= hard_threshold and L0 <= s0:
-        h = hard_case_step()
-    else:
-        # easy case: bracket the root of phi(u) = |h(u)| - (s0 + u) in u > 0
-        def phi_u(u: float) -> float:
-            return _secular_norm(w2, shift, half_m, u) - (s0 + u)
+        return hard_case_coords()
+    # easy case: bracket the root of phi(u) = |h(u)| - (s0 + u) in u > 0
+    def phi_u(u: float) -> float:
+        return _secular_norm(w2, shift, half_m, u) - (s0 + u)
 
-        scale = max(1.0, s0, np.sqrt(2.0 * norm_v / M))
-        u_hi = scale
-        while phi_u(u_hi) > 0.0:
-            u_hi *= 2.0
-            if u_hi > 1e300:
-                raise ArithmeticError("failed to bracket the secular root")
-        u_lo = min(1e-3 * scale, 0.5 * u_hi)
-        while phi_u(u_lo) <= 0.0:
-            u_lo *= 1e-2
-            if u_lo < 1e-290:
-                # root collapses onto the pole: treat as (near-)hard case
-                u_lo = 0.0
-                break
-        if u_lo == 0.0:
-            h = hard_case_step()
-        else:
-            u_star = brentq(phi_u, u_lo, u_hi, xtol=1e-300, rtol=8.9e-16,
-                            maxiter=200)
-            h = h_from_u(u_star)
+    scale = max(1.0, s0, np.sqrt(2.0 * norm_v / M))
+    u_hi = scale
+    while phi_u(u_hi) > 0.0:
+        u_hi *= 2.0
+        if u_hi > 1e300:
+            raise ArithmeticError("failed to bracket the secular root")
+    u_lo = min(1e-3 * scale, 0.5 * u_hi)
+    while phi_u(u_lo) <= 0.0:
+        u_lo *= 1e-2
+        if u_lo < 1e-290:
+            # root collapses onto the pole: treat as (near-)hard case
+            return hard_case_coords()
+    u_star = brentq(phi_u, u_lo, u_hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    return coords_at(u_star)
 
+
+def _krylov_step(model: CubicModel, norm_v: float
+                 ) -> tuple[np.ndarray, float] | None:
+    """(minimizer over the Krylov space of U from v, lmin(U)), or None when
+    v = 0 or the space does not close within d/2 dimensions.
+
+    Past d/2 dimensions the Lanczos products, the reorthogonalization and
+    the subset eigensolve cost about as much as the dense eigendecomposition
+    they stand in for.
+    """
+    v, U = model.v, model.U
+    d = v.size
+    kmax = d // 2
+    if kmax == 0 or norm_v == 0.0:
+        return None
+    closed = _KRYLOV_CLOSED * float(np.abs(U).max())
+    # rows q_j of the orthonormal basis and U q_j, grown by doubling so that
+    # they stay the size the space closes at
+    basis = np.empty((min(8, kmax), d))
+    images = np.empty_like(basis)
+    basis[0] = v / norm_v
+    k = 1
+    while True:
+        w = U @ basis[k - 1]
+        images[k - 1] = w
+        Q = basis[:k]
+        # classical Gram-Schmidt against the whole basis, twice, keeps the
+        # basis orthonormal to rounding level
+        for _ in range(2):
+            w -= Q.T @ (Q @ w)
+        beta = float(np.linalg.norm(w))
+        if beta <= closed:
+            break
+        if k == kmax:
+            return None
+        if k == len(basis):
+            grow = np.empty((min(k, kmax - k), d))
+            basis, images = np.vstack([basis, grow]), np.vstack([images, grow])
+        basis[k] = w / beta
+        k += 1
+    Q = basis[:k]
+    P = Q @ images[:k].T
+    lam, Z = np.linalg.eigh(0.5 * (P + P.T))
+    y = _secular_coords(lam, norm_v * Z[0], norm_v, model.M)
+    return Q.T @ (Z @ y), _lambda_min(U)
+
+
+def _certified(model: CubicModel, h: np.ndarray, lmin: float, norm_v: float,
+               tol: float) -> CubicSolution:
+    """The solution at h, after the three optimality checks (lmin is the
+    smallest eigenvalue of U)."""
+    v, U, M = model.v, model.U, model.M
+    half_m = M / 2.0
     s_actual = float(np.linalg.norm(h))
     stationarity = float(np.linalg.norm(v + U @ h + half_m * s_actual * h))
     eig_slack = lmin + half_m * s_actual
@@ -174,3 +222,30 @@ def solve(model: CubicModel, tol: float | None = None) -> CubicSolution:
             f"model value {m_val:.3e} above the decrease guarantee")
     return CubicSolution(h=h, s=s_actual, stationarity=stationarity,
                          eig_slack=float(eig_slack), model_val=m_val)
+
+
+def solve(model: CubicModel, tol: float | None = None) -> CubicSolution:
+    """Global minimizer of the cubic model, with certified residuals.
+
+    Raises ``np.linalg.LinAlgError`` if an eigendecomposition fails and
+    ``ArithmeticError`` if the optimality conditions cannot be met within
+    tolerance (which would indicate a solver bug, not a property of the
+    model: the subproblem always has a global minimizer).
+    """
+    v, U, M = model.v, model.U, model.M
+    norm_v = float(np.linalg.norm(v))
+    if tol is None:
+        tol = 1e-10 * (1.0 + norm_v)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+
+    try:
+        krylov = _krylov_step(model, norm_v)
+        if krylov is not None:
+            return _certified(model, *krylov, norm_v, tol)
+    except ArithmeticError:
+        pass    # e.g. the hard case: solve in the whole space
+
+    lam, Q = eig_sym(U)
+    y = _secular_coords(lam, Q.T @ v, norm_v, M)
+    return _certified(model, Q @ y, float(lam[0]), norm_v, tol)

@@ -37,6 +37,12 @@ _THIRD_MOMENT_P1_INI = (
     "delta = 800.0\nL = 1.0\neps = 1.0\nell_hat = 1.0\n"
     "[optimizer]\noptimizer = gd\nbudget = 20\n")
 
+_DETERMINISTIC_P0_INI = (
+    "[instance]\nmode = deterministic\np = 0\nn = 4\n"
+    "delta = 960.0\nL = 1.0\neps = 1.0\n")
+
+_SYNTHETIC_N0_INI = _synthetic_svrc_ini().replace("n = 4\n", "n = 0\n")
+
 _P3_NO_ELL_HAT_INI = (
     "[instance]\nmode = randomized-individual\np = 3\nn = 2\n"
     "delta = 800.0\nL = 1.0\neps = 1.0\n"
@@ -92,6 +98,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="p = 2"):
             RunConfig(mode="randomized-third-moment", p=1)
         RunConfig(mode="randomized-third-moment", p=2)
+
+    def test_sizes_below_one_rejected(self):
+        with pytest.raises(ValueError, match="p must be at least 1"):
+            RunConfig(p=0)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            RunConfig(mode="synthetic", n=0)
+        RunConfig(p=1, n=1)
 
     def test_randomized_p_3_needs_ell_hat(self):
         with pytest.raises(ValueError, match="set ell_hat for p = 3"):
@@ -182,6 +195,15 @@ class TestGen:
         assert main(["gen", "--config", cfg_path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad config:") and "p = 2" in err
+        assert not out.exists()
+
+    def test_deterministic_p_0_exits_2(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "c.ini", _DETERMINISTIC_P0_INI)
+        out = tmp_path / "o"
+        assert main(["gen", "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config:") and "p = 0" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_randomized_p_3_without_ell_hat_exits_2(self, tmp_path, capsys):
@@ -350,6 +372,15 @@ class TestRun:
                      str(tmp_path / "m.jsonl")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad config:") and "ell_hat" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.ini"]
+
+    def test_synthetic_n_0_exits_2(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "c.ini", _SYNTHETIC_N0_INI)
+        assert main(["run", "--config", cfg_path, "--quiet", "--out",
+                     str(tmp_path / "m.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config:") and "n = 0" in err
+        assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [tmp_path / "c.ini"]
 
     def test_bad_seed_list_exits_2(self, tmp_path, capsys):

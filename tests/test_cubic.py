@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from hardsum import cubic
 from hardsum.cubic import CubicModel, CubicSolution, model_value, solve
-from hardsum.linalg import sample_orthonormal_columns
+from hardsum.linalg import eig_sym, sample_orthonormal_columns
 
 
 def _check_optimality(model: CubicModel, sol: CubicSolution, tol=1e-9):
@@ -160,3 +162,166 @@ def test_optimality_property(seed):
     hard = bool(rng.random() < 0.3) and d >= 2
     model, _ = _random_model(rng, d, hard=hard)
     _check_optimality(model, solve(model))
+
+
+def _dense_step(model: CubicModel) -> np.ndarray:
+    """The minimizer from a dense eigendecomposition of U and the shifted
+    secular equation: the solver's whole-space path, written out here so
+    that the Krylov path is measured against a fixed reference."""
+    v, U, M = model.v, model.U, model.M
+    norm_v = float(np.linalg.norm(v))
+    lam, Q = np.linalg.eigh(U)
+    lmin = float(lam[0])
+    w = Q.T @ v
+    w2 = w ** 2
+    half_m = M / 2.0
+    s0 = max(0.0, -2.0 * lmin / M)
+    shift = (lam - lmin) if lmin < 0 else lam.copy()
+    bottom = shift <= 1e-13 * max(1.0, abs(lmin))
+    interior = ~bottom
+    w_bot = float(np.sqrt(w2[bottom].sum()))
+    L0 = np.sqrt(np.sum(w2[interior] / shift[interior] ** 2)) \
+        if interior.any() else 0.0
+
+    def hard_case_step():
+        y = np.zeros_like(w)
+        y[interior] = -w[interior] / shift[interior]
+        if bottom.any():
+            y[np.argmax(bottom)] += np.sqrt(max(s0 ** 2 - L0 ** 2, 0.0))
+        return Q @ y
+
+    if w_bot <= 1e-13 * (1.0 + norm_v) and L0 <= s0:
+        return hard_case_step()
+
+    def phi_u(u):
+        d = shift + half_m * u
+        return float(np.sqrt(np.sum(w2 / d ** 2))) - (s0 + u)
+
+    scale = max(1.0, s0, np.sqrt(2.0 * norm_v / M))
+    u_hi = scale
+    while phi_u(u_hi) > 0.0:
+        u_hi *= 2.0
+    u_lo = min(1e-3 * scale, 0.5 * u_hi)
+    while phi_u(u_lo) <= 0.0:
+        u_lo *= 1e-2
+        if u_lo < 1e-290:
+            return hard_case_step()
+    u = brentq(phi_u, u_lo, u_hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    d = shift + half_m * u
+    y = np.zeros_like(w)
+    y[d > 0] = -w[d > 0] / d[d > 0]
+    return Q @ y
+
+
+def _spy_paths(monkeypatch):
+    """Record, per solve, whether the Krylov space closed and how many
+    dense eigendecompositions ran."""
+    paths = {"krylov_closed": 0, "krylov_open": 0, "dense": 0}
+    krylov_step = cubic._krylov_step
+
+    def spied_krylov(model, norm_v):
+        out = krylov_step(model, norm_v)
+        paths["krylov_closed" if out is not None else "krylov_open"] += 1
+        return out
+
+    def spied_eig(A):
+        paths["dense"] += 1
+        return eig_sym(A)
+
+    monkeypatch.setattr(cubic, "_krylov_step", spied_krylov)
+    monkeypatch.setattr(cubic, "eig_sym", spied_eig)
+    return paths
+
+
+def _low_rank_model(rng, d, r, outside):
+    """An indefinite U of rank r, and v in range(U) plus, when ``outside``,
+    a part orthogonal to it."""
+    G = sample_orthonormal_columns(d, r + 1, seed=rng).columns
+    lam = rng.uniform(-3.0, 3.0, r)
+    lam[0] = -abs(lam[0]) - 0.1
+    if r > 1:
+        lam[1] = abs(lam[1]) + 0.1
+    U = (G[:, :r] * lam) @ G[:, :r].T
+    v = G[:, :r] @ rng.standard_normal(r) + outside * G[:, r]
+    return CubicModel(v=v * 10.0 ** rng.uniform(-2, 2), U=0.5 * (U + U.T),
+                      M=float(rng.uniform(0.1, 5.0)))
+
+
+class TestKrylovPath:
+    @pytest.mark.parametrize("outside", [0.0, 0.7])
+    @pytest.mark.parametrize("r", [1, 3, 21])
+    @pytest.mark.parametrize("d", [50, 197])
+    def test_low_rank_matches_dense(self, rng, monkeypatch, d, r, outside):
+        paths = _spy_paths(monkeypatch)
+        for _ in range(5):
+            model = _low_rank_model(rng, d, r, outside)
+            sol = solve(model)
+            h = _dense_step(model)
+            scale = float(np.linalg.norm(h))
+            assert float(np.linalg.norm(sol.h - h)) <= 1e-12 * scale
+            assert sol.model_val == pytest.approx(model_value(model, h),
+                                                  rel=1e-12)
+            _check_optimality(model, sol)
+        assert paths == {"krylov_closed": 5, "krylov_open": 0, "dense": 0}
+
+    @pytest.mark.parametrize("d", [50, 197])
+    def test_hard_case_falls_back_to_dense(self, rng, monkeypatch, d):
+        # v has no component along the negative bottom eigenvector, which
+        # U's other eigenvectors, spanning the Krylov space, leave out; the
+        # interior step is shorter than s0 = 2 |lmin| / M
+        paths = _spy_paths(monkeypatch)
+        for _ in range(5):
+            G = sample_orthonormal_columns(d, 4, seed=rng).columns
+            lam = np.array([-2.0, 0.5, 1.0, 3.0])
+            U = (G * lam) @ G.T
+            M = float(rng.uniform(0.5, 2.0))
+            s0 = 4.0 / M
+            v = G[:, 1:] @ rng.standard_normal(3)
+            v *= 0.5 * s0 / np.linalg.norm(np.linalg.solve(
+                np.diag(lam[1:] + 2.0), G[:, 1:].T @ v))
+            model = CubicModel(v=v, U=0.5 * (U + U.T), M=M)
+            sol = solve(model)
+            assert sol.s == pytest.approx(s0, rel=1e-9)
+            assert abs(G[:, 0] @ sol.h) > 0.1 * s0
+            _check_optimality(model, sol)
+        assert paths == {"krylov_closed": 5, "krylov_open": 0, "dense": 5}
+
+    def test_full_rank_small_models_are_dense_bit_for_bit(self, rng,
+                                                          monkeypatch):
+        paths = _spy_paths(monkeypatch)
+        for _ in range(60):
+            d = int(rng.integers(1, 21))
+            model, _ = _random_model(rng, d, hard=bool(rng.random() < 0.3)
+                                     and d >= 2)
+            assert np.array_equal(solve(model).h, _dense_step(model))
+        # a hard case whose v spans an invariant subspace of at most d/2
+        # dimensions closes its Krylov space and then falls back too
+        assert paths["dense"] == 60
+
+    def test_nearly_low_rank_does_not_close_early(self, rng, monkeypatch):
+        # rank 3 plus a full-rank part of size 1e-8: the Krylov space does
+        # not close, so the step is the dense one, not a step that leaves
+        # out the small part
+        paths = _spy_paths(monkeypatch)
+        for _ in range(5):
+            model = _low_rank_model(rng, 50, 3, 0.7)
+            E = rng.standard_normal((50, 50))
+            U = model.U + 1e-8 * (E + E.T)
+            model = CubicModel(v=100.0 * model.v / np.linalg.norm(model.v),
+                               U=U, M=model.M)
+            assert np.array_equal(solve(model).h, _dense_step(model))
+        assert paths == {"krylov_closed": 0, "krylov_open": 5, "dense": 5}
+
+    def test_basis_grows_past_its_first_block(self, rng, monkeypatch):
+        # rank 21 closes at 21 or 22 dimensions, past the first 8 rows
+        paths = _spy_paths(monkeypatch)
+        model = _low_rank_model(rng, 120, 21, 0.7)
+        assert np.allclose(solve(model).h, _dense_step(model), rtol=0,
+                           atol=1e-12 * (1.0 + np.linalg.norm(model.v)))
+        assert paths["krylov_closed"] == 1 and paths["dense"] == 0
+
+    def test_zero_hessian(self):
+        # U = 0: the space closes at once and h = -v / sqrt((M/2) |v|)
+        v = np.array([3.0, 4.0, 0.0, 0.0])
+        sol = solve(CubicModel(v=v, U=np.zeros((4, 4)), M=2.0))
+        assert sol.h == pytest.approx(-v / np.sqrt(5.0), rel=1e-12)

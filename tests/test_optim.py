@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hardsum.chains import Derivatives
 from hardsum.cubic import solve
+from hardsum.linalg import eig_sym, sample_orthonormal_columns
 from hardsum.oracle import (CallableFiniteSum, OracleLedger,
                             quadratic_cosine_sum, query)
 from hardsum.optim import (
@@ -20,6 +21,7 @@ from hardsum.optim import (
     svrc_gradient_estimator,
     svrc_hessian_estimator,
     svrc_run,
+    _stationarity,
 )
 
 
@@ -250,6 +252,80 @@ class TestMu:
         F = _identity_quadratic()
         with pytest.raises(ValueError):
             mu(F, np.zeros(4), L2=0.0)
+
+
+def _eig_stationarity(der, L2):
+    """The stationarity pair from a full eigendecomposition, as the formula
+    reads: (|g|, max(|g|^1.5, -lambda_min^3 / L2^1.5))."""
+    gnorm = float(np.linalg.norm(der.grad))
+    lam_min = float(np.linalg.eigh(der.hess)[0][0])
+    return gnorm, max(gnorm ** 1.5, -(lam_min ** 3) / L2 ** 1.5)
+
+
+def _count_eig_calls(monkeypatch):
+    """Count the eigendecompositions ``_stationarity`` falls back to."""
+    calls = []
+
+    def counted(A):
+        calls.append(A.shape)
+        return eig_sym(A)
+
+    monkeypatch.setattr("hardsum.optim.eig_sym", counted)
+    return calls
+
+
+class TestStationarityScreen:
+    """The Cholesky screen returns the floor |g|^1.5 only where the
+    eigenvalue formula does, bit for bit."""
+
+    def test_random_hessians(self, rng, monkeypatch):
+        calls = _count_eig_calls(monkeypatch)
+        screened = 0
+        for _ in range(200):
+            d = int(rng.integers(1, 30))
+            A = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-3, 3)
+            der = Derivatives(0.0, rng.standard_normal(d)
+                              * 10.0 ** rng.uniform(-3, 3), 0.5 * (A + A.T))
+            L2 = float(10.0 ** rng.uniform(-2, 4))
+            before = len(calls)
+            assert _stationarity(der, L2) == _eig_stationarity(der, L2)
+            screened += len(calls) == before
+        # both branches are exercised
+        assert 0 < screened < 200
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    @pytest.mark.parametrize("d", [1, 5, 20, 60])
+    def test_lambda_min_at_the_boundary(self, rng, monkeypatch, side, d):
+        # the curvature term wins exactly when lambda_min <= -sqrt(|g| L2);
+        # place lambda_min a relative 1e-10 inside (side -1) or outside
+        # (side +1) that boundary
+        calls = _count_eig_calls(monkeypatch)
+        for _ in range(10):
+            g = rng.standard_normal(d) * 10.0 ** rng.uniform(-2, 2)
+            L2 = float(10.0 ** rng.uniform(-1, 3))
+            edge = -math.sqrt(float(np.linalg.norm(g)) * L2)
+            lam = rng.uniform(-abs(edge), 3.0 * abs(edge), d)
+            lam[0] = edge * (1.0 + side * 1e-10)
+            Q = sample_orthonormal_columns(d, d, seed=rng).columns
+            H = Q @ np.diag(lam) @ Q.T
+            der = Derivatives(0.0, g, 0.5 * (H + H.T))
+            gnorm, m = _stationarity(der, L2)
+            assert (gnorm, m) == _eig_stationarity(der, L2)
+            assert (m == gnorm ** 1.5) == (side < 0)
+        # a margin of 1e-10 is far outside the screen's: it proves every
+        # floor and never a curvature win
+        assert len(calls) == (10 if side > 0 else 0)
+
+    def test_zero_gradient_takes_the_eigenvalue_path(self, monkeypatch):
+        calls = _count_eig_calls(monkeypatch)
+        der = Derivatives(0.0, np.zeros(3), np.diag([1.0, 2.0, 3.0]))
+        assert _stationarity(der, 1.0) == (0.0, 0.0)
+        assert len(calls) == 1
+
+    def test_asymmetric_hessian_rejected(self):
+        der = Derivatives(0.0, np.ones(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            _stationarity(der, 1.0)
 
 
 class TestSvrcRun:

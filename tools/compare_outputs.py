@@ -41,6 +41,7 @@ PINNED = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 CONFIG = "c.ini"
 
 ELL_1 = "58602877.71581407"   # ell_p(1)
+ELL_2 = "155916855139.98273"  # ell_p(2)
 
 SYNTH_SVRC = ("[instance]\nmode = synthetic\nn = 4\nd = 5\neps = 1e6\n"
               "[optimizer]\noptimizer = svrc\nb_g = 3\nb_h = 3\nS = 2\n"
@@ -51,6 +52,11 @@ ADV_CUBIC = ("[instance]\nmode = deterministic\np = 1\nn = 4\n"
 BENCH_ADV_CUBIC = ("[instance]\nmode = deterministic\np = 1\nn = 4\n"
                    f"delta = 4040.0\nL = {ELL_1}\neps = 1.0\n"
                    "[optimizer]\noptimizer = cubic\n")
+# p = 2: the resisting oracle at d = 98, a second Hessian spectrum for the
+# cubic solver
+ADV_CUBIC_P2 = ("[instance]\nmode = deterministic\np = 2\nn = 4\n"
+                f"delta = 2000.0\nL = {ELL_2}\neps = 1.0\n"
+                "[optimizer]\noptimizer = cubic\nseed = 2\n")
 SVRC_SAMPLED = ("[instance]\nmode = synthetic\nn = 16\nd = 6\neps = 1e-3\n"
                 "[optimizer]\noptimizer = svrc\nb_g = 5\nb_h = 9\nS = 2\n"
                 "T = 3\nL2 = 1.0\nseed = 7\n")
@@ -89,6 +95,9 @@ RANDOMIZED_P2 = ("[instance]\nmode = randomized-individual\np = 2\nn = 2\n"
 RANDOMIZED_P3 = ("[instance]\nmode = randomized-individual\np = 3\nn = 2\n"
                  "delta = 800.0\nL = 1.0\neps = 1.0\n"
                  "[optimizer]\noptimizer = gd\nbudget = 20\n")
+DETERMINISTIC_P0 = ("[instance]\nmode = deterministic\np = 0\nn = 4\n"
+                    "delta = 960.0\nL = 1.0\neps = 1.0\n")
+SYNTH_SVRC_N0 = SYNTH_SVRC.replace("n = 4\n", "n = 0\n")
 VERIFY_SMALL = ("[verify]\nnum_points = 4\nzero_chain_samples = 40\n"
                 "pairs = 12\ntrials = 1000\nstarts = 2\n")
 
@@ -115,6 +124,7 @@ ENTRIES = (
       for b in (30, 40, 50)),
     *(_run(f"bench-adv-cubic-seed{s}", BENCH_ADV_CUBIC, "--seed", str(s))
       for s in (0, 1, 2)),
+    _run("adv-cubic-p2", ADV_CUBIC_P2),
     _run("svrc-sampled", SVRC_SAMPLED),
     _run("svrc-full-batch", SVRC_FULL),
     _run("svrc-full-batch-budget80", SVRC_FULL, "--budget", "80"),
@@ -148,6 +158,11 @@ ENTRIES = (
           ("gen", "--out", "gen"), 2),
     Entry("run-randomized-p3-no-ell-hat", RANDOMIZED_P3,
           ("run", "--out", "run.jsonl"), 2),
+    # sizes below one
+    Entry("gen-deterministic-p0", DETERMINISTIC_P0, ("gen", "--out", "gen"),
+          2),
+    Entry("run-synthetic-n0", SYNTH_SVRC_N0, ("run", "--out", "run.jsonl"),
+          2),
 )
 
 
