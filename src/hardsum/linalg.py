@@ -7,6 +7,7 @@ seed or generator (no global RNG state is ever touched).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,21 +95,29 @@ def rel_err(a, b) -> float:
     return float(np.linalg.norm(a - b)) / max(1.0, float(np.linalg.norm(a)))
 
 
+#: the absolute floor of the symmetry tolerance: it keeps the tolerance from
+#: underflowing to zero when every entry is subnormal (one-ulp asymmetry is
+#: still symmetry there)
+_TINY = float(np.finfo(float).tiny)
+
+
 def sym_matrix(a) -> SymMatrix:
     """Validate symmetry of a square matrix (relative max-norm test) and
     return the exactly symmetrized copy (A + A^T)/2."""
     A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    # max|A| is NaN or inf exactly when some entry is
+    scale = np.maximum.reduce(np.absolute(A), axis=None)
+    if not math.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
-    scale = np.abs(A).max()
-    # the absolute floor keeps the tolerance from underflowing to zero when
-    # every entry is subnormal (one-ulp asymmetry is still symmetry there)
-    if np.abs(A - A.T).max() > max(SYMMETRY_TOL * scale,
-                                   np.finfo(float).tiny):
+    skew = np.subtract(A, A.T)
+    if np.maximum.reduce(np.absolute(skew, out=skew), axis=None) \
+            > max(SYMMETRY_TOL * scale, _TINY):
         raise ValueError("matrix is not symmetric within tolerance")
-    return 0.5 * (A + A.T)
+    out = np.add(A, A.T)
+    out *= 0.5
+    return out
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,12 @@ Oracle accounting follows the "charge every access, then credit snapshot
 re-reads" convention: the ledger's raw total for a full run is
 S*n + S*T*(b_g + b_h) + S*T*b_g, and its adjusted total (re-reads credited)
 is S*n + S*T*(b_g + b_h).  Hessian-estimator reads at the snapshot are served
-from the snapshot cache and recorded as zero-cost cache hits.
+from the snapshot cache and recorded as zero-cost cache hits; the gradient
+estimator's snapshot re-reads are served from the same cache but charged.
+
+Every pass evaluates each (point, order) once, as a stack of components
+(``F.components``), then charges one ``query`` per drawn row through a
+read-only view of those answers, in index order.
 """
 from __future__ import annotations
 
@@ -24,8 +29,8 @@ from scipy.linalg.lapack import dpotrf
 from .chains import Derivatives
 from .cubic import CubicModel, solve
 from .linalg import as_rng, as_vector, eig_sym, sym_matrix
-from .oracle import (FiniteSumFunction, OracleLedger, mean_derivatives, query,
-                     record_iterate)
+from .oracle import (FiniteSumFunction, OracleLedger, _Evaluated,
+                     mean_derivatives, query, record_iterate)
 
 __all__ = [
     "C_M",
@@ -162,7 +167,8 @@ def _hessian_estimate(counts, dH, b, H_s) -> np.ndarray:
 
 
 def svrc_gradient_estimator(F: FiniteSumFunction, ledger: OracleLedger,
-                            x, x_hat, g_s, H_s, batch) -> np.ndarray:
+                            x, x_hat, g_s, H_s, batch,
+                            snapshot_cache: dict | None = None) -> np.ndarray:
     """Semi-stochastic gradient with first-order (Hessian) correction:
 
     v = (1/b) sum_i [grad f_i(x) - grad f_i(xh)] + g_s
@@ -170,21 +176,26 @@ def svrc_gradient_estimator(F: FiniteSumFunction, ledger: OracleLedger,
 
     Charges b gradient queries at x and b (order-2, re-read) queries at the
     snapshot; repeated indices in the batch are charged per draw but
-    evaluated once.
+    evaluated once.  The re-reads are served from ``snapshot_cache`` (index
+    -> (gradient, Hessian) at xh) where it holds them, else evaluated; they
+    are charged either way.
     """
     x = as_vector(x, dim=F.d)
     x_hat = as_vector(x_hat, dim=F.d)
     counts, b = _batch_counts(batch, F.n)
-    rows = np.flatnonzero(counts)
+    rows = np.flatnonzero(counts).tolist()
+    at_x = _Evaluated.evaluate(F, rows, x, 1)
+    at_hat = _at_snapshot(F, rows, x_hat, snapshot_cache)
     dx = x - x_hat
-    dG = np.empty((rows.size, F.d))
-    Hdx = np.empty((rows.size, F.d))
-    for k, i in enumerate(rows.tolist()):
+    dG = np.empty((len(rows), F.d))
+    Hdx = np.empty((len(rows), F.d))
+    for k, i in enumerate(rows):
         c = int(counts[i])
-        at_x = query(ledger, F, i, x, order=1, count=c)
-        at_hat = query(ledger, F, i, x_hat, order=2, count=c, requery=True)
-        dG[k] = at_x.grad - at_hat.grad
-        Hdx[k] = at_hat.hess @ dx
+        der_x = query(ledger, at_x, i, x, order=1, count=c)
+        der_hat = query(ledger, at_hat, i, x_hat, order=2, count=c,
+                        requery=True)
+        dG[k] = der_x.grad - der_hat.grad
+        Hdx[k] = der_hat.hess @ dx
     return _gradient_estimate(counts[rows], dG, Hdx, b, g_s, H_s, dx)
 
 
@@ -201,19 +212,35 @@ def svrc_hessian_estimator(F: FiniteSumFunction, ledger: OracleLedger,
     x = as_vector(x, dim=F.d)
     x_hat = as_vector(x_hat, dim=F.d)
     counts, b = _batch_counts(batch, F.n)
-    rows = np.flatnonzero(counts)
-    dH = np.empty((rows.size, F.d, F.d))
-    for k, j in enumerate(rows.tolist()):
+    rows = np.flatnonzero(counts).tolist()
+    cache = {} if snapshot_cache is None else snapshot_cache
+    at_x = _Evaluated.evaluate(F, rows, x, 2)
+    missing = [j for j in rows if j not in cache]
+    at_hat = _Evaluated.evaluate(F, missing, x_hat, 2) if missing else None
+    dH = np.empty((len(rows), F.d, F.d))
+    for k, j in enumerate(rows):
         c = int(counts[j])
-        at_x = query(ledger, F, j, x, order=2, count=c)
-        if snapshot_cache is not None and j in snapshot_cache:
-            hess_hat = snapshot_cache[j][1]
+        hess_x = query(ledger, at_x, j, x, order=2, count=c).hess
+        if j in cache:
+            hess_hat = cache[j][1]
             ledger.record_cache_hit(c)
         else:
-            hess_hat = query(ledger, F, j, x_hat, order=2, count=c,
+            hess_hat = query(ledger, at_hat, j, x_hat, order=2, count=c,
                              requery=True).hess
-        dH[k] = at_x.hess - hess_hat
+        dH[k] = hess_x - hess_hat
     return _hessian_estimate(counts[rows], dH, b, H_s)
+
+
+def _at_snapshot(F: FiniteSumFunction, rows: list, x_hat: np.ndarray,
+                 snapshot_cache: dict | None) -> _Evaluated:
+    """Order-2 answers of components ``rows`` at the snapshot xh: taken
+    from ``snapshot_cache`` where it holds them (a cache holds no values),
+    the rest evaluated in one call."""
+    cache = {} if snapshot_cache is None else snapshot_cache
+    missing = [i for i in rows if i not in cache]
+    held = _Evaluated.evaluate(F, missing, x_hat, 2).answers if missing else {}
+    held.update((i, Derivatives(None, *cache[i])) for i in rows if i in cache)
+    return _Evaluated(F, x_hat, 2, held)
 
 
 def _floor_wins(H: np.ndarray, c0: float) -> bool:
@@ -294,13 +321,18 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
         if t < 0:
             # exact g, H and the per-component cache
             x_hat = x.copy()
-            answers = [query(ledger, F, i, x_hat, order=2) for i in range(n)]
+            at_hat = _Evaluated.evaluate(F, range(n), x_hat, 2)
+            answers = [query(ledger, at_hat, i, x_hat, order=2)
+                       for i in range(n)]
+            # the epoch keeps query's answers; the evaluated stack can go
+            del at_hat
             snapshot = mean_derivatives(answers, (d,), 2)
             g_s, H_s = snapshot.grad, snapshot.hess
             cache = {i: (der.grad, der.hess) for i, der in enumerate(answers)}
             continue
         batch_g, batch_h = _draw_batches(params, n, rng)
-        v = svrc_gradient_estimator(F, ledger, x, x_hat, g_s, H_s, batch_g)
+        v = svrc_gradient_estimator(F, ledger, x, x_hat, g_s, H_s, batch_g,
+                                    snapshot_cache=cache)
         U = svrc_hessian_estimator(F, ledger, x, x_hat, H_s, batch_h,
                                    snapshot_cache=cache)
         try:

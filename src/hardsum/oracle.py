@@ -9,12 +9,14 @@ the *algorithm* consumed, not what the experimenter looked at.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chains import Derivatives
-from .linalg import as_points, as_rng, row_dot, row_matvec, sym_matrix
+from .linalg import (as_points, as_rng, as_vector, row_dot, row_matvec,
+                     sym_matrix)
 
 __all__ = [
     "FiniteSumFunction",
@@ -34,7 +36,8 @@ class FiniteSumFunction:
     Subclasses implement :meth:`component`, which answers one point x of
     shape (d,) or a stack of P points of shape (P, d); a stack's answer
     holds values (P,), gradients (P, d) and Hessians (P, d, d).  Component
-    indices are 0-based.
+    indices are 0-based.  :meth:`components` answers several components at
+    one point as the same kind of stack, one row per component.
     """
 
     n: int
@@ -43,23 +46,79 @@ class FiniteSumFunction:
     def component(self, i: int, x, order: int = 2) -> Derivatives:
         raise NotImplementedError
 
+    def components(self, rows, x, order: int = 2) -> Derivatives:
+        """Components ``rows`` (indices, repeats allowed) at one point x:
+        values (r,), gradients (r, d) and Hessians (r, d, d), row k
+        answering component ``rows[k]``.
+
+        The default asks :meth:`component` once per row, in row order, so a
+        stateful sum sees the calls that a loop over the rows makes.
+        """
+        return _stacked(list(self._answers_at(rows, x, order)), order)
+
+    def _answers_at(self, rows, x, order: int):
+        """The answers of components ``rows`` at one point x, one
+        :class:`Derivatives` per row in row order: what the one-point
+        passes (:meth:`full`, the charged SVRC passes) consume.  The
+        default asks :meth:`component` row by row as the answers are
+        consumed, so no stack of n Hessians is held; a sum with a
+        vectorized :meth:`components` reads the rows of one call."""
+        rows = self.check_rows(rows).tolist()
+        return (self.component(i, x, order) for i in rows)
+
     def check_index(self, i: int) -> int:
         i = int(i)
         if not 0 <= i < self.n:
             raise ValueError(f"component index {i} out of range [0, {self.n})")
         return i
 
+    def check_rows(self, rows) -> np.ndarray:
+        """Validate a non-empty sequence of component indices; returns them
+        as an integer array."""
+        idx = np.asarray(rows)
+        if idx.ndim != 1 or idx.size == 0:
+            raise ValueError("rows must be a non-empty sequence of indices, "
+                             f"got shape {idx.shape}")
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"component indices must be integers, got "
+                             f"{idx.dtype}")
+        lo, hi = int(idx.min()), int(idx.max())
+        if lo < 0 or hi >= self.n:
+            raise ValueError(f"component index {lo if lo < 0 else hi} out of "
+                             f"range [0, {self.n})")
+        return idx
+
     def full(self, x, order: int = 1) -> Derivatives:
         """Average of all components -- the free measurement side channel.
 
         ``x`` is one point or a stack of points, answered as
-        :meth:`component` answers it.  Never goes through a ledger; use
-        :func:`query` for charged access.
+        :meth:`component` answers it; a sum with a vectorized
+        :meth:`components` answers one point in one call.  Never goes
+        through a ledger; use :func:`query` for charged access.
         """
         x = as_points(x, dim=self.d)
-        return mean_derivatives(
-            (self.component(i, x, order) for i in range(self.n)),
-            x.shape, order)
+        if x.ndim == 1:
+            answers = self._answers_at(range(self.n), x, order)
+        else:
+            answers = (self.component(i, x, order) for i in range(self.n))
+        return mean_derivatives(answers, x.shape, order)
+
+
+def _stacked(answers: list, order: int) -> Derivatives:
+    """One answer whose rows are the given answers (up to ``order``)."""
+    return Derivatives(
+        np.array([der.value for der in answers]),
+        np.stack([der.grad for der in answers]) if order >= 1 else None,
+        np.stack([der.hess for der in answers]) if order >= 2 else None)
+
+
+def _row_answers(stack: Derivatives, order: int):
+    """The rows of a stacked answer, one :class:`Derivatives` each, up to
+    ``order``."""
+    none = itertools.repeat(None)
+    return itertools.starmap(Derivatives, zip(
+        stack.value, stack.grad if order >= 1 else none,
+        stack.hess if order >= 2 else none))
 
 
 def mean_derivatives(answers, shape: tuple, order: int) -> Derivatives:
@@ -106,22 +165,18 @@ class CallableFiniteSum(FiniteSumFunction):
         f = self._components[i]
         if x.ndim == 1:
             return f(x, order)
-        answers = [f(point, order) for point in x]
-        return Derivatives(
-            np.array([der.value for der in answers]),
-            np.stack([der.grad for der in answers]) if order >= 1 else None,
-            np.stack([der.hess for der in answers]) if order >= 2 else None)
+        return _stacked([f(point, order) for point in x], order)
 
 
 class _QuadraticCosineSum(FiniteSumFunction):
     """The components of :func:`quadratic_cosine_sum`, held as stacked
     arrays: A (n, d, d), b (n, d), c (n,), r (n, d) and b b^T (n, d, d).
 
-    One point is answered with plain products (charged access is one point
-    per call, and the plain products cost less per call there); a stack is
-    answered in one vectorized evaluation whose products go through
-    ``row_dot`` / ``row_matvec``, so each row equals the answer at that
-    point bit for bit.
+    One component at one point is answered with plain products (the
+    cheapest per call); a stack of points, or a stack of components at one
+    point (:meth:`components`), is answered in one vectorized evaluation
+    whose products go through ``row_dot`` / ``row_matvec``, so each row
+    equals the one-point answer of its component at its point bit for bit.
     """
 
     def __init__(self, A, b, c, r):
@@ -130,14 +185,25 @@ class _QuadraticCosineSum(FiniteSumFunction):
         self.n, self.d = b.shape
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
-        i = self.check_index(i)
-        x = as_points(x, dim=self.d)
+        return self._evaluate(self.check_index(i), as_points(x, dim=self.d),
+                              order)
+
+    def components(self, rows, x, order: int = 2) -> Derivatives:
+        return self._evaluate(self.check_rows(rows),
+                              as_vector(x, dim=self.d), order)
+
+    def _answers_at(self, rows, x, order: int):
+        return _row_answers(self.components(rows, x, order), order)
+
+    def _evaluate(self, i, x, order: int) -> Derivatives:
+        """Component i (an index or an index array) at x (a point or, for
+        one index, a stack of points)."""
         A, b, c, r = self._A[i], self._b[i], self._c[i], self._r[i]
-        if x.ndim == 1:
+        if b.ndim == x.ndim == 1:
             t, Ax, rx = b @ x, A @ x, r @ x
             xAx = x @ Ax
         else:
-            t, Ax, rx = row_dot(x, b), row_matvec(A, x), row_dot(x, r)
+            t, Ax, rx = row_dot(b, x), row_matvec(A, x), row_dot(r, x)
             xAx = row_dot(x, Ax)
         val = 0.5 * xAx + c * np.cos(t) + rx
         if order == 0:
@@ -159,8 +225,8 @@ def quadratic_cosine_sum(n: int, d: int, seed, *, curvature: float = 1.0,
     is exactly |c_i| * |b_i|^3, which makes the sum a convenient target for
     smoothness estimation with a known ground truth.
 
-    Components answer one point or a stack of points (one vectorized
-    evaluation per stack).
+    Components answer one point or a stack of points, and any set of
+    components answers one point (one vectorized evaluation per stack).
     """
     if n < 1:
         raise ValueError("need at least one component")
@@ -256,6 +322,8 @@ def query(ledger: OracleLedger, F: FiniteSumFunction, i: int, x,
     """Charged oracle access to component i of F at one point x.
 
     Returns f_i(x) and derivatives up to ``order`` and charges the ledger.
+    F may be a read-only view of answers already evaluated at x (the SVRC
+    passes charge through one), which answers without evaluating again.
     A stack of points is rejected: charged access is one point per call.
     A returned Hessian has passed the symmetry check and is exactly
     symmetric, so callers never re-symmetrize.
@@ -276,6 +344,42 @@ def query(ledger: OracleLedger, F: FiniteSumFunction, i: int, x,
         der = Derivatives(der.value, der.grad, sym_matrix(der.hess))
     ledger.charge(i, order, count, requery=requery)
     return der
+
+
+class _Evaluated(FiniteSumFunction):
+    """Answers already evaluated for some components of a sum at one point
+    x, up to one derivative order: a read-only view that :func:`query`
+    charges rows through without evaluating them again.
+
+    ``answers`` maps a component index to its :class:`Derivatives` at x.
+    The view refuses another point, a higher order and an index it does not
+    hold.
+    """
+
+    def __init__(self, F: FiniteSumFunction, x: np.ndarray, order: int,
+                 answers: dict):
+        self.n, self.d = F.n, F.d
+        self._x, self._order, self.answers = x, order, answers
+
+    @classmethod
+    def evaluate(cls, F: FiniteSumFunction, rows: list, x: np.ndarray,
+                 order: int) -> _Evaluated:
+        """Components ``rows`` of F at x, evaluated as F answers a row set
+        at one point (one vectorized call where F has one)."""
+        return cls(F, x, order, dict(zip(rows, F._answers_at(rows, x, order))))
+
+    def component(self, i: int, x, order: int = 2) -> Derivatives:
+        if x is not self._x and not np.array_equal(x, self._x):
+            raise ValueError("these answers were evaluated at another point")
+        if order > self._order:
+            raise ValueError(f"these answers go up to order {self._order}, "
+                             f"not {order}")
+        der = self.answers.get(i)
+        if der is None:
+            raise ValueError(f"component {i} was not evaluated here")
+        if order < self._order:
+            der = Derivatives(der.value, der.grad if order >= 1 else None)
+        return der
 
 
 def record_iterate(ledger: OracleLedger, full_gradient_norm: float,

@@ -349,13 +349,10 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     dist = float(np.linalg.norm(x - x_hat))
 
     # per-component tables (evaluated once; the MC only re-weights them)
-    G_x = np.empty((n, d)); G_h = np.empty((n, d))
-    H_x = np.empty((n, d, d)); H_h = np.empty((n, d, d))
-    for i in range(n):
-        a = instance.component(i, x, 2)
-        b = instance.component(i, x_hat, 2)
-        G_x[i], H_x[i] = a.grad, a.hess
-        G_h[i], H_h[i] = b.grad, b.hess
+    at_x = instance.components(range(n), x, 2)
+    at_hat = instance.components(range(n), x_hat, 2)
+    G_x, H_x = at_x.grad, at_x.hess
+    G_h, H_h = at_hat.grad, at_hat.hess
     gF, HF = G_x.mean(axis=0), H_x.mean(axis=0)
     g_s, H_s = G_h.mean(axis=0), H_h.mean(axis=0)
     dx = x - x_hat

@@ -52,6 +52,65 @@ class TestValidators:
         assert isinstance(as_rng(7), np.random.Generator)
 
 
+def _reference_sym_matrix(a):
+    """The symmetry check as it read before its reductions were trimmed:
+    an isfinite pass, then max|A| and max|A - A^T| through ndarray.max."""
+    A = np.asarray(a, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix has non-finite entries")
+    scale = np.abs(A).max()
+    if np.abs(A - A.T).max() > max(1e-12 * scale, np.finfo(float).tiny):
+        raise ValueError("matrix is not symmetric within tolerance")
+    return 0.5 * (A + A.T)
+
+
+def _outcome(f, A):
+    try:
+        return f(A).tobytes()
+    except ValueError as e:
+        return str(e)
+
+
+class TestSymMatrixMatchesReference:
+    @pytest.mark.parametrize("d", [1, 20, 197])
+    def test_nearly_symmetric_bits(self, d):
+        rng = np.random.default_rng(d)
+        for rel in (0.0, 1e-16, 1e-14, 5e-13, 2e-12):
+            G = rng.standard_normal((d, d))
+            A = G + G.T
+            A += rel * np.abs(A).max() * rng.standard_normal((d, d))
+            assert _outcome(sym_matrix, A) == _outcome(_reference_sym_matrix, A)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("d", [1, 20])
+    def test_non_finite_rejected(self, d, bad):
+        A = np.eye(d)
+        A[d - 1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sym_matrix(A)
+
+    def test_subnormal_floor(self):
+        # every entry subnormal: a one-ulp asymmetry is still symmetry, a
+        # larger one is not
+        tiny = np.finfo(float).tiny
+        A = np.array([[tiny / 4, tiny / 8], [tiny / 8, tiny / 2]])
+        A[1, 0] = np.nextafter(A[1, 0], 1.0)
+        assert _outcome(sym_matrix, A) == _outcome(_reference_sym_matrix, A)
+        assert sym_matrix(A)[0, 1] == sym_matrix(A)[1, 0]
+        A[1, 0] = 3 * tiny
+        with pytest.raises(ValueError, match="not symmetric"):
+            sym_matrix(A)
+
+    def test_asymmetric_and_rectangular_rejected(self):
+        for A in (np.array([[1.0, 2.0], [2.5, 3.0]]), np.ones((2, 3)),
+                  np.ones(3), np.ones((2, 2, 2))):
+            assert _outcome(sym_matrix, A) == _outcome(_reference_sym_matrix, A)
+            with pytest.raises(ValueError):
+                sym_matrix(A)
+
+
 class TestOrthonormalColumns:
     def test_orthonormality(self):
         Q = sample_orthonormal_columns(12, 5, seed=3)

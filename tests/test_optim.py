@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hardsum.chains import Derivatives
-from hardsum.cubic import solve
+from hardsum.cubic import CubicModel, solve
 from hardsum.linalg import eig_sym, sample_orthonormal_columns
 from hardsum.oracle import (CallableFiniteSum, OracleLedger,
                             quadratic_cosine_sum, query)
@@ -170,11 +170,14 @@ class TestEstimators:
             at_x = query(ref_g, F, i, x, order=1)
             at_hat = query(ref_g, F, i, x_hat, order=2, requery=True)
             v_ref = v_ref + (at_x.grad - at_hat.grad - at_hat.hess @ dx) / b
-        led_g = OracleLedger(n=F.n)
-        v = svrc_gradient_estimator(F, led_g, x, x_hat, g_s, H_s, batch)
-        assert np.linalg.norm(v - v_ref) <= 1e-12 * np.linalg.norm(v_ref)
-        assert led_g.counters() == ref_g.counters()
-        assert np.array_equal(led_g.per_index, ref_g.per_index)
+        # snapshot re-reads served from the cache are still charged
+        for snapshot_cache in (None, cache):
+            led_g = OracleLedger(n=F.n)
+            v = svrc_gradient_estimator(F, led_g, x, x_hat, g_s, H_s, batch,
+                                        snapshot_cache=snapshot_cache)
+            assert np.linalg.norm(v - v_ref) <= 1e-12 * np.linalg.norm(v_ref)
+            assert led_g.counters() == ref_g.counters()
+            assert np.array_equal(led_g.per_index, ref_g.per_index)
 
         for snapshot_cache in (None, cache):
             ref_h = OracleLedger(n=F.n)
@@ -454,6 +457,129 @@ class TestSvrcRun:
         assert led.total == 4 + 2 * params.step_cost(4)
         assert led.iterates_recorded == 1
         assert np.array_equal(x_out, x0 + steps[0])
+
+
+def _recording_query(monkeypatch):
+    """Patch the query the optimizers call with one that records each
+    call's (index, order, count, requery); returns the record."""
+    calls = []
+
+    def recording(ledger, F, i, x, order=2, *, count=1, requery=False):
+        calls.append((int(i), order, count, requery))
+        return query(ledger, F, i, x, order, count=count, requery=requery)
+
+    monkeypatch.setattr("hardsum.optim.query", recording)
+    return calls
+
+
+def _per_row_svrc(F, params, x0):
+    """Reference: the SVRC loop with every component evaluated by its own
+    query, one row at a time (no budget).  Returns (x_out, step norms,
+    ledger, calls)."""
+    n, d = F.n, F.d
+    ledger = OracleLedger(n=n, eps=params.eps)
+    calls = []
+
+    def q(i, x, order, count=1, requery=False):
+        calls.append((int(i), order, count, requery))
+        return query(ledger, F, i, x, order, count=count, requery=requery)
+
+    rng = np.random.default_rng(params.seed)
+    x, iterates, h_norms = x0.copy(), [], []
+    for _ in range(params.S):
+        x_hat = x.copy()
+        answers = [q(i, x_hat, 2) for i in range(n)]
+        g_s = sum((der.grad for der in answers), np.zeros(d)) / n
+        H_s = sum((der.hess for der in answers), np.zeros((d, d))) / n
+        for _ in range(params.T):
+            batch_g = rng.integers(0, n, size=params.b_g)
+            batch_h = rng.integers(0, n, size=params.b_h)
+            dx = x - x_hat
+            counts = np.bincount(batch_g, minlength=n)
+            rows = np.flatnonzero(counts)
+            dG, Hdx = np.empty((rows.size, d)), np.empty((rows.size, d))
+            for k, i in enumerate(rows):
+                at_x = q(i, x, 1, int(counts[i]))
+                at_hat = q(i, x_hat, 2, int(counts[i]), True)
+                dG[k] = at_x.grad - at_hat.grad
+                Hdx[k] = at_hat.hess @ dx
+            w = counts[rows] / params.b_g
+            v = w @ dG + g_s - (w @ Hdx - H_s @ dx)
+            counts = np.bincount(batch_h, minlength=n)
+            rows = np.flatnonzero(counts)
+            dH = np.empty((rows.size, d, d))
+            for k, j in enumerate(rows):
+                dH[k] = q(j, x, 2, int(counts[j])).hess - answers[j].hess
+                ledger.record_cache_hit(int(counts[j]))
+            U = np.tensordot(counts[rows] / params.b_h, dH, axes=1) + H_s
+            h = solve(CubicModel(v=v, U=U, M=params.M)).h
+            x = x + h
+            iterates.append(x.copy())
+            h_norms.append(float(np.linalg.norm(h)))
+    x_out = iterates[int(rng.integers(0, len(iterates)))]
+    return x_out, h_norms, ledger, calls
+
+
+def _nearly_symmetric_sum(evaluations, n=5, d=3, seed=0):
+    """Components 0.5 x^T A_i x + <g_i, x> whose Hessians A_i are off
+    symmetry by 1e-13 relative, so the symmetrized Hessians a query returns
+    differ from the raw ones; each evaluation appends its index to
+    ``evaluations``."""
+    rng = np.random.default_rng(seed)
+
+    def comp(i, A, g):
+        def f(x, order=2):
+            evaluations.append(i)
+            Ax = A @ x
+            return Derivatives(0.5 * float(x @ Ax) + float(g @ x),
+                               0.5 * (Ax + A.T @ x) + g if order >= 1 else None,
+                               A if order >= 2 else None)
+        return f
+
+    comps = []
+    for i in range(n):
+        G = rng.standard_normal((d, d))
+        A = G @ G.T + 0.5 * np.eye(d)
+        A[0, 1] *= 1.0 + 1e-13
+        comps.append(comp(i, A, rng.standard_normal(d)))
+    return CallableFiniteSum(comps, d=d)
+
+
+class TestSvrcChargingOrder:
+    @staticmethod
+    def _params():
+        # b_g and b_h above n: every drawn index repeats
+        return SvrcParams(M=20.0, b_g=9, b_h=13, S=2, T=2, eps=1e-4,
+                          Delta=10.0, L2=1.0, seed=5)
+
+    @pytest.mark.parametrize("make", [
+        lambda: quadratic_cosine_sum(6, 4, seed=21),
+        lambda: _nearly_symmetric_sum([]),
+    ])
+    def test_queries_match_the_per_row_loop(self, make, monkeypatch):
+        F, params = make(), self._params()
+        x0 = np.full(F.d, 0.7)
+        x_ref, h_ref, led_ref, calls_ref = _per_row_svrc(F, params, x0)
+        calls = _recording_query(monkeypatch)
+        led = OracleLedger(n=F.n)
+        x_out, traj = svrc_run(F, params, x0=x0, ledger=led)
+        assert calls == calls_ref
+        assert any(count > 1 for _, _, count, _ in calls)
+        assert np.array_equal(led.per_index, led_ref.per_index)
+        assert led.counters() == led_ref.counters()
+        assert x_out.tobytes() == x_ref.tobytes()
+        assert [rec.h_norm for rec in traj] == h_ref
+
+    def test_snapshot_re_reads_are_charged_not_evaluated(self, monkeypatch):
+        # every charge at a fresh point evaluates its row once; the
+        # gradient estimator's re-reads and the cache hits evaluate nothing;
+        # each step's full(x, 2) measurement evaluates all n
+        evaluations = []
+        F, params = _nearly_symmetric_sum(evaluations), self._params()
+        calls = _recording_query(monkeypatch)
+        svrc_run(F, params, x0=np.full(F.d, 0.7))
+        fresh = sum(1 for *_, requery in calls if not requery)
+        assert len(evaluations) == fresh + params.S * params.T * F.n
 
 
 class TestBaselines:

@@ -4,9 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hardsum.chains import Derivatives
+from hardsum.instances import ResistingOracle, deterministic_params, ell_p
 from hardsum.oracle import (
     CallableFiniteSum,
     OracleLedger,
+    _Evaluated,
+    mean_derivatives,
     quadratic_cosine_sum,
     query,
     record_iterate,
@@ -313,3 +316,114 @@ class TestQuadraticCosineStacks:
     def test_rejects_empty_sum(self):
         with pytest.raises(ValueError, match="at least one"):
             quadratic_cosine_sum(0, 3, seed=0)
+
+
+def _row(stack: Derivatives, k: int, order: int) -> Derivatives:
+    return Derivatives(stack.value[k],
+                       None if order < 1 else stack.grad[k],
+                       None if order < 2 else stack.hess[k])
+
+
+class TestComponents:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("rows", [[4, 0, 3], [2, 2, 5, 2, 0],
+                                      list(range(6)), [1]])
+    def test_quadratic_cosine_rows_equal_one_point_answers(self, rows, order):
+        F = quadratic_cosine_sum(6, 5, seed=len(rows))
+        for x in np.random.default_rng(order).standard_normal((3, 5)) * 2.0:
+            stack = F.components(rows, x, order)
+            assert np.shape(stack.value) == (len(rows),)
+            assert (order >= 1) == (stack.grad is not None)
+            assert (order >= 2) == (stack.hess is not None)
+            for k, i in enumerate(rows):
+                assert _same_answer(F.component(i, x, order),
+                                    _row(stack, k, order))
+
+    def test_default_loops_components_in_row_order(self):
+        calls = []
+
+        def comp(i):
+            def f(x, order=2):
+                calls.append((i, order))
+                return Derivatives(float(i) + x[0], np.full(2, float(i)),
+                                   np.eye(2) * i if order >= 2 else None)
+            return f
+
+        F = CallableFiniteSum([comp(i) for i in range(4)], d=2)
+        stack = F.components([3, 1, 3, 0], np.array([0.5, 0.0]), 2)
+        assert calls == [(3, 2), (1, 2), (3, 2), (0, 2)]
+        assert stack.value.tolist() == [3.5, 1.5, 3.5, 0.5]
+        assert stack.grad.shape == (4, 2) and stack.hess.shape == (4, 2, 2)
+
+    def test_default_keeps_a_resisting_oracle_game_sequence(self):
+        # the same rows asked through components and one by one archive the
+        # same game moves with the same answers
+        spec = deterministic_params(p=1, n=4, Delta=192.0 * 8, L=ell_p(1),
+                                    eps=1.0)
+        rows = [0, 1, 1, 3, 2, 0, 3]
+        x = np.random.default_rng(4).standard_normal(spec.d)
+        stacked, looped = (ResistingOracle(spec, seed=2) for _ in range(2))
+        stack = stacked.components(rows, x, 2)
+        answers = [looped.component(i, x, 2) for i in rows]
+        assert stacked.num_archived == looped.num_archived == len(rows)
+        assert stacked.rounds_closed == looped.rounds_closed == 3
+        for k, (a, b) in enumerate(zip(stacked._archive, looped._archive)):
+            assert (a.i, a.order, a.round) == (b.i, b.order, b.round)
+            assert _same_answer(a.response, b.response)
+            assert _same_answer(_row(stack, k, 2), answers[k])
+
+    @pytest.mark.parametrize("rows", [[], [0, 6], [-1], [1.0, 2.0],
+                                      [[0, 1]]])
+    def test_rows_validated_before_any_call(self, rows):
+        calls = []
+
+        def f(x, order=2):
+            calls.append(order)
+            return Derivatives(0.0, np.zeros(2), np.zeros((2, 2)))
+
+        for F in (CallableFiniteSum([f] * 6, d=2),
+                  quadratic_cosine_sum(6, 2, seed=0)):
+            with pytest.raises(ValueError):
+                F.components(rows, np.zeros(2), 2)
+        assert calls == []
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_full_at_one_point_equals_the_per_component_mean(self, order):
+        # one components call, rows summed in index order: bit for bit the
+        # mean of the one-point answers
+        x = np.random.default_rng(3).standard_normal(5)
+        for F in (quadratic_cosine_sum(9, 5, seed=1), _two_quadratics()):
+            x = x[:F.d]
+            want = mean_derivatives(
+                (F.component(i, x, order) for i in range(F.n)), (F.d,), order)
+            assert _same_answer(F.full(x, order), want)
+
+
+class TestEvaluatedView:
+    def _view(self):
+        F = quadratic_cosine_sum(5, 3, seed=4)
+        x = np.array([0.3, -1.0, 2.0])
+        return F, x, _Evaluated.evaluate(F, [4, 1], x, 1)
+
+    def test_answers_held_rows_through_query(self):
+        F, x, view = self._view()
+        led = OracleLedger(n=F.n)
+        der = query(led, view, 4, x, order=1, count=3)
+        assert _same_answer(der, F.component(4, x, 1))
+        # a lower order than held is answered truncated
+        assert _same_answer(query(led, view, 1, x.copy(), order=0),
+                            F.component(1, x, 0))
+        assert led.per_index.tolist() == [0, 1, 0, 0, 3]
+
+    def test_refuses_what_it_does_not_hold(self):
+        F, x, view = self._view()
+        led = OracleLedger(n=F.n)
+        with pytest.raises(ValueError, match="another point"):
+            query(led, view, 4, x + 1e-12, order=1)
+        with pytest.raises(ValueError, match="order"):
+            query(led, view, 4, x, order=2)
+        with pytest.raises(ValueError, match="not evaluated"):
+            query(led, view, 2, x, order=1)
+        with pytest.raises(ValueError, match="out of range"):
+            query(led, view, 5, x, order=1)
+        assert led.total == 0

@@ -63,6 +63,17 @@ SVRC_SAMPLED = ("[instance]\nmode = synthetic\nn = 16\nd = 6\neps = 1e-3\n"
 SVRC_FULL = ("[instance]\nmode = synthetic\nn = 6\nd = 4\neps = 1e-3\n"
              "[optimizer]\noptimizer = svrc\nfull_batch = true\nS = 2\n"
              "T = 3\nL2 = 1.0\nseed = 2\n")
+# b_g and b_h far above n: every drawn index repeats, so every charge has
+# count > 1
+SVRC_REPEATS = ("[instance]\nmode = synthetic\nn = 8\nd = 5\neps = 1e-3\n"
+                "[optimizer]\noptimizer = svrc\nb_g = 40\nb_h = 60\nS = 2\n"
+                "T = 3\nL2 = 1.0\nseed = 11\n")
+# SVRC on a sampled hard instance: its components are answered one by one
+# (the default row-set evaluation)
+SVRC_RANDOMIZED = ("[instance]\nmode = randomized-individual\np = 1\nn = 2\n"
+                   "delta = 800.0\nL = 1.0\neps = 1.0\nell_hat = 1.0\n"
+                   "[optimizer]\noptimizer = svrc\nb_g = 3\nb_h = 5\nS = 2\n"
+                   "T = 2\nL2 = 1.0\nseed = 12\n")
 SVRC_ADV = ("[instance]\nmode = deterministic\np = 1\nn = 4\n"
             f"delta = 960.0\nL = {ELL_1}\neps = 1.0\n"
             "[optimizer]\noptimizer = svrc\nb_g = 2\nb_h = 2\nS = 2\nT = 2\n"
@@ -129,6 +140,8 @@ ENTRIES = (
     _run("svrc-full-batch", SVRC_FULL),
     _run("svrc-full-batch-budget80", SVRC_FULL, "--budget", "80"),
     _run("svrc-adversary", SVRC_ADV),
+    _run("svrc-repeats", SVRC_REPEATS),
+    _run("svrc-randomized", SVRC_RANDOMIZED),
     _run("gd-synthetic", GD_SYNTH),
     _run("gd-adversary", GD_ADV),
     _run("gd-third-moment", GD_THIRD_MOMENT),
