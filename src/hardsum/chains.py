@@ -230,12 +230,23 @@ def soft_clamp(y, R: float, order: int = 0):
     if order not in (0, 1, 2):
         raise ValueError(f"order must be in 0..2, got {order}")
     y = as_points(y)
-    return _soft_clamp(y, row_dot(y, y), R, order)
+    rho, J, d2c = _soft_clamp(y, row_dot(y, y), R, order)
+    if d2c is None:
+        return rho, J, None
+
+    def d2_contract(a) -> np.ndarray:
+        a = as_points(a, dim=y.shape[-1])
+        if a.shape != y.shape:
+            raise ValueError(f"expected shape {y.shape}, got {a.shape}")
+        return d2c(a)
+
+    return rho, J, d2_contract
 
 
 def _soft_clamp(y: np.ndarray, yy, R: float, order: int):
-    """``soft_clamp`` on an already validated point or stack with squared
-    norms ``yy``."""
+    """``soft_clamp`` on already validated points of any leading shape
+    (..., m) with squared norms ``yy``; its ``d2_contract`` takes vectors
+    of y's shape unchecked."""
     s = 1.0 / np.sqrt(1.0 + yy / R ** 2)
     rho = s[..., None] * y
     if order == 0:
@@ -247,10 +258,7 @@ def _soft_clamp(y: np.ndarray, yy, R: float, order: int):
     if order == 1:
         return rho, J, None
 
-    def d2_contract(a) -> np.ndarray:
-        a = as_points(a, dim=y.shape[-1])
-        if a.shape != y.shape:
-            raise ValueError(f"expected shape {y.shape}, got {a.shape}")
+    def d2_contract(a: np.ndarray) -> np.ndarray:
         ay = row_dot(a, y)
         M = -c3[..., None, None] * (a[..., :, None] * y[..., None, :]
                                     + y[..., :, None] * a[..., None, :]
@@ -282,23 +290,44 @@ def hat_f_eval(K: int, B: TallOrthogonal, y, order: int = 0) -> Derivatives:
         raise ValueError(f"order must be in 0..2, got {order}")
     if B.k != K:
         raise ValueError(f"B must have K={K} columns, got {B.k}")
-    y = as_points(y, dim=B.d)
+    return _hat_f(K, [(..., B.columns)], as_points(y, dim=B.d), order)
 
+
+def _hat_f(K: int, blocks, y: np.ndarray, order: int) -> Derivatives:
+    """``hat_f_eval`` of several blocks in one evaluation, each at its own
+    part of the validated points y.
+
+    ``blocks`` pairs an index into y with a block's m x K columns: the
+    block answers at ``y[index]``.  The index is b along a leading block
+    axis of y, shape (nb, ..., m), or ``...`` for one block answering all
+    of y (what :func:`hat_f_eval` asks).  The answer has y's leading shape.
+    Clamp, chain and Jacobian run once over all of y; the products with
+    the columns go block by block, each through its block's own columns on
+    a C-contiguous part of y, so each part's rows equal the one-block
+    answer bit for bit.
+    """
     yy = row_dot(y, y)
     rho, J, d2c = _soft_clamp(y, yy, clamp_radius(K), order)
-    w = row_matvec(B.columns.T, rho)
+    w = np.empty(y.shape[:-1] + (K,))
+    for b, cols in blocks:
+        w[b] = row_matvec(cols.T, rho[b])
     ch = _chain_eval(K, np.ones(K), w, order)
 
     val = _as_value(ch.value + 0.1 * yy)
     if order == 0:
         return Derivatives(val)
 
-    g_chain = row_matvec(B.columns, ch.grad)  # gradient w.r.t. rho
+    g_chain = np.empty(y.shape)  # gradient w.r.t. rho
+    for b, cols in blocks:
+        g_chain[b] = row_matvec(cols, ch.grad[b])
     grad = row_matvec(J, g_chain) + 0.2 * y   # J is symmetric
     if order == 1:
         return Derivatives(val, grad)
 
-    H = J @ (B.columns @ ch.hess @ B.columns.T) @ J
+    H = np.empty(y.shape + y.shape[-1:])
+    for b, cols in blocks:
+        H[b] = cols @ ch.hess[b] @ cols.T
+    H = J @ H @ J
     H += d2c(g_chain)
     H += 0.2 * _eye(y.shape[-1])
     return Derivatives(val, grad, 0.5 * (H + np.swapaxes(H, -1, -2)))

@@ -14,10 +14,10 @@ import warnings
 
 import numpy as np
 
-from ..chains import Derivatives, hat_f_eval
+from ..chains import Derivatives, _hat_f, hat_f_eval
 from ..linalg import (TallOrthogonal, as_points, as_rng, row_matvec,
                       sample_orthonormal_columns)
-from ..oracle import FiniteSumFunction
+from ..oracle import FiniteSumFunction, _row_answers
 from .params import HardInstanceSpec
 
 __all__ = [
@@ -98,6 +98,9 @@ class RandomizedHardInstance(FiniteSumFunction):
             TallOrthogonal(np.ascontiguousarray(B.columns[:, i * spec.K:(i + 1) * spec.K]))
             for i in range(spec.n)
         ]
+        # the blocks as the kernel pairs them with a (n, P, m) slot stack
+        self._stacked_blocks = [(i, blk.columns)
+                                for i, blk in enumerate(self._blocks)]
         if scaled:
             self._sigma = spec.sigma
             self._pref = spec.lam * spec.sigma ** (spec.p + 1)
@@ -142,7 +145,23 @@ class RandomizedHardInstance(FiniteSumFunction):
         i = self.check_index(i)
         x = as_points(x, dim=self.d)
         y = self._slot(i, x) / self._sigma
-        base = hat_f_eval(self._K, self._blocks[i], y, order)
+        return self._scaled(i, hat_f_eval(self._K, self._blocks[i], y, order),
+                            order)
+
+    def _answers_at_points(self, x: np.ndarray, order: int):
+        """Every component at a stack of points in one clamped-chain
+        evaluation: the n slots are stacked as (n, P, m) and answered by
+        the one kernel behind :func:`hat_f_eval`, each row equal to
+        :meth:`component`'s bit for bit."""
+        y = np.stack([self._slot(i, x) for i in range(self.n)]) / self._sigma
+        base = _hat_f(self._K, self._stacked_blocks, y, order)
+        return (self._scaled(i, der, order)
+                for i, der in enumerate(_row_answers(base, order)))
+
+    def _scaled(self, i: int, base: Derivatives, order: int) -> Derivatives:
+        """Component i's answer from the clamped chain's answer at its
+        slot: the prefactor and argument scale applied, the slot embedded
+        in the ambient space."""
         val = self._pref * base.value
         if order == 0:
             return Derivatives(val)

@@ -153,17 +153,30 @@ def _batch_counts(batch, n: int) -> tuple[np.ndarray, int]:
     return np.bincount(idx, minlength=n), idx.size
 
 
+def _weighted_rows(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i w_i rows_i for weights (r,), or for each weight row of a
+    stack (T, r): one unit-row product per weight row, the BLAS call the
+    product of one weight vector makes, so a stack's rows equal the
+    one-vector answers bit for bit."""
+    return (w[..., None, :] @ rows)[..., 0, :]
+
+
 def _gradient_estimate(counts, dG, Hdx, b, g_s, H_s, dx) -> np.ndarray:
     """v = sum_i (c_i/b) dG_i + g_s - (sum_i (c_i/b) Hdx_i - H_s dx) over
     rows drawn c_i times, with dG_i = grad f_i(x) - grad f_i(xh) and
-    Hdx_i = hess f_i(xh) dx."""
+    Hdx_i = hess f_i(xh) dx.  ``counts`` is (r,), or (T, r) for T
+    estimates at once, shape (T, d)."""
     w = counts / b
-    return w @ dG + g_s - (w @ Hdx - H_s @ dx)
+    return _weighted_rows(w, dG) + g_s - (_weighted_rows(w, Hdx) - H_s @ dx)
 
 
 def _hessian_estimate(counts, dH, b, H_s) -> np.ndarray:
-    """U = sum_i (c_i/b) dH_i + H_s with dH_i = hess f_i(x) - hess f_i(xh)."""
-    return np.tensordot(counts / b, dH, axes=1) + H_s
+    """U = sum_i (c_i/b) dH_i + H_s with dH_i = hess f_i(x) - hess f_i(xh).
+    ``counts`` is (r,), or (T, r) for T estimates at once, shape
+    (T, d, d)."""
+    r, d, _ = dH.shape
+    U = _weighted_rows(counts / b, dH.reshape(r, d * d))
+    return U.reshape(U.shape[:-1] + (d, d)) + H_s
 
 
 def svrc_gradient_estimator(F: FiniteSumFunction, ledger: OracleLedger,

@@ -93,15 +93,24 @@ class FiniteSumFunction:
 
         ``x`` is one point or a stack of points, answered as
         :meth:`component` answers it; a sum with a vectorized
-        :meth:`components` answers one point in one call.  Never goes
+        :meth:`components` answers one point in one call, and one that
+        overrides :meth:`_answers_at_points` a stack in one call.  Never goes
         through a ledger; use :func:`query` for charged access.
         """
         x = as_points(x, dim=self.d)
         if x.ndim == 1:
             answers = self._answers_at(range(self.n), x, order)
         else:
-            answers = (self.component(i, x, order) for i in range(self.n))
+            answers = self._answers_at_points(x, order)
         return mean_derivatives(answers, x.shape, order)
+
+    def _answers_at_points(self, x: np.ndarray, order: int):
+        """The answers of every component at a validated stack of points
+        x, one :class:`Derivatives` per component in index order: what the
+        stack-of-points :meth:`full` sums.  The default asks
+        :meth:`component` once per component as the answers are consumed;
+        a sum that evaluates all components at once overrides it."""
+        return (self.component(i, x, order) for i in range(self.n))
 
 
 def _stacked(answers: list, order: int) -> Derivatives:

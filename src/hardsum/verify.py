@@ -12,6 +12,7 @@ Relative errors throughout are :func:`hardsum.linalg.rel_err`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
@@ -26,9 +27,9 @@ from .linalg import (_richardson_combine, _stencil_points, as_rng, as_vector,
                      rel_err, row_dot, sample_orthonormal_columns)
 from .oracle import (CallableFiniteSum, FiniteSumFunction, OracleLedger,
                      quadratic_cosine_sum)
-from .optim import (SvrcParams, _batch_counts, _draw_batches,
-                    _gradient_estimate, _hessian_estimate,
-                    svrc_gradient_estimator, svrc_hessian_estimator)
+from .optim import (SvrcParams, _draw_batches, _gradient_estimate,
+                    _hessian_estimate, svrc_gradient_estimator,
+                    svrc_hessian_estimator)
 
 __all__ = [
     "DerivativeCheckReport",
@@ -47,6 +48,15 @@ __all__ = [
     "default_ell_hat",
     "run_battery",
 ]
+
+
+def _int_seed(seed) -> int | None:
+    """An integer seed (a Python or numpy integer) as a Python int; None
+    for a generator or seed sequence."""
+    try:
+        return operator.index(seed)
+    except TypeError:
+        return None
 
 
 class _Report:
@@ -272,8 +282,9 @@ def estimate_smoothness(F: FiniteSumFunction, mode: str, num_pairs: int,
         else:
             ratio = float((norms[k] ** 3).mean()) ** (1.0 / 3.0) / dist
         best = max(best, ratio)
+    int_seed = _int_seed(seed)
     return SmoothnessReport(mode=mode, constant=best, num_pairs=num_pairs,
-                            seed=int(seed) if isinstance(seed, int) else 0)
+                            seed=0 if int_seed is None else int_seed)
 
 
 @lru_cache(maxsize=8)
@@ -320,6 +331,18 @@ class EstimatorBoundsReport(_Report):
     cross_check_rel_err: float
 
 
+#: trials contracted as one stack in :func:`verify_estimator_bounds`, so its
+#: memory stays at a few (block, d, d) stacks whatever the trial count
+_MC_BLOCK = 512
+
+
+def _trial_counts(batches: list, n: int) -> np.ndarray:
+    """Draw counts of components 0..n-1 in each of T equal-size batches,
+    shape (T, n), from one offset ``bincount``."""
+    idx = np.array(batches) + n * np.arange(len(batches))[:, None]
+    return np.bincount(idx.ravel(), minlength=idx.shape[0] * n).reshape(-1, n)
+
+
 def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
                             params: SvrcParams, trials: int, seed=0,
                             L2_hat: float | None = None,
@@ -331,10 +354,11 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
 
     Pass iff each mean is at most bound * (1 + slack).  The Hessian bound's
     premise (b_h >= 12000 log^3 d) is reported, not enforced.  Trials draw
-    their batches as the run does (a full-batch schedule has b = n).  Every
-    trial applies the estimators' own count-weighted contractions to
-    per-component tables evaluated once; a handful of trials are
-    cross-checked against the metered estimator calls.
+    their batches one after another as the run does (a full-batch schedule
+    has b = n).  Blocks of trials then apply the estimators' own
+    count-weighted contractions, as one weight stack, to per-component
+    tables evaluated once; the first 8 trials are cross-checked against the
+    metered estimator calls.
     """
     if trials < 1000:
         raise ValueError("trials must be at least 10^3")
@@ -342,9 +366,10 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     x = as_vector(x, dim=d)
     x_hat = as_vector(x_hat, dim=d)
     if L2_hat is None:
-        L2_hat = estimate_smoothness(instance, "individual", 150,
-                                     seed=int(seed) + 1 if isinstance(seed, int) else 1
-                                     ).constant
+        int_seed = _int_seed(seed)
+        L2_hat = estimate_smoothness(
+            instance, "individual", 150,
+            seed=1 if int_seed is None else int_seed + 1).constant
     rng = as_rng(seed)
     dist = float(np.linalg.norm(x - x_hat))
 
@@ -361,33 +386,38 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     dH = H_x - H_h                       # (n, d, d)
 
     b_g, b_h = params.batch_sizes(n)
-    g_moments = np.empty(trials)
-    h_moments = np.empty(trials)
+    g_moments, h_moments = [], []
+    for start in range(0, trials, _MC_BLOCK):
+        # the block's batches, drawn trial by trial as the run draws them
+        draws = [_draw_batches(params, n, rng)
+                 for _ in range(min(_MC_BLOCK, trials - start))]
+        if start == 0:
+            cross = draws[:8]
+        V = _gradient_estimate(_trial_counts([g for g, _ in draws], n), dG,
+                               Hdx, b_g, g_s, H_s, dx)
+        U = _hessian_estimate(_trial_counts([h for _, h in draws], n), dH,
+                              b_h, H_s)
+        D = gF - V
+        # powers of Python floats: numpy's vectorized pow can round the
+        # last bit differently from the one-trial values
+        g_moments += [float(g) ** 1.5 for g in np.sqrt(row_dot(D, D))]
+        h_moments += [float(h) ** 3 for h in _op_norm(HF - U)]
+
     cross_err = 0.0
-    n_cross = min(8, trials)
-    for t in range(trials):
-        idx_g, idx_h = _draw_batches(params, n, rng)
-        v = _gradient_estimate(_batch_counts(idx_g, n)[0], dG, Hdx, b_g,
-                               g_s, H_s, dx)
-        U = _hessian_estimate(_batch_counts(idx_h, n)[0], dH, b_h, H_s)
-        g_moments[t] = float(np.linalg.norm(gF - v)) ** 1.5
-        h_moments[t] = float(_op_norm(HF - U)) ** 3
-        if t < n_cross:
-            led = OracleLedger(n=n)
-            v_ref = svrc_gradient_estimator(instance, led, x, x_hat,
-                                            g_s, H_s, idx_g)
-            U_ref = svrc_hessian_estimator(instance, led, x, x_hat,
-                                           H_s, idx_h)
-            dev_g, dev_h = g_moments[t], h_moments[t]
-            cross_err = max(
-                cross_err,
-                rel_err(dev_g, float(np.linalg.norm(gF - v_ref)) ** 1.5),
-                rel_err(dev_h, float(_op_norm(HF - U_ref)) ** 3))
+    for t, (idx_g, idx_h) in enumerate(cross):
+        led = OracleLedger(n=n)
+        v_ref = svrc_gradient_estimator(instance, led, x, x_hat, g_s, H_s,
+                                        idx_g)
+        U_ref = svrc_hessian_estimator(instance, led, x, x_hat, H_s, idx_h)
+        cross_err = max(
+            cross_err,
+            rel_err(g_moments[t], float(np.linalg.norm(gF - v_ref)) ** 1.5),
+            rel_err(h_moments[t], float(_op_norm(HF - U_ref)) ** 3))
 
     grad_bound = 2.0 * L2_hat ** 1.5 * b_g ** -0.75 * dist ** 3
     hess_bound = 15000.0 * L2_hat ** 3 * (math.log(d) / b_h) ** 1.5 * dist ** 3
-    grad_mean = float(g_moments.mean())
-    hess_mean = float(h_moments.mean())
+    grad_mean = float(np.mean(g_moments))
+    hess_mean = float(np.mean(h_moments))
     grad_pass = grad_mean <= grad_bound * (1.0 + slack)
     hess_pass = hess_mean <= hess_bound * (1.0 + slack)
     premise_ok = b_h >= 12000.0 * math.log(d) ** 3

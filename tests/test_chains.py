@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hardsum.chains import (
     PHI_AT_ZERO,
+    _hat_f,
     SQRT_E,
     chain_eval,
     clamp_radius,
@@ -17,6 +18,8 @@ from hardsum.linalg import (
     finite_diff_gradient,
     finite_diff_jacobian,
     rel_err,
+    row_dot,
+    row_matvec,
     sample_orthonormal_columns,
 )
 
@@ -327,6 +330,37 @@ class TestStacks:
                     assert np.array_equal(stacked.hess[p],
                                           stacked.hess[p].T)
 
+    @pytest.mark.parametrize("shape", [(12,), (1, 12), (5, 12)])
+    def test_hat_f_eval_is_the_one_block_assembly(self, shape, rng):
+        # the chain rule on one block, as hat_f_eval assembled it before
+        # the multi-block kernel, bit for bit
+        K = 3
+        B = sample_orthonormal_columns(12, K, seed=4)
+        Y = rng.standard_normal(shape) * 300.0
+        for order in range(3):
+            got = hat_f_eval(K, B, Y, order)
+            want = _one_block_hat_f(K, B, Y, order)
+            assert type(got.value) is type(want[0])
+            for a, b in zip((got.value, got.grad, got.hess), want):
+                assert _same_bits(a, b)
+
+    @pytest.mark.parametrize("P", [1, 6])
+    def test_blocks_equal_one_block_calls(self, P, rng):
+        # every block of a (nb, P, m) stack answers as it does alone
+        K, m, nb = 3, 7, 4
+        Bs = [sample_orthonormal_columns(m, K, seed=b) for b in range(nb)]
+        Y = rng.standard_normal((nb, P, m)) * 200.0
+        for order in range(3):
+            got = _hat_f(K, [(b, B.columns) for b, B in enumerate(Bs)], Y,
+                         order)
+            for b, B in enumerate(Bs):
+                want = hat_f_eval(K, B, Y[b], order)
+                for field in ("value", "grad", "hess"):
+                    stacked = getattr(got, field)
+                    assert _same_bits(
+                        None if stacked is None else stacked[b],
+                        getattr(want, field))
+
     def test_single_point_answers_stay_scalar(self):
         B = sample_orthonormal_columns(5, 2, seed=0)
         assert type(chain_eval(2, np.ones(2), np.zeros(2)).value) is float
@@ -349,6 +383,34 @@ class TestStacks:
         _, _, d2c = soft_clamp(np.ones((3, 5)), R=2.0, order=2)
         with pytest.raises(ValueError, match="shape"):
             d2c(np.ones(5))   # one vector per point of the stack
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and bytes (so -0.0 and 0.0 differ), or both None."""
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _one_block_hat_f(K, B, y, order):
+    """(value, grad, hess) of hat_f by the chain rule on one block, through
+    the public clamp and chain (the reference)."""
+    rho, J, d2c = soft_clamp(y, clamp_radius(K), order)
+    w = row_matvec(B.columns.T, rho)
+    ch = chain_eval(K, np.ones(K), w, order)
+    val = ch.value + 0.1 * row_dot(y, y)
+    val = float(val) if np.ndim(val) == 0 else val
+    if order == 0:
+        return val, None, None
+    g_chain = row_matvec(B.columns, ch.grad)
+    grad = row_matvec(J, g_chain) + 0.2 * y
+    if order == 1:
+        return val, grad, None
+    H = J @ (B.columns @ ch.hess @ B.columns.T) @ J
+    H += d2c(g_chain)
+    H += 0.2 * np.eye(y.shape[-1])
+    return val, grad, 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
 @given(st.floats(-100.0, 100.0, allow_nan=False))

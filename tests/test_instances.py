@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from hardsum.chains import PHI_AT_ZERO, phi
+from hardsum.chains import PHI_AT_ZERO, Derivatives, phi
 from hardsum.instances import (
     HardInstanceSpec,
     InstanceTooSmallError,
@@ -25,6 +25,17 @@ from hardsum.linalg import (
     rel_err,
     sample_orthonormal_columns,
 )
+from hardsum.oracle import mean_derivatives
+
+def _same_bits(a: Derivatives, b: Derivatives) -> bool:
+    """Equal value, gradient and Hessian bytes (so -0.0 and 0.0 differ)."""
+    return all(
+        (u is None and v is None)
+        or (u is not None and v is not None
+            and np.shape(u) == np.shape(v)
+            and np.asarray(u).tobytes() == np.asarray(v).tobytes())
+        for u, v in ((a.value, b.value), (a.grad, b.grad), (a.hess, b.hess)))
+
 
 # Frozen closed-form constants: 2^(p+1) exp(2.5p + ln p + 4p + 10)
 ELL_1 = 58602877.71581407
@@ -301,6 +312,39 @@ class TestRandomizedInstance:
                     if order == 2:
                         assert stacked.hess.shape == (5, spec.d, spec.d)
                         assert rel_err(der.hess, stacked.hess[p]) <= 1e-15
+
+    @pytest.mark.parametrize("P", [1, 37])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("scaled", [True, False])
+    @pytest.mark.parametrize("haar_c", [False, True])
+    def test_stacked_full_equals_component_loop(self, rng, haar_c, scaled,
+                                                n, P):
+        # full on a stack evaluates every component in one clamped-chain
+        # call; it equals the mean over one stacked component call each,
+        # bit for bit
+        spec, F = self._make(n=n, haar_c=haar_c)
+        F = F if scaled else F.unscaled_view()
+        X = rng.standard_normal((P, spec.d)) * 3.0
+        for order in range(3):
+            got = F.full(X, order)
+            want = mean_derivatives(
+                (F.component(i, X, order) for i in range(n)), X.shape, order)
+            assert _same_bits(got, want)
+            # the one-point full and the row-set path: component by
+            # component, as before
+            x = X[0]
+            assert _same_bits(F.full(x, order), mean_derivatives(
+                (F.component(i, x, order) for i in range(n)), x.shape,
+                order))
+            rows = [n - 1, 0, n - 1]
+            stack = F.components(rows, x, order)
+            for k, i in enumerate(rows):
+                one = F.component(i, x, order)
+                assert _same_bits(
+                    Derivatives(stack.value[k],
+                                None if one.grad is None else stack.grad[k],
+                                None if one.hess is None else stack.hess[k]),
+                    one)
 
     def test_sampling_deterministic(self):
         spec, F1 = self._make(seed=42)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import hardsum.chains
+import hardsum.optim
+import hardsum.verify
 from hardsum.chains import Derivatives, chain_eval
 from hardsum.linalg import (as_rng, finite_diff_gradient, finite_diff_jacobian,
                             rel_err)
@@ -16,15 +18,19 @@ from hardsum.instances import (
     randomized_params,
     sample_randomized_instance,
 )
-from hardsum.oracle import CallableFiniteSum, quadratic_cosine_sum
-from hardsum.optim import SvrcParams
+from hardsum.oracle import (CallableFiniteSum, OracleLedger,
+                            quadratic_cosine_sum)
+from hardsum.optim import (SvrcParams, _draw_batches, svrc_gradient_estimator,
+                           svrc_hessian_estimator)
 from hardsum.verify import (
+    _MC_BLOCK,
     _battery_instance,
     _chain_sum,
     _gd_backtracking,
     _hat_sum,
     _pair_stream,
     BatteryCheck,
+    EstimatorBoundsReport,
     SmoothnessReport,
     check_derivatives,
     check_zero_chain,
@@ -617,3 +623,169 @@ class TestStackedChecksMatchOnePointLoops:
         got = check_zero_chain(K, num_samples, seed=K)
         assert _bits(got.to_dict()) == _bits(
             _one_point_zero_chain(K, num_samples, seed=K))
+
+
+# ---------------------------------------------------------------------------
+# the stacked Monte Carlo against its per-trial loop
+
+
+def _per_trial_estimator_bounds(instance, x_hat, x, params, trials, seed,
+                                L2_hat, slack=0.1):
+    """verify_estimator_bounds one trial at a time (the reference): each
+    trial's counts, 1-D contractions, norm and eigvalsh on their own, and
+    the first 8 trials cross-checked as they are drawn."""
+    n, d = instance.n, instance.d
+    rng = as_rng(seed)
+    dist = float(np.linalg.norm(x - x_hat))
+    at_x = instance.components(range(n), x, 2)
+    at_hat = instance.components(range(n), x_hat, 2)
+    gF, HF = at_x.grad.mean(axis=0), at_x.hess.mean(axis=0)
+    g_s, H_s = at_hat.grad.mean(axis=0), at_hat.hess.mean(axis=0)
+    dx = x - x_hat
+    dG = at_x.grad - at_hat.grad
+    Hdx = at_hat.hess @ dx
+    dH = at_x.hess - at_hat.hess
+
+    def op_norm(A):
+        return np.abs(np.linalg.eigvalsh(0.5 * (A + A.T))).max()
+
+    b_g, b_h = params.batch_sizes(n)
+    g_moments = np.empty(trials)
+    h_moments = np.empty(trials)
+    cross_err = 0.0
+    for t in range(trials):
+        idx_g, idx_h = _draw_batches(params, n, rng)
+        w_g = np.bincount(idx_g, minlength=n) / b_g
+        w_h = np.bincount(idx_h, minlength=n) / b_h
+        v = w_g @ dG + g_s - (w_g @ Hdx - H_s @ dx)
+        U = np.tensordot(w_h, dH, axes=1) + H_s
+        g_moments[t] = float(np.linalg.norm(gF - v)) ** 1.5
+        h_moments[t] = float(op_norm(HF - U)) ** 3
+        if t < 8:
+            led = OracleLedger(n=n)
+            v_ref = svrc_gradient_estimator(instance, led, x, x_hat, g_s, H_s,
+                                            idx_g)
+            U_ref = svrc_hessian_estimator(instance, led, x, x_hat, H_s,
+                                           idx_h)
+            cross_err = max(
+                cross_err,
+                rel_err(g_moments[t],
+                        float(np.linalg.norm(gF - v_ref)) ** 1.5),
+                rel_err(h_moments[t], float(op_norm(HF - U_ref)) ** 3))
+    grad_bound = 2.0 * L2_hat ** 1.5 * b_g ** -0.75 * dist ** 3
+    hess_bound = 15000.0 * L2_hat ** 3 * (math.log(d) / b_h) ** 1.5 * dist ** 3
+    grad_mean = float(g_moments.mean())
+    hess_mean = float(h_moments.mean())
+    grad_pass = grad_mean <= grad_bound * (1.0 + slack)
+    hess_pass = hess_mean <= hess_bound * (1.0 + slack)
+    return EstimatorBoundsReport(
+        passed=bool(grad_pass and hess_pass and cross_err <= 1e-9),
+        trials=trials, dist=dist, L2_hat=float(L2_hat),
+        grad_mean=grad_mean, grad_bound=float(grad_bound),
+        grad_pass=bool(grad_pass), hess_mean=hess_mean,
+        hess_bound=float(hess_bound), hess_pass=bool(hess_pass),
+        slack=slack, premise_ok=bool(b_h >= 12000.0 * math.log(d) ** 3),
+        cross_check_rel_err=float(cross_err))
+
+
+def _callable_copy(F):
+    """F's components as one-point callables (the default row-set path)."""
+    return CallableFiniteSum(
+        [lambda x, order, i=i: F.component(i, x, order) for i in range(F.n)],
+        d=F.d)
+
+
+class TestStackedMonteCarlo:
+    """verify_estimator_bounds contracts its trials as stacks and keeps
+    every report byte and the generator's stream of the per-trial loop."""
+
+    @staticmethod
+    def _setup(n=16, d=5, b_g=8, b_h=32, full_batch=False, point_seed=7):
+        F = quadratic_cosine_sum(n, d, seed=1)
+        params = SvrcParams(M=1.0, b_g=b_g, b_h=b_h, S=1, T=1, eps=1.0,
+                            Delta=1.0, L2=1.0, full_batch=full_batch)
+        rng = np.random.default_rng(point_seed)
+        x_hat = rng.standard_normal(d)
+        return F, params, x_hat, x_hat + 0.4 * rng.standard_normal(d)
+
+    def _agree(self, F, params, x_hat, x, trials, seed):
+        # a generator seed shows the stream each side leaves behind
+        got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = verify_estimator_bounds(F, x_hat, x, params, trials,
+                                      seed=got_rng, L2_hat=2.0)
+        want = _per_trial_estimator_bounds(F, x_hat, x, params, trials,
+                                           want_rng, L2_hat=2.0)
+        assert _bits(got.to_dict()) == _bits(want.to_dict())
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeds(self, seed):
+        rep = self._agree(*self._setup(), trials=1000, seed=seed)
+        assert rep.passed and rep.cross_check_rel_err <= 1e-9
+
+    @pytest.mark.parametrize("point_seed", [9, 10])
+    def test_repeated_deviations_pin_their_last_bits(self, point_seed):
+        # two components and batches of 2 and 3 leave a few distinct
+        # deviations, each repeated hundreds of times, so the means carry
+        # every deviation's last bit: at these points a power taken by
+        # numpy's vectorized pow instead of a Python float's moves
+        # grad_mean (point 9) or hess_mean (point 10)
+        self._agree(*self._setup(n=2, b_g=2, b_h=3, point_seed=point_seed),
+                    trials=1000, seed=0)
+
+    def test_full_batch_schedule(self):
+        self._agree(*self._setup(n=8, full_batch=True), trials=1000, seed=3)
+
+    def test_callable_sum(self):
+        F, params, x_hat, x = self._setup(n=6, d=4, b_g=5, b_h=9)
+        self._agree(_callable_copy(F), params, x_hat, x, trials=1000, seed=4)
+
+    def test_trials_span_several_blocks(self):
+        trials = 2 * _MC_BLOCK + 76
+        self._agree(*self._setup(b_g=16, b_h=64), trials=trials, seed=5)
+
+    @pytest.mark.parametrize("name", ["_gradient_estimate",
+                                      "_hessian_estimate"])
+    def test_perturbed_stack_fails_the_cross_check(self, monkeypatch, name):
+        # the metered estimators keep optim's contraction; only the
+        # Monte-Carlo stack goes through verify's binding
+        real = getattr(hardsum.optim, name)
+        monkeypatch.setattr(hardsum.verify, name,
+                            lambda *args: real(*args) * (1.0 + 1e-6))
+        F, params, x_hat, x = self._setup()
+        rep = verify_estimator_bounds(F, x_hat, x, params, 1000, seed=0,
+                                      L2_hat=2.0)
+        assert rep.cross_check_rel_err > 1e-9
+        assert not rep.passed
+
+
+class TestNumpyIntegerSeeds:
+    """A numpy integer seed is the integer it holds."""
+
+    def test_estimate_smoothness(self):
+        F = quadratic_cosine_sum(8, 4, seed=1)
+        got = estimate_smoothness(F, "individual", 30, seed=np.int64(5))
+        want = estimate_smoothness(F, "individual", 30, seed=5)
+        assert got.seed == 5
+        assert _bits(got.to_dict()) == _bits(want.to_dict())
+
+    def test_estimator_bounds_probe_seed(self):
+        # the L2_hat probe runs with seed + 1
+        F = quadratic_cosine_sum(8, 4, seed=1)
+        params = SvrcParams(M=1.0, b_g=8, b_h=32, S=1, T=1, eps=1.0,
+                            Delta=1.0, L2=1.0)
+        x_hat = np.zeros(4)
+        x = np.full(4, 0.3)
+        got = verify_estimator_bounds(F, x_hat, x, params, 1000,
+                                      seed=np.int64(5))
+        want = verify_estimator_bounds(F, x_hat, x, params, 1000, seed=5)
+        assert _bits(got.to_dict()) == _bits(want.to_dict())
+        assert got.L2_hat == estimate_smoothness(F, "individual", 150,
+                                                 seed=6).constant
+
+    def test_generator_seed_keeps_its_defaults(self):
+        F = quadratic_cosine_sum(4, 3, seed=2)
+        rep = estimate_smoothness(F, "individual", 5,
+                                  seed=np.random.default_rng(0))
+        assert rep.seed == 0

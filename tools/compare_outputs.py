@@ -111,6 +111,9 @@ DETERMINISTIC_P0 = ("[instance]\nmode = deterministic\np = 0\nn = 4\n"
 SYNTH_SVRC_N0 = SYNTH_SVRC.replace("n = 4\n", "n = 0\n")
 VERIFY_SMALL = ("[verify]\nnum_points = 4\nzero_chain_samples = 40\n"
                 "pairs = 12\ntrials = 1000\nstarts = 2\n")
+# 1500 trials cross a Monte-Carlo block boundary; 7 starts make an odd
+# lockstep stack
+VERIFY_BLOCKS = "[verify]\ntrials = 1500\nstarts = 7\n"
 
 
 @dataclass(frozen=True)
@@ -153,6 +156,8 @@ ENTRIES = (
     Entry("verify-defaults", None, ("verify", "--out", "rep.json")),
     Entry("verify-small", VERIFY_SMALL, ("verify", "--out", "rep.json")),
     Entry("verify-seed3", None, ("verify", "--seed", "3", "--out", "rep.json")),
+    Entry("verify-blocks", VERIFY_BLOCKS,
+          ("verify", "--seed", "11", "--out", "rep.json")),
     Entry("gen-synthetic", SYNTH_SVRC, ("gen", "--out", "gen")),
     Entry("gen-deterministic", ADV_CUBIC, ("gen", "--out", "gen")),
     Entry("gen-haar-c", CUBIC_HAAR, ("gen", "--out", "gen")),
