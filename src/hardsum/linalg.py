@@ -7,7 +7,6 @@ seed or generator (no global RNG state is ever touched).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,15 +106,34 @@ def sym_matrix(a) -> SymMatrix:
     A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    return _symmetrized(A)
+
+
+def _sym_stack(a) -> np.ndarray:
+    """:func:`sym_matrix` on each matrix of a stack (r, d, d): the stack
+    passes exactly when each of its matrices would, each checked against its
+    own scale, and the answer is theirs, stacked, bit for bit.  Non-finite
+    entries anywhere in the stack are reported before asymmetry."""
+    A = np.asarray(a, dtype=float)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape "
+                         f"{A.shape}")
+    return _symmetrized(A)
+
+
+def _symmetrized(A: np.ndarray) -> np.ndarray:
+    """The check and symmetrization of :func:`sym_matrix`, over the last two
+    axes of a matrix or a stack of matrices."""
+    At = A.swapaxes(-1, -2)
     # max|A| is NaN or inf exactly when some entry is
-    scale = np.maximum.reduce(np.absolute(A), axis=None)
-    if not math.isfinite(scale):
+    scale = np.maximum.reduce(np.absolute(A), axis=(-2, -1))
+    if not np.isfinite(scale).all():
         raise ValueError("matrix has non-finite entries")
-    skew = np.subtract(A, A.T)
-    if np.maximum.reduce(np.absolute(skew, out=skew), axis=None) \
-            > max(SYMMETRY_TOL * scale, _TINY):
+    skew = np.subtract(A, At)
+    skew = np.maximum.reduce(np.absolute(skew, out=skew), axis=(-2, -1))
+    if (skew > np.maximum(SYMMETRY_TOL * scale, _TINY)).any():
         raise ValueError("matrix is not symmetric within tolerance")
-    out = np.add(A, A.T)
+    out = np.add(A, At)
     out *= 0.5
     return out
 

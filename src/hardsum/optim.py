@@ -2,7 +2,7 @@
 
 The SVRC loop runs S epochs of T steps.  Each epoch anchors at a snapshot
 where the exact full gradient and Hessian are computed (and every component's
-data at the snapshot is cached); each step builds semi-stochastic estimators
+answer at the snapshot is kept); each step builds semi-stochastic estimators
 of the gradient and Hessian from fresh i.i.d. batches, then moves by the
 global minimizer of the cubic-regularized second-order model.
 
@@ -14,12 +14,15 @@ from the snapshot cache and recorded as zero-cost cache hits; the gradient
 estimator's snapshot re-reads are served from the same cache but charged.
 
 Every pass evaluates each (point, order) once, as a stack of components
-(``F.components``), then charges one ``query`` per drawn row through a
-read-only view of those answers, in index order.
+(``F.components``), and checks the stack once as it is built: finite values
+and gradients, symmetric Hessians.  The estimators work on the stacks; what
+is left per row is the charge, one ``query`` per distinct drawn index in
+index order, through a read-only view of the checked stack.  The snapshot
+pass keeps its checked (n, d, d) stack for the epoch, and the estimators
+read their snapshot rows out of it by index.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -28,9 +31,9 @@ from scipy.linalg.lapack import dpotrf
 
 from .chains import Derivatives
 from .cubic import CubicModel, solve
-from .linalg import as_rng, as_vector, eig_sym, sym_matrix
+from .linalg import as_rng, as_vector, eig_sym, row_matvec, sym_matrix
 from .oracle import (FiniteSumFunction, OracleLedger, _Evaluated,
-                     mean_derivatives, query, record_iterate)
+                     _row_answers, mean_derivatives, query, record_iterate)
 
 __all__ = [
     "C_M",
@@ -146,11 +149,17 @@ def _batch_counts(batch, n: int) -> tuple[np.ndarray, int]:
     if idx.dtype.kind not in "iu":
         raise ValueError(f"batch indices must be integers, got {idx.dtype}")
     idx = idx.astype(int, copy=False)
-    lo, hi = int(idx.min()), int(idx.max())
-    if lo < 0 or hi >= n:
+    # bincount scans the range itself: it refuses a negative index, and an
+    # index >= n gives it more than n bins
+    try:
+        counts = np.bincount(idx, minlength=n)
+    except ValueError:
+        counts = None
+    if counts is None or counts.size > n:
+        lo, hi = int(idx.min()), int(idx.max())
         raise ValueError(f"component index {lo if lo < 0 else hi} out of "
                          f"range [0, {n})")
-    return np.bincount(idx, minlength=n), idx.size
+    return counts, idx.size
 
 
 def _weighted_rows(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -196,20 +205,15 @@ def svrc_gradient_estimator(F: FiniteSumFunction, ledger: OracleLedger,
     x = as_vector(x, dim=F.d)
     x_hat = as_vector(x_hat, dim=F.d)
     counts, b = _batch_counts(batch, F.n)
-    rows = np.flatnonzero(counts).tolist()
+    rows = np.flatnonzero(counts)
     at_x = _Evaluated.evaluate(F, rows, x, 1)
-    at_hat = _at_snapshot(F, rows, x_hat, snapshot_cache)
-    dx = x - x_hat
-    dG = np.empty((len(rows), F.d))
-    Hdx = np.empty((len(rows), F.d))
-    for k, i in enumerate(rows):
-        c = int(counts[i])
-        der_x = query(ledger, at_x, i, x, order=1, count=c)
-        der_hat = query(ledger, at_hat, i, x_hat, order=2, count=c,
-                        requery=True)
-        dG[k] = der_x.grad - der_hat.grad
-        Hdx[k] = der_hat.hess @ dx
-    return _gradient_estimate(counts[rows], dG, Hdx, b, g_s, H_s, dx)
+    _, at_hat = _at_snapshot(F, rows, x_hat, snapshot_cache)
+    for i, c in zip(rows.tolist(), counts[rows].tolist()):
+        query(ledger, at_x, i, x, order=1, count=c)
+        query(ledger, at_hat, i, x_hat, order=2, count=c, requery=True)
+    hat, dx = at_hat.take(rows), x - x_hat
+    return _gradient_estimate(counts[rows], at_x.stack.grad - hat.grad,
+                              row_matvec(hat.hess, dx), b, g_s, H_s, dx)
 
 
 def svrc_hessian_estimator(F: FiniteSumFunction, ledger: OracleLedger,
@@ -225,35 +229,44 @@ def svrc_hessian_estimator(F: FiniteSumFunction, ledger: OracleLedger,
     x = as_vector(x, dim=F.d)
     x_hat = as_vector(x_hat, dim=F.d)
     counts, b = _batch_counts(batch, F.n)
-    rows = np.flatnonzero(counts).tolist()
-    cache = {} if snapshot_cache is None else snapshot_cache
+    rows = np.flatnonzero(counts)
     at_x = _Evaluated.evaluate(F, rows, x, 2)
-    missing = [j for j in rows if j not in cache]
-    at_hat = _Evaluated.evaluate(F, missing, x_hat, 2) if missing else None
-    dH = np.empty((len(rows), F.d, F.d))
-    for k, j in enumerate(rows):
-        c = int(counts[j])
-        hess_x = query(ledger, at_x, j, x, order=2, count=c).hess
-        if j in cache:
-            hess_hat = cache[j][1]
+    held, at_hat = _at_snapshot(F, rows, x_hat, snapshot_cache)
+    for j, c, hit in zip(rows.tolist(), counts[rows].tolist(), held.tolist()):
+        query(ledger, at_x, j, x, order=2, count=c)
+        if hit:
             ledger.record_cache_hit(c)
         else:
-            hess_hat = query(ledger, at_hat, j, x_hat, order=2, count=c,
-                             requery=True).hess
-        dH[k] = hess_x - hess_hat
-    return _hessian_estimate(counts[rows], dH, b, H_s)
+            query(ledger, at_hat, j, x_hat, order=2, count=c, requery=True)
+    return _hessian_estimate(counts[rows],
+                             at_x.stack.hess - at_hat.take(rows).hess, b, H_s)
 
 
-def _at_snapshot(F: FiniteSumFunction, rows: list, x_hat: np.ndarray,
-                 snapshot_cache: dict | None) -> _Evaluated:
-    """Order-2 answers of components ``rows`` at the snapshot xh: taken
-    from ``snapshot_cache`` where it holds them (a cache holds no values),
-    the rest evaluated in one call."""
+def _at_snapshot(F: FiniteSumFunction, rows: np.ndarray, x_hat: np.ndarray,
+                 snapshot_cache) -> tuple[np.ndarray, _Evaluated]:
+    """Order-2 answers of components ``rows`` at the snapshot xh, as one
+    checked view, and which rows the cache held.
+
+    :func:`svrc_run` passes its snapshot pass's view, which holds every
+    component and was checked when the pass built it.  From a caller's dict
+    (index -> (gradient, Hessian) at xh; it holds no values) the rows it
+    holds, and the rest evaluated in one call, are stacked and checked
+    together.
+    """
+    if isinstance(snapshot_cache, _Evaluated):
+        return np.ones(rows.size, dtype=bool), snapshot_cache
     cache = {} if snapshot_cache is None else snapshot_cache
-    missing = [i for i in rows if i not in cache]
-    held = _Evaluated.evaluate(F, missing, x_hat, 2).answers if missing else {}
-    held.update((i, Derivatives(None, *cache[i])) for i in rows if i in cache)
-    return _Evaluated(F, x_hat, 2, held)
+    keys = rows.tolist()
+    held = np.array([i in cache for i in keys])
+    if not held.any():
+        return held, _Evaluated.evaluate(F, rows, x_hat, 2)
+    grad, hess = np.empty((rows.size, F.d)), np.empty((rows.size, F.d, F.d))
+    for k in np.flatnonzero(held).tolist():
+        grad[k], hess[k] = cache[keys[k]]
+    if not held.all():
+        fresh = F.components(rows[~held], x_hat, 2)
+        grad[~held], hess[~held] = fresh.grad, fresh.hess
+    return held, _Evaluated(F, x_hat, 2, rows, Derivatives(None, grad, hess))
 
 
 def _floor_wins(H: np.ndarray, c0: float) -> bool:
@@ -325,29 +338,28 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
     iterates: list[np.ndarray] = []
     step_cost = params.step_cost(n)
     # t = -1 is each epoch's snapshot pass, which anchors the epoch at the
-    # current iterate; t = 0..T-1 are its steps
-    for s, t in itertools.product(range(params.S), range(-1, params.T)):
+    # current iterate; t = 0..T-1 are its steps.  The schedule is generated
+    # lazily: S can be far larger than any run gets through.
+    schedule = ((s, t) for s in range(params.S) for t in range(-1, params.T))
+    for s, t in schedule:
         # a snapshot pass is only worth paying if a step can follow it
         cost = n + step_cost if t < 0 else step_cost
         if budget is not None and ledger.total + cost > budget:
             break
         if t < 0:
-            # exact g, H and the per-component cache
+            # exact g, H and the epoch's checked snapshot answers
             x_hat = x.copy()
-            at_hat = _Evaluated.evaluate(F, range(n), x_hat, 2)
-            answers = [query(ledger, at_hat, i, x_hat, order=2)
-                       for i in range(n)]
-            # the epoch keeps query's answers; the evaluated stack can go
-            del at_hat
-            snapshot = mean_derivatives(answers, (d,), 2)
-            g_s, H_s = snapshot.grad, snapshot.hess
-            cache = {i: (der.grad, der.hess) for i, der in enumerate(answers)}
+            snapshot = _Evaluated.evaluate(F, np.arange(n), x_hat, 2)
+            for i in range(n):
+                query(ledger, snapshot, i, x_hat, order=2)
+            mean = mean_derivatives(_row_answers(snapshot.stack, 2), (d,), 2)
+            g_s, H_s = mean.grad, mean.hess
             continue
         batch_g, batch_h = _draw_batches(params, n, rng)
         v = svrc_gradient_estimator(F, ledger, x, x_hat, g_s, H_s, batch_g,
-                                    snapshot_cache=cache)
+                                    snapshot_cache=snapshot)
         U = svrc_hessian_estimator(F, ledger, x, x_hat, H_s, batch_h,
-                                   snapshot_cache=cache)
+                                   snapshot_cache=snapshot)
         try:
             sol = solve(CubicModel(v=v, U=U, M=params.M))
         except ArithmeticError:

@@ -10,13 +10,14 @@ the *algorithm* consumed, not what the experimenter looked at.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chains import Derivatives
-from .linalg import (as_points, as_rng, as_vector, row_dot, row_matvec,
-                     sym_matrix)
+from .linalg import (_sym_stack, as_points, as_rng, as_vector, row_dot,
+                     row_matvec, sym_matrix)
 
 __all__ = [
     "FiniteSumFunction",
@@ -65,6 +66,20 @@ class FiniteSumFunction:
         vectorized :meth:`components` reads the rows of one call."""
         rows = self.check_rows(rows).tolist()
         return (self.component(i, x, order) for i in rows)
+
+    def _checked(self, i: int, x: np.ndarray, order: int) -> Derivatives:
+        """Component i at one point x up to ``order``, checked as every
+        charged answer is: a finite value and gradient and a symmetric
+        Hessian, returned symmetrized.  :func:`query` answers with it; a
+        view of answers checked already returns its row."""
+        der = self.component(i, x, order)
+        if not math.isfinite(der.value):
+            raise ValueError(_non_finite(i, order, "value"))
+        if der.grad is not None and not np.isfinite(der.grad).all():
+            raise ValueError(_non_finite(i, order, "gradient"))
+        if der.hess is None:
+            return der
+        return Derivatives(der.value, der.grad, sym_matrix(der.hess))
 
     def check_index(self, i: int) -> int:
         i = int(i)
@@ -119,6 +134,28 @@ def _stacked(answers: list, order: int) -> Derivatives:
         np.array([der.value for der in answers]),
         np.stack([der.grad for der in answers]) if order >= 1 else None,
         np.stack([der.hess for der in answers]) if order >= 2 else None)
+
+
+def _non_finite(i: int, order: int, part: str) -> str:
+    return f"component {i} answered a non-finite {part} (order {order})"
+
+
+def _checked_stack(stack: Derivatives, rows: np.ndarray,
+                   order: int) -> Derivatives:
+    """Stacked answers, row k answering component ``rows[k]``, checked as
+    :meth:`FiniteSumFunction._checked` checks one answer, in one pass per
+    part: finite values (where the stack holds them) and gradients, and
+    symmetric Hessians, returned symmetrized."""
+    for part, name in ((stack.value, "value"), (stack.grad, "gradient")):
+        if part is None:
+            continue
+        finite = np.isfinite(part).reshape(len(part), -1).all(axis=1)
+        if not finite.all():
+            raise ValueError(_non_finite(int(rows[finite.argmin()]), order,
+                                         name))
+    if stack.hess is None:
+        return stack
+    return Derivatives(stack.value, stack.grad, _sym_stack(stack.hess))
 
 
 def _row_answers(stack: Derivatives, order: int):
@@ -331,11 +368,13 @@ def query(ledger: OracleLedger, F: FiniteSumFunction, i: int, x,
     """Charged oracle access to component i of F at one point x.
 
     Returns f_i(x) and derivatives up to ``order`` and charges the ledger.
-    F may be a read-only view of answers already evaluated at x (the SVRC
-    passes charge through one), which answers without evaluating again.
-    A stack of points is rejected: charged access is one point per call.
-    A returned Hessian has passed the symmetry check and is exactly
-    symmetric, so callers never re-symmetrize.
+    The answer is checked before the charge: a non-finite value or gradient,
+    or an asymmetric Hessian, raises ValueError and charges nothing.  A
+    returned Hessian is exactly symmetric, so callers never re-symmetrize.
+    F may be a read-only view of answers already evaluated and checked at x
+    (the SVRC passes charge through one), which answers without evaluating
+    or checking again.  A stack of points is rejected: charged access is one
+    point per call.
     ``count > 1`` records `count` i.i.d. repetitions of the identical query
     (the answer is deterministic, so it is evaluated once); this keeps the
     accounting exact while letting batch samplers aggregate repeated draws.
@@ -348,47 +387,62 @@ def query(ledger: OracleLedger, F: FiniteSumFunction, i: int, x,
     if x.ndim != 1:
         raise ValueError(f"query takes one point, got shape {x.shape}")
     i = F.check_index(i)
-    der = F.component(i, x, order)
-    if der.hess is not None:
-        der = Derivatives(der.value, der.grad, sym_matrix(der.hess))
+    der = F._checked(i, x, order)
     ledger.charge(i, order, count, requery=requery)
     return der
 
 
 class _Evaluated(FiniteSumFunction):
-    """Answers already evaluated for some components of a sum at one point
-    x, up to one derivative order: a read-only view that :func:`query`
-    charges rows through without evaluating them again.
+    """Answers of some components of a sum at one point x, up to one
+    derivative order, held as one stack: a read-only view that
+    :func:`query` charges rows through without evaluating or checking them
+    again.
 
-    ``answers`` maps a component index to its :class:`Derivatives` at x.
-    The view refuses another point, a higher order and an index it does not
-    hold.
+    ``stack`` holds the answers, row k answering component ``rows[k]``;
+    ``where[i]`` is the row of component i, -1 where the view does not
+    hold it.  Building the view checks the whole stack as :func:`query`
+    checks one answer (finite values and gradients, symmetric Hessians,
+    kept symmetrized), so each row is checked once however often it is
+    charged.  A stack without values (a snapshot cache holds none) answers
+    value None.  The view refuses another point, a higher order and an
+    index it does not hold.
     """
 
     def __init__(self, F: FiniteSumFunction, x: np.ndarray, order: int,
-                 answers: dict):
+                 rows, stack: Derivatives):
+        rows = np.asarray(rows)
         self.n, self.d = F.n, F.d
-        self._x, self._order, self.answers = x, order, answers
+        self._x, self._order = x, order
+        self.where = np.full(F.n, -1)
+        self.where[rows] = np.arange(rows.size)
+        self.stack = _checked_stack(stack, rows, order)
 
     @classmethod
-    def evaluate(cls, F: FiniteSumFunction, rows: list, x: np.ndarray,
+    def evaluate(cls, F: FiniteSumFunction, rows, x: np.ndarray,
                  order: int) -> _Evaluated:
-        """Components ``rows`` of F at x, evaluated as F answers a row set
-        at one point (one vectorized call where F has one)."""
-        return cls(F, x, order, dict(zip(rows, F._answers_at(rows, x, order))))
+        """Components ``rows`` of F at x, evaluated in one
+        :meth:`~FiniteSumFunction.components` call."""
+        return cls(F, x, order, rows, F.components(rows, x, order))
 
-    def component(self, i: int, x, order: int = 2) -> Derivatives:
+    def take(self, rows: np.ndarray) -> Derivatives:
+        """The gradients and Hessians of held components ``rows``, stacked
+        in that order."""
+        k = self.where[rows]
+        return Derivatives(None, self.stack.grad[k], self.stack.hess[k])
+
+    def _checked(self, i: int, x: np.ndarray, order: int) -> Derivatives:
         if x is not self._x and not np.array_equal(x, self._x):
             raise ValueError("these answers were evaluated at another point")
         if order > self._order:
             raise ValueError(f"these answers go up to order {self._order}, "
                              f"not {order}")
-        der = self.answers.get(i)
-        if der is None:
+        k = self.where[i]
+        if k < 0:
             raise ValueError(f"component {i} was not evaluated here")
-        if order < self._order:
-            der = Derivatives(der.value, der.grad if order >= 1 else None)
-        return der
+        value, grad, hess = self.stack.value, self.stack.grad, self.stack.hess
+        return Derivatives(None if value is None else value[k],
+                           grad[k] if order >= 1 else None,
+                           hess[k] if order >= 2 else None)
 
 
 def record_iterate(ledger: OracleLedger, full_gradient_norm: float,

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hardsum.cubic import CubicModel
 from hardsum.linalg import (
     TallOrthogonal,
+    _sym_stack,
     as_rng,
     as_vector,
     eig_sym,
@@ -73,6 +75,18 @@ def _outcome(f, A):
         return str(e)
 
 
+def _stack_outcome(stack):
+    """_sym_stack on a stack, as the same bytes or error as the one-matrix
+    calls would give when each passes or exactly one fails."""
+    return _outcome(_sym_stack, np.array(stack))
+
+
+def _member_outcome(stack):
+    answers = [_outcome(sym_matrix, A) for A in stack]
+    errors = [a for a in answers if isinstance(a, str)]
+    return errors[0] if errors else b"".join(answers)
+
+
 class TestSymMatrixMatchesReference:
     @pytest.mark.parametrize("d", [1, 20, 197])
     def test_nearly_symmetric_bits(self, d):
@@ -109,6 +123,69 @@ class TestSymMatrixMatchesReference:
             assert _outcome(sym_matrix, A) == _outcome(_reference_sym_matrix, A)
             with pytest.raises(ValueError):
                 sym_matrix(A)
+
+    @pytest.mark.parametrize("d", [1, 20, 197])
+    def test_stack_members_match_one_matrix_calls(self, d):
+        rng = np.random.default_rng(d)
+        stack = []
+        for rel in (0.0, 1e-16, 1e-14, 1e-13):
+            G = rng.standard_normal((d, d))
+            A = G + G.T
+            A += rel * np.abs(A).max() * rng.standard_normal((d, d))
+            stack.append(A * 10.0 ** rng.integers(-200, 200))
+        assert _stack_outcome(stack) == _member_outcome(stack)
+        assert isinstance(_stack_outcome(stack), bytes)
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_stack_with_one_asymmetric_member(self, k):
+        rng = np.random.default_rng(k)
+        stack = [np.eye(3) for _ in range(5)]
+        stack[k] = rng.standard_normal((3, 3))
+        assert _stack_outcome(stack) == _member_outcome(stack)
+        with pytest.raises(ValueError, match="not symmetric"):
+            _sym_stack(np.array(stack))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_stack_with_one_non_finite_member(self, k, bad):
+        stack = [np.eye(4) for _ in range(4)]
+        stack[k][2, 1] = bad
+        assert _stack_outcome(stack) == _member_outcome(stack)
+        with pytest.raises(ValueError, match="non-finite"):
+            _sym_stack(np.array(stack))
+
+    def test_stack_tolerance_is_per_matrix(self):
+        # a subnormal member next to a large one: its tolerance is its own
+        # floor, never taken from the stack's maximum
+        tiny = np.finfo(float).tiny
+        small = np.array([[tiny / 4, tiny / 8], [tiny / 8, tiny / 2]])
+        small[1, 0] = np.nextafter(small[1, 0], 1.0)
+        large = np.array([[1e300, 2e299], [2e299, 3e300]])
+        stack = [large, small]
+        assert _stack_outcome(stack) == _member_outcome(stack)
+        out = _sym_stack(np.array(stack))
+        assert out[1, 0, 1] == out[1, 1, 0]
+        small[1, 0] = 3 * tiny
+        assert _stack_outcome(stack) == _member_outcome(stack)
+        with pytest.raises(ValueError, match="not symmetric"):
+            _sym_stack(np.array(stack))
+        # and a large member is held to its own relative tolerance
+        large[1, 0] *= 1.0 + 1e-10
+        with pytest.raises(ValueError, match="not symmetric"):
+            _sym_stack(np.array([large, np.eye(2)]))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (2, 2, 3), (2, 3, 2),
+                                       (2, 2, 2, 2)])
+    def test_stack_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="expected a stack of square"):
+            _sym_stack(np.ones(shape))
+
+    def test_public_callers_reject_a_stack(self):
+        # the stack form is private: one-matrix entry points stay 2-D
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            eig_sym(np.ones((3, 3, 3)))
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            CubicModel(v=np.ones(3), U=np.ones((3, 3, 3)), M=1.0)
 
 
 class TestOrthonormalColumns:

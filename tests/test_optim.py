@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hardsum.chains import Derivatives
 from hardsum.cubic import CubicModel, solve
 from hardsum.linalg import eig_sym, sample_orthonormal_columns
-from hardsum.oracle import (CallableFiniteSum, OracleLedger,
+from hardsum.oracle import (CallableFiniteSum, OracleLedger, _Evaluated,
                             quadratic_cosine_sum, query)
 from hardsum.optim import (
     C_M,
@@ -198,13 +198,52 @@ class TestEstimators:
             assert led_h.counters() == ref_h.counters()
             assert np.array_equal(led_h.per_index, ref_h.per_index)
 
+        # the run's own path, through its snapshot pass's checked view,
+        # gives the dict cache's answers bit for bit
+        snapshot = _Evaluated.evaluate(F, np.arange(F.n), x_hat, 2)
+        led, led_run = OracleLedger(n=F.n), OracleLedger(n=F.n)
+        assert np.array_equal(
+            svrc_gradient_estimator(F, led_run, x, x_hat, g_s, H_s, batch,
+                                    snapshot_cache=snapshot),
+            svrc_gradient_estimator(F, led, x, x_hat, g_s, H_s, batch,
+                                    snapshot_cache=cache))
+        assert np.array_equal(
+            svrc_hessian_estimator(F, led_run, x, x_hat, H_s, batch,
+                                   snapshot_cache=snapshot),
+            svrc_hessian_estimator(F, led, x, x_hat, H_s, batch,
+                                   snapshot_cache=cache))
+        assert led_run.counters() == led.counters()
+        assert np.array_equal(led_run.per_index, led.per_index)
+
+    @pytest.mark.parametrize("name", ["gradient", "hessian"])
+    def test_asymmetric_cached_hessian_rejected_before_charging(self, name):
+        F, x, x_hat, g_s, H_s = self._setup()
+        cache = {i: (F.component(i, x_hat, 2).grad, F.component(i, x_hat, 2).hess)
+                 for i in range(F.n)}
+        cache[4] = (cache[4][0], cache[4][1] + np.triu(np.ones((F.d, F.d)), 1))
+        led = OracleLedger(n=F.n)
+        with pytest.raises(ValueError, match="not symmetric"):
+            if name == "gradient":
+                svrc_gradient_estimator(F, led, x, x_hat, g_s, H_s, [0, 4, 4],
+                                        snapshot_cache=cache)
+            else:
+                svrc_hessian_estimator(F, led, x, x_hat, H_s, [0, 4, 4],
+                                       snapshot_cache=cache)
+        assert led.total == 0 and led.cache_hits == 0
+
     def test_out_of_range_batch_rejected_before_charging(self):
+        # the error names the smallest index if it is negative, else the
+        # largest one
         F, x, x_hat, g_s, H_s = self._setup()
         led = OracleLedger(n=F.n)
-        with pytest.raises(ValueError, match="out of range"):
-            svrc_gradient_estimator(F, led, x, x_hat, g_s, H_s, [0, F.n])
-        with pytest.raises(ValueError, match="out of range"):
-            svrc_hessian_estimator(F, led, x, x_hat, H_s, [-1, 0])
+        for batch, bad in (([0, F.n], F.n), ([-1, 0], -1),
+                           ([3, F.n + 5, F.n, 2], F.n + 5),
+                           ([F.n + 3, -2, 0], -2)):
+            msg = rf"component index {bad} out of range \[0, {F.n}\)"
+            with pytest.raises(ValueError, match=msg):
+                svrc_gradient_estimator(F, led, x, x_hat, g_s, H_s, batch)
+            with pytest.raises(ValueError, match=msg):
+                svrc_hessian_estimator(F, led, x, x_hat, H_s, batch)
         assert led.total == 0
 
     def test_empty_batch_rejected(self):
@@ -418,6 +457,19 @@ class TestSvrcRun:
         assert [runs[b][0] for b in (40, 50, None)] == [35, 44, 44]
         assert runs[50][2] == runs[None][2] and len(runs[None][2]) == 4
 
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_huge_schedule_runs_lazily(self, steps):
+        # S is about 2.1e11: the schedule is never built, and the budget
+        # (no snapshot at all, or one snapshot and two steps) stops the run
+        params = svrc_default_params(n=2, d=3, Delta=1.0, L2=2.0, eps=1e-3)
+        assert params.S > 10 ** 11
+        F = quadratic_cosine_sum(2, 3, seed=4)
+        led = OracleLedger(n=2)
+        budget = 200 if steps == 0 else 2 + 2 * params.step_cost(2)
+        _, traj = svrc_run(F, params, ledger=led, budget=budget)
+        assert len(traj) == steps
+        assert led.total == (0 if steps == 0 else budget)
+
     def test_full_batch_budget_counts_every_index(self):
         # a full-batch step reads all n indices: 3n raw queries, whatever
         # b_g and b_h say; snapshot 6 + two steps of 18 fit in 45, a third
@@ -580,6 +632,63 @@ class TestSvrcChargingOrder:
         svrc_run(F, params, x0=np.full(F.d, 0.7))
         fresh = sum(1 for *_, requery in calls if not requery)
         assert len(evaluations) == fresh + params.S * params.T * F.n
+
+
+def _bad_away_from_origin(part, bad, d=3):
+    """Components 0.5 |x|^2 + <g_i, x>; component 1 answers a non-finite
+    ``part`` (value or gradient) anywhere but the origin."""
+    gs = np.random.default_rng(0).standard_normal((2, d))
+
+    def comp(i):
+        def f(x, order=2):
+            value, grad = 0.5 * float(x @ x) + float(gs[i] @ x), x + gs[i]
+            if i == 1 and x.any():
+                if part == "value":
+                    value = bad
+                else:
+                    grad = np.where(np.arange(d) == 1, bad, grad)
+            return Derivatives(value, grad if order >= 1 else None,
+                               np.eye(d) if order >= 2 else None)
+        return f
+
+    return CallableFiniteSum([comp(0), comp(1)], d=d)
+
+
+class TestNonFiniteAnswers:
+    """A non-finite value or gradient raises where it enters, naming the
+    component and order, and the failing row is not charged."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["value", "gradient"])
+    def test_baseline_full_cubic(self, part, bad):
+        F = _bad_away_from_origin(part, bad)
+        led = OracleLedger(n=2)
+        with pytest.raises(ValueError,
+                           match=f"component 1 answered a non-finite {part} "
+                                 r"\(order 1\)"):
+            baseline_full_cubic(F, 2.0, 20, ledger=led)
+        # the first iteration's two passes at the origin, then row 0 of the
+        # second iteration's first pass; row 1 is not charged there
+        assert led.per_index.tolist() == [3, 2]
+
+    # the free measurement after the first step sees the bad answer too;
+    # it is not checked, and an infinite gradient warns in mu's screen
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("part", ["value", "gradient"])
+    def test_svrc_run(self, part, bad):
+        # the snapshot and the first step are at the origin; the second
+        # step's gradient estimator evaluates every row at x away from it
+        F = _bad_away_from_origin(part, bad)
+        params = SvrcParams(M=15.0, b_g=2, b_h=2, S=1, T=3, eps=1e-4,
+                            Delta=10.0, L2=0.1, full_batch=True)
+        led = OracleLedger(n=2)
+        with pytest.raises(ValueError,
+                           match=f"component 1 answered a non-finite {part} "
+                                 r"\(order 1\)"):
+            svrc_run(F, params, ledger=led)
+        assert led.total == 2 + params.step_cost(2)
+        assert led.iterates_recorded == 1
 
 
 class TestBaselines:

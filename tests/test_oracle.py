@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hardsum.chains import Derivatives
 from hardsum.instances import ResistingOracle, deterministic_params, ell_p
+from hardsum.linalg import _sym_stack, sym_matrix
 from hardsum.oracle import (
     CallableFiniteSum,
     OracleLedger,
@@ -426,4 +427,47 @@ class TestEvaluatedView:
             query(led, view, 2, x, order=1)
         with pytest.raises(ValueError, match="out of range"):
             query(led, view, 5, x, order=1)
+        assert led.total == 0
+
+    def test_checks_its_stack_once_when_built(self, monkeypatch):
+        # one symmetry check of the whole stack; charging its rows, however
+        # often, checks nothing again and answers query's own bits
+        F = quadratic_cosine_sum(5, 3, seed=4)
+        x = np.array([0.3, -1.0, 2.0])
+        want = {i: query(OracleLedger(n=F.n), F, i, x, order=2)
+                for i in (1, 2, 4)}
+        shapes = []
+        monkeypatch.setattr(
+            "hardsum.oracle.sym_matrix",
+            lambda a: shapes.append(np.shape(a)) or sym_matrix(a))
+        monkeypatch.setattr(
+            "hardsum.oracle._sym_stack",
+            lambda a: shapes.append(np.shape(a)) or _sym_stack(a))
+        view = _Evaluated.evaluate(F, [4, 1, 2], x, 2)
+        led = OracleLedger(n=F.n)
+        for i in (4, 1, 2, 4):
+            assert _same_answer(query(led, view, i, x, order=2, count=2),
+                                want[i])
+        assert shapes == [(3, 3, 3)]
+        assert led.per_index.tolist() == [0, 2, 2, 0, 4]
+
+    @pytest.mark.parametrize("bad, match", [
+        (Derivatives(np.nan, np.zeros(3), np.eye(3)),
+         r"component 2 answered a non-finite value \(order 2\)"),
+        (Derivatives(0.0, np.array([0.0, np.inf, 0.0]), np.eye(3)),
+         r"component 2 answered a non-finite gradient \(order 2\)"),
+        (Derivatives(0.0, np.zeros(3), np.triu(np.ones((3, 3)))),
+         "not symmetric"),
+    ])
+    def test_rejects_a_bad_row_when_built(self, bad, match):
+        def good(x, order=2):
+            return Derivatives(0.0, np.zeros(3), np.eye(3))
+
+        F = CallableFiniteSum([good, good, lambda x, order=2: bad], d=3)
+        with pytest.raises(ValueError, match=match):
+            _Evaluated.evaluate(F, [0, 2, 1], np.zeros(3), 2)
+        # the one-row path raises the same error before charging
+        led = OracleLedger(n=F.n)
+        with pytest.raises(ValueError, match=match):
+            query(led, F, 2, np.zeros(3), order=2)
         assert led.total == 0
