@@ -63,23 +63,27 @@ def psi(x, order: int = 0):
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    if scalar:
-        x = x.reshape(1)
-    out = np.zeros(x.shape)
+    out = _psi_table(x.reshape(-1), order)[order]
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+def _psi_table(x: np.ndarray, order: int) -> np.ndarray:
+    """psi and its derivatives of orders 0..order at an array x, stacked as
+    shape (order + 1,) + x.shape, from one exponential."""
+    out = np.zeros((order + 1,) + x.shape)
     m = x > _PSI_CUTOFF
     if m.any():
         u = 2.0 * x[m] - 1.0
         val = np.exp(np.maximum(1.0 - u ** -2, _EXP_FLOOR))
-        if order == 0:
-            out[m] = val
-        elif order == 1:
-            out[m] = val * 4.0 * u ** -3
-        elif order == 2:
-            out[m] = val * (16.0 * u ** -6 - 24.0 * u ** -4)
-        else:
-            out[m] = val * (64.0 * u ** -9 - 288.0 * u ** -7 + 192.0 * u ** -5)
-    return float(out[0]) if scalar else out
+        out[0, m] = val
+        if order >= 1:
+            out[1, m] = val * 4.0 * u ** -3
+        if order >= 2:
+            out[2, m] = val * (16.0 * u ** -6 - 24.0 * u ** -4)
+        if order >= 3:
+            out[3, m] = val * (64.0 * u ** -9 - 288.0 * u ** -7
+                               + 192.0 * u ** -5)
+    return out
 
 
 def phi(x, order: int = 0):
@@ -92,20 +96,23 @@ def phi(x, order: int = 0):
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    if scalar:
-        x = x.reshape(1)
-    if order == 0:
-        out = PHI_AT_ZERO * erfc(-x / np.sqrt(2.0))
-    else:
+    out = _phi_table(x.reshape(-1), order)[order]
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+def _phi_table(x: np.ndarray, order: int) -> np.ndarray:
+    """phi and its derivatives of orders 0..order at an array x, stacked as
+    shape (order + 1,) + x.shape; the derivatives share one exponential."""
+    out = np.empty((order + 1,) + x.shape)
+    out[0] = PHI_AT_ZERO * erfc(-x / np.sqrt(2.0))
+    if order >= 1:
         g = SQRT_E * np.exp(-0.5 * x * x)
-        if order == 1:
-            out = g
-        elif order == 2:
-            out = -x * g
-        else:
-            out = (x * x - 1.0) * g
-    return float(out[0]) if scalar else out
+        out[1] = g
+        if order >= 2:
+            out[2] = -x * g
+        if order >= 3:
+            out[3] = (x * x - 1.0) * g
+    return out
 
 
 def _check_mask(mask, K: int) -> np.ndarray:
@@ -152,15 +159,12 @@ def chain_eval(K: int, mask, x, order: int = 0) -> Derivatives:
 
 def _chain_eval(K: int, m: np.ndarray, x: np.ndarray, order: int) -> Derivatives:
     """``chain_eval`` on an already validated mask and point or stack."""
-    # psi/phi tables at +-x for all needed orders, one call each over [x; -x],
+    # psi/phi tables at +-x for all needed orders, one each over [x; -x],
     # cut into the factors of the terms k = 2..K: psi(+-x_{k-1}), phi(+-x_k)
     xx = np.concatenate((x, -x), axis=-1)
-    psi_xx = [psi(xx, q) for q in range(order + 1)]
-    phi_xx = [phi(xx, q) for q in range(order + 1)]
-    ps = [t[..., :K - 1] for t in psi_xx]
-    ns = [t[..., K:-1] for t in psi_xx]
-    pf = [t[..., 1:K] for t in phi_xx]
-    nf = [t[..., K + 1:] for t in phi_xx]
+    psi_xx, phi_xx = _psi_table(xx, order), _phi_table(xx, order)
+    ps, ns = psi_xx[..., :K - 1], psi_xx[..., K:-1]
+    pf, nf = phi_xx[..., 1:K], phi_xx[..., K + 1:]
     m1 = m[1:]
 
     val = -m[0] * phi_xx[0][..., 0]  # psi(1) = 1 exactly

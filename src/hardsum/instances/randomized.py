@@ -148,11 +148,13 @@ class RandomizedHardInstance(FiniteSumFunction):
         return self._scaled(i, hat_f_eval(self._K, self._blocks[i], y, order),
                             order)
 
-    def _answers_at_points(self, x: np.ndarray, order: int):
-        """Every component at a stack of points in one clamped-chain
+    def _answers(self, x: np.ndarray, order: int):
+        """At a stack of points, every component in one clamped-chain
         evaluation: the n slots are stacked as (n, P, m) and answered by
         the one kernel behind :func:`hat_f_eval`, each row equal to
         :meth:`component`'s bit for bit."""
+        if x.ndim == 1:
+            return super()._answers(x, order)
         y = np.stack([self._slot(i, x) for i in range(self.n)]) / self._sigma
         base = _hat_f(self._K, self._stacked_blocks, y, order)
         return (self._scaled(i, der, order)

@@ -188,9 +188,32 @@ def _hessian_estimate(counts, dH, b, H_s) -> np.ndarray:
     return U.reshape(U.shape[:-1] + (d, d)) + H_s
 
 
+def _estimator_pass(F: FiniteSumFunction, x, x_hat, batch, order: int,
+                    snapshot_cache):
+    """The estimators' shared prologue: x and xh validated, the batch
+    counted once, its distinct rows evaluated at x up to ``order``, then at
+    xh up to order 2 unless ``snapshot_cache`` (None, or the view that
+    :func:`svrc_run`'s snapshot pass builds; else TypeError) holds them.
+    Returns (x, xh, rows, their counts, b, view at x, view at xh); the
+    estimators take the xh rows before they charge, so a view that lacks
+    them raises uncharged."""
+    if not isinstance(snapshot_cache, (_Evaluated, type(None))):
+        raise TypeError("snapshot_cache must be None or the snapshot pass's "
+                        f"answers, got {type(snapshot_cache).__name__}")
+    x = as_vector(x, dim=F.d)
+    x_hat = as_vector(x_hat, dim=F.d)
+    counts, b = _batch_counts(batch, F.n)
+    rows = np.flatnonzero(counts)
+    at_x = _Evaluated.evaluate(F, rows, x, order)
+    at_hat = (_Evaluated.evaluate(F, rows, x_hat, 2) if snapshot_cache is None
+              else snapshot_cache)
+    return x, x_hat, rows, counts[rows], b, at_x, at_hat
+
+
 def svrc_gradient_estimator(F: FiniteSumFunction, ledger: OracleLedger,
                             x, x_hat, g_s, H_s, batch,
-                            snapshot_cache: dict | None = None) -> np.ndarray:
+                            snapshot_cache: _Evaluated | None = None
+                            ) -> np.ndarray:
     """Semi-stochastic gradient with first-order (Hessian) correction:
 
     v = (1/b) sum_i [grad f_i(x) - grad f_i(xh)] + g_s
@@ -198,75 +221,41 @@ def svrc_gradient_estimator(F: FiniteSumFunction, ledger: OracleLedger,
 
     Charges b gradient queries at x and b (order-2, re-read) queries at the
     snapshot; repeated indices in the batch are charged per draw but
-    evaluated once.  The re-reads are served from ``snapshot_cache`` (index
-    -> (gradient, Hessian) at xh) where it holds them, else evaluated; they
-    are charged either way.
+    evaluated once.  The re-reads are served from ``snapshot_cache``, the
+    snapshot pass's answers that :func:`svrc_run` passes, when it is given,
+    else evaluated; they are charged either way.
     """
-    x = as_vector(x, dim=F.d)
-    x_hat = as_vector(x_hat, dim=F.d)
-    counts, b = _batch_counts(batch, F.n)
-    rows = np.flatnonzero(counts)
-    at_x = _Evaluated.evaluate(F, rows, x, 1)
-    _, at_hat = _at_snapshot(F, rows, x_hat, snapshot_cache)
-    for i, c in zip(rows.tolist(), counts[rows].tolist()):
+    x, x_hat, rows, counts, b, at_x, at_hat = _estimator_pass(
+        F, x, x_hat, batch, 1, snapshot_cache)
+    hat, dx = at_hat.take(rows, x_hat), x - x_hat
+    for i, c in zip(rows.tolist(), counts.tolist()):
         query(ledger, at_x, i, x, order=1, count=c)
         query(ledger, at_hat, i, x_hat, order=2, count=c, requery=True)
-    hat, dx = at_hat.take(rows), x - x_hat
-    return _gradient_estimate(counts[rows], at_x.stack.grad - hat.grad,
+    return _gradient_estimate(counts, at_x.stack.grad - hat.grad,
                               row_matvec(hat.hess, dx), b, g_s, H_s, dx)
 
 
 def svrc_hessian_estimator(F: FiniteSumFunction, ledger: OracleLedger,
                            x, x_hat, H_s, batch,
-                           snapshot_cache: dict | None = None) -> np.ndarray:
+                           snapshot_cache: _Evaluated | None = None
+                           ) -> np.ndarray:
     """Semi-stochastic Hessian:  U = (1/b) sum_j [hess f_j(x) - hess f_j(xh)]
     + H_s.
 
     Charges b Hessian queries at x; snapshot-point Hessians come from
-    ``snapshot_cache`` (zero-cost hits) when available, else are charged as
-    re-reads.
+    ``snapshot_cache``, as for :func:`svrc_gradient_estimator`, as b
+    zero-cost cache hits when it is given, else are charged as re-reads.
     """
-    x = as_vector(x, dim=F.d)
-    x_hat = as_vector(x_hat, dim=F.d)
-    counts, b = _batch_counts(batch, F.n)
-    rows = np.flatnonzero(counts)
-    at_x = _Evaluated.evaluate(F, rows, x, 2)
-    held, at_hat = _at_snapshot(F, rows, x_hat, snapshot_cache)
-    for j, c, hit in zip(rows.tolist(), counts[rows].tolist(), held.tolist()):
+    x, x_hat, rows, counts, b, at_x, at_hat = _estimator_pass(
+        F, x, x_hat, batch, 2, snapshot_cache)
+    hess_hat = at_hat.take(rows, x_hat).hess
+    for j, c in zip(rows.tolist(), counts.tolist()):
         query(ledger, at_x, j, x, order=2, count=c)
-        if hit:
-            ledger.record_cache_hit(c)
-        else:
+        if snapshot_cache is None:
             query(ledger, at_hat, j, x_hat, order=2, count=c, requery=True)
-    return _hessian_estimate(counts[rows],
-                             at_x.stack.hess - at_hat.take(rows).hess, b, H_s)
-
-
-def _at_snapshot(F: FiniteSumFunction, rows: np.ndarray, x_hat: np.ndarray,
-                 snapshot_cache) -> tuple[np.ndarray, _Evaluated]:
-    """Order-2 answers of components ``rows`` at the snapshot xh, as one
-    checked view, and which rows the cache held.
-
-    :func:`svrc_run` passes its snapshot pass's view, which holds every
-    component and was checked when the pass built it.  From a caller's dict
-    (index -> (gradient, Hessian) at xh; it holds no values) the rows it
-    holds, and the rest evaluated in one call, are stacked and checked
-    together.
-    """
-    if isinstance(snapshot_cache, _Evaluated):
-        return np.ones(rows.size, dtype=bool), snapshot_cache
-    cache = {} if snapshot_cache is None else snapshot_cache
-    keys = rows.tolist()
-    held = np.array([i in cache for i in keys])
-    if not held.any():
-        return held, _Evaluated.evaluate(F, rows, x_hat, 2)
-    grad, hess = np.empty((rows.size, F.d)), np.empty((rows.size, F.d, F.d))
-    for k in np.flatnonzero(held).tolist():
-        grad[k], hess[k] = cache[keys[k]]
-    if not held.all():
-        fresh = F.components(rows[~held], x_hat, 2)
-        grad[~held], hess[~held] = fresh.grad, fresh.hess
-    return held, _Evaluated(F, x_hat, 2, rows, Derivatives(None, grad, hess))
+    if snapshot_cache is not None:
+        ledger.record_cache_hit(b)
+    return _hessian_estimate(counts, at_x.stack.hess - hess_hat, b, H_s)
 
 
 def _floor_wins(H: np.ndarray, c0: float) -> bool:
@@ -288,11 +277,14 @@ def _floor_wins(H: np.ndarray, c0: float) -> bool:
 
 def _stationarity(der: Derivatives, L2: float) -> tuple[float, float]:
     """(|grad F|, mu) from one order-2 measurement of F; see :func:`mu`.
+    A non-finite measured value or gradient raises ValueError.
 
     The curvature term beats the floor |grad F|^(3/2) only when
     lambda_min <= -sqrt(|grad F| L2); a Cholesky screen that rules this out
     returns the floor without an eigendecomposition.
     """
+    if not (math.isfinite(der.value) and np.isfinite(der.grad).all()):
+        raise ValueError("the measured full sum is not finite")
     gnorm = float(np.linalg.norm(der.grad))
     H = sym_matrix(der.hess)
     if _floor_wins(H, math.sqrt(gnorm * L2)):
@@ -306,7 +298,8 @@ def mu(F: FiniteSumFunction, x, L2: float) -> float:
     max(|grad F|^(3/2), -lambda_min(hess F)^3 / L2^(3/2)).
 
     Uses the free measurement channel; zero iff x is an exact second-order
-    stationary point.
+    stationary point.  Raises ValueError if the measured value or gradient
+    is not finite.
     """
     if not L2 > 0:
         raise ValueError("L2 must be positive")
@@ -323,7 +316,8 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
     an optional raw-query budget stops the run before a step that would
     exceed it, and before a snapshot pass unless one step fits after it (a
     snapshot alone buys no iterate).  Stats in the trajectory (f, gradient
-    norm, mu) come from the free measurement channel and charge nothing.
+    norm, mu) come from the free measurement channel and charge nothing; a
+    non-finite measurement raises ValueError before its row is recorded.
     The ledger's first-hit threshold defaults to ``params.eps``.
     """
     n, d = F.n, F.d

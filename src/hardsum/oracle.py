@@ -38,7 +38,9 @@ class FiniteSumFunction:
     shape (d,) or a stack of P points of shape (P, d); a stack's answer
     holds values (P,), gradients (P, d) and Hessians (P, d, d).  Component
     indices are 0-based.  :meth:`components` answers several components at
-    one point as the same kind of stack, one row per component.
+    one point as the same kind of stack, one row per component.  A sum that
+    answers all components at once may also override :meth:`_answers`, the
+    one private hook behind :meth:`full`.
     """
 
     n: int
@@ -55,17 +57,8 @@ class FiniteSumFunction:
         The default asks :meth:`component` once per row, in row order, so a
         stateful sum sees the calls that a loop over the rows makes.
         """
-        return _stacked(list(self._answers_at(rows, x, order)), order)
-
-    def _answers_at(self, rows, x, order: int):
-        """The answers of components ``rows`` at one point x, one
-        :class:`Derivatives` per row in row order: what the one-point
-        passes (:meth:`full`, the charged SVRC passes) consume.  The
-        default asks :meth:`component` row by row as the answers are
-        consumed, so no stack of n Hessians is held; a sum with a
-        vectorized :meth:`components` reads the rows of one call."""
-        rows = self.check_rows(rows).tolist()
-        return (self.component(i, x, order) for i in rows)
+        return _stacked([self.component(i, x, order)
+                         for i in self.check_rows(rows).tolist()], order)
 
     def _checked(self, i: int, x: np.ndarray, order: int) -> Derivatives:
         """Component i at one point x up to ``order``, checked as every
@@ -107,24 +100,19 @@ class FiniteSumFunction:
         """Average of all components -- the free measurement side channel.
 
         ``x`` is one point or a stack of points, answered as
-        :meth:`component` answers it; a sum with a vectorized
-        :meth:`components` answers one point in one call, and one that
-        overrides :meth:`_answers_at_points` a stack in one call.  Never goes
-        through a ledger; use :func:`query` for charged access.
+        :meth:`component` answers it, or in one call by a sum that overrides
+        :meth:`_answers`.  Never goes through a ledger; use :func:`query`
+        for charged access.
         """
         x = as_points(x, dim=self.d)
-        if x.ndim == 1:
-            answers = self._answers_at(range(self.n), x, order)
-        else:
-            answers = self._answers_at_points(x, order)
-        return mean_derivatives(answers, x.shape, order)
+        return mean_derivatives(self._answers(x, order), x.shape, order)
 
-    def _answers_at_points(self, x: np.ndarray, order: int):
-        """The answers of every component at a validated stack of points
-        x, one :class:`Derivatives` per component in index order: what the
-        stack-of-points :meth:`full` sums.  The default asks
-        :meth:`component` once per component as the answers are consumed;
-        a sum that evaluates all components at once overrides it."""
+    def _answers(self, x: np.ndarray, order: int):
+        """Every component at a validated point or stack of points x, one
+        :class:`Derivatives` per component in index order: what :meth:`full`
+        sums.  The default asks :meth:`component` once per component as the
+        answers are consumed, so no stack of n Hessians is held; a sum that
+        evaluates all components at once overrides it."""
         return (self.component(i, x, order) for i in range(self.n))
 
 
@@ -144,7 +132,7 @@ def _checked_stack(stack: Derivatives, rows: np.ndarray,
                    order: int) -> Derivatives:
     """Stacked answers, row k answering component ``rows[k]``, checked as
     :meth:`FiniteSumFunction._checked` checks one answer, in one pass per
-    part: finite values (where the stack holds them) and gradients, and
+    part: finite values and gradients (where the stack holds them), and
     symmetric Hessians, returned symmetrized."""
     for part, name in ((stack.value, "value"), (stack.grad, "gradient")):
         if part is None:
@@ -238,8 +226,12 @@ class _QuadraticCosineSum(FiniteSumFunction):
         return self._evaluate(self.check_rows(rows),
                               as_vector(x, dim=self.d), order)
 
-    def _answers_at(self, rows, x, order: int):
-        return _row_answers(self.components(rows, x, order), order)
+    def _answers(self, x: np.ndarray, order: int):
+        """At one point, every component in one vectorized evaluation."""
+        if x.ndim == 1:
+            return _row_answers(self._evaluate(np.arange(self.n), x, order),
+                                order)
+        return super()._answers(x, order)
 
     def _evaluate(self, i, x, order: int) -> Derivatives:
         """Component i (an index or an index array) at x (a point or, for
@@ -403,9 +395,8 @@ class _Evaluated(FiniteSumFunction):
     hold it.  Building the view checks the whole stack as :func:`query`
     checks one answer (finite values and gradients, symmetric Hessians,
     kept symmetrized), so each row is checked once however often it is
-    charged.  A stack without values (a snapshot cache holds none) answers
-    value None.  The view refuses another point, a higher order and an
-    index it does not hold.
+    charged.  The view refuses another point, a higher order and an index
+    it does not hold.
     """
 
     def __init__(self, F: FiniteSumFunction, x: np.ndarray, order: int,
@@ -424,24 +415,31 @@ class _Evaluated(FiniteSumFunction):
         :meth:`~FiniteSumFunction.components` call."""
         return cls(F, x, order, rows, F.components(rows, x, order))
 
-    def take(self, rows: np.ndarray) -> Derivatives:
-        """The gradients and Hessians of held components ``rows``, stacked
-        in that order."""
+    def take(self, rows: np.ndarray, x: np.ndarray) -> Derivatives:
+        """The gradients and Hessians of held components ``rows`` at x,
+        stacked in that order; refused as :meth:`_checked` refuses."""
+        self._refuse(x, 2)
         k = self.where[rows]
+        if k.min() < 0:
+            raise ValueError(f"component {rows[k.argmin()]} was not "
+                             "evaluated here")
         return Derivatives(None, self.stack.grad[k], self.stack.hess[k])
 
-    def _checked(self, i: int, x: np.ndarray, order: int) -> Derivatives:
+    def _refuse(self, x: np.ndarray, order: int) -> None:
+        """Raise unless these answers were evaluated at x up to ``order``."""
         if x is not self._x and not np.array_equal(x, self._x):
             raise ValueError("these answers were evaluated at another point")
         if order > self._order:
             raise ValueError(f"these answers go up to order {self._order}, "
                              f"not {order}")
+
+    def _checked(self, i: int, x: np.ndarray, order: int) -> Derivatives:
+        self._refuse(x, order)
         k = self.where[i]
         if k < 0:
             raise ValueError(f"component {i} was not evaluated here")
         value, grad, hess = self.stack.value, self.stack.grad, self.stack.hess
-        return Derivatives(None if value is None else value[k],
-                           grad[k] if order >= 1 else None,
+        return Derivatives(value[k], grad[k] if order >= 1 else None,
                            hess[k] if order >= 2 else None)
 
 

@@ -139,11 +139,11 @@ class TestEstimators:
 
     def test_hessian_estimator_cache_hits(self):
         F, x, x_hat, g_s, H_s = self._setup()
-        cache = {i: (F.component(i, x_hat, 2).grad, F.component(i, x_hat, 2).hess)
-                 for i in range(F.n)}
+        snapshot = _Evaluated.evaluate(F, np.arange(F.n), x_hat, 2)
         led = OracleLedger(n=F.n)
         batch = np.array([0, 3, 3])
-        svrc_hessian_estimator(F, led, x, x_hat, H_s, batch, snapshot_cache=cache)
+        svrc_hessian_estimator(F, led, x, x_hat, H_s, batch,
+                               snapshot_cache=snapshot)
         assert led.total == 3               # only the queries at x are charged
         assert led.cache_hits == 3
         assert led.requery_queries == 0
@@ -161,8 +161,7 @@ class TestEstimators:
         F, x, x_hat, g_s, H_s = self._setup(n=7, d=5)
         batch = np.array([3, 0, 3, 6, 3, 0, 2, 6, 6, 6])
         b, dx = batch.size, x - x_hat
-        cache = {i: (F.component(i, x_hat, 2).grad, F.component(i, x_hat, 2).hess)
-                 for i in range(F.n)}
+        snapshot = _Evaluated.evaluate(F, np.arange(F.n), x_hat, 2)
 
         ref_g = OracleLedger(n=F.n)
         v_ref = g_s + H_s @ dx
@@ -170,8 +169,8 @@ class TestEstimators:
             at_x = query(ref_g, F, i, x, order=1)
             at_hat = query(ref_g, F, i, x_hat, order=2, requery=True)
             v_ref = v_ref + (at_x.grad - at_hat.grad - at_hat.hess @ dx) / b
-        # snapshot re-reads served from the cache are still charged
-        for snapshot_cache in (None, cache):
+        # snapshot re-reads served from the snapshot are still charged
+        for snapshot_cache in (None, snapshot):
             led_g = OracleLedger(n=F.n)
             v = svrc_gradient_estimator(F, led_g, x, x_hat, g_s, H_s, batch,
                                         snapshot_cache=snapshot_cache)
@@ -179,7 +178,7 @@ class TestEstimators:
             assert led_g.counters() == ref_g.counters()
             assert np.array_equal(led_g.per_index, ref_g.per_index)
 
-        for snapshot_cache in (None, cache):
+        for snapshot_cache in (None, snapshot):
             ref_h = OracleLedger(n=F.n)
             U_ref = H_s.copy()
             for j in batch:
@@ -188,7 +187,8 @@ class TestEstimators:
                     hess_hat = query(ref_h, F, j, x_hat, order=2,
                                      requery=True).hess
                 else:
-                    hess_hat = snapshot_cache[j][1]
+                    hess_hat = query(OracleLedger(n=F.n), F, j, x_hat,
+                                     order=2).hess
                     ref_h.record_cache_hit()
                 U_ref = U_ref + (hess_x - hess_hat) / b
             led_h = OracleLedger(n=F.n)
@@ -198,38 +198,50 @@ class TestEstimators:
             assert led_h.counters() == ref_h.counters()
             assert np.array_equal(led_h.per_index, ref_h.per_index)
 
-        # the run's own path, through its snapshot pass's checked view,
-        # gives the dict cache's answers bit for bit
-        snapshot = _Evaluated.evaluate(F, np.arange(F.n), x_hat, 2)
-        led, led_run = OracleLedger(n=F.n), OracleLedger(n=F.n)
-        assert np.array_equal(
-            svrc_gradient_estimator(F, led_run, x, x_hat, g_s, H_s, batch,
-                                    snapshot_cache=snapshot),
-            svrc_gradient_estimator(F, led, x, x_hat, g_s, H_s, batch,
-                                    snapshot_cache=cache))
-        assert np.array_equal(
-            svrc_hessian_estimator(F, led_run, x, x_hat, H_s, batch,
-                                   snapshot_cache=snapshot),
-            svrc_hessian_estimator(F, led, x, x_hat, H_s, batch,
-                                   snapshot_cache=cache))
-        assert led_run.counters() == led.counters()
-        assert np.array_equal(led_run.per_index, led.per_index)
-
-    @pytest.mark.parametrize("name", ["gradient", "hessian"])
-    def test_asymmetric_cached_hessian_rejected_before_charging(self, name):
-        F, x, x_hat, g_s, H_s = self._setup()
-        cache = {i: (F.component(i, x_hat, 2).grad, F.component(i, x_hat, 2).hess)
-                 for i in range(F.n)}
-        cache[4] = (cache[4][0], cache[4][1] + np.triu(np.ones((F.d, F.d)), 1))
+    @pytest.mark.parametrize("cache", [
+        lambda F, x_hat: {i: (F.component(i, x_hat, 2).grad,
+                              F.component(i, x_hat, 2).hess)
+                          for i in range(F.n)},
+        lambda F, x_hat: F.components(np.arange(F.n), x_hat, 2),
+        lambda F, x_hat: [],
+    ], ids=["dict", "stack", "list"])
+    def test_snapshot_cache_other_than_the_view_rejected(self, cache):
+        # only None or the snapshot pass's checked view is accepted; any
+        # other value raises before anything is evaluated or charged
+        evaluations = []
+        F = _nearly_symmetric_sum(evaluations)
+        x_hat = np.full(F.d, 0.4)
+        x, full = x_hat + 0.1, F.full(x_hat, 2)
+        bad = cache(F, x_hat)
+        evaluations.clear()
         led = OracleLedger(n=F.n)
-        with pytest.raises(ValueError, match="not symmetric"):
-            if name == "gradient":
-                svrc_gradient_estimator(F, led, x, x_hat, g_s, H_s, [0, 4, 4],
-                                        snapshot_cache=cache)
-            else:
-                svrc_hessian_estimator(F, led, x, x_hat, H_s, [0, 4, 4],
-                                       snapshot_cache=cache)
-        assert led.total == 0 and led.cache_hits == 0
+        with pytest.raises(TypeError, match="snapshot_cache"):
+            svrc_gradient_estimator(F, led, x, x_hat, full.grad, full.hess,
+                                    [0, 4, 4], snapshot_cache=bad)
+        with pytest.raises(TypeError, match="snapshot_cache"):
+            svrc_hessian_estimator(F, led, x, x_hat, full.hess, [0, 4, 4],
+                                   snapshot_cache=bad)
+        assert evaluations == []
+        assert led.counters() == OracleLedger(n=F.n).counters()
+
+    @pytest.mark.parametrize("rows, shift, order, match", [
+        (np.arange(6), 1e-9, 2, "another point"),
+        (np.arange(6), 0.0, 1, "up to order 1"),
+        (np.array([0, 1, 2, 3, 5]), 0.0, 2, "component 4 was not evaluated"),
+    ], ids=["other-point", "order-1", "missing-row"])
+    def test_snapshot_view_must_hold_the_drawn_rows_at_xh(self, rows, shift,
+                                                          order, match):
+        # refused before anything is charged, by both estimators
+        F, x, x_hat, g_s, H_s = self._setup()
+        view = _Evaluated.evaluate(F, rows, x_hat + shift, order)
+        led = OracleLedger(n=F.n)
+        with pytest.raises(ValueError, match=match):
+            svrc_gradient_estimator(F, led, x, x_hat, g_s, H_s, [0, 4, 4],
+                                    snapshot_cache=view)
+        with pytest.raises(ValueError, match=match):
+            svrc_hessian_estimator(F, led, x, x_hat, H_s, [0, 4, 4],
+                                   snapshot_cache=view)
+        assert led.counters() == OracleLedger(n=F.n).counters()
 
     def test_out_of_range_batch_rejected_before_charging(self):
         # the error names the smallest index if it is negative, else the
@@ -671,24 +683,30 @@ class TestNonFiniteAnswers:
         # second iteration's first pass; row 1 is not charged there
         assert led.per_index.tolist() == [3, 2]
 
-    # the free measurement after the first step sees the bad answer too;
-    # it is not checked, and an infinite gradient warns in mu's screen
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("part", ["value", "gradient"])
     def test_svrc_run(self, part, bad):
-        # the snapshot and the first step are at the origin; the second
-        # step's gradient estimator evaluates every row at x away from it
+        # the snapshot and the first step are at the origin; the free
+        # measurement at the first step's iterate, away from it, sees the
+        # bad answer and raises before the step's row is recorded
         F = _bad_away_from_origin(part, bad)
         params = SvrcParams(M=15.0, b_g=2, b_h=2, S=1, T=3, eps=1e-4,
                             Delta=10.0, L2=0.1, full_batch=True)
         led = OracleLedger(n=2)
         with pytest.raises(ValueError,
-                           match=f"component 1 answered a non-finite {part} "
-                                 r"\(order 1\)"):
+                           match="the measured full sum is not finite"):
             svrc_run(F, params, ledger=led)
         assert led.total == 2 + params.step_cost(2)
-        assert led.iterates_recorded == 1
+        assert led.iterates_recorded == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["value", "gradient"])
+    def test_mu(self, part, bad):
+        F = _bad_away_from_origin(part, bad)
+        assert mu(F, np.zeros(F.d), 1.0) >= 0.0
+        with pytest.raises(ValueError,
+                           match="the measured full sum is not finite"):
+            mu(F, np.ones(F.d), 1.0)
 
 
 class TestBaselines:

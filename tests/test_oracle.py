@@ -1,13 +1,18 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hardsum
 from hardsum.chains import Derivatives
 from hardsum.instances import ResistingOracle, deterministic_params, ell_p
 from hardsum.linalg import _sym_stack, sym_matrix
 from hardsum.oracle import (
     CallableFiniteSum,
+    FiniteSumFunction,
     OracleLedger,
     _Evaluated,
     mean_derivatives,
@@ -75,6 +80,30 @@ class TestFiniteSum:
     def test_empty_sum_rejected(self):
         with pytest.raises(ValueError):
             CallableFiniteSum([], d=2)
+
+    def test_answer_hooks_of_each_sum(self):
+        # each finite sum in the package answers through these hooks only;
+        # `_answers` is the one private evaluation hook
+        hooks = {"component", "components", "_answers", "_checked", "full"}
+        for mod in pkgutil.walk_packages(hardsum.__path__, "hardsum."):
+            importlib.import_module(mod.name)
+        found, todo = {}, [FiniteSumFunction]
+        while todo:
+            cls = todo.pop()
+            todo.extend(cls.__subclasses__())
+            if cls.__module__.startswith("hardsum."):
+                found[cls.__name__] = {name for name in vars(cls)
+                                       if name in hooks
+                                       or name.startswith("_answers")}
+        assert found == {
+            "FiniteSumFunction": hooks,
+            "CallableFiniteSum": {"component"},
+            "_QuadraticCosineSum": {"component", "components", "_answers"},
+            "_Evaluated": {"_checked"},
+            "RandomizedHardInstance": {"component", "_answers"},
+            "ResistingOracle": {"component", "full"},
+            "_StackSum": {"component"},
+        }
 
 
 class TestSyntheticBenchmark:

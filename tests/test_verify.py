@@ -453,13 +453,15 @@ class TestBattery:
         assert all(c.status == "skipped" for c in checks)
 
     def test_sabotaged_chain_derivative_is_caught(self, monkeypatch):
-        real_psi = hardsum.chains.psi
+        real_table = hardsum.chains._psi_table
 
-        def skewed(x, order=0):
-            out = real_psi(x, order)
-            return out * 1.3 if order == 1 else out
+        def skewed(x, order):
+            out = real_table(x, order)
+            if order >= 1:
+                out[1] *= 1.3
+            return out
 
-        monkeypatch.setattr(hardsum.chains, "psi", skewed)
+        monkeypatch.setattr(hardsum.chains, "_psi_table", skewed)
         checks = run_battery(num_points=6, zero_chain_samples=0, pairs=0,
                              trials=0, starts=0, seed=0)
         by_name = {c.name: c.status for c in checks}
