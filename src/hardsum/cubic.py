@@ -224,20 +224,17 @@ def _certified(model: CubicModel, h: np.ndarray, lmin: float, norm_v: float,
                          eig_slack=float(eig_slack), model_val=m_val)
 
 
-def solve(model: CubicModel, tol: float | None = None) -> CubicSolution:
+def solve(model: CubicModel) -> CubicSolution:
     """Global minimizer of the cubic model, with certified residuals.
 
     Raises ``np.linalg.LinAlgError`` if an eigendecomposition fails and
     ``ArithmeticError`` if the optimality conditions cannot be met within
-    tolerance (which would indicate a solver bug, not a property of the
-    model: the subproblem always has a global minimizer).
+    1e-10 (1 + |v|) (which would indicate a solver bug, not a property of
+    the model: the subproblem always has a global minimizer).
     """
     v, U, M = model.v, model.U, model.M
     norm_v = float(np.linalg.norm(v))
-    if tol is None:
-        tol = 1e-10 * (1.0 + norm_v)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = 1e-10 * (1.0 + norm_v)
 
     try:
         krylov = _krylov_step(model, norm_v)

@@ -257,7 +257,7 @@ class ResistingOracle(FiniteSumFunction):
 
     # -- certification ------------------------------------------------------
 
-    def certificate(self, tol: float = _ORTHO_TOL) -> ResistingCertificate:
+    def certificate(self) -> ResistingCertificate:
         if not self.finalized:
             raise NotFinalizedError(
                 "certificate requested before the game was finalized")
@@ -289,8 +289,8 @@ class ResistingOracle(FiniteSumFunction):
             grad_norms=gnorms,
             max_inner_product=0.0 if empty else float(inner.max()),
             min_grad_norm=math.inf if empty else float(gnorms.min()),
-            all_orthogonal=bool(empty or inner.max() <= tol),
+            all_orthogonal=bool(empty or inner.max() <= _ORTHO_TOL),
             all_above_bound=bool(empty or gnorms.min() > bound),
             max_replay_rel_err=max_replay,
-            replay_consistent=bool(max_replay <= tol),
+            replay_consistent=bool(max_replay <= _ORTHO_TOL),
         )

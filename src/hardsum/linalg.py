@@ -109,18 +109,6 @@ def sym_matrix(a) -> SymMatrix:
     return _symmetrized(A)
 
 
-def _sym_stack(a) -> np.ndarray:
-    """:func:`sym_matrix` on each matrix of a stack (r, d, d): the stack
-    passes exactly when each of its matrices would, each checked against its
-    own scale, and the answer is theirs, stacked, bit for bit.  Non-finite
-    entries anywhere in the stack are reported before asymmetry."""
-    A = np.asarray(a, dtype=float)
-    if A.ndim != 3 or A.shape[1] != A.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape "
-                         f"{A.shape}")
-    return _symmetrized(A)
-
-
 def _symmetrized(A: np.ndarray) -> np.ndarray:
     """The check and symmetrization of :func:`sym_matrix`, over the last two
     axes of a matrix or a stack of matrices."""

@@ -13,13 +13,13 @@ is S*n + S*T*(b_g + b_h).  Hessian-estimator reads at the snapshot are served
 from the snapshot cache and recorded as zero-cost cache hits; the gradient
 estimator's snapshot re-reads are served from the same cache but charged.
 
-Every pass evaluates each (point, order) once, as a stack of components
-(``F.components``), and checks the stack once as it is built: finite values
-and gradients, symmetric Hessians.  The estimators work on the stacks; what
-is left per row is the charge, one ``query`` per distinct drawn index in
-index order, through a read-only view of the checked stack.  The snapshot
-pass keeps its checked (n, d, d) stack for the epoch, and the estimators
-read their snapshot rows out of it by index.
+Every SVRC pass evaluates each (point, order) once, as a stack of
+components (``F.components``), and checks it as it is built with the check
+``query`` makes of one answer (shapes, finite values and gradients,
+symmetric Hessians).  The estimators work on the stacks; what is left per
+row is the charge, one ``query`` per distinct drawn index in index order,
+through a read-only view of the checked stack, which the snapshot pass
+keeps for the epoch.  A baseline pass checks each row in its own ``query``.
 """
 from __future__ import annotations
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import Derivatives
-from .linalg import (_sym_stack, as_points, as_rng, as_vector, row_dot,
-                     row_matvec, sym_matrix)
+from .linalg import (_symmetrized, as_points, as_rng, as_vector, row_dot,
+                     row_matvec)
 
 __all__ = [
     "FiniteSumFunction",
@@ -40,7 +40,8 @@ class FiniteSumFunction:
     indices are 0-based.  :meth:`components` answers several components at
     one point as the same kind of stack, one row per component.  A sum that
     answers all components at once may also override :meth:`_answers`, the
-    one private hook behind :meth:`full`.
+    one private hook behind :meth:`full`.  Charged answers are checked by
+    :func:`_check_answer`, which refuses other shapes.
     """
 
     n: int
@@ -57,22 +58,14 @@ class FiniteSumFunction:
         The default asks :meth:`component` once per row, in row order, so a
         stateful sum sees the calls that a loop over the rows makes.
         """
-        return _stacked([self.component(i, x, order)
-                         for i in self.check_rows(rows).tolist()], order)
+        rows = self.check_rows(rows).tolist()
+        return _stacked([self.component(i, x, order) for i in rows], rows,
+                        order, self.d)
 
     def _checked(self, i: int, x: np.ndarray, order: int) -> Derivatives:
-        """Component i at one point x up to ``order``, checked as every
-        charged answer is: a finite value and gradient and a symmetric
-        Hessian, returned symmetrized.  :func:`query` answers with it; a
-        view of answers checked already returns its row."""
-        der = self.component(i, x, order)
-        if not math.isfinite(der.value):
-            raise ValueError(_non_finite(i, order, "value"))
-        if der.grad is not None and not np.isfinite(der.grad).all():
-            raise ValueError(_non_finite(i, order, "gradient"))
-        if der.hess is None:
-            return der
-        return Derivatives(der.value, der.grad, sym_matrix(der.hess))
+        """Component i at x up to ``order``, checked by :func:`_check_answer`;
+        :func:`query` answers with it (a view of checked answers: its row)."""
+        return _check_answer(self.component(i, x, order), i, order, self.d)
 
     def check_index(self, i: int) -> int:
         i = int(i)
@@ -116,34 +109,54 @@ class FiniteSumFunction:
         return (self.component(i, x, order) for i in range(self.n))
 
 
-def _stacked(answers: list, order: int) -> Derivatives:
-    """One answer whose rows are the given answers (up to ``order``)."""
-    return Derivatives(
-        np.array([der.value for der in answers]),
-        np.stack([der.grad for der in answers]) if order >= 1 else None,
-        np.stack([der.hess for der in answers]) if order >= 2 else None)
+def _stacked(answers: list, rows, order: int, d: int) -> Derivatives:
+    """One answer whose rows are the given answers (up to ``order``) of
+    components ``rows``; a shape that does not stack raises its error."""
+    try:
+        return Derivatives(
+            np.array([der.value for der in answers]),
+            np.stack([der.grad for der in answers]) if order >= 1 else None,
+            np.stack([der.hess for der in answers]) if order >= 2 else None)
+    except ValueError:
+        for i, der in zip(rows, answers):
+            _check_answer(der, i, order, d)
+        raise
 
 
-def _non_finite(i: int, order: int, part: str) -> str:
-    return f"component {i} answered a non-finite {part} (order {order})"
-
-
-def _checked_stack(stack: Derivatives, rows: np.ndarray,
-                   order: int) -> Derivatives:
-    """Stacked answers, row k answering component ``rows[k]``, checked as
-    :meth:`FiniteSumFunction._checked` checks one answer, in one pass per
-    part: finite values and gradients (where the stack holds them), and
-    symmetric Hessians, returned symmetrized."""
-    for part, name in ((stack.value, "value"), (stack.grad, "gradient")):
-        if part is None:
-            continue
-        finite = np.isfinite(part).reshape(len(part), -1).all(axis=1)
-        if not finite.all():
-            raise ValueError(_non_finite(int(rows[finite.argmin()]), order,
-                                         name))
-    if stack.hess is None:
-        return stack
-    return Derivatives(stack.value, stack.grad, _sym_stack(stack.hess))
+def _check_answer(der: Derivatives, rows, order: int, d: int) -> Derivatives:
+    """The check of every charged answer, of component ``rows`` (an index)
+    or of a stack of components ``rows`` (an array of shape lead): up to
+    ``order``, shapes lead, lead + (d,), lead + (d, d); finite values and
+    gradients; Hessians that pass ``sym_matrix``'s test, returned
+    symmetrized.  A stack passes or fails as its first failing row would."""
+    lead = getattr(rows, "shape", ())
+    parts = (der.value, der.grad, der.hess)[:order + 1]
+    try:
+        # a float (one answer's value) skips numpy's conversion of a scalar
+        for part, name, tail in zip(parts, ("value", "gradient", "Hessian"),
+                                    ((), (d,), (d, d))):
+            shape = () if isinstance(part, float) else np.shape(part)
+            if shape != lead + tail:
+                raise ValueError(f"component {rows} answered a {name} of shape "
+                                 f"{shape}, not {lead + tail} (order {order})")
+        for part, name in zip(parts[:2], ("value", "gradient")):
+            if not (math.isfinite(part) if isinstance(part, float)
+                    else np.isfinite(part).all()):
+                raise ValueError(f"component {rows} answered a non-finite "
+                                 f"{name} (order {order})")
+        if order < 2:
+            return der
+        try:
+            hess = _symmetrized(np.asarray(der.hess, dtype=float))
+        except ValueError as err:
+            raise ValueError(f"component {rows} answered a Hessian: {err} "
+                             f"(order {order})") from None
+    except ValueError:
+        if lead:    # a stack raises the error of its first failing row
+            for i, row in zip(rows.tolist(), _row_answers(der, order)):
+                _check_answer(row, i, order, d)
+        raise
+    return Derivatives(der.value, der.grad, hess)
 
 
 def _row_answers(stack: Derivatives, order: int):
@@ -159,7 +172,7 @@ def mean_derivatives(answers, shape: tuple, order: int) -> Derivatives:
     """Mean of component answers, summed in the order given (component
     index order everywhere in the package), then divided by their count.
     ``shape`` is the gradients' shape: (d,) for answers at one point,
-    (P, d) for answers at a stack of P points.
+    (P, d) for answers at a stack of P points; other shapes raise.
 
     The one averaging pass behind every full-sum quantity: the free
     measurement channel and the charged snapshot and baseline passes.
@@ -168,6 +181,9 @@ def mean_derivatives(answers, shape: tuple, order: int) -> Derivatives:
     grad = np.zeros(shape) if order >= 1 else None
     hess = np.zeros(shape + shape[-1:]) if order >= 2 else None
     for der in answers:
+        if (order >= 1 and getattr(der.grad, "shape", None) != grad.shape
+                or order >= 2 and getattr(der.hess, "shape", None) != hess.shape):
+            _check_answer(der, np.full(shape[:-1], count), order, shape[-1])
         count += 1
         val += der.value
         if order >= 1:
@@ -199,18 +215,18 @@ class CallableFiniteSum(FiniteSumFunction):
         f = self._components[i]
         if x.ndim == 1:
             return f(x, order)
-        return _stacked([f(point, order) for point in x], order)
+        return _stacked([f(p, order) for p in x], [i] * len(x), order, self.d)
 
 
 class _QuadraticCosineSum(FiniteSumFunction):
     """The components of :func:`quadratic_cosine_sum`, held as stacked
     arrays: A (n, d, d), b (n, d), c (n,), r (n, d) and b b^T (n, d, d).
 
-    One component at one point is answered with plain products (the
-    cheapest per call); a stack of points, or a stack of components at one
-    point (:meth:`components`), is answered in one vectorized evaluation
-    whose products go through ``row_dot`` / ``row_matvec``, so each row
-    equals the one-point answer of its component at its point bit for bit.
+    One component at one point, a stack of points, or a stack of
+    components at one point (:meth:`components`) is answered in one
+    evaluation whose products go through ``row_dot`` / ``row_matvec``, so
+    each row of a stack equals the one-point answer of its component at its
+    point bit for bit.
     """
 
     def __init__(self, A, b, c, r):
@@ -237,12 +253,8 @@ class _QuadraticCosineSum(FiniteSumFunction):
         """Component i (an index or an index array) at x (a point or, for
         one index, a stack of points)."""
         A, b, c, r = self._A[i], self._b[i], self._c[i], self._r[i]
-        if b.ndim == x.ndim == 1:
-            t, Ax, rx = b @ x, A @ x, r @ x
-            xAx = x @ Ax
-        else:
-            t, Ax, rx = row_dot(b, x), row_matvec(A, x), row_dot(r, x)
-            xAx = row_dot(x, Ax)
+        t, Ax, rx = row_dot(b, x), row_matvec(A, x), row_dot(r, x)
+        xAx = row_dot(x, Ax)
         val = 0.5 * xAx + c * np.cos(t) + rx
         if order == 0:
             return Derivatives(val)
@@ -360,12 +372,13 @@ def query(ledger: OracleLedger, F: FiniteSumFunction, i: int, x,
     """Charged oracle access to component i of F at one point x.
 
     Returns f_i(x) and derivatives up to ``order`` and charges the ledger.
-    The answer is checked before the charge: a non-finite value or gradient,
-    or an asymmetric Hessian, raises ValueError and charges nothing.  A
+    The answer is checked before the charge (:func:`_check_answer`): a
+    wrong shape, a non-finite value or gradient, or an asymmetric Hessian
+    raises ValueError naming i and the order, and charges nothing.  A
     returned Hessian is exactly symmetric, so callers never re-symmetrize.
-    F may be a read-only view of answers already evaluated and checked at x
-    (the SVRC passes charge through one), which answers without evaluating
-    or checking again.  A stack of points is rejected: charged access is one
+    F may be a read-only view of answers already checked at x (the SVRC
+    passes charge through one), which answers without evaluating or
+    checking again.  A stack of points is rejected: charged access is one
     point per call.
     ``count > 1`` records `count` i.i.d. repetitions of the identical query
     (the answer is deterministic, so it is evaluated once); this keeps the
@@ -393,10 +406,10 @@ class _Evaluated(FiniteSumFunction):
     ``stack`` holds the answers, row k answering component ``rows[k]``;
     ``where[i]`` is the row of component i, -1 where the view does not
     hold it.  Building the view checks the whole stack as :func:`query`
-    checks one answer (finite values and gradients, symmetric Hessians,
-    kept symmetrized), so each row is checked once however often it is
-    charged.  The view refuses another point, a higher order and an index
-    it does not hold.
+    checks one answer (:func:`_check_answer`: a bad row raises the error it
+    would raise alone; Hessians are kept symmetrized), so each row is
+    checked once however often it is charged.  The view refuses another
+    point, a higher order and an index it does not hold.
     """
 
     def __init__(self, F: FiniteSumFunction, x: np.ndarray, order: int,
@@ -406,7 +419,7 @@ class _Evaluated(FiniteSumFunction):
         self._x, self._order = x, order
         self.where = np.full(F.n, -1)
         self.where[rows] = np.arange(rows.size)
-        self.stack = _checked_stack(stack, rows, order)
+        self.stack = _check_answer(stack, rows, order, F.d)
 
     @classmethod
     def evaluate(cls, F: FiniteSumFunction, rows, x: np.ndarray,
@@ -443,17 +456,16 @@ class _Evaluated(FiniteSumFunction):
                            hess[k] if order >= 2 else None)
 
 
-def record_iterate(ledger: OracleLedger, full_gradient_norm: float,
-                   t: int | None = None) -> OracleLedger:
-    """Record one produced iterate and its externally measured full-gradient
+def record_iterate(ledger: OracleLedger,
+                   full_gradient_norm: float) -> OracleLedger:
+    """Record the next iterate and its externally measured full-gradient
     norm; latches the first index at which the norm reached eps.
 
     The measurement itself consumes no oracle budget.  Idempotent after the
     first hit.
     """
-    if t is None:
-        t = ledger.iterates_recorded
-    ledger.iterates_recorded = max(ledger.iterates_recorded, t + 1)
+    t = ledger.iterates_recorded
+    ledger.iterates_recorded = t + 1
     if ledger.eps is not None and ledger.first_hit is None \
             and full_gradient_norm <= ledger.eps:
         ledger.first_hit = t

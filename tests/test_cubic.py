@@ -94,10 +94,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             CubicModel(v=np.zeros(2), U=np.array([[0.0, 1.0], [0.0, 0.0]]), M=1.0)
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            solve(CubicModel(v=np.zeros(1), U=np.eye(1), M=1.0), tol=-1.0)
-
 
 def _random_model(rng, d, hard=False):
     Q = sample_orthonormal_columns(d, d, seed=rng).columns

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hardsum.chains import Derivatives
 from hardsum.cubic import CubicModel
 from hardsum.linalg import (
     TallOrthogonal,
-    _sym_stack,
     as_rng,
     as_vector,
     eig_sym,
@@ -16,6 +16,7 @@ from hardsum.linalg import (
     sample_orthonormal_columns,
     sym_matrix,
 )
+from hardsum.oracle import _check_answer
 
 
 class TestValidators:
@@ -75,14 +76,28 @@ def _outcome(f, A):
         return str(e)
 
 
+def _checked_hessians(stack):
+    """The Hessians of a stack of answers, row k answering component k with
+    a zero value and gradient and Hessian ``stack[k]``, through the check of
+    every charged answer (``oracle._check_answer``)."""
+    H = np.asarray(stack, dtype=float)
+    r, d = len(H), H.shape[-1]
+    der = Derivatives(np.zeros(r), np.zeros((r, d)), H)
+    return _check_answer(der, np.arange(r), 2, d).hess
+
+
 def _stack_outcome(stack):
-    """_sym_stack on a stack, as the same bytes or error as the one-matrix
-    calls would give when each passes or exactly one fails."""
-    return _outcome(_sym_stack, np.array(stack))
+    """The merged check on a stack, as the same bytes or error as the
+    one-answer checks would give when each passes or exactly one fails."""
+    return _outcome(_checked_hessians, np.array(stack))
 
 
 def _member_outcome(stack):
-    answers = [_outcome(sym_matrix, A) for A in stack]
+    def alone(k):
+        return lambda A: _check_answer(Derivatives(0.0, np.zeros(len(A)), A),
+                                       k, 2, len(A)).hess
+
+    answers = [_outcome(alone(k), A) for k, A in enumerate(stack)]
     errors = [a for a in answers if isinstance(a, str)]
     return errors[0] if errors else b"".join(answers)
 
@@ -134,7 +149,9 @@ class TestSymMatrixMatchesReference:
             A += rel * np.abs(A).max() * rng.standard_normal((d, d))
             stack.append(A * 10.0 ** rng.integers(-200, 200))
         assert _stack_outcome(stack) == _member_outcome(stack)
-        assert isinstance(_stack_outcome(stack), bytes)
+        # and each member is symmetrized with sym_matrix's bits
+        assert _stack_outcome(stack) == b"".join(
+            sym_matrix(A).tobytes() for A in stack)
 
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_stack_with_one_asymmetric_member(self, k):
@@ -142,8 +159,9 @@ class TestSymMatrixMatchesReference:
         stack = [np.eye(3) for _ in range(5)]
         stack[k] = rng.standard_normal((3, 3))
         assert _stack_outcome(stack) == _member_outcome(stack)
-        with pytest.raises(ValueError, match="not symmetric"):
-            _sym_stack(np.array(stack))
+        with pytest.raises(ValueError, match=f"component {k} answered a "
+                           "Hessian: matrix is not symmetric"):
+            _checked_hessians(stack)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("k", [0, 3])
@@ -151,8 +169,9 @@ class TestSymMatrixMatchesReference:
         stack = [np.eye(4) for _ in range(4)]
         stack[k][2, 1] = bad
         assert _stack_outcome(stack) == _member_outcome(stack)
-        with pytest.raises(ValueError, match="non-finite"):
-            _sym_stack(np.array(stack))
+        with pytest.raises(ValueError, match=f"component {k} answered a "
+                           "Hessian: matrix has non-finite entries"):
+            _checked_hessians(stack)
 
     def test_stack_tolerance_is_per_matrix(self):
         # a subnormal member next to a large one: its tolerance is its own
@@ -163,22 +182,29 @@ class TestSymMatrixMatchesReference:
         large = np.array([[1e300, 2e299], [2e299, 3e300]])
         stack = [large, small]
         assert _stack_outcome(stack) == _member_outcome(stack)
-        out = _sym_stack(np.array(stack))
+        out = _checked_hessians(stack)
         assert out[1, 0, 1] == out[1, 1, 0]
         small[1, 0] = 3 * tiny
         assert _stack_outcome(stack) == _member_outcome(stack)
-        with pytest.raises(ValueError, match="not symmetric"):
-            _sym_stack(np.array(stack))
+        with pytest.raises(ValueError, match="component 1 answered a "
+                           "Hessian: matrix is not symmetric"):
+            _checked_hessians(stack)
         # and a large member is held to its own relative tolerance
         large[1, 0] *= 1.0 + 1e-10
-        with pytest.raises(ValueError, match="not symmetric"):
-            _sym_stack(np.array([large, np.eye(2)]))
+        with pytest.raises(ValueError, match="component 0 answered a "
+                           "Hessian: matrix is not symmetric"):
+            _checked_hessians([large, np.eye(2)])
 
     @pytest.mark.parametrize("shape", [(2, 2), (3,), (2, 2, 3), (2, 3, 2),
                                        (2, 2, 2, 2)])
     def test_stack_rejects_other_shapes(self, shape):
-        with pytest.raises(ValueError, match="expected a stack of square"):
-            _sym_stack(np.ones(shape))
+        # Hessians for two answers in R^2 must be (2, 2, 2); each of these
+        # gives component 0 a Hessian of another shape than (2, 2)
+        der = Derivatives(np.zeros(2), np.zeros((2, 2)), np.ones(shape))
+        with pytest.raises(ValueError, match=r"component 0 answered a "
+                           r"Hessian of shape \(.*\), not \(2, 2\) "
+                           r"\(order 2\)"):
+            _check_answer(der, np.arange(2), 2, 2)
 
     def test_public_callers_reject_a_stack(self):
         # the stack form is private: one-matrix entry points stay 2-D

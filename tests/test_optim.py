@@ -709,6 +709,152 @@ class TestNonFiniteAnswers:
             mu(F, np.ones(F.d), 1.0)
 
 
+def _good_and_short(d=3, n=2):
+    """Component 0 is 0.5 |x|^2; every other component answers a gradient of
+    shape (1,) and a Hessian of shape (1, 1), which numpy would broadcast."""
+    def good(x, order=2):
+        return Derivatives(0.5 * float(x @ x), x.copy() if order >= 1 else None,
+                           np.eye(x.size) if order >= 2 else None)
+
+    def short(x, order=2):
+        return Derivatives(1.0, np.ones(1) if order >= 1 else None,
+                           np.ones((1, 1)) if order >= 2 else None)
+
+    return CallableFiniteSum([good] + [short] * (n - 1), d=d)
+
+
+class TestWrongShapes:
+    """A wrong-shaped answer stops every optimizer before it is charged or
+    summed, naming the component and the order."""
+
+    @staticmethod
+    def _short(i, order):
+        return (rf"component {i} answered a gradient of shape \(1,\), "
+                rf"not \(3,\) \(order {order}\)")
+
+    @pytest.mark.parametrize("run", [
+        lambda F, led: baseline_full_gd(F, 0.1, 20, ledger=led),
+        lambda F, led: baseline_full_cubic(F, 2.0, 20, ledger=led),
+    ], ids=["gd", "cubic"])
+    def test_baselines(self, run):
+        led = OracleLedger(n=2)
+        with pytest.raises(ValueError, match=self._short(1, 1)):
+            run(_good_and_short(), led)
+        # the pass charges row by row: row 0 went before the bad row 1
+        assert led.per_index.tolist() == [1, 0]
+
+    def test_mu(self):
+        with pytest.raises(ValueError, match=self._short(1, 2)):
+            mu(_good_and_short(), np.ones(3), 1.0)
+
+    @pytest.mark.parametrize("n, bad", [(2, 1), (1, 0)])
+    def test_svrc_run(self, n, bad):
+        # a sum with one bad row fails as its snapshot stack is built, a sum
+        # of only bad rows as the stack is checked; neither charges a query
+        F = _good_and_short(n=n) if n > 1 else CallableFiniteSum(
+            [_good_and_short()._components[1]], d=3)
+        params = SvrcParams(M=15.0, b_g=2, b_h=2, S=1, T=3, eps=1e-4,
+                            Delta=10.0, L2=0.1)
+        led = OracleLedger(n=F.n)
+        with pytest.raises(ValueError, match=self._short(bad, 2)):
+            svrc_run(F, params, ledger=led)
+        assert led.total == 0
+
+
+def _outcome(f):
+    try:
+        return f()
+    except ValueError as err:
+        return str(err)
+
+
+_BAD = st.sampled_from([np.nan, np.inf, -np.inf])
+_FAULTS = st.one_of(
+    st.tuples(st.sampled_from(["value", "gradient", "Hessian"]), _BAD),
+    st.tuples(st.just("value shape"), st.sampled_from([(1,), (2, 1)])),
+    st.tuples(st.just("gradient shape"), st.sampled_from([0, 1, 4])),
+    st.tuples(st.just("Hessian shape"),
+              st.sampled_from([(1, 1), (2, 3), (4, 4), (2,)])),
+    st.tuples(st.just("asymmetric"), st.floats(1e-9, 1.0)),
+)
+
+
+def _sum_with_a_fault(n, d, k, fault):
+    """n components 0.5 |x|^2 + i <1, x>; component k's answer has one
+    ``fault`` (a part and what goes wrong with it) at every point."""
+    kind, how = fault
+
+    def comp(i):
+        def f(x, order=2):
+            value, grad, hess = 0.5 * float(x @ x) + i * x.sum(), x + i, np.eye(d)
+            if i == k:
+                if kind == "value":
+                    value = how
+                elif kind == "value shape":
+                    value = np.full(how, value)
+                elif kind == "gradient":
+                    grad = np.where(np.arange(d) == d - 1, how, grad)
+                elif kind == "gradient shape":
+                    grad = np.ones(how)
+                elif kind == "Hessian":
+                    hess = np.where(np.eye(d, k=-1) > 0, how, hess)
+                elif kind == "Hessian shape":
+                    hess = np.ones(how)
+                else:
+                    hess = hess + how * np.eye(d, k=1)
+            return Derivatives(value, grad if order >= 1 else None,
+                               hess if order >= 2 else None)
+        return f
+
+    return CallableFiniteSum([comp(i) for i in range(n)], d=d)
+
+
+@given(st.integers(2, 4), st.integers(2, 3), st.data())
+def test_a_bad_answer_is_refused_alike_on_every_path(n, d, data):
+    """NaN and infinite values and gradients, wrong shapes and asymmetric
+    Hessians: a stack member gets the verdict and message of the same
+    answer checked alone, and the ledger at the raise holds nothing of the
+    failing answer."""
+    k = data.draw(st.integers(0, n - 1))
+    fault = data.draw(_FAULTS)
+    F = _sum_with_a_fault(n, d, k, fault)
+    x = np.full(d, 0.5)
+    alone = {}
+    for order in range(3):
+        led = OracleLedger(n=n)
+        alone[order] = _outcome(lambda: query(led, F, k, x, order=order))
+        assert led.total == (0 if isinstance(alone[order], str) else 1)
+        for rows in ([k], np.arange(n), [k, k]):
+            view = _outcome(lambda: _Evaluated.evaluate(F, rows, x, order))
+            if isinstance(alone[order], str):
+                assert view == alone[order]
+                continue
+            row = view.where[k]
+            for got, want in ((view.stack.value[row], alone[order].value),
+                              (None if order < 1 else view.stack.grad[row],
+                               alone[order].grad),
+                              (None if order < 2 else view.stack.hess[row],
+                               alone[order].hess)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # every fault shows at order 2: svrc_run's first pass, the snapshot,
+    # raises it uncharged
+    assert isinstance(alone[2], str)
+    led = OracleLedger(n=n)
+    params = SvrcParams(M=15.0, b_g=2, b_h=2, S=1, T=2, eps=1e-4,
+                        Delta=10.0, L2=0.1)
+    with pytest.raises(ValueError) as err:
+        svrc_run(F, params, x0=x, ledger=led)
+    assert str(err.value) == alone[2] and led.total == 0
+    if isinstance(alone[1], str):
+        # gradient descent's first pass charges row by row: the rows before
+        # k, and nothing from k on
+        led = OracleLedger(n=n)
+        with pytest.raises(ValueError) as err:
+            baseline_full_gd(F, 0.1, 10 * n, x0=x, ledger=led)
+        assert str(err.value) == alone[1]
+        assert led.per_index.tolist() == [1] * k + [0] * (n - k)
+
+
 class TestBaselines:
     def test_gd_on_quadratic_converges_in_one_step(self):
         F = _identity_quadratic(d=4, n=3)

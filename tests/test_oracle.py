@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import hardsum
 from hardsum.chains import Derivatives
 from hardsum.instances import ResistingOracle, deterministic_params, ell_p
-from hardsum.linalg import _sym_stack, sym_matrix
+from hardsum.linalg import _symmetrized
 from hardsum.oracle import (
     CallableFiniteSum,
     FiniteSumFunction,
@@ -243,13 +243,6 @@ class TestFirstHit:
         record_iterate(led, 0.0)
         assert led.first_hit is None
 
-    def test_explicit_iterate_index(self):
-        led = OracleLedger(n=1, eps=1.0)
-        record_iterate(led, 5.0, t=10)
-        record_iterate(led, 0.5, t=11)
-        assert led.first_hit == 11
-        assert led.iterates_recorded == 12
-
     def test_hit_at_exact_threshold(self):
         led = OracleLedger(n=1, eps=1.0)
         record_iterate(led, 1.0)
@@ -467,11 +460,8 @@ class TestEvaluatedView:
                 for i in (1, 2, 4)}
         shapes = []
         monkeypatch.setattr(
-            "hardsum.oracle.sym_matrix",
-            lambda a: shapes.append(np.shape(a)) or sym_matrix(a))
-        monkeypatch.setattr(
-            "hardsum.oracle._sym_stack",
-            lambda a: shapes.append(np.shape(a)) or _sym_stack(a))
+            "hardsum.oracle._symmetrized",
+            lambda a: shapes.append(np.shape(a)) or _symmetrized(a))
         view = _Evaluated.evaluate(F, [4, 1, 2], x, 2)
         led = OracleLedger(n=F.n)
         for i in (4, 1, 2, 4):
@@ -500,3 +490,88 @@ class TestEvaluatedView:
         with pytest.raises(ValueError, match=match):
             query(led, F, 2, np.zeros(3), order=2)
         assert led.total == 0
+
+
+def _good_and_short(d=3):
+    """Component 0 is 0.5 |x|^2; component 1 answers a gradient of shape
+    (1,) and a Hessian of shape (1, 1), which numpy would broadcast."""
+    def good(x, order=2):
+        return Derivatives(0.5 * float(x @ x), x.copy() if order >= 1 else None,
+                           np.eye(x.size) if order >= 2 else None)
+
+    def short(x, order=2):
+        return Derivatives(1.0, np.ones(1) if order >= 1 else None,
+                           np.ones((1, 1)) if order >= 2 else None)
+
+    return CallableFiniteSum([good, short], d=d)
+
+
+class TestWrongShapes:
+    """An answer of another shape than its sum's is refused where it enters,
+    naming the component and the order, and is never charged."""
+
+    SHORT_GRAD = r"component 1 answered a gradient of shape \(1,\), not \(3,\)"
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_full(self, order):
+        F = _good_and_short()
+        with pytest.raises(ValueError,
+                           match=self.SHORT_GRAD + rf" \(order {order}\)"):
+            F.full(np.ones(3), order)
+        with pytest.raises(ValueError,
+                           match=self.SHORT_GRAD + rf" \(order {order}\)"):
+            F.full(np.ones((2, 3)), order)
+        assert F.full(np.ones(3), 0).value == pytest.approx(1.25)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_query_charges_nothing(self, order):
+        F = _good_and_short()
+        led = OracleLedger(n=2)
+        with pytest.raises(ValueError,
+                           match=self.SHORT_GRAD + rf" \(order {order}\)"):
+            query(led, F, 1, np.ones(3), order=order)
+        assert led.total == 0
+        query(led, F, 1, np.ones(3), order=0)   # the value is well formed
+        assert led.per_index.tolist() == [0, 1]
+
+    def test_mixed_stack_names_the_row(self):
+        F = _good_and_short()
+        with pytest.raises(ValueError, match=self.SHORT_GRAD):
+            F.components([0, 1, 0], np.ones(3), 2)
+        with pytest.raises(ValueError, match=self.SHORT_GRAD):
+            _Evaluated.evaluate(F, [0, 1], np.ones(3), 1)
+
+    def test_uniform_stack_names_its_first_row(self):
+        # a stack of wrong rows stacks without complaint; the check of the
+        # stack names its first row as that row alone would be named
+        F = _good_and_short()
+        with pytest.raises(ValueError, match=self.SHORT_GRAD + r" \(order 2\)"):
+            _Evaluated.evaluate(F, [1, 1], np.ones(3), 2)
+
+    @pytest.mark.parametrize("value, grad, hess, match", [
+        (np.ones(1), np.zeros(3), np.eye(3),
+         r"a value of shape \(1,\), not \(\)"),
+        (0.0, None, np.eye(3), r"a gradient of shape \(\), not \(3,\)"),
+        (0.0, np.zeros(3), np.eye(2),
+         r"a Hessian of shape \(2, 2\), not \(3, 3\)"),
+    ], ids=["value", "gradient", "Hessian"])
+    def test_each_part(self, value, grad, hess, match):
+        F = CallableFiniteSum([lambda x, order=2: Derivatives(value, grad,
+                                                              hess)], d=3)
+        led = OracleLedger(n=1)
+        for check in (lambda: query(led, F, 0, np.zeros(3), order=2),
+                      lambda: _Evaluated.evaluate(F, [0], np.zeros(3), 2)):
+            with pytest.raises(ValueError,
+                               match="component 0 answered " + match):
+                check()
+        assert led.total == 0
+
+    def test_mean_derivatives(self):
+        good = Derivatives(0.0, np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match=r"component 2 answered a "
+                           r"Hessian of shape \(3,\), not \(3, 3\)"):
+            mean_derivatives([good, good, Derivatives(0.0, np.zeros(3),
+                                                      np.ones(3))], (3,), 2)
+        # a part above the order is not summed, so not compared
+        mean_derivatives([good, Derivatives(0.0, np.zeros(3), np.ones(1))],
+                         (3,), 1)
