@@ -61,10 +61,16 @@ class RunConfig:
         if self.mode not in _INSTANCE_MODES:
             raise ValueError(f"unknown instance mode {self.mode!r}; "
                              f"expected one of {_INSTANCE_MODES}")
-        for name in ("p", "n"):
-            if getattr(self, name) < 1:
+        for name in ("p", "n", "budget", "d"):   # budget and d when set
+            value = getattr(self, name)
+            if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, "
-                                 f"got {name} = {getattr(self, name)}")
+                                 f"got {name} = {value}")
+        for name in ("delta", "L", "eps"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, "
+                                 f"got {name} = {value}")
         if self.mode == "randomized-third-moment" and self.p != 2:
             raise ValueError("mode randomized-third-moment is defined for "
                              f"p = 2, got p = {self.p}")

@@ -9,14 +9,14 @@ run     build the instance, run an optimizer against the metered oracle,
 verify  run the property-check battery; exit 1 if any check fails.
 
 Flags --seed/--out/--budget override the config file.  A multi-seed run
-executes up to one seed per CPU at a time; HARDSUM_THREADS lowers that cap.
-Unusable input (a bad config, seed list or HARDSUM_THREADS, or a gap too
-small for any chain) exits 2 with an ``error:`` line on stderr.
+executes its seeds one after another in the order given, so its echo and its
+per-seed files are deterministic.  Unusable input (a bad config or override,
+a bad seed list, or a gap too small for any chain) exits 2 with an
+``error:`` line on stderr.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import dataclasses
 import json
@@ -117,7 +117,8 @@ def _row(idx: int, rec) -> dict:
     }
 
 
-def _run_one(cfg: RunConfig, quiet: bool) -> tuple[int, list[str]]:
+def _run_one(cfg: RunConfig, quiet: bool) -> str:
+    """One seed's run: its JSONL text (rows, then the summary)."""
     F, spec, L2 = _build_objective(cfg)
     ledger = OracleLedger(n=F.n, eps=cfg.eps)
     if cfg.budget is not None:
@@ -182,24 +183,12 @@ def _run_one(cfg: RunConfig, quiet: bool) -> tuple[int, list[str]]:
     _say(quiet, f"seed {cfg.seed}: {len(trajectory)} iterations, "
                 f"{ledger.total} queries "
                 f"({ledger.adjusted_total} adjusted), first-hit: {hit}")
-    return 0, lines
+    return "\n".join(lines) + "\n"
 
 
 def _seed_out_path(base: str, seed: int) -> str:
     root, ext = os.path.splitext(base)
     return f"{root}.seed{seed}{ext or '.jsonl'}"
-
-
-def _thread_cap() -> int | None:
-    """The HARDSUM_THREADS worker cap (values below 1 act as 1), or None."""
-    raw = os.environ.get("HARDSUM_THREADS")
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(
-            f"HARDSUM_THREADS must be an integer, got {raw!r}") from None
 
 
 def _parse_seeds(text: str | None) -> list[int] | None:
@@ -214,33 +203,22 @@ def _parse_seeds(text: str | None) -> list[int] | None:
 
 def cmd_run(cfg: RunConfig, quiet: bool = False,
             seeds: list[int] | None = None) -> int:
-    if seeds is None or len(seeds) <= 1:
-        if seeds:
-            cfg = dataclasses.replace(cfg, seed=seeds[0])
-        code, lines = _run_one(cfg, quiet)
-        text = "\n".join(lines) + "\n"
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return code
-
-    if not cfg.out:
+    """Run ``seeds`` (default: the config's one seed) in the order given;
+    nothing is written until every seed has run.  Several seeds write one
+    ``<out>.seedN.jsonl`` each, one seed writes ``--out`` or stdout."""
+    seeds = seeds or [cfg.seed]
+    if len(seeds) > 1 and not cfg.out:
         print("error: multi-seed runs require --out", file=sys.stderr)
         return 2
-    workers = min(len(seeds), os.cpu_count() or 1)
-    cap = _thread_cap()
-    if cap is not None:
-        workers = min(workers, cap)
-    configs = [dataclasses.replace(cfg, seed=s) for s in seeds]
-    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        results = list(pool.map(lambda c: _run_one(c, quiet), configs))
-    for c, (_, lines) in zip(configs, results):
-        path = _seed_out_path(cfg.out, c.seed)
+    texts = [_run_one(dataclasses.replace(cfg, seed=s), quiet) for s in seeds]
+    if not cfg.out:
+        sys.stdout.write(texts[0])
+        return 0
+    for s, text in zip(seeds, texts):
+        path = cfg.out if len(seeds) == 1 else _seed_out_path(cfg.out, s)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    return max(code for code, _ in results)
+            fh.write(text)
+    return 0
 
 
 def cmd_verify(cfg: RunConfig, quiet: bool = False) -> int:
@@ -282,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--quiet", action="store_true")
         if name == "run":
             sp.add_argument("--seeds", help="comma-separated seed list; "
-                            "runs in parallel (HARDSUM_THREADS caps workers)")
+                            "runs them one after another in the order given")
     return parser
 
 
@@ -290,20 +268,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
+        # the flags pass the same checks as the file's keys
+        cfg = dataclasses.replace(cfg, **{
+            k: getattr(args, k) for k in ("seed", "out", "budget")
+            if getattr(args, k) is not None})
     except (OSError, ValueError, TypeError, configparser.Error) as err:
         print(f"error: bad config: {err}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, out=args.out)
-    if args.budget is not None:
-        cfg = dataclasses.replace(cfg, budget=args.budget)
 
     if args.command == "run":
         try:
             seeds = _parse_seeds(args.seeds)
-            _thread_cap()  # reject a bad cap before any seed runs
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2

@@ -81,16 +81,18 @@ def _check_positive(**kwargs):
             raise ValueError(f"{name} must be positive, got {value}")
 
 
-def lemma_d_requirement(n: int, K: int, fail_prob: float = 0.1) -> float:
+#: the failure probability :func:`lemma_d_requirement` sizes the dimension for
+_FAIL_PROB = 0.1
+
+
+def lemma_d_requirement(n: int, K: int) -> float:
     """Dimension the high-probability small-inner-product argument asks for:
-    n^3 K^2 * log(n^2 K^2 / fail_prob).
+    n^3 K^2 * log(n^2 K^2 / fail_prob), with fail_prob = 0.1.
 
     The analysis leaves the leading constant unspecified; it is taken as 1,
     and the requirement is only ever reported as a warning, never enforced.
     """
-    if not 0 < fail_prob < 1:
-        raise ValueError("fail_prob must lie in (0, 1)")
-    return n ** 3 * K ** 2 * math.log(n ** 2 * K ** 2 / fail_prob)
+    return n ** 3 * K ** 2 * math.log(n ** 2 * K ** 2 / _FAIL_PROB)
 
 
 def deterministic_params(p: int, n: int, Delta: float, L: float, eps: float,

@@ -172,7 +172,8 @@ def mean_derivatives(answers, shape: tuple, order: int) -> Derivatives:
     """Mean of component answers, summed in the order given (component
     index order everywhere in the package), then divided by their count.
     ``shape`` is the gradients' shape: (d,) for answers at one point,
-    (P, d) for answers at a stack of P points; other shapes raise.
+    (P, d) for answers at a stack of P points; an answer whose value,
+    gradient or Hessian has another shape raises.
 
     The one averaging pass behind every full-sum quantity: the free
     measurement channel and the charged snapshot and baseline passes.
@@ -181,7 +182,8 @@ def mean_derivatives(answers, shape: tuple, order: int) -> Derivatives:
     grad = np.zeros(shape) if order >= 1 else None
     hess = np.zeros(shape + shape[-1:]) if order >= 2 else None
     for der in answers:
-        if (order >= 1 and getattr(der.grad, "shape", None) != grad.shape
+        if (getattr(der.value, "shape", ()) != shape[:-1]
+                or order >= 1 and getattr(der.grad, "shape", None) != grad.shape
                 or order >= 2 and getattr(der.hess, "shape", None) != hess.shape):
             _check_answer(der, np.full(shape[:-1], count), order, shape[-1])
         count += 1

@@ -125,8 +125,11 @@ class ZeroChainReport(_Report):
     max_value_change: float
 
 
-def check_zero_chain(K: int, num_samples: int, seed=0,
-                     tol: float = 1e-12) -> ZeroChainReport:
+#: the largest partial or value change :func:`check_zero_chain` passes
+_ZERO_CHAIN_TOL = 1e-12
+
+
+def check_zero_chain(K: int, num_samples: int, seed=0) -> ZeroChainReport:
     """One-coordinate-per-round discovery: if all coordinates from position m
     on are below 1/2 in magnitude, the chain has no partial derivative beyond
     position m+1 and zeroing everything beyond m+1 leaves the value unchanged.
@@ -159,7 +162,8 @@ def check_zero_chain(K: int, num_samples: int, seed=0,
         max_partial = float(np.abs(np.where(beyond, der.grad, 0.0)).max())
         max_change = float(np.abs(der.value - val_zeroed).max())
     return ZeroChainReport(
-        passed=bool(max_partial <= tol and max_change <= tol),
+        passed=bool(max_partial <= _ZERO_CHAIN_TOL
+                    and max_change <= _ZERO_CHAIN_TOL),
         K=K, num_samples=num_samples, checked=checked, skipped=skipped,
         max_partial=max_partial, max_value_change=max_change)
 
@@ -335,6 +339,9 @@ class EstimatorBoundsReport(_Report):
 #: memory stays at a few (block, d, d) stacks whatever the trial count
 _MC_BLOCK = 512
 
+#: the relative margin :func:`verify_estimator_bounds` allows over each bound
+_BOUND_SLACK = 0.1
+
 
 def _trial_counts(batches: list, n: int) -> np.ndarray:
     """Draw counts of components 0..n-1 in each of T equal-size batches,
@@ -345,17 +352,17 @@ def _trial_counts(batches: list, n: int) -> np.ndarray:
 
 def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
                             params: SvrcParams, trials: int, seed=0,
-                            L2_hat: float | None = None,
-                            slack: float = 0.1) -> EstimatorBoundsReport:
+                            L2_hat: float | None = None
+                            ) -> EstimatorBoundsReport:
     """Monte-Carlo means of the estimator deviations against their bounds:
 
     E ||grad F(x) - v||^(3/2)  <=  2 L2^(3/2) b_g^(-3/4) ||x - xh||^3
     E ||hess F(x) - U||^3      <=  15000 L2^3 (log d / b_h)^(3/2) ||x - xh||^3
 
-    Pass iff each mean is at most bound * (1 + slack).  The Hessian bound's
-    premise (b_h >= 12000 log^3 d) is reported, not enforced.  Trials draw
-    their batches one after another as the run does (a full-batch schedule
-    has b = n).  Blocks of trials then apply the estimators' own
+    Pass iff each mean is at most bound * (1 + ``_BOUND_SLACK``).  The
+    Hessian bound's premise (b_h >= 12000 log^3 d) is reported, not
+    enforced.  Trials draw their batches one after another as the run does
+    (a full-batch schedule has b = n).  Blocks of trials then apply the estimators' own
     count-weighted contractions, as one weight stack, to per-component
     tables evaluated once; the first 8 trials are cross-checked against the
     metered estimator calls.
@@ -418,8 +425,8 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     hess_bound = 15000.0 * L2_hat ** 3 * (math.log(d) / b_h) ** 1.5 * dist ** 3
     grad_mean = float(np.mean(g_moments))
     hess_mean = float(np.mean(h_moments))
-    grad_pass = grad_mean <= grad_bound * (1.0 + slack)
-    hess_pass = hess_mean <= hess_bound * (1.0 + slack)
+    grad_pass = grad_mean <= grad_bound * (1.0 + _BOUND_SLACK)
+    hess_pass = hess_mean <= hess_bound * (1.0 + _BOUND_SLACK)
     premise_ok = b_h >= 12000.0 * math.log(d) ** 3
     return EstimatorBoundsReport(
         passed=bool(grad_pass and hess_pass and cross_err <= 1e-9),
@@ -427,7 +434,7 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
         grad_mean=grad_mean, grad_bound=float(grad_bound),
         grad_pass=bool(grad_pass), hess_mean=hess_mean,
         hess_bound=float(hess_bound), hess_pass=bool(hess_pass),
-        slack=slack, premise_ok=bool(premise_ok),
+        slack=_BOUND_SLACK, premise_ok=bool(premise_ok),
         cross_check_rel_err=float(cross_err))
 
 

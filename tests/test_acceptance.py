@@ -142,7 +142,7 @@ def test_acceptance_02_zero_chain():
     checked = 0
     ok = True
     for K in (2, 4, 8):
-        rep = check_zero_chain(K, num_samples=2000, seed=K, tol=1e-12)
+        rep = check_zero_chain(K, num_samples=2000, seed=K)
         ok = ok and rep.passed and rep.checked >= 1000
         worst_partial = max(worst_partial, rep.max_partial)
         worst_change = max(worst_change, rep.max_value_change)
@@ -332,8 +332,7 @@ def test_acceptance_06_estimator_bounds():
     x = x_hat + 0.5 * rng.standard_normal(8)
     params = SvrcParams(M=1.0, b_g=16, b_h=64, S=1, T=1, eps=1.0,
                         Delta=1.0, L2=1.0)
-    rep = verify_estimator_bounds(F, x_hat, x, params, trials=10_000, seed=62,
-                                  slack=0.1)
+    rep = verify_estimator_bounds(F, x_hat, x, params, trials=10_000, seed=62)
     elapsed = time.monotonic() - t0
     ok = rep.passed and elapsed < 120.0
     _verdict(6, "estimator deviation bounds", ok,

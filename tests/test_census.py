@@ -21,6 +21,6 @@ def test_census_of_this_tree():
     total, params, keys, flags, env = map(int, settable.groups())
     assert total == params + keys + flags + env
     # RunConfig's fields; --config --seed --out --budget --quiet --seeds;
-    # HARDSUM_THREADS
-    assert (keys, flags, env) == (29, 6, 1)
+    # no environment variable
+    assert (keys, flags, env) == (29, 6, 0)
     assert params > 0

@@ -41,6 +41,11 @@ _DETERMINISTIC_P0_INI = (
     "[instance]\nmode = deterministic\np = 0\nn = 4\n"
     "delta = 960.0\nL = 1.0\neps = 1.0\n")
 
+_ADV_CUBIC_INI = (
+    "[instance]\nmode = deterministic\np = 1\nn = 4\n"
+    f"delta = 960.0\nL = {ell_p(1)!r}\neps = 1.0\n"
+    "[optimizer]\noptimizer = cubic\n")
+
 _SYNTHETIC_N0_INI = _synthetic_svrc_ini().replace("n = 4\n", "n = 0\n")
 
 _P3_NO_ELL_HAT_INI = (
@@ -290,8 +295,7 @@ class TestRun:
         # the finalized objective (the bound equals eps in this scaling)
         assert summary["final_first_hit"] is None
 
-    def test_multi_seed_files(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HARDSUM_THREADS", "2")
+    def test_multi_seed_files(self, tmp_path):
         cfg_path = _write(tmp_path, "c.ini", _synthetic_svrc_ini())
         out = tmp_path / "multi.jsonl"
         rc = main(["run", "--config", cfg_path, "--out", str(out), "--quiet",
@@ -312,6 +316,27 @@ class TestRun:
                          str(s), "--out", str(single)]) == 0
             assert (tmp_path / f"multi.seed{s}.jsonl").read_bytes() \
                 == single.read_bytes()
+
+    def test_multi_seed_echo_is_the_single_seed_echoes_in_order(
+            self, tmp_path, capsys):
+        # no L2: each run estimates it, long enough that seeds run at the
+        # same time would interleave their echo lines
+        cfg_path = _write(tmp_path, "c.ini",
+                          _synthetic_svrc_ini().replace("L2 = 1.0\n", ""))
+        assert main(["run", "--config", cfg_path, "--seeds", "1,2,3",
+                     "--out", str(tmp_path / "multi.jsonl")]) == 0
+        multi = capsys.readouterr().out
+        singles = []
+        for s in (1, 2, 3):
+            single = tmp_path / f"single{s}.jsonl"
+            assert main(["run", "--config", cfg_path, "--seed", str(s),
+                         "--out", str(single)]) == 0
+            singles.append(capsys.readouterr().out)
+            assert (tmp_path / f"multi.seed{s}.jsonl").read_bytes() \
+                == single.read_bytes()
+        assert multi == "".join(singles)
+        assert [line.split(":")[0] for line in multi.splitlines()] \
+            == ["seed 1", "seed 1", "seed 2", "seed 2", "seed 3", "seed 3"]
 
     def test_multi_seed_requires_out(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "c.ini", _synthetic_svrc_ini())
@@ -337,25 +362,6 @@ class TestRun:
         assert capsys.readouterr().err == run_err
         assert "(or relax eps)" in run_err
 
-    def test_bad_thread_cap_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("HARDSUM_THREADS", "abc")
-        cfg_path = _write(tmp_path, "c.ini", _synthetic_svrc_ini())
-        out = tmp_path / "multi.jsonl"
-        assert main(["run", "--config", cfg_path, "--quiet", "--out",
-                     str(out), "--seeds", "1,2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "HARDSUM_THREADS" in err
-        assert not list(tmp_path.glob("multi*"))
-
-    @pytest.mark.parametrize("cap", ["0", "-3"])
-    def test_thread_cap_below_one_acts_as_one(self, tmp_path, monkeypatch,
-                                              cap):
-        monkeypatch.setenv("HARDSUM_THREADS", cap)
-        cfg_path = _write(tmp_path, "c.ini", _synthetic_svrc_ini())
-        assert main(["run", "--config", cfg_path, "--quiet", "--out",
-                     str(tmp_path / "m.jsonl"), "--seeds", "1,2"]) == 0
-        assert (tmp_path / "m.seed2.jsonl").exists()
-
     def test_third_moment_with_p_1_exits_2(self, tmp_path, capsys):
         # rejected with the config, before any seed runs
         cfg_path = _write(tmp_path, "c.ini", _THIRD_MOMENT_P1_INI)
@@ -380,6 +386,32 @@ class TestRun:
                      str(tmp_path / "m.jsonl")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad config:") and "n = 0" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.ini"]
+
+    @pytest.mark.parametrize("ini, args, match", [
+        (_ADV_CUBIC_INI, ["--budget", "0"], "budget must be at least 1"),
+        (_ADV_CUBIC_INI.replace("cubic", "gd"), ["--budget", "0"],
+         "budget must be at least 1"),
+        (_ADV_CUBIC_INI.replace("eps = 1.0", "eps = -1"), [],
+         "eps must be positive"),
+        (_ADV_CUBIC_INI.replace("eps = 1.0", "eps = nan"), [],
+         "eps must be positive"),
+        (_ADV_CUBIC_INI.replace("delta = 960.0", "delta = 0"), [],
+         "delta must be positive"),
+        (_ADV_CUBIC_INI.replace(f"L = {ell_p(1)!r}", "L = 0"), [],
+         "L must be positive"),
+        (_synthetic_svrc_ini().replace("d = 5", "d = 0"), [],
+         "d must be at least 1"),
+    ], ids=["budget-0-cubic", "budget-0-gd", "eps-negative", "eps-nan",
+            "delta-0", "L-0", "synthetic-d-0"])
+    def test_unusable_numbers_exit_2(self, tmp_path, capsys, ini, args,
+                                     match):
+        cfg_path = _write(tmp_path, "c.ini", ini)
+        assert main(["run", "--config", cfg_path, "--quiet", "--out",
+                     str(tmp_path / "m.jsonl")] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config:") and match in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [tmp_path / "c.ini"]
 

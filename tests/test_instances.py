@@ -54,10 +54,8 @@ class TestScalingConstants:
             ell_p(0)
 
     def test_lemma_d_requirement(self):
-        val = lemma_d_requirement(2, 3, fail_prob=0.1)
+        val = lemma_d_requirement(2, 3)
         assert val == pytest.approx(8 * 9 * math.log(4 * 9 / 0.1), rel=1e-14)
-        with pytest.raises(ValueError):
-            lemma_d_requirement(2, 3, fail_prob=1.5)
 
 
 class TestDeterministicParams:

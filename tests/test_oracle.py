@@ -10,6 +10,7 @@ import hardsum
 from hardsum.chains import Derivatives
 from hardsum.instances import ResistingOracle, deterministic_params, ell_p
 from hardsum.linalg import _symmetrized
+from hardsum.optim import mu
 from hardsum.oracle import (
     CallableFiniteSum,
     FiniteSumFunction,
@@ -575,3 +576,19 @@ class TestWrongShapes:
         # a part above the order is not summed, so not compared
         mean_derivatives([good, Derivatives(0.0, np.zeros(3), np.ones(1))],
                          (3,), 1)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_value_shape_in_full_and_mu(self, order):
+        def answer(value):
+            return lambda x, order=2: Derivatives(
+                value, np.zeros(3) if order >= 1 else None,
+                np.eye(3) if order >= 2 else None)
+
+        F = CallableFiniteSum([answer(0.0), answer(np.array([0.5]))], d=3)
+        match = (r"component 1 answered a value of shape \(1,\), not \(\) "
+                 rf"\(order {order}\)")
+        with pytest.raises(ValueError, match=match):
+            F.full(np.zeros(3), order)
+        if order == 2:
+            with pytest.raises(ValueError, match=match):
+                mu(F, np.zeros(3), 1.0)

@@ -151,6 +151,8 @@ ENTRIES = (
     _run("cubic-synthetic", CUBIC_SYNTH),
     _run("cubic-haar-c", CUBIC_HAAR),
     _run("seeds-1-2", SYNTH_SVRC, "--seeds", "1,2", "--quiet"),
+    # the echo of several seeds, in the order given
+    _run("run-seeds-1-2-3-echo", SYNTH_SVRC, "--seeds", "1,2,3"),
     # no L2: the run estimates it from 60 sampled pairs
     _run("synth-svrc-estimated-L2", SYNTH_SVRC_NO_L2),
     Entry("verify-defaults", None, ("verify", "--out", "rep.json")),
@@ -181,6 +183,9 @@ ENTRIES = (
           2),
     Entry("run-synthetic-n0", SYNTH_SVRC_N0, ("run", "--out", "run.jsonl"),
           2),
+    # a flag is checked as the key it overrides
+    Entry("run-budget-0", ADV_CUBIC,
+          ("run", "--out", "run.jsonl", "--budget", "0"), 2),
 )
 
 
