@@ -8,7 +8,8 @@ run     build the instance, run an optimizer against the metered oracle,
         object; deterministic given (config, seed).
 verify  run the property-check battery; exit 1 if any check fails.
 
-Flags --seed/--out/--budget override the config file.  A multi-seed run
+Flags --seed/--out/--budget override the config file (verify, which
+charges no query, takes no --budget).  A multi-seed run
 executes its seeds one after another in the order given, so its echo and its
 per-seed files are deterministic.  Unusable input (a bad config or override,
 a bad seed list, or a gap too small for any chain) exits 2 with an
@@ -256,7 +257,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="override [optimizer] seed")
         sp.add_argument("--out", help="output path (file for run/verify, "
                                       "directory for gen)")
-        sp.add_argument("--budget", type=int, help="query budget override")
+        if name != "verify":
+            sp.add_argument("--budget", type=int,
+                            help="query budget override")
         sp.add_argument("--quiet", action="store_true")
         if name == "run":
             sp.add_argument("--seeds", help="comma-separated seed list; "
@@ -271,7 +274,7 @@ def main(argv=None) -> int:
         # the flags pass the same checks as the file's keys
         cfg = dataclasses.replace(cfg, **{
             k: getattr(args, k) for k in ("seed", "out", "budget")
-            if getattr(args, k) is not None})
+            if getattr(args, k, None) is not None})
     except (OSError, ValueError, TypeError, configparser.Error) as err:
         print(f"error: bad config: {err}", file=sys.stderr)
         return 2

@@ -25,9 +25,10 @@ Two subspaces are tried in turn:
   reorthogonalization (the subproblem solver of ARC and GLTR; Cartis, Gould
   & Toint 2011).  When it closes (U maps it into itself) the easy-case
   minimizer lies in it, and the secular equation of the projected matrix
-  T = Q^T U Q gives that minimizer exactly; lmin(U) for the PSD condition
-  comes from one subset eigensolve.  Low-rank Hessians, such as the
-  resisting oracle's (rank at most K + 1), close in a few dimensions;
+  T = Q^T U Q gives that minimizer exactly.  One Cholesky factorization of
+  a shift of U proves the PSD condition; only when it cannot does one
+  subset eigensolve give lmin(U) to decide it.  Low-rank Hessians, such as
+  the resisting oracle's (rank at most K + 1), close in a few dimensions;
 * the whole space, from a dense eigendecomposition of U, when the Krylov
   space does not close within d/2 dimensions or its step fails a check.  The
   hard case, whose minimizer leaves the Krylov space, fails the PSD check
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .linalg import _lambda_min, as_vector, eig_sym, sym_matrix
+from .linalg import _lambda_min, _shifted_pd, as_vector, eig_sym, sym_matrix
 
 __all__ = ["CubicModel", "CubicSolution", "solve", "model_value"]
 
@@ -81,7 +82,6 @@ class CubicSolution:
     h: np.ndarray = field(repr=False)
     s: float                  # |h|
     stationarity: float       # |v + U h + (M/2)|h| h|
-    eig_slack: float          # lmin(U) + (M/2)|h|   (must be >= -tol)
     model_val: float          # value of the model at h
 
 
@@ -155,14 +155,12 @@ def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
     return coords_at(u_star)
 
 
-def _krylov_step(model: CubicModel, norm_v: float
-                 ) -> tuple[np.ndarray, float] | None:
-    """(minimizer over the Krylov space of U from v, lmin(U)), or None when
-    v = 0 or the space does not close within d/2 dimensions.
+def _krylov_step(model: CubicModel, norm_v: float) -> np.ndarray | None:
+    """The minimizer over the Krylov space of U from v, or None when v = 0
+    or the space does not close within d/2 dimensions.
 
-    Past d/2 dimensions the Lanczos products, the reorthogonalization and
-    the subset eigensolve cost about as much as the dense eigendecomposition
-    they stand in for.
+    Past d/2 dimensions the Lanczos products and the reorthogonalization
+    cost about as much as the dense eigendecomposition they stand in for.
     """
     v, U = model.v, model.U
     d = v.size
@@ -198,30 +196,35 @@ def _krylov_step(model: CubicModel, norm_v: float
     P = Q @ images[:k].T
     lam, Z = np.linalg.eigh(0.5 * (P + P.T))
     y = _secular_coords(lam, norm_v * Z[0], norm_v, model.M)
-    return Q.T @ (Z @ y), _lambda_min(U)
+    return Q.T @ (Z @ y)
 
 
-def _certified(model: CubicModel, h: np.ndarray, lmin: float, norm_v: float,
-               tol: float) -> CubicSolution:
-    """The solution at h, after the three optimality checks (lmin is the
-    smallest eigenvalue of U)."""
+def _certified(model: CubicModel, h: np.ndarray, lmin: float | None,
+               norm_v: float, tol: float) -> CubicSolution:
+    """The solution at h, after the three optimality checks.  lmin is the
+    smallest eigenvalue of U, or None: then the Cholesky screen proves the
+    PSD condition, or where it cannot, a subset eigensolve decides it."""
     v, U, M = model.v, model.U, model.M
     half_m = M / 2.0
     s_actual = float(np.linalg.norm(h))
     stationarity = float(np.linalg.norm(v + U @ h + half_m * s_actual * h))
-    eig_slack = lmin + half_m * s_actual
     m_val = model_value(model, h)
 
     if stationarity > tol * (1.0 + norm_v):
         raise ArithmeticError(
             f"stationarity residual {stationarity:.3e} exceeds tolerance")
-    if eig_slack < -tol:
-        raise ArithmeticError(f"shifted Hessian not PSD: slack {eig_slack:.3e}")
+    if lmin is not None or not _shifted_pd(U, half_m * s_actual + tol):
+        if lmin is None:
+            lmin = _lambda_min(U)
+        eig_slack = lmin + half_m * s_actual
+        if eig_slack < -tol:
+            raise ArithmeticError(
+                f"shifted Hessian not PSD: slack {eig_slack:.3e}")
     if m_val > -(M / 12.0) * s_actual ** 3 + tol:
         raise ArithmeticError(
             f"model value {m_val:.3e} above the decrease guarantee")
     return CubicSolution(h=h, s=s_actual, stationarity=stationarity,
-                         eig_slack=float(eig_slack), model_val=m_val)
+                         model_val=m_val)
 
 
 def solve(model: CubicModel) -> CubicSolution:
@@ -237,9 +240,9 @@ def solve(model: CubicModel) -> CubicSolution:
     tol = 1e-10 * (1.0 + norm_v)
 
     try:
-        krylov = _krylov_step(model, norm_v)
-        if krylov is not None:
-            return _certified(model, *krylov, norm_v, tol)
+        h = _krylov_step(model, norm_v)
+        if h is not None:
+            return _certified(model, h, None, norm_v, tol)
     except ArithmeticError:
         pass    # e.g. the hard case: solve in the whole space
 

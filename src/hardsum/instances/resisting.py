@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..chains import Derivatives, chain_eval
-from ..linalg import as_rng, as_vector, rel_err
+from ..linalg import as_points, as_rng, as_vector, rel_err, row_matvec
 from ..oracle import FiniteSumFunction, mean_derivatives
 from .params import HardInstanceSpec
 
@@ -171,17 +171,19 @@ class ResistingOracle(FiniteSumFunction):
 
     def _masked_component(self, i: int, x: np.ndarray, order: int,
                           active: int) -> Derivatives:
-        """Scaled chain response using the first ``active`` directions."""
+        """Scaled chain response using the first ``active`` directions, at
+        one point x, shape (d,), or at a stack of points, shape (P, d),
+        each row equal bit for bit to the answer at its point."""
         spec = self.spec
         Vk = self._V[:, :active]
-        w = (Vk.T @ x) / spec.sigma
+        w = row_matvec(Vk.T, x) / spec.sigma
         ch = chain_eval(active, self._delta[i, :active], w, order)
         p = spec.p
         a = spec.lam * spec.sigma ** (p + 1)
         val = a * ch.value
         if order == 0:
             return Derivatives(val)
-        grad = (a / spec.sigma) * (Vk @ ch.grad)
+        grad = (a / spec.sigma) * row_matvec(Vk, ch.grad)
         if order == 1:
             return Derivatives(val, grad)
         hess = (a / spec.sigma ** 2) * (Vk @ ch.hess @ Vk.T)
@@ -230,17 +232,18 @@ class ResistingOracle(FiniteSumFunction):
             self._close_round()
 
     def full(self, x, order: int = 1) -> Derivatives:
-        """Measurement side channel; never archives or advances the game.
+        """Measurement side channel at one point or a stack of points; never
+        archives or advances the game.
 
         During play this reflects the current truncated responses (what the
         algorithm could reconstruct); after finalization it is the true
         finalized objective.
         """
-        x = as_vector(x, dim=self.d)
+        x = as_points(x, dim=self.d)
         active = self._K + 1 if self.finalized else self._round - 1
         return mean_derivatives(
             (self._masked_component(i, x, order, active)
-             for i in range(self.n)), (self.d,), order)
+             for i in range(self.n)), x.shape, order)
 
     @property
     def rounds_closed(self) -> int:
@@ -265,11 +268,15 @@ class ResistingOracle(FiniteSumFunction):
         bound = spec.lam * spec.sigma ** spec.p / 4.0
         v_last = self._V[:, self._K]
 
+        # the finalized gradient at every archived point, in one pass
+        archive = self._archive
+        grads = (self.full(np.stack([rec.x for rec in archive]), order=1).grad
+                 if archive else ())
         inner, gnorms = [], []
         max_replay = 0.0
-        for rec in self._archive:
+        for rec, grad in zip(archive, grads):
             inner.append(abs(float(v_last @ rec.x)))
-            gnorms.append(float(np.linalg.norm(self.full(rec.x, order=1).grad)))
+            gnorms.append(float(np.linalg.norm(grad)))
             replay = self._masked_component(rec.i, rec.x, rec.order, self._K + 1)
             err = rel_err(replay.value, rec.response.value)
             if rec.order >= 1:

@@ -1,6 +1,7 @@
 """Dense linear-algebra primitives: validated vector/matrix constructors,
-symmetric eigendecomposition, orthonormal-column sampling, and
-finite-difference differentiation.
+symmetric eigendecomposition, a Cholesky screen for the smallest
+eigenvalue, orthonormal-column sampling, and finite-difference
+differentiation.
 
 Everything here is pure and deterministic; random sampling takes an explicit
 seed or generator (no global RNG state is ever touched).
@@ -11,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "Vector",
@@ -193,6 +195,25 @@ def _lambda_min(A: SymMatrix) -> float:
     the cost of a full ``eigh`` at d = 197)."""
     return float(scipy.linalg.eigh(A, subset_by_index=[0, 0],
                                    eigvals_only=True, check_finite=False)[0])
+
+
+def _shifted_pd(A: SymMatrix, c0: float) -> bool:
+    """Whether a Cholesky factorization of A + c I, c just below c0, proves
+    that lambda_min(A), as ``eigh`` or :func:`_lambda_min` computes it, is
+    above -c0 (A validated and symmetric).
+
+    The margin below c0 covers the factorization's backward error (at most
+    about (d+1) d eps max_i A_ii), the eigensolver's (about d eps |A|_2 <=
+    d^2 eps max|A|) and, through its c0 term, the rounding of the formula
+    that compares lambda_min with -c0.  False proves nothing.
+    """
+    d = A.shape[0]
+    c = c0 - 4.0 * d * (d + 1) * np.finfo(float).eps * (np.abs(A).max() + c0)
+    if not c > 0:
+        return False
+    S = A.copy()
+    S.flat[::d + 1] += c
+    return dpotrf(S, lower=True, clean=False, overwrite_a=True)[1] == 0
 
 
 def default_fd_step(x: Vector) -> float:

@@ -27,11 +27,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
 from .chains import Derivatives
 from .cubic import CubicModel, solve
-from .linalg import as_rng, as_vector, eig_sym, row_matvec, sym_matrix
+from .linalg import (_shifted_pd, as_rng, as_vector, eig_sym, row_matvec,
+                     sym_matrix)
 from .oracle import (FiniteSumFunction, OracleLedger, _Evaluated,
                      _row_answers, mean_derivatives, query, record_iterate)
 
@@ -258,23 +258,6 @@ def svrc_hessian_estimator(F: FiniteSumFunction, ledger: OracleLedger,
     return _hessian_estimate(counts, at_x.stack.hess - hess_hat, b, H_s)
 
 
-def _floor_wins(H: np.ndarray, c0: float) -> bool:
-    """Whether a Cholesky factorization of H + c I, c just below c0, proves
-    that eigh's lambda_min(H) is above -c0.
-
-    The margin below c0 covers the factorization's backward error (at most
-    about (d+1) d eps max_i A_ii), eigh's (about d eps |H|_2 <= d^2 eps
-    max|H|) and, through its c0 term, the rounding of the mu formula.
-    """
-    d = H.shape[0]
-    c = c0 - 4.0 * d * (d + 1) * np.finfo(float).eps * (np.abs(H).max() + c0)
-    if not c > 0:
-        return False
-    A = H.copy()
-    A.flat[::d + 1] += c
-    return dpotrf(A, lower=True, clean=False, overwrite_a=True)[1] == 0
-
-
 def _stationarity(der: Derivatives, L2: float) -> tuple[float, float]:
     """(|grad F|, mu) from one order-2 measurement of F; see :func:`mu`.
     A non-finite measured value or gradient raises ValueError.
@@ -287,7 +270,7 @@ def _stationarity(der: Derivatives, L2: float) -> tuple[float, float]:
         raise ValueError("the measured full sum is not finite")
     gnorm = float(np.linalg.norm(der.grad))
     H = sym_matrix(der.hess)
-    if _floor_wins(H, math.sqrt(gnorm * L2)):
+    if _shifted_pd(H, math.sqrt(gnorm * L2)):
         return gnorm, gnorm ** 1.5
     lam_min = float(eig_sym(H)[0][0])
     return gnorm, max(gnorm ** 1.5, -(lam_min ** 3) / L2 ** 1.5)

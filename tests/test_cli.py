@@ -449,3 +449,14 @@ class TestVerify:
         rc = main(["verify", "--quiet"])
         assert rc == 1
         assert "FAILED: stub_check" in capsys.readouterr().err
+
+    def test_budget_flag_is_refused(self, monkeypatch, capsys):
+        # the battery charges no query: the flag is not one of verify's, so
+        # argparse exits 2 before any check runs
+        import importlib
+        cli_main = importlib.import_module("hardsum.cli.main")
+        monkeypatch.setattr(cli_main, "run_battery", lambda **kw: 1 / 0)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--quiet", "--budget", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 5" in capsys.readouterr().err

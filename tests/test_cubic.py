@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from hardsum import cubic
 from hardsum.cubic import CubicModel, CubicSolution, model_value, solve
-from hardsum.linalg import eig_sym, sample_orthonormal_columns
+from hardsum.linalg import _shifted_pd, eig_sym, sample_orthonormal_columns
 
 
 def _check_optimality(model: CubicModel, sol: CubicSolution, tol=1e-9):
@@ -229,6 +229,19 @@ def _spy_paths(monkeypatch):
     return paths
 
 
+def _spy_lambda_min(monkeypatch):
+    """Record the subset eigensolves the Krylov path's PSD check makes."""
+    calls = []
+    lambda_min = cubic._lambda_min
+
+    def spied(A):
+        calls.append(A.shape)
+        return lambda_min(A)
+
+    monkeypatch.setattr(cubic, "_lambda_min", spied)
+    return calls
+
+
 def _low_rank_model(rng, d, r, outside):
     """An indefinite U of rank r, and v in range(U) plus, when ``outside``,
     a part orthogonal to it."""
@@ -249,6 +262,7 @@ class TestKrylovPath:
     @pytest.mark.parametrize("d", [50, 197])
     def test_low_rank_matches_dense(self, rng, monkeypatch, d, r, outside):
         paths = _spy_paths(monkeypatch)
+        eigensolves = _spy_lambda_min(monkeypatch)
         for _ in range(5):
             model = _low_rank_model(rng, d, r, outside)
             sol = solve(model)
@@ -259,6 +273,8 @@ class TestKrylovPath:
                                                   rel=1e-12)
             _check_optimality(model, sol)
         assert paths == {"krylov_closed": 5, "krylov_open": 0, "dense": 0}
+        # the Cholesky screen proves every step's curvature condition
+        assert eigensolves == []
 
     @pytest.mark.parametrize("d", [50, 197])
     def test_hard_case_falls_back_to_dense(self, rng, monkeypatch, d):
@@ -266,6 +282,7 @@ class TestKrylovPath:
         # U's other eigenvectors, spanning the Krylov space, leave out; the
         # interior step is shorter than s0 = 2 |lmin| / M
         paths = _spy_paths(monkeypatch)
+        eigensolves = _spy_lambda_min(monkeypatch)
         for _ in range(5):
             G = sample_orthonormal_columns(d, 4, seed=rng).columns
             lam = np.array([-2.0, 0.5, 1.0, 3.0])
@@ -281,6 +298,9 @@ class TestKrylovPath:
             assert abs(G[:, 0] @ sol.h) > 0.1 * s0
             _check_optimality(model, sol)
         assert paths == {"krylov_closed": 5, "krylov_open": 0, "dense": 5}
+        # the screen cannot prove a step that fails the condition, so the
+        # subset eigensolve decides it, and the dense path takes over
+        assert eigensolves == [(d, d)] * 5
 
     def test_full_rank_small_models_are_dense_bit_for_bit(self, rng,
                                                           monkeypatch):
@@ -321,3 +341,24 @@ class TestKrylovPath:
         v = np.array([3.0, 4.0, 0.0, 0.0])
         sol = solve(CubicModel(v=v, U=np.zeros((4, 4)), M=2.0))
         assert sol.h == pytest.approx(-v / np.sqrt(5.0), rel=1e-12)
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    @pytest.mark.parametrize("d", [2, 20, 197])
+    def test_screen_at_the_boundary(self, rng, side, d):
+        # the screen shared with mu proves lambda_min(A) > -c0; place
+        # lambda_min a relative 1e-10 inside (side -1) or outside (side +1)
+        # that boundary
+        proved = 0
+        for _ in range(10):
+            c0 = float(10.0 ** rng.uniform(-3, 3))
+            lam = rng.uniform(-c0, 3.0 * c0, d)
+            lam[0] = -c0 * (1.0 + side * 1e-10)
+            Q = sample_orthonormal_columns(d, d, seed=rng).columns
+            A = Q @ np.diag(lam) @ Q.T
+            A = 0.5 * (A + A.T)
+            if _shifted_pd(A, c0):
+                proved += 1
+                assert np.linalg.eigh(A)[0][0] > -c0
+        # a margin of 1e-10 is far outside the screen's: it proves every
+        # matrix inside and none outside
+        assert proved == (0 if side > 0 else 10)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -11,6 +12,7 @@ from hardsum.instances import (
     RandomizedHardInstance,
     ResistingOracle,
     NotFinalizedError,
+    ResistingCertificate,
     deterministic_params,
     ell_p,
     lemma_d_requirement,
@@ -371,6 +373,52 @@ def _small_game_spec(p=1, n=4, rounds=3):
                                 eps=1.0)
 
 
+def _play(F, rng, steps):
+    """Query F ``steps`` times at random indices, points and orders."""
+    for _ in range(steps):
+        F.component(int(rng.integers(F.n)),
+                    rng.standard_normal(F.d) * rng.uniform(0.0, 5.0),
+                    order=int(rng.integers(3)))
+
+
+def _chain_points(F, rng, P):
+    """P points spread along the committed directions, where every chain
+    term of the current game can be active."""
+    V = F.directions
+    return (F.spec.sigma * rng.uniform(-2.0, 2.0, (P, V.shape[1])) @ V.T
+            + 0.1 * rng.standard_normal((P, F.d)))
+
+
+def _certificate_by_record(F) -> ResistingCertificate:
+    """The certificate of a finalized game, measured one archived point at
+    a time: a full-sum gradient per record, then its replay."""
+    spec = F.spec
+    v_last = F.directions[:, spec.K]
+    inner, gnorms, max_replay = [], [], 0.0
+    for rec in F._archive:
+        inner.append(abs(float(v_last @ rec.x)))
+        gnorms.append(float(np.linalg.norm(F.full(rec.x, order=1).grad)))
+        replay = F._masked_component(rec.i, rec.x, rec.order, spec.K + 1)
+        err = rel_err(replay.value, rec.response.value)
+        if rec.order >= 1:
+            err = max(err, rel_err(replay.grad, rec.response.grad))
+        if rec.order >= 2:
+            err = max(err, rel_err(replay.hess, rec.response.hess))
+        max_replay = max(max_replay, err)
+    inner, gnorms = np.asarray(inner), np.asarray(gnorms)
+    empty = not F._archive
+    bound = spec.lam * spec.sigma ** spec.p / 4.0
+    return ResistingCertificate(
+        num_queries=len(F._archive), rounds_closed=F.rounds_closed,
+        bound=bound, inner_products=inner, grad_norms=gnorms,
+        max_inner_product=0.0 if empty else float(inner.max()),
+        min_grad_norm=math.inf if empty else float(gnorms.min()),
+        all_orthogonal=bool(empty or inner.max() <= 1e-10),
+        all_above_bound=bool(empty or gnorms.min() > bound),
+        max_replay_rel_err=max_replay,
+        replay_consistent=bool(max_replay <= 1e-10))
+
+
 class TestResistingOracle:
     def test_rejects_randomized_spec(self):
         spec = randomized_params("randomized-individual", p=1, n=2,
@@ -477,15 +525,54 @@ class TestResistingOracle:
             for t in range(20):
                 F.component(t % 4, rng.standard_normal(spec.d), 1)
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_stacked_full_equals_one_point_answers(self, rng, p, order):
+        # during play (two rounds closed) and after finalize, a stack is
+        # measured as its points are one at a time, and measuring touches
+        # neither the archive nor the round
+        spec = _small_game_spec(p=p, rounds=6)
+        F = ResistingOracle(spec, seed=11)
+        for i in (0, 1, 2, 3):
+            F.component(i, rng.standard_normal(spec.d), 1)
+        assert F.rounds_closed == 2 and not F.finalized
+        for _ in range(2):
+            X = _chain_points(F, rng, 6)
+            state = (F.num_archived, F.rounds_closed, F._round, F._nbasis)
+            stacked = F.full(X, order)
+            rows = [F.full(x, order) for x in X]
+            assert (F.num_archived, F.rounds_closed, F._round,
+                    F._nbasis) == state
+            assert _same_bits(stacked, Derivatives(
+                np.array([r.value for r in rows]),
+                np.stack([r.grad for r in rows]) if order >= 1 else None,
+                np.stack([r.hess for r in rows]) if order >= 2 else None))
+            F.finalize()
+
+    @pytest.mark.parametrize("steps", [0, 1, 7, 40])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_certificate_equals_the_per_record_measurement(self, p, steps):
+        # an empty archive, a game cut short and closed by finalize, and a
+        # game played to its end
+        rng = np.random.default_rng(2000 + steps)
+        F = ResistingOracle(_small_game_spec(p=p, rounds=6), seed=steps)
+        while F.num_archived < steps and not F.finalized:
+            _play(F, rng, 1)
+        F.finalize()
+        cert, ref = F.certificate(), _certificate_by_record(F)
+        for field in dataclasses.fields(ResistingCertificate):
+            a, b = getattr(cert, field.name), getattr(ref, field.name)
+            if isinstance(b, np.ndarray):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            else:
+                assert a == b, field.name
+        assert cert.passed
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_random_play_always_certifies(self, seed):
         rng = np.random.default_rng(1000 + seed)
         spec = _small_game_spec(p=(seed % 2) + 1, n=3 + (seed % 3))
         F = ResistingOracle(spec, seed=seed)
-        steps = int(rng.integers(5, 40))
-        for _ in range(steps):
-            F.component(int(rng.integers(spec.n)),
-                        rng.standard_normal(spec.d) * rng.uniform(0.0, 5.0),
-                        order=int(rng.integers(3)))
+        _play(F, rng, int(rng.integers(5, 40)))
         F.finalize()
         assert F.certificate().passed

@@ -186,6 +186,12 @@ ENTRIES = (
     # a flag is checked as the key it overrides
     Entry("run-budget-0", ADV_CUBIC,
           ("run", "--out", "run.jsonl", "--budget", "0"), 2),
+    # a budget below the first pass: no query, an empty archive to certify
+    _run("adv-cubic-budget7", ADV_CUBIC, "--budget", "7"),
+    # a game cut short: finalize closes the rounds never played
+    _run("adv-cubic-budget16", ADV_CUBIC, "--budget", "16"),
+    # verify has no budget to override
+    Entry("verify-budget", None, ("verify", "--budget", "5"), 2),
 )
 
 
