@@ -34,6 +34,12 @@ Two subspaces are tried in turn:
   hard case, whose minimizer leaves the Krylov space, fails the PSD check
   there and is solved here.
 
+U is a dense matrix or a factored V S V^T (``linalg._Factored``, the
+resisting oracle's charged Hessians): every product U q is then
+V (S (V^T q)), the Cholesky screen factors S + c I and lmin(U) is
+min(lmin(S), 0) when V does not span the space.  Only the dense path lifts
+V S V^T to a d x d matrix, once per solve.
+
 The three optimality conditions -- zero stationarity residual, positive
 semidefiniteness of the shifted Hessian, and model decrease of at least
 (M/12)|h|^3 -- are asserted after every solve, not merely hoped for.
@@ -45,7 +51,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .linalg import _lambda_min, _shifted_pd, as_vector, eig_sym, sym_matrix
+from .linalg import (_lambda_min, _max_abs, _shifted_pd, as_vector, eig_sym,
+                     sym_matrix)
 
 __all__ = ["CubicModel", "CubicSolution", "solve", "model_value"]
 
@@ -62,7 +69,8 @@ _KRYLOV_CLOSED = 1e-12
 
 @dataclass(frozen=True)
 class CubicModel:
-    """Gradient estimate v, Hessian estimate U, cubic penalty M > 0."""
+    """Gradient estimate v, Hessian estimate U (dense, or factored as
+    V S V^T), cubic penalty M > 0."""
 
     v: np.ndarray
     U: np.ndarray
@@ -167,7 +175,7 @@ def _krylov_step(model: CubicModel, norm_v: float) -> np.ndarray | None:
     kmax = d // 2
     if kmax == 0 or norm_v == 0.0:
         return None
-    closed = _KRYLOV_CLOSED * float(np.abs(U).max())
+    closed = _KRYLOV_CLOSED * _max_abs(U)
     # rows q_j of the orthonormal basis and U q_j, grown by doubling so that
     # they stay the size the space closes at
     basis = np.empty((min(8, kmax), d))

@@ -14,6 +14,15 @@ and the last committed direction is orthogonal to the entire query history.
 After the final round the game is over; the function is frozen at its
 finalized form and keeps answering consistently (queries are no longer
 archived -- there is nothing left to certify about them).
+
+Every answer lives in the span of the first ``active`` committed
+directions V: component i is a scaled chain of w = V^T x / sigma, so its
+gradient is V g and its Hessian V S V^T with g and S in chain coordinates
+(``active`` <= K + 1, far below d).  The public ``component`` and ``full``
+answer dense Hessians.  The private hooks, ``_checked`` (the charged
+answer ``query`` takes) and ``_answers`` (the measurement ``mu`` takes),
+answer them factored as V S V^T, and the archive keeps each query's chain
+coordinates, not a d x d matrix.
 """
 from __future__ import annotations
 
@@ -23,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..chains import Derivatives, chain_eval
-from ..linalg import as_points, as_rng, as_vector, rel_err, row_matvec
-from ..oracle import FiniteSumFunction, mean_derivatives
+from ..linalg import (_Factored, as_points, as_rng, as_vector, rel_err,
+                      row_matvec)
+from ..oracle import FiniteSumFunction, _check_answer, mean_derivatives
 from .params import HardInstanceSpec
 
 __all__ = ["ResistingOracle", "ResistingCertificate", "NotFinalizedError"]
@@ -38,12 +48,20 @@ class NotFinalizedError(RuntimeError):
 
 @dataclass
 class _ArchivedQuery:
-    t: int
+    """One answered query: component i at x up to ``order``, answered with
+    the first ``active`` directions; ``response`` holds its value, and its
+    gradient (active,) and Hessian (active, active) in chain coordinates."""
+
     i: int
     x: np.ndarray
     order: int
+    active: int
     response: Derivatives
-    round: int
+
+    @property
+    def round(self) -> int:
+        """The round the query was answered in."""
+        return self.active + 1
 
 
 @dataclass(frozen=True)
@@ -92,9 +110,12 @@ class ResistingOracle(FiniteSumFunction):
     """Stateful adversary; also usable directly as a finite-sum objective.
 
     ``component`` answers *and* advances the game, so a single oracle
-    instance serves exactly one algorithm run.  ``full`` is the measurement
-    side channel: it averages the current (truncated or finalized) responses
-    without archiving anything or advancing rounds.
+    instance serves exactly one algorithm run; a game move is one point, so
+    it refuses a stack.  ``full`` is the measurement side channel: it
+    averages the current (truncated or finalized) responses at one point or
+    a stack without archiving anything or advancing rounds.  Both answer
+    dense Hessians; ``_checked`` (a game move, as ``component``) and
+    ``_answers`` (as ``full``) answer the same Hessians factored.
     """
 
     def __init__(self, spec: HardInstanceSpec, seed):
@@ -169,44 +190,83 @@ class ResistingOracle(FiniteSumFunction):
 
     # -- the masked, scaled chain ------------------------------------------
 
-    def _masked_component(self, i: int, x: np.ndarray, order: int,
-                          active: int) -> Derivatives:
-        """Scaled chain response using the first ``active`` directions, at
-        one point x, shape (d,), or at a stack of points, shape (P, d),
-        each row equal bit for bit to the answer at its point."""
+    def _chain(self, i: int, x: np.ndarray, order: int,
+               active: int) -> Derivatives:
+        """The unscaled chain answer of component i in the coordinates of
+        the first ``active`` directions, at one point x, shape (d,), or at a
+        stack of points, shape (P, d), each row equal bit for bit to the
+        answer at its point."""
+        w = row_matvec(self._V[:, :active].T, x) / self.spec.sigma
+        return chain_eval(active, self._delta[i, :active], w, order)
+
+    def _scales(self) -> tuple[float, float, float]:
+        """The factors of the value, gradient and Hessian of a chain answer
+        in a component's answer."""
         spec = self.spec
+        a = spec.lam * spec.sigma ** (spec.p + 1)
+        return a, a / spec.sigma, a / spec.sigma ** 2
+
+    def _answer(self, ch: Derivatives, order: int, active: int,
+                factored: bool = False) -> Derivatives:
+        """The component's answer from its chain answer ch: value, gradient
+        and Hessian, dense, or ``factored`` as V S V^T."""
+        a, a_grad, a_hess = self._scales()
         Vk = self._V[:, :active]
-        w = row_matvec(Vk.T, x) / spec.sigma
-        ch = chain_eval(active, self._delta[i, :active], w, order)
-        p = spec.p
-        a = spec.lam * spec.sigma ** (p + 1)
         val = a * ch.value
         if order == 0:
             return Derivatives(val)
-        grad = (a / spec.sigma) * row_matvec(Vk, ch.grad)
+        grad = a_grad * row_matvec(Vk, ch.grad)
         if order == 1:
             return Derivatives(val, grad)
-        hess = (a / spec.sigma ** 2) * (Vk @ ch.hess @ Vk.T)
-        return Derivatives(val, grad, hess)
+        if factored:
+            return Derivatives(val, grad, _Factored(Vk, a_hess * ch.hess))
+        return Derivatives(val, grad, a_hess * (Vk @ ch.hess @ Vk.T))
+
+    def _coordinates(self, ch: Derivatives) -> Derivatives:
+        """A chain answer scaled into the component's, its gradient and
+        Hessian left in chain coordinates (the answer is V g, V S V^T)."""
+        a, a_grad, a_hess = self._scales()
+        return Derivatives(a * ch.value,
+                           None if ch.grad is None else a_grad * ch.grad,
+                           None if ch.hess is None else a_hess * ch.hess)
 
     # -- game play -----------------------------------------------------------
 
-    def component(self, i: int, x, order: int = 2) -> Derivatives:
+    def _move(self, i: int, x, order: int) -> tuple[Derivatives, int]:
+        """One answered query of component i at one point x: its chain
+        answer and the number of directions it used.  During play the query
+        is archived and may close a round."""
         i = self.check_index(i)
+        if np.ndim(x) != 1:
+            raise ValueError(f"a game move is one point: component takes x "
+                             f"of shape ({self.d},), got {np.shape(x)}")
         x = as_vector(x, dim=self.d)
         if self.finalized:
-            return self._masked_component(i, x, order, self._K + 1)
+            return self._chain(i, x, order, self._K + 1), self._K + 1
 
-        r = self._round
-        der = self._masked_component(i, x, order, r - 1)
-        self._archive.append(_ArchivedQuery(len(self._archive), i,
-                                            x.copy(), order, der, r))
+        active = self._round - 1
+        ch = self._chain(i, x, order, active)
+        self._archive.append(_ArchivedQuery(i, x.copy(), order, active,
+                                            self._coordinates(ch)))
         self._insert_basis(x)
         if i not in self._round_seen:
             self._round_seen.add(i)
             if len(self._round_seen) == self._half:
                 self._close_round()
-        return der
+        return ch, active
+
+    def component(self, i: int, x, order: int = 2) -> Derivatives:
+        """Component i at one point x up to ``order``, its Hessian dense: a
+        move of the game (archived during play), so a stack raises."""
+        ch, active = self._move(i, x, order)
+        return self._answer(ch, order, active)
+
+    def _checked(self, i: int, x, order: int) -> Derivatives:
+        """The game move of :meth:`component`, its Hessian factored, checked
+        by ``_check_answer``."""
+        ch, active = self._move(i, x, order)
+        return _check_answer(self._answer(ch, order, active, factored=True),
+                             i, order, self.d)
 
     def _close_round(self) -> None:
         r = self._round
@@ -240,10 +300,17 @@ class ResistingOracle(FiniteSumFunction):
         finalized objective.
         """
         x = as_points(x, dim=self.d)
+        return mean_derivatives(self._measured(x, order), x.shape, order)
+
+    def _answers(self, x: np.ndarray, order: int):
+        """What :meth:`full` sums, with factored Hessians."""
+        return self._measured(x, order, factored=True)
+
+    def _measured(self, x: np.ndarray, order: int, factored: bool = False):
+        """Every component's current answer at x, in index order."""
         active = self._K + 1 if self.finalized else self._round - 1
-        return mean_derivatives(
-            (self._masked_component(i, x, order, active)
-             for i in range(self.n)), x.shape, order)
+        return (self._answer(self._chain(i, x, order, active), order, active,
+                             factored) for i in range(self.n))
 
     @property
     def rounds_closed(self) -> int:
@@ -274,15 +341,20 @@ class ResistingOracle(FiniteSumFunction):
                  if archive else ())
         inner, gnorms = [], []
         max_replay = 0.0
+        top = self._K + 1
         for rec, grad in zip(archive, grads):
             inner.append(abs(float(v_last @ rec.x)))
             gnorms.append(float(np.linalg.norm(grad)))
-            replay = self._masked_component(rec.i, rec.x, rec.order, self._K + 1)
-            err = rel_err(replay.value, rec.response.value)
+            # in chain coordinates: the recorded answer padded with the
+            # directions committed after it
+            replay = self._coordinates(self._chain(rec.i, rec.x, rec.order,
+                                                   top))
+            got = rec.response
+            err = rel_err(replay.value, got.value)
             if rec.order >= 1:
-                err = max(err, rel_err(replay.grad, rec.response.grad))
+                err = max(err, rel_err(replay.grad, _padded(got.grad, top)))
             if rec.order >= 2:
-                err = max(err, rel_err(replay.hess, rec.response.hess))
+                err = max(err, rel_err(replay.hess, _padded(got.hess, top)))
             max_replay = max(max_replay, err)
 
         inner = np.asarray(inner)
@@ -301,3 +373,11 @@ class ResistingOracle(FiniteSumFunction):
             max_replay_rel_err=max_replay,
             replay_consistent=bool(max_replay <= _ORTHO_TOL),
         )
+
+
+def _padded(a: np.ndarray, size: int) -> np.ndarray:
+    """A chain-coordinate vector or matrix padded with zeros to ``size``
+    coordinates."""
+    out = np.zeros((size,) * a.ndim)
+    out[tuple(slice(0, n) for n in a.shape)] = a
+    return out

@@ -3,6 +3,11 @@ symmetric eigendecomposition, a Cholesky screen for the smallest
 eigenvalue, orthonormal-column sampling, and finite-difference
 differentiation.
 
+A symmetric matrix is a dense array or, privately, a :class:`_Factored`
+``V S V^T`` of low rank; the symmetry check, the eigenvalue screen and
+``lambda_min`` below take either, and the eigendecomposition lifts a
+factored matrix to a dense one.
+
 Everything here is pure and deterministic; random sampling takes an explicit
 seed or generator (no global RNG state is ever touched).
 """
@@ -105,15 +110,19 @@ _TINY = float(np.finfo(float).tiny)
 def sym_matrix(a) -> SymMatrix:
     """Validate symmetry of a square matrix (relative max-norm test) and
     return the exactly symmetrized copy (A + A^T)/2."""
-    A = np.asarray(a, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    A = a if isinstance(a, _Factored) else np.asarray(a, dtype=float)
+    if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     return _symmetrized(A)
 
 
-def _symmetrized(A: np.ndarray) -> np.ndarray:
+def _symmetrized(A):
     """The check and symmetrization of :func:`sym_matrix`, over the last two
-    axes of a matrix or a stack of matrices."""
+    axes of a matrix or a stack of matrices; a :class:`_Factored` one is
+    checked and symmetrized through its S."""
+    if isinstance(A, _Factored):
+        return _Factored(A.V, _symmetrized(A.S))
+    A = np.asarray(A, dtype=float)
     At = A.swapaxes(-1, -2)
     # max|A| is NaN or inf exactly when some entry is
     scale = np.maximum.reduce(np.absolute(A), axis=(-2, -1))
@@ -126,6 +135,63 @@ def _symmetrized(A: np.ndarray) -> np.ndarray:
     out = np.add(A, At)
     out *= 0.5
     return out
+
+
+class _Factored:
+    """The symmetric d x d matrix V S V^T held as its factors: V, shape
+    (d, a), has orthonormal columns and S, shape (a, a), is symmetric; or a
+    stack of such matrices sharing V, S of shape lead + (a, a).
+
+    The resisting oracle answers its Hessians in this form (a <= K + 1,
+    far below d).  ``A @ q`` is V (S (V^T q)); its spectrum is S's plus
+    d - a zeros, so the screen and ``lambda_min`` work on S, and only a
+    dense eigendecomposition lifts it (:meth:`lift`).
+    """
+
+    __slots__ = ("V", "S")
+
+    def __init__(self, V: np.ndarray, S: np.ndarray):
+        if V.ndim != 2 or S.shape[-2:] != (V.shape[1],) * 2:
+            raise ValueError(f"factors of shapes {V.shape} and {S.shape} do "
+                             "not make V S V^T")
+        self.V, self.S = V, S
+
+    @property
+    def shape(self) -> tuple:
+        return self.S.shape[:-2] + (self.V.shape[0],) * 2
+
+    def __matmul__(self, q: np.ndarray) -> np.ndarray:
+        """V (S (V^T q)) for one matrix and a vector or a (d, k) matrix q."""
+        return self.V @ (self.S @ (self.V.T @ q))
+
+    def __truediv__(self, c) -> _Factored:
+        return _Factored(self.V, self.S / c)
+
+    def lift(self) -> np.ndarray:
+        """The dense matrix V S V^T, exactly symmetric."""
+        A = self.V @ self.S @ self.V.T
+        return 0.5 * (A + A.swapaxes(-1, -2))
+
+
+def _added(total, A):
+    """total + A for the running sum of one averaging pass, ``total`` None
+    before the first term.  Dense matrices add in place into ``total``.
+    Factored ones add their S, padded to the wider V: their V are prefixes
+    of one basis, which can grow mid-pass (the resisting oracle commits a
+    direction when a round closes)."""
+    if not isinstance(A, _Factored):
+        if total is None:
+            total = np.zeros(np.shape(A))
+        total += A
+        return total
+    if total is None:
+        return _Factored(A.V, A.S.copy())
+    wide, narrow = ((A, total) if A.V.shape[1] > total.V.shape[1]
+                    else (total, A))
+    a = narrow.V.shape[1]
+    S = wide.S.copy()
+    S[..., :a, :a] += narrow.S
+    return _Factored(wide.V, S)
 
 
 @dataclass(frozen=True)
@@ -182,9 +248,12 @@ def eig_sym(A: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
     Raises ValueError on non-symmetric input; LAPACK failures propagate as
-    ``np.linalg.LinAlgError``.
+    ``np.linalg.LinAlgError``.  A :class:`_Factored` matrix is lifted to
+    its dense form first.
     """
     A = sym_matrix(A)
+    if isinstance(A, _Factored):
+        A = A.lift()
     w, V = np.linalg.eigh(A)
     return w, V
 
@@ -192,21 +261,34 @@ def eig_sym(A: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
 def _lambda_min(A: SymMatrix) -> float:
     """Smallest eigenvalue of a validated symmetric matrix, from one
     subset eigensolve (LAPACK ``syevr`` for that eigenvalue only, about half
-    the cost of a full ``eigh`` at d = 197)."""
-    return float(scipy.linalg.eigh(A, subset_by_index=[0, 0],
+    the cost of a full ``eigh`` at d = 197).  Of a :class:`_Factored` one
+    it is S's, or 0 when it is lower and V does not span the space."""
+    S = A.S if isinstance(A, _Factored) else A
+    lmin = float(scipy.linalg.eigh(S, subset_by_index=[0, 0],
                                    eigvals_only=True, check_finite=False)[0])
+    return min(lmin, 0.0) if S.shape[0] < A.shape[0] else lmin
+
+
+def _max_abs(A: SymMatrix) -> float:
+    """max |A_ij|; of a :class:`_Factored` matrix, max |S_ij|, its size in
+    the basis V."""
+    return float(np.abs(A.S if isinstance(A, _Factored) else A).max())
 
 
 def _shifted_pd(A: SymMatrix, c0: float) -> bool:
     """Whether a Cholesky factorization of A + c I, c just below c0, proves
     that lambda_min(A), as ``eigh`` or :func:`_lambda_min` computes it, is
-    above -c0 (A validated and symmetric).
+    above -c0 (A validated and symmetric).  A :class:`_Factored` A is
+    screened through S + c I: its other eigenvalues are 0, above -c0
+    whenever c > 0.
 
     The margin below c0 covers the factorization's backward error (at most
     about (d+1) d eps max_i A_ii), the eigensolver's (about d eps |A|_2 <=
     d^2 eps max|A|) and, through its c0 term, the rounding of the formula
     that compares lambda_min with -c0.  False proves nothing.
     """
+    if isinstance(A, _Factored):
+        A = A.S
     d = A.shape[0]
     c = c0 - 4.0 * d * (d + 1) * np.finfo(float).eps * (np.abs(A).max() + c0)
     if not c > 0:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import Derivatives
-from .linalg import (_symmetrized, as_points, as_rng, as_vector, row_dot,
-                     row_matvec)
+from .linalg import (_added, _symmetrized, as_points, as_rng, as_vector,
+                     row_dot, row_matvec)
 
 __all__ = [
     "FiniteSumFunction",
@@ -34,14 +34,18 @@ class FiniteSumFunction:
     """A finite sum F = (1/n) * sum_i f_i with components on R^d answering
     value/gradient/Hessian queries.
 
-    Subclasses implement :meth:`component`, which answers one point x of
-    shape (d,) or a stack of P points of shape (P, d); a stack's answer
-    holds values (P,), gradients (P, d) and Hessians (P, d, d).  Component
-    indices are 0-based.  :meth:`components` answers several components at
-    one point as the same kind of stack, one row per component.  A sum that
-    answers all components at once may also override :meth:`_answers`, the
-    one private hook behind :meth:`full`.  Charged answers are checked by
-    :func:`_check_answer`, which refuses other shapes.
+    Subclasses implement :meth:`component`.  :meth:`full` answers one point
+    x of shape (d,) or a stack of P points of shape (P, d), and so does
+    :meth:`component` of every sum in the package except the resisting
+    oracle's, a game move of one point, which refuses a stack; a stack's
+    answer holds values (P,), gradients (P, d) and Hessians (P, d, d).
+    :meth:`components` answers several components at one point as the same
+    kind of stack, one row per component, and :func:`query` one component
+    at one point.  Component indices are 0-based.  A sum that answers all
+    components at once may also override :meth:`_answers`, the one private
+    hook behind :meth:`full` and :func:`~hardsum.optim.mu`.  Charged
+    answers are checked by :func:`_check_answer`, which refuses other
+    shapes.
     """
 
     n: int
@@ -128,7 +132,8 @@ def _check_answer(der: Derivatives, rows, order: int, d: int) -> Derivatives:
     or of a stack of components ``rows`` (an array of shape lead): up to
     ``order``, shapes lead, lead + (d,), lead + (d, d); finite values and
     gradients; Hessians that pass ``sym_matrix``'s test, returned
-    symmetrized.  A stack passes or fails as its first failing row would."""
+    symmetrized (a factored ``V S V^T`` one through its S).  A stack passes
+    or fails as its first failing row would."""
     lead = getattr(rows, "shape", ())
     parts = (der.value, der.grad, der.hess)[:order + 1]
     try:
@@ -147,7 +152,7 @@ def _check_answer(der: Derivatives, rows, order: int, d: int) -> Derivatives:
         if order < 2:
             return der
         try:
-            hess = _symmetrized(np.asarray(der.hess, dtype=float))
+            hess = _symmetrized(der.hess)
         except ValueError as err:
             raise ValueError(f"component {rows} answered a Hessian: {err} "
                              f"(order {order})") from None
@@ -173,25 +178,29 @@ def mean_derivatives(answers, shape: tuple, order: int) -> Derivatives:
     index order everywhere in the package), then divided by their count.
     ``shape`` is the gradients' shape: (d,) for answers at one point,
     (P, d) for answers at a stack of P points; an answer whose value,
-    gradient or Hessian has another shape raises.
+    gradient or Hessian has another shape raises.  Hessians are dense, or
+    all factored as ``V S V^T`` (the resisting oracle's private form):
+    their S are summed, padded to the widest V, since a round can close
+    mid-pass, and the mean is factored too.
 
     The one averaging pass behind every full-sum quantity: the free
     measurement channel and the charged snapshot and baseline passes.
     """
-    val, count = 0.0, 0
+    val, count, hess = 0.0, 0, None
     grad = np.zeros(shape) if order >= 1 else None
-    hess = np.zeros(shape + shape[-1:]) if order >= 2 else None
+    hess_shape = shape + shape[-1:]
     for der in answers:
         if (getattr(der.value, "shape", ()) != shape[:-1]
-                or order >= 1 and getattr(der.grad, "shape", None) != grad.shape
-                or order >= 2 and getattr(der.hess, "shape", None) != hess.shape):
+                or order >= 1 and getattr(der.grad, "shape", None) != shape
+                or order >= 2
+                and getattr(der.hess, "shape", None) != hess_shape):
             _check_answer(der, np.full(shape[:-1], count), order, shape[-1])
         count += 1
         val += der.value
         if order >= 1:
             grad += der.grad
         if order >= 2:
-            hess += der.hess
+            hess = _added(hess, der.hess)
     return Derivatives(val / count,
                        None if grad is None else grad / count,
                        None if hess is None else hess / count)

@@ -6,7 +6,8 @@ from scipy.optimize import brentq
 
 from hardsum import cubic
 from hardsum.cubic import CubicModel, CubicSolution, model_value, solve
-from hardsum.linalg import _shifted_pd, eig_sym, sample_orthonormal_columns
+from hardsum.linalg import (_Factored, _shifted_pd, eig_sym,
+                            sample_orthonormal_columns)
 
 
 def _check_optimality(model: CubicModel, sol: CubicSolution, tol=1e-9):
@@ -362,3 +363,71 @@ class TestKrylovPath:
         # a margin of 1e-10 is far outside the screen's: it proves every
         # matrix inside and none outside
         assert proved == (0 if side > 0 else 10)
+
+
+class TestFactoredHessian:
+    """A factored U = V S V^T is solved as its dense lift is."""
+
+    @staticmethod
+    def _pair(model, V, S):
+        """The model with U factored, and with U its dense lift."""
+        U = _Factored(V, S)
+        return (CubicModel(v=model.v, U=U, M=model.M),
+                CubicModel(v=model.v, U=U.lift(), M=model.M))
+
+    @pytest.mark.parametrize("outside", [0.0, 0.7])
+    @pytest.mark.parametrize("d, r", [(50, 3), (197, 21)])
+    def test_easy_cases_match_the_lift(self, rng, monkeypatch, d, r,
+                                       outside):
+        paths = _spy_paths(monkeypatch)
+        for _ in range(5):
+            G = sample_orthonormal_columns(d, r + 1, seed=rng).columns
+            lam = rng.uniform(-3.0, 3.0, r)
+            lam[0] = -abs(lam[0]) - 0.1
+            v = G[:, :r] @ rng.standard_normal(r) + outside * G[:, r]
+            model = CubicModel(v=v * 10.0 ** rng.uniform(-2, 2),
+                               U=np.zeros((d, d)), M=float(rng.uniform(0.1, 5)))
+            factored, dense = self._pair(model, G[:, :r], np.diag(lam))
+            a, b = solve(factored), solve(dense)
+            assert np.linalg.norm(a.h - b.h) <= 1e-12 * np.linalg.norm(b.h)
+            _check_optimality(dense, a)
+            _check_optimality(dense, b)
+            assert model_value(factored, a.h) == pytest.approx(
+                model_value(dense, a.h), rel=1e-12)
+        # the factored Krylov space closes as the dense one does
+        assert paths == {"krylov_closed": 10, "krylov_open": 0, "dense": 0}
+
+    @pytest.mark.parametrize("d", [50, 197])
+    def test_hard_case_lifts_once(self, rng, monkeypatch, d):
+        # the hard case of test_hard_case_falls_back_to_dense, factored: the
+        # screen and the subset eigensolve work on S, the dense path lifts
+        paths = _spy_paths(monkeypatch)
+        eigensolves = _spy_lambda_min(monkeypatch)
+        lifts = []
+        lift = _Factored.lift
+
+        def spied(self):
+            lifts.append(self.shape)
+            return lift(self)
+
+        for _ in range(5):
+            G = sample_orthonormal_columns(d, 4, seed=rng).columns
+            lam = np.array([-2.0, 0.5, 1.0, 3.0])
+            M = float(rng.uniform(0.5, 2.0))
+            s0 = 4.0 / M
+            v = G[:, 1:] @ rng.standard_normal(3)
+            v *= 0.5 * s0 / np.linalg.norm(np.linalg.solve(
+                np.diag(lam[1:] + 2.0), G[:, 1:].T @ v))
+            factored, dense = self._pair(CubicModel(v=v, U=np.zeros((d, d)),
+                                                    M=M), G, np.diag(lam))
+            with monkeypatch.context() as m:
+                m.setattr(_Factored, "lift", spied)
+                a = solve(factored)
+            b = solve(dense)
+            assert a.s == pytest.approx(s0, rel=1e-9)
+            assert np.linalg.norm(a.h - b.h) <= 1e-12 * np.linalg.norm(b.h)
+            _check_optimality(dense, a)
+            _check_optimality(dense, b)
+        assert paths == {"krylov_closed": 10, "krylov_open": 0, "dense": 10}
+        assert eigensolves == [(d, d)] * 10
+        assert lifts == [(d, d)] * 5

@@ -27,7 +27,8 @@ from hardsum.linalg import (
     rel_err,
     sample_orthonormal_columns,
 )
-from hardsum.oracle import mean_derivatives
+from hardsum.optim import C_M, baseline_full_cubic, mu
+from hardsum.oracle import OracleLedger, mean_derivatives, query
 
 def _same_bits(a: Derivatives, b: Derivatives) -> bool:
     """Equal value, gradient and Hessian bytes (so -0.0 and 0.0 differ)."""
@@ -391,19 +392,30 @@ def _chain_points(F, rng, P):
 
 def _certificate_by_record(F) -> ResistingCertificate:
     """The certificate of a finalized game, measured one archived point at
-    a time: a full-sum gradient per record, then its replay."""
+    a time: a full-sum gradient per record, then its replay in chain
+    coordinates against the recorded answer, padded with zeros for the
+    directions committed after it."""
     spec = F.spec
+    top = spec.K + 1
     v_last = F.directions[:, spec.K]
     inner, gnorms, max_replay = [], [], 0.0
     for rec in F._archive:
         inner.append(abs(float(v_last @ rec.x)))
         gnorms.append(float(np.linalg.norm(F.full(rec.x, order=1).grad)))
-        replay = F._masked_component(rec.i, rec.x, rec.order, spec.K + 1)
+        replay = F._coordinates(F._chain(rec.i, rec.x, rec.order, top))
+        a = rec.active
+        assert a == rec.round - 1 and 1 <= a <= spec.K
         err = rel_err(replay.value, rec.response.value)
         if rec.order >= 1:
-            err = max(err, rel_err(replay.grad, rec.response.grad))
+            assert rec.response.grad.shape == (a,)
+            grad = np.zeros(top)
+            grad[:a] = rec.response.grad
+            err = max(err, rel_err(replay.grad, grad))
         if rec.order >= 2:
-            err = max(err, rel_err(replay.hess, rec.response.hess))
+            assert rec.response.hess.shape == (a, a)
+            hess = np.zeros((top, top))
+            hess[:a, :a] = rec.response.hess
+            err = max(err, rel_err(replay.hess, hess))
         max_replay = max(max_replay, err)
     inner, gnorms = np.asarray(inner), np.asarray(gnorms)
     empty = not F._archive
@@ -417,6 +429,119 @@ def _certificate_by_record(F) -> ResistingCertificate:
         all_above_bound=bool(empty or gnorms.min() > bound),
         max_replay_rel_err=max_replay,
         replay_consistent=bool(max_replay <= 1e-10))
+
+
+def _nbytes(obj) -> int:
+    """Bytes an archive holds in arrays and numbers (8 per scalar), through
+    lists, dataclasses and nested answers."""
+    if obj is None:
+        return 0
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (list, tuple)):
+        return sum(_nbytes(item) for item in obj)
+    if dataclasses.is_dataclass(obj):
+        return sum(_nbytes(getattr(obj, f.name))
+                   for f in dataclasses.fields(obj))
+    return 8
+
+
+def _relative_gap(dense, factored) -> float:
+    return float(np.linalg.norm(factored.lift() - dense)) / max(
+        float(np.linalg.norm(dense)), np.finfo(float).tiny)
+
+
+class TestFactoredAnswers:
+    """The charged and measured answers hold their Hessians as V S V^T; the
+    public ones stay dense, and the two agree."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_charged_answers_lift_to_the_public_ones(self, rng, p):
+        # two copies of one game, played with the same moves: through query
+        # (factored) and through component (dense); each pass over the four
+        # components closes a round after its second row, so its mean pads
+        # the first rows' S; the third pass finalizes the game mid-pass
+        spec = _small_game_spec(p=p, rounds=6)
+        charged, public = (ResistingOracle(spec, seed=12) for _ in range(2))
+        ledger = OracleLedger(n=spec.n)
+        passes = 0
+        while True:
+            done = public.finalized
+            x = _chain_points(public, rng, 1)[0]
+            answers = [query(ledger, charged, i, x, order=2)
+                       for i in range(spec.n)]
+            dense = [public.component(i, x, 2) for i in range(spec.n)]
+            for a, b in zip(answers, dense):
+                assert a.value == b.value and np.array_equal(a.grad, b.grad)
+                assert _relative_gap(b.hess, a.hess) <= 1e-14
+            mean = mean_derivatives(answers, (spec.d,), 2)
+            ref = mean_derivatives(dense, (spec.d,), 2)
+            assert mean.value == ref.value
+            assert np.array_equal(mean.grad, ref.grad)
+            assert _relative_gap(ref.hess, mean.hess) <= 1e-14
+            # the measurement behind mu against the public full
+            measured = mean_derivatives(charged._answers(x, 2), (spec.d,), 2)
+            full = public.full(x, 2)
+            assert measured.value == full.value
+            assert np.array_equal(measured.grad, full.grad)
+            assert _relative_gap(full.hess, measured.hess) <= 1e-14
+            passes += 1
+            if done:
+                break
+        assert passes == 4 and charged.finalized
+        assert charged.num_archived == public.num_archived == 10
+        for a, b in zip(charged._archive, public._archive):
+            assert (a.i, a.order, a.active) == (b.i, b.order, b.active)
+            assert _same_bits(a.response, b.response)
+        assert charged.certificate().to_dict() == public.certificate().to_dict()
+
+    def test_mu_matches_the_dense_measurement(self, rng):
+        # at small L2 the curvature term can win: where the screen fails, mu
+        # takes lambda_min from S; at large L2 the screen proves the floor
+        spec = _small_game_spec(p=1, rounds=6)
+        F = ResistingOracle(spec, seed=15)
+        for i in range(spec.n):
+            F.component(i, rng.standard_normal(spec.d), 1)
+        for L2 in (1e-6, 1.0, 1e6):
+            for x in _chain_points(F, rng, 4):
+                full = F.full(x, 2)
+                gnorm = float(np.linalg.norm(full.grad))
+                lam_min = float(np.linalg.eigh(full.hess)[0][0])
+                ref = max(gnorm ** 1.5, -(lam_min ** 3) / L2 ** 1.5)
+                assert mu(F, x, L2) == pytest.approx(ref, rel=1e-12)
+
+    def test_component_refuses_a_stack(self, rng):
+        spec = _small_game_spec()
+        F = ResistingOracle(spec, seed=13)
+        F.component(0, rng.standard_normal(spec.d), 2)
+        state = (F.num_archived, F.rounds_closed, F._round, F._nbasis,
+                 F._basis.copy(), F.directions)
+        X = rng.standard_normal((2, spec.d))
+        message = (rf"a game move is one point: component takes x of shape "
+                   rf"\({spec.d},\), got \(2, {spec.d}\)")
+        for move in (F.component, F._checked):
+            with pytest.raises(ValueError, match=message):
+                move(1, X, 2)
+        assert state[:4] == (F.num_archived, F.rounds_closed, F._round,
+                             F._nbasis)
+        assert np.array_equal(state[4], F._basis)
+        assert np.array_equal(state[5], F.directions)
+
+    def test_archive_holds_no_dense_hessian(self):
+        # a cubic game at d >= 1000: each record holds its point and its
+        # answer in chain coordinates, at most 8 (d + (K+1)^2) bytes plus
+        # its scalars, never a d x d Hessian
+        spec = deterministic_params(p=1, n=4, Delta=192.0 * 21, L=ell_p(1),
+                                    eps=1.0, budget=1000)
+        assert spec.d >= 1000 and spec.K == 20
+        F = ResistingOracle(spec, seed=14)
+        ledger = OracleLedger(n=spec.n)
+        rows = baseline_full_cubic(F, C_M * spec.L, 40, ledger=ledger)
+        assert len(rows) == 5 and ledger.hess_queries == 20
+        records = len(F._archive)
+        assert records == 40 and F.rounds_closed == 20
+        per_record = 8 * (spec.d + (spec.K + 1) ** 2) + 64
+        assert _nbytes(F._archive) <= records * per_record
 
 
 class TestResistingOracle:

@@ -7,6 +7,9 @@ from hardsum.chains import Derivatives
 from hardsum.cubic import CubicModel
 from hardsum.linalg import (
     TallOrthogonal,
+    _Factored,
+    _lambda_min,
+    _shifted_pd,
     as_rng,
     as_vector,
     eig_sym,
@@ -212,6 +215,73 @@ class TestSymMatrixMatchesReference:
             eig_sym(np.ones((3, 3, 3)))
         with pytest.raises(ValueError, match="expected a square matrix"):
             CubicModel(v=np.ones(3), U=np.ones((3, 3, 3)), M=1.0)
+
+
+def _factored(rng, d, a, psd=False):
+    """A random V S V^T: V (d, a) orthonormal, S with eigenvalues in
+    [-3, 3], or in [0.1, 3] when ``psd``."""
+    V = sample_orthonormal_columns(d, a, seed=rng).columns
+    Z = sample_orthonormal_columns(a, a, seed=rng).columns
+    lam = rng.uniform(0.1, 3.0, a) if psd else rng.uniform(-3.0, 3.0, a)
+    S = (Z * lam) @ Z.T
+    return _Factored(V, 0.5 * (S + S.T))
+
+
+class TestFactored:
+    """The factored form V S V^T decides as its dense lift does."""
+
+    @pytest.mark.parametrize("psd", [False, True])
+    @pytest.mark.parametrize("d, a", [(5, 5), (50, 3), (197, 21)])
+    def test_screen_and_lambda_min_match_the_lift(self, rng, d, a, psd):
+        for _ in range(10):
+            A = _factored(rng, d, a, psd)
+            dense = A.lift()
+            ref = float(np.linalg.eigh(dense)[0][0])
+            lmin = _lambda_min(A)
+            assert abs(lmin - ref) <= 1e-13 * (1.0 + abs(ref))
+            assert _lambda_min(dense) == pytest.approx(ref, abs=1e-13)
+            if psd and a < d:
+                # the complement's eigenvalue 0 is lambda_min
+                assert lmin == 0.0
+            # shifts a relative 1e-8 on each side of the boundary, and far
+            # from it on each side
+            edge = max(-lmin, 1e-3)
+            for c0 in (edge * (1 - 1e-8), edge * (1 + 1e-8), 0.5 * edge,
+                       2.0 * edge):
+                assert _shifted_pd(A, c0) == _shifted_pd(dense, c0) == (
+                    ref > -c0), c0
+
+    def test_sym_matrix_checks_s(self, rng):
+        A = _factored(rng, 20, 4)
+        out = sym_matrix(A)
+        assert isinstance(out, _Factored) and out.V is A.V
+        assert np.array_equal(out.S, A.S)
+        skew = A.S.copy()
+        skew[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="not symmetric"):
+            sym_matrix(_Factored(A.V, skew))
+        bad = A.S.copy()
+        bad[1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            sym_matrix(_Factored(A.V, bad))
+        with pytest.raises(ValueError, match="do not make"):
+            _Factored(A.V, A.S[:3, :3])
+
+    def test_eig_sym_lifts(self, rng):
+        A = _factored(rng, 30, 5)
+        w, Q = eig_sym(A)
+        assert np.allclose(w, np.linalg.eigh(A.lift())[0], rtol=0,
+                           atol=1e-13)
+        assert np.allclose((Q * w) @ Q.T, A.lift(), rtol=0, atol=1e-12)
+
+    def test_product_and_lift(self, rng):
+        A = _factored(rng, 40, 6)
+        q = rng.standard_normal(40)
+        dense = A.lift()
+        assert np.array_equal(dense, dense.T)
+        assert np.allclose(A @ q, dense @ q, rtol=0, atol=1e-13)
+        assert A.shape == (40, 40)
+        assert np.array_equal((A / 4.0).S, A.S / 4.0)
 
 
 class TestOrthonormalColumns:

@@ -102,7 +102,7 @@ class TestFiniteSum:
             "_QuadraticCosineSum": {"component", "components", "_answers"},
             "_Evaluated": {"_checked"},
             "RandomizedHardInstance": {"component", "_answers"},
-            "ResistingOracle": {"component", "full"},
+            "ResistingOracle": {"component", "_answers", "_checked", "full"},
             "_StackSum": {"component"},
         }
 

@@ -52,6 +52,9 @@ ADV_CUBIC = ("[instance]\nmode = deterministic\np = 1\nn = 4\n"
 BENCH_ADV_CUBIC = ("[instance]\nmode = deterministic\np = 1\nn = 4\n"
                    f"delta = 4040.0\nL = {ELL_1}\neps = 1.0\n"
                    "[optimizer]\noptimizer = cubic\n")
+# small M and L2 on the bench config: the Hessian's curvature shapes the
+# cubic step and mu's screen fails, so mu takes lambda_min
+ADV_CUBIC_CURVATURE = BENCH_ADV_CUBIC + "M = 1.0\nL2 = 1e-6\n"
 # p = 2: the resisting oracle at d = 98, a second Hessian spectrum for the
 # cubic solver
 ADV_CUBIC_P2 = ("[instance]\nmode = deterministic\np = 2\nn = 4\n"
@@ -139,6 +142,7 @@ ENTRIES = (
     *(_run(f"bench-adv-cubic-seed{s}", BENCH_ADV_CUBIC, "--seed", str(s))
       for s in (0, 1, 2)),
     _run("adv-cubic-p2", ADV_CUBIC_P2),
+    _run("adv-cubic-curvature", ADV_CUBIC_CURVATURE),
     _run("svrc-sampled", SVRC_SAMPLED),
     _run("svrc-full-batch", SVRC_FULL),
     _run("svrc-full-batch-budget80", SVRC_FULL, "--budget", "80"),
