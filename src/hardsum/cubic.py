@@ -26,19 +26,19 @@ Two subspaces are tried in turn:
   & Toint 2011).  When it closes (U maps it into itself) the easy-case
   minimizer lies in it, and the secular equation of the projected matrix
   T = Q^T U Q gives that minimizer exactly.  One Cholesky factorization of
-  a shift of U proves the PSD condition; only when it cannot does one
-  subset eigensolve give lmin(U) to decide it.  Low-rank Hessians, such as
-  the resisting oracle's (rank at most K + 1), close in a few dimensions;
+  a shift of U proves the PSD condition; only when it cannot does an
+  eigendecomposition give lmin(U) to decide it.  Low-rank Hessians, such
+  as the resisting oracle's (rank at most K + 1), close in a few
+  dimensions;
 * the whole space, from a dense eigendecomposition of U, when the Krylov
   space does not close within d/2 dimensions or its step fails a check.  The
   hard case, whose minimizer leaves the Krylov space, fails the PSD check
   there and is solved here.
 
-U is a dense matrix or a factored V S V^T (``linalg._Factored``, the
-resisting oracle's charged Hessians): every product U q is then
-V (S (V^T q)), the Cholesky screen factors S + c I and lmin(U) is
-min(lmin(S), 0) when V does not span the space.  Only the dense path lifts
-V S V^T to a d x d matrix, once per solve.
+U is a dense matrix or a factored V S V^T (``linalg._Factored``, the form
+of every resisting-oracle Hessian): every product U q is then
+V (S (V^T q)), and ``linalg``'s Cholesky screen and lmin work on S.  Only
+the dense path lifts V S V^T to a d x d matrix, once per solve.
 
 The three optimality conditions -- zero stationarity residual, positive
 semidefiniteness of the shifted Hessian, and model decrease of at least
@@ -211,7 +211,7 @@ def _certified(model: CubicModel, h: np.ndarray, lmin: float | None,
                norm_v: float, tol: float) -> CubicSolution:
     """The solution at h, after the three optimality checks.  lmin is the
     smallest eigenvalue of U, or None: then the Cholesky screen proves the
-    PSD condition, or where it cannot, a subset eigensolve decides it."""
+    PSD condition, or where it cannot, ``_lambda_min`` decides it."""
     v, U, M = model.v, model.U, model.M
     half_m = M / 2.0
     s_actual = float(np.linalg.norm(h))

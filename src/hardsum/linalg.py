@@ -4,9 +4,10 @@ eigenvalue, orthonormal-column sampling, and finite-difference
 differentiation.
 
 A symmetric matrix is a dense array or, privately, a :class:`_Factored`
-``V S V^T`` of low rank; the symmetry check, the eigenvalue screen and
-``lambda_min`` below take either, and the eigendecomposition lifts a
-factored matrix to a dense one.
+``V S V^T`` of low rank.  This module is the only one that tells the two
+apart: the symmetry check, the eigenvalue screen and ``lambda_min`` take
+either, and :func:`_dense` (behind the eigendecomposition and the public
+answers) lifts a factored matrix to its dense one.
 
 Everything here is pure and deterministic; random sampling takes an explicit
 seed or generator (no global RNG state is ever touched).
@@ -16,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "Vector",
@@ -145,7 +144,7 @@ class _Factored:
     The resisting oracle answers its Hessians in this form (a <= K + 1,
     far below d).  ``A @ q`` is V (S (V^T q)); its spectrum is S's plus
     d - a zeros, so the screen and ``lambda_min`` work on S, and only a
-    dense eigendecomposition lifts it (:meth:`lift`).
+    dense eigendecomposition or a public answer lifts it (:func:`_dense`).
     """
 
     __slots__ = ("V", "S")
@@ -171,6 +170,12 @@ class _Factored:
         """The dense matrix V S V^T, exactly symmetric."""
         A = self.V @ self.S @ self.V.T
         return 0.5 * (A + A.swapaxes(-1, -2))
+
+
+def _dense(A):
+    """A as a dense array: the lift of a :class:`_Factored` A, any other A
+    (a dense array, or None) unchanged."""
+    return A.lift() if isinstance(A, _Factored) else A
 
 
 def _added(total, A):
@@ -251,21 +256,16 @@ def eig_sym(A: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     ``np.linalg.LinAlgError``.  A :class:`_Factored` matrix is lifted to
     its dense form first.
     """
-    A = sym_matrix(A)
-    if isinstance(A, _Factored):
-        A = A.lift()
-    w, V = np.linalg.eigh(A)
+    w, V = np.linalg.eigh(_dense(sym_matrix(A)))
     return w, V
 
 
 def _lambda_min(A: SymMatrix) -> float:
-    """Smallest eigenvalue of a validated symmetric matrix, from one
-    subset eigensolve (LAPACK ``syevr`` for that eigenvalue only, about half
-    the cost of a full ``eigh`` at d = 197).  Of a :class:`_Factored` one
-    it is S's, or 0 when it is lower and V does not span the space."""
+    """Smallest eigenvalue of a validated symmetric matrix: the first of
+    :func:`eig_sym`'s.  Of a :class:`_Factored` one it is S's, or 0 when it
+    is lower and V does not span the space."""
     S = A.S if isinstance(A, _Factored) else A
-    lmin = float(scipy.linalg.eigh(S, subset_by_index=[0, 0],
-                                   eigvals_only=True, check_finite=False)[0])
+    lmin = float(eig_sym(S)[0][0])
     return min(lmin, 0.0) if S.shape[0] < A.shape[0] else lmin
 
 
@@ -295,7 +295,11 @@ def _shifted_pd(A: SymMatrix, c0: float) -> bool:
         return False
     S = A.copy()
     S.flat[::d + 1] += c
-    return dpotrf(S, lower=True, clean=False, overwrite_a=True)[1] == 0
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def default_fd_step(x: Vector) -> float:

@@ -30,8 +30,8 @@ import numpy as np
 
 from .chains import Derivatives
 from .cubic import CubicModel, solve
-from .linalg import (_Factored, _lambda_min, _shifted_pd, as_rng, as_vector,
-                     eig_sym, row_matvec, sym_matrix)
+from .linalg import (_lambda_min, _shifted_pd, as_rng, as_vector, row_matvec,
+                     sym_matrix)
 from .oracle import (FiniteSumFunction, OracleLedger, _Evaluated,
                      _row_answers, mean_derivatives, query, record_iterate)
 
@@ -264,8 +264,7 @@ def _stationarity(der: Derivatives, L2: float) -> tuple[float, float]:
 
     The curvature term beats the floor |grad F|^(3/2) only when
     lambda_min <= -sqrt(|grad F| L2); a Cholesky screen that rules this out
-    returns the floor without an eigendecomposition.  A factored Hessian
-    V S V^T is screened, and its lambda_min taken, through S.
+    returns the floor without an eigendecomposition.
     """
     if not (math.isfinite(der.value) and np.isfinite(der.grad).all()):
         raise ValueError("the measured full sum is not finite")
@@ -273,19 +272,17 @@ def _stationarity(der: Derivatives, L2: float) -> tuple[float, float]:
     H = sym_matrix(der.hess)
     if _shifted_pd(H, math.sqrt(gnorm * L2)):
         return gnorm, gnorm ** 1.5
-    lam_min = (_lambda_min(H) if isinstance(H, _Factored)
-               else float(eig_sym(H)[0][0]))
-    return gnorm, max(gnorm ** 1.5, -(lam_min ** 3) / L2 ** 1.5)
+    return gnorm, max(gnorm ** 1.5, -(_lambda_min(H) ** 3) / L2 ** 1.5)
 
 
 def mu(F: FiniteSumFunction, x, L2: float) -> float:
     """Combined stationarity measure:
     max(|grad F|^(3/2), -lambda_min(hess F)^3 / L2^(3/2)).
 
-    Uses the free measurement channel, the answers that ``F.full`` averages
-    (``F._answers``, whose Hessians may be factored); zero iff x is an
-    exact second-order stationary point.  Raises ValueError if the measured
-    value or gradient is not finite.
+    Uses the free measurement channel: the mean of ``F._answers`` that
+    ``F.full`` answers, before a factored Hessian is lifted; zero iff x is
+    an exact second-order stationary point.  Raises ValueError if the
+    measured value or gradient is not finite.
     """
     if not L2 > 0:
         raise ValueError("L2 must be positive")

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import Derivatives
-from .linalg import (_added, _symmetrized, as_points, as_rng, as_vector,
-                     row_dot, row_matvec)
+from .linalg import (_added, _dense, _symmetrized, as_points, as_rng,
+                     as_vector, row_dot, row_matvec)
 
 __all__ = [
     "FiniteSumFunction",
@@ -98,11 +98,12 @@ class FiniteSumFunction:
 
         ``x`` is one point or a stack of points, answered as
         :meth:`component` answers it, or in one call by a sum that overrides
-        :meth:`_answers`.  Never goes through a ledger; use :func:`query`
-        for charged access.
+        :meth:`_answers`.  Its Hessian is dense.  Never goes through a
+        ledger; use :func:`query` for charged access.
         """
         x = as_points(x, dim=self.d)
-        return mean_derivatives(self._answers(x, order), x.shape, order)
+        mean = mean_derivatives(self._answers(x, order), x.shape, order)
+        return Derivatives(mean.value, mean.grad, _dense(mean.hess))
 
     def _answers(self, x: np.ndarray, order: int):
         """Every component at a validated point or stack of points x, one

@@ -1,5 +1,6 @@
 """tools/compare_outputs.py: its entry list still parses, a tree compared
-with itself reads identical, and a changed output or exit code is caught."""
+with itself reads identical, a changed output or exit code is caught, and a
+moved JSON key is named with its change."""
 import dataclasses
 import importlib.util
 import io
@@ -83,3 +84,18 @@ def test_changed_output_and_bad_exit_are_reported(tool, tmp_path):
     out = io.StringIO()
     assert not tool.compare(failing, failing, [entry], out=out)
     assert "EXIT 3 (expected 0) echo/exit" in out.getvalue()
+
+
+def test_moved_float_key_is_named_with_its_change(tool, tmp_path):
+    # two runs whose JSONL differs in one float key of its second row
+    entry = tool.Entry("rows", None, ("run",))
+    rows = ('{{"iter": 0, "mu": 2.0}}\\n{{"iter": 1, "mu": {}}}\\n')
+    trees = [_fake_tree(tmp_path / name, f"open('run.jsonl', 'w').write("
+                        f"'{rows.format(mu)}'); return 0")
+             for name, mu in (("a", "4.0"), ("b", "5.0"))]
+    out = io.StringIO()
+    assert not tool.compare(*trees, [entry], out=out)
+    lines = out.getvalue().splitlines()
+    at = lines.index("DIFF     rows/run.jsonl")
+    assert lines[at + 1] == "         mu: max rel change 0.25 (1 value)"
+    assert lines[at + 2].startswith("same ")

@@ -453,12 +453,12 @@ def _relative_gap(dense, factored) -> float:
 
 class TestFactoredAnswers:
     """The charged and measured answers hold their Hessians as V S V^T; the
-    public ones stay dense, and the two agree."""
+    public ones are their lifts."""
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_charged_answers_lift_to_the_public_ones(self, rng, p):
         # two copies of one game, played with the same moves: through query
-        # (factored) and through component (dense); each pass over the four
+        # (factored) and through component (lifted); each pass over the four
         # components closes a round after its second row, so its mean pads
         # the first rows' S; the third pass finalizes the game mid-pass
         spec = _small_game_spec(p=p, rounds=6)
@@ -473,7 +473,7 @@ class TestFactoredAnswers:
             dense = [public.component(i, x, 2) for i in range(spec.n)]
             for a, b in zip(answers, dense):
                 assert a.value == b.value and np.array_equal(a.grad, b.grad)
-                assert _relative_gap(b.hess, a.hess) <= 1e-14
+                assert np.array_equal(b.hess, a.hess.lift())
             mean = mean_derivatives(answers, (spec.d,), 2)
             ref = mean_derivatives(dense, (spec.d,), 2)
             assert mean.value == ref.value
@@ -484,7 +484,7 @@ class TestFactoredAnswers:
             full = public.full(x, 2)
             assert measured.value == full.value
             assert np.array_equal(measured.grad, full.grad)
-            assert _relative_gap(full.hess, measured.hess) <= 1e-14
+            assert np.array_equal(full.hess, measured.hess.lift())
             passes += 1
             if done:
                 break
@@ -628,6 +628,21 @@ class TestResistingOracle:
         V = F.directions
         assert np.abs(V.T @ V - np.eye(spec.K + 1)).max() < 1e-12
 
+    def test_directions_hold_every_column(self, rng):
+        # all K + 1 columns, committed or not: during play the columns past
+        # rounds_closed + 1 are zero, and finalize commits them all
+        spec = _small_game_spec(rounds=6)
+        F = ResistingOracle(spec, seed=16)
+        for i in range(spec.n):
+            F.component(i, rng.standard_normal(spec.d), 1)
+        V = F.directions
+        assert F.rounds_closed == 2 and spec.K + 1 > 3
+        assert V.shape == (spec.d, spec.K + 1)
+        assert np.allclose(np.linalg.norm(V[:, :3], axis=0), 1.0)
+        assert not V[:, 3:].any()
+        F.finalize()
+        assert np.allclose(np.linalg.norm(F.directions, axis=0), 1.0)
+
     def test_truncated_vs_final_full_gradient(self):
         # the measurement channel follows the game state: truncated during
         # play, finalized afterwards
@@ -649,30 +664,6 @@ class TestResistingOracle:
         with pytest.raises(RuntimeError, match="d|dimension"):
             for t in range(20):
                 F.component(t % 4, rng.standard_normal(spec.d), 1)
-
-    @pytest.mark.parametrize("order", [0, 1, 2])
-    @pytest.mark.parametrize("p", [1, 2])
-    def test_stacked_full_equals_one_point_answers(self, rng, p, order):
-        # during play (two rounds closed) and after finalize, a stack is
-        # measured as its points are one at a time, and measuring touches
-        # neither the archive nor the round
-        spec = _small_game_spec(p=p, rounds=6)
-        F = ResistingOracle(spec, seed=11)
-        for i in (0, 1, 2, 3):
-            F.component(i, rng.standard_normal(spec.d), 1)
-        assert F.rounds_closed == 2 and not F.finalized
-        for _ in range(2):
-            X = _chain_points(F, rng, 6)
-            state = (F.num_archived, F.rounds_closed, F._round, F._nbasis)
-            stacked = F.full(X, order)
-            rows = [F.full(x, order) for x in X]
-            assert (F.num_archived, F.rounds_closed, F._round,
-                    F._nbasis) == state
-            assert _same_bits(stacked, Derivatives(
-                np.array([r.value for r in rows]),
-                np.stack([r.grad for r in rows]) if order >= 1 else None,
-                np.stack([r.hess for r in rows]) if order >= 2 else None))
-            F.finalize()
 
     @pytest.mark.parametrize("steps", [0, 1, 7, 40])
     @pytest.mark.parametrize("p", [1, 2])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hardsum.chains import Derivatives
 from hardsum.cubic import CubicModel, solve
-from hardsum.linalg import eig_sym, sample_orthonormal_columns
+from hardsum.linalg import _lambda_min, sample_orthonormal_columns
 from hardsum.oracle import (CallableFiniteSum, OracleLedger, _Evaluated,
                             quadratic_cosine_sum, query)
 from hardsum.optim import (
@@ -322,9 +322,9 @@ def _count_eig_calls(monkeypatch):
 
     def counted(A):
         calls.append(A.shape)
-        return eig_sym(A)
+        return _lambda_min(A)
 
-    monkeypatch.setattr("hardsum.optim.eig_sym", counted)
+    monkeypatch.setattr("hardsum.optim._lambda_min", counted)
     return calls
 
 

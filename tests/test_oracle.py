@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import hardsum
 from hardsum.chains import Derivatives
-from hardsum.instances import ResistingOracle, deterministic_params, ell_p
-from hardsum.linalg import _symmetrized
+from hardsum.instances import (ResistingOracle, deterministic_params, ell_p,
+                               randomized_params, sample_randomized_instance)
+from hardsum.linalg import _symmetrized, rel_err
 from hardsum.optim import mu
 from hardsum.oracle import (
     CallableFiniteSum,
@@ -411,16 +412,93 @@ class TestComponents:
                 F.components(rows, np.zeros(2), 2)
         assert calls == []
 
+
+def _randomized(n=4, haar_c=False, scaled=True):
+    spec = randomized_params("randomized-individual", p=1, n=n,
+                             Delta=192.0 * 2 * n, L=1.0, eps=1.0, ell_hat=1.0)
+    with pytest.warns(UserWarning, match="guarantee threshold"):
+        F = sample_randomized_instance(spec, seed=0, haar_c=haar_c)
+    return F if scaled else F.unscaled_view()
+
+
+def _resisting(p, finalized):
+    """A game with two rounds closed, or finalized after them."""
+    spec = deterministic_params(p=p, n=4, Delta=192.0 * 6, L=ell_p(p),
+                                eps=1.0)
+    F = ResistingOracle(spec, seed=11)
+    rng = np.random.default_rng(p)
+    for i in range(spec.n):
+        F.component(i, rng.standard_normal(spec.d), 1)
+    assert F.rounds_closed == 2
+    if finalized:
+        F.finalize()
+    return F
+
+
+#: every sum of the package, and how closely a row of its stacked full
+#: agrees with its one-point full: the randomized instances' batched clamp
+#: rounds its derivatives (values stay bit for bit, tests/test_chains.py
+#: TestStacks); the others agree bit for bit
+FULL_SUMS = {
+    "callable": (_two_quadratics, 0.0),
+    "quadratic-cosine": (lambda: quadratic_cosine_sum(9, 5, seed=1), 0.0),
+    "randomized": (_randomized, 1e-15),
+    "randomized-n1": (lambda: _randomized(n=1), 1e-15),
+    "randomized-unscaled": (lambda: _randomized(scaled=False), 1e-15),
+    "randomized-haar-c": (lambda: _randomized(haar_c=True), 1e-15),
+    **{f"resisting-p{p}-{stage}": (
+        lambda p=p, stage=stage: _resisting(p, stage == "final"), 0.0)
+       for p in (1, 2) for stage in ("play", "final")},
+}
+
+
+def _game_state(F):
+    return (F.num_archived, F.rounds_closed, F._round, F._nbasis)
+
+
+class TestFullContract:
+    """``full`` of every package sum at a stack of points answers, row by
+    row, ``full`` at each point; where ``component`` is not a game move,
+    ``full`` is the mean of the components' answers bit for bit; and
+    measuring never moves the resisting oracle's game."""
+
     @pytest.mark.parametrize("order", [0, 1, 2])
-    def test_full_at_one_point_equals_the_per_component_mean(self, order):
-        # one components call, rows summed in index order: bit for bit the
-        # mean of the one-point answers
-        x = np.random.default_rng(3).standard_normal(5)
-        for F in (quadratic_cosine_sum(9, 5, seed=1), _two_quadratics()):
-            x = x[:F.d]
-            want = mean_derivatives(
-                (F.component(i, x, order) for i in range(F.n)), (F.d,), order)
-            assert _same_answer(F.full(x, order), want)
+    @pytest.mark.parametrize("name", list(FULL_SUMS))
+    def test_stack_rows_equal_one_point_answers(self, name, order):
+        build, tol = FULL_SUMS[name]
+        F = build()
+        rng = np.random.default_rng(3)
+        game = isinstance(F, ResistingOracle)
+        for P in (1, 7):
+            if game:
+                # along the committed directions, where every chain term of
+                # the current game can be active
+                V = F.directions
+                X = (F.spec.sigma * rng.uniform(-2.0, 2.0, (P, V.shape[1]))
+                     @ V.T + 0.1 * rng.standard_normal((P, F.d)))
+                state = _game_state(F)
+            else:
+                X = 3.0 * rng.standard_normal((P, F.d))
+            stack = F.full(X, order)
+            rows = [F.full(x, order) for x in X]
+            for part, tail in zip((stack.value, stack.grad, stack.hess),
+                                  ((), (F.d,), (F.d, F.d))):
+                assert (part is None) == (len(tail) > order)
+                assert part is None or part.shape == (P,) + tail
+            for k, row in enumerate(rows):
+                assert stack.value[k] == row.value
+                for a, b in ((stack.grad, row.grad), (stack.hess, row.hess)):
+                    if a is not None:
+                        assert (_same_bits(a[k], b) if tol == 0.0
+                                else rel_err(b, a[k]) <= tol)
+            if game:
+                assert _game_state(F) == state
+                continue
+            for x, got in ((X, stack), (X[0], rows[0])):
+                want = mean_derivatives(
+                    (F.component(i, x, order) for i in range(F.n)), x.shape,
+                    order)
+                assert _same_answer(got, want)
 
 
 class TestEvaluatedView:

@@ -11,12 +11,20 @@ output differs or any run exits with a code other than the entry's expected
 one (so an entry whose config stops parsing fails instead of comparing two
 identical error messages).
 
+Under a ``.jsonl`` or ``.json`` output that differs, one indented line names
+each key path whose values moved, with the largest relative change among
+them (``inf`` where a value is not a number or a key is on one side only)
+and how many values moved.  The rows of a ``.jsonl`` file, and the items of
+a list (``[]`` in a path), share their key paths.
+
 Warnings are printed as ``Category: message`` and each tree's root is
 replaced by ``<tree>``, so only what the program says is compared, not where
 its source lives.
 """
 from __future__ import annotations
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -223,6 +231,58 @@ def run_entry(tree: Path, entry: Entry, workdir: Path) -> dict[str, bytes]:
     return outputs
 
 
+def _leaf_change(a, b) -> float:
+    """|b - a| / |a| for two numbers, inf for anything else."""
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (a, b))
+    if not numbers:
+        return math.inf
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def _walk(a, b, path: str, moved: dict) -> None:
+    """Record in ``moved`` (path -> list of relative changes) every value of
+    two parsed JSON documents that differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key in a and key in b:
+                _walk(a[key], b[key], sub, moved)
+            else:
+                moved.setdefault(sub, []).append(math.inf)
+    elif (isinstance(a, list) and isinstance(b, list)
+          and len(a) == len(b)):
+        for u, v in zip(a, b):
+            _walk(u, v, path + "[]", moved)
+    elif type(a) is not type(b) or repr(a) != repr(b):
+        moved.setdefault(path or "(document)", []).append(_leaf_change(a, b))
+
+
+def moved_keys(name: str, a: bytes, b: bytes) -> list[str]:
+    """One line per key path that moved between two versions of a
+    ``.jsonl`` or ``.json`` output: the path, the largest relative change
+    and the number of values moved.  Other outputs, and outputs that do not
+    parse, give no lines."""
+    try:
+        if name.endswith(".jsonl"):
+            rows = [[json.loads(line) for line in blob.splitlines()]
+                    for blob in (a, b)]
+        elif name.endswith(".json"):
+            rows = [[json.loads(blob)] for blob in (a, b)]
+        else:
+            return []
+    except ValueError:
+        return []
+    moved: dict[str, list[float]] = {}
+    if len(rows[0]) != len(rows[1]):
+        moved["(rows)"] = [math.inf]
+    for u, v in zip(*rows):
+        _walk(u, v, "", moved)
+    return [f"{path}: max rel change {max(changes):.3g} ({len(changes)} "
+            f"value{'s' if len(changes) > 1 else ''})"
+            for path, changes in sorted(moved.items())]
+
+
 def compare(parent: Path, change: Path, entries=ENTRIES, out=None
             ) -> bool:
     """Run every entry against both trees, print one line per output and
@@ -247,6 +307,9 @@ def compare(parent: Path, change: Path, entries=ENTRIES, out=None
                 verdict = "same"
             ok = ok and verdict == "same"
             print(f"{verdict:<8} {entry.name}/{key}", file=out, flush=True)
+            if verdict == "DIFF":
+                for line in moved_keys(key, a, b):
+                    print(f"{'':<8} {line}", file=out, flush=True)
     return ok
 
 
