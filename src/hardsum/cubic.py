@@ -43,13 +43,18 @@ the dense path lifts V S V^T to a d x d matrix, once per solve.
 The three optimality conditions -- zero stationarity residual, positive
 semidefiniteness of the shifted Hessian, and model decrease of at least
 (M/12)|h|^3 -- are asserted after every solve, not merely hoped for.
+
+The secular root is found by Brent's method (Brent, *Algorithms for
+Minimization Without Derivatives*, 1973, ch. 4), ported step for step from
+scipy's ``scipy/optimize/Zeros/brentq.c`` as ``_brentq``: the same
+operations in the same order give the same root bit for bit, and importing
+this module loads no scipy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .linalg import (_lambda_min, _max_abs, _shifted_pd, as_vector, eig_sym,
                      sym_matrix)
@@ -65,6 +70,12 @@ _HARD_CASE_TOL = 1e-13
 # relative to max|U|; the neglected coupling is then a perturbation of U at
 # that size, and the stationarity check still bounds its effect on the step.
 _KRYLOV_CLOSED = 1e-12
+
+# Brent's stopping rule for the secular root: the bracket is closed to
+# xtol + rtol |u|, with rtol four machine epsilons (scipy's smallest).
+_ROOT_XTOL = 1e-300
+_ROOT_RTOL = 8.9e-16
+_ROOT_MAXITER = 200
 
 
 @dataclass(frozen=True)
@@ -98,6 +109,81 @@ def model_value(model: CubicModel, h) -> float:
     h = as_vector(h, dim=model.v.shape[0])
     s = float(np.linalg.norm(h))
     return float(model.v @ h + 0.5 * h @ (model.U @ h) + model.M / 6.0 * s ** 3)
+
+
+def _finite_value(f, x: float) -> float:
+    """f(x) as a float; NaN raises ValueError, as in scipy's brentq."""
+    fx = float(f(x))
+    if fx != fx:
+        raise ValueError(
+            f"the function value at x={x} is NaN; solver cannot continue")
+    return fx
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int) -> float:
+    """A root of f in the bracket [xa, xb], by Brent's method.
+
+    A port of scipy's ``brentq.c``, operation for operation: xcur is the
+    best point so far, xblk the other end of the bracket and xpre the
+    previous xcur.  Each step is an inverse quadratic extrapolation (or a
+    secant step while xpre is the bracket end), accepted when it is short
+    enough, and otherwise a bisection.  It stops when half the bracket is
+    below delta = (xtol + rtol |xcur|) / 2 or f(xcur) is zero.
+
+    Raises ``ValueError`` when f(xa) and f(xb) have the same sign or f
+    returns NaN, as scipy's ``brentq`` does, and ``ArithmeticError`` when
+    maxiter steps do not converge (where scipy raises ``RuntimeError``).
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = _finite_value(f, xpre)
+    fcur = _finite_value(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _finite_value(f, xcur)
+    raise ArithmeticError(
+        f"secular root did not converge in {maxiter} iterations")
 
 
 def _secular_norm(w2, lam_shift, half_m, u):
@@ -159,7 +245,7 @@ def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
         if u_lo < 1e-290:
             # root collapses onto the pole: treat as (near-)hard case
             return hard_case_coords()
-    u_star = brentq(phi_u, u_lo, u_hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    u_star = _brentq(phi_u, u_lo, u_hi, _ROOT_XTOL, _ROOT_RTOL, _ROOT_MAXITER)
     return coords_at(u_star)
 
 

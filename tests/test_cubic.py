@@ -431,3 +431,82 @@ class TestFactoredHessian:
         assert paths == {"krylov_closed": 10, "krylov_open": 0, "dense": 10}
         assert eigensolves == [(d, d)] * 10
         assert lifts == [(d, d)] * 5
+
+
+class TestBrentPort:
+    """``cubic._brentq`` against scipy's ``brentq``, which stays installed
+    as the reference.
+
+    Bit identity assumes the same IEEE operation order: a scipy build that
+    fuses multiply-add (on aarch64, say) could differ in the last bit, and
+    the pinning test would show it."""
+
+    TOLS = (cubic._ROOT_XTOL, cubic._ROOT_RTOL, cubic._ROOT_MAXITER)
+
+    def test_secular_roots_equal_scipy_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        port = cubic._brentq
+        compared = []
+
+        def pinned(f, xa, xb, xtol, rtol, maxiter):
+            assert (xtol, rtol, maxiter) == self.TOLS
+            root = port(f, xa, xb, xtol, rtol, maxiter)
+            compared.append(root == brentq(f, xa, xb, xtol=xtol, rtol=rtol,
+                                           maxiter=maxiter))
+            return root
+
+        monkeypatch.setattr(cubic, "_brentq", pinned)
+        for _ in range(2000):
+            # the brackets _secular_coords builds, over random spectra,
+            # spreads, gradients and penalties
+            k = int(rng.integers(1, 30))
+            lam = np.sort(rng.standard_normal(k) * 10.0 ** rng.uniform(-6, 6))
+            w = rng.standard_normal(k) * 10.0 ** rng.uniform(-8, 4, size=k)
+            M = 10.0 ** rng.uniform(-4, 4)
+            cubic._secular_coords(lam, w, float(np.linalg.norm(w)), M)
+        assert len(compared) == 2000
+        assert all(compared)
+
+    def test_same_sign_bracket_raises(self):
+        def f(x):
+            return x * x + 1.0
+
+        with pytest.raises(ValueError, match="different signs"):
+            cubic._brentq(f, -1.0, 1.0, *self.TOLS)
+        with pytest.raises(ValueError):
+            brentq(f, -1.0, 1.0)
+
+    @pytest.mark.parametrize("at", ["end", "inside"])
+    def test_nan_value_raises(self, at):
+        def f(x):
+            if (at == "end" and x == 1.0) or (at == "inside" and 0 < x < 1):
+                return float("nan")
+            return x - 0.3
+
+        with pytest.raises(ValueError, match="NaN"):
+            cubic._brentq(f, 0.0, 1.0, *self.TOLS)
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(f, 0.0, 1.0)
+
+    def test_non_convergence_raises_arithmetic_error(self):
+        # scipy needs 7 iterations here and raises RuntimeError after 2
+        def f(x):
+            return np.exp(x) - 2.0
+
+        with pytest.raises(ArithmeticError, match="in 2 iterations"):
+            cubic._brentq(f, 0.0, 1.0, cubic._ROOT_XTOL, cubic._ROOT_RTOL, 2)
+        with pytest.raises(RuntimeError, match="after 2 iterations"):
+            brentq(f, 0.0, 1.0, xtol=cubic._ROOT_XTOL,
+                   rtol=cubic._ROOT_RTOL, maxiter=2)
+        assert cubic._brentq(f, 0.0, 1.0, *self.TOLS) == brentq(
+            f, 0.0, 1.0, xtol=cubic._ROOT_XTOL, rtol=cubic._ROOT_RTOL,
+            maxiter=cubic._ROOT_MAXITER)
+
+    def test_stuck_secular_root_fails_solve_as_arithmetic_error(
+            self, monkeypatch):
+        # the type svrc_run and baseline_full_cubic stop on
+        monkeypatch.setattr(cubic, "_ROOT_MAXITER", 1)
+        model = CubicModel(v=np.array([1.0, -0.5]),
+                           U=np.diag([1.0, 2.0]), M=1.0)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            solve(model)
