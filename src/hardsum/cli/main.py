@@ -12,8 +12,8 @@ Flags --seed/--out/--budget override the config file (verify, which
 charges no query, takes no --budget).  A multi-seed run
 executes its seeds one after another in the order given, so its echo and its
 per-seed files are deterministic.  Unusable input (a bad config or override,
-a bad seed list, or a gap too small for any chain) exits 2 with an
-``error:`` line on stderr.
+a bad seed list, a gap too small for any chain, or a value the library
+refuses) exits 2 with an ``error:`` line on stderr and writes nothing.
 """
 from __future__ import annotations
 
@@ -96,9 +96,9 @@ def _build_objective(cfg: RunConfig):
                                  curvature=cfg.curvature, ripple=cfg.ripple)
         L2 = cfg.L2
         if L2 is None:
-            L2 = 1.5 * estimate_smoothness(F, "individual", 60,
-                                           seed=cfg.seed).constant
-        return F, None, max(L2, 1e-12)
+            L2 = max(1.5 * estimate_smoothness(F, "individual", 60,
+                                               seed=cfg.seed).constant, 1e-12)
+        return F, None, L2
     spec = _make_spec(cfg)
     if cfg.mode == "deterministic":
         F = ResistingOracle(spec, seed=cfg.seed)
@@ -296,6 +296,9 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         print(f"hint: increase the gap to at least {err.min_delta:.6g} "
               "(or relax eps)", file=sys.stderr)
+        return 2
+    except ValueError as err:    # a library refusal of the config's values
+        print(f"error: {err}", file=sys.stderr)
         return 2
 
 

@@ -321,18 +321,18 @@ class OracleLedger:
 
     n: int
     eps: float | None = None
-    per_index: np.ndarray = field(default=None, repr=False)
-    grad_queries: int = 0
-    hess_queries: int = 0
-    cache_hits: int = 0
-    requery_queries: int = 0
-    first_hit: int | None = None
-    first_hit_queries: int | None = None
-    iterates_recorded: int = 0
+    # running state: set only by charge, record_cache_hit and record_iterate
+    per_index: np.ndarray = field(init=False, repr=False)
+    grad_queries: int = field(default=0, init=False)
+    hess_queries: int = field(default=0, init=False)
+    cache_hits: int = field(default=0, init=False)
+    requery_queries: int = field(default=0, init=False)
+    first_hit: int | None = field(default=None, init=False)
+    first_hit_queries: int | None = field(default=None, init=False)
+    iterates_recorded: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if self.per_index is None:
-            self.per_index = np.zeros(self.n, dtype=np.int64)
+        self.per_index = np.zeros(self.n, dtype=np.int64)
 
     @property
     def total(self) -> int:

@@ -23,8 +23,8 @@ from .instances.params import HardInstanceSpec, randomized_params
 from .instances.randomized import (RandomizedHardInstance,
                                    sample_randomized_instance)
 from .instances.resisting import ResistingCertificate, ResistingOracle
-from .linalg import (_richardson_combine, _stencil_points, as_rng, as_vector,
-                     rel_err, row_dot, sample_orthonormal_columns)
+from .linalg import (_richardson_combine, _stencil_points, as_points, as_rng,
+                     as_vector, rel_err, row_dot, sample_orthonormal_columns)
 from .oracle import (CallableFiniteSum, FiniteSumFunction, OracleLedger,
                      quadratic_cosine_sum)
 from .optim import (SvrcParams, _draw_batches, _gradient_estimate,
@@ -188,7 +188,7 @@ class SmoothnessReport(_Report):
     mode: str
     constant: float
     num_pairs: int
-    scheme: str = _PAIR_SCHEME
+    scheme: str = field(default=_PAIR_SCHEME, init=False)
     seed: int = 0
 
     def __post_init__(self):
@@ -609,7 +609,8 @@ class _StackSum(CallableFiniteSum):
     themselves, so a stack goes to them in one call."""
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
-        return self._components[self.check_index(i)](x, order)
+        return self._components[self.check_index(i)](
+            as_points(x, dim=self.d), order)
 
 
 def _chain_sum(K: int) -> _StackSum:

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from hardsum.chains import Derivatives
+from hardsum.oracle import CallableFiniteSum
+
 # deterministic, CI-friendly hypothesis defaults
 settings.register_profile(
     "suite", max_examples=40, deadline=None, derandomize=True,
@@ -12,6 +15,42 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes (so -0.0 and 0.0 differ), or both None."""
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_answer(a: Derivatives, b: Derivatives) -> bool:
+    """Equal bits in value, gradient and Hessian."""
+    return all(map(same_bits, (a.value, a.grad, a.hess),
+                   (b.value, b.grad, b.hess)))
+
+
+def chain_points(F, rng, P):
+    """P points of a resisting oracle's game spread along its committed
+    directions, where every chain term of the current game can be active."""
+    V = F.directions
+    return (F.spec.sigma * rng.uniform(-2.0, 2.0, (P, V.shape[1])) @ V.T
+            + 0.1 * rng.standard_normal((P, F.d)))
+
+
+def good_and_short(d=3, n=2):
+    """Component 0 is 0.5 |x|^2; every other component answers a gradient of
+    shape (1,) and a Hessian of shape (1, 1), which numpy would broadcast."""
+    def good(x, order=2):
+        return Derivatives(0.5 * float(x @ x), x.copy() if order >= 1 else None,
+                           np.eye(x.size) if order >= 2 else None)
+
+    def short(x, order=2):
+        return Derivatives(1.0, np.ones(1) if order >= 1 else None,
+                           np.ones((1, 1)) if order >= 2 else None)
+
+    return CallableFiniteSum([good] + [short] * (n - 1), d=d)
 
 
 #: verdict lines recorded by the acceptance tests, echoed after the run

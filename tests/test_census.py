@@ -11,7 +11,7 @@ def test_census_of_this_tree():
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "census.py")],
                          capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3
     src = re.fullmatch(r"src lines: (\d+)", lines[0])
     assert int(src[1]) == sum(path.read_bytes().count(b"\n")
                               for path in (ROOT / "src").rglob("*.py"))
@@ -24,3 +24,6 @@ def test_census_of_this_tree():
     # no environment variable
     assert (keys, flags, env) == (29, 6, 0)
     assert params > 0
+    tests = re.fullmatch(r"test lines: (\d+)", lines[2])
+    assert int(tests[1]) == sum(path.read_bytes().count(b"\n")
+                                for path in (ROOT / "tests").glob("*.py"))

@@ -1,3 +1,5 @@
+from conftest import same_bits
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -342,7 +344,7 @@ class TestStacks:
             want = _one_block_hat_f(K, B, Y, order)
             assert type(got.value) is type(want[0])
             for a, b in zip((got.value, got.grad, got.hess), want):
-                assert _same_bits(a, b)
+                assert same_bits(a, b)
 
     @pytest.mark.parametrize("P", [1, 6])
     def test_blocks_equal_one_block_calls(self, P, rng):
@@ -357,7 +359,7 @@ class TestStacks:
                 want = hat_f_eval(K, B, Y[b], order)
                 for field in ("value", "grad", "hess"):
                     stacked = getattr(got, field)
-                    assert _same_bits(
+                    assert same_bits(
                         None if stacked is None else stacked[b],
                         getattr(want, field))
 
@@ -383,14 +385,6 @@ class TestStacks:
         _, _, d2c = soft_clamp(np.ones((3, 5)), R=2.0, order=2)
         with pytest.raises(ValueError, match="shape"):
             d2c(np.ones(5))   # one vector per point of the stack
-
-
-def _same_bits(a, b) -> bool:
-    """Equal shapes and bytes (so -0.0 and 0.0 differ), or both None."""
-    if a is None or b is None:
-        return a is b
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _one_block_hat_f(K, B, y, order):

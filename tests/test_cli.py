@@ -423,6 +423,45 @@ class TestRun:
         assert err.startswith("error:") and "--seeds" in err
 
 
+_SVRC_INI = _synthetic_svrc_ini()
+_RANDOMIZED_INI = _THIRD_MOMENT_P1_INI.replace("third-moment", "individual")
+
+#: configs whose values pass RunConfig but that the library refuses, and
+#: the refusal; a gen- case runs gen, the others run
+_REFUSED = {
+    "svrc-M-negative": (_SVRC_INI + "M = -1.0\n", "M must be positive"),
+    "svrc-b_g-0": (_SVRC_INI.replace("b_g = 3", "b_g = 0"), "batch sizes"),
+    "svrc-T-0": (_SVRC_INI.replace("T = 2", "T = 0"), "S and T must be"),
+    "svrc-delta_hat-negative": (_SVRC_INI + "delta_hat = -1.0\n",
+                                "Delta must be positive"),
+    "synthetic-L2-negative": (_SVRC_INI.replace("L2 = 1.0", "L2 = -1.0"),
+                              "L2 must be positive"),
+    **{f"{command}-ell_hat-negative": (
+        _RANDOMIZED_INI.replace("ell_hat = 1.0", "ell_hat = -1.0"),
+        "ell_hat must be positive") for command in ("run", "gen")},
+    **{f"{command}-d-5-n-2": (_RANDOMIZED_INI.replace("n = 2", "n = 2\nd = 5"),
+                              "d = 5 must be divisible by n = 2")
+       for command in ("run", "gen")},
+    "gd-step-nan": (_RANDOMIZED_INI + "step = nan\n", "non-finite"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", list(_REFUSED))
+def test_library_refusal_exits_2(tmp_path, capsys, name):
+    # one error line, no traceback, no file written
+    ini, match = _REFUSED[name]
+    command = "gen" if name.startswith("gen-") else "run"
+    cfg_path = _write(tmp_path, "c.ini", ini)
+    out = tmp_path / ("o" if command == "gen" else "m.jsonl")
+    assert main([command, "--config", cfg_path, "--quiet", "--out",
+                 str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.ini"]
+
+
 class TestVerify:
     def test_small_battery_exit_0(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "c.ini", (

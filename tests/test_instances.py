@@ -2,10 +2,12 @@ import dataclasses
 import math
 import struct
 
+from conftest import chain_points, same_answer
+
 import numpy as np
 import pytest
 
-from hardsum.chains import PHI_AT_ZERO, Derivatives, phi
+from hardsum.chains import PHI_AT_ZERO
 from hardsum.instances import (
     HardInstanceSpec,
     InstanceTooSmallError,
@@ -29,16 +31,6 @@ from hardsum.linalg import (
 )
 from hardsum.optim import C_M, baseline_full_cubic, mu
 from hardsum.oracle import OracleLedger, mean_derivatives, query
-
-def _same_bits(a: Derivatives, b: Derivatives) -> bool:
-    """Equal value, gradient and Hessian bytes (so -0.0 and 0.0 differ)."""
-    return all(
-        (u is None and v is None)
-        or (u is not None and v is not None
-            and np.shape(u) == np.shape(v)
-            and np.asarray(u).tobytes() == np.asarray(v).tobytes())
-        for u, v in ((a.value, b.value), (a.grad, b.grad), (a.hess, b.hess)))
-
 
 # Frozen closed-form constants: 2^(p+1) exp(2.5p + ln p + 4p + 10)
 ELL_1 = 58602877.71581407
@@ -292,61 +284,6 @@ class TestRandomizedInstance:
         assert np.allclose(F._slot(1, x), v, atol=1e-12)
         assert np.allclose(F._slot(0, x), 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("haar_c", [False, True])
-    def test_stack_rows_equal_single_points(self, rng, haar_c):
-        # one batched hat_f_eval per component answers the whole stack;
-        # values are bit-identical, derivatives agree to rounding (the
-        # clamp's powers, see tests/test_chains.py TestStacks)
-        spec, F = self._make(n=3, haar_c=haar_c)
-        X = rng.standard_normal((5, spec.d)) * 3.0
-        for order in range(3):
-            for stacked, single in (
-                    (F.component(2, X, order),
-                     [F.component(2, x, order) for x in X]),
-                    (F.full(X, order), [F.full(x, order) for x in X])):
-                assert stacked.value.shape == (5,)
-                for p, der in enumerate(single):
-                    assert stacked.value[p] == der.value
-                    if order >= 1:
-                        assert stacked.grad.shape == (5, spec.d)
-                        assert rel_err(der.grad, stacked.grad[p]) <= 1e-15
-                    if order == 2:
-                        assert stacked.hess.shape == (5, spec.d, spec.d)
-                        assert rel_err(der.hess, stacked.hess[p]) <= 1e-15
-
-    @pytest.mark.parametrize("P", [1, 37])
-    @pytest.mark.parametrize("n", [1, 4])
-    @pytest.mark.parametrize("scaled", [True, False])
-    @pytest.mark.parametrize("haar_c", [False, True])
-    def test_stacked_full_equals_component_loop(self, rng, haar_c, scaled,
-                                                n, P):
-        # full on a stack evaluates every component in one clamped-chain
-        # call; it equals the mean over one stacked component call each,
-        # bit for bit
-        spec, F = self._make(n=n, haar_c=haar_c)
-        F = F if scaled else F.unscaled_view()
-        X = rng.standard_normal((P, spec.d)) * 3.0
-        for order in range(3):
-            got = F.full(X, order)
-            want = mean_derivatives(
-                (F.component(i, X, order) for i in range(n)), X.shape, order)
-            assert _same_bits(got, want)
-            # the one-point full and the row-set path: component by
-            # component, as before
-            x = X[0]
-            assert _same_bits(F.full(x, order), mean_derivatives(
-                (F.component(i, x, order) for i in range(n)), x.shape,
-                order))
-            rows = [n - 1, 0, n - 1]
-            stack = F.components(rows, x, order)
-            for k, i in enumerate(rows):
-                one = F.component(i, x, order)
-                assert _same_bits(
-                    Derivatives(stack.value[k],
-                                None if one.grad is None else stack.grad[k],
-                                None if one.hess is None else stack.hess[k]),
-                    one)
-
     def test_sampling_deterministic(self):
         spec, F1 = self._make(seed=42)
         _, F2 = self._make(seed=42)
@@ -380,14 +317,6 @@ def _play(F, rng, steps):
         F.component(int(rng.integers(F.n)),
                     rng.standard_normal(F.d) * rng.uniform(0.0, 5.0),
                     order=int(rng.integers(3)))
-
-
-def _chain_points(F, rng, P):
-    """P points spread along the committed directions, where every chain
-    term of the current game can be active."""
-    V = F.directions
-    return (F.spec.sigma * rng.uniform(-2.0, 2.0, (P, V.shape[1])) @ V.T
-            + 0.1 * rng.standard_normal((P, F.d)))
 
 
 def _certificate_by_record(F) -> ResistingCertificate:
@@ -467,7 +396,7 @@ class TestFactoredAnswers:
         passes = 0
         while True:
             done = public.finalized
-            x = _chain_points(public, rng, 1)[0]
+            x = chain_points(public, rng, 1)[0]
             answers = [query(ledger, charged, i, x, order=2)
                        for i in range(spec.n)]
             dense = [public.component(i, x, 2) for i in range(spec.n)]
@@ -492,7 +421,7 @@ class TestFactoredAnswers:
         assert charged.num_archived == public.num_archived == 10
         for a, b in zip(charged._archive, public._archive):
             assert (a.i, a.order, a.active) == (b.i, b.order, b.active)
-            assert _same_bits(a.response, b.response)
+            assert same_answer(a.response, b.response)
         assert charged.certificate().to_dict() == public.certificate().to_dict()
 
     def test_mu_matches_the_dense_measurement(self, rng):
@@ -503,29 +432,12 @@ class TestFactoredAnswers:
         for i in range(spec.n):
             F.component(i, rng.standard_normal(spec.d), 1)
         for L2 in (1e-6, 1.0, 1e6):
-            for x in _chain_points(F, rng, 4):
+            for x in chain_points(F, rng, 4):
                 full = F.full(x, 2)
                 gnorm = float(np.linalg.norm(full.grad))
                 lam_min = float(np.linalg.eigh(full.hess)[0][0])
                 ref = max(gnorm ** 1.5, -(lam_min ** 3) / L2 ** 1.5)
                 assert mu(F, x, L2) == pytest.approx(ref, rel=1e-12)
-
-    def test_component_refuses_a_stack(self, rng):
-        spec = _small_game_spec()
-        F = ResistingOracle(spec, seed=13)
-        F.component(0, rng.standard_normal(spec.d), 2)
-        state = (F.num_archived, F.rounds_closed, F._round, F._nbasis,
-                 F._basis.copy(), F.directions)
-        X = rng.standard_normal((2, spec.d))
-        message = (rf"a game move is one point: component takes x of shape "
-                   rf"\({spec.d},\), got \(2, {spec.d}\)")
-        for move in (F.component, F._checked):
-            with pytest.raises(ValueError, match=message):
-                move(1, X, 2)
-        assert state[:4] == (F.num_archived, F.rounds_closed, F._round,
-                             F._nbasis)
-        assert np.array_equal(state[4], F._basis)
-        assert np.array_equal(state[5], F.directions)
 
     def test_archive_holds_no_dense_hessian(self):
         # a cubic game at d >= 1000: each record holds its point and its

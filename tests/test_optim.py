@@ -1,6 +1,8 @@
 import dataclasses
 import math
 
+from conftest import good_and_short
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -709,20 +711,6 @@ class TestNonFiniteAnswers:
             mu(F, np.ones(F.d), 1.0)
 
 
-def _good_and_short(d=3, n=2):
-    """Component 0 is 0.5 |x|^2; every other component answers a gradient of
-    shape (1,) and a Hessian of shape (1, 1), which numpy would broadcast."""
-    def good(x, order=2):
-        return Derivatives(0.5 * float(x @ x), x.copy() if order >= 1 else None,
-                           np.eye(x.size) if order >= 2 else None)
-
-    def short(x, order=2):
-        return Derivatives(1.0, np.ones(1) if order >= 1 else None,
-                           np.ones((1, 1)) if order >= 2 else None)
-
-    return CallableFiniteSum([good] + [short] * (n - 1), d=d)
-
-
 class TestWrongShapes:
     """A wrong-shaped answer stops every optimizer before it is charged or
     summed, naming the component and the order."""
@@ -739,20 +727,20 @@ class TestWrongShapes:
     def test_baselines(self, run):
         led = OracleLedger(n=2)
         with pytest.raises(ValueError, match=self._short(1, 1)):
-            run(_good_and_short(), led)
+            run(good_and_short(), led)
         # the pass charges row by row: row 0 went before the bad row 1
         assert led.per_index.tolist() == [1, 0]
 
     def test_mu(self):
         with pytest.raises(ValueError, match=self._short(1, 2)):
-            mu(_good_and_short(), np.ones(3), 1.0)
+            mu(good_and_short(), np.ones(3), 1.0)
 
     @pytest.mark.parametrize("n, bad", [(2, 1), (1, 0)])
     def test_svrc_run(self, n, bad):
         # a sum with one bad row fails as its snapshot stack is built, a sum
         # of only bad rows as the stack is checked; neither charges a query
-        F = _good_and_short(n=n) if n > 1 else CallableFiniteSum(
-            [_good_and_short()._components[1]], d=3)
+        F = good_and_short(n=n) if n > 1 else CallableFiniteSum(
+            [good_and_short()._components[1]], d=3)
         params = SvrcParams(M=15.0, b_g=2, b_h=2, S=1, T=3, eps=1e-4,
                             Delta=10.0, L2=0.1)
         led = OracleLedger(n=F.n)

@@ -1,6 +1,8 @@
 import importlib
 import pkgutil
 
+from conftest import chain_points, good_and_short, same_answer, same_bits
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,6 +24,7 @@ from hardsum.oracle import (
     query,
     record_iterate,
 )
+from hardsum.verify import _chain_sum, _hat_sum
 
 
 def _two_quadratics():
@@ -55,30 +58,6 @@ class TestFiniteSum:
         assert np.allclose(d.grad, 0.5 * (x + np.array([1.0, 0, 0])))
         assert np.allclose(d.hess, 0.5 * np.eye(3))
 
-    def test_index_validation(self):
-        F = _two_quadratics()
-        with pytest.raises(ValueError, match="out of range"):
-            F.component(2, np.zeros(3))
-        with pytest.raises(ValueError, match="out of range"):
-            F.component(-1, np.zeros(3))
-
-    def test_stack_is_answered_point_by_point(self, rng):
-        F = quadratic_cosine_sum(3, 4, seed=2)
-        X = rng.standard_normal((6, 4))
-        for order in range(3):
-            stacked = F.component(1, X, order)
-            full = F.full(X, order)
-            for p, x in enumerate(X):
-                for got, want in ((stacked, F.component(1, x, order)),
-                                  (full, F.full(x, order))):
-                    assert got.value[p] == want.value
-                    if order >= 1:
-                        assert np.array_equal(got.grad[p], want.grad)
-                    if order == 2:
-                        assert np.array_equal(got.hess[p], want.hess)
-            assert (order >= 1) == (stacked.grad is not None)
-            assert (order >= 2) == (stacked.hess is not None)
-
     def test_empty_sum_rejected(self):
         with pytest.raises(ValueError):
             CallableFiniteSum([], d=2)
@@ -87,16 +66,9 @@ class TestFiniteSum:
         # each finite sum in the package answers through these hooks only;
         # `_answers` is the one private evaluation hook
         hooks = {"component", "components", "_answers", "_checked", "full"}
-        for mod in pkgutil.walk_packages(hardsum.__path__, "hardsum."):
-            importlib.import_module(mod.name)
-        found, todo = {}, [FiniteSumFunction]
-        while todo:
-            cls = todo.pop()
-            todo.extend(cls.__subclasses__())
-            if cls.__module__.startswith("hardsum."):
-                found[cls.__name__] = {name for name in vars(cls)
-                                       if name in hooks
-                                       or name.startswith("_answers")}
+        found = {cls.__name__: {name for name in vars(cls) if name in hooks
+                                or name.startswith("_answers")}
+                 for cls in _package_sums()}
         assert found == {
             "FiniteSumFunction": hooks,
             "CallableFiniteSum": {"component"},
@@ -300,70 +272,22 @@ def _closure_quadratic_cosine_sum(n, d, seed):
     return CallableFiniteSum(comps, d)
 
 
-def _same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _same_answer(a: Derivatives, b: Derivatives) -> bool:
-    return all((u is None and v is None)
-               or (u is not None and v is not None and _same_bits(u, v))
-               for u, v in ((a.value, b.value), (a.grad, b.grad),
-                            (a.hess, b.hess)))
-
-
 class TestQuadraticCosineStacks:
-    @pytest.mark.parametrize("order", [0, 1, 2])
-    @pytest.mark.parametrize("P", range(1, 8))
-    def test_stack_rows_equal_single_points(self, P, order):
-        F = quadratic_cosine_sum(5, 6, seed=P)
-        X = np.random.default_rng(P).standard_normal((P, 6)) * 2.0
-        for i in range(F.n):
-            stacked = F.component(i, X, order)
-            assert np.shape(stacked.value) == (P,)
-            for p in range(P):
-                one = F.component(i, X[p], order)
-                row = Derivatives(
-                    stacked.value[p],
-                    None if order < 1 else stacked.grad[p],
-                    None if order < 2 else stacked.hess[p])
-                assert _same_answer(one, row)
-
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_single_points_equal_closure_reference(self, order):
         F = quadratic_cosine_sum(6, 5, seed=9)
         ref = _closure_quadratic_cosine_sum(6, 5, seed=9)
         for x in np.random.default_rng(1).standard_normal((4, 5)) * 3.0:
             for i in range(F.n):
-                assert _same_answer(F.component(i, x, order),
-                                    ref.component(i, x, order))
+                assert same_answer(F.component(i, x, order),
+                                   ref.component(i, x, order))
 
     def test_rejects_empty_sum(self):
         with pytest.raises(ValueError, match="at least one"):
             quadratic_cosine_sum(0, 3, seed=0)
 
 
-def _row(stack: Derivatives, k: int, order: int) -> Derivatives:
-    return Derivatives(stack.value[k],
-                       None if order < 1 else stack.grad[k],
-                       None if order < 2 else stack.hess[k])
-
-
 class TestComponents:
-    @pytest.mark.parametrize("order", [0, 1, 2])
-    @pytest.mark.parametrize("rows", [[4, 0, 3], [2, 2, 5, 2, 0],
-                                      list(range(6)), [1]])
-    def test_quadratic_cosine_rows_equal_one_point_answers(self, rows, order):
-        F = quadratic_cosine_sum(6, 5, seed=len(rows))
-        for x in np.random.default_rng(order).standard_normal((3, 5)) * 2.0:
-            stack = F.components(rows, x, order)
-            assert np.shape(stack.value) == (len(rows),)
-            assert (order >= 1) == (stack.grad is not None)
-            assert (order >= 2) == (stack.hess is not None)
-            for k, i in enumerate(rows):
-                assert _same_answer(F.component(i, x, order),
-                                    _row(stack, k, order))
-
     def test_default_loops_components_in_row_order(self):
         calls = []
 
@@ -392,25 +316,23 @@ class TestComponents:
         answers = [looped.component(i, x, 2) for i in rows]
         assert stacked.num_archived == looped.num_archived == len(rows)
         assert stacked.rounds_closed == looped.rounds_closed == 3
-        for k, (a, b) in enumerate(zip(stacked._archive, looped._archive)):
+        for a, b in zip(stacked._archive, looped._archive):
             assert (a.i, a.order, a.round) == (b.i, b.order, b.round)
-            assert _same_answer(a.response, b.response)
-            assert _same_answer(_row(stack, k, 2), answers[k])
+            assert same_answer(a.response, b.response)
+        _assert_rows(stack, answers)
 
-    @pytest.mark.parametrize("rows", [[], [0, 6], [-1], [1.0, 2.0],
-                                      [[0, 1]]])
-    def test_rows_validated_before_any_call(self, rows):
-        calls = []
 
-        def f(x, order=2):
-            calls.append(order)
-            return Derivatives(0.0, np.zeros(2), np.zeros((2, 2)))
-
-        for F in (CallableFiniteSum([f] * 6, d=2),
-                  quadratic_cosine_sum(6, 2, seed=0)):
-            with pytest.raises(ValueError):
-                F.components(rows, np.zeros(2), 2)
-        assert calls == []
+def _package_sums() -> set:
+    """Every FiniteSumFunction subclass the package defines."""
+    for mod in pkgutil.walk_packages(hardsum.__path__, "hardsum."):
+        importlib.import_module(mod.name)
+    found, todo = set(), [FiniteSumFunction]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__.startswith("hardsum."):
+            found.add(cls)
+    return found
 
 
 def _randomized(n=4, haar_c=False, scaled=True):
@@ -435,11 +357,11 @@ def _resisting(p, finalized):
     return F
 
 
-#: every sum of the package, and how closely a row of its stacked full
-#: agrees with its one-point full: the randomized instances' batched clamp
-#: rounds its derivatives (values stay bit for bit, tests/test_chains.py
-#: TestStacks); the others agree bit for bit
-FULL_SUMS = {
+#: every sum of the package, and how closely a row of its stacked answers
+#: agrees with the answer at its point: the clamp-based sums' batched clamp
+#: rounds derivatives (tests/test_chains.py TestStacks); values, and the
+#: other sums, agree bit for bit
+SUMS = {
     "callable": (_two_quadratics, 0.0),
     "quadratic-cosine": (lambda: quadratic_cosine_sum(9, 5, seed=1), 0.0),
     "randomized": (_randomized, 1e-15),
@@ -449,56 +371,170 @@ FULL_SUMS = {
     **{f"resisting-p{p}-{stage}": (
         lambda p=p, stage=stage: _resisting(p, stage == "final"), 0.0)
        for p in (1, 2) for stage in ("play", "final")},
+    "stack-chain": (lambda: _chain_sum(4), 0.0),
+    "stack-hat": (lambda: _hat_sum(3, 12, seed=2), 1e-15),
+}
+
+#: calls a sum refuses before it evaluates anything, and their errors
+REFUSALS = {
+    "index-n": (lambda F, x: F.component(F.n, x), "out of range"),
+    "index-negative": (lambda F, x: F.component(-1, x), "out of range"),
+    "rows-empty": (lambda F, x: F.components([], x), "non-empty"),
+    "rows-negative": (lambda F, x: F.components([-1], x), "out of range"),
+    "rows-n": (lambda F, x: F.components([0, F.n], x), "out of range"),
+    "rows-floats": (lambda F, x: F.components([1.0, 2.0], x), "integers"),
+    "rows-2d": (lambda F, x: F.components([[0, 1]], x), "non-empty"),
+    "dim-component": (lambda F, x: F.component(0, x[:-1]), "dimension"),
+    "dim-components": (lambda F, x: F.components([0], x[:-1]), "dimension"),
+    "dim-full": (lambda F, x: F.full(x[:-1]), "dimension"),
+    "dim-full-stack": (lambda F, x: F.full(x[None, :-1]), "dimension"),
 }
 
 
 def _game_state(F):
-    return (F.num_archived, F.rounds_closed, F._round, F._nbasis)
+    """All a measurement must leave alone; False for a sum without a game."""
+    return isinstance(F, ResistingOracle) and (
+        F.num_archived, F.rounds_closed, F._round, F._nbasis, F.finalized,
+        F._basis.tobytes(), F.directions.tobytes())
 
 
-class TestFullContract:
-    """``full`` of every package sum at a stack of points answers, row by
-    row, ``full`` at each point; where ``component`` is not a game move,
-    ``full`` is the mean of the components' answers bit for bit; and
-    measuring never moves the resisting oracle's game."""
+def _points(F, P: int, rng) -> np.ndarray:
+    """P points for F, shape (P, d)."""
+    if isinstance(F, ResistingOracle):
+        return chain_points(F, rng, P)
+    return 3.0 * rng.standard_normal((P, F.d))
 
-    @pytest.mark.parametrize("order", [0, 1, 2])
-    @pytest.mark.parametrize("name", list(FULL_SUMS))
-    def test_stack_rows_equal_one_point_answers(self, name, order):
-        build, tol = FULL_SUMS[name]
-        F = build()
+
+def _assert_shapes(der: Derivatives, lead: tuple, d: int, order: int):
+    """Shapes lead, lead + (d,), lead + (d, d) up to ``order``; one point's
+    value is a float."""
+    assert lead or isinstance(der.value, float)
+    for part, tail in zip((der.value, der.grad, der.hess),
+                          ((), (d,), (d, d))):
+        assert (part is None) == (len(tail) > order)
+        assert part is None or np.shape(part) == lead + tail
+
+
+def _assert_rows(stack: Derivatives, answers: list, tol: float = 0.0):
+    """Each row of a stacked answer against the one-point answer in its place:
+    values bit for bit, derivatives bit for bit or to ``tol`` relative."""
+    for k, one in enumerate(answers):
+        assert same_bits(stack.value[k], one.value)
+        for a, b in ((stack.grad, one.grad), (stack.hess, one.hess)):
+            assert (a is None) == (b is None)
+            assert b is None or (same_bits(a[k], b) if tol == 0.0
+                                 else rel_err(b, a[k]) <= tol)
+
+
+def _evaluations(F, monkeypatch) -> list:
+    """Record every evaluation F makes from here on: a call of one of its
+    callables, or of a kernel behind the package's other sums."""
+    calls = []
+
+    def spy(f):
+        return lambda *args, **kwargs: calls.append(f) or f(*args, **kwargs)
+
+    if isinstance(F, CallableFiniteSum):
+        monkeypatch.setattr(F, "_components", [spy(f) for f in F._components])
+    for module, name in ((hardsum.oracle, "row_dot"),
+                         (hardsum.instances.randomized, "hat_f_eval"),
+                         (hardsum.instances.randomized, "_hat_f"),
+                         (hardsum.instances.resisting, "chain_eval")):
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    return calls
+
+
+ORDERS = pytest.mark.parametrize("order", [0, 1, 2])
+NAMES = pytest.mark.parametrize("name", list(SUMS))
+
+
+class TestSumContract:
+    """What ``component``, ``components`` and ``full`` promise for every sum
+    of the package: answer shapes; stack rows equal to one-point answers;
+    ``full`` the mean of the components' answers, where ``component`` is not
+    a game move; refusals before any evaluation; and no measurement or
+    refusal moves the resisting oracle's game."""
+
+    def test_every_sum_has_an_entry(self):
+        # _Evaluated is a view of answers already given, not a sum
+        built = {type(build()) for build, _ in SUMS.values()}
+        assert {cls.__name__ for cls in _package_sums() - built} == {
+            "FiniteSumFunction", "_Evaluated"}
+
+    @ORDERS
+    @NAMES
+    def test_component_at_a_stack(self, name, order):
+        F, tol = SUMS[name][0](), SUMS[name][1]
         rng = np.random.default_rng(3)
-        game = isinstance(F, ResistingOracle)
-        for P in (1, 7):
-            if game:
-                # along the committed directions, where every chain term of
-                # the current game can be active
-                V = F.directions
-                X = (F.spec.sigma * rng.uniform(-2.0, 2.0, (P, V.shape[1]))
-                     @ V.T + 0.1 * rng.standard_normal((P, F.d)))
+        for P in (1, 3, 7):
+            X = _points(F, P, rng)
+            if isinstance(F, ResistingOracle):
                 state = _game_state(F)
-            else:
-                X = 3.0 * rng.standard_normal((P, F.d))
+                message = (rf"a game move is one point: component takes x "
+                           rf"of shape \({F.d},\), got \({P}, {F.d}\)")
+                for move in (F.component, F._checked):
+                    with pytest.raises(ValueError, match=message):
+                        move(F.n - 1, X, order)
+                assert _game_state(F) == state
+                continue
+            for i in range(F.n):
+                stack = F.component(i, X, order)
+                _assert_shapes(stack, (P,), F.d, order)
+                _assert_rows(stack, [F.component(i, x, order) for x in X],
+                             tol)
+
+    @ORDERS
+    @NAMES
+    def test_one_point_answers_and_rows(self, name, order):
+        # a twin of the sum answers the rows one component call each (for a
+        # game, the same moves), each answer checked on its own
+        F, twin = SUMS[name][0](), SUMS[name][0]()
+        x = _points(F, 1, np.random.default_rng(3))[0]
+        for rows in ([0], [F.n - 1, 0, F.n - 1], list(range(F.n))[::-1]):
+            stack = F.components(rows, x, order)
+            _assert_shapes(stack, (len(rows),), F.d, order)
+            answers = [twin.component(i, x, order) for i in rows]
+            for one in answers:
+                _assert_shapes(one, (), F.d, order)
+            _assert_rows(stack, answers)
+            assert _game_state(F) == _game_state(twin)
+
+    @ORDERS
+    @NAMES
+    def test_full(self, name, order):
+        F, tol = SUMS[name][0](), SUMS[name][1]
+        rng = np.random.default_rng(3)
+        state = _game_state(F)
+        for P in (1, 3, 7):
+            X = _points(F, P, rng)
             stack = F.full(X, order)
             rows = [F.full(x, order) for x in X]
-            for part, tail in zip((stack.value, stack.grad, stack.hess),
-                                  ((), (F.d,), (F.d, F.d))):
-                assert (part is None) == (len(tail) > order)
-                assert part is None or part.shape == (P,) + tail
-            for k, row in enumerate(rows):
-                assert stack.value[k] == row.value
-                for a, b in ((stack.grad, row.grad), (stack.hess, row.hess)):
-                    if a is not None:
-                        assert (_same_bits(a[k], b) if tol == 0.0
-                                else rel_err(b, a[k]) <= tol)
-            if game:
-                assert _game_state(F) == state
+            _assert_shapes(stack, (P,), F.d, order)
+            for row in rows:
+                _assert_shapes(row, (), F.d, order)
+            _assert_rows(stack, rows, tol)
+            if isinstance(F, ResistingOracle):
                 continue
             for x, got in ((X, stack), (X[0], rows[0])):
                 want = mean_derivatives(
                     (F.component(i, x, order) for i in range(F.n)), x.shape,
                     order)
-                assert _same_answer(got, want)
+                assert same_answer(got, want)
+        assert _game_state(F) == state
+
+    @pytest.mark.parametrize("refusal", list(REFUSALS))
+    @NAMES
+    def test_refused_before_any_evaluation(self, name, refusal, monkeypatch):
+        call, match = REFUSALS[refusal]
+        F = SUMS[name][0]()
+        x = _points(F, 1, np.random.default_rng(3))[0]
+        state = _game_state(F)
+        calls = _evaluations(F, monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            call(F, x)
+        assert calls == [] and _game_state(F) == state
+        F.full(x, 0)
+        assert calls    # the spies see this sum's evaluations
 
 
 class TestEvaluatedView:
@@ -511,10 +547,10 @@ class TestEvaluatedView:
         F, x, view = self._view()
         led = OracleLedger(n=F.n)
         der = query(led, view, 4, x, order=1, count=3)
-        assert _same_answer(der, F.component(4, x, 1))
+        assert same_answer(der, F.component(4, x, 1))
         # a lower order than held is answered truncated
-        assert _same_answer(query(led, view, 1, x.copy(), order=0),
-                            F.component(1, x, 0))
+        assert same_answer(query(led, view, 1, x.copy(), order=0),
+                           F.component(1, x, 0))
         assert led.per_index.tolist() == [0, 1, 0, 0, 3]
 
     def test_refuses_what_it_does_not_hold(self):
@@ -544,8 +580,8 @@ class TestEvaluatedView:
         view = _Evaluated.evaluate(F, [4, 1, 2], x, 2)
         led = OracleLedger(n=F.n)
         for i in (4, 1, 2, 4):
-            assert _same_answer(query(led, view, i, x, order=2, count=2),
-                                want[i])
+            assert same_answer(query(led, view, i, x, order=2, count=2),
+                               want[i])
         assert shapes == [(3, 3, 3)]
         assert led.per_index.tolist() == [0, 2, 2, 0, 4]
 
@@ -571,20 +607,6 @@ class TestEvaluatedView:
         assert led.total == 0
 
 
-def _good_and_short(d=3):
-    """Component 0 is 0.5 |x|^2; component 1 answers a gradient of shape
-    (1,) and a Hessian of shape (1, 1), which numpy would broadcast."""
-    def good(x, order=2):
-        return Derivatives(0.5 * float(x @ x), x.copy() if order >= 1 else None,
-                           np.eye(x.size) if order >= 2 else None)
-
-    def short(x, order=2):
-        return Derivatives(1.0, np.ones(1) if order >= 1 else None,
-                           np.ones((1, 1)) if order >= 2 else None)
-
-    return CallableFiniteSum([good, short], d=d)
-
-
 class TestWrongShapes:
     """An answer of another shape than its sum's is refused where it enters,
     naming the component and the order, and is never charged."""
@@ -593,7 +615,7 @@ class TestWrongShapes:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_full(self, order):
-        F = _good_and_short()
+        F = good_and_short()
         with pytest.raises(ValueError,
                            match=self.SHORT_GRAD + rf" \(order {order}\)"):
             F.full(np.ones(3), order)
@@ -604,7 +626,7 @@ class TestWrongShapes:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_query_charges_nothing(self, order):
-        F = _good_and_short()
+        F = good_and_short()
         led = OracleLedger(n=2)
         with pytest.raises(ValueError,
                            match=self.SHORT_GRAD + rf" \(order {order}\)"):
@@ -614,7 +636,7 @@ class TestWrongShapes:
         assert led.per_index.tolist() == [0, 1]
 
     def test_mixed_stack_names_the_row(self):
-        F = _good_and_short()
+        F = good_and_short()
         with pytest.raises(ValueError, match=self.SHORT_GRAD):
             F.components([0, 1, 0], np.ones(3), 2)
         with pytest.raises(ValueError, match=self.SHORT_GRAD):
@@ -623,7 +645,7 @@ class TestWrongShapes:
     def test_uniform_stack_names_its_first_row(self):
         # a stack of wrong rows stacks without complaint; the check of the
         # stack names its first row as that row alone would be named
-        F = _good_and_short()
+        F = good_and_short()
         with pytest.raises(ValueError, match=self.SHORT_GRAD + r" \(order 2\)"):
             _Evaluated.evaluate(F, [1, 1], np.ones(3), 2)
 

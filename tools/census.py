@@ -3,13 +3,14 @@
     python tools/census.py [ROOT]
 
 ROOT is a checkout of the repository (default: the one holding this file).
-Prints two lines:
+Prints three lines:
 
 - ``src lines``: the newline count of every ``.py`` file under ``src/``
   (what ``wc -l`` totals over them);
 - ``settable values``: the defaulted parameters of the public callables,
   plus the run configuration's keys, the CLI's flags and the environment
-  variables the package reads.
+  variables the package reads;
+- ``test lines``: the newline count of ``tests/*.py``.
 
 The public callables are the distinct objects named in the ``__all__`` of
 the package and of each submodule that the package defines: each function,
@@ -31,9 +32,8 @@ from pathlib import Path
 ENV_READ = re.compile(r"os\.environ(?:\.get\(|\[)\s*[\"'](\w+)[\"']")
 
 
-def src_lines(src: Path) -> int:
-    return sum(path.read_bytes().count(b"\n")
-               for path in src.rglob("*.py"))
+def newlines(paths) -> int:
+    return sum(path.read_bytes().count(b"\n") for path in paths)
 
 
 def _defaulted(f) -> int:
@@ -104,10 +104,11 @@ def main(argv: list[str]) -> int:
     keys = len(fields(RunConfig))
     flags = len(cli_flags(_build_parser()))
     env = len(env_variables(src))
-    print(f"src lines: {src_lines(src)}")
+    print(f"src lines: {newlines(src.rglob('*.py'))}")
     print(f"settable values: {params + keys + flags + env} ({params} "
           f"defaulted parameters, {keys} config keys, {flags} CLI flags, "
           f"{env} environment variables)")
+    print(f"test lines: {newlines((root / 'tests').glob('*.py'))}")
     return 0
 
 
