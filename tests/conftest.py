@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from hardsum.chains import Derivatives
+from hardsum.linalg import rel_err
 from hardsum.oracle import CallableFiniteSum
 
 # deterministic, CI-friendly hypothesis defaults
@@ -29,6 +30,27 @@ def same_answer(a: Derivatives, b: Derivatives) -> bool:
     """Equal bits in value, gradient and Hessian."""
     return all(map(same_bits, (a.value, a.grad, a.hess),
                    (b.value, b.grad, b.hess)))
+
+
+def assert_shapes(der: Derivatives, lead: tuple, d: int, order: int):
+    """Shapes lead, lead + (d,), lead + (d, d) up to ``order``; one point's
+    value is a float."""
+    assert lead or isinstance(der.value, float)
+    for part, tail in zip((der.value, der.grad, der.hess),
+                          ((), (d,), (d, d))):
+        assert (part is None) == (len(tail) > order)
+        assert part is None or np.shape(part) == lead + tail
+
+
+def assert_rows(stack: Derivatives, answers: list, tol: float = 0.0):
+    """Each row of a stacked answer against the one-point answer in its place:
+    values bit for bit, derivatives bit for bit or to ``tol`` relative."""
+    for k, one in enumerate(answers):
+        assert same_bits(stack.value[k], one.value)
+        for a, b in ((stack.grad, one.grad), (stack.hess, one.hess)):
+            assert (a is None) == (b is None)
+            assert b is None or (same_bits(a[k], b) if tol == 0.0
+                                 else rel_err(b, a[k]) <= tol)
 
 
 def chain_points(F, rng, P):

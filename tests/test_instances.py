@@ -2,7 +2,7 @@ import dataclasses
 import math
 import struct
 
-from conftest import chain_points, same_answer
+from conftest import assert_rows, assert_shapes, chain_points, same_answer
 
 import numpy as np
 import pytest
@@ -283,6 +283,42 @@ class TestRandomizedInstance:
         assert x.shape == (spec.d,)
         assert np.allclose(F._slot(1, x), v, atol=1e-12)
         assert np.allclose(F._slot(0, x), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("haar_c", [False, True])
+    def test_stack_rows_equal_single_points(self, rng, haar_c):
+        # one batched hat_f_eval per component answers the whole stack;
+        # values are bit-identical, derivatives agree to rounding (the
+        # clamp's powers, see tests/test_chains.py TestStacks)
+        spec, F = self._make(n=3, haar_c=haar_c)
+        X = rng.standard_normal((5, spec.d)) * 3.0
+        for order in range(3):
+            for stacked, single in (
+                    (F.component(2, X, order),
+                     [F.component(2, x, order) for x in X]),
+                    (F.full(X, order), [F.full(x, order) for x in X])):
+                assert_shapes(stacked, (5,), spec.d, order)
+                assert_rows(stacked, single, 1e-15)
+
+    @pytest.mark.parametrize("P", [1, 37])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("scaled", [True, False])
+    @pytest.mark.parametrize("haar_c", [False, True])
+    def test_stacked_full_equals_component_loop(self, rng, haar_c, scaled,
+                                                n, P):
+        # full on a stack evaluates every component in one clamped-chain
+        # call; it equals the mean over one stacked component call each,
+        # bit for bit, as the one-point full equals its component loop
+        spec, F = self._make(n=n, haar_c=haar_c)
+        F = F if scaled else F.unscaled_view()
+        X = rng.standard_normal((P, spec.d)) * 3.0
+        for order in range(3):
+            for x in (X, X[0]):
+                assert same_answer(F.full(x, order), mean_derivatives(
+                    (F.component(i, x, order) for i in range(n)), x.shape,
+                    order))
+            rows = [n - 1, 0, n - 1]
+            assert_rows(F.components(rows, X[0], order),
+                        [F.component(i, X[0], order) for i in rows])
 
     def test_sampling_deterministic(self):
         spec, F1 = self._make(seed=42)

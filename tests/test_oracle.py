@@ -1,7 +1,8 @@
 import importlib
 import pkgutil
 
-from conftest import chain_points, good_and_short, same_answer, same_bits
+from conftest import (assert_rows, assert_shapes, chain_points, good_and_short,
+                      same_answer)
 
 import numpy as np
 import pytest
@@ -288,6 +289,16 @@ class TestQuadraticCosineStacks:
 
 
 class TestComponents:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("rows", [[4, 0, 3], [2, 2, 5, 2, 0],
+                                      list(range(6)), [1]])
+    def test_quadratic_cosine_rows_equal_one_point_answers(self, rows, order):
+        F = quadratic_cosine_sum(6, 5, seed=len(rows))
+        for x in np.random.default_rng(order).standard_normal((3, 5)) * 2.0:
+            stack = F.components(rows, x, order)
+            assert_shapes(stack, (len(rows),), F.d, order)
+            assert_rows(stack, [F.component(i, x, order) for i in rows])
+
     def test_default_loops_components_in_row_order(self):
         calls = []
 
@@ -319,7 +330,7 @@ class TestComponents:
         for a, b in zip(stacked._archive, looped._archive):
             assert (a.i, a.order, a.round) == (b.i, b.order, b.round)
             assert same_answer(a.response, b.response)
-        _assert_rows(stack, answers)
+        assert_rows(stack, answers)
 
 
 def _package_sums() -> set:
@@ -405,27 +416,6 @@ def _points(F, P: int, rng) -> np.ndarray:
     return 3.0 * rng.standard_normal((P, F.d))
 
 
-def _assert_shapes(der: Derivatives, lead: tuple, d: int, order: int):
-    """Shapes lead, lead + (d,), lead + (d, d) up to ``order``; one point's
-    value is a float."""
-    assert lead or isinstance(der.value, float)
-    for part, tail in zip((der.value, der.grad, der.hess),
-                          ((), (d,), (d, d))):
-        assert (part is None) == (len(tail) > order)
-        assert part is None or np.shape(part) == lead + tail
-
-
-def _assert_rows(stack: Derivatives, answers: list, tol: float = 0.0):
-    """Each row of a stacked answer against the one-point answer in its place:
-    values bit for bit, derivatives bit for bit or to ``tol`` relative."""
-    for k, one in enumerate(answers):
-        assert same_bits(stack.value[k], one.value)
-        for a, b in ((stack.grad, one.grad), (stack.hess, one.hess)):
-            assert (a is None) == (b is None)
-            assert b is None or (same_bits(a[k], b) if tol == 0.0
-                                 else rel_err(b, a[k]) <= tol)
-
-
 def _evaluations(F, monkeypatch) -> list:
     """Record every evaluation F makes from here on: a call of one of its
     callables, or of a kernel behind the package's other sums."""
@@ -479,8 +469,8 @@ class TestSumContract:
                 continue
             for i in range(F.n):
                 stack = F.component(i, X, order)
-                _assert_shapes(stack, (P,), F.d, order)
-                _assert_rows(stack, [F.component(i, x, order) for x in X],
+                assert_shapes(stack, (P,), F.d, order)
+                assert_rows(stack, [F.component(i, x, order) for x in X],
                              tol)
 
     @ORDERS
@@ -492,11 +482,11 @@ class TestSumContract:
         x = _points(F, 1, np.random.default_rng(3))[0]
         for rows in ([0], [F.n - 1, 0, F.n - 1], list(range(F.n))[::-1]):
             stack = F.components(rows, x, order)
-            _assert_shapes(stack, (len(rows),), F.d, order)
+            assert_shapes(stack, (len(rows),), F.d, order)
             answers = [twin.component(i, x, order) for i in rows]
             for one in answers:
-                _assert_shapes(one, (), F.d, order)
-            _assert_rows(stack, answers)
+                assert_shapes(one, (), F.d, order)
+            assert_rows(stack, answers)
             assert _game_state(F) == _game_state(twin)
 
     @ORDERS
@@ -509,10 +499,10 @@ class TestSumContract:
             X = _points(F, P, rng)
             stack = F.full(X, order)
             rows = [F.full(x, order) for x in X]
-            _assert_shapes(stack, (P,), F.d, order)
+            assert_shapes(stack, (P,), F.d, order)
             for row in rows:
-                _assert_shapes(row, (), F.d, order)
-            _assert_rows(stack, rows, tol)
+                assert_shapes(row, (), F.d, order)
+            assert_rows(stack, rows, tol)
             if isinstance(F, ResistingOracle):
                 continue
             for x, got in ((X, stack), (X[0], rows[0])):
