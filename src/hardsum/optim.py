@@ -188,74 +188,59 @@ def _hessian_estimate(counts, dH, b, H_s) -> np.ndarray:
     return U.reshape(U.shape[:-1] + (d, d)) + H_s
 
 
-def _estimator_pass(F: FiniteSumFunction, x, x_hat, batch, order: int,
-                    snapshot_cache):
-    """The estimators' shared prologue: x and xh validated, the batch
-    counted once, its distinct rows evaluated at x up to ``order``, then at
-    xh up to order 2 unless ``snapshot_cache`` (None, or the view that
-    :func:`svrc_run`'s snapshot pass builds; else TypeError) holds them.
-    Returns (x, xh, rows, their counts, b, view at x, view at xh); the
-    estimators take the xh rows before they charge, so a view that lacks
-    them raises uncharged."""
-    if not isinstance(snapshot_cache, (_Evaluated, type(None))):
-        raise TypeError("snapshot_cache must be None or the snapshot pass's "
-                        f"answers, got {type(snapshot_cache).__name__}")
+def _estimator_pass(F: FiniteSumFunction, x, batch, order: int, snapshot):
+    """The estimators' shared prologue: ``snapshot`` checked to be the
+    snapshot pass's view (else TypeError), x validated, the batch counted
+    once.  Returns (x, rows, their counts, b, the rows at xh, their view at
+    x up to ``order``); the rows are taken from the snapshot before any is
+    evaluated at x or charged."""
+    if not isinstance(snapshot, _Evaluated):
+        raise TypeError("snapshot must be the snapshot pass's answers, got "
+                        f"{type(snapshot).__name__}")
     x = as_vector(x, dim=F.d)
-    x_hat = as_vector(x_hat, dim=F.d)
     counts, b = _batch_counts(batch, F.n)
     rows = np.flatnonzero(counts)
-    at_x = _Evaluated.evaluate(F, rows, x, order)
-    at_hat = (_Evaluated.evaluate(F, rows, x_hat, 2) if snapshot_cache is None
-              else snapshot_cache)
-    return x, x_hat, rows, counts[rows], b, at_x, at_hat
+    return (x, rows, counts[rows], b, snapshot.take(rows),
+            _Evaluated.evaluate(F, rows, x, order))
 
 
 def svrc_gradient_estimator(F: FiniteSumFunction, ledger: OracleLedger,
-                            x, x_hat, g_s, H_s, batch,
-                            snapshot_cache: _Evaluated | None = None
+                            x, g_s, H_s, batch, snapshot: _Evaluated
                             ) -> np.ndarray:
     """Semi-stochastic gradient with first-order (Hessian) correction:
 
     v = (1/b) sum_i [grad f_i(x) - grad f_i(xh)] + g_s
         - ((1/b) sum_i hess f_i(xh) - H_s)(x - xh)
 
-    Charges b gradient queries at x and b (order-2, re-read) queries at the
-    snapshot; repeated indices in the batch are charged per draw but
-    evaluated once.  The re-reads are served from ``snapshot_cache``, the
-    snapshot pass's answers that :func:`svrc_run` passes, when it is given,
-    else evaluated; they are charged either way.
+    at the point xh of ``snapshot``, the view that :func:`svrc_run`'s
+    snapshot pass builds.  Charges b gradient queries at x and b (order-2,
+    re-read) queries at the snapshot, served from it but charged; repeated
+    indices in the batch are charged per draw but evaluated once.
     """
-    x, x_hat, rows, counts, b, at_x, at_hat = _estimator_pass(
-        F, x, x_hat, batch, 1, snapshot_cache)
-    hat, dx = at_hat.take(rows, x_hat), x - x_hat
+    x, rows, counts, b, hat, at_x = _estimator_pass(F, x, batch, 1, snapshot)
+    x_hat = snapshot.x
+    dx = x - x_hat
     for i, c in zip(rows.tolist(), counts.tolist()):
         query(ledger, at_x, i, x, order=1, count=c)
-        query(ledger, at_hat, i, x_hat, order=2, count=c, requery=True)
+        query(ledger, snapshot, i, x_hat, order=2, count=c, requery=True)
     return _gradient_estimate(counts, at_x.stack.grad - hat.grad,
                               row_matvec(hat.hess, dx), b, g_s, H_s, dx)
 
 
 def svrc_hessian_estimator(F: FiniteSumFunction, ledger: OracleLedger,
-                           x, x_hat, H_s, batch,
-                           snapshot_cache: _Evaluated | None = None
-                           ) -> np.ndarray:
+                           x, H_s, batch, snapshot: _Evaluated) -> np.ndarray:
     """Semi-stochastic Hessian:  U = (1/b) sum_j [hess f_j(x) - hess f_j(xh)]
     + H_s.
 
-    Charges b Hessian queries at x; snapshot-point Hessians come from
-    ``snapshot_cache``, as for :func:`svrc_gradient_estimator`, as b
-    zero-cost cache hits when it is given, else are charged as re-reads.
+    Charges b Hessian queries at x; the Hessians at xh come from
+    ``snapshot``, as for :func:`svrc_gradient_estimator`, as b zero-cost
+    cache hits.
     """
-    x, x_hat, rows, counts, b, at_x, at_hat = _estimator_pass(
-        F, x, x_hat, batch, 2, snapshot_cache)
-    hess_hat = at_hat.take(rows, x_hat).hess
+    x, rows, counts, b, hat, at_x = _estimator_pass(F, x, batch, 2, snapshot)
     for j, c in zip(rows.tolist(), counts.tolist()):
         query(ledger, at_x, j, x, order=2, count=c)
-        if snapshot_cache is None:
-            query(ledger, at_hat, j, x_hat, order=2, count=c, requery=True)
-    if snapshot_cache is not None:
-        ledger.record_cache_hit(b)
-    return _hessian_estimate(counts, at_x.stack.hess - hess_hat, b, H_s)
+    ledger.record_cache_hit(b)
+    return _hessian_estimate(counts, at_x.stack.hess - hat.hess, b, H_s)
 
 
 def _stationarity(der: Derivatives, L2: float) -> tuple[float, float]:
@@ -335,10 +320,9 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
             g_s, H_s = mean.grad, mean.hess
             continue
         batch_g, batch_h = _draw_batches(params, n, rng)
-        v = svrc_gradient_estimator(F, ledger, x, x_hat, g_s, H_s, batch_g,
-                                    snapshot_cache=snapshot)
-        U = svrc_hessian_estimator(F, ledger, x, x_hat, H_s, batch_h,
-                                   snapshot_cache=snapshot)
+        v = svrc_gradient_estimator(F, ledger, x, g_s, H_s, batch_g,
+                                    snapshot)
+        U = svrc_hessian_estimator(F, ledger, x, H_s, batch_h, snapshot)
         try:
             sol = solve(CubicModel(v=v, U=U, M=params.M))
         except ArithmeticError:
@@ -403,9 +387,13 @@ def baseline_full_gd(F: FiniteSumFunction, step_rule, budget: int,
                      L2: float | None = None) -> list[TrajectoryRecord]:
     """Full gradient descent; each iteration pays one order-1 pass (n queries).
 
-    ``step_rule`` is a constant or a callable (t, x, grad) -> step size.
-    Runs until the next pass would exceed the query budget.
+    ``step_rule`` is a constant or a callable (t, x, grad) -> step size; a
+    non-finite constant raises ValueError before the first pass.  Runs until
+    the next pass would exceed the query budget.
     """
+    if not callable(step_rule) and not math.isfinite(float(step_rule)):
+        raise ValueError(f"non-finite step {step_rule}")
+
     def gd_step(t, x, grad, _):
         size = step_rule(t, x, grad) if callable(step_rule) else step_rule
         return -float(size) * grad

@@ -415,20 +415,20 @@ class _Evaluated(FiniteSumFunction):
     :func:`query` charges rows through without evaluating or checking them
     again.
 
-    ``stack`` holds the answers, row k answering component ``rows[k]``;
-    ``where[i]`` is the row of component i, -1 where the view does not
-    hold it.  Building the view checks the whole stack as :func:`query`
-    checks one answer (:func:`_check_answer`: a bad row raises the error it
-    would raise alone; Hessians are kept symmetrized), so each row is
-    checked once however often it is charged.  The view refuses another
-    point, a higher order and an index it does not hold.
+    ``x`` is the point; ``stack`` holds the answers, row k answering
+    component ``rows[k]``; ``where[i]`` is the row of component i, -1 where
+    the view does not hold it.  Building the view checks the whole stack as
+    :func:`query` checks one answer (:func:`_check_answer`: a bad row raises
+    the error it would raise alone; Hessians are kept symmetrized), so each
+    row is checked once however often it is charged.  The view refuses
+    another point, a higher order and an index it does not hold.
     """
 
     def __init__(self, F: FiniteSumFunction, x: np.ndarray, order: int,
                  rows, stack: Derivatives):
         rows = np.asarray(rows)
         self.n, self.d = F.n, F.d
-        self._x, self._order = x, order
+        self.x, self._order = x, order
         self.where = np.full(F.n, -1)
         self.where[rows] = np.arange(rows.size)
         self.stack = _check_answer(stack, rows, order, F.d)
@@ -440,10 +440,10 @@ class _Evaluated(FiniteSumFunction):
         :meth:`~FiniteSumFunction.components` call."""
         return cls(F, x, order, rows, F.components(rows, x, order))
 
-    def take(self, rows: np.ndarray, x: np.ndarray) -> Derivatives:
-        """The gradients and Hessians of held components ``rows`` at x,
-        stacked in that order; refused as :meth:`_checked` refuses."""
-        self._refuse(x, 2)
+    def take(self, rows: np.ndarray) -> Derivatives:
+        """The gradients and Hessians of held components ``rows``, stacked
+        in that order; refused as :meth:`_checked` refuses."""
+        self._refuse(self.x, 2)
         k = self.where[rows]
         if k.min() < 0:
             raise ValueError(f"component {rows[k.argmin()]} was not "
@@ -452,7 +452,7 @@ class _Evaluated(FiniteSumFunction):
 
     def _refuse(self, x: np.ndarray, order: int) -> None:
         """Raise unless these answers were evaluated at x up to ``order``."""
-        if x is not self._x and not np.array_equal(x, self._x):
+        if x is not self.x and not np.array_equal(x, self.x):
             raise ValueError("these answers were evaluated at another point")
         if order > self._order:
             raise ValueError(f"these answers go up to order {self._order}, "

@@ -26,7 +26,7 @@ from .instances.resisting import ResistingCertificate, ResistingOracle
 from .linalg import (_richardson_combine, _stencil_points, as_points, as_rng,
                      as_vector, rel_err, row_dot, sample_orthonormal_columns)
 from .oracle import (CallableFiniteSum, FiniteSumFunction, OracleLedger,
-                     quadratic_cosine_sum)
+                     _Evaluated, quadratic_cosine_sum)
 from .optim import (SvrcParams, _draw_batches, _gradient_estimate,
                     _hessian_estimate, svrc_gradient_estimator,
                     svrc_hessian_estimator)
@@ -365,7 +365,8 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     (a full-batch schedule has b = n).  Blocks of trials then apply the estimators' own
     count-weighted contractions, as one weight stack, to per-component
     tables evaluated once; the first 8 trials are cross-checked against the
-    metered estimator calls.
+    metered estimator calls, which read xh from a snapshot view of the xh
+    table as :func:`~hardsum.optim.svrc_run` does.
     """
     if trials < 1000:
         raise ValueError("trials must be at least 10^3")
@@ -410,12 +411,13 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
         g_moments += [float(g) ** 1.5 for g in np.sqrt(row_dot(D, D))]
         h_moments += [float(h) ** 3 for h in _op_norm(HF - U)]
 
+    snapshot = _Evaluated(instance, x_hat, 2, np.arange(n), at_hat)
     cross_err = 0.0
     for t, (idx_g, idx_h) in enumerate(cross):
         led = OracleLedger(n=n)
-        v_ref = svrc_gradient_estimator(instance, led, x, x_hat, g_s, H_s,
-                                        idx_g)
-        U_ref = svrc_hessian_estimator(instance, led, x, x_hat, H_s, idx_h)
+        v_ref = svrc_gradient_estimator(instance, led, x, g_s, H_s, idx_g,
+                                        snapshot)
+        U_ref = svrc_hessian_estimator(instance, led, x, H_s, idx_h, snapshot)
         cross_err = max(
             cross_err,
             rel_err(g_moments[t], float(np.linalg.norm(gF - v_ref)) ** 1.5),

@@ -1,6 +1,6 @@
 """The benchmark's span tracer still finds every binding it patches, and its
-spans and ledger counters read what a small SVRC run and a small adversary
-game actually did."""
+spans and ledger counters read what a small SVRC run, a small adversary
+game and the estimator-bound cross-check actually did."""
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,6 +12,7 @@ import hardsum.cli  # noqa: F401  (the tracer patches hardsum.cli.main)
 from hardsum.instances import deterministic_params, ell_p
 from hardsum.oracle import OracleLedger
 from hardsum.optim import C_M, SvrcParams
+from hardsum.verify import verify_estimator_bounds
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -70,3 +71,18 @@ def test_traced_runs_touch_every_layer(tracing):
     # untraced calls after the context exits run the original functions
     assert hardsum.svrc_run.__module__ == "hardsum.optim"
     assert not hasattr(hardsum.svrc_run, "__wrapped__")
+
+
+def test_traced_cross_check_counters(tracing):
+    # 8 metered trials, each with b_g = 8 charges at x, 8 charged snapshot
+    # re-reads and b_h = 32 Hessians at x whose snapshot reads are cache hits
+    params = SvrcParams(M=1.0, b_g=8, b_h=32, S=1, T=1, eps=1.0, Delta=1.0,
+                        L2=1.0)
+    tracer = tracing.Tracer()
+    with tracer.active(0):
+        verify_estimator_bounds(hardsum.quadratic_cosine_sum(16, 5, seed=1),
+                                [0.5, -1, 0, 2, 1], [0.9, -0.6, 0.4, 2.4, 1.4],
+                                params, trials=1000, L2_hat=2.0)
+    metrics = tracer.layer_metrics(num_ops=1)
+    assert [metrics[f"oracle.{name}"][0] for name in (
+        "charged_queries", "requeries", "cache_hits")] == [384, 64, 256]

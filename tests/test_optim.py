@@ -101,36 +101,39 @@ class TestEstimators:
         x_hat = rng.standard_normal(d)
         x = x_hat + 0.3 * rng.standard_normal(d)
         full = F.full(x_hat, order=2)
-        return F, x, x_hat, full.grad, full.hess
+        snapshot = _Evaluated.evaluate(F, np.arange(F.n), x_hat, 2)
+        return F, x, snapshot, full.grad, full.hess
 
     def test_at_snapshot_point_estimators_are_exact(self):
-        F, _, x_hat, g_s, H_s = self._setup()
+        F, _, snapshot, g_s, H_s = self._setup()
         led = OracleLedger(n=F.n)
         batch = np.array([0, 2, 2, 5])
-        v = svrc_gradient_estimator(F, led, x_hat, x_hat, g_s, H_s, batch)
-        U = svrc_hessian_estimator(F, led, x_hat, x_hat, H_s, batch)
+        v = svrc_gradient_estimator(F, led, snapshot.x, g_s, H_s, batch,
+                                    snapshot)
+        U = svrc_hessian_estimator(F, led, snapshot.x, H_s, batch, snapshot)
         assert np.allclose(v, g_s, atol=1e-13)
         assert np.allclose(U, H_s, atol=1e-13)
 
     def test_full_batch_gradient_telescopes(self):
         # with the batch equal to {0..n-1} the correction terms cancel and
         # v equals the exact full gradient at x
-        F, x, x_hat, g_s, H_s = self._setup()
+        F, x, snapshot, g_s, H_s = self._setup()
         led = OracleLedger(n=F.n)
-        v = svrc_gradient_estimator(F, led, x, x_hat, g_s, H_s, np.arange(F.n))
+        v = svrc_gradient_estimator(F, led, x, g_s, H_s, np.arange(F.n),
+                                    snapshot)
         assert np.allclose(v, F.full(x, 1).grad, atol=1e-12)
 
     def test_full_batch_hessian_telescopes(self):
-        F, x, x_hat, g_s, H_s = self._setup()
+        F, x, snapshot, g_s, H_s = self._setup()
         led = OracleLedger(n=F.n)
-        U = svrc_hessian_estimator(F, led, x, x_hat, H_s, np.arange(F.n))
+        U = svrc_hessian_estimator(F, led, x, H_s, np.arange(F.n), snapshot)
         assert np.allclose(U, F.full(x, 2).hess, atol=1e-12)
 
     def test_gradient_estimator_charging(self):
-        F, x, x_hat, g_s, H_s = self._setup()
+        F, x, snapshot, g_s, H_s = self._setup()
         led = OracleLedger(n=F.n)
         batch = np.array([1, 1, 1, 4])      # 4 draws, 2 unique
-        svrc_gradient_estimator(F, led, x, x_hat, g_s, H_s, batch)
+        svrc_gradient_estimator(F, led, x, g_s, H_s, batch, snapshot)
         # b charged at x (order 1) + b re-reads at the snapshot (order 2)
         assert led.total == 8
         assert led.requery_queries == 4
@@ -140,65 +143,58 @@ class TestEstimators:
         assert led.per_index[1] == 6
 
     def test_hessian_estimator_cache_hits(self):
-        F, x, x_hat, g_s, H_s = self._setup()
-        snapshot = _Evaluated.evaluate(F, np.arange(F.n), x_hat, 2)
+        F, x, snapshot, g_s, H_s = self._setup()
         led = OracleLedger(n=F.n)
         batch = np.array([0, 3, 3])
-        svrc_hessian_estimator(F, led, x, x_hat, H_s, batch,
-                               snapshot_cache=snapshot)
+        svrc_hessian_estimator(F, led, x, H_s, batch, snapshot)
         assert led.total == 3               # only the queries at x are charged
         assert led.cache_hits == 3
         assert led.requery_queries == 0
 
-    def test_hessian_estimator_without_cache_charges_requeries(self):
-        F, x, x_hat, g_s, H_s = self._setup()
-        led = OracleLedger(n=F.n)
-        svrc_hessian_estimator(F, led, x, x_hat, H_s, np.array([2, 2]))
-        assert led.total == 4
-        assert led.requery_queries == 2
-
     def test_estimators_match_per_draw_reference(self):
         # a loop over the draws, one query per draw, against the estimators'
-        # per-unique-index rows and count-weighted contractions
-        F, x, x_hat, g_s, H_s = self._setup(n=7, d=5)
+        # per-unique-index rows and count-weighted contractions: the
+        # gradient estimator's snapshot re-reads are charged, the Hessian
+        # estimator's snapshot reads are free cache hits
+        F, x, snapshot, g_s, H_s = self._setup(n=7, d=5)
+        x_hat = snapshot.x
         batch = np.array([3, 0, 3, 6, 3, 0, 2, 6, 6, 6])
         b, dx = batch.size, x - x_hat
-        snapshot = _Evaluated.evaluate(F, np.arange(F.n), x_hat, 2)
-
-        ref_g = OracleLedger(n=F.n)
-        v_ref = g_s + H_s @ dx
+        ref_g, ref_h = OracleLedger(n=F.n), OracleLedger(n=F.n)
+        v_ref, U_ref = g_s + H_s @ dx, H_s.copy()
         for i in batch:
             at_x = query(ref_g, F, i, x, order=1)
             at_hat = query(ref_g, F, i, x_hat, order=2, requery=True)
             v_ref = v_ref + (at_x.grad - at_hat.grad - at_hat.hess @ dx) / b
-        # snapshot re-reads served from the snapshot are still charged
-        for snapshot_cache in (None, snapshot):
-            led_g = OracleLedger(n=F.n)
-            v = svrc_gradient_estimator(F, led_g, x, x_hat, g_s, H_s, batch,
-                                        snapshot_cache=snapshot_cache)
-            assert np.linalg.norm(v - v_ref) <= 1e-12 * np.linalg.norm(v_ref)
-            assert led_g.counters() == ref_g.counters()
-            assert np.array_equal(led_g.per_index, ref_g.per_index)
+            hess_x = query(ref_h, F, i, x, order=2).hess
+            ref_h.record_cache_hit()
+            U_ref = U_ref + (hess_x - at_hat.hess) / b
+        led_g, led_h = OracleLedger(n=F.n), OracleLedger(n=F.n)
+        v = svrc_gradient_estimator(F, led_g, x, g_s, H_s, batch, snapshot)
+        U = svrc_hessian_estimator(F, led_h, x, H_s, batch, snapshot)
+        for got, want, led, ref in ((v, v_ref, led_g, ref_g),
+                                    (U, U_ref, led_h, ref_h)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert led.counters() == ref.counters()
+            assert np.array_equal(led.per_index, ref.per_index)
 
-        for snapshot_cache in (None, snapshot):
-            ref_h = OracleLedger(n=F.n)
-            U_ref = H_s.copy()
-            for j in batch:
-                hess_x = query(ref_h, F, j, x, order=2).hess
-                if snapshot_cache is None:
-                    hess_hat = query(ref_h, F, j, x_hat, order=2,
-                                     requery=True).hess
-                else:
-                    hess_hat = query(OracleLedger(n=F.n), F, j, x_hat,
-                                     order=2).hess
-                    ref_h.record_cache_hit()
-                U_ref = U_ref + (hess_x - hess_hat) / b
-            led_h = OracleLedger(n=F.n)
-            U = svrc_hessian_estimator(F, led_h, x, x_hat, H_s, batch,
-                                       snapshot_cache=snapshot_cache)
-            assert np.linalg.norm(U - U_ref) <= 1e-12 * np.linalg.norm(U_ref)
-            assert led_h.counters() == ref_h.counters()
-            assert np.array_equal(led_h.per_index, ref_h.per_index)
+    def _refused_uncharged(self, batch, match, make_view=None,
+                           error=ValueError):
+        """Both estimators raise ``error`` matching ``match`` on ``batch``,
+        at the setup's snapshot or ``make_view(F, xh)``, before they
+        evaluate or charge anything."""
+        F, x, snapshot, g_s, H_s = self._setup()
+        if make_view is not None:
+            snapshot = make_view(F, snapshot.x)
+        evaluations = []
+        F.components = lambda *args: evaluations.append(args)
+        led = OracleLedger(n=F.n)
+        with pytest.raises(error, match=match):
+            svrc_gradient_estimator(F, led, x, g_s, H_s, batch, snapshot)
+        with pytest.raises(error, match=match):
+            svrc_hessian_estimator(F, led, x, H_s, batch, snapshot)
+        assert evaluations == []
+        assert led.counters() == OracleLedger(n=F.n).counters()
 
     @pytest.mark.parametrize("cache", [
         lambda F, x_hat: {i: (F.component(i, x_hat, 2).grad,
@@ -206,77 +202,37 @@ class TestEstimators:
                           for i in range(F.n)},
         lambda F, x_hat: F.components(np.arange(F.n), x_hat, 2),
         lambda F, x_hat: [],
-    ], ids=["dict", "stack", "list"])
+        lambda F, x_hat: None,
+    ], ids=["dict", "stack", "list", "none"])
     def test_snapshot_cache_other_than_the_view_rejected(self, cache):
-        # only None or the snapshot pass's checked view is accepted; any
-        # other value raises before anything is evaluated or charged
-        evaluations = []
-        F = _nearly_symmetric_sum(evaluations)
-        x_hat = np.full(F.d, 0.4)
-        x, full = x_hat + 0.1, F.full(x_hat, 2)
-        bad = cache(F, x_hat)
-        evaluations.clear()
-        led = OracleLedger(n=F.n)
-        with pytest.raises(TypeError, match="snapshot_cache"):
-            svrc_gradient_estimator(F, led, x, x_hat, full.grad, full.hess,
-                                    [0, 4, 4], snapshot_cache=bad)
-        with pytest.raises(TypeError, match="snapshot_cache"):
-            svrc_hessian_estimator(F, led, x, x_hat, full.hess, [0, 4, 4],
-                                   snapshot_cache=bad)
-        assert evaluations == []
-        assert led.counters() == OracleLedger(n=F.n).counters()
+        # only the snapshot pass's checked view is accepted
+        self._refused_uncharged([0, 4, 4], "snapshot", cache, TypeError)
 
-    @pytest.mark.parametrize("rows, shift, order, match", [
-        (np.arange(6), 1e-9, 2, "another point"),
-        (np.arange(6), 0.0, 1, "up to order 1"),
-        (np.array([0, 1, 2, 3, 5]), 0.0, 2, "component 4 was not evaluated"),
-    ], ids=["other-point", "order-1", "missing-row"])
-    def test_snapshot_view_must_hold_the_drawn_rows_at_xh(self, rows, shift,
-                                                          order, match):
-        # refused before anything is charged, by both estimators
-        F, x, x_hat, g_s, H_s = self._setup()
-        view = _Evaluated.evaluate(F, rows, x_hat + shift, order)
-        led = OracleLedger(n=F.n)
-        with pytest.raises(ValueError, match=match):
-            svrc_gradient_estimator(F, led, x, x_hat, g_s, H_s, [0, 4, 4],
-                                    snapshot_cache=view)
-        with pytest.raises(ValueError, match=match):
-            svrc_hessian_estimator(F, led, x, x_hat, H_s, [0, 4, 4],
-                                   snapshot_cache=view)
-        assert led.counters() == OracleLedger(n=F.n).counters()
+    @pytest.mark.parametrize("rows, order, match", [
+        (np.arange(6), 1, "up to order 1"),
+        (np.array([0, 1, 2, 3, 5]), 2, "component 4 was not evaluated"),
+    ], ids=["order-1", "missing-row"])
+    def test_snapshot_view_must_hold_the_drawn_rows_at_xh(self, rows, order,
+                                                          match):
+        self._refused_uncharged([0, 4, 4], match, lambda F, x_hat:
+                                _Evaluated.evaluate(F, rows, x_hat, order))
 
     def test_out_of_range_batch_rejected_before_charging(self):
         # the error names the smallest index if it is negative, else the
-        # largest one
-        F, x, x_hat, g_s, H_s = self._setup()
-        led = OracleLedger(n=F.n)
-        for batch, bad in (([0, F.n], F.n), ([-1, 0], -1),
-                           ([3, F.n + 5, F.n, 2], F.n + 5),
-                           ([F.n + 3, -2, 0], -2)):
-            msg = rf"component index {bad} out of range \[0, {F.n}\)"
-            with pytest.raises(ValueError, match=msg):
-                svrc_gradient_estimator(F, led, x, x_hat, g_s, H_s, batch)
-            with pytest.raises(ValueError, match=msg):
-                svrc_hessian_estimator(F, led, x, x_hat, H_s, batch)
-        assert led.total == 0
+        # largest one (n = 6)
+        for batch, bad in (([0, 6], 6), ([-1, 0], -1), ([3, 11, 6, 2], 11),
+                           ([9, -2, 0], -2)):
+            self._refused_uncharged(
+                batch, rf"component index {bad} out of range \[0, 6\)")
 
     def test_empty_batch_rejected(self):
-        F, x, x_hat, g_s, H_s = self._setup()
-        led = OracleLedger(n=F.n)
-        with pytest.raises(ValueError, match="batch"):
-            svrc_gradient_estimator(F, led, x, x_hat, g_s, H_s, [])
+        self._refused_uncharged([], "batch")
 
     @pytest.mark.parametrize("batch", [[1.5], [1.5, 2.7], [1.0, 2.0],
                                        [True, False]])
     def test_non_integer_batch_rejected_before_charging(self, batch):
         # a float index used to be truncated and charged to the wrong row
-        F, x, x_hat, g_s, H_s = self._setup()
-        led = OracleLedger(n=F.n)
-        with pytest.raises(ValueError, match="integers"):
-            svrc_gradient_estimator(F, led, x, x_hat, g_s, H_s, batch)
-        with pytest.raises(ValueError, match="integers"):
-            svrc_hessian_estimator(F, led, x, x_hat, H_s, batch)
-        assert led.total == 0
+        self._refused_uncharged(batch, "integers")
 
 
 class TestMu:
@@ -859,6 +815,14 @@ class TestBaselines:
         assert len(traj) == 3               # 3 passes of 3 fit in 10
         assert led.total == 9
         assert led.hess_queries == 0
+
+    def test_gd_non_finite_step_refused_before_the_first_pass(self):
+        F = quadratic_cosine_sum(4, 5, seed=0)
+        led = OracleLedger(n=F.n)
+        for step in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-finite step"):
+                baseline_full_gd(F, step, 40, ledger=led)
+        assert led.per_index.tolist() == [0] * F.n
 
     def test_gd_callable_step_rule(self):
         F = _identity_quadratic(d=2, n=2)

@@ -18,7 +18,7 @@ from hardsum.instances import (
     randomized_params,
     sample_randomized_instance,
 )
-from hardsum.oracle import (CallableFiniteSum, OracleLedger,
+from hardsum.oracle import (CallableFiniteSum, OracleLedger, _Evaluated,
                             quadratic_cosine_sum)
 from hardsum.optim import (SvrcParams, _draw_batches, svrc_gradient_estimator,
                            svrc_hessian_estimator)
@@ -647,6 +647,7 @@ def _per_trial_estimator_bounds(instance, x_hat, x, params, trials, seed,
     dG = at_x.grad - at_hat.grad
     Hdx = at_hat.hess @ dx
     dH = at_x.hess - at_hat.hess
+    snapshot = _Evaluated.evaluate(instance, np.arange(n), x_hat, 2)
 
     def op_norm(A):
         return np.abs(np.linalg.eigvalsh(0.5 * (A + A.T))).max()
@@ -665,10 +666,10 @@ def _per_trial_estimator_bounds(instance, x_hat, x, params, trials, seed,
         h_moments[t] = float(op_norm(HF - U)) ** 3
         if t < 8:
             led = OracleLedger(n=n)
-            v_ref = svrc_gradient_estimator(instance, led, x, x_hat, g_s, H_s,
-                                            idx_g)
-            U_ref = svrc_hessian_estimator(instance, led, x, x_hat, H_s,
-                                           idx_h)
+            v_ref = svrc_gradient_estimator(instance, led, x, g_s, H_s,
+                                            idx_g, snapshot)
+            U_ref = svrc_hessian_estimator(instance, led, x, H_s, idx_h,
+                                           snapshot)
             cross_err = max(
                 cross_err,
                 rel_err(g_moments[t],
@@ -760,6 +761,24 @@ class TestStackedMonteCarlo:
                                       L2_hat=2.0)
         assert rep.cross_check_rel_err > 1e-9
         assert not rep.passed
+
+    def test_cross_check_runs_the_snapshot_path(self, monkeypatch):
+        # the 8 metered trials read xh from one view that holds every row,
+        # so each Hessian estimate records b_h cache hits
+        F, params, x_hat, x = self._setup()
+        hits, views = [], []
+        hit = OracleLedger.record_cache_hit
+        monkeypatch.setattr(OracleLedger, "record_cache_hit", lambda led, c=1:
+                            hits.append(c) or hit(led, c))
+        for name in ("svrc_gradient_estimator", "svrc_hessian_estimator"):
+            monkeypatch.setattr(hardsum.verify, name, lambda *a, f=getattr(
+                hardsum.verify, name): views.append(a[-1]) or f(*a))
+        assert verify_estimator_bounds(F, x_hat, x, params, 1000,
+                                       L2_hat=2.0).passed
+        assert hits == [32] * 8 and len(views) == 16
+        assert all(v is views[0] for v in views)
+        assert np.array_equal(views[0].x, x_hat)
+        assert np.array_equal(views[0].where, np.arange(F.n))
 
 
 class TestNumpyIntegerSeeds:
