@@ -165,25 +165,35 @@ def chain_eval(K: int, mask, x, order: int = 0) -> Derivatives:
 
 
 def _chain_eval(K: int, m: np.ndarray, x: np.ndarray, order: int) -> Derivatives:
-    """``chain_eval`` on an already validated mask and point or stack."""
+    """``chain_eval`` on already validated masks and points.
+
+    ``m`` is one mask, shape (K,), or a stack of masks whose leading shape
+    broadcasts against the points': masks (n, K) at one point (K,) answer
+    values (n,), gradients (n, K) and Hessians (n, K, K), one row per mask;
+    masks (n, K) paired row by row with points (n, K) answer one row per
+    pair; masks (n, 1, K) against points (P, K) answer (n, P) values, and so
+    on.  The psi/phi tables are built once over the points, and every row
+    equals the one-mask answer at its point bit for bit.
+    """
     # psi/phi tables at +-x for all needed orders, one each over [x; -x],
     # cut into the factors of the terms k = 2..K: psi(+-x_{k-1}), phi(+-x_k)
     xx = np.concatenate((x, -x), axis=-1)
     psi_xx, phi_xx = _psi_table(xx, order), _phi_table(xx, order)
     ps, ns = psi_xx[..., :K - 1], psi_xx[..., K:-1]
     pf, nf = phi_xx[..., 1:K], phi_xx[..., K + 1:]
-    m1 = m[1:]
+    m0, m1 = m[..., 0], m[..., 1:]
 
-    val = -m[0] * phi_xx[0][..., 0]  # psi(1) = 1 exactly
+    val = -m0 * phi_xx[0][..., 0]  # psi(1) = 1 exactly
     if K > 1:
         terms = m1 * (ns[0] * nf[0] - ps[0] * pf[0])
         val = val + terms.sum(axis=-1)
+    shape = val.shape + (K,)  # the masks' and points' broadcast shape
     val = _as_value(val)
     if order == 0:
         return Derivatives(val)
 
-    grad = np.zeros(x.shape)
-    grad[..., 0] = -m[0] * phi_xx[1][..., 0]
+    grad = np.zeros(shape)
+    grad[..., 0] = -m0 * phi_xx[1][..., 0]
     if K > 1:
         # d/dx_{k-1}: -psi'(-x_{k-1}) phi(-x_k) - psi'(x_{k-1}) phi(x_k)
         grad[..., :-1] += m1 * (-ns[1] * nf[0] - ps[1] * pf[0])
@@ -192,11 +202,11 @@ def _chain_eval(K: int, m: np.ndarray, x: np.ndarray, order: int) -> Derivatives
     if order == 1:
         return Derivatives(val, grad)
 
-    H = np.zeros(x.shape + (K,))
+    H = np.zeros(shape + (K,))
     # the diagonal, super- and sub-diagonal as strided views of flat H
-    flat = H.reshape(x.shape[:-1] + (K * K,))
+    flat = H.reshape(shape[:-1] + (K * K,))
     diag = flat[..., ::K + 1]
-    diag[..., 0] = -m[0] * phi_xx[2][..., 0]
+    diag[..., 0] = -m0 * phi_xx[2][..., 0]
     if K > 1:
         # d2/dx_{k-1}^2: psi''(-x_{k-1}) phi(-x_k) - psi''(x_{k-1}) phi(x_k)
         diag[..., :-1] += m1 * (ns[2] * nf[0] - ps[2] * pf[0])

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..chains import Derivatives, chain_eval
+from ..chains import Derivatives, _as_value, _chain_eval
 from ..linalg import _Factored, _dense, as_rng, as_vector, rel_err, row_matvec
-from ..oracle import FiniteSumFunction, _check_answer
+from ..oracle import FiniteSumFunction, _check_answer, _row_answers
 from .params import HardInstanceSpec
 
 __all__ = ["ResistingOracle", "ResistingCertificate", "NotFinalizedError"]
@@ -119,6 +119,14 @@ class ResistingOracle(FiniteSumFunction):
     ``_checked`` (the game move behind ``query``) and ``_answers`` (the
     measurement behind ``full`` and ``mu``); ``component`` and ``full``
     answer its lift.
+
+    A charged pass over the n components is n game moves: each row is one
+    move (archived, and counted towards closing the round) and one ledger
+    charge, made and checked in row order, so a round can close mid-pass.
+    The chain itself is evaluated once per (point, ``active``,
+    ``rounds_closed``) for all n components at once (``_table``): the
+    moves of a pass, the order-1 and order-2 passes at one iterate and a
+    measurement there read one evaluation until a round closes.
     """
 
     def __init__(self, spec: HardInstanceSpec, seed):
@@ -146,6 +154,7 @@ class ResistingOracle(FiniteSumFunction):
         self._round_seen: set[int] = set()
         self._archive: list[_ArchivedQuery] = []
         self.finalized = False
+        self._table_key = self._table_value = None
 
         self._V[:, 0] = self._draw_direction()
 
@@ -193,14 +202,35 @@ class ResistingOracle(FiniteSumFunction):
 
     # -- the masked, scaled chain ------------------------------------------
 
-    def _chain(self, i: int, x: np.ndarray, order: int,
-               active: int) -> Derivatives:
-        """The unscaled chain answer of component i in the coordinates of
-        the first ``active`` directions, at one point x, shape (d,), or at a
-        stack of points, shape (P, d), each row equal bit for bit to the
-        answer at its point."""
+    def _chains(self, x: np.ndarray, order: int, active: int,
+                masks: np.ndarray | None = None) -> Derivatives:
+        """The unscaled chain answers in the coordinates of the first
+        ``active`` directions, in one kernel call: of every component at one
+        point x, shape (d,), as rows (n,); of every component at a stack of
+        points, shape (P, d), as rows (n, P); or, given ``masks`` (one row
+        per point), of each mask paired with its point of a stack.  Every
+        row equals bit for bit the one-component answer at its point."""
         w = row_matvec(self._V[:, :active].T, x) / self.spec.sigma
-        return chain_eval(active, self._delta[i, :active], w, order)
+        if masks is None:
+            masks = self._delta[:, :active]
+            if x.ndim == 2:
+                masks = masks[:, None, :]
+        return _chain_eval(active, masks, w, order)
+
+    def _table(self, x: np.ndarray, active: int) -> Derivatives:
+        """The order-2 chain answers of every component at one point x, read
+        only: evaluated once per (point, ``active``, ``rounds_closed``) and
+        kept until the next such key, so the n moves of a pass, its
+        order-1 and order-2 passes and a measurement at the same point share
+        one evaluation.  Lower orders read its leading parts, which equal an
+        evaluation at that order bit for bit."""
+        key = (x.tobytes(), active, self._rounds_closed)
+        if self._table_key != key:
+            table = self._chains(x, 2, active)
+            table.grad.flags.writeable = False
+            table.hess.flags.writeable = False
+            self._table_key, self._table_value = key, table
+        return self._table_value
 
     def _scales(self) -> tuple[float, float, float]:
         """The factors of the value, gradient and Hessian of a chain answer
@@ -242,11 +272,11 @@ class ResistingOracle(FiniteSumFunction):
             raise ValueError(f"a game move is one point: component takes x "
                              f"of shape ({self.d},), got {np.shape(x)}")
         x = as_vector(x, dim=self.d)
+        active = self._active
+        ch = _row(self._table(x, active), i, order)
         if self.finalized:
-            return self._chain(i, x, order, self._K + 1), self._K + 1
+            return ch, active
 
-        active = self._round - 1
-        ch = self._chain(i, x, order, active)
         self._archive.append(_ArchivedQuery(i, x.copy(), order, active,
                                             self._coordinates(ch)))
         self._insert_basis(x)
@@ -300,10 +330,17 @@ class ResistingOracle(FiniteSumFunction):
 
     def _answers(self, x: np.ndarray, order: int):
         """Every component's current answer at x, in index order: what
-        :meth:`full` sums."""
-        active = self._K + 1 if self.finalized else self._round - 1
-        return (self._answer(self._chain(i, x, order, active), order, active)
+        :meth:`full` sums, from one chain evaluation."""
+        active = self._active
+        ch = (self._table(x, active) if x.ndim == 1
+              else self._chains(x, order, active))
+        return (self._answer(_row(ch, i, order), order, active)
                 for i in range(self.n))
+
+    @property
+    def _active(self) -> int:
+        """The number of directions the current answers use."""
+        return self._K + 1 if self.finalized else self._round - 1
 
     @property
     def rounds_closed(self) -> int:
@@ -331,20 +368,23 @@ class ResistingOracle(FiniteSumFunction):
         bound = spec.lam * spec.sigma ** spec.p / 4.0
         v_last = self._V[:, self._K]
 
-        # the finalized gradient at every archived point, in one pass
+        # the finalized gradient at every archived point, and the replay of
+        # every archived move in chain coordinates, each in one pass
         archive = self._archive
-        grads = (self.full(np.stack([rec.x for rec in archive]), order=1).grad
-                 if archive else ())
+        top = self._K + 1
+        grads, replays = (), ()
+        if archive:
+            X = np.stack([rec.x for rec in archive])
+            grads = self.full(X, order=1).grad
+            replays = _row_answers(self._coordinates(self._chains(
+                X, 2, top, self._delta[[rec.i for rec in archive]])), 2)
         inner, gnorms = [], []
         max_replay = 0.0
-        top = self._K + 1
-        for rec, grad in zip(archive, grads):
+        for rec, grad, replay in zip(archive, grads, replays):
             inner.append(abs(float(v_last @ rec.x)))
             gnorms.append(float(np.linalg.norm(grad)))
-            # in chain coordinates: the recorded answer padded with the
-            # directions committed after it
-            replay = self._coordinates(self._chain(rec.i, rec.x, rec.order,
-                                                   top))
+            # the recorded answer padded with the directions committed
+            # after it
             got = rec.response
             err = rel_err(replay.value, got.value)
             if rec.order >= 1:
@@ -369,6 +409,14 @@ class ResistingOracle(FiniteSumFunction):
             max_replay_rel_err=max_replay,
             replay_consistent=bool(max_replay <= _ORTHO_TOL),
         )
+
+
+def _row(ch: Derivatives, i: int, order: int) -> Derivatives:
+    """Row i of a stacked chain answer, up to ``order``; a value at one
+    point is a float."""
+    return Derivatives(_as_value(ch.value[i]),
+                       ch.grad[i] if order >= 1 else None,
+                       ch.hess[i] if order >= 2 else None)
 
 
 def _padded(a: np.ndarray, size: int) -> np.ndarray:

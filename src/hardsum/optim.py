@@ -190,13 +190,17 @@ def _hessian_estimate(counts, dH, b, H_s) -> np.ndarray:
 
 def _estimator_pass(F: FiniteSumFunction, x, batch, order: int, snapshot):
     """The estimators' shared prologue: ``snapshot`` checked to be the
-    snapshot pass's view (else TypeError), x validated, the batch counted
-    once.  Returns (x, rows, their counts, b, the rows at xh, their view at
-    x up to ``order``); the rows are taken from the snapshot before any is
-    evaluated at x or charged."""
+    snapshot pass's view (else TypeError) of F itself (else ValueError), x
+    validated, the batch counted once.  Returns (x, rows, their counts, b,
+    the rows at xh, their view at x up to ``order``); the rows are taken
+    from the snapshot before any is evaluated at x or charged."""
     if not isinstance(snapshot, _Evaluated):
         raise TypeError("snapshot must be the snapshot pass's answers, got "
                         f"{type(snapshot).__name__}")
+    if snapshot.source is not F:
+        raise ValueError(f"snapshot holds the answers of another sum (n = "
+                         f"{snapshot.n}, d = {snapshot.d}), not of this one "
+                         f"(n = {F.n}, d = {F.d})")
     x = as_vector(x, dim=F.d)
     counts, b = _batch_counts(batch, F.n)
     rows = np.flatnonzero(counts)
@@ -388,15 +392,20 @@ def baseline_full_gd(F: FiniteSumFunction, step_rule, budget: int,
     """Full gradient descent; each iteration pays one order-1 pass (n queries).
 
     ``step_rule`` is a constant or a callable (t, x, grad) -> step size; a
-    non-finite constant raises ValueError before the first pass.  Runs until
-    the next pass would exceed the query budget.
+    non-finite constant raises ValueError before the first pass, and a
+    non-finite step from the callable raises it before the iterate moves.
+    Runs until the next pass would exceed the query budget.
     """
     if not callable(step_rule) and not math.isfinite(float(step_rule)):
         raise ValueError(f"non-finite step {step_rule}")
 
     def gd_step(t, x, grad, _):
-        size = step_rule(t, x, grad) if callable(step_rule) else step_rule
-        return -float(size) * grad
+        size = float(step_rule(t, x, grad) if callable(step_rule)
+                     else step_rule)
+        if not math.isfinite(size):
+            raise ValueError(f"non-finite step {size} from step_rule at "
+                             f"t = {t}")
+        return -size * grad
 
     return _exact_information_run(F, 1, gd_step, budget, x0, ledger, L2)
 

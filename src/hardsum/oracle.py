@@ -415,19 +415,21 @@ class _Evaluated(FiniteSumFunction):
     :func:`query` charges rows through without evaluating or checking them
     again.
 
-    ``x`` is the point; ``stack`` holds the answers, row k answering
-    component ``rows[k]``; ``where[i]`` is the row of component i, -1 where
-    the view does not hold it.  Building the view checks the whole stack as
-    :func:`query` checks one answer (:func:`_check_answer`: a bad row raises
-    the error it would raise alone; Hessians are kept symmetrized), so each
-    row is checked once however often it is charged.  The view refuses
-    another point, a higher order and an index it does not hold.
+    ``source`` is the sum F the answers are of, ``x`` the point; ``stack``
+    holds the answers, row k answering component ``rows[k]``; ``where[i]``
+    is the row of component i, -1 where the view does not hold it.
+    Building the view checks the whole stack as :func:`query` checks one
+    answer (:func:`_check_answer`: a bad row raises the error it would
+    raise alone; Hessians are kept symmetrized), so each row is checked
+    once however often it is charged.  The view refuses another point, a
+    higher order and an index it does not hold; the SVRC estimators refuse
+    a view of another sum.
     """
 
     def __init__(self, F: FiniteSumFunction, x: np.ndarray, order: int,
                  rows, stack: Derivatives):
         rows = np.asarray(rows)
-        self.n, self.d = F.n, F.d
+        self.source, self.n, self.d = F, F.n, F.d
         self.x, self._order = x, order
         self.where = np.full(F.n, -1)
         self.where[rows] = np.arange(rows.size)

@@ -1,4 +1,4 @@
-from conftest import same_bits
+from conftest import assert_rows, same_bits
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hardsum.chains import (
     PHI_AT_ZERO,
+    _chain_eval,
     _hat_f,
     SQRT_E,
     chain_eval,
@@ -296,6 +297,26 @@ class TestStacks:
                         assert np.array_equal(stacked.grad[p], single.grad)
                     if order == 2:
                         assert np.array_equal(stacked.hess[p], single.hess)
+
+    @pytest.mark.parametrize("n", [1, 4, 40])
+    @pytest.mark.parametrize("K", [1, 2, 8, 9, 17, 24])
+    def test_mask_stack_rows_equal_per_mask_calls(self, K, n, rng):
+        # random 0/1 masks (n, K) at one point, paired row by row with a
+        # stack of n points, and each against every point of a stack of 3
+        # (masks (n, 1, K)); K - 1 >= 8 and >= 16 reach the blocked sums
+        masks = (rng.random((n, K)) < 0.5).astype(float)
+        X = rng.uniform(-2.5, 2.5, (n, K))
+        for order in range(3):
+            one = _chain_eval(K, masks, X[0], order)
+            paired = _chain_eval(K, masks, X, order)
+            cross = _chain_eval(K, masks[:, None, :], X[:3], order)
+            assert np.shape(one.value) == (n,)
+            assert np.shape(cross.value) == (n, min(n, 3))
+            assert_rows(one, [chain_eval(K, m, X[0], order) for m in masks])
+            assert_rows(paired, [chain_eval(K, m, x, order)
+                                 for m, x in zip(masks, X)])
+            assert_rows(cross, [chain_eval(K, m, X[:3], order)
+                                for m in masks])
 
     @pytest.mark.parametrize("P", range(1, 8))
     def test_soft_clamp_rows_equal_single_calls(self, P, rng):

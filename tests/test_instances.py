@@ -7,7 +7,7 @@ from conftest import assert_rows, assert_shapes, chain_points, same_answer
 import numpy as np
 import pytest
 
-from hardsum.chains import PHI_AT_ZERO
+from hardsum.chains import PHI_AT_ZERO, Derivatives, _chain_eval, chain_eval
 from hardsum.instances import (
     HardInstanceSpec,
     InstanceTooSmallError,
@@ -23,10 +23,14 @@ from hardsum.instances import (
     sample_randomized_instance,
     save_b_matrix,
 )
+from hardsum.instances import resisting
 from hardsum.linalg import (
+    _dense,
+    _Factored,
     finite_diff_gradient,
     finite_diff_jacobian,
     rel_err,
+    row_matvec,
     sample_orthonormal_columns,
 )
 from hardsum.optim import C_M, baseline_full_cubic, mu
@@ -362,12 +366,15 @@ def _certificate_by_record(F) -> ResistingCertificate:
     directions committed after it."""
     spec = F.spec
     top = spec.K + 1
-    v_last = F.directions[:, spec.K]
+    V = F.directions
+    v_last = V[:, spec.K]
     inner, gnorms, max_replay = [], [], 0.0
     for rec in F._archive:
         inner.append(abs(float(v_last @ rec.x)))
         gnorms.append(float(np.linalg.norm(F.full(rec.x, order=1).grad)))
-        replay = F._coordinates(F._chain(rec.i, rec.x, rec.order, top))
+        replay = F._coordinates(chain_eval(
+            top, F._delta[rec.i], row_matvec(V.T, rec.x) / spec.sigma,
+            rec.order))
         a = rec.active
         assert a == rec.round - 1 and 1 <= a <= spec.K
         err = rel_err(replay.value, rec.response.value)
@@ -490,6 +497,106 @@ class TestFactoredAnswers:
         assert records == 40 and F.rounds_closed == 20
         per_record = 8 * (spec.d + (spec.K + 1) ** 2) + 64
         assert _nbytes(F._archive) <= records * per_record
+
+
+def _move_reference(F, i, x, order):
+    """Component i's answer at x from public ``chain_eval`` on the game's
+    current directions and mask: the chain answer scaled into chain
+    coordinates, and the public (lifted) answer."""
+    a = F.spec.K + 1 if F.finalized else F.rounds_closed + 1
+    V = F.directions[:, :a]
+    ch = chain_eval(a, F._delta[i, :a], row_matvec(V.T, x) / F.spec.sigma,
+                    order)
+    s, s_grad, s_hess = F._scales()
+    coords = Derivatives(s * ch.value,
+                         None if order < 1 else s_grad * ch.grad,
+                         None if order < 2 else s_hess * ch.hess)
+    public = Derivatives(
+        coords.value, None if order < 1 else row_matvec(V, coords.grad),
+        None if order < 2 else _Factored(V, coords.hess).lift())
+    return coords, public
+
+
+class TestChainTable:
+    """Every component's chain at one point comes from one evaluation of
+    all n masks, shared by the moves and measurements at that point until
+    a round closes."""
+
+    def test_moves_at_one_point_across_a_round_close(self, rng,
+                                                     monkeypatch):
+        # a baseline iteration's two passes at one x, order 1 then order 2:
+        # during play a round closes after every second distinct index, so
+        # the 8 moves read 4 tables, two moves each; after the game they
+        # read one.  Each answer is chain_eval's on that move's directions
+        # and mask, and mutating one in place changes no later answer
+        spec = _small_game_spec(rounds=6)
+        F = ResistingOracle(spec, seed=17)
+        calls = []
+        kernel = resisting._chain_eval
+        monkeypatch.setattr(resisting, "_chain_eval",
+                            lambda *args: calls.append(args[0])
+                            or kernel(*args))
+        ledger = OracleLedger(n=spec.n)
+        for game_over in (False, True):
+            if game_over:
+                F.finalize()
+            x = chain_points(F, rng, 1)[0]
+            before = len(calls)
+            # a measurement, then the moves at its point, share one table
+            assert np.isfinite(F.full(x, 2).hess).all()
+            for order in (1, 2):
+                for i in range(spec.n):
+                    coords, public = _move_reference(F, i, x, order)
+                    archived = F.num_archived
+                    # charged (Hessian factored) and public moves alternate
+                    if (i + order) % 2:
+                        raw = query(ledger, F, i, x, order=order)
+                        got = Derivatives(raw.value, raw.grad,
+                                          _dense(raw.hess))
+                        parts = (raw.grad, getattr(raw.hess, "S", None))
+                    else:
+                        got = F.component(i, x, order)
+                        parts = (got.grad, got.hess)
+                    assert same_answer(got, public)
+                    if not game_over:
+                        assert F.num_archived == archived + 1
+                        assert same_answer(F._archive[-1].response, coords)
+                    for part in parts:
+                        if part is not None:
+                            part[...] = np.nan
+            if game_over:
+                assert calls[before:] == [spec.K + 1]
+            else:
+                assert calls[before:] == [1, 2, 3, 4]
+                assert F.rounds_closed == 4 and not F.finalized
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_full_is_one_chain_at_the_mean_mask(self, rng, p):
+        # the chain is linear in its mask, so the mean of the n components
+        # is one chain whose mask is the mean of theirs: during play, and
+        # after finalize, at one point and at a stack
+        spec = _small_game_spec(p=p, rounds=6)
+        F = ResistingOracle(spec, seed=18 + p)
+        s, s_grad, s_hess = F._scales()
+        for stage in range(3):
+            if stage == 1:
+                _play(F, rng, 5)
+            if stage == 2:
+                F.finalize()
+            a = spec.K + 1 if F.finalized else F.rounds_closed + 1
+            V = F.directions[:, :a]
+            X = chain_points(F, rng, 4)
+            for x in (X[0], X):
+                full = F.full(x, 2)
+                ch = _chain_eval(a, F._delta[:, :a].mean(axis=0),
+                                 row_matvec(V.T, x) / spec.sigma, 2)
+                hess = V @ (s_hess * ch.hess) @ V.T
+                for got, want in ((full.value, s * ch.value),
+                                  (full.grad, row_matvec(V, s_grad * ch.grad)),
+                                  (full.hess, 0.5 * (hess + np.swapaxes(
+                                      hess, -1, -2)))):
+                    assert (np.linalg.norm(got - want)
+                            <= 1e-13 * np.linalg.norm(want))
 
 
 class TestResistingOracle:

@@ -217,6 +217,30 @@ class TestEstimators:
         self._refused_uncharged([0, 4, 4], match, lambda F, x_hat:
                                 _Evaluated.evaluate(F, rows, x_hat, order))
 
+    @pytest.mark.parametrize("n, d", [(6, 5), (7, 5), (6, 4)],
+                             ids=["same-shape", "other-n", "other-d"])
+    def test_snapshot_view_of_another_sum_rejected(self, n, d):
+        other = quadratic_cosine_sum(n, d, seed=1)
+        self._refused_uncharged([0, 4, 4], "another sum", lambda F, x_hat:
+                                _Evaluated.evaluate(other, np.arange(n),
+                                                    np.resize(x_hat, d), 2))
+
+    def test_snapshot_view_of_a_sum_of_the_same_shape_charges_nothing(self):
+        # a view of seed 1's sum passed to the estimators on seed 0's: same
+        # n and d, other answers
+        F, other = (quadratic_cosine_sum(4, 3, seed=s) for s in (0, 1))
+        x_hat, x = np.zeros(3), np.full(3, 0.5)
+        view = _Evaluated.evaluate(other, np.arange(4), x_hat, 2)
+        full = other.full(x_hat, 2)
+        led = OracleLedger(n=4)
+        with pytest.raises(ValueError, match="another sum"):
+            svrc_gradient_estimator(F, led, x, full.grad, full.hess,
+                                    [0, 1, 1, 3], view)
+        with pytest.raises(ValueError, match="another sum"):
+            svrc_hessian_estimator(F, led, x, full.hess, [0, 1, 1, 3], view)
+        assert led.per_index.tolist() == [0, 0, 0, 0]
+        assert led.counters() == OracleLedger(n=4).counters()
+
     def test_out_of_range_batch_rejected_before_charging(self):
         # the error names the smallest index if it is negative, else the
         # largest one (n = 6)
@@ -823,6 +847,17 @@ class TestBaselines:
             with pytest.raises(ValueError, match="non-finite step"):
                 baseline_full_gd(F, step, 40, ledger=led)
         assert led.per_index.tolist() == [0] * F.n
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_gd_non_finite_step_from_the_rule_refused(self, bad):
+        # refused after the first pass, before the iterate moves: no second
+        # pass is charged
+        F = quadratic_cosine_sum(4, 5, seed=0)
+        led = OracleLedger(n=F.n)
+        with pytest.raises(ValueError, match=rf"non-finite step {bad} from "
+                                             r"step_rule at t = 0"):
+            baseline_full_gd(F, lambda t, x, g: float(bad), 40, ledger=led)
+        assert led.per_index.tolist() == [1, 1, 1, 1]
 
     def test_gd_callable_step_rule(self):
         F = _identity_quadratic(d=2, n=2)

@@ -429,7 +429,7 @@ def _evaluations(F, monkeypatch) -> list:
     for module, name in ((hardsum.oracle, "row_dot"),
                          (hardsum.instances.randomized, "hat_f_eval"),
                          (hardsum.instances.randomized, "_hat_f"),
-                         (hardsum.instances.resisting, "chain_eval")):
+                         (hardsum.instances.resisting, "_chain_eval")):
         monkeypatch.setattr(module, name, spy(getattr(module, name)))
     return calls
 
