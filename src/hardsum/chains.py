@@ -54,13 +54,13 @@ class Derivatives:
 
 
 def psi(x, order: int = 0):
-    """The flat-then-rising bump factor and its derivatives (orders 0..3).
+    """The flat-then-rising bump factor and its derivatives (orders 0..2).
 
     psi(x) = 0 for x <= 1/2 and exp(1 - 1/(2x-1)^2) otherwise; all orders are
     continuous at x = 1/2 with value 0.
     """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be in 0..3, got {order}")
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be in 0..2, got {order}")
     x = np.asarray(x, dtype=float)
     out = _psi_table(x.reshape(-1), order)[order]
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
@@ -79,21 +79,18 @@ def _psi_table(x: np.ndarray, order: int) -> np.ndarray:
             out[1, m] = val * 4.0 * u ** -3
         if order >= 2:
             out[2, m] = val * (16.0 * u ** -6 - 24.0 * u ** -4)
-        if order >= 3:
-            out[3, m] = val * (64.0 * u ** -9 - 288.0 * u ** -7
-                               + 192.0 * u ** -5)
     return out
 
 
 def phi(x, order: int = 0):
-    """The scaled Gaussian integral and its derivatives (orders 0..3).
+    """The scaled Gaussian integral and its derivatives (orders 0..2).
 
     phi(x) = sqrt(e) * integral of exp(-t^2/2) from -inf to x.  The value is
     computed through the complementary error function, which preserves
     relative accuracy deep in the left tail.
     """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be in 0..3, got {order}")
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be in 0..2, got {order}")
     x = np.asarray(x, dtype=float)
     out = _phi_table(x.reshape(-1), order)[order]
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
@@ -117,8 +114,6 @@ def _phi_table(x: np.ndarray, order: int) -> np.ndarray:
         out[1] = g
         if order >= 2:
             out[2] = -x * g
-        if order >= 3:
-            out[3] = (x * x - 1.0) * g
     return out
 
 
@@ -141,8 +136,6 @@ def _eye(m: int) -> np.ndarray:
 
 
 def _as_value(v):
-    """A value as the answer carries it: a float at one point, an array of
-    shape (P,) at a stack of P points."""
     return float(v) if v.ndim == 0 else v
 
 
@@ -221,8 +214,8 @@ def _chain_eval(K: int, m: np.ndarray, x: np.ndarray, order: int) -> Derivatives
 
 @lru_cache(maxsize=64)
 def clamp_radius(K: int) -> float:
-    """The clamp radius paired with a chain of length K in the randomized
-    instances: R = 230 * sqrt(K).  Cached: every hat_f_eval call asks."""
+    """R = 230 sqrt(K), the clamp radius of a chain of length K (cached:
+    every clamped-chain evaluation asks)."""
     if K < 1:
         raise ValueError("K must be >= 1")
     return 230.0 * np.sqrt(K)

@@ -1,14 +1,12 @@
-"""Run configuration: a typed bundle with INI round-tripping.
+"""Run configuration: a typed bundle read from an INI file.
 
 The file format has three sections -- [instance], [optimizer], [verify] --
-all optional, all keys optional.  Parsing then re-serializing a config (or
-the other way around) is the identity: unset optional fields stay unset and
-are omitted from the serialized text.
+all optional, all keys optional.  A key left out keeps its default, and an
+unknown key, or a key in another section, is refused.
 """
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, fields
 
 __all__ = ["RunConfig"]
@@ -94,29 +92,10 @@ class RunConfig:
                    "starts"),
     }
 
-    def to_ini(self) -> str:
-        parser = configparser.ConfigParser()
-        parser.optionxform = str  # keys are case-sensitive (e.g. L vs l)
-        for section, keys in self._SECTIONS.items():
-            parser[section] = {}
-            for key in keys:
-                value = getattr(self, key)
-                if value is None:
-                    continue
-                if isinstance(value, bool):
-                    parser[section][key] = "true" if value else "false"
-                elif isinstance(value, float):
-                    parser[section][key] = repr(value)
-                else:
-                    parser[section][key] = str(value)
-        buf = io.StringIO()
-        parser.write(buf)
-        return buf.getvalue()
-
     @classmethod
     def from_ini(cls, text: str) -> "RunConfig":
         parser = configparser.ConfigParser()
-        parser.optionxform = str
+        parser.optionxform = str  # keys are case-sensitive (e.g. L vs l)
         parser.read_string(text)
         types = {f.name: f.type for f in fields(cls)}
         kwargs = {}
@@ -145,7 +124,3 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_ini(fh.read())
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_ini())

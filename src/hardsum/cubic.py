@@ -126,10 +126,7 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
 
     A port of scipy's ``brentq.c``, operation for operation: xcur is the
     best point so far, xblk the other end of the bracket and xpre the
-    previous xcur.  Each step is an inverse quadratic extrapolation (or a
-    secant step while xpre is the bracket end), accepted when it is short
-    enough, and otherwise a bisection.  It stops when half the bracket is
-    below delta = (xtol + rtol |xcur|) / 2 or f(xcur) is zero.
+    previous xcur.
 
     Raises ``ValueError`` when f(xa) and f(xb) have the same sign or f
     returns NaN, as scipy's ``brentq`` does, and ``ArithmeticError`` when
@@ -262,9 +259,9 @@ def _krylov_step(model: CubicModel, norm_v: float) -> np.ndarray | None:
     if kmax == 0 or norm_v == 0.0:
         return None
     closed = _KRYLOV_CLOSED * _max_abs(U)
-    # rows q_j of the orthonormal basis and U q_j, grown by doubling so that
-    # they stay the size the space closes at
-    basis = np.empty((min(8, kmax), d))
+    # rows q_j of the orthonormal basis and U q_j; np.empty commits no page
+    # of the rows a space that closes early never writes
+    basis = np.empty((kmax, d))
     images = np.empty_like(basis)
     basis[0] = v / norm_v
     k = 1
@@ -281,9 +278,6 @@ def _krylov_step(model: CubicModel, norm_v: float) -> np.ndarray | None:
             break
         if k == kmax:
             return None
-        if k == len(basis):
-            grow = np.empty((min(k, kmax - k), d))
-            basis, images = np.vstack([basis, grow]), np.vstack([images, grow])
         basis[k] = w / beta
         k += 1
     Q = basis[:k]

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from ..chains import Derivatives, _hat_f, hat_f_eval
+from ..chains import Derivatives, _hat_f
 from ..linalg import (TallOrthogonal, as_points, as_rng, row_matvec,
                       sample_orthonormal_columns)
 from ..oracle import FiniteSumFunction, _row_answers
@@ -93,14 +93,10 @@ class RandomizedHardInstance(FiniteSumFunction):
         self.B = B
         self.C = C
         self.scaled = scaled
-        # per-component blocks (re-wrapped once so evaluation skips checks)
+        # component i's K columns of B, copied contiguous once
         self._blocks = [
-            TallOrthogonal(np.ascontiguousarray(B.columns[:, i * spec.K:(i + 1) * spec.K]))
-            for i in range(spec.n)
-        ]
-        # the blocks as the kernel pairs them with a (n, P, m) slot stack
-        self._stacked_blocks = [(i, blk.columns)
-                                for i, blk in enumerate(self._blocks)]
+            np.ascontiguousarray(B.columns[:, i * spec.K:(i + 1) * spec.K])
+            for i in range(spec.n)]
         if scaled:
             self._sigma = spec.sigma
             self._pref = spec.lam * spec.sigma ** (spec.p + 1)
@@ -140,13 +136,13 @@ class RandomizedHardInstance(FiniteSumFunction):
         return out
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
-        """Component i at one point, or at every point of a stack in one
-        batched :func:`hat_f_eval` call."""
         i = self.check_index(i)
         x = as_points(x, dim=self.d)
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be in 0..2, got {order}")
         y = self._slot(i, x) / self._sigma
-        return self._scaled(i, hat_f_eval(self._K, self._blocks[i], y, order),
-                            order)
+        base = _hat_f(self._K, [(..., self._blocks[i])], y, order)
+        return self._scaled(i, base, order)
 
     def _answers(self, x: np.ndarray, order: int):
         """At a stack of points, every component in one clamped-chain
@@ -156,7 +152,7 @@ class RandomizedHardInstance(FiniteSumFunction):
         if x.ndim == 1:
             return super()._answers(x, order)
         y = np.stack([self._slot(i, x) for i in range(self.n)]) / self._sigma
-        base = _hat_f(self._K, self._stacked_blocks, y, order)
+        base = _hat_f(self._K, list(enumerate(self._blocks)), y, order)
         return (self._scaled(i, der, order)
                 for i, der in enumerate(_row_answers(base, order)))
 

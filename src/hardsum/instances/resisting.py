@@ -26,7 +26,7 @@ coordinates, not a d x d matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -90,18 +90,9 @@ class ResistingCertificate:
         return self.all_orthogonal and self.all_above_bound and self.replay_consistent
 
     def to_dict(self) -> dict:
-        return {
-            "num_queries": self.num_queries,
-            "rounds_closed": self.rounds_closed,
-            "bound": self.bound,
-            "max_inner_product": self.max_inner_product,
-            "min_grad_norm": self.min_grad_norm,
-            "all_orthogonal": self.all_orthogonal,
-            "all_above_bound": self.all_above_bound,
-            "max_replay_rel_err": self.max_replay_rel_err,
-            "replay_consistent": self.replay_consistent,
-            "passed": self.passed,
-        }
+        """The scalar fields, in field order, then ``passed``."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)
+                   if f.repr}, "passed": self.passed}
 
 
 class ResistingOracle(FiniteSumFunction):
@@ -115,14 +106,9 @@ class ResistingOracle(FiniteSumFunction):
     truncated responses (what the algorithm could reconstruct); after
     finalization they are the true finalized objective.
 
-    A Hessian is answered factored as V S V^T by the private hooks
-    ``_checked`` (the game move behind ``query``) and ``_answers`` (the
-    measurement behind ``full`` and ``mu``); ``component`` and ``full``
-    answer its lift.
-
-    A charged pass over the n components is n game moves: each row is one
-    move (archived, and counted towards closing the round) and one ledger
-    charge, made and checked in row order, so a round can close mid-pass.
+    A charged pass over the n components is n game moves, each archived and
+    counted towards closing the round, made and checked in row order (so a
+    round can close mid-pass), and one ledger charge per row.
     The chain itself is evaluated once per (point, ``active``,
     ``rounds_closed``) for all n components at once (``_table``): the
     moves of a pass, the order-1 and order-2 passes at one iterate and a
@@ -412,16 +398,12 @@ class ResistingOracle(FiniteSumFunction):
 
 
 def _row(ch: Derivatives, i: int, order: int) -> Derivatives:
-    """Row i of a stacked chain answer, up to ``order``; a value at one
-    point is a float."""
     return Derivatives(_as_value(ch.value[i]),
                        ch.grad[i] if order >= 1 else None,
                        ch.hess[i] if order >= 2 else None)
 
 
 def _padded(a: np.ndarray, size: int) -> np.ndarray:
-    """A chain-coordinate vector or matrix padded with zeros to ``size``
-    coordinates."""
     out = np.zeros((size,) * a.ndim)
     out[tuple(slice(0, n) for n in a.shape)] = a
     return out

@@ -19,7 +19,8 @@ components (``F.components``), and checks it as it is built with the check
 symmetric Hessians).  The estimators work on the stacks; what is left per
 row is the charge, one ``query`` per distinct drawn index in index order,
 through a read-only view of the checked stack, which the snapshot pass
-keeps for the epoch.  A baseline pass checks each row in its own ``query``.
+keeps for the epoch.  A baseline pass evaluates and checks all of its rows,
+one at a time, before it charges any of them.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .chains import Derivatives
 from .cubic import CubicModel, solve
 from .linalg import (_lambda_min, _shifted_pd, as_rng, as_vector, row_matvec,
                      sym_matrix)
-from .oracle import (FiniteSumFunction, OracleLedger, _Evaluated,
+from .oracle import (FiniteSumFunction, OracleLedger, _Answered, _Evaluated,
                      _row_answers, mean_derivatives, query, record_iterate)
 
 __all__ = [
@@ -358,7 +359,8 @@ def _exact_information_run(F: FiniteSumFunction, p: int, step, budget: int,
     with the gradient norm of that first pass, measures mu when L2 is given
     and moves by ``step(t, x, grad, hess) -> h`` (``hess`` is None for
     p = 1).  A step of None ends the run without a row.  Runs until the next
-    iteration would exceed the query budget.
+    iteration would exceed the query budget.  Every row of a pass answers
+    and is checked, in row order (a game's moves), before any is charged.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -368,9 +370,13 @@ def _exact_information_run(F: FiniteSumFunction, p: int, step, budget: int,
     x = np.zeros(d) if x0 is None else as_vector(x0, dim=d).copy()
     trajectory: list[TrajectoryRecord] = []
     while ledger.total + p * n <= budget:
-        passes = [mean_derivatives(
-            (query(ledger, F, i, x, order=order) for i in range(n)), (d,), order)
-            for order in range(1, p + 1)]
+        passes = []
+        for order in range(1, p + 1):
+            view = _Answered(F, x, order,
+                             [F._checked(i, x, order) for i in range(n)])
+            for i in range(n):
+                query(ledger, view, i, x, order=order)
+            passes.append(mean_derivatives(view.answers, (d,), order))
         grad = passes[0].grad
         gnorm = float(np.linalg.norm(grad))
         record_iterate(ledger, gnorm)

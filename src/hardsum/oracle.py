@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,19 +68,20 @@ class FiniteSumFunction:
                         order, self.d)
 
     def _checked(self, i: int, x: np.ndarray, order: int) -> Derivatives:
-        """Component i at x up to ``order``, checked by :func:`_check_answer`;
-        :func:`query` answers with it (a view of checked answers: its row)."""
+        """What :func:`query` answers: component i at x, checked."""
         return _check_answer(self.component(i, x, order), i, order, self.d)
 
     def check_index(self, i: int) -> int:
-        i = int(i)
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise ValueError(f"component indices must be integers, got "
+                             f"{type(i).__name__}") from None
         if not 0 <= i < self.n:
             raise ValueError(f"component index {i} out of range [0, {self.n})")
         return i
 
     def check_rows(self, rows) -> np.ndarray:
-        """Validate a non-empty sequence of component indices; returns them
-        as an integer array."""
         idx = np.asarray(rows)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("rows must be a non-empty sequence of indices, "
@@ -166,8 +168,6 @@ def _check_answer(der: Derivatives, rows, order: int, d: int) -> Derivatives:
 
 
 def _row_answers(stack: Derivatives, order: int):
-    """The rows of a stacked answer, one :class:`Derivatives` each, up to
-    ``order``."""
     none = itertools.repeat(None)
     return itertools.starmap(Derivatives, zip(
         stack.value, stack.grad if order >= 1 else none,
@@ -255,7 +255,6 @@ class _QuadraticCosineSum(FiniteSumFunction):
                               as_vector(x, dim=self.d), order)
 
     def _answers(self, x: np.ndarray, order: int):
-        """At one point, every component in one vectorized evaluation."""
         if x.ndim == 1:
             return _row_answers(self._evaluate(np.arange(self.n), x, order),
                                 order)
@@ -286,9 +285,6 @@ def quadratic_cosine_sum(n: int, d: int, seed, *, curvature: float = 1.0,
     cosine term, so the Hessian-difference Lipschitz constant of component i
     is exactly |c_i| * |b_i|^3, which makes the sum a convenient target for
     smoothness estimation with a known ground truth.
-
-    Components answer one point or a stack of points, and any set of
-    components answers one point (one vectorized evaluation per stack).
     """
     if n < 1:
         raise ValueError("need at least one component")
@@ -438,8 +434,6 @@ class _Evaluated(FiniteSumFunction):
     @classmethod
     def evaluate(cls, F: FiniteSumFunction, rows, x: np.ndarray,
                  order: int) -> _Evaluated:
-        """Components ``rows`` of F at x, evaluated in one
-        :meth:`~FiniteSumFunction.components` call."""
         return cls(F, x, order, rows, F.components(rows, x, order))
 
     def take(self, rows: np.ndarray) -> Derivatives:
@@ -468,6 +462,26 @@ class _Evaluated(FiniteSumFunction):
         value, grad, hess = self.stack.value, self.stack.grad, self.stack.hess
         return Derivatives(value[k], grad[k] if order >= 1 else None,
                            hess[k] if order >= 2 else None)
+
+
+class _Answered(FiniteSumFunction):
+    """The checked answers of every component of F at one point x up to
+    one order, one :class:`Derivatives` each in index order: the read-only
+    view a baseline pass charges through once all of it has answered.  It
+    keeps rows, not a stack, because a round of the resisting oracle can
+    close mid-pass and leave rows factored over bases of two widths.  It
+    refuses as :class:`_Evaluated` refuses."""
+
+    def __init__(self, F: FiniteSumFunction, x: np.ndarray, order: int,
+                 answers: list):
+        self.n, self.d = F.n, F.d
+        self.x, self._order, self.answers = x, order, answers
+
+    _refuse = _Evaluated._refuse
+
+    def _checked(self, i: int, x: np.ndarray, order: int) -> Derivatives:
+        self._refuse(x, order)
+        return self.answers[i]
 
 
 def record_iterate(ledger: OracleLedger,

@@ -616,19 +616,16 @@ class _StackSum(CallableFiniteSum):
 
 
 def _chain_sum(K: int) -> _StackSum:
-    """The unmasked chain on R^K as a one-component sum."""
     mask = np.ones(K)
     return _StackSum([lambda x, order: chain_eval(K, mask, x, order)], d=K)
 
 
 def _hat_sum(K: int, m: int, seed: int) -> _StackSum:
-    """The clamped chain block on R^m as a one-component sum."""
     B = sample_orthonormal_columns(m, K, seed=seed)
     return _StackSum([lambda y, order: hat_f_eval(K, B, y, order)], d=m)
 
 
 def _battery_instance(seed: int) -> RandomizedHardInstance:
-    """The battery's randomized instance: p = 2, n = 4, K = 3."""
     ell_hat = default_ell_hat(2)
     K_target, n, eps = 3, 4, 0.25
     Delta = (K_target + 0.5) * 192.0 * math.sqrt(ell_hat) \
@@ -643,72 +640,62 @@ def run_battery(num_points: int = 60, zero_chain_samples: int = 500,
                 seed: int = 0) -> list[BatteryCheck]:
     """The default desk-scale verification battery.
 
-    Any sample count set to zero skips the corresponding check.  The result
-    is a list of named checks with statuses; a run passes iff no check
-    failed (skips are allowed).
+    Any sample count set to zero skips the checks it drives, under the
+    names a run reports.  A run passes iff no check failed (skips are
+    allowed).
     """
-    checks: list[BatteryCheck] = []
+    def outcome(rep):
+        return rep.passed, rep.to_dict()
 
-    if num_points <= 0:
-        checks.append(BatteryCheck("check_derivatives", "skipped"))
-    else:
-        synth = quadratic_cosine_sum(4, 6, seed=seed)
-        rep = check_derivatives(synth, num_points, 1e-6, seed=seed)
-        checks.append(BatteryCheck("check_derivatives",
-                                   _status(rep.passed), rep.to_dict()))
-        rep = check_derivatives(_chain_sum(4), num_points, 1e-6,
-                                seed=seed + 1)
-        checks.append(BatteryCheck("check_derivatives_chain",
-                                   _status(rep.passed), rep.to_dict()))
-        rep = check_derivatives(_hat_sum(3, 12, seed=seed + 2), num_points,
-                                1e-6, seed=seed + 2)
-        checks.append(BatteryCheck("check_derivatives_composite",
-                                   _status(rep.passed), rep.to_dict()))
+    def derivatives():
+        sums = ((quadratic_cosine_sum(4, 6, seed=seed), seed),
+                (_chain_sum(4), seed + 1),
+                (_hat_sum(3, 12, seed=seed + 2), seed + 2))
+        return [outcome(check_derivatives(F, num_points, 1e-6, seed=s))
+                for F, s in sums]
 
-    for K in (2, 4, 8):
-        name = f"check_zero_chain_K{K}"
-        if zero_chain_samples <= 0:
-            checks.append(BatteryCheck(name, "skipped"))
-        else:
-            rep = check_zero_chain(K, zero_chain_samples, seed=seed)
-            checks.append(BatteryCheck(name, _status(rep.passed),
-                                       rep.to_dict()))
+    def zero_chain():
+        return [outcome(check_zero_chain(K, zero_chain_samples, seed=seed))
+                for K in (2, 4, 8)]
 
-    if pairs <= 0:
-        checks.append(BatteryCheck("smoothness_power_mean", "skipped"))
-    else:
+    def smoothness():
         synth = quadratic_cosine_sum(8, 6, seed=seed + 3)
         ind = estimate_smoothness(synth, "individual", pairs, seed=seed)
         third = estimate_smoothness(synth, "third-moment", pairs, seed=seed)
-        ok = third.constant <= ind.constant * (1 + 1e-12)
-        checks.append(BatteryCheck(
-            "smoothness_power_mean", _status(ok),
-            {"individual": ind.constant, "third_moment": third.constant}))
+        return [(third.constant <= ind.constant * (1 + 1e-12),
+                 {"individual": ind.constant, "third_moment": third.constant})]
 
-    if trials <= 0:
-        checks.append(BatteryCheck("estimator_bounds", "skipped"))
-    else:
+    def estimator_bounds():
         inst = quadratic_cosine_sum(64, 8, seed=seed + 4)
         params = SvrcParams(M=1.0, b_g=16, b_h=64, S=1, T=1, eps=1.0,
                             Delta=1.0, L2=1.0, seed=seed)
         rng = as_rng(seed + 5)
         x_hat = rng.standard_normal(8)
         x = x_hat + 0.5 * rng.standard_normal(8)
-        rep = verify_estimator_bounds(inst, x_hat, x, params,
-                                      max(1000, trials), seed=seed)
-        checks.append(BatteryCheck("estimator_bounds",
-                                   _status(rep.passed), rep.to_dict()))
+        return [outcome(verify_estimator_bounds(inst, x_hat, x, params,
+                                                max(1000, trials),
+                                                seed=seed))]
 
-    if starts <= 0:
-        checks.append(BatteryCheck("large_gradient", "skipped"))
-        checks.append(BatteryCheck("suboptimality", "skipped"))
-    else:
+    def hard_instance():
         inst = _battery_instance(seed + 6)
-        rep = verify_large_gradient(inst, seed=seed + 7)
-        checks.append(BatteryCheck("large_gradient", _status(rep.passed),
-                                   rep.to_dict()))
-        rep2 = verify_suboptimality(inst, num_starts=starts, seed=seed + 8)
-        checks.append(BatteryCheck("suboptimality", _status(rep2.passed),
-                                   rep2.to_dict()))
+        return [outcome(verify_large_gradient(inst, seed=seed + 7)),
+                outcome(verify_suboptimality(inst, num_starts=starts,
+                                             seed=seed + 8))]
 
+    table = [
+        (("check_derivatives", "check_derivatives_chain",
+          "check_derivatives_composite"), num_points, derivatives),
+        (("check_zero_chain_K2", "check_zero_chain_K4",
+          "check_zero_chain_K8"), zero_chain_samples, zero_chain),
+        (("smoothness_power_mean",), pairs, smoothness),
+        (("estimator_bounds",), trials, estimator_bounds),
+        (("large_gradient", "suboptimality"), starts, hard_instance),
+    ]
+    checks: list[BatteryCheck] = []
+    for names, count, run in table:
+        if count <= 0:
+            checks.extend(BatteryCheck(name, "skipped") for name in names)
+            continue
+        checks.extend(BatteryCheck(name, _status(passed), details)
+                      for name, (passed, details) in zip(names, run()))
     return checks

@@ -12,9 +12,12 @@ def test_census_of_this_tree():
                          capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
     assert len(lines) == 3
-    src = re.fullmatch(r"src lines: (\d+)", lines[0])
-    assert int(src[1]) == sum(path.read_bytes().count(b"\n")
-                              for path in (ROOT / "src").rglob("*.py"))
+    src = re.fullmatch(r"src lines: (\d+) \((\d+) code, (\d+) docstring, "
+                       r"(\d+) comment, (\d+) blank\)", lines[0])
+    total, *parts = map(int, src.groups())
+    assert total == sum(path.read_bytes().count(b"\n")
+                        for path in (ROOT / "src").rglob("*.py"))
+    assert total == sum(parts) and min(parts) > 0
     settable = re.fullmatch(
         r"settable values: (\d+) \((\d+) defaulted parameters, (\d+) config "
         r"keys, (\d+) CLI flags, (\d+) environment variables\)", lines[1])
@@ -27,3 +30,19 @@ def test_census_of_this_tree():
     tests = re.fullmatch(r"test lines: (\d+)", lines[2])
     assert int(tests[1]) == sum(path.read_bytes().count(b"\n")
                                 for path in (ROOT / "tests").glob("*.py"))
+
+
+def test_line_kinds(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    from census import line_kinds
+    source = ('"""Module.\n\nMore."""\n'
+              "# a comment\n"
+              "\n"
+              "def f(x):  # code with a comment\n"
+              '    """One line."""\n'
+              '    s = """not a\n'
+              '\n'
+              'docstring"""\n'
+              "    return x\n")
+    assert line_kinds(source) == {"code": 5, "docstring": 4, "comment": 1,
+                                  "blank": 1}

@@ -34,7 +34,7 @@ PSI_SLOPE_BOUND = float(np.sqrt(54.0 / np.e))            # sup |psi'|
 
 class TestPsi:
     def test_flat_region_all_orders(self):
-        for q in range(4):
+        for q in range(3):
             assert psi(0.5, q) == 0.0
             assert psi(-3.0, q) == 0.0
             assert psi(0.25, q) == 0.0
@@ -49,7 +49,7 @@ class TestPsi:
 
     def test_smooth_at_cutoff(self):
         # approaching 1/2 from above, every order decays to 0
-        for q in range(4):
+        for q in range(3):
             assert abs(psi(0.5 + 1e-3, q)) < 1e-100
 
     def test_monotone_increasing(self):
@@ -67,7 +67,7 @@ class TestPsi:
     def test_limit_at_infinity(self):
         assert psi(1e6) == pytest.approx(np.e, rel=1e-9)
 
-    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("q", [1, 2])
     def test_derivative_vs_finite_difference(self, q, rng):
         xs = np.concatenate([rng.uniform(0.55, 4.0, 40), rng.uniform(-1.0, 0.5, 10)])
         for x in xs:
@@ -77,7 +77,7 @@ class TestPsi:
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
-            psi(1.0, 4)
+            psi(1.0, 3)
 
 
 class TestPhi:
@@ -106,7 +106,7 @@ class TestPhi:
         assert np.all(np.diff(mid) > 0)
         assert np.all(mid < SQRT_2PI_E)
 
-    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("q", [1, 2])
     def test_derivative_vs_finite_difference(self, q, rng):
         for x in rng.uniform(-4.0, 4.0, 50):
             h = 1e-6

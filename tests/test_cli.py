@@ -61,23 +61,43 @@ def _jsonl(path):
     return lines[:-1], lines[-1]["summary"]
 
 
-class TestRunConfig:
-    def test_roundtrip_defaults(self):
-        cfg = RunConfig()
-        assert RunConfig.from_ini(cfg.to_ini()) == cfg
+#: every key of RunConfig with a value other than its default, one of each
+#: key type: str, int, float, bool, and optional int, float and str
+_EVERY_KEY_INI = (
+    "[instance]\nmode = randomized-individual\np = 2\nn = 8\n"
+    "delta = 10000.0\nL = 2.5\neps = 0.3\nd = 128\nell_hat = 7.0\n"
+    "haar_c = true\ncurvature = 0.5\nripple = 2.0\n"
+    "[optimizer]\noptimizer = cubic\nstep = 0.1\nM = 12.0\nb_g = 9\n"
+    "b_h = 10\nS = 3\nT = 4\nfull_batch = true\nL2 = 0.7\n"
+    "delta_hat = 3.0\nseed = 11\nout = x.jsonl\nbudget = 500\n"
+    "[verify]\nnum_points = 6\nzero_chain_samples = 50\npairs = 12\n"
+    "trials = 1500\nstarts = 3\n")
 
-    def test_roundtrip_customized(self):
-        cfg = RunConfig(mode="randomized-individual", p=2, n=8, delta=1e4,
-                        L=2.5, eps=0.3, d=128, ell_hat=7.0, haar_c=True,
-                        optimizer="cubic", M=12.0, b_g=9, full_batch=True,
-                        L2=0.7, delta_hat=3.0, seed=11, out="x.jsonl",
-                        budget=500, trials=1500)
-        assert RunConfig.from_ini(cfg.to_ini()) == cfg
+
+class TestRunConfig:
+    def test_empty_ini_gives_defaults(self):
+        assert RunConfig.from_ini("") == RunConfig()
+        assert RunConfig.from_ini(
+            "[instance]\n[optimizer]\n[verify]\n") == RunConfig()
+
+    def test_every_key_type_parses(self):
+        cfg = RunConfig.from_ini(_EVERY_KEY_INI)
+        assert cfg == RunConfig(
+            mode="randomized-individual", p=2, n=8, delta=1e4, L=2.5,
+            eps=0.3, d=128, ell_hat=7.0, haar_c=True, curvature=0.5,
+            ripple=2.0, optimizer="cubic", step=0.1, M=12.0, b_g=9, b_h=10,
+            S=3, T=4, full_batch=True, L2=0.7, delta_hat=3.0, seed=11,
+            out="x.jsonl", budget=500, num_points=6, zero_chain_samples=50,
+            pairs=12, trials=1500, starts=3)
+        assert all(getattr(cfg, f.name) != f.default
+                   for f in dataclasses.fields(RunConfig))
+        for key, kind in (("p", int), ("delta", float), ("haar_c", bool),
+                          ("d", int), ("ell_hat", float), ("out", str)):
+            assert type(getattr(cfg, key)) is kind
 
     def test_none_fields_omitted(self):
-        text = RunConfig().to_ini()
-        assert "ell_hat" not in text
-        assert "budget" not in text
+        cfg = RunConfig.from_ini("[instance]\nmode = synthetic\n")
+        assert cfg.ell_hat is None and cfg.budget is None and cfg.d is None
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key 'colour'"):
@@ -117,15 +137,13 @@ class TestRunConfig:
         RunConfig(mode="randomized-individual", p=3, ell_hat=1.0)
         RunConfig(mode="deterministic", p=3)
 
-    def test_load_save(self, tmp_path):
-        cfg = RunConfig(n=7, seed=2)
-        path = tmp_path / "c.ini"
-        cfg.save(path)
-        assert RunConfig.load(path) == cfg
+    def test_load(self, tmp_path):
+        path = _write(tmp_path, "c.ini", _EVERY_KEY_INI)
+        assert RunConfig.load(path) == RunConfig.from_ini(_EVERY_KEY_INI)
 
     def test_float_precision_survives(self):
-        cfg = RunConfig(L=ell_p(1))
-        assert RunConfig.from_ini(cfg.to_ini()).L == ell_p(1)
+        cfg = RunConfig.from_ini(f"[instance]\nL = {ell_p(1)!r}\n")
+        assert cfg.L == ell_p(1)
 
 
 class TestGen:

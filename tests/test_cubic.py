@@ -330,7 +330,7 @@ class TestKrylovPath:
         assert paths == {"krylov_closed": 0, "krylov_open": 5, "dense": 5}
 
     def test_basis_grows_past_its_first_block(self, rng, monkeypatch):
-        # rank 21 closes at 21 or 22 dimensions, past the first 8 rows
+        # rank 21 closes at 21 or 22 dimensions, far past a short basis
         paths = _spy_paths(monkeypatch)
         model = _low_rank_model(rng, 120, 21, 0.7)
         assert np.allclose(solve(model).h, _dense_step(model), rtol=0,

@@ -661,9 +661,9 @@ class TestNonFiniteAnswers:
                            match=f"component 1 answered a non-finite {part} "
                                  r"\(order 1\)"):
             baseline_full_cubic(F, 2.0, 20, ledger=led)
-        # the first iteration's two passes at the origin, then row 0 of the
-        # second iteration's first pass; row 1 is not charged there
-        assert led.per_index.tolist() == [3, 2]
+        # the first iteration's two passes at the origin; the second
+        # iteration's first pass raises with none of its rows charged
+        assert led.per_index.tolist() == [2, 2]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("part", ["value", "gradient"])
@@ -708,8 +708,9 @@ class TestWrongShapes:
         led = OracleLedger(n=2)
         with pytest.raises(ValueError, match=self._short(1, 1)):
             run(good_and_short(), led)
-        # the pass charges row by row: row 0 went before the bad row 1
-        assert led.per_index.tolist() == [1, 0]
+        # the pass is checked in full before it is charged: row 0 is not
+        # charged either
+        assert led.per_index.tolist() == [0, 0]
 
     def test_mu(self):
         with pytest.raises(ValueError, match=self._short(1, 2)):
@@ -814,16 +815,26 @@ def test_a_bad_answer_is_refused_alike_on_every_path(n, d, data):
         svrc_run(F, params, x0=x, ledger=led)
     assert str(err.value) == alone[2] and led.total == 0
     if isinstance(alone[1], str):
-        # gradient descent's first pass charges row by row: the rows before
-        # k, and nothing from k on
+        # gradient descent's first pass is checked in full before any row
+        # is charged: nothing of it is charged
         led = OracleLedger(n=n)
         with pytest.raises(ValueError) as err:
             baseline_full_gd(F, 0.1, 10 * n, x0=x, ledger=led)
         assert str(err.value) == alone[1]
-        assert led.per_index.tolist() == [1] * k + [0] * (n - k)
+        assert led.per_index.tolist() == [0] * n
 
 
 class TestBaselines:
+    def test_a_failing_order_2_pass_charges_none_of_its_rows(self):
+        # the last row's Hessian is asymmetric: the order-1 pass is charged
+        # in full, the order-2 pass after it raises with nothing charged
+        F = _sum_with_a_fault(4, 3, 3, ("asymmetric", 0.5))
+        led = OracleLedger(n=4)
+        with pytest.raises(ValueError, match="component 3"):
+            baseline_full_cubic(F, 1.0, 40, x0=np.full(3, 0.5), ledger=led)
+        assert led.per_index.tolist() == [1, 1, 1, 1]
+        assert led.hess_queries == 0
+
     def test_gd_on_quadratic_converges_in_one_step(self):
         F = _identity_quadratic(d=4, n=3)
         x0 = np.array([1.0, -2.0, 0.5, 3.0])

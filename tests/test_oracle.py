@@ -75,6 +75,7 @@ class TestFiniteSum:
             "CallableFiniteSum": {"component"},
             "_QuadraticCosineSum": {"component", "components", "_answers"},
             "_Evaluated": {"_checked"},
+            "_Answered": {"_checked"},
             "RandomizedHardInstance": {"component", "_answers"},
             "ResistingOracle": {"component", "_answers", "_checked", "full"},
             "_StackSum": {"component"},
@@ -390,6 +391,7 @@ SUMS = {
 REFUSALS = {
     "index-n": (lambda F, x: F.component(F.n, x), "out of range"),
     "index-negative": (lambda F, x: F.component(-1, x), "out of range"),
+    "index-float": (lambda F, x: F.component(F.n - 0.3, x), "integers"),
     "rows-empty": (lambda F, x: F.components([], x), "non-empty"),
     "rows-negative": (lambda F, x: F.components([-1], x), "out of range"),
     "rows-n": (lambda F, x: F.components([0, F.n], x), "out of range"),
@@ -427,7 +429,6 @@ def _evaluations(F, monkeypatch) -> list:
     if isinstance(F, CallableFiniteSum):
         monkeypatch.setattr(F, "_components", [spy(f) for f in F._components])
     for module, name in ((hardsum.oracle, "row_dot"),
-                         (hardsum.instances.randomized, "hat_f_eval"),
                          (hardsum.instances.randomized, "_hat_f"),
                          (hardsum.instances.resisting, "_chain_eval")):
         monkeypatch.setattr(module, name, spy(getattr(module, name)))
@@ -446,10 +447,11 @@ class TestSumContract:
     refusal moves the resisting oracle's game."""
 
     def test_every_sum_has_an_entry(self):
-        # _Evaluated is a view of answers already given, not a sum
+        # _Evaluated and _Answered are views of answers already given, not
+        # sums
         built = {type(build()) for build, _ in SUMS.values()}
         assert {cls.__name__ for cls in _package_sums() - built} == {
-            "FiniteSumFunction", "_Evaluated"}
+            "FiniteSumFunction", "_Evaluated", "_Answered"}
 
     @ORDERS
     @NAMES

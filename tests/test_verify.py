@@ -430,27 +430,35 @@ class TestLockstepDescent:
         assert finals[1] < 1e-12
 
 
+#: the checks a battery run reports, in order
+BATTERY_NAMES = [
+    "check_derivatives", "check_derivatives_chain",
+    "check_derivatives_composite", "check_zero_chain_K2",
+    "check_zero_chain_K4", "check_zero_chain_K8", "smoothness_power_mean",
+    "estimator_bounds", "large_gradient", "suboptimality"]
+
+
 class TestBattery:
     def test_small_scale_all_pass(self):
         with pytest.warns(UserWarning):
             checks = run_battery(num_points=6, zero_chain_samples=60,
                                  pairs=24, trials=1000, starts=2, seed=0)
-        names = [c.name for c in checks]
-        assert "check_derivatives" in names
-        assert "check_derivatives_chain" in names
-        assert "check_derivatives_composite" in names
-        assert {f"check_zero_chain_K{k}" for k in (2, 4, 8)} <= set(names)
-        assert "smoothness_power_mean" in names
-        assert "estimator_bounds" in names
-        assert "large_gradient" in names
-        assert "suboptimality" in names
+        assert [c.name for c in checks] == BATTERY_NAMES
         bad = [c.name for c in checks if c.status == "failed"]
         assert bad == []
 
     def test_zero_counts_skip(self):
+        # every check is skipped under the name a run reports
         checks = run_battery(num_points=0, zero_chain_samples=0, pairs=0,
                              trials=0, starts=0)
-        assert all(c.status == "skipped" for c in checks)
+        assert [(c.name, c.status) for c in checks] == [
+            (name, "skipped") for name in BATTERY_NAMES]
+        # a zero count skips exactly the checks it drives, in their places
+        checks = run_battery(num_points=0, zero_chain_samples=3, pairs=0,
+                             trials=0, starts=0)
+        assert [(c.name, c.status) for c in checks] == [
+            (name, "passed" if "zero_chain" in name else "skipped")
+            for name in BATTERY_NAMES]
 
     def test_sabotaged_chain_derivative_is_caught(self, monkeypatch):
         real_table = hardsum.chains._psi_table

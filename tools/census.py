@@ -6,7 +6,10 @@ ROOT is a checkout of the repository (default: the one holding this file).
 Prints three lines:
 
 - ``src lines``: the newline count of every ``.py`` file under ``src/``
-  (what ``wc -l`` totals over them);
+  (what ``wc -l`` totals over them), split into code, docstring, comment
+  and blank lines.  A docstring line is one inside the string that opens a
+  module, class or function body, blank or not; a comment line holds only
+  a comment; a line with code and a comment is code;
 - ``settable values``: the defaulted parameters of the public callables,
   plus the run configuration's keys, the CLI's flags and the environment
   variables the package reads;
@@ -20,11 +23,14 @@ the config keys, which are counted on their own.
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+import io
 import pkgutil
 import re
 import sys
+import tokenize
 from dataclasses import fields
 from pathlib import Path
 
@@ -34,6 +40,38 @@ ENV_READ = re.compile(r"os\.environ(?:\.get\(|\[)\s*[\"'](\w+)[\"']")
 
 def newlines(paths) -> int:
     return sum(path.read_bytes().count(b"\n") for path in paths)
+
+
+#: the kinds of source line, in the order they are printed
+LINE_KINDS = ("code", "docstring", "comment", "blank")
+
+
+def line_kinds(source: str) -> dict[str, int]:
+    """The newline-terminated lines of one source file by kind: code,
+    docstring, comment, blank."""
+    docstring = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstring.update(range(first.lineno, first.end_lineno + 1))
+    code, comment = set(), set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            comment.add(tok.start[0])
+        elif tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                              tokenize.DEDENT, tokenize.ENDMARKER):
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    counts = dict.fromkeys(LINE_KINDS, 0)
+    for number in range(1, source.count("\n") + 1):
+        kind = ("docstring" if number in docstring else "code"
+                if number in code else "comment" if number in comment
+                else "blank")
+        counts[kind] += 1
+    return counts
 
 
 def _defaulted(f) -> int:
@@ -104,7 +142,14 @@ def main(argv: list[str]) -> int:
     keys = len(fields(RunConfig))
     flags = len(cli_flags(_build_parser()))
     env = len(env_variables(src))
-    print(f"src lines: {newlines(src.rglob('*.py'))}")
+    kinds = dict.fromkeys(LINE_KINDS, 0)
+    for path in src.rglob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        for kind, count in line_kinds(source).items():
+            kinds[kind] += count
+    print(f"src lines: {newlines(src.rglob('*.py'))} ("
+          + ", ".join(f"{count} {kind}" for kind, count in kinds.items())
+          + ")")
     print(f"settable values: {params + keys + flags + env} ({params} "
           f"defaulted parameters, {keys} config keys, {flags} CLI flags, "
           f"{env} environment variables)")
