@@ -72,6 +72,8 @@ class FiniteSumFunction:
         return _check_answer(self.component(i, x, order), i, order, self.d)
 
     def check_index(self, i: int) -> int:
+        if type(i) is bool:              # operator.index reads it as 0 or 1
+            raise ValueError("component indices must be integers, got bool")
         try:
             i = operator.index(i)
         except TypeError:

@@ -79,6 +79,12 @@ class DerivativeCheckReport(_Report):
     worst: dict = field(default_factory=dict)
 
 
+#: stencil rows :func:`check_derivatives` evaluates in one call; a block of
+#: points is as many whole stencils (4d rows each) as fit, at least one.
+#: Stacking every point at once lifts the battery's peak memory by 15%.
+_STENCIL_BLOCK = 256
+
+
 def check_derivatives(F: FiniteSumFunction, num_points: int, tol: float,
                       seed=0) -> DerivativeCheckReport:
     """Analytic gradients/Hessians of every component against central
@@ -87,27 +93,37 @@ def check_derivatives(F: FiniteSumFunction, num_points: int, tol: float,
     Gradients are differenced from values; Hessians are differenced from the
     analytic gradient (a value-based second difference would drown in noise
     wherever third derivatives are large, as they are for the chain bumps).
-    Each component answers the whole stencil around a point in one stacked
-    call per order, so ``F.component`` must answer stacks of points.
+    The points are drawn first.  Then, per block of points, each component
+    answers the block's points in one stacked call (order 2) and their
+    stencils, concatenated, in one stacked call per order, so
+    ``F.component`` must answer stacks of points.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     rng = as_rng(seed)
     scales = (0.25, 0.5, 1.0, 2.0)
+    points = [rng.standard_normal(F.d) * scales[t % len(scales)]
+              for t in range(num_points)]
+    rows = 4 * F.d                       # stencil rows per point
+    block = max(1, _STENCIL_BLOCK // rows)
     worst = {"rel_err": 0.0}
-    for t in range(num_points):
-        x = rng.standard_normal(F.d) * scales[t % len(scales)]
-        stencil, h = _stencil_points(x, None)
-        for i in range(F.n):
-            der = F.component(i, x, order=2)
-            g_fd = _richardson_combine(F.component(i, stencil, 0).value, h)
-            e_g = rel_err(der.grad, g_fd)
-            H_fd = _richardson_combine(F.component(i, stencil, 1).grad, h)
-            e_h = rel_err(der.hess, H_fd)
-            err, which = max((e_g, "grad"), (e_h, "hess"))
-            if err > worst["rel_err"]:
-                worst = {"rel_err": float(err), "component": i,
-                         "point_index": t, "which": which}
+    for start in range(0, num_points, block):
+        xs = np.array(points[start:start + block])
+        stencils, steps = zip(*(_stencil_points(x, None) for x in xs))
+        stencil = np.concatenate(stencils)
+        answers = [(F.component(i, xs, 2), F.component(i, stencil, 0).value,
+                    F.component(i, stencil, 1).grad) for i in range(F.n)]
+        for k, h in enumerate(steps):
+            rows_k = slice(k * rows, (k + 1) * rows)
+            for i, (der, values, grads) in enumerate(answers):
+                e_g = rel_err(der.grad[k],
+                              _richardson_combine(values[rows_k], h))
+                e_h = rel_err(der.hess[k],
+                              _richardson_combine(grads[rows_k], h))
+                err, which = max((e_g, "grad"), (e_h, "hess"))
+                if err > worst["rel_err"]:
+                    worst = {"rel_err": float(err), "component": i,
+                             "point_index": start + k, "which": which}
     return DerivativeCheckReport(
         passed=bool(worst["rel_err"] <= tol),
         max_rel_err=float(worst["rel_err"]), tol=tol,
@@ -239,6 +255,54 @@ def _op_norm(A: np.ndarray):
     return np.abs(np.linalg.eigvalsh(sym)).max(axis=-1)
 
 
+def _pair_differences(F: FiniteSumFunction, order: int, num_pairs: int,
+                      seed) -> tuple[list, np.ndarray]:
+    """The pair stream's distances ||x - y|| and, per pair, the derivative
+    differences every smoothness mode reduces: at order 1 the sums over
+    components of ||grad f_i(x) - grad f_i(y)||^2, shape (num_pairs,); at
+    order 2 the operator norms ||hess f_i(x) - hess f_i(y)||, shape
+    (num_pairs, n).
+
+    Each component is evaluated once at the stack of all x's and once at the
+    stack of all y's, so ``F.component`` must answer stacks of points.  The
+    pair stream is never stacked across components, so memory stays at one
+    component's answers.
+    """
+    pairs = list(_pair_stream(F.d, num_pairs, as_rng(seed)))
+    xs = np.array([x for x, _ in pairs])
+    ys = np.array([y for _, y in pairs])
+    if order == 1:
+        diffs = np.zeros(num_pairs)
+        for i in range(F.n):
+            dg = F.component(i, xs, order).grad - F.component(i, ys, order).grad
+            diffs += row_dot(dg, dg)
+    else:
+        diffs = np.empty((num_pairs, F.n))
+        for i in range(F.n):
+            dH = F.component(i, xs, order).hess - F.component(i, ys, order).hess
+            diffs[:, i] = _op_norm(dH)
+    return [float(np.linalg.norm(x - y)) for x, y in pairs], diffs
+
+
+def _smoothness_constant(mode: str, dists: list, diffs: np.ndarray,
+                         n: int) -> float:
+    """The max difference ratio of ``mode`` over the pairs of
+    :func:`_pair_differences` (order 1 for mean-squared, 2 otherwise);
+    pairs at distance zero are skipped."""
+    best = 0.0
+    for k, dist in enumerate(dists):
+        if dist == 0.0:
+            continue
+        if mode == "mean-squared":
+            ratio = math.sqrt(diffs[k] / n) / dist
+        elif mode == "individual":
+            ratio = float(diffs[k].max()) / dist
+        else:
+            ratio = float((diffs[k] ** 3).mean()) ** (1.0 / 3.0) / dist
+        best = max(best, ratio)
+    return best
+
+
 def estimate_smoothness(F: FiniteSumFunction, mode: str, num_pairs: int,
                         seed=0) -> SmoothnessReport:
     """Max difference ratio over sampled pairs.
@@ -248,44 +312,17 @@ def estimate_smoothness(F: FiniteSumFunction, mode: str, num_pairs: int,
     third-moment:  (mean_i ||hess f_i(x) - hess f_i(y)||^3)^(1/3) / ||x - y||
 
     Matrix norms are operator norms.  For a fixed seed the pair stream is
-    prefix-extendable, so the estimate is monotone in ``num_pairs``.  Each
-    component is evaluated once at the stack of all x's and once at the
-    stack of all y's, so ``F.component`` must answer stacks of points.
+    prefix-extendable, so the estimate is monotone in ``num_pairs``.
+    ``F.component`` must answer stacks of points (see
+    :func:`_pair_differences`).
     """
     if mode not in _SMOOTHNESS_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")
-    rng = as_rng(seed)
     order = 1 if mode == "mean-squared" else 2
-    pairs = list(_pair_stream(F.d, num_pairs, rng))
-    xs = np.array([x for x, _ in pairs])
-    ys = np.array([y for _, y in pairs])
-    # per component, one call at all x's and one at all y's; the pair
-    # stream is never stacked across components, so memory stays at one
-    # component's answers
-    if mode == "mean-squared":
-        acc = np.zeros(num_pairs)
-        for i in range(F.n):
-            dg = F.component(i, xs, order).grad - F.component(i, ys, order).grad
-            acc += row_dot(dg, dg)
-    else:
-        norms = np.empty((num_pairs, F.n))
-        for i in range(F.n):
-            dH = F.component(i, xs, order).hess - F.component(i, ys, order).hess
-            norms[:, i] = _op_norm(dH)
-    best = 0.0
-    for k, (x, y) in enumerate(pairs):
-        dist = float(np.linalg.norm(x - y))
-        if dist == 0.0:
-            continue
-        if mode == "mean-squared":
-            ratio = math.sqrt(acc[k] / F.n) / dist
-        elif mode == "individual":
-            ratio = float(norms[k].max()) / dist
-        else:
-            ratio = float((norms[k] ** 3).mean()) ** (1.0 / 3.0) / dist
-        best = max(best, ratio)
+    best = _smoothness_constant(
+        mode, *_pair_differences(F, order, num_pairs, seed), F.n)
     int_seed = _int_seed(seed)
     return SmoothnessReport(mode=mode, constant=best, num_pairs=num_pairs,
                             seed=0 if int_seed is None else int_seed)
@@ -514,9 +551,11 @@ class SuboptimalityReport(_Report):
 
 #: the backtracking line search's trial steps 1, 1/2, ..., 2^-39 (exact), in
 #: two blocks: a round evaluates the second only for the starts that found
-#: no step in the first (on the battery's instance a start needs about two
-#: halvings a round, so the first block nearly always settles the round)
-_TRIAL_STEPS = np.split(np.ldexp(1.0, -np.arange(40)), [8])
+#: no step in the first.  On the battery's instances step 1 passes in about
+#: 97% of searches (24,390 of about 25,100 on six instances), while in about
+#: half the rounds one nearly stationary start needs a step near 2^-27, so
+#: step 1 alone, then the other 39, evaluates the fewest trial points.
+_TRIAL_STEPS = np.split(np.ldexp(1.0, -np.arange(40)), [1])
 
 
 def _gd_backtracking(F: FiniteSumFunction, starts: np.ndarray,
@@ -659,11 +698,13 @@ def run_battery(num_points: int = 60, zero_chain_samples: int = 500,
                 for K in (2, 4, 8)]
 
     def smoothness():
+        # both constants reduce the same Hessian differences, found once
         synth = quadratic_cosine_sum(8, 6, seed=seed + 3)
-        ind = estimate_smoothness(synth, "individual", pairs, seed=seed)
-        third = estimate_smoothness(synth, "third-moment", pairs, seed=seed)
-        return [(third.constant <= ind.constant * (1 + 1e-12),
-                 {"individual": ind.constant, "third_moment": third.constant})]
+        dists, norms = _pair_differences(synth, 2, pairs, seed)
+        ind = _smoothness_constant("individual", dists, norms, synth.n)
+        third = _smoothness_constant("third-moment", dists, norms, synth.n)
+        return [(third <= ind * (1 + 1e-12),
+                 {"individual": ind, "third_moment": third})]
 
     def estimator_bounds():
         inst = quadratic_cosine_sum(64, 8, seed=seed + 4)

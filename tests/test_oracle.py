@@ -191,6 +191,22 @@ class TestQuery:
             query(led, F, 0, np.zeros((2, 3)))
         assert led.total == 0
 
+    @pytest.mark.parametrize("make", [
+        lambda: quadratic_cosine_sum(4, 3, seed=0), lambda: _chain_sum(3)])
+    def test_a_bool_index_is_refused_on_every_path(self, make):
+        # operator.index reads True as 1; every path refuses it alike
+        F = make()
+        x = np.zeros(F.d)
+        led = OracleLedger(n=F.n)
+        calls = [lambda: F.component(True, x), lambda: F.component(np.True_, x),
+                 lambda: F.components([True], x),
+                 lambda: query(led, F, False, x)]
+        for call in calls:
+            with pytest.raises(ValueError, match="^component indices must be "
+                                                 "integers, got bool$"):
+                call()
+        assert led.total == 0
+
     def test_returns_exactly_symmetric_hessian(self):
         H = np.array([[2.0, 1.0 + 1e-14], [1.0, 3.0]])
         F = self._constant_hessian_sum(H)
@@ -392,6 +408,9 @@ REFUSALS = {
     "index-n": (lambda F, x: F.component(F.n, x), "out of range"),
     "index-negative": (lambda F, x: F.component(-1, x), "out of range"),
     "index-float": (lambda F, x: F.component(F.n - 0.3, x), "integers"),
+    "index-bool": (lambda F, x: F.component(True, x), "integers, got bool"),
+    "query-index-bool": (lambda F, x: query(OracleLedger(n=F.n), F, True, x),
+                         "integers, got bool"),
     "rows-empty": (lambda F, x: F.components([], x), "non-empty"),
     "rows-negative": (lambda F, x: F.components([-1], x), "out of range"),
     "rows-n": (lambda F, x: F.components([0, F.n], x), "out of range"),

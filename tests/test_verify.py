@@ -24,6 +24,8 @@ from hardsum.optim import (SvrcParams, _draw_batches, svrc_gradient_estimator,
                            svrc_hessian_estimator)
 from hardsum.verify import (
     _MC_BLOCK,
+    _STENCIL_BLOCK,
+    _TRIAL_STEPS,
     _battery_instance,
     _chain_sum,
     _gd_backtracking,
@@ -415,6 +417,26 @@ class TestLockstepDescent:
         self._agree(F, starts, iters=25)
         assert _gd_backtracking(F, starts, iters=25)[0] == 0.0
 
+    @pytest.mark.parametrize("case", ["battery-6", "battery-7", "battery-8",
+                                      "battery-9", "synthetic"])
+    def test_trial_blocks_match_one_step_per_block(self, case, monkeypatch):
+        # the accepted step is the first passing one however the trial steps
+        # are blocked, and a value row of a stacked full is its one-point
+        # value, so the final values keep every bit
+        if case == "synthetic":
+            F = quadratic_cosine_sum(6, 5, seed=3)
+            starts = np.random.default_rng(2).standard_normal((9, 5)) * 2.0
+        else:
+            with pytest.warns(UserWarning):
+                F = _battery_instance(int(case[-1])).unscaled_view()
+            starts = _suboptimality_starts(F, 20, 8)
+        assert [len(steps) for steps in _TRIAL_STEPS] == [1, 39]
+        got = _gd_backtracking(F, starts)
+        monkeypatch.setattr(hardsum.verify, "_TRIAL_STEPS",
+                            np.split(np.concatenate(_TRIAL_STEPS), range(1, 40)))
+        want = _gd_backtracking(F, starts)
+        assert got.tobytes() == want.tobytes()
+
     def test_failed_line_search_stops_only_its_start(self):
         # 0.5|x|^2 with the gradient's sign flipped where x_0 < 0: there no
         # trial step decreases f, so those starts stop in the first round
@@ -459,6 +481,19 @@ class TestBattery:
         assert [(c.name, c.status) for c in checks] == [
             (name, "passed" if "zero_chain" in name else "skipped")
             for name in BATTERY_NAMES]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_smoothness_constants_match_two_estimates(self, seed):
+        # one pass of Hessian differences gives both constants, as two
+        # estimate_smoothness runs on the same sum, seed and pairs do
+        checks = run_battery(num_points=0, zero_chain_samples=0, pairs=120,
+                             trials=0, starts=0, seed=seed)
+        synth = quadratic_cosine_sum(8, 6, seed=seed + 3)
+        want = {mode.replace("-", "_"):
+                estimate_smoothness(synth, mode, 120, seed=seed).constant
+                for mode in ("individual", "third-moment")}
+        details = {c.name: c.details for c in checks}["smoothness_power_mean"]
+        assert _bits(details) == _bits(want)
 
     def test_sabotaged_chain_derivative_is_caught(self, monkeypatch):
         real_table = hardsum.chains._psi_table
@@ -616,6 +651,16 @@ class TestStackedChecksMatchOnePointLoops:
         got = check_derivatives(F, 5, 1e-6, seed=3)
         assert _bits(got.to_dict()) == _bits(
             _one_point_check_derivatives(F, 5, 1e-6, seed=3))
+
+    @pytest.mark.parametrize("name", ["synthetic", "chain", "composite",
+                                      "randomized", "one-point"])
+    def test_check_derivatives_over_partial_blocks(self, name):
+        # 13 points end every subject's run on a partial block of points
+        F = _subjects()[name]
+        assert 13 % max(1, _STENCIL_BLOCK // (4 * F.d)) != 0
+        got = check_derivatives(F, 13, 1e-6, seed=7)
+        assert _bits(got.to_dict()) == _bits(
+            _one_point_check_derivatives(F, 13, 1e-6, seed=7))
 
     @pytest.mark.parametrize("mode", ["individual", "mean-squared",
                                       "third-moment"])

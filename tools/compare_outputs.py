@@ -125,6 +125,8 @@ VERIFY_SMALL = ("[verify]\nnum_points = 4\nzero_chain_samples = 40\n"
 # 1500 trials cross a Monte-Carlo block boundary; 7 starts make an odd
 # lockstep stack
 VERIFY_BLOCKS = "[verify]\ntrials = 1500\nstarts = 7\n"
+# 13 points end each derivative check on a partial block of stencils
+VERIFY_STENCIL_BLOCKS = "[verify]\nnum_points = 13\n"
 
 
 @dataclass(frozen=True)
@@ -172,6 +174,8 @@ ENTRIES = (
     Entry("verify-seed3", None, ("verify", "--seed", "3", "--out", "rep.json")),
     Entry("verify-blocks", VERIFY_BLOCKS,
           ("verify", "--seed", "11", "--out", "rep.json")),
+    Entry("verify-stencil-blocks", VERIFY_STENCIL_BLOCKS,
+          ("verify", "--seed", "5", "--out", "rep.json")),
     Entry("gen-synthetic", SYNTH_SVRC, ("gen", "--out", "gen")),
     Entry("gen-deterministic", ADV_CUBIC, ("gen", "--out", "gen")),
     Entry("gen-haar-c", CUBIC_HAAR, ("gen", "--out", "gen")),
