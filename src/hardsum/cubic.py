@@ -19,26 +19,14 @@ matter:
   interior solution at s0 is short, the minimizer picks up a boundary
   component along the bottom eigenvector (the hard case).
 
-Two subspaces are tried in turn:
+The subspace is picked from U's form (``linalg._subspace_holding``):
 
-* the Krylov space of U from v, built by Lanczos with full
-  reorthogonalization (the subproblem solver of ARC and GLTR; Cartis, Gould
-  & Toint 2011).  When it closes (U maps it into itself) the easy-case
-  minimizer lies in it, and the secular equation of the projected matrix
-  T = Q^T U Q gives that minimizer exactly.  One Cholesky factorization of
-  a shift of U proves the PSD condition; only when it cannot does an
-  eigendecomposition give lmin(U) to decide it.  Low-rank Hessians, such
-  as the resisting oracle's (rank at most K + 1), close in a few
-  dimensions;
-* the whole space, from a dense eigendecomposition of U, when the Krylov
-  space does not close within d/2 dimensions or its step fails a check.  The
-  hard case, whose minimizer leaves the Krylov space, fails the PSD check
-  there and is solved here.
-
-U is a dense matrix or a factored V S V^T (``linalg._Factored``, the form
-of every resisting-oracle Hessian): every product U q is then
-V (S (V^T q)), and ``linalg``'s Cholesky screen and lmin work on S.  Only
-the dense path lifts V S V^T to a d x d matrix, once per solve.
+* a dense U is eigendecomposed in the whole space;
+* a factored U = V S V^T (``linalg._Factored``, the form of every
+  resisting-oracle Hessian) acts only inside span(V) and is zero outside
+  it, so the minimizer lies in span(V, v), and the eigenpairs of S, padded
+  with a zero row and column when v leaves span(V), give it there.  A
+  factored U is never lifted to a d x d matrix.
 
 The three optimality conditions -- zero stationarity residual, positive
 semidefiniteness of the shifted Hessian, and model decrease of at least
@@ -52,12 +40,12 @@ this module loads no scipy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (_lambda_min, _max_abs, _shifted_pd, as_vector, eig_sym,
-                     sym_matrix)
+from .linalg import _subspace_holding, as_vector, eig_sym, sym_matrix
 
 __all__ = ["CubicModel", "CubicSolution", "solve", "model_value"]
 
@@ -65,11 +53,6 @@ __all__ = ["CubicModel", "CubicSolution", "solve", "model_value"]
 # treated as zero when classifying the hard case; the neglected mass shows up
 # in the stationarity residual and stays far below the default tolerance.
 _HARD_CASE_TOL = 1e-13
-
-# The Krylov space counts as closed once the Lanczos residual is this small
-# relative to max|U|; the neglected coupling is then a perturbation of U at
-# that size, and the stationarity check still bounds its effect on the step.
-_KRYLOV_CLOSED = 1e-12
 
 # Brent's stopping rule for the secular root: the bracket is closed to
 # xtol + rtol |u|, with rtol four machine epsilons (scipy's smallest).
@@ -197,6 +180,10 @@ def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
     half_m = M / 2.0
 
     s0 = max(0.0, -2.0 * lmin / M)
+    # the step's length scale, and the start of the root's bracket
+    scale = max(1.0, s0, np.sqrt(2.0 * norm_v / M))
+    if not math.isfinite(scale):
+        raise ArithmeticError("the step's length scale overflows")
     # cancellation-free shifted spectrum: d_j(u) = shift_j + (M/2) u with
     # shift_j = lam_j - lmin (>= 0) when lmin < 0, else lam_j itself
     shift = (lam - lmin) if lmin < 0 else lam.copy()
@@ -230,7 +217,6 @@ def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
     def phi_u(u: float) -> float:
         return _secular_norm(w2, shift, half_m, u) - (s0 + u)
 
-    scale = max(1.0, s0, np.sqrt(2.0 * norm_v / M))
     u_hi = scale
     while phi_u(u_hi) > 0.0:
         u_hi *= 2.0
@@ -246,52 +232,10 @@ def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
     return coords_at(u_star)
 
 
-def _krylov_step(model: CubicModel, norm_v: float) -> np.ndarray | None:
-    """The minimizer over the Krylov space of U from v, or None when v = 0
-    or the space does not close within d/2 dimensions.
-
-    Past d/2 dimensions the Lanczos products and the reorthogonalization
-    cost about as much as the dense eigendecomposition they stand in for.
-    """
-    v, U = model.v, model.U
-    d = v.size
-    kmax = d // 2
-    if kmax == 0 or norm_v == 0.0:
-        return None
-    closed = _KRYLOV_CLOSED * _max_abs(U)
-    # rows q_j of the orthonormal basis and U q_j; np.empty commits no page
-    # of the rows a space that closes early never writes
-    basis = np.empty((kmax, d))
-    images = np.empty_like(basis)
-    basis[0] = v / norm_v
-    k = 1
-    while True:
-        w = U @ basis[k - 1]
-        images[k - 1] = w
-        Q = basis[:k]
-        # classical Gram-Schmidt against the whole basis, twice, keeps the
-        # basis orthonormal to rounding level
-        for _ in range(2):
-            w -= Q.T @ (Q @ w)
-        beta = float(np.linalg.norm(w))
-        if beta <= closed:
-            break
-        if k == kmax:
-            return None
-        basis[k] = w / beta
-        k += 1
-    Q = basis[:k]
-    P = Q @ images[:k].T
-    lam, Z = np.linalg.eigh(0.5 * (P + P.T))
-    y = _secular_coords(lam, norm_v * Z[0], norm_v, model.M)
-    return Q.T @ (Z @ y)
-
-
-def _certified(model: CubicModel, h: np.ndarray, lmin: float | None,
+def _certified(model: CubicModel, h: np.ndarray, lmin: float,
                norm_v: float, tol: float) -> CubicSolution:
-    """The solution at h, after the three optimality checks.  lmin is the
-    smallest eigenvalue of U, or None: then the Cholesky screen proves the
-    PSD condition, or where it cannot, ``_lambda_min`` decides it."""
+    """The solution at h, after the three optimality checks; lmin is the
+    smallest eigenvalue of U."""
     v, U, M = model.v, model.U, model.M
     half_m = M / 2.0
     s_actual = float(np.linalg.norm(h))
@@ -301,13 +245,10 @@ def _certified(model: CubicModel, h: np.ndarray, lmin: float | None,
     if stationarity > tol * (1.0 + norm_v):
         raise ArithmeticError(
             f"stationarity residual {stationarity:.3e} exceeds tolerance")
-    if lmin is not None or not _shifted_pd(U, half_m * s_actual + tol):
-        if lmin is None:
-            lmin = _lambda_min(U)
-        eig_slack = lmin + half_m * s_actual
-        if eig_slack < -tol:
-            raise ArithmeticError(
-                f"shifted Hessian not PSD: slack {eig_slack:.3e}")
+    eig_slack = lmin + half_m * s_actual
+    if eig_slack < -tol:
+        raise ArithmeticError(
+            f"shifted Hessian not PSD: slack {eig_slack:.3e}")
     if m_val > -(M / 12.0) * s_actual ** 3 + tol:
         raise ArithmeticError(
             f"model value {m_val:.3e} above the decrease guarantee")
@@ -319,21 +260,24 @@ def solve(model: CubicModel) -> CubicSolution:
     """Global minimizer of the cubic model, with certified residuals.
 
     Raises ``np.linalg.LinAlgError`` if an eigendecomposition fails and
-    ``ArithmeticError`` if the optimality conditions cannot be met within
-    1e-10 (1 + |v|) (which would indicate a solver bug, not a property of
-    the model: the subproblem always has a global minimizer).
+    ``ArithmeticError`` if |v| or the step's length scale overflows, or if
+    the optimality conditions cannot be met within 1e-10 (1 + |v|) (which
+    would indicate a solver bug, not a property of the model: the
+    subproblem always has a global minimizer).
     """
-    v, U, M = model.v, model.U, model.M
-    norm_v = float(np.linalg.norm(v))
+    v, M = model.v, model.M
+    with np.errstate(over="ignore"):
+        norm_v = float(np.linalg.norm(v))
+    if not math.isfinite(norm_v):
+        raise ArithmeticError("|v| overflows")
     tol = 1e-10 * (1.0 + norm_v)
 
-    try:
-        h = _krylov_step(model, norm_v)
-        if h is not None:
-            return _certified(model, h, None, norm_v, tol)
-    except ArithmeticError:
-        pass    # e.g. the hard case: solve in the whole space
-
-    lam, Q = eig_sym(U)
-    y = _secular_coords(lam, Q.T @ v, norm_v, M)
-    return _certified(model, Q @ y, float(lam[0]), norm_v, tol)
+    Q, T = _subspace_holding(model.U, v)
+    lam, Z = eig_sym(T)
+    if Q is None:
+        y = _secular_coords(lam, Z.T @ v, norm_v, M)
+        return _certified(model, Z @ y, float(lam[0]), norm_v, tol)
+    # U is zero outside span(Q), so its spectrum is T's plus d - k zeros
+    lmin = float(lam[0]) if Q.shape[1] == v.size else min(float(lam[0]), 0.0)
+    y = _secular_coords(lam, Z.T @ (Q.T @ v), norm_v, M)
+    return _certified(model, Q @ (Z @ y), lmin, norm_v, tol)

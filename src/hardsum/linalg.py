@@ -5,7 +5,8 @@ differentiation.
 
 A symmetric matrix is a dense array or, privately, a :class:`_Factored`
 ``V S V^T`` of low rank.  This module is the only one that tells the two
-apart: the symmetry check, the eigenvalue screen and ``lambda_min`` take
+apart: the symmetry check, the eigenvalue screen, ``lambda_min`` and the
+subspace A maps into itself that holds a vector (the cubic step's) take
 either, and :func:`_dense` (behind the eigendecomposition and the public
 answers) lifts a factored matrix to its dense one.
 
@@ -143,8 +144,9 @@ class _Factored:
 
     The resisting oracle answers its Hessians in this form (a <= K + 1,
     far below d).  ``A @ q`` is V (S (V^T q)); its spectrum is S's plus
-    d - a zeros, so the screen and ``lambda_min`` work on S, and only a
-    dense eigendecomposition or a public answer lifts it (:func:`_dense`).
+    d - a zeros, so the screen, ``lambda_min`` and the cubic step's
+    subspace (:func:`_subspace_holding`) work on S, and only a dense
+    eigendecomposition or a public answer lifts it (:func:`_dense`).
     """
 
     __slots__ = ("V", "S")
@@ -269,10 +271,33 @@ def _lambda_min(A: SymMatrix) -> float:
     return min(lmin, 0.0) if S.shape[0] < A.shape[0] else lmin
 
 
-def _max_abs(A: SymMatrix) -> float:
-    """max |A_ij|; of a :class:`_Factored` matrix, max |S_ij|, its size in
-    the basis V."""
-    return float(np.abs(A.S if isinstance(A, _Factored) else A).max())
+#: v's part outside span(V) joins the subspace of :func:`_subspace_holding`
+#: only above this size relative to |v|: below it the part is rounding
+#: noise, and its direction would not be orthogonal to V
+_OUTSIDE_SPAN_TOL = 1e-12
+
+
+def _subspace_holding(A: SymMatrix, v: Vector
+                      ) -> tuple[np.ndarray | None, np.ndarray]:
+    """A subspace that a validated symmetric A maps into itself and that
+    holds v, as (Q, T): Q, shape (d, k), has orthonormal columns that span
+    it and T = Q^T A Q; Q is None for the whole space, where T is A.
+
+    A dense A gets the whole space.  A :class:`_Factored` V S V^T acts
+    inside span(V) and is zero outside it, so Q is V, plus v's part outside
+    span(V) when that part, projected out twice, is above rounding noise;
+    T is S, padded with a zero row and column for that part.
+    """
+    if not isinstance(A, _Factored):
+        return None, A
+    Q, T = A.V, A.S
+    r = v - Q @ (Q.T @ v)
+    r -= Q @ (Q.T @ r)
+    norm_r = float(np.linalg.norm(r))
+    if norm_r > _OUTSIDE_SPAN_TOL * float(np.linalg.norm(v)):
+        Q = np.column_stack([Q, r / norm_r])
+        T = np.pad(T, (0, 1))
+    return Q, T
 
 
 def _shifted_pd(A: SymMatrix, c0: float) -> bool:

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,8 +8,7 @@ from scipy.optimize import brentq
 
 from hardsum import cubic
 from hardsum.cubic import CubicModel, CubicSolution, model_value, solve
-from hardsum.linalg import (_Factored, _shifted_pd, eig_sym,
-                            sample_orthonormal_columns)
+from hardsum.linalg import _Factored, _shifted_pd, sample_orthonormal_columns
 
 
 def _check_optimality(model: CubicModel, sol: CubicSolution, tol=1e-9):
@@ -163,8 +164,8 @@ def test_optimality_property(seed):
 
 def _dense_step(model: CubicModel) -> np.ndarray:
     """The minimizer from a dense eigendecomposition of U and the shifted
-    secular equation: the solver's whole-space path, written out here so
-    that the Krylov path is measured against a fixed reference."""
+    secular equation: the solver's dense path, written out here so that it
+    is measured against a fixed reference."""
     v, U, M = model.v, model.U, model.M
     norm_v = float(np.linalg.norm(v))
     lam, Q = np.linalg.eigh(U)
@@ -210,37 +211,24 @@ def _dense_step(model: CubicModel) -> np.ndarray:
     return Q @ y
 
 
-def _spy_paths(monkeypatch):
-    """Record, per solve, whether the Krylov space closed and how many
-    dense eigendecompositions ran."""
-    paths = {"krylov_closed": 0, "krylov_open": 0, "dense": 0}
-    krylov_step = cubic._krylov_step
-
-    def spied_krylov(model, norm_v):
-        out = krylov_step(model, norm_v)
-        paths["krylov_closed" if out is not None else "krylov_open"] += 1
-        return out
+def _solve_spied(model: CubicModel, monkeypatch):
+    """The solution, and the shapes of the matrices the solve eigensolves
+    and of the factored ones it lifts."""
+    spied = {"eig": [], "lift": []}
+    eig_sym, lift = cubic.eig_sym, _Factored.lift
 
     def spied_eig(A):
-        paths["dense"] += 1
+        spied["eig"].append(A.shape)
         return eig_sym(A)
 
-    monkeypatch.setattr(cubic, "_krylov_step", spied_krylov)
-    monkeypatch.setattr(cubic, "eig_sym", spied_eig)
-    return paths
+    def spied_lift(self):
+        spied["lift"].append(self.shape)
+        return lift(self)
 
-
-def _spy_lambda_min(monkeypatch):
-    """Record the subset eigensolves the Krylov path's PSD check makes."""
-    calls = []
-    lambda_min = cubic._lambda_min
-
-    def spied(A):
-        calls.append(A.shape)
-        return lambda_min(A)
-
-    monkeypatch.setattr(cubic, "_lambda_min", spied)
-    return calls
+    with monkeypatch.context() as m:
+        m.setattr(cubic, "eig_sym", spied_eig)
+        m.setattr(_Factored, "lift", spied_lift)
+        return solve(model), spied
 
 
 def _low_rank_model(rng, d, r, outside):
@@ -257,69 +245,61 @@ def _low_rank_model(rng, d, r, outside):
                       M=float(rng.uniform(0.1, 5.0)))
 
 
+def _hard_case(rng, d):
+    """Orthonormal G (d x 4), its eigenvalues and M of a rank-4 hard case:
+    v has no component along the bottom eigenvector G[:, 0] (eigenvalue -2)
+    and the interior step is half as long as s0 = 2 |lmin| / M."""
+    G = sample_orthonormal_columns(d, 4, seed=rng).columns
+    lam = np.array([-2.0, 0.5, 1.0, 3.0])
+    M = float(rng.uniform(0.5, 2.0))
+    s0 = 4.0 / M
+    v = G[:, 1:] @ rng.standard_normal(3)
+    v *= 0.5 * s0 / np.linalg.norm(np.linalg.solve(
+        np.diag(lam[1:] + 2.0), G[:, 1:].T @ v))
+    return G, lam, v, M, s0
+
+
 class TestKrylovPath:
+    """Dense Hessians, the low-rank ones whose Krylov space from v closes in
+    a few dimensions included: every one is eigendecomposed in the whole
+    space, bit for bit as the reference does."""
+
     @pytest.mark.parametrize("outside", [0.0, 0.7])
     @pytest.mark.parametrize("r", [1, 3, 21])
     @pytest.mark.parametrize("d", [50, 197])
     def test_low_rank_matches_dense(self, rng, monkeypatch, d, r, outside):
-        paths = _spy_paths(monkeypatch)
-        eigensolves = _spy_lambda_min(monkeypatch)
         for _ in range(5):
             model = _low_rank_model(rng, d, r, outside)
-            sol = solve(model)
-            h = _dense_step(model)
-            scale = float(np.linalg.norm(h))
-            assert float(np.linalg.norm(sol.h - h)) <= 1e-12 * scale
-            assert sol.model_val == pytest.approx(model_value(model, h),
-                                                  rel=1e-12)
+            sol, spied = _solve_spied(model, monkeypatch)
+            assert np.array_equal(sol.h, _dense_step(model))
+            assert spied == {"eig": [(d, d)], "lift": []}
             _check_optimality(model, sol)
-        assert paths == {"krylov_closed": 5, "krylov_open": 0, "dense": 0}
-        # the Cholesky screen proves every step's curvature condition
-        assert eigensolves == []
 
     @pytest.mark.parametrize("d", [50, 197])
     def test_hard_case_falls_back_to_dense(self, rng, monkeypatch, d):
-        # v has no component along the negative bottom eigenvector, which
-        # U's other eigenvectors, spanning the Krylov space, leave out; the
-        # interior step is shorter than s0 = 2 |lmin| / M
-        paths = _spy_paths(monkeypatch)
-        eigensolves = _spy_lambda_min(monkeypatch)
+        # a hard case of rank 4: the step leaves the span of U's other
+        # eigenvectors, which holds v, along the bottom one
         for _ in range(5):
-            G = sample_orthonormal_columns(d, 4, seed=rng).columns
-            lam = np.array([-2.0, 0.5, 1.0, 3.0])
+            G, lam, v, M, s0 = _hard_case(rng, d)
             U = (G * lam) @ G.T
-            M = float(rng.uniform(0.5, 2.0))
-            s0 = 4.0 / M
-            v = G[:, 1:] @ rng.standard_normal(3)
-            v *= 0.5 * s0 / np.linalg.norm(np.linalg.solve(
-                np.diag(lam[1:] + 2.0), G[:, 1:].T @ v))
             model = CubicModel(v=v, U=0.5 * (U + U.T), M=M)
-            sol = solve(model)
+            sol, spied = _solve_spied(model, monkeypatch)
+            assert np.array_equal(sol.h, _dense_step(model))
+            assert spied == {"eig": [(d, d)], "lift": []}
             assert sol.s == pytest.approx(s0, rel=1e-9)
             assert abs(G[:, 0] @ sol.h) > 0.1 * s0
             _check_optimality(model, sol)
-        assert paths == {"krylov_closed": 5, "krylov_open": 0, "dense": 5}
-        # the screen cannot prove a step that fails the condition, so the
-        # subset eigensolve decides it, and the dense path takes over
-        assert eigensolves == [(d, d)] * 5
 
-    def test_full_rank_small_models_are_dense_bit_for_bit(self, rng,
-                                                          monkeypatch):
-        paths = _spy_paths(monkeypatch)
+    def test_full_rank_small_models_are_dense_bit_for_bit(self, rng):
         for _ in range(60):
             d = int(rng.integers(1, 21))
             model, _ = _random_model(rng, d, hard=bool(rng.random() < 0.3)
                                      and d >= 2)
             assert np.array_equal(solve(model).h, _dense_step(model))
-        # a hard case whose v spans an invariant subspace of at most d/2
-        # dimensions closes its Krylov space and then falls back too
-        assert paths["dense"] == 60
 
-    def test_nearly_low_rank_does_not_close_early(self, rng, monkeypatch):
-        # rank 3 plus a full-rank part of size 1e-8: the Krylov space does
-        # not close, so the step is the dense one, not a step that leaves
-        # out the small part
-        paths = _spy_paths(monkeypatch)
+    def test_nearly_low_rank_does_not_close_early(self, rng):
+        # rank 3 plus a full-rank part of size 1e-8: the step is the dense
+        # one, not a step that leaves out the small part
         for _ in range(5):
             model = _low_rank_model(rng, 50, 3, 0.7)
             E = rng.standard_normal((50, 50))
@@ -327,18 +307,9 @@ class TestKrylovPath:
             model = CubicModel(v=100.0 * model.v / np.linalg.norm(model.v),
                                U=U, M=model.M)
             assert np.array_equal(solve(model).h, _dense_step(model))
-        assert paths == {"krylov_closed": 0, "krylov_open": 5, "dense": 5}
-
-    def test_basis_grows_past_its_first_block(self, rng, monkeypatch):
-        # rank 21 closes at 21 or 22 dimensions, far past a short basis
-        paths = _spy_paths(monkeypatch)
-        model = _low_rank_model(rng, 120, 21, 0.7)
-        assert np.allclose(solve(model).h, _dense_step(model), rtol=0,
-                           atol=1e-12 * (1.0 + np.linalg.norm(model.v)))
-        assert paths["krylov_closed"] == 1 and paths["dense"] == 0
 
     def test_zero_hessian(self):
-        # U = 0: the space closes at once and h = -v / sqrt((M/2) |v|)
+        # U = 0: h = -v / sqrt((M/2) |v|)
         v = np.array([3.0, 4.0, 0.0, 0.0])
         sol = solve(CubicModel(v=v, U=np.zeros((4, 4)), M=2.0))
         assert sol.h == pytest.approx(-v / np.sqrt(5.0), rel=1e-12)
@@ -346,9 +317,9 @@ class TestKrylovPath:
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     @pytest.mark.parametrize("d", [2, 20, 197])
     def test_screen_at_the_boundary(self, rng, side, d):
-        # the screen shared with mu proves lambda_min(A) > -c0; place
-        # lambda_min a relative 1e-10 inside (side -1) or outside (side +1)
-        # that boundary
+        # the screen mu uses proves lambda_min(A) > -c0; place lambda_min
+        # a relative 1e-10 inside (side -1) or outside (side +1) that
+        # boundary
         proved = 0
         for _ in range(10):
             c0 = float(10.0 ** rng.uniform(-3, 3))
@@ -365,72 +336,159 @@ class TestKrylovPath:
         assert proved == (0 if side > 0 else 10)
 
 
-class TestFactoredHessian:
-    """A factored U = V S V^T is solved as its dense lift is."""
+def _factored_pair(v, V, S, M):
+    """The model with U = V S V^T factored, and with U its dense lift."""
+    U = _Factored(V, S)
+    return CubicModel(v=v, U=U, M=M), CubicModel(v=v, U=U.lift(), M=M)
 
-    @staticmethod
-    def _pair(model, V, S):
-        """The model with U factored, and with U its dense lift."""
-        U = _Factored(V, S)
-        return (CubicModel(v=model.v, U=U, M=model.M),
-                CubicModel(v=model.v, U=U.lift(), M=model.M))
+
+class TestFactoredHessian:
+    """A factored U = V S V^T is solved in span(V, v), never lifted, and
+    its step matches the dense lift's."""
 
     @pytest.mark.parametrize("outside", [0.0, 0.7])
     @pytest.mark.parametrize("d, r", [(50, 3), (197, 21)])
     def test_easy_cases_match_the_lift(self, rng, monkeypatch, d, r,
                                        outside):
-        paths = _spy_paths(monkeypatch)
         for _ in range(5):
             G = sample_orthonormal_columns(d, r + 1, seed=rng).columns
             lam = rng.uniform(-3.0, 3.0, r)
             lam[0] = -abs(lam[0]) - 0.1
             v = G[:, :r] @ rng.standard_normal(r) + outside * G[:, r]
-            model = CubicModel(v=v * 10.0 ** rng.uniform(-2, 2),
-                               U=np.zeros((d, d)), M=float(rng.uniform(0.1, 5)))
-            factored, dense = self._pair(model, G[:, :r], np.diag(lam))
-            a, b = solve(factored), solve(dense)
+            factored, dense = _factored_pair(
+                v * 10.0 ** rng.uniform(-2, 2), G[:, :r], np.diag(lam),
+                float(rng.uniform(0.1, 5)))
+            a, spied = _solve_spied(factored, monkeypatch)
+            b = solve(dense)
+            # v's part outside span(V) adds one dimension
+            k = r + 1 if outside else r
+            assert spied == {"eig": [(k, k)], "lift": []}
             assert np.linalg.norm(a.h - b.h) <= 1e-12 * np.linalg.norm(b.h)
             _check_optimality(dense, a)
             _check_optimality(dense, b)
             assert model_value(factored, a.h) == pytest.approx(
                 model_value(dense, a.h), rel=1e-12)
-        # the factored Krylov space closes as the dense one does
-        assert paths == {"krylov_closed": 10, "krylov_open": 0, "dense": 0}
 
     @pytest.mark.parametrize("d", [50, 197])
-    def test_hard_case_lifts_once(self, rng, monkeypatch, d):
-        # the hard case of test_hard_case_falls_back_to_dense, factored: the
-        # screen and the subset eigensolve work on S, the dense path lifts
-        paths = _spy_paths(monkeypatch)
-        eigensolves = _spy_lambda_min(monkeypatch)
-        lifts = []
-        lift = _Factored.lift
-
-        def spied(self):
-            lifts.append(self.shape)
-            return lift(self)
-
+    def test_hard_case_never_lifts(self, rng, monkeypatch, d):
+        # the hard case of TestKrylovPath, factored.  Its two minimizers
+        # are reflections of each other across the bottom eigenvector; the
+        # factored step is either one
         for _ in range(5):
-            G = sample_orthonormal_columns(d, 4, seed=rng).columns
-            lam = np.array([-2.0, 0.5, 1.0, 3.0])
-            M = float(rng.uniform(0.5, 2.0))
-            s0 = 4.0 / M
-            v = G[:, 1:] @ rng.standard_normal(3)
-            v *= 0.5 * s0 / np.linalg.norm(np.linalg.solve(
-                np.diag(lam[1:] + 2.0), G[:, 1:].T @ v))
-            factored, dense = self._pair(CubicModel(v=v, U=np.zeros((d, d)),
-                                                    M=M), G, np.diag(lam))
-            with monkeypatch.context() as m:
-                m.setattr(_Factored, "lift", spied)
-                a = solve(factored)
+            G, lam, v, M, s0 = _hard_case(rng, d)
+            factored, dense = _factored_pair(v, G, np.diag(lam), M)
+            a, spied = _solve_spied(factored, monkeypatch)
             b = solve(dense)
+            assert spied == {"eig": [(4, 4)], "lift": []}
+            assert a.s == pytest.approx(b.s, rel=1e-12)
             assert a.s == pytest.approx(s0, rel=1e-9)
-            assert np.linalg.norm(a.h - b.h) <= 1e-12 * np.linalg.norm(b.h)
+            assert a.model_val == pytest.approx(b.model_val, rel=1e-12)
+            g = G[:, 0]
+            reflected = b.h - 2.0 * (g @ b.h) * g
+            assert min(np.linalg.norm(a.h - b.h),
+                       np.linalg.norm(a.h - reflected)) \
+                <= 1e-12 * np.linalg.norm(b.h)
             _check_optimality(dense, a)
             _check_optimality(dense, b)
-        assert paths == {"krylov_closed": 10, "krylov_open": 0, "dense": 10}
-        assert eigensolves == [(d, d)] * 10
-        assert lifts == [(d, d)] * 5
+
+    @pytest.mark.parametrize("a", [1, 5])
+    def test_outside_part_at_rounding_level_is_left_out(self, rng,
+                                                        monkeypatch, a):
+        # v = V c leaves span(V) only by rounding; S = 0, as at the
+        # resisting oracle's first iterate.  The step is -v / sqrt((M/2)|v|)
+        V = sample_orthonormal_columns(60, a, seed=rng).columns
+        v = V @ rng.standard_normal(a)
+        factored, dense = _factored_pair(v, V, np.zeros((a, a)), 2.0)
+        sol, spied = _solve_spied(factored, monkeypatch)
+        assert spied == {"eig": [(a, a)], "lift": []}
+        assert sol.h == pytest.approx(
+            -v / np.sqrt(np.linalg.norm(v)), rel=1e-12)
+        _check_optimality(dense, sol)
+
+    def test_small_outside_part_joins_the_basis(self, rng, monkeypatch):
+        # a part outside span(V) of 1e-9 |v| is above the rounding floor
+        G = sample_orthonormal_columns(60, 4, seed=rng).columns
+        v = G[:, :3] @ rng.standard_normal(3)
+        v += 1e-9 * np.linalg.norm(v) * G[:, 3]
+        factored, dense = _factored_pair(v, G[:, :3],
+                                         np.diag([-1.0, 0.5, 2.0]), 1.0)
+        sol, spied = _solve_spied(factored, monkeypatch)
+        assert spied == {"eig": [(4, 4)], "lift": []}
+        _check_optimality(dense, sol)
+        assert np.linalg.norm(sol.h - solve(dense).h) \
+            <= 1e-12 * np.linalg.norm(sol.h)
+
+
+@given(st.integers(0, 10_000))
+def test_factored_optimality_property(seed):
+    # random orthonormal V (d <= 60, a <= 8), symmetric S, v inside span(V)
+    # or partly outside it, hard cases included; certified against the lift
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 61))
+    a = int(rng.integers(1, min(d, 8) + 1))
+    V = sample_orthonormal_columns(d, a, seed=rng).columns
+    R = sample_orthonormal_columns(a, a, seed=rng).columns
+    lam = rng.uniform(-3.0, 3.0, a)
+    M = float(rng.uniform(0.1, 5.0))
+    hard = bool(rng.random() < 0.3)
+    outside = a < d and bool(rng.random() < 0.5)
+    # eigenvectors of U in span(V, v) and their eigenvalues; v's part
+    # outside span(V) lies in U's null space
+    E, spectrum = V @ R, lam
+    if outside:
+        z = rng.standard_normal(d)
+        z -= V @ (V.T @ z)
+        z -= V @ (V.T @ z)
+        E = np.column_stack([E, z / np.linalg.norm(z)])
+        spectrum = np.append(lam, 0.0)
+    c = rng.standard_normal(E.shape[1]) * 10.0 ** rng.uniform(-3, 2)
+    s0 = None
+    if hard:
+        # a simple negative bottom eigenvalue that v leaves out, and an
+        # interior step half as long as s0
+        lam[0] = -abs(lam[0]) - 0.5
+        lam[1:] = np.abs(lam[1:]) + lam[0] + 0.3
+        spectrum = np.append(lam, 0.0) if outside else lam
+        s0 = -2.0 * lam[0] / M
+        c[0] = 0.0
+        L0 = np.linalg.norm(c[1:] / (spectrum[1:] - lam[0]))
+        if L0 > 0:
+            c *= 0.5 * s0 / L0
+    S = (R * lam) @ R.T
+    factored, dense = _factored_pair(E @ c, V, 0.5 * (S + S.T), M)
+    sol = solve(factored)
+    _check_optimality(dense, sol)
+    if hard:
+        assert sol.s == pytest.approx(s0, rel=1e-9)
+
+
+class TestOverflow:
+    """Models whose scales overflow raise ArithmeticError, the type
+    svrc_run and baseline_full_cubic stop on."""
+
+    @pytest.mark.parametrize("v, lam", [([1.0, 2.0], [1.0, 1.0]),
+                                        ([0.0, 1.0], [-1.0, 1.0])],
+                             ids=["easy", "hard"])
+    def test_length_scale_overflow_raises_instead_of_hanging(self, v, lam):
+        # M = 1e-320 makes sqrt(2 |v| / M) inf, and a bracket that starts
+        # at inf never shrinks; in the hard case (second model) it makes
+        # s0 = 2 |lmin| / M inf.  The alarm turns a hang into a failure
+        def hang(*_):
+            raise TimeoutError("solve did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            with pytest.raises(ArithmeticError, match="length scale"):
+                solve(CubicModel(v=np.array(v), U=np.diag(lam), M=1e-320))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_gradient_norm_overflow_raises(self):
+        # |v| = inf would make every tolerance inf and certify h = 0
+        with pytest.raises(ArithmeticError, match="overflows"):
+            solve(CubicModel(v=np.array([1e308, 1e308]), U=np.eye(2), M=1.0))
 
 
 class TestBrentPort:
