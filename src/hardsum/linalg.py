@@ -124,15 +124,17 @@ def _symmetrized(A):
         return _Factored(A.V, _symmetrized(A.S))
     A = np.asarray(A, dtype=float)
     At = A.swapaxes(-1, -2)
+    # one buffer holds |A|, then the skew, then the output
+    out = np.absolute(A)
     # max|A| is NaN or inf exactly when some entry is
-    scale = np.maximum.reduce(np.absolute(A), axis=(-2, -1))
+    scale = np.maximum.reduce(out, axis=(-2, -1))
     if not np.isfinite(scale).all():
         raise ValueError("matrix has non-finite entries")
-    skew = np.subtract(A, At)
-    skew = np.maximum.reduce(np.absolute(skew, out=skew), axis=(-2, -1))
+    np.subtract(A, At, out=out)
+    skew = np.maximum.reduce(np.absolute(out, out=out), axis=(-2, -1))
     if (skew > np.maximum(SYMMETRY_TOL * scale, _TINY)).any():
         raise ValueError("matrix is not symmetric within tolerance")
-    out = np.add(A, At)
+    np.add(A, At, out=out)
     out *= 0.5
     return out
 

@@ -34,7 +34,7 @@ from .cubic import CubicModel, solve
 from .linalg import (_lambda_min, _shifted_pd, as_rng, as_vector, row_matvec,
                      sym_matrix)
 from .oracle import (FiniteSumFunction, OracleLedger, _Answered, _Evaluated,
-                     _row_answers, mean_derivatives, query, record_iterate)
+                     mean_derivatives, query, record_iterate)
 
 __all__ = [
     "C_M",
@@ -321,7 +321,7 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
             snapshot = _Evaluated.evaluate(F, np.arange(n), x_hat, 2)
             for i in range(n):
                 query(ledger, snapshot, i, x_hat, order=2)
-            mean = mean_derivatives(_row_answers(snapshot.stack, 2), (d,), 2)
+            mean = mean_derivatives(snapshot.stack, (d,), 2)
             g_s, H_s = mean.grad, mean.hess
             continue
         batch_g, batch_h = _draw_batches(params, n, rng)

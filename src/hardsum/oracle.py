@@ -111,10 +111,11 @@ class FiniteSumFunction:
 
     def _answers(self, x: np.ndarray, order: int):
         """Every component at a validated point or stack of points x, one
-        :class:`Derivatives` per component in index order: what :meth:`full`
-        sums.  The default asks :meth:`component` once per component as the
-        answers are consumed, so no stack of n Hessians is held; a sum that
-        evaluates all components at once overrides it."""
+        :class:`Derivatives` per component in index order, or one stack of
+        them (rows in index order): what :meth:`full` sums.  The default
+        asks :meth:`component` once per component as the answers are
+        consumed, so no stack of n Hessians is held; a sum that evaluates
+        all components at once overrides it."""
         return (self.component(i, x, order) for i in range(self.n))
 
 
@@ -186,9 +187,17 @@ def mean_derivatives(answers, shape: tuple, order: int) -> Derivatives:
     their S are summed, padded to the widest V, since a round can close
     mid-pass, and the mean is factored too.
 
+    ``answers`` is an iterable of answers or one stack of them: a
+    :class:`Derivatives` whose parts have a leading axis of one row per
+    answer, with dense Hessians.  A stack is summed in one numpy pass with
+    the bits of the loop over its rows, and a stack with a bad row raises
+    the loop's error.
+
     The one averaging pass behind every full-sum quantity: the free
     measurement channel and the charged snapshot and baseline passes.
     """
+    if isinstance(answers, Derivatives):
+        return _stack_mean(answers, shape, order)
     val, count, hess = 0.0, 0, None
     grad = np.zeros(shape) if order >= 1 else None
     hess_shape = shape + shape[-1:]
@@ -207,6 +216,37 @@ def mean_derivatives(answers, shape: tuple, order: int) -> Derivatives:
     return Derivatives(val / count,
                        None if grad is None else grad / count,
                        None if hess is None else hess / count)
+
+
+def _stack_mean(stack: Derivatives, shape: tuple, order: int) -> Derivatives:
+    """:func:`mean_derivatives` of a stack, bit for bit."""
+    parts = (stack.value, stack.grad, stack.hess)[:order + 1]
+    lead = np.shape(stack.value)[:1]
+    tails = (shape[:-1], shape, shape + shape[-1:])
+    if not lead or any(np.shape(part) != lead + tail
+                       for part, tail in zip(parts, tails)):
+        if lead:    # the loop raises the error of its first bad row
+            mean_derivatives(_row_answers(stack, order), shape, order)
+        raise ValueError(f"a stack of answers has parts of shapes "
+                         f"{[np.shape(part) for part in parts]}, not one row "
+                         f"each of shapes {list(tails[:order + 1])}")
+    return Derivatives(*(_row_sum(part) / lead[0] for part in parts))
+
+
+def _row_sum(part) -> np.ndarray:
+    """The sum of a stack's rows, added in order from +0.0 as the loop of
+    :func:`mean_derivatives` adds them.
+
+    numpy adds the rows of a C-ordered (r, m) array in order when m > 1,
+    but pairwise when m == 1, where the summed axis is the fast one; there
+    ``np.add.accumulate`` adds them in order.  Both start from the first
+    row, so 0.0 is added: an all -0.0 total becomes the loop's +0.0 and any
+    other is unchanged.
+    """
+    rows = np.ascontiguousarray(part).reshape(len(part), -1)
+    total = (np.add.reduce(rows, axis=0) if rows.shape[1] > 1
+             else np.add.accumulate(rows, axis=0)[-1])
+    return total.reshape(np.shape(part)[1:]) + 0.0
 
 
 class CallableFiniteSum(FiniteSumFunction):
@@ -253,18 +293,21 @@ class _QuadraticCosineSum(FiniteSumFunction):
                               order)
 
     def components(self, rows, x, order: int = 2) -> Derivatives:
-        return self._evaluate(self.check_rows(rows),
-                              as_vector(x, dim=self.d), order)
+        rows = self.check_rows(rows)
+        if rows.size == self.n and (rows == np.arange(self.n)).all():
+            rows = slice(None)
+        return self._evaluate(rows, as_vector(x, dim=self.d), order)
 
     def _answers(self, x: np.ndarray, order: int):
+        """At one point, every component as one stack."""
         if x.ndim == 1:
-            return _row_answers(self._evaluate(np.arange(self.n), x, order),
-                                order)
+            return self._evaluate(slice(None), x, order)
         return super()._answers(x, order)
 
     def _evaluate(self, i, x, order: int) -> Derivatives:
-        """Component i (an index or an index array) at x (a point or, for
-        one index, a stack of points)."""
+        """Component i (an index, an index array, or the slice of every
+        component in order, which reads the arrays without copying them)
+        at x (a point or, for one index, a stack of points)."""
         A, b, c, r = self._A[i], self._b[i], self._c[i], self._r[i]
         t, Ax, rx = row_dot(b, x), row_matvec(A, x), row_dot(r, x)
         xAx = row_dot(x, Ax)
@@ -274,8 +317,8 @@ class _QuadraticCosineSum(FiniteSumFunction):
         grad = Ax - (c * np.sin(t))[..., None] * b + r
         if order == 1:
             return Derivatives(val, grad)
-        hess = A - (c * np.cos(t))[..., None, None] * self._bbT[i]
-        return Derivatives(val, grad, hess)
+        hess = (c * np.cos(t))[..., None, None] * self._bbT[i]
+        return Derivatives(val, grad, np.subtract(A, hess, out=hess))
 
 
 def quadratic_cosine_sum(n: int, d: int, seed, *, curvature: float = 1.0,
@@ -291,17 +334,23 @@ def quadratic_cosine_sum(n: int, d: int, seed, *, curvature: float = 1.0,
     if n < 1:
         raise ValueError("need at least one component")
     rng = as_rng(seed)
-    A, b, c, r = [], [], [], []
-    for _ in range(n):
-        G = rng.standard_normal((d, d)) / np.sqrt(d)
-        A.append(curvature * (G @ G.T))
-        b_i = rng.standard_normal(d)
-        b_i *= rng.uniform(0.5, 1.5) / np.linalg.norm(b_i)
-        b.append(b_i)
-        c.append(ripple * rng.uniform(0.5, 1.5))
-        r.append(0.3 * rng.standard_normal(d))
-    return _QuadraticCosineSum(np.array(A), np.array(b), np.array(c),
-                               np.array(r))
+    # the draws of component after component, then the arithmetic on the
+    # stacks; row i equals the one-component products bit for bit
+    G, b, r = np.empty((n, d, d)), np.empty((n, d)), np.empty((n, d))
+    scale, c = np.empty(n), np.empty(n)
+    for i in range(n):
+        G[i] = rng.standard_normal((d, d))
+        b[i] = rng.standard_normal(d)
+        scale[i] = rng.uniform(0.5, 1.5)
+        c[i] = rng.uniform(0.5, 1.5)
+        r[i] = rng.standard_normal(d)
+    G /= np.sqrt(d)
+    b *= (scale / np.sqrt(row_dot(b, b)))[:, None]
+    c *= ripple
+    r *= 0.3
+    A = G @ G.swapaxes(-1, -2)
+    A *= curvature
+    return _QuadraticCosineSum(A, b, c, r)
 
 
 @dataclass

@@ -9,6 +9,7 @@ from hardsum.linalg import (
     TallOrthogonal,
     _Factored,
     _lambda_min,
+    _symmetrized,
     _shifted_pd,
     as_rng,
     as_vector,
@@ -215,6 +216,43 @@ class TestSymMatrixMatchesReference:
             eig_sym(np.ones((3, 3, 3)))
         with pytest.raises(ValueError, match="expected a square matrix"):
             CubicModel(v=np.ones(3), U=np.ones((3, 3, 3)), M=1.0)
+
+
+class TestSymmetrizedOutput:
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 5, 5), (4, 1, 1)])
+    def test_a_new_array_with_the_reference_bits(self, shape):
+        G = np.random.default_rng(len(shape)).standard_normal(shape)
+        A = G + G.swapaxes(-1, -2)
+        A[..., 0, -1] *= 1.0 + 1e-15
+        before = A.copy()
+        check = sym_matrix if A.ndim == 2 else _symmetrized
+        out = check(A)
+        assert not np.shares_memory(out, A)
+        assert A.tobytes() == before.tobytes()
+        assert out.tobytes() == b"".join(
+            _reference_sym_matrix(M).tobytes() for M in A.reshape(
+                (-1,) + shape[-2:]))
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.nan, "matrix has non-finite entries"),
+        (np.inf, "matrix has non-finite entries"),
+        (5.0, "matrix is not symmetric within tolerance")])
+    def test_a_bad_row_keeps_its_message(self, bad, match):
+        stack = np.stack([np.eye(3)] * 4)
+        stack[2, 0, 1] = bad
+        for check, A in ((_symmetrized, stack), (sym_matrix, stack[2])):
+            with pytest.raises(ValueError, match=f"^{match}$"):
+                check(A)
+
+    def test_a_stack_raises_its_first_failing_rows_error(self):
+        # the whole stack's finiteness test would meet row 3's NaN first
+        stack = [np.eye(3) for _ in range(5)]
+        stack[1][0, 2] = 5.0
+        stack[3][1, 1] = np.nan
+        with pytest.raises(ValueError, match="^component 1 answered a "
+                           "Hessian: matrix is not symmetric"):
+            _checked_hessians(stack)
+        assert _stack_outcome(stack) == _member_outcome(stack)
 
 
 def _factored(rng, d, a, psd=False):

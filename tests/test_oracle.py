@@ -1,8 +1,9 @@
+import dataclasses
 import importlib
 import pkgutil
 
 from conftest import (assert_rows, assert_shapes, chain_points, good_and_short,
-                      same_answer)
+                      same_answer, same_bits)
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hardsum.oracle import (
     FiniteSumFunction,
     OracleLedger,
     _Evaluated,
+    _row_answers,
     mean_derivatives,
     quadratic_cosine_sum,
     query,
@@ -303,6 +305,101 @@ class TestQuadraticCosineStacks:
     def test_rejects_empty_sum(self):
         with pytest.raises(ValueError, match="at least one"):
             quadratic_cosine_sum(0, 3, seed=0)
+
+
+def _loop_quadratic_cosine_arrays(n, d, seed, curvature, ripple):
+    """Reference: the construction as a loop over the components, each
+    one's arrays finished from its own draws and the lists stacked at the
+    end."""
+    rng = np.random.default_rng(seed)
+    A, b, c, r = [], [], [], []
+    for _ in range(n):
+        G = rng.standard_normal((d, d)) / np.sqrt(d)
+        A.append(curvature * (G @ G.T))
+        b_i = rng.standard_normal(d)
+        b_i *= rng.uniform(0.5, 1.5) / np.linalg.norm(b_i)
+        b.append(b_i)
+        c.append(ripple * rng.uniform(0.5, 1.5))
+        r.append(0.3 * rng.standard_normal(d))
+    return np.array(A), np.array(b), np.array(c), np.array(r)
+
+
+class TestQuadraticCosineConstruction:
+    @pytest.mark.parametrize("n, d", [(256, 20), (4, 6), (3, 1)])
+    def test_arrays_equal_the_per_component_loop(self, n, d):
+        for seed in range(10):
+            for curvature, ripple in ((1.0, 1.0), (1.7, 0.6)):
+                F = quadratic_cosine_sum(n, d, seed, curvature=curvature,
+                                         ripple=ripple)
+                want = _loop_quadratic_cosine_arrays(n, d, seed, curvature,
+                                                     ripple)
+                for got, ref in zip((F._A, F._b, F._c, F._r), want):
+                    assert same_bits(got, ref)
+
+
+def _spread_stack(rng, n: int, d: int, order: int) -> Derivatives:
+    """A stack of n answers in R^d up to ``order`` whose entries span
+    sixteen decades, so that the order of the additions shows in the
+    bits."""
+    def draw(shape):
+        return (rng.standard_normal(shape)
+                * 10.0 ** rng.integers(-8, 9, size=shape))
+    return Derivatives(draw(n), draw((n, d)) if order >= 1 else None,
+                       draw((n, d, d)) if order >= 2 else None)
+
+
+def _loop_mean(stack: Derivatives, shape: tuple, order: int) -> Derivatives:
+    """The mean of a stack through the loop over its rows."""
+    return mean_derivatives(list(_row_answers(stack, order)), shape, order)
+
+
+class TestStackedMean:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 20])
+    def test_equals_the_row_loop(self, d, order):
+        # (256, 1) stacks are where numpy's sum over rows goes pairwise
+        rng = np.random.default_rng(10 * d + order)
+        for _ in range(20):
+            stack = _spread_stack(rng, 256, d, order)
+            assert same_answer(mean_derivatives(stack, (d,), order),
+                               _loop_mean(stack, (d,), order))
+
+    @pytest.mark.parametrize("d", [1, 20])
+    def test_all_negative_zero_sums_to_positive_zero(self, d):
+        stack = _spread_stack(np.random.default_rng(d), 256, d, 2)
+        stack.value[:] = -0.0
+        stack.grad[:, 0] = -0.0
+        stack.hess[:, 0, -1] = -0.0
+        got = mean_derivatives(stack, (d,), 2)
+        assert same_answer(got, _loop_mean(stack, (d,), 2))
+        assert same_bits(got.value, 0.0)
+        assert same_bits(got.grad[0], 0.0) and same_bits(got.hess[0, -1], 0.0)
+
+    @pytest.mark.parametrize("order, part, shape", [
+        (0, "value", (256, 1)), (1, "grad", (256, 3)), (1, "grad", (256,)),
+        (2, "hess", (256, 2, 3)), (2, "hess", (256, 2))])
+    def test_a_wrong_shape_raises_the_loops_error(self, order, part, shape):
+        stack = _spread_stack(np.random.default_rng(0), 256, 2, order)
+        stack = dataclasses.replace(stack, **{part: np.ones(shape)})
+        with pytest.raises(ValueError, match="component 0 answered a ") as loop:
+            _loop_mean(stack, (2,), order)
+        with pytest.raises(ValueError) as stacked:
+            mean_derivatives(stack, (2,), order)
+        assert str(stacked.value) == str(loop.value)
+
+    def test_rows_of_unequal_counts_are_refused(self):
+        stack = Derivatives(np.zeros(4), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="a stack of answers has parts"):
+            mean_derivatives(stack, (2,), 1)
+
+    @pytest.mark.parametrize("n, d", [(256, 20), (8, 1)])
+    def test_full_equals_the_component_loop(self, n, d):
+        F = quadratic_cosine_sum(n, d, seed=5)
+        for x in np.random.default_rng(d).standard_normal((3, d)):
+            for order in (0, 1, 2):
+                want = mean_derivatives(
+                    (F.component(i, x, order) for i in range(n)), (d,), order)
+                assert same_answer(F.full(x, order), want)
 
 
 class TestComponents:

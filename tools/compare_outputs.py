@@ -79,6 +79,13 @@ SVRC_FULL = ("[instance]\nmode = synthetic\nn = 6\nd = 4\neps = 1e-3\n"
 SVRC_REPEATS = ("[instance]\nmode = synthetic\nn = 8\nd = 5\neps = 1e-3\n"
                 "[optimizer]\noptimizer = svrc\nb_g = 40\nb_h = 60\nS = 2\n"
                 "T = 3\nL2 = 1.0\nseed = 11\n")
+# d = 1: every stack of answers has a trailing size of 1, where numpy's
+# sum over rows is pairwise
+SVRC_D1 = SVRC_REPEATS.replace("d = 5\n", "d = 1\n")
+# the svrc-synthetic benchmark's schedule on its n = 256, d = 20 sum
+SVRC_BENCH = ("[instance]\nmode = synthetic\nn = 256\nd = 20\neps = 1e7\n"
+              "[optimizer]\noptimizer = svrc\nM = 900.0\nb_g = 423\n"
+              "b_h = 741185\nS = 1\nT = 4\nL2 = 6.0\n")
 # SVRC on a sampled hard instance: its components are answered one by one
 # (the default row-set evaluation)
 SVRC_RANDOMIZED = ("[instance]\nmode = randomized-individual\np = 1\nn = 2\n"
@@ -158,6 +165,8 @@ ENTRIES = (
     _run("svrc-full-batch-budget80", SVRC_FULL, "--budget", "80"),
     _run("svrc-adversary", SVRC_ADV),
     _run("svrc-repeats", SVRC_REPEATS),
+    _run("svrc-d1", SVRC_D1),
+    _run("svrc-bench-size", SVRC_BENCH),
     _run("svrc-randomized", SVRC_RANDOMIZED),
     _run("gd-synthetic", GD_SYNTH),
     _run("gd-adversary", GD_ADV),
