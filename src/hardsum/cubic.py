@@ -60,6 +60,13 @@ _ROOT_XTOL = 1e-300
 _ROOT_RTOL = 8.9e-16
 _ROOT_MAXITER = 200
 
+# a model whose length scale (_length_scale) exceeds this is solved and
+# checked in units of the power of two above its scale (_unit).  As given,
+# the checks' absolute tolerances fail most models with |lmin| near 1 from a
+# scale of about 2e6 on, and the secular bracket cannot close at 2e60; the
+# test suite's models stay below 31 and keep their bits.
+_SCALE_MAX = 2.0 ** 16
+
 
 @dataclass(frozen=True)
 class CubicModel:
@@ -172,6 +179,29 @@ def _secular_norm(w2, lam_shift, half_m, u):
     return float(np.sqrt(np.sum(w2 / d ** 2)))
 
 
+def _length_scale(lmin: float, norm_v: float, M: float):
+    """s0 = max(0, -2 lmin / M), the step length below which the shifted
+    Hessian is indefinite, and the step's length scale max(1, s0,
+    sqrt(2 |v| / M))."""
+    s0 = max(0.0, -2.0 * lmin / M)
+    return s0, max(1.0, s0, np.sqrt(2.0 * norm_v / M))
+
+
+def _unit(lmin: float, norm_v: float, M: float) -> float:
+    """The power of two c a model is solved in units of: 1 while its length
+    scale is at most ``_SCALE_MAX`` (or not finite, which
+    :func:`_secular_coords` refuses), else the smallest one above the scale.
+
+    The model is covariant under h = c g: m(c g) / c^2 is the model
+    (v / c, U, M c) in g, whose length scale is 1; a power of two
+    rescales exactly.
+    """
+    scale = _length_scale(lmin, norm_v, M)[1]
+    if scale <= _SCALE_MAX or not math.isfinite(scale):
+        return 1.0
+    return math.ldexp(1.0, math.frexp(scale)[1])
+
+
 def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
     """The minimizer's coordinates in an eigenbasis: lam holds the
     eigenvalues (ascending) and w the coordinates of v in that basis."""
@@ -179,9 +209,8 @@ def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
     w2 = w ** 2
     half_m = M / 2.0
 
-    s0 = max(0.0, -2.0 * lmin / M)
-    # the step's length scale, and the start of the root's bracket
-    scale = max(1.0, s0, np.sqrt(2.0 * norm_v / M))
+    # the step's length scale is the start of the root's bracket
+    s0, scale = _length_scale(lmin, norm_v, M)
     if not math.isfinite(scale):
         raise ArithmeticError("the step's length scale overflows")
     # cancellation-free shifted spectrum: d_j(u) = shift_j + (M/2) u with
@@ -233,9 +262,21 @@ def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
 
 
 def _certified(model: CubicModel, h: np.ndarray, lmin: float,
-               norm_v: float, tol: float) -> CubicSolution:
-    """The solution at h, after the three optimality checks; lmin is the
-    smallest eigenvalue of U."""
+               norm_v: float, unit: float) -> CubicSolution:
+    """The solution at ``unit`` h, after the three optimality checks; lmin
+    is the smallest eigenvalue of U.
+
+    A unit other than 1 checks h against the scaled model (v / unit, U,
+    M unit), in which each check is covariant: the residual scales by unit,
+    the slack not at all, the value and its guarantee by unit^2.
+    """
+    if unit != 1.0:
+        scaled = CubicModel(model.v / unit, model.U, model.M * unit)
+        sol = _certified(scaled, h, lmin, norm_v / unit, 1.0)
+        return CubicSolution(h=unit * sol.h, s=unit * sol.s,
+                             stationarity=unit * sol.stationarity,
+                             model_val=sol.model_val * unit * unit)
+    tol = 1e-10 * (1.0 + norm_v)
     v, U, M = model.v, model.U, model.M
     half_m = M / 2.0
     s_actual = float(np.linalg.norm(h))
@@ -259,6 +300,10 @@ def _certified(model: CubicModel, h: np.ndarray, lmin: float,
 def solve(model: CubicModel) -> CubicSolution:
     """Global minimizer of the cubic model, with certified residuals.
 
+    A model whose length scale exceeds ``_SCALE_MAX`` is solved and
+    checked in units of a power of two near that scale (see :func:`_unit`),
+    where the tolerances below apply.
+
     Raises ``np.linalg.LinAlgError`` if an eigendecomposition fails and
     ``ArithmeticError`` if |v| or the step's length scale overflows, or if
     the optimality conditions cannot be met within 1e-10 (1 + |v|) (which
@@ -270,14 +315,14 @@ def solve(model: CubicModel) -> CubicSolution:
         norm_v = float(np.linalg.norm(v))
     if not math.isfinite(norm_v):
         raise ArithmeticError("|v| overflows")
-    tol = 1e-10 * (1.0 + norm_v)
 
     Q, T = _subspace_holding(model.U, v)
     lam, Z = eig_sym(T)
+    unit = _unit(float(lam[0]), norm_v, M)
+    w = Z.T @ v if Q is None else Z.T @ (Q.T @ v)
+    y = _secular_coords(lam, w / unit, norm_v / unit, M * unit)
     if Q is None:
-        y = _secular_coords(lam, Z.T @ v, norm_v, M)
-        return _certified(model, Z @ y, float(lam[0]), norm_v, tol)
+        return _certified(model, Z @ y, float(lam[0]), norm_v, unit)
     # U is zero outside span(Q), so its spectrum is T's plus d - k zeros
     lmin = float(lam[0]) if Q.shape[1] == v.size else min(float(lam[0]), 0.0)
-    y = _secular_coords(lam, Z.T @ (Q.T @ v), norm_v, M)
-    return _certified(model, Q @ (Z @ y), lmin, norm_v, tol)
+    return _certified(model, Q @ (Z @ y), lmin, norm_v, unit)

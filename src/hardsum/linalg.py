@@ -354,16 +354,27 @@ def _stencil_points(x, step: float | None) -> tuple[np.ndarray, float]:
     return points.reshape(4 * d, d), h
 
 
-def _richardson_combine(values, h: float) -> np.ndarray:
+def _richardson_combine(values, h) -> np.ndarray:
     """Central differences at steps h and h/2 from the values at
     :func:`_stencil_points` (one row per point), extrapolated to fourth
-    order.  The derivative in x_j is the last axis."""
+    order.  The derivative in x_j is the last axis.
+
+    With an array of steps h, shape (P,), ``values`` holds P stencils
+    (shape (P, 4d, ...)), each combined with its own step in one pass.
+    """
     values = np.asarray(values)
-    d = len(values) // 4
-    v = values.reshape((2, d, 2) + values.shape[1:])
-    coarse = (v[0, :, 0] - v[0, :, 1]) / (2.0 * h)
-    fine = (v[1, :, 0] - v[1, :, 1]) / (2.0 * (0.5 * h))
-    return np.ascontiguousarray(np.moveaxis((4.0 * fine - coarse) / 3.0, 0, -1))
+    h = np.asarray(h, dtype=float)
+    k = h.ndim                          # leading stencil axes: 0 or 1
+    d = values.shape[k] // 4
+    v = values.reshape(values.shape[:k] + (2, d, 2) + values.shape[k + 1:])
+    lead = (slice(None),) * k
+    h = h.reshape(h.shape + (1,) * (v.ndim - k - 2))  # one step per stencil
+    coarse = (v[lead + (0, slice(None), 0)]
+              - v[lead + (0, slice(None), 1)]) / (2.0 * h)
+    fine = (v[lead + (1, slice(None), 0)]
+            - v[lead + (1, slice(None), 1)]) / (2.0 * (0.5 * h))
+    return np.ascontiguousarray(
+        np.moveaxis((4.0 * fine - coarse) / 3.0, k, -1))
 
 
 def _richardson_jacobian(g, x, step: float | None) -> np.ndarray:

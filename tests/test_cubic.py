@@ -1,3 +1,4 @@
+import math
 import signal
 
 import numpy as np
@@ -489,6 +490,57 @@ class TestOverflow:
         # |v| = inf would make every tolerance inf and certify h = 0
         with pytest.raises(ArithmeticError, match="overflows"):
             solve(CubicModel(v=np.array([1e308, 1e308]), U=np.eye(2), M=1.0))
+
+
+class TestLengthScaleUnits:
+    """A model whose length scale exceeds ``cubic._SCALE_MAX`` is solved and
+    checked in units of the power of two above its scale; RuntimeWarnings
+    are errors in this suite."""
+
+    @pytest.mark.parametrize("M", [1e-100, 1e-200, 1e-300])
+    def test_tiny_penalty_takes_the_long_step(self, M):
+        # s0 = 2 / M; solved as given, the secular bracket spans 100 decades
+        # (M = 1e-100) or its terms overflow (M = 1e-200, 1e-300)
+        sol = solve(CubicModel(v=np.array([1.0, 1.0]),
+                               U=np.diag([-1.0, 1.0]), M=M))
+        assert sol.s == pytest.approx(2.0 / M, rel=1e-12)
+        assert abs(sol.h[0]) == pytest.approx(2.0 / M, rel=1e-12)
+        assert sol.h[1] == pytest.approx(-0.5, rel=1e-12)
+        # -(M/12) s^3, or -inf where it is below the float range
+        assert sol.model_val == pytest.approx(-(2.0 / 3.0) / M / M,
+                                              rel=1e-12)
+
+    @pytest.mark.parametrize("M", [1e-6, 1e-10, 1e-16])
+    def test_random_models_at_large_scales(self, rng, M):
+        # as given, most of these fail the absolute stationarity check
+        for _ in range(20):
+            d = int(rng.integers(2, 13))
+            Q = sample_orthonormal_columns(d, d, seed=rng).columns
+            lam = np.sort(rng.standard_normal(d))
+            lam[0] = -abs(lam[0]) - 0.1
+            model = CubicModel(v=rng.standard_normal(d),
+                               U=(Q * lam) @ Q.T, M=M)
+            sol = solve(model)
+            unit = cubic._unit(float(lam[0]), float(np.linalg.norm(model.v)),
+                               M)
+            assert unit > cubic._SCALE_MAX
+            # the scaled solution certifies the scaled model
+            _check_optimality(
+                CubicModel(v=model.v / unit, U=model.U, M=M * unit),
+                CubicSolution(h=sol.h / unit, s=sol.s / unit,
+                              stationarity=sol.stationarity / unit,
+                              model_val=sol.model_val / unit / unit))
+
+    def test_models_up_to_the_bound_keep_their_bits(self):
+        # s0 = 2 / M is the length scale: 2^16 is solved as given, bit for
+        # bit, and one ulp of M below it is not
+        at = 2.0 / cubic._SCALE_MAX
+        for M, unit in ((at, 1.0), (np.nextafter(at, 0.0), 2.0 ** 17)):
+            model = CubicModel(v=np.array([1.0, 1.0]),
+                               U=np.diag([-1.0, 1.0]), M=M)
+            assert cubic._unit(-1.0, math.sqrt(2.0), M) == unit
+            assert np.array_equal(solve(model).h, _dense_step(model)) == (
+                unit == 1.0)
 
 
 class TestBrentPort:

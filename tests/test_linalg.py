@@ -9,6 +9,7 @@ from hardsum.linalg import (
     TallOrthogonal,
     _Factored,
     _lambda_min,
+    _richardson_combine,
     _symmetrized,
     _shifted_pd,
     as_rng,
@@ -453,6 +454,20 @@ class TestStencilMatchesPerColumnLoop:
         assert got.shape == want.shape == (4, d)
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tail", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_combine_with_a_step_per_stencil(self, rng, d, tail):
+        # P stencils with their own steps, combined in one call, give each
+        # stencil's own combine bit for bit
+        values = rng.standard_normal((5, 4 * d) + tail)
+        steps = 10.0 ** rng.uniform(-6.0, -1.0, 5)
+        got = _richardson_combine(values, steps)
+        assert got.shape == (5,) + tail + (d,)
+        assert got.flags.c_contiguous
+        for k, h in enumerate(steps):
+            assert got[k].tobytes() == _richardson_combine(
+                values[k], float(h)).tobytes()
 
 
 @given(st.integers(0, 10_000))

@@ -8,9 +8,10 @@ import pytest
 import hardsum.chains
 import hardsum.optim
 import hardsum.verify
+from conftest import same_bits
 from hardsum.chains import Derivatives, chain_eval
 from hardsum.linalg import (as_rng, finite_diff_gradient, finite_diff_jacobian,
-                            rel_err)
+                            rel_err, row_dot)
 from hardsum.instances import (
     ResistingOracle,
     deterministic_params,
@@ -30,7 +31,10 @@ from hardsum.verify import (
     _chain_sum,
     _gd_backtracking,
     _hat_sum,
+    _pair_differences,
     _pair_stream,
+    _smoothness_constant,
+    _StackSum,
     BatteryCheck,
     EstimatorBoundsReport,
     SmoothnessReport,
@@ -662,6 +666,28 @@ class TestStackedChecksMatchOnePointLoops:
         assert _bits(got.to_dict()) == _bits(
             _one_point_check_derivatives(F, 13, 1e-6, seed=7))
 
+    def test_check_derivatives_ties_and_repeats(self):
+        # the worst error, exactly 1, ties between gradient and Hessian and
+        # repeats at later points of both blocks, the last one partial; a
+        # NaN Hessian error never becomes the worst
+        F = _StackSum([_far_off_quadratic(3, 3.5), _far_off_quadratic(3, 2.5),
+                       _far_off_quadratic(3, np.inf, nan_hess=True)], d=3)
+        num_points, seed = 30, 2
+        block = _STENCIL_BLOCK // (4 * F.d)
+        assert num_points % block != 0
+        got = check_derivatives(F, num_points, 1e-6, seed=seed)
+        assert _bits(got.to_dict()) == _bits(
+            _one_point_check_derivatives(F, num_points, 1e-6, seed=seed))
+        # the points the check draws, and those where a component is off
+        rng = as_rng(seed)
+        norms = [np.linalg.norm(rng.standard_normal(3) * (0.25, 0.5, 1.0,
+                                                          2.0)[t % 4])
+                 for t in range(num_points)]
+        far = [t for t, r in enumerate(norms) if r > 2.5]
+        assert 0 < far[0] < far[1] < block <= far[-1]
+        assert got.worst == {"rel_err": 1.0, "component": 1,
+                             "point_index": far[0], "which": "hess"}
+
     @pytest.mark.parametrize("mode", ["individual", "mean-squared",
                                       "third-moment"])
     @pytest.mark.parametrize("name", ["synthetic", "chain", "composite",
@@ -678,6 +704,154 @@ class TestStackedChecksMatchOnePointLoops:
         got = check_zero_chain(K, num_samples, seed=K)
         assert _bits(got.to_dict()) == _bits(
             _one_point_zero_chain(K, num_samples, seed=K))
+
+
+def _far_off_quadratic(d, radius, nan_hess=False):
+    """A stack callable of 0.5 |x|^2 whose analytic gradient and Hessian
+    read 1e20 in every entry where |x| > radius.  Both relative errors are
+    exactly 1 there: the central differences of the values (about x) vanish
+    beside 1e20, and those of the constant gradient are exactly zero.  With
+    ``nan_hess`` the Hessian is NaN where x_0 < 0."""
+    def f(x, order):
+        far = np.linalg.norm(x, axis=-1) > radius
+        grad = np.where(far[..., None], 1e20, x)
+        hess = np.where(far[..., None, None], 1e20, np.eye(d))
+        if nan_hess:
+            hess = np.where((x[..., 0] < 0)[..., None, None], np.nan, hess)
+        return Derivatives(0.5 * row_dot(x, x), grad, hess)
+    return f
+
+
+def _component_callables(F):
+    """F's components as stack callables, for building sums from them."""
+    return [lambda x, order, i=i: F.component(i, x, order)
+            for i in range(F.n)]
+
+
+def _nan_hessian(f):
+    """The stack callable f with a NaN Hessian wherever x_0 > 1."""
+    def g(x, order):
+        der = f(x, order)
+        if order < 2:
+            return der
+        hess = np.where((x[..., 0] > 1.0)[..., None, None], np.nan, der.hess)
+        return Derivatives(der.value, der.grad, hess)
+    return g
+
+
+def _outcome(f, *args) -> str:
+    """The bits of f's result, or its LinAlgError."""
+    try:
+        return _bits(f(*args))
+    except np.linalg.LinAlgError as err:
+        return repr(err)
+
+
+def _cubic_diagonal(a):
+    """The stack callable of a sum(x^3) / 6, whose Hessian is a diag(x)."""
+    def f(x, order):
+        return Derivatives(a * (x ** 3).sum(axis=-1) / 6.0, 0.5 * a * x ** 2,
+                           a * x[..., None] * np.eye(x.shape[-1]))
+    return f
+
+
+class TestPrunedIndividualProbe:
+    """The individual probe eigendecomposes only the Hessian differences
+    whose Frobenius bound reaches their pair's running maximum; each maximum
+    keeps the bits of the full (pairs, n) table's row maximum."""
+
+    @staticmethod
+    def _same_as_full_table(F, num_pairs, seed) -> float:
+        dists, table = _pair_differences(F, 2, num_pairs, seed)
+        got_dists, maxima = _pair_differences(F, 2, num_pairs, seed,
+                                              pair_max=True)
+        assert got_dists == dists
+        assert same_bits(maxima, table.max(axis=1))
+        got = estimate_smoothness(F, "individual", num_pairs, seed=seed)
+        assert _bits(got.constant) == _bits(
+            _smoothness_constant("individual", dists, table, F.n))
+        return got.constant
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_battery_probe_size(self, seed):
+        # the estimator_bounds check's L2_hat probe at battery seed `seed`
+        F = quadratic_cosine_sum(64, 8, seed=seed + 4)
+        got = self._same_as_full_table(F, 150, seed + 1)
+        assert _bits(got) == _bits(
+            _one_point_smoothness(F, "individual", 150, seed + 1))
+
+    @pytest.mark.parametrize("name", ["synthetic", "composite",
+                                      "randomized"])
+    def test_subjects(self, name):
+        F = _subjects()[name]
+        got = self._same_as_full_table(F, 60, 9)
+        assert _bits(got) == _bits(
+            _one_point_smoothness(F, "individual", 60, 9))
+
+    def test_identical_components_tie(self, monkeypatch):
+        # every bound ties its pair's maximum, so nothing is skipped: the
+        # full table, the pruned maxima and the estimate each decompose all
+        # 5 x 40 differences
+        f = _component_callables(quadratic_cosine_sum(1, 6, seed=2))[0]
+        F = _StackSum([f] * 5, d=6)
+        decomposed = _spy_eigvalsh(monkeypatch)
+        self._same_as_full_table(F, 40, 3)
+        assert decomposed == [40] * 15
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_nan_hessian(self, at, d):
+        # a NaN difference is never skipped, so the probe ends as the full
+        # table does: with NaN pair maxima at d = 2 (LAPACK answers NaN),
+        # with a LinAlgError at d = 4
+        comps = _component_callables(quadratic_cosine_sum(5, d, seed=6))
+        comps[at] = _nan_hessian(comps[at])
+        F = _StackSum(comps, d=d)
+
+        def maxima(**kw):
+            return _pair_differences(F, 2, 60, 5, **kw)[1].reshape(
+                60, -1).max(axis=1).tolist()
+
+        def full_table():
+            return _smoothness_constant(
+                "individual", *_pair_differences(F, 2, 60, 5), F.n)
+
+        got = _outcome(lambda: maxima(pair_max=True))
+        assert got == _outcome(maxima)
+        assert ("NaN" in got) == (d == 2)
+        assert ("LinAlgError" in got) == (d == 4)
+        assert _outcome(
+            lambda: estimate_smoothness(F, "individual", 60, 5).constant
+        ) == _outcome(full_table) == _outcome(
+            _one_point_smoothness, F, "individual", 60, 5)
+
+    def test_underflowing_frobenius_norm_is_not_skipped(self):
+        # the second component's squared entries (about 1e-340) underflow
+        # to zero, yet its differences exceed the first component's
+        F = _StackSum([_cubic_diagonal(1e-200), _cubic_diagonal(1e-170)],
+                      d=3)
+        got = self._same_as_full_table(F, 30, 1)
+        assert 1e-171 < got < 1e-169
+
+    def test_battery_probe_skips_most_eigensolves(self, monkeypatch):
+        F = quadratic_cosine_sum(64, 8, seed=4)
+        decomposed = _spy_eigvalsh(monkeypatch)
+        estimate_smoothness(F, "individual", 150, seed=1)
+        assert len(decomposed) == 64 and decomposed[0] == 150
+        assert sum(decomposed) < 2400
+
+
+def _spy_eigvalsh(monkeypatch) -> list:
+    """The number of matrices of each ``np.linalg.eigvalsh`` call from now
+    on, in call order."""
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a):
+        sizes.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return sizes
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,10 @@ THIRD_MOMENT_P1 = ("[instance]\nmode = randomized-third-moment\np = 1\n"
                    "n = 2\ndelta = 800.0\nL = 1.0\neps = 1.0\nell_hat = 1.0\n"
                    "[optimizer]\noptimizer = gd\nbudget = 20\n")
 SYNTH_SVRC_NO_L2 = SYNTH_SVRC.replace("L2 = 1.0\n", "")
+# the estimated L2 at the battery's L2_hat probe size: 64 components, so
+# the individual probe skips most of its eigensolves
+SYNTH_SVRC_NO_L2_N64 = (SYNTH_SVRC_NO_L2.replace("n = 4\n", "n = 64\n")
+                        .replace("d = 5\n", "d = 8\n"))
 RANDOMIZED_P1 = ("[instance]\nmode = randomized-individual\np = 1\nn = 2\n"
                  "delta = 150000.0\nL = 1.0\neps = 1.0\n")
 RANDOMIZED_P2 = ("[instance]\nmode = randomized-individual\np = 2\nn = 2\n"
@@ -178,6 +182,7 @@ ENTRIES = (
     _run("run-seeds-1-2-3-echo", SYNTH_SVRC, "--seeds", "1,2,3"),
     # no L2: the run estimates it from 60 sampled pairs
     _run("synth-svrc-estimated-L2", SYNTH_SVRC_NO_L2),
+    _run("synth-svrc-estimated-L2-n64", SYNTH_SVRC_NO_L2_N64),
     Entry("verify-defaults", None, ("verify", "--out", "rep.json")),
     Entry("verify-small", VERIFY_SMALL, ("verify", "--out", "rep.json")),
     Entry("verify-seed3", None, ("verify", "--seed", "3", "--out", "rep.json")),
