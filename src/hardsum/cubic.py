@@ -192,7 +192,7 @@ def _unit(lmin: float, norm_v: float, M: float) -> float:
     scale is at most ``_SCALE_MAX`` (or not finite, which
     :func:`_secular_coords` refuses), else the smallest one above the scale.
 
-    The model is covariant under h = c g: m(c g) / c^2 is the model
+    The model is covariant under h = c g: m(c g) / c^2 is its twin
     (v / c, U, M c) in g, whose length scale is 1; a power of two
     rescales exactly.
     """
@@ -246,42 +246,36 @@ def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
     def phi_u(u: float) -> float:
         return _secular_norm(w2, shift, half_m, u) - (s0 + u)
 
-    u_hi = scale
-    while phi_u(u_hi) > 0.0:
-        u_hi *= 2.0
-        if u_hi > 1e300:
-            raise ArithmeticError("failed to bracket the secular root")
-    u_lo = min(1e-3 * scale, 0.5 * u_hi)
-    while phi_u(u_lo) <= 0.0:
-        u_lo *= 1e-2
-        if u_lo < 1e-290:
-            # root collapses onto the pole: treat as (near-)hard case
-            return hard_case_coords()
-    u_star = _brentq(phi_u, u_lo, u_hi, _ROOT_XTOL, _ROOT_RTOL, _ROOT_MAXITER)
+    # an overflowing d_j^2 adds 0 to |h(u)|, its true limit
+    with np.errstate(over="ignore"):
+        u_hi = scale
+        while phi_u(u_hi) > 0.0:
+            u_hi *= 2.0
+            if u_hi > 1e300:
+                raise ArithmeticError("failed to bracket the secular root")
+        u_lo = min(1e-3 * scale, 0.5 * u_hi)
+        while phi_u(u_lo) <= 0.0:
+            u_lo *= 1e-2
+            if u_lo < 1e-290:
+                # root collapses onto the pole: treat as (near-)hard case
+                return hard_case_coords()
+        u_star = _brentq(phi_u, u_lo, u_hi, _ROOT_XTOL, _ROOT_RTOL,
+                         _ROOT_MAXITER)
     return coords_at(u_star)
 
 
 def _certified(model: CubicModel, h: np.ndarray, lmin: float,
-               norm_v: float, unit: float) -> CubicSolution:
-    """The solution at ``unit`` h, after the three optimality checks; lmin
-    is the smallest eigenvalue of U.
-
-    A unit other than 1 checks h against the scaled model (v / unit, U,
-    M unit), in which each check is covariant: the residual scales by unit,
-    the slack not at all, the value and its guarantee by unit^2.
-    """
-    if unit != 1.0:
-        scaled = CubicModel(model.v / unit, model.U, model.M * unit)
-        sol = _certified(scaled, h, lmin, norm_v / unit, 1.0)
-        return CubicSolution(h=unit * sol.h, s=unit * sol.s,
-                             stationarity=unit * sol.stationarity,
-                             model_val=sol.model_val * unit * unit)
+               norm_v: float) -> CubicSolution:
+    """The solution h, after the three optimality checks; lmin is the
+    smallest eigenvalue of U.  The decrease check allows rounding at the
+    scale of m(h), which meets its guarantee in the hard case."""
     tol = 1e-10 * (1.0 + norm_v)
     v, U, M = model.v, model.U, model.M
     half_m = M / 2.0
     s_actual = float(np.linalg.norm(h))
-    stationarity = float(np.linalg.norm(v + U @ h + half_m * s_actual * h))
-    m_val = model_value(model, h)
+    Uh = U @ h
+    stationarity = float(np.linalg.norm(v + Uh + half_m * s_actual * h))
+    m_val = float(v @ h + 0.5 * h @ Uh + M / 6.0 * s_actual ** 3)
 
     if stationarity > tol * (1.0 + norm_v):
         raise ArithmeticError(
@@ -290,7 +284,7 @@ def _certified(model: CubicModel, h: np.ndarray, lmin: float,
     if eig_slack < -tol:
         raise ArithmeticError(
             f"shifted Hessian not PSD: slack {eig_slack:.3e}")
-    if m_val > -(M / 12.0) * s_actual ** 3 + tol:
+    if m_val > -(M / 12.0) * s_actual ** 3 + tol + 1e-10 * abs(m_val):
         raise ArithmeticError(
             f"model value {m_val:.3e} above the decrease guarantee")
     return CubicSolution(h=h, s=s_actual, stationarity=stationarity,
@@ -300,9 +294,9 @@ def _certified(model: CubicModel, h: np.ndarray, lmin: float,
 def solve(model: CubicModel) -> CubicSolution:
     """Global minimizer of the cubic model, with certified residuals.
 
-    A model whose length scale exceeds ``_SCALE_MAX`` is solved and
-    checked in units of a power of two near that scale (see :func:`_unit`),
-    where the tolerances below apply.
+    A model whose length scale exceeds ``_SCALE_MAX`` is solved as its twin
+    in units of a power of two near that scale (see :func:`_unit`), where
+    the tolerances below apply, and scaled back.
 
     Raises ``np.linalg.LinAlgError`` if an eigendecomposition fails and
     ``ArithmeticError`` if |v| or the step's length scale overflows, or if
@@ -319,10 +313,15 @@ def solve(model: CubicModel) -> CubicSolution:
     Q, T = _subspace_holding(model.U, v)
     lam, Z = eig_sym(T)
     unit = _unit(float(lam[0]), norm_v, M)
-    w = Z.T @ v if Q is None else Z.T @ (Q.T @ v)
-    y = _secular_coords(lam, w / unit, norm_v / unit, M * unit)
+    if unit != 1.0:
+        sol = solve(CubicModel(v / unit, model.U, M * unit))
+        return CubicSolution(h=unit * sol.h, s=unit * sol.s,
+                             stationarity=unit * sol.stationarity,
+                             model_val=sol.model_val * unit * unit)
+    lmin = float(lam[0])
     if Q is None:
-        return _certified(model, Z @ y, float(lam[0]), norm_v, unit)
-    # U is zero outside span(Q), so its spectrum is T's plus d - k zeros
-    lmin = float(lam[0]) if Q.shape[1] == v.size else min(float(lam[0]), 0.0)
-    return _certified(model, Q @ (Z @ y), lmin, norm_v, unit)
+        h = Z @ _secular_coords(lam, Z.T @ v, norm_v, M)
+    else:  # U is zero outside span(Q): its spectrum is T's plus d - k zeros
+        h = Q @ (Z @ _secular_coords(lam, Z.T @ (Q.T @ v), norm_v, M))
+        lmin = lmin if Q.shape[1] == v.size else min(lmin, 0.0)
+    return _certified(model, h, lmin, norm_v)

@@ -81,6 +81,19 @@ def _check_positive(**kwargs):
             raise ValueError(f"{name} must be positive, got {value}")
 
 
+def _real_count(name: str, formula) -> float:
+    """``formula()``, the real value of a count before it is rounded;
+    ValueError naming the count when it leaves the float range."""
+    try:
+        value = formula()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} = {value} is beyond the float range "
+                         "(eps too small or Delta too large)")
+    return value
+
+
 #: the failure probability :func:`lemma_d_requirement` sizes the dimension for
 _FAIL_PROB = 0.1
 
@@ -111,8 +124,8 @@ def deterministic_params(p: int, n: int, Delta: float, L: float, eps: float,
     ell = ell_p(p)
     lam = L / ell
     sigma = (4.0 * eps * ell / L) ** (1.0 / p)
-    k_plus_1 = math.floor((Delta / 192.0) * (L / ell) ** (1.0 / p)
-                          * eps ** (-(p + 1.0) / p))
+    k_plus_1 = math.floor(_real_count("the chain length K + 1", lambda: (
+        (Delta / 192.0) * (L / ell) ** (1.0 / p) * eps ** (-(p + 1.0) / p))))
     if k_plus_1 < 2:
         min_delta = 2.0 * 192.0 * (ell / L) ** (1.0 / p) * eps ** ((p + 1.0) / p)
         raise InstanceTooSmallError(
@@ -158,15 +171,16 @@ def randomized_params(mode: str, p: int, n: int, Delta: float, L: float,
     lam = L / ell_hat
     if mode == "randomized-individual":
         sigma = (4.0 * math.sqrt(n) * eps * ell_hat / L) ** (1.0 / p)
-        K = math.floor((Delta / 192.0) * (L / ell_hat) ** (1.0 / p)
-                       * n ** (-(p + 1.0) / (2.0 * p))
-                       * eps ** (-(p + 1.0) / p))
+        K = math.floor(_real_count("the chain length K", lambda: (
+            (Delta / 192.0) * (L / ell_hat) ** (1.0 / p)
+            * n ** (-(p + 1.0) / (2.0 * p)) * eps ** (-(p + 1.0) / p))))
         min_delta = 192.0 * (ell_hat / L) ** (1.0 / p) \
             * n ** ((p + 1.0) / (2.0 * p)) * eps ** ((p + 1.0) / p)
     else:
         sigma = math.sqrt(4.0 * eps * ell_hat * n ** (1.0 / 6.0) / L)
-        K = math.floor((Delta / (96.0 * n ** (7.0 / 12.0)))
-                       * math.sqrt(L / ell_hat) * eps ** -1.5)
+        K = math.floor(_real_count("the chain length K", lambda: (
+            (Delta / (96.0 * n ** (7.0 / 12.0)))
+            * math.sqrt(L / ell_hat) * eps ** -1.5)))
         min_delta = 96.0 * n ** (7.0 / 12.0) * math.sqrt(ell_hat / L) * eps ** 1.5
     if K < 1:
         raise InstanceTooSmallError(

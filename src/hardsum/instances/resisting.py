@@ -135,11 +135,9 @@ class ResistingOracle(FiniteSumFunction):
         self._basis = np.zeros((self.d, self.d))
         self._nbasis = 0
 
-        self._round = 2
         self._rounds_closed = 0
         self._round_seen: set[int] = set()
         self._archive: list[_ArchivedQuery] = []
-        self.finalized = False
         self._table_key = self._table_value = None
 
         self._V[:, 0] = self._draw_direction()
@@ -288,17 +286,13 @@ class ResistingOracle(FiniteSumFunction):
                              self.d)
 
     def _close_round(self) -> None:
-        r = self._round
+        j = self._rounds_closed + 1   # the column this round commits
         unqueried = np.ones(self.n, dtype=bool)
         unqueried[list(self._round_seen)] = False
-        self._delta[unqueried, r - 1] = 1.0
-        self._V[:, r - 1] = self._draw_direction()
-        self._rounds_closed += 1
+        self._delta[unqueried, j] = 1.0
+        self._V[:, j] = self._draw_direction()
+        self._rounds_closed = j
         self._round_seen = set()
-        if r == self._K + 1:
-            self.finalized = True
-        else:
-            self._round = r + 1
 
     def finalize(self) -> None:
         """Force-close all remaining rounds (e.g. after an early stop).
@@ -326,11 +320,16 @@ class ResistingOracle(FiniteSumFunction):
     @property
     def _active(self) -> int:
         """The number of directions the current answers use."""
-        return self._K + 1 if self.finalized else self._round - 1
+        return self._rounds_closed + 1
 
     @property
     def rounds_closed(self) -> int:
         return self._rounds_closed
+
+    @property
+    def finalized(self) -> bool:
+        """Whether all K rounds are closed: the game is over."""
+        return self._rounds_closed == self._K
 
     @property
     def num_archived(self) -> int:

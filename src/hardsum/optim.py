@@ -31,6 +31,7 @@ import numpy as np
 
 from .chains import Derivatives
 from .cubic import CubicModel, solve
+from .instances.params import _real_count
 from .linalg import (_lambda_min, _shifted_pd, as_rng, as_vector, row_matvec,
                      sym_matrix)
 from .oracle import (FiniteSumFunction, OracleLedger, _Answered, _Evaluated,
@@ -122,8 +123,9 @@ def svrc_default_params(n: int, d: int, Delta: float, L2: float,
         if not v > 0:
             raise ValueError(f"{name} must be positive")
     T = _iceil(max(2.0, float(n) ** 0.2))
-    S = _iceil(max(1.0, 240.0 * C_M ** 2 * math.sqrt(L2) * Delta
-                   * float(n) ** -0.2 * eps ** -1.5))
+    S = _iceil(max(1.0, _real_count("the epoch count S", lambda: (
+        240.0 * C_M ** 2 * math.sqrt(L2) * Delta * float(n) ** -0.2
+        * eps ** -1.5))))
     b_g = _iceil(5.0 * max(float(n) ** 0.8, 16.0))
     b_h = max(1, _iceil(3000.0 * max(4.0, float(n) ** 0.4)
                         * math.log(d) ** 3))

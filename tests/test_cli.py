@@ -461,6 +461,20 @@ _REFUSED = {
                               "d = 5 must be divisible by n = 2")
        for command in ("run", "gen")},
     "gd-step-nan": (_RANDOMIZED_INI + "step = nan\n", "non-finite"),
+    # eps so small that a count overflows a float
+    **{f"svrc-eps-{eps}": (_synthetic_svrc_ini(eps),
+                           "epoch count S = inf is beyond the float range")
+       for eps in ("1e-205", "1e-300")},
+    **{f"{command}-{mode}-eps-1e-200": (
+        ini.replace("eps = 1.0", "eps = 1e-200"),
+        f"chain length {count} = inf is beyond the float range")
+       for command in ("run", "gen")
+       for mode, ini, count in (("deterministic", _ADV_CUBIC_INI, "K + 1"),
+                                ("randomized", _RANDOMIZED_INI, "K"))},
+    "gen-third-moment-eps-1e-300": (
+        _THIRD_MOMENT_P1_INI.replace("p = 1", "p = 2")
+        .replace("eps = 1.0", "eps = 1e-300"),
+        "chain length K = inf is beyond the float range"),
 }
 
 

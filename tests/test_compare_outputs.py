@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hardsum.cli import RunConfig
+from hardsum.cli import RunConfig, main
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_outputs.py"
@@ -46,19 +46,38 @@ def _entry_config(entry):
     return cfg
 
 
+#: entries expected to exit 2 whose configs parse: the scaling calculators
+#: refuse them
+LIBRARY_REFUSALS = ("gen-deterministic-tiny-eps", "run-synthetic-tiny-eps")
+
+
 def test_every_entry_config_parses(tool):
-    # entries expected to exit 2 hold configs (with their --budget flag)
-    # the parser must reject
+    # the other entries expected to exit 2 hold configs (with their
+    # --budget flag) the parser must reject
     names = [entry.name for entry in tool.ENTRIES]
     assert len(names) == len(set(names))
     for entry in tool.ENTRIES:
         if entry.config is None:
             continue
-        if entry.exit_code == 2:
+        if entry.exit_code == 2 and entry.name not in LIBRARY_REFUSALS:
             with pytest.raises(ValueError):
                 _entry_config(entry)
         else:
             _entry_config(entry)
+
+
+@pytest.mark.parametrize("name", LIBRARY_REFUSALS)
+def test_library_refusals_exit_2(tool, name, tmp_path, monkeypatch, capsys):
+    # one error line, nothing written
+    entry = next(e for e in tool.ENTRIES if e.name == name)
+    assert entry.exit_code == 2
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / tool.CONFIG).write_text(entry.config, encoding="utf-8")
+    assert main([entry.args[0], "--config", tool.CONFIG,
+                 *entry.args[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == [tool.CONFIG]
 
 
 def test_tree_against_itself_is_identical(tool):

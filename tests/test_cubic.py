@@ -1,9 +1,10 @@
 import math
 import signal
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -465,7 +466,8 @@ def test_factored_optimality_property(seed):
 
 class TestOverflow:
     """Models whose scales overflow raise ArithmeticError, the type
-    svrc_run and baseline_full_cubic stop on."""
+    svrc_run and baseline_full_cubic stop on; an overflow inside the solve
+    that leaves the answer right raises nothing."""
 
     @pytest.mark.parametrize("v, lam", [([1.0, 2.0], [1.0, 1.0]),
                                         ([0.0, 1.0], [-1.0, 1.0])],
@@ -490,6 +492,17 @@ class TestOverflow:
         # |v| = inf would make every tolerance inf and certify h = 0
         with pytest.raises(ArithmeticError, match="overflows"):
             solve(CubicModel(v=np.array([1e308, 1e308]), U=np.eye(2), M=1.0))
+
+    @pytest.mark.parametrize("M", [1e200, 1e300])
+    def test_huge_penalty_takes_the_short_step(self, M):
+        # the bracket's first probe squares d = M u / 2 past the float range;
+        # the cubic term dominates: |h| = sqrt(2 |v| / M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(CubicModel(v=np.array([1.0, 1.0]),
+                                   U=np.diag([-1.0, 1.0]), M=M))
+        assert sol.s == pytest.approx(math.sqrt(2.0 * math.sqrt(2.0) / M),
+                                      rel=1e-12)
 
 
 class TestLengthScaleUnits:
@@ -541,6 +554,35 @@ class TestLengthScaleUnits:
             assert cubic._unit(-1.0, math.sqrt(2.0), M) == unit
             assert np.array_equal(solve(model).h, _dense_step(model)) == (
                 unit == 1.0)
+
+
+def _model_at_scales(seed, d, factored, log_v, log_m):
+    """A model with |v| = 10^log_v, M = 10^log_m and an N(0, 1) spectrum:
+    U dense, or factored as V S V^T with V of rank 1 to d."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, d + 1)) if factored else d
+    R = sample_orthonormal_columns(k, k, seed=rng).columns
+    S = (R * rng.standard_normal(k)) @ R.T
+    v = rng.standard_normal(d)
+    v *= 10.0 ** log_v / np.linalg.norm(v)
+    U = (_Factored(sample_orthonormal_columns(d, k, seed=rng).columns, S)
+         if factored else S)
+    return CubicModel(v=v, U=U, M=10.0 ** log_m)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.booleans(),
+       st.floats(-150.0, 150.0), st.floats(-150.0, 150.0))
+# hard cases (|v| <= 1e-120, s0 near 6e4) whose model values meet the
+# decrease guarantee to within rounding at their own scale, about 1e9
+@example(3761102877, 8, False, -126.7, -4.3)
+@example(1408693667, 6, True, -136.0, -4.3)
+def test_scales_spanning_1e150_are_certified(seed, d, factored, log_v, log_m):
+    # solve raises unless its certificate holds; RuntimeWarnings are errors
+    model = _model_at_scales(seed, d, factored, log_v, log_m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve(model)
+    assert math.isfinite(sol.s) and math.isfinite(sol.stationarity)
 
 
 class TestBrentPort:

@@ -523,7 +523,7 @@ REFUSALS = {
 def _game_state(F):
     """All a measurement must leave alone; False for a sum without a game."""
     return isinstance(F, ResistingOracle) and (
-        F.num_archived, F.rounds_closed, F._round, F._nbasis, F.finalized,
+        F.num_archived, F.rounds_closed, F._nbasis, F.finalized,
         F._basis.tobytes(), F.directions.tobytes())
 
 

@@ -131,6 +131,9 @@ RANDOMIZED_P3 = ("[instance]\nmode = randomized-individual\np = 3\nn = 2\n"
 DETERMINISTIC_P0 = ("[instance]\nmode = deterministic\np = 0\nn = 4\n"
                     "delta = 960.0\nL = 1.0\neps = 1.0\n")
 SYNTH_SVRC_N0 = SYNTH_SVRC.replace("n = 4\n", "n = 0\n")
+# eps so small that a count (K + 1, S) overflows a float
+ADV_CUBIC_TINY_EPS = ADV_CUBIC.replace("eps = 1.0\n", "eps = 1e-300\n")
+SYNTH_SVRC_TINY_EPS = SYNTH_SVRC.replace("eps = 1e6\n", "eps = 1e-300\n")
 VERIFY_SMALL = ("[verify]\nnum_points = 4\nzero_chain_samples = 40\n"
                 "pairs = 12\ntrials = 1000\nstarts = 2\n")
 # 1500 trials cross a Monte-Carlo block boundary; 7 starts make an odd
@@ -213,6 +216,11 @@ ENTRIES = (
           2),
     Entry("run-synthetic-n0", SYNTH_SVRC_N0, ("run", "--out", "run.jsonl"),
           2),
+    # counts beyond the float range
+    Entry("gen-deterministic-tiny-eps", ADV_CUBIC_TINY_EPS,
+          ("gen", "--out", "gen"), 2),
+    Entry("run-synthetic-tiny-eps", SYNTH_SVRC_TINY_EPS,
+          ("run", "--out", "run.jsonl"), 2),
     # a flag is checked as the key it overrides
     Entry("run-budget-0", ADV_CUBIC,
           ("run", "--out", "run.jsonl", "--budget", "0"), 2),
