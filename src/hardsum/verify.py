@@ -27,9 +27,8 @@ from .linalg import (_richardson_combine, _stencil_points, as_points, as_rng,
                      as_vector, rel_err, row_dot, sample_orthonormal_columns)
 from .oracle import (CallableFiniteSum, FiniteSumFunction, OracleLedger,
                      _Evaluated, quadratic_cosine_sum)
-from .optim import (SvrcParams, _draw_batches, _gradient_estimate,
-                    _hessian_estimate, svrc_gradient_estimator,
-                    svrc_hessian_estimator)
+from .optim import (SvrcParams, _gradient_estimate, _hessian_estimate,
+                    svrc_gradient_estimator, svrc_hessian_estimator)
 
 __all__ = [
     "DerivativeCheckReport",
@@ -447,11 +446,25 @@ _MC_BLOCK = 512
 _BOUND_SLACK = 0.1
 
 
-def _trial_counts(batches: list, n: int) -> np.ndarray:
-    """Draw counts of components 0..n-1 in each of T equal-size batches,
-    shape (T, n), from one offset ``bincount``."""
-    idx = np.array(batches) + n * np.arange(len(batches))[:, None]
+def _trial_counts(batches: np.ndarray, n: int) -> np.ndarray:
+    """Draw counts of components 0..n-1 in each row of a (T, b) batch
+    array, shape (T, n), from one offset ``bincount``."""
+    idx = batches + n * np.arange(batches.shape[0])[:, None]
     return np.bincount(idx.ravel(), minlength=idx.shape[0] * n).reshape(-1, n)
+
+
+def _draw_block(params: SvrcParams, n: int, trials: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """The batches of ``trials`` steps, one row (gradient batch, then
+    Hessian batch) per step, from one ``integers`` call.  numpy draws
+    bounded 32-bit integers through the bit generator's buffered
+    ``next_uint32``, so the rows are the values, and leave the state, of
+    ``trials`` :func:`~hardsum.optim._draw_batches` calls in a row; a
+    test pins this.  A full-batch schedule has every index once in each
+    batch."""
+    if params.full_batch:
+        return np.tile(np.arange(n), (trials, 2))
+    return rng.integers(0, n, size=(trials, params.b_g + params.b_h))
 
 
 def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
@@ -466,11 +479,12 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     Pass iff each mean is at most bound * (1 + ``_BOUND_SLACK``).  The
     Hessian bound's premise (b_h >= 12000 log^3 d) is reported, not
     enforced.  Trials draw their batches one after another as the run does
-    (a full-batch schedule has b = n).  Blocks of trials then apply the estimators' own
-    count-weighted contractions, as one weight stack, to per-component
-    tables evaluated once; the first 8 trials are cross-checked against the
-    metered estimator calls, which read xh from a snapshot view of the xh
-    table as :func:`~hardsum.optim.svrc_run` does.
+    (a full-batch schedule has b = n), a block of trials in one draw.
+    Blocks then apply the estimators' own count-weighted contractions, as
+    one weight stack, to per-component tables evaluated once; the first 8
+    trials are cross-checked against the metered estimator calls, which
+    read xh from a snapshot view of the xh table as
+    :func:`~hardsum.optim.svrc_run` does.
     """
     if trials < 1000:
         raise ValueError("trials must be at least 10^3")
@@ -500,14 +514,12 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     b_g, b_h = params.batch_sizes(n)
     g_moments, h_moments = [], []
     for start in range(0, trials, _MC_BLOCK):
-        # the block's batches, drawn trial by trial as the run draws them
-        draws = [_draw_batches(params, n, rng)
-                 for _ in range(min(_MC_BLOCK, trials - start))]
+        draws = _draw_block(params, n, min(_MC_BLOCK, trials - start), rng)
         if start == 0:
             cross = draws[:8]
-        V = _gradient_estimate(_trial_counts([g for g, _ in draws], n), dG,
+        V = _gradient_estimate(_trial_counts(draws[:, :b_g], n), dG,
                                Hdx, b_g, g_s, H_s, dx)
-        U = _hessian_estimate(_trial_counts([h for _, h in draws], n), dH,
+        U = _hessian_estimate(_trial_counts(draws[:, b_g:], n), dH,
                               b_h, H_s)
         D = gF - V
         # powers of Python floats: numpy's vectorized pow can round the
@@ -517,7 +529,8 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
 
     snapshot = _Evaluated(instance, x_hat, 2, np.arange(n), at_hat)
     cross_err = 0.0
-    for t, (idx_g, idx_h) in enumerate(cross):
+    for t, row in enumerate(cross):
+        idx_g, idx_h = row[:b_g], row[b_g:]
         led = OracleLedger(n=n)
         v_ref = svrc_gradient_estimator(instance, led, x, g_s, H_s, idx_g,
                                         snapshot)

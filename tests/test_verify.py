@@ -29,6 +29,7 @@ from hardsum.verify import (
     _TRIAL_STEPS,
     _battery_instance,
     _chain_sum,
+    _draw_block,
     _gd_backtracking,
     _hat_sum,
     _pair_differences,
@@ -970,6 +971,28 @@ class TestStackedMonteCarlo:
     def test_callable_sum(self):
         F, params, x_hat, x = self._setup(n=6, d=4, b_g=5, b_h=9)
         self._agree(_callable_copy(F), params, x_hat, x, trials=1000, seed=4)
+
+    @pytest.mark.parametrize("n, b_g, b_h, full_batch", [
+        (7, 7, 31, False), (100, 9, 741, False), (256, 423, 32, False),
+        (16, 8, 9, False), (1, 3, 5, False), (7, 7, 31, True)])
+    def test_block_draw_is_the_per_trial_stream(self, n, b_g, b_h,
+                                                full_batch):
+        # one integers call per block equals the per-trial draws, values
+        # and the state left behind, because numpy buffers the 32-bit
+        # words of bounded draws across calls; odd batches and n not a
+        # power of two would show a numpy that resets that buffer per call
+        params = SvrcParams(M=1.0, b_g=b_g, b_h=b_h, S=1, T=1, eps=1.0,
+                            Delta=1.0, L2=1.0, full_batch=full_batch)
+        for seed in range(4):
+            got_rng, want_rng = (np.random.default_rng(seed)
+                                 for _ in range(2))
+            for trials in (1, 5, 8):
+                block = _draw_block(params, n, trials, got_rng)
+                want = np.array([np.concatenate(_draw_batches(params, n,
+                                                              want_rng))
+                                 for _ in range(trials)])
+                assert same_bits(block, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_trials_span_several_blocks(self):
         trials = 2 * _MC_BLOCK + 76
