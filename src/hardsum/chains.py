@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import TallOrthogonal, as_points, row_dot, row_matvec
+from .linalg import TallOrthogonal, _sym_part, as_points, row_dot, row_matvec
 
 __all__ = [
     "SQRT_E",
@@ -41,6 +41,7 @@ PHI_AT_ZERO = float(np.sqrt(np.pi * np.e / 2.0))
 _PSI_CUTOFF = 0.5 + 1e-8
 # exp() underflows to 0 below roughly -745; clamp to avoid spurious warnings
 _EXP_FLOOR = -745.0
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -60,20 +61,20 @@ def psi(x, order: int = 0):
     psi(x) = 0 for x <= 1/2 and exp(1 - 1/(2x-1)^2) otherwise; all orders are
     continuous at x = 1/2 with value 0.
     """
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be in 0..2, got {order}")
-    x = np.asarray(x, dtype=float)
-    out = _psi_table(x.reshape(-1), order)[order]
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    return _at(_psi_table, x, order)
 
 
 def _psi_table(x: np.ndarray, order: int) -> np.ndarray:
-    """psi and its derivatives of orders 0..order at an array x, stacked as
-    shape (order + 1,) + x.shape, from one exponential."""
-    out = np.zeros((order + 1,) + x.shape)
-    m = x > _PSI_CUTOFF
+    """psi and its derivatives of orders 0..order at the pairs x, -x, in
+    :func:`_phi_table`'s layout (order + 1, 2) + x.shape.  At most one
+    member of a pair is above the cutoff, so a pair costs one
+    exponential."""
+    flat = x.reshape(-1)
+    xx = np.concatenate((flat, -flat)).reshape((2,) + x.shape)
+    out = np.zeros((order + 1,) + xx.shape)
+    m = xx > _PSI_CUTOFF
     if m.any():
-        u = 2.0 * x[m] - 1.0
+        u = 2.0 * xx[m] - 1.0
         val = np.exp(np.maximum(1.0 - u ** -2, _EXP_FLOOR))
         out[0, m] = val
         if order >= 1:
@@ -90,10 +91,16 @@ def phi(x, order: int = 0):
     computed through the complementary error function, which preserves
     relative accuracy deep in the left tail.
     """
+    return _at(_phi_table, x, order)
+
+
+def _at(table, x, order: int):
+    """The order-``order`` derivative at x, a float or x's shape, from
+    slot 0 (the pairs' x half) of a pair table."""
     if order not in (0, 1, 2):
         raise ValueError(f"order must be in 0..2, got {order}")
     x = np.asarray(x, dtype=float)
-    out = _phi_table(x.reshape(-1), order)[order, 0]
+    out = table(x.reshape(-1), order)[order, 0]
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
@@ -102,172 +109,26 @@ def _phi_table(x: np.ndarray, order: int) -> np.ndarray:
     stacked as shape (order + 1, 2) + x.shape: ``[:, 0]`` at x and
     ``[:, 1]`` at -x.  The chain only ever asks for the pair.
 
-    The value is PHI_AT_ZERO * erfc(-x / sqrt 2) through :func:`_erfc_pair`,
-    a port of cephes' ``erfc``, the one scipy's ``erfc`` calls, with its
-    bits; ``math.erfc`` differs on about 40% of arguments, by up to
-    1.3e-14 relative.  The derivatives share one exponential per pair.
+    One ``math.erfc`` call per pair gives e = erfc(|x| / sqrt 2); then
+    phi(-|x|) = PHI_AT_ZERO * e and phi(|x|) = PHI_AT_ZERO * (2 - e), each
+    in its slot by the sign of x.  The left tail's small value comes
+    straight from erfc, so it keeps its relative accuracy.  The derivatives
+    share one exponential per pair.
     """
     out = np.empty((order + 1, 2) + x.shape)
-    u = x.reshape(-1) / _NEG_SQRT2      # the bits of -x / sqrt(2)
-    np.multiply(_erfc_pair(u).reshape((2,) + x.shape), PHI_AT_ZERO,
-                out=out[0])
+    t = (np.abs(x) / _SQRT2).reshape(-1).tolist()
+    e = np.fromiter(map(math.erfc, t), float, count=x.size).reshape(x.shape)
+    low = e * PHI_AT_ZERO                 # phi(-|x|)
+    high = (2.0 - e) * PHI_AT_ZERO        # phi(|x|)
+    neg = np.signbit(x)
+    out[0, 0] = np.where(neg, low, high)
+    out[0, 1] = np.where(neg, high, low)
     if order >= 1:
         g = SQRT_E * np.exp(-0.5 * x * x)
         out[1] = g
         if order >= 2:
             np.multiply(x, g, out=out[2, 1])
             np.negative(out[2, 1], out=out[2, 0])
-    return out
-
-
-# The rational approximations of cephes' ndtr.c, highest degree first:
-# erf(a) = a T(a^2) / U(a^2) for |a| < 1, and erfc(a) = e^(-a^2) P(a) / Q(a)
-# for 1 <= a < 8, e^(-a^2) R(a) / S(a) from 8 on.  cephes leaves out the
-# leading 1 of the monic U, Q and S; here it is written.
-_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
-          2.23200534594684319226E3, 7.00332514112805075473E3,
-          5.55923013010394962768E4)
-_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
-          4.59432382970980127987E3, 2.26290000613890934246E4,
-          4.92673942608635921086E4)
-_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
-           7.46321056442269912687E0, 4.86371970985681366614E1,
-           1.96520832956077098242E2, 5.26445194995477358631E2,
-           9.34528527171957607540E2, 1.02755188689515710272E3,
-           5.57535335369399327526E2)
-_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
-           3.54937778887819891062E2, 9.75708501743205489753E2,
-           1.82390916687909736289E3, 2.24633760818710981792E3,
-           1.65666309194161350182E3, 5.57535340817727675546E2)
-_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
-           5.01905042251180477414E0, 6.16021097993053585195E0,
-           7.40974269950448939160E0, 2.97886665372100240670E0)
-_ERFC_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0,
-           1.20489539808096656605E1, 1.70814450747565897222E1,
-           9.60896809063285878198E0, 3.36907645100081516050E0)
-#: cephes' MAXLOG, ln(DBL_MAX): erfc(a) is 0 or 2 once a*a exceeds it
-_MAXLOG = 7.09782712893383996843E2
-_NEG_SQRT2 = -float(np.sqrt(2.0))
-_MINUS_PLUS = np.array([[-1.0], [1.0]])
-
-
-def _horner_table(*polys) -> np.ndarray:
-    """Coefficient i of each polynomial in row i, column j for polynomial
-    j, padded in front with zeros to one degree.  Horner on a finite
-    variable starts 0 * v + c = c, so a padded row keeps its bits."""
-    k = max(map(len, polys))
-    return np.array([(0.0,) * (k - len(p)) + p for p in polys]).T
-
-
-#: Horner tables, one column per polynomial: each erf pair runs in a^2,
-#: each erfc pair in |a|; numerators come before denominators
-_HORNER = {
-    "erf": _horner_table(_ERF_T, _ERF_U),
-    "erf|erfc": _horner_table(_ERF_T, _ERFC_P, _ERF_U, _ERFC_Q),
-    "erfc_far": _horner_table(_ERFC_R, _ERFC_S),
-}
-#: arguments per Horner pass; longer arrays go through in chunks
-_HORNER_CHUNK = 2048
-
-
-@lru_cache(maxsize=None)
-def _horner_coefficients(which: str) -> np.ndarray:
-    """``_HORNER[which]`` tiled for ``_HORNER_CHUNK`` arguments, read-only:
-    row i holds coefficient i of every column in turn, so its first
-    columns * n entries are the coefficients of a pass over n arguments
-    laid out argument by argument.  Adding a contiguous prefix skips
-    numpy's broadcasting set-up, which costs more than the add itself at
-    the chain's sizes."""
-    out = np.tile(_HORNER[which], _HORNER_CHUNK)
-    out.flags.writeable = False
-    return out
-
-
-def _horner(which: str, v: np.ndarray) -> np.ndarray:
-    """The ``_HORNER[which]`` polynomials at v, shape (n, columns) with
-    column j the variable of polynomial j, in cephes' order: y = c0, then
-    y = y * v + ci."""
-    c = _horner_coefficients(which)[:, :v.size]
-    flat = v.reshape(-1)
-    y = flat * c[0]
-    y += c[1]
-    for ci in c[2:]:
-        y *= flat
-        y += ci
-    return y.reshape(v.shape)
-
-
-def _erfc_pair(u: np.ndarray) -> np.ndarray:
-    """[erfc(u), erfc(-u)] at a flat array u, shape (2, u.size), bit for
-    bit cephes' ``erfc`` at each argument.
-
-    cephes works on t = |a|: erfc(a) = 1 - erf(a) for t < 1, where
-    erf(+-t) = +-erf(t), and erfc(a) = y or 2 - y for a >= 1 or a <= -1,
-    with y = e^(-a^2) P(t) / Q(t).  So one pass over t gives both members
-    of a pair.  Every argument takes the erf and the [1, 8) polynomials
-    in one Horner pass (cheaper, at the sizes the chain asks for, than
-    splitting the arguments), and e^(-a^2) comes from ``math.exp``:
-    libm's exp, which cephes calls; numpy's vectorized exp rounds about
-    1% of these arguments differently.
-    """
-    n = u.size
-    if n > _HORNER_CHUNK:
-        return np.concatenate([_erfc_pair(u[i:i + _HORNER_CHUNK])
-                               for i in range(0, n, _HORNER_CHUNK)], axis=1)
-    t = np.abs(u)
-    m = float(t.max(initial=0.0))
-    if m < 1.0:
-        v = np.empty((n, 2))
-        np.multiply(u, u, out=v[:, 0])
-        v[:, 1] = v[:, 0]
-        y = _horner("erf", v)
-        e = u * y[:, 0]
-        e /= y[:, 1]
-        near = e * _MINUS_PLUS          # 1 + (-e) has the bits of 1 - e
-        near += 1.0
-        return near
-    if not m * m <= _MAXLOG:
-        return _erfc_pair_beyond(u, t)
-
-    v = np.empty((n, 4))
-    np.multiply(t, t, out=v[:, 0])
-    v[:, 1] = t
-    v[:, 2] = v[:, 0]
-    v[:, 3] = t
-    y = _horner("erf|erfc", v)
-    if m >= 8.0:
-        far = t >= 8.0
-        y[far, 1::2] = _horner("erfc_far",
-                               np.repeat(t[far], 2).reshape(-1, 2))
-    # r[0] = erf(u) where t < 1; r[1] = erfc(t) and r[2] = 2 - r[1] where
-    # t >= 1, the pair in the order of a positive u
-    r = np.empty((3, n))
-    np.multiply(u, y[:, 0], out=r[0])
-    r[0] /= y[:, 2]
-    r[1] = np.fromiter(map(math.exp, (-v[:, 0]).tolist()), float, count=n)
-    r[1] *= y[:, 1]
-    r[1] /= y[:, 3]
-    np.subtract(2.0, r[1], out=r[2])
-    pair = np.where(u < 0.0, r[:0:-1], r[1:])
-    near = r[0] * _MINUS_PLUS
-    near += 1.0
-    np.copyto(pair, near, where=t < 1.0)
-    return pair
-
-
-def _erfc_pair_beyond(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``_erfc_pair`` where some u is NaN or has u*u > MAXLOG: cephes
-    answers those 0 or 2 (NaN for NaN) without evaluating, the rest go
-    through ``_erfc_pair``.  No square overflows."""
-    sq = np.minimum(t, 27.0)      # 27^2 > MAXLOG
-    sq *= sq
-    live = sq <= _MAXLOG
-    out = np.empty((2, u.size))
-    out[:, live] = _erfc_pair(u[live])
-    rest = ~live
-    out[0, rest] = np.where(u[rest] < 0.0, 2.0, 0.0)
-    out[1, rest] = 2.0 - out[0, rest]
-    out[:, np.isnan(u)] = np.nan
     return out
 
 
@@ -322,20 +183,17 @@ def _chain_eval(K: int, m: np.ndarray, x: np.ndarray, order: int) -> Derivatives
     on.  The psi/phi tables are built once over the points, and every row
     equals the one-mask answer at its point bit for bit.
     """
-    # psi/phi tables at +-x for all needed orders (psi over [x; -x], phi
-    # over the pairs), cut into the factors of the terms k = 2..K:
-    # psi(+-x_{k-1}), phi(+-x_k)
-    xx = np.concatenate((x, -x), axis=-1)
-    psi_xx, phi_pm = _psi_table(xx, order), _phi_table(x, order)
-    ps, ns = psi_xx[..., :K - 1], psi_xx[..., K:-1]
-    pf, nf = phi_pm[:, 0, ..., 1:], phi_pm[:, 1, ..., 1:]
+    # psi/phi tables at the pairs +-x for all needed orders; psi is only
+    # read at x_{k-1}, phi at x_1 and at x_k for the terms k = 2..K
+    psi_pm = _psi_table(x[..., :-1], order)
+    phi_pm = _phi_table(x, order)
+    phi_k = phi_pm[..., 1:]
     phi_1 = phi_pm[:, 0, ..., 0]  # phi(x_1) and its derivatives
     m0, m1 = m[..., 0], m[..., 1:]
 
     val = -m0 * phi_1[0]  # psi(1) = 1 exactly
     if K > 1:
-        terms = m1 * (ns[0] * nf[0] - ps[0] * pf[0])
-        val = val + terms.sum(axis=-1)
+        val = val + _term(m1, psi_pm, phi_k, 0, 0).sum(axis=-1)
     shape = val.shape + (K,)  # the masks' and points' broadcast shape
     val = _as_value(val)
     if order == 0:
@@ -344,10 +202,8 @@ def _chain_eval(K: int, m: np.ndarray, x: np.ndarray, order: int) -> Derivatives
     grad = np.zeros(shape)
     grad[..., 0] = -m0 * phi_1[1]
     if K > 1:
-        # d/dx_{k-1}: -psi'(-x_{k-1}) phi(-x_k) - psi'(x_{k-1}) phi(x_k)
-        grad[..., :-1] += m1 * (-ns[1] * nf[0] - ps[1] * pf[0])
-        # d/dx_k:    -psi(-x_{k-1}) phi'(-x_k) - psi(x_{k-1}) phi'(x_k)
-        grad[..., 1:] += m1 * (-ns[0] * nf[1] - ps[0] * pf[1])
+        grad[..., :-1] += _term(m1, psi_pm, phi_k, 1, 0)   # d/dx_{k-1}
+        grad[..., 1:] += _term(m1, psi_pm, phi_k, 0, 1)    # d/dx_k
     if order == 1:
         return Derivatives(val, grad)
 
@@ -357,15 +213,26 @@ def _chain_eval(K: int, m: np.ndarray, x: np.ndarray, order: int) -> Derivatives
     diag = flat[..., ::K + 1]
     diag[..., 0] = -m0 * phi_1[2]
     if K > 1:
-        # d2/dx_{k-1}^2: psi''(-x_{k-1}) phi(-x_k) - psi''(x_{k-1}) phi(x_k)
-        diag[..., :-1] += m1 * (ns[2] * nf[0] - ps[2] * pf[0])
-        # d2/dx_k^2:     psi(-x_{k-1}) phi''(-x_k) - psi(x_{k-1}) phi''(x_k)
-        diag[..., 1:] += m1 * (ns[0] * nf[2] - ps[0] * pf[2])
-        # mixed:         psi'(-x_{k-1}) phi'(-x_k) - psi'(x_{k-1}) phi'(x_k)
-        d_ab = m1 * (ns[1] * nf[1] - ps[1] * pf[1])
+        diag[..., :-1] += _term(m1, psi_pm, phi_k, 2, 0)   # d2/dx_{k-1}^2
+        diag[..., 1:] += _term(m1, psi_pm, phi_k, 0, 2)    # d2/dx_k^2
+        d_ab = _term(m1, psi_pm, phi_k, 1, 1)              # mixed
         flat[..., 1::K + 1] = d_ab
         flat[..., K::K + 1] = d_ab
     return Derivatives(val, grad, H)
+
+
+def _term(m1: np.ndarray, psi_pm: np.ndarray, phi_pm: np.ndarray, a: int,
+          b: int) -> np.ndarray:
+    """The (a, b) derivative of the masked terms k = 2..K, from pair tables
+    of psi at x_{k-1} and phi at x_k:
+
+        m1 ((-1)^(a+b) psi^(a)(-x_{k-1}) phi^(b)(-x_k)
+            - psi^(a)(x_{k-1}) phi^(b)(x_k))
+    """
+    minus = psi_pm[a, 1] * phi_pm[b, 1]
+    if (a + b) % 2:
+        np.negative(minus, out=minus)
+    return m1 * (minus - psi_pm[a, 0] * phi_pm[b, 0])
 
 
 @lru_cache(maxsize=64)
@@ -500,4 +367,4 @@ def _hat_f(K: int, blocks, y: np.ndarray, order: int) -> Derivatives:
     H = J @ H @ J
     H += d2c(g_chain)
     H += 0.2 * _eye(y.shape[-1])
-    return Derivatives(val, grad, 0.5 * (H + np.swapaxes(H, -1, -2)))
+    return Derivatives(val, grad, _sym_part(H))

@@ -277,7 +277,7 @@ def _certified(model: CubicModel, h: np.ndarray, lmin: float,
     stationarity = float(np.linalg.norm(v + Uh + half_m * s_actual * h))
     m_val = float(v @ h + 0.5 * h @ Uh + M / 6.0 * s_actual ** 3)
 
-    if stationarity > tol * (1.0 + norm_v):
+    if stationarity > tol:
         raise ArithmeticError(
             f"stationarity residual {stationarity:.3e} exceeds tolerance")
     eig_slack = lmin + half_m * s_actual

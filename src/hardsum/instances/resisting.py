@@ -225,8 +225,8 @@ class ResistingOracle(FiniteSumFunction):
 
     def _answer(self, ch: Derivatives, order: int, active: int
                 ) -> Derivatives:
-        """The component's answer from its chain answer ch: value, gradient
-        and Hessian, factored as V S V^T."""
+        """The answer from a chain answer ch, one component's or a stack of
+        them: value, gradient and Hessian, factored as V S V^T."""
         a, a_grad, a_hess = self._scales()
         Vk = self._V[:, :active]
         val = a * ch.value
@@ -308,14 +308,14 @@ class ResistingOracle(FiniteSumFunction):
     # ResistingOracle.full itself
     full = FiniteSumFunction.full
 
-    def _answers(self, x: np.ndarray, order: int):
-        """Every component's current answer at x, in index order: what
-        :meth:`full` sums, from one chain evaluation."""
+    def _answers(self, x: np.ndarray, order: int) -> Derivatives:
+        """Every component's current answer at x as one stack, rows in
+        index order and Hessians factored: what :meth:`full` sums, from one
+        chain evaluation."""
         active = self._active
         ch = (self._table(x, active) if x.ndim == 1
               else self._chains(x, order, active))
-        return (self._answer(_row(ch, i, order), order, active)
-                for i in range(self.n))
+        return self._answer(ch, order, active)
 
     @property
     def _active(self) -> int:

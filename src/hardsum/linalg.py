@@ -116,6 +116,11 @@ def sym_matrix(a) -> SymMatrix:
     return _symmetrized(A)
 
 
+def _sym_part(A: np.ndarray) -> np.ndarray:
+    """(A + A^T) / 2 over the last two axes; exactly symmetric."""
+    return 0.5 * (A + A.swapaxes(-1, -2))
+
+
 def _symmetrized(A):
     """The check and symmetrization of :func:`sym_matrix`, over the last two
     axes of a matrix or a stack of matrices; a :class:`_Factored` one is
@@ -172,8 +177,7 @@ class _Factored:
 
     def lift(self) -> np.ndarray:
         """The dense matrix V S V^T, exactly symmetric."""
-        A = self.V @ self.S @ self.V.T
-        return 0.5 * (A + A.swapaxes(-1, -2))
+        return _sym_part(self.V @ self.S @ self.V.T)
 
 
 def _dense(A):

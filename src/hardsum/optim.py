@@ -133,14 +133,19 @@ def svrc_default_params(n: int, d: int, Delta: float, L2: float,
                       eps=eps, Delta=Delta, L2=L2, seed=seed)
 
 
-def _draw_batches(params: SvrcParams, n: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One step's (gradient, Hessian) batches: i.i.d. uniform indices drawn
-    gradient batch first, or every index once under a full-batch schedule."""
-    if params.full_batch:
-        return np.arange(n), np.arange(n)
-    batch_g = rng.integers(0, n, size=params.b_g)
-    return batch_g, rng.integers(0, n, size=params.b_h)
+def _draw_batches(params: SvrcParams, n: int, rng: np.random.Generator,
+                  steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (gradient, Hessian) batches of ``steps`` steps, shapes
+    (steps, b_g) and (steps, b_h): views of one (steps, b_g + b_h)
+    ``integers`` draw of i.i.d. uniform indices, or every index once per
+    batch under a full-batch schedule.  numpy draws bounded 32-bit integers
+    through the bit generator's buffered ``next_uint32``, so the rows are
+    the values, and leave the state, of two draws per step, gradient batch
+    first; a test pins this."""
+    b_g, _ = params.batch_sizes(n)
+    draws = (np.tile(np.arange(n), (steps, 2)) if params.full_batch
+             else rng.integers(0, n, size=(steps, params.b_g + params.b_h)))
+    return draws[:, :b_g], draws[:, b_g:]
 
 
 def _batch_counts(batch, n: int) -> tuple[np.ndarray, int]:
@@ -326,7 +331,7 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
             mean = mean_derivatives(snapshot.stack, (d,), 2)
             g_s, H_s = mean.grad, mean.hess
             continue
-        batch_g, batch_h = _draw_batches(params, n, rng)
+        (batch_g,), (batch_h,) = _draw_batches(params, n, rng, 1)
         v = svrc_gradient_estimator(F, ledger, x, g_s, H_s, batch_g,
                                     snapshot)
         U = svrc_hessian_estimator(F, ledger, x, H_s, batch_h, snapshot)

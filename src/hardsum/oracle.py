@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import Derivatives
-from .linalg import (_added, _dense, _symmetrized, as_points, as_rng,
-                     as_vector, row_dot, row_matvec)
+from .linalg import (_added, _dense, _Factored, _symmetrized, as_points,
+                     as_rng, as_vector, row_dot, row_matvec)
 
 __all__ = [
     "FiniteSumFunction",
@@ -189,9 +189,9 @@ def mean_derivatives(answers, shape: tuple, order: int) -> Derivatives:
 
     ``answers`` is an iterable of answers or one stack of them: a
     :class:`Derivatives` whose parts have a leading axis of one row per
-    answer, with dense Hessians.  A stack is summed in one numpy pass with
-    the bits of the loop over its rows, and a stack with a bad row raises
-    the loop's error.
+    answer, its Hessians dense or one factored stack (S with that leading
+    axis).  A stack is summed in one numpy pass with the bits of the loop
+    over its rows, and a stack with a bad row raises the loop's error.
 
     The one averaging pass behind every full-sum quantity: the free
     measurement channel and the charged snapshot and baseline passes.
@@ -233,20 +233,25 @@ def _stack_mean(stack: Derivatives, shape: tuple, order: int) -> Derivatives:
     return Derivatives(*(_row_sum(part) / lead[0] for part in parts))
 
 
-def _row_sum(part) -> np.ndarray:
-    """The sum of a stack's rows, added in order from +0.0 as the loop of
-    :func:`mean_derivatives` adds them.
+def _row_sum(part):
+    """The sum of a stack's rows, added in order as the loop of
+    :func:`mean_derivatives` adds them: a dense stack from +0.0, a factored
+    one through its S from a copy of the first S.
 
     numpy adds the rows of a C-ordered (r, m) array in order when m > 1,
     but pairwise when m == 1, where the summed axis is the fast one; there
-    ``np.add.accumulate`` adds them in order.  Both start from the first
-    row, so 0.0 is added: an all -0.0 total becomes the loop's +0.0 and any
-    other is unchanged.
+    ``np.add.accumulate`` adds them in order, from the first row.  A dense
+    total then adds 0.0: an all -0.0 total becomes the loop's +0.0 and any
+    other is unchanged.  A factored total is accumulated, so an all -0.0
+    entry keeps its sign, as in the loop.
     """
-    rows = np.ascontiguousarray(part).reshape(len(part), -1)
-    total = (np.add.reduce(rows, axis=0) if rows.shape[1] > 1
-             else np.add.accumulate(rows, axis=0)[-1])
-    return total.reshape(np.shape(part)[1:]) + 0.0
+    factored = isinstance(part, _Factored)
+    stack = part.S if factored else part
+    rows = np.ascontiguousarray(stack).reshape(len(stack), -1)
+    total = (np.add.accumulate(rows, axis=0)[-1]
+             if factored or rows.shape[1] == 1
+             else np.add.reduce(rows, axis=0)).reshape(np.shape(stack)[1:])
+    return _Factored(part.V, total) if factored else total + 0.0
 
 
 class CallableFiniteSum(FiniteSumFunction):

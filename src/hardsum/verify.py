@@ -23,12 +23,14 @@ from .instances.params import HardInstanceSpec, randomized_params
 from .instances.randomized import (RandomizedHardInstance,
                                    sample_randomized_instance)
 from .instances.resisting import ResistingCertificate, ResistingOracle
-from .linalg import (_richardson_combine, _stencil_points, as_points, as_rng,
-                     as_vector, rel_err, row_dot, sample_orthonormal_columns)
+from .linalg import (_richardson_combine, _stencil_points, _sym_part,
+                     as_points, as_rng, as_vector, rel_err, row_dot,
+                     sample_orthonormal_columns)
 from .oracle import (CallableFiniteSum, FiniteSumFunction, OracleLedger,
                      _Evaluated, quadratic_cosine_sum)
-from .optim import (SvrcParams, _gradient_estimate, _hessian_estimate,
-                    svrc_gradient_estimator, svrc_hessian_estimator)
+from .optim import (SvrcParams, _draw_batches, _gradient_estimate,
+                    _hessian_estimate, svrc_gradient_estimator,
+                    svrc_hessian_estimator)
 
 __all__ = [
     "DerivativeCheckReport",
@@ -264,11 +266,6 @@ def _pair_stream(d: int, num_pairs: int, rng):
             yield base, base + 0.3 * delta / nrm
 
 
-def _symmetric_part(A: np.ndarray) -> np.ndarray:
-    """(A + A^T) / 2 over the last two axes; exactly symmetric."""
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
-
-
 def _sym_op_norm(S: np.ndarray):
     """Operator norm of one symmetric matrix, or of each matrix of a stack
     (one stacked ``eigvalsh``)."""
@@ -278,7 +275,7 @@ def _sym_op_norm(S: np.ndarray):
 def _op_norm(A: np.ndarray):
     """Operator norm of the symmetric part of one matrix, or of each matrix
     of a stack."""
-    return _sym_op_norm(_symmetric_part(A))
+    return _sym_op_norm(_sym_part(A))
 
 
 #: the relative margin of the Frobenius bound that lets
@@ -332,7 +329,7 @@ def _pair_differences(F: FiniteSumFunction, order: int, num_pairs: int,
         diffs = np.zeros(num_pairs)
         for i in range(F.n):
             dH = F.component(i, xs, order).hess - F.component(i, ys, order).hess
-            sym = _symmetric_part(dH)
+            sym = _sym_part(dH)
             flat = sym.reshape(num_pairs, -1)
             bound = (np.sqrt(row_dot(flat, flat)) * (1.0 + _FRO_MARGIN)
                      + _FRO_FLOOR)
@@ -453,20 +450,6 @@ def _trial_counts(batches: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(idx.ravel(), minlength=idx.shape[0] * n).reshape(-1, n)
 
 
-def _draw_block(params: SvrcParams, n: int, trials: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """The batches of ``trials`` steps, one row (gradient batch, then
-    Hessian batch) per step, from one ``integers`` call.  numpy draws
-    bounded 32-bit integers through the bit generator's buffered
-    ``next_uint32``, so the rows are the values, and leave the state, of
-    ``trials`` :func:`~hardsum.optim._draw_batches` calls in a row; a
-    test pins this.  A full-batch schedule has every index once in each
-    batch."""
-    if params.full_batch:
-        return np.tile(np.arange(n), (trials, 2))
-    return rng.integers(0, n, size=(trials, params.b_g + params.b_h))
-
-
 def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
                             params: SvrcParams, trials: int, seed=0,
                             L2_hat: float | None = None
@@ -514,13 +497,13 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     b_g, b_h = params.batch_sizes(n)
     g_moments, h_moments = [], []
     for start in range(0, trials, _MC_BLOCK):
-        draws = _draw_block(params, n, min(_MC_BLOCK, trials - start), rng)
+        draws_g, draws_h = _draw_batches(params, n, rng,
+                                         min(_MC_BLOCK, trials - start))
         if start == 0:
-            cross = draws[:8]
-        V = _gradient_estimate(_trial_counts(draws[:, :b_g], n), dG,
-                               Hdx, b_g, g_s, H_s, dx)
-        U = _hessian_estimate(_trial_counts(draws[:, b_g:], n), dH,
-                              b_h, H_s)
+            cross = list(zip(draws_g[:8], draws_h[:8]))
+        V = _gradient_estimate(_trial_counts(draws_g, n), dG, Hdx, b_g,
+                               g_s, H_s, dx)
+        U = _hessian_estimate(_trial_counts(draws_h, n), dH, b_h, H_s)
         D = gF - V
         # powers of Python floats: numpy's vectorized pow can round the
         # last bit differently from the one-trial values
@@ -529,8 +512,7 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
 
     snapshot = _Evaluated(instance, x_hat, 2, np.arange(n), at_hat)
     cross_err = 0.0
-    for t, row in enumerate(cross):
-        idx_g, idx_h = row[:b_g], row[b_g:]
+    for t, (idx_g, idx_h) in enumerate(cross):
         led = OracleLedger(n=n)
         v_ref = svrc_gradient_estimator(instance, led, x, g_s, H_s, idx_g,
                                         snapshot)

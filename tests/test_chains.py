@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from hardsum.chains import (
     PHI_AT_ZERO,
-    _MAXLOG,
     _chain_eval,
-    _erfc_pair,
     _hat_f,
     _phi_table,
     SQRT_E,
@@ -124,85 +122,70 @@ class TestPhi:
         assert phi(x) == pytest.approx(lead, rel=2e-3)
 
 
-def _scipy_pair(u):
+def _scipy_phi_pair(x):
+    """PHI_AT_ZERO * erfc(-+x / sqrt 2), the pair x, -x, through scipy's
+    erfc (cephes'), kept in the test extra as Φ's accuracy reference."""
     from scipy.special import erfc   # in the test extra, not the runtime
-    return np.stack([erfc(u), erfc(-u)])
+    return PHI_AT_ZERO * np.stack([erfc(-x / np.sqrt(2.0)),
+                                   erfc(x / np.sqrt(2.0))])
 
 
-def _edge_arguments():
-    one, eight = 1.0, 8.0
-    # the largest t whose square cephes still exponentiates, and the next
-    live = np.sqrt(_MAXLOG)
-    while live * live > _MAXLOG:
-        live = np.nextafter(live, 0.0)
-    while np.nextafter(live, 30.0) ** 2 <= _MAXLOG:
-        live = np.nextafter(live, 30.0)
-    mags = [0.0, 5e-324, 1e-300, np.nextafter(one, 0.0), one,
-            np.nextafter(one, 2.0), np.nextafter(eight, 0.0), eight,
-            np.nextafter(eight, 9.0), live, np.nextafter(live, 30.0), 27.0,
-            1e154, 2e154, 1e300, np.inf, np.nan]
-    return np.array(mags + [-m for m in mags])
+class TestPhiTable:
+    """``_phi_table`` answers phi at the pairs x, -x from one ``math.erfc``
+    call per pair; its derivative rows share one exponential."""
 
-
-class TestErfcPort:
-    """``_erfc_pair`` is cephes' ``erfc``, which scipy's ``erfc`` calls,
-    bit for bit; scipy stays installed with the test extra to pin it."""
-
-    def test_equals_scipy_bit_for_bit(self):
-        # 5 * 10^6 pairs, 10^7 arguments: the verify battery's Φ stream
-        # (x ~ N(0, 4^2) and U(-40, 40), into u = -x / sqrt 2), unit normals
-        # and log-uniform magnitudes from 1e-8 to 1e3 of either sign; the
-        # first stream in calls of 500 arguments, the rest in calls of
-        # 10^5, which the port splits into Horner chunks
+    def test_values_match_scipy(self):
+        # 2.5 * 10^6 pairs: the verify battery's stream N(0, 4^2), both
+        # tails out to |x| = 38.5, past which erfc underflows, and unit
+        # normals; relative where the reference is a normal float, absolute
+        # below it
         rng = np.random.default_rng(2021)
-        streams = [
-            (500, rng.normal(0.0, 4.0, 2_000_000)),
-            (100_000, rng.uniform(-40.0, 40.0, 2_000_000)),
-            (100_000, rng.standard_normal(500_000)),
-            (100_000, rng.choice([-1.0, 1.0], 500_000)
-             * 10.0 ** rng.uniform(-8.0, 3.0, 500_000)),
-        ]
-        checked = 0
-        for chunk, x in streams:
-            for start in range(0, x.size, chunk):
-                u = -x[start:start + chunk] / np.sqrt(2.0)
-                got = _erfc_pair(u)
-                assert same_bits(got, _scipy_pair(u))
-                checked += got.size
-        assert checked == 10_000_000
+        tiny = np.finfo(float).tiny
+        for x in (rng.normal(0.0, 4.0, 1_000_000),
+                  rng.uniform(-38.5, 38.5, 1_000_000),
+                  rng.standard_normal(500_000)):
+            got, want = _phi_table(x, 0)[0], _scipy_phi_pair(x)
+            normal = want >= tiny
+            assert (np.abs(got - want)[normal]
+                    <= 1e-13 * want[normal]).all()
+            assert (np.abs(got - want)[~normal] <= 1e-300).all()
 
-    def test_edge_arguments(self):
-        # alone, all together, and among ordinary arguments of every
-        # branch; ±NaN must come back as scipy's NaN.  No overflow, invalid
-        # operation or division by zero on the way (underflow is cephes'
-        # own, silent in C and in numpy)
-        u = _edge_arguments()
-        ordinary = np.array([0.3, -0.7, 2.5, -5.0, 9.0, -12.0])
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for a in u:
-                one = np.array([a])
-                assert same_bits(_erfc_pair(one), _scipy_pair(one)), a
-                mixed = np.concatenate((ordinary, one))
-                assert same_bits(_erfc_pair(mixed), _scipy_pair(mixed)), a
-            assert same_bits(_erfc_pair(u), _scipy_pair(u))
-            neg_nan = np.copysign(np.full(3, np.nan), -1.0)
-            assert same_bits(_erfc_pair(neg_nan), _scipy_pair(neg_nan))
-            empty = np.zeros(0)
-            assert _erfc_pair(empty).shape == (2, 0)
+    def test_nondecreasing_out_to_the_tails(self):
+        vals = phi(np.linspace(-38.5, 38.5, 2_000_001))
+        assert np.all(np.diff(vals) >= 0.0)
 
     @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 4, 6)])
     def test_phi_table_answers_each_pair(self, shape, rng):
         x = rng.normal(0.0, 4.0, shape)
         table = _phi_table(x, 2)
         assert table.shape == (3, 2) + shape
-        from scipy.special import erfc
+        assert rel_err(_scipy_phi_pair(x), table[0]) <= 1e-13
         for half, xs in enumerate((x, -x)):
+            # the derivative rows keep the bits of their closed forms
             g = SQRT_E * np.exp(-0.5 * xs * xs)
-            assert same_bits(table[0, half],
-                             PHI_AT_ZERO * erfc(-xs / np.sqrt(2.0)))
             assert same_bits(table[1, half], g)
             assert same_bits(table[2, half], -xs * g)
         assert same_bits(_phi_table(x, 0), table[:1])
+
+    def test_edge_arguments(self):
+        # alone and all together; no overflow, invalid operation or division
+        # by zero on the way
+        mags = [0.0, 5e-324, 1e-300, 38.0, 1e154, 1e300, np.inf]
+        x = np.array(mags + [-m for m in mags] + [np.nan])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            together = _phi_table(x, 0)[0]
+            for k, a in enumerate(x):
+                assert same_bits(_phi_table(np.array([a]), 0)[0, :, 0],
+                                 together[:, k]), a
+        pos, neg = together[0, :7], together[0, 7:14]
+        assert pos[0] == neg[0] == PHI_AT_ZERO              # +-0
+        assert pos[6] == 2.0 * PHI_AT_ZERO and neg[6] == 0.0  # +-inf
+        assert pos[4] == 2.0 * PHI_AT_ZERO                  # 1e154
+        assert 0.0 < neg[3] < 1e-300                        # -38
+        assert np.isnan(together[:, -1]).all()
+        # the pair's halves are each other's reflection
+        assert same_bits(together[1, :7], neg)
+        assert same_bits(together[1, 7:14], pos)
 
 
 class TestChain:

@@ -1,7 +1,8 @@
-"""Which scipy modules a fresh process loads: none.  phi's ``erfc`` is a
-port of cephes' (see ``chains._erfc_pair``), so importing the package,
-running SVRC on a synthetic sum, evaluating phi, a small verification
-battery and a CLI run against the resisting oracle load no scipy at all.
+"""Which scipy modules a fresh process loads: none.  phi's ``erfc`` is the
+standard library's ``math.erfc`` (see ``chains._phi_table``), so importing
+the package, running SVRC on a synthetic sum, evaluating phi, a small
+verification battery and a CLI run against the resisting oracle load no
+scipy at all.
 The checks read ``sys.modules``; nothing here is timed."""
 import json
 import subprocess

@@ -98,6 +98,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             CubicModel(v=np.zeros(2), U=np.array([[0.0, 1.0], [0.0, 0.0]]), M=1.0)
 
+    def test_stationarity_tolerance_is_the_documented_one(self, monkeypatch):
+        # at |v| = 1e4 a step nudged off the root by 1e-6 has a residual
+        # above the documented 1e-10 (1 + |v|) but below (1 + |v|) times it
+        model = CubicModel(v=np.array([1e4, 0.0, 0.0]),
+                           U=np.diag([1.0, 2.0, 3.0]), M=1.0)
+        solve(model)
+        real = cubic._secular_coords
+
+        def nudged(*args):
+            coords = real(*args).copy()
+            coords[0] += 1e-6
+            return coords
+
+        monkeypatch.setattr(cubic, "_secular_coords", nudged)
+        with pytest.raises(ArithmeticError,
+                           match="stationarity residual") as err:
+            solve(model)
+        tol = 1e-10 * (1.0 + 1e4)
+        assert tol < float(str(err.value).split()[2]) < tol * (1.0 + 1e4)
+
 
 def _random_model(rng, d, hard=False):
     Q = sample_orthonormal_columns(d, d, seed=rng).columns

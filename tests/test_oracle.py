@@ -14,7 +14,7 @@ import hardsum
 from hardsum.chains import Derivatives
 from hardsum.instances import (ResistingOracle, deterministic_params, ell_p,
                                randomized_params, sample_randomized_instance)
-from hardsum.linalg import _symmetrized, rel_err
+from hardsum.linalg import _Factored, _symmetrized, rel_err
 from hardsum.optim import mu
 from hardsum.oracle import (
     CallableFiniteSum,
@@ -348,21 +348,49 @@ def _spread_stack(rng, n: int, d: int, order: int) -> Derivatives:
                        draw((n, d, d)) if order >= 2 else None)
 
 
+def _factored(stack: Derivatives) -> Derivatives:
+    """The stack with its Hessians held as one factored stack V S V^T: S
+    the leading (d + 1) // 2 square of each Hessian, V the identity's first
+    columns."""
+    d = stack.grad.shape[1]
+    a = (d + 1) // 2
+    return dataclasses.replace(stack, hess=_Factored(
+        np.eye(d)[:, :a], stack.hess[:, :a, :a].copy()))
+
+
 def _loop_mean(stack: Derivatives, shape: tuple, order: int) -> Derivatives:
     """The mean of a stack through the loop over its rows."""
-    return mean_derivatives(list(_row_answers(stack, order)), shape, order)
+    hess = stack.hess
+    if not isinstance(hess, _Factored):
+        return mean_derivatives(list(_row_answers(stack, order)), shape, order)
+    return mean_derivatives([Derivatives(v, g, _Factored(hess.V, S))
+                             for v, g, S in zip(stack.value, stack.grad,
+                                                hess.S)], shape, order)
+
+
+def _same_mean(a: Derivatives, b: Derivatives) -> bool:
+    """Equal bits, a factored Hessian compared through its V and S."""
+    if isinstance(a.hess, _Factored) or isinstance(b.hess, _Factored):
+        return (isinstance(a.hess, _Factored) and isinstance(b.hess, _Factored)
+                and same_bits(a.hess.V, b.hess.V)
+                and same_bits(a.hess.S, b.hess.S)
+                and same_answer(dataclasses.replace(a, hess=None),
+                                dataclasses.replace(b, hess=None)))
+    return same_answer(a, b)
 
 
 class TestStackedMean:
     @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("d", [1, 20])
     def test_equals_the_row_loop(self, d, order):
-        # (256, 1) stacks are where numpy's sum over rows goes pairwise
+        # (256, 1) stacks are where numpy's sum over rows goes pairwise; at
+        # order 2 the Hessians also come as one factored stack
         rng = np.random.default_rng(10 * d + order)
         for _ in range(20):
             stack = _spread_stack(rng, 256, d, order)
-            assert same_answer(mean_derivatives(stack, (d,), order),
-                               _loop_mean(stack, (d,), order))
+            for s in [stack] if order < 2 else [stack, _factored(stack)]:
+                assert _same_mean(mean_derivatives(s, (d,), order),
+                                  _loop_mean(s, (d,), order))
 
     @pytest.mark.parametrize("d", [1, 20])
     def test_all_negative_zero_sums_to_positive_zero(self, d):
@@ -374,6 +402,13 @@ class TestStackedMean:
         assert same_answer(got, _loop_mean(stack, (d,), 2))
         assert same_bits(got.value, 0.0)
         assert same_bits(got.grad[0], 0.0) and same_bits(got.hess[0, -1], 0.0)
+        # a factored total starts from a copy of the first S, not from +0.0,
+        # so its all -0.0 entry stays -0.0 as in the loop
+        factored = _factored(stack)
+        factored.hess.S[:, 0, -1] = -0.0
+        got = mean_derivatives(factored, (d,), 2)
+        assert _same_mean(got, _loop_mean(factored, (d,), 2))
+        assert same_bits(got.hess.S[0, -1], -0.0)
 
     @pytest.mark.parametrize("order, part, shape", [
         (0, "value", (256, 1)), (1, "grad", (256, 3)), (1, "grad", (256,)),

@@ -29,7 +29,6 @@ from hardsum.verify import (
     _TRIAL_STEPS,
     _battery_instance,
     _chain_sum,
-    _draw_block,
     _gd_backtracking,
     _hat_sum,
     _pair_differences,
@@ -885,7 +884,7 @@ def _per_trial_estimator_bounds(instance, x_hat, x, params, trials, seed,
     h_moments = np.empty(trials)
     cross_err = 0.0
     for t in range(trials):
-        idx_g, idx_h = _draw_batches(params, n, rng)
+        (idx_g,), (idx_h,) = _draw_batches(params, n, rng, 1)
         w_g = np.bincount(idx_g, minlength=n) / b_g
         w_h = np.bincount(idx_h, minlength=n) / b_h
         v = w_g @ dG + g_s - (w_g @ Hdx - H_s @ dx)
@@ -977,21 +976,25 @@ class TestStackedMonteCarlo:
         (16, 8, 9, False), (1, 3, 5, False), (7, 7, 31, True)])
     def test_block_draw_is_the_per_trial_stream(self, n, b_g, b_h,
                                                 full_batch):
-        # one integers call per block equals the per-trial draws, values
-        # and the state left behind, because numpy buffers the 32-bit
-        # words of bounded draws across calls; odd batches and n not a
-        # power of two would show a numpy that resets that buffer per call
+        # one integers call per block equals two draws per trial, gradient
+        # batch first, values and the state left behind, because numpy
+        # buffers the 32-bit words of bounded draws across calls; odd
+        # batches and n not a power of two would show a numpy that resets
+        # that buffer per call
         params = SvrcParams(M=1.0, b_g=b_g, b_h=b_h, S=1, T=1, eps=1.0,
                             Delta=1.0, L2=1.0, full_batch=full_batch)
         for seed in range(4):
             got_rng, want_rng = (np.random.default_rng(seed)
                                  for _ in range(2))
             for trials in (1, 5, 8):
-                block = _draw_block(params, n, trials, got_rng)
-                want = np.array([np.concatenate(_draw_batches(params, n,
-                                                              want_rng))
-                                 for _ in range(trials)])
-                assert same_bits(block, want)
+                got = _draw_batches(params, n, got_rng, trials)
+                want = ([np.tile(np.arange(n), (trials, 1))] * 2
+                        if full_batch else
+                        zip(*[(want_rng.integers(0, n, size=b_g),
+                               want_rng.integers(0, n, size=b_h))
+                              for _ in range(trials)]))
+                for block, rows in zip(got, want):
+                    assert same_bits(block, np.array(rows))
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_trials_span_several_blocks(self):
