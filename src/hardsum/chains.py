@@ -72,7 +72,7 @@ def _psi_table(x: np.ndarray, order: int) -> np.ndarray:
     flat = x.reshape(-1)
     xx = np.concatenate((flat, -flat)).reshape((2,) + x.shape)
     out = np.zeros((order + 1,) + xx.shape)
-    m = xx > _PSI_CUTOFF
+    m = ~(xx <= _PSI_CUTOFF)        # a NaN is live, so it poisons every order
     if m.any():
         u = 2.0 * xx[m] - 1.0
         val = np.exp(np.maximum(1.0 - u ** -2, _EXP_FLOOR))
@@ -124,10 +124,13 @@ def _phi_table(x: np.ndarray, order: int) -> np.ndarray:
     out[0, 0] = np.where(neg, low, high)
     out[0, 1] = np.where(neg, high, low)
     if order >= 1:
-        g = SQRT_E * np.exp(-0.5 * x * x)
+        # exp(-x^2/2) is 0 beyond |x| of about 38.6: clipping keeps every
+        # finite x's bits and keeps x^2 and x * 0 finite at huge or infinite x
+        c = np.clip(x, -40.0, 40.0)
+        g = SQRT_E * np.exp(-0.5 * c * c)
         out[1] = g
         if order >= 2:
-            np.multiply(x, g, out=out[2, 1])
+            np.multiply(c, g, out=out[2, 1])
             np.negative(out[2, 1], out=out[2, 0])
     return out
 

@@ -32,11 +32,11 @@ The three optimality conditions -- zero stationarity residual, positive
 semidefiniteness of the shifted Hessian, and model decrease of at least
 (M/12)|h|^3 -- are asserted after every solve, not merely hoped for.
 
-The secular root is found by Brent's method (Brent, *Algorithms for
-Minimization Without Derivatives*, 1973, ch. 4), ported step for step from
-scipy's ``scipy/optimize/Zeros/brentq.c`` as ``_brentq``: the same
-operations in the same order give the same root bit for bit, and importing
-this module loads no scipy.
+The secular root is found by Newton's iteration on the reciprocal form
+1/|h(u)| - 1/(s0 + u), which is concave and increasing in u, so that the
+iterates climb to the root from below without overshooting (More and
+Sorensen, "Computing a trust region step", 1983; Cartis, Gould and Toint,
+"Adaptive cubic regularisation methods", Part I, 2011).
 """
 from __future__ import annotations
 
@@ -54,17 +54,16 @@ __all__ = ["CubicModel", "CubicSolution", "solve", "model_value"]
 # in the stationarity residual and stays far below the default tolerance.
 _HARD_CASE_TOL = 1e-13
 
-# Brent's stopping rule for the secular root: the bracket is closed to
-# xtol + rtol |u|, with rtol four machine epsilons (scipy's smallest).
-_ROOT_XTOL = 1e-300
+# Newton's iteration for the secular root stops once a step is at most
+# rtol u, four machine epsilons of the root.
 _ROOT_RTOL = 8.9e-16
 _ROOT_MAXITER = 200
 
 # a model whose length scale (_length_scale) exceeds this is solved and
 # checked in units of the power of two above its scale (_unit).  As given,
 # the checks' absolute tolerances fail most models with |lmin| near 1 from a
-# scale of about 2e6 on, and the secular bracket cannot close at 2e60; the
-# test suite's models stay below 31 and keep their bits.
+# scale of about 2e6 on; the test suite's models stay below 31 and keep
+# their bits.
 _SCALE_MAX = 2.0 ** 16
 
 
@@ -101,84 +100,6 @@ def model_value(model: CubicModel, h) -> float:
     return float(model.v @ h + 0.5 * h @ (model.U @ h) + model.M / 6.0 * s ** 3)
 
 
-def _finite_value(f, x: float) -> float:
-    """f(x) as a float; NaN raises ValueError, as in scipy's brentq."""
-    fx = float(f(x))
-    if fx != fx:
-        raise ValueError(
-            f"the function value at x={x} is NaN; solver cannot continue")
-    return fx
-
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-            maxiter: int) -> float:
-    """A root of f in the bracket [xa, xb], by Brent's method.
-
-    A port of scipy's ``brentq.c``, operation for operation: xcur is the
-    best point so far, xblk the other end of the bracket and xpre the
-    previous xcur.
-
-    Raises ``ValueError`` when f(xa) and f(xb) have the same sign or f
-    returns NaN, as scipy's ``brentq`` does, and ``ArithmeticError`` when
-    maxiter steps do not converge (where scipy raises ``RuntimeError``).
-    """
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre = _finite_value(f, xpre)
-    fcur = _finite_value(f, xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = _finite_value(f, xcur)
-    raise ArithmeticError(
-        f"secular root did not converge in {maxiter} iterations")
-
-
-def _secular_norm(w2, lam_shift, half_m, u):
-    """|h(u)| for denominators d_j = lam_shift_j + (M/2) u (no cancellation)."""
-    d = lam_shift + half_m * u
-    return float(np.sqrt(np.sum(w2 / d ** 2)))
-
-
 def _length_scale(lmin: float, norm_v: float, M: float):
     """s0 = max(0, -2 lmin / M), the step length below which the shifted
     Hessian is indefinite, and the step's length scale max(1, s0,
@@ -209,7 +130,7 @@ def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
     w2 = w ** 2
     half_m = M / 2.0
 
-    # the step's length scale is the start of the root's bracket
+    # the search for the secular root starts from the step's length scale
     s0, scale = _length_scale(lmin, norm_v, M)
     if not math.isfinite(scale):
         raise ArithmeticError("the step's length scale overflows")
@@ -242,26 +163,39 @@ def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
 
     if w_bot <= hard_threshold and L0 <= s0:
         return hard_case_coords()
-    # easy case: bracket the root of phi(u) = |h(u)| - (s0 + u) in u > 0
-    def phi_u(u: float) -> float:
-        return _secular_norm(w2, shift, half_m, u) - (s0 + u)
 
-    # an overflowing d_j^2 adds 0 to |h(u)|, its true limit
-    with np.errstate(over="ignore"):
-        u_hi = scale
-        while phi_u(u_hi) > 0.0:
-            u_hi *= 2.0
-            if u_hi > 1e300:
-                raise ArithmeticError("failed to bracket the secular root")
-        u_lo = min(1e-3 * scale, 0.5 * u_hi)
-        while phi_u(u_lo) <= 0.0:
-            u_lo *= 1e-2
-            if u_lo < 1e-290:
-                # root collapses onto the pole: treat as (near-)hard case
-                return hard_case_coords()
-        u_star = _brentq(phi_u, u_lo, u_hi, _ROOT_XTOL, _ROOT_RTOL,
-                         _ROOT_MAXITER)
-    return coords_at(u_star)
+    def norm_at(u: float):
+        d = shift + half_m * u
+        y = w / d
+        return d, y, math.hypot(*y)
+
+    # easy case: probe down from the length scale for a u below the root of
+    # |h(u)| = s0 + u
+    u = 1e-3 * scale
+    d, y, h = norm_at(u)
+    while h <= s0 + u:
+        u *= 1e-2
+        if u < 1e-290:
+            # root collapses onto the pole: treat as (near-)hard case
+            return hard_case_coords()
+        d, y, h = norm_at(u)
+    # Newton's iteration on psi(u) = 1/|h(u)| - 1/(s0 + u), which is concave
+    # and increasing, so it climbs to the root without overshooting.  With
+    # t = s0 + u and e = y / h, the step -psi/psi' is written scale-free: no
+    # power of h or u leaves the float range
+    for _ in range(_ROOT_MAXITER):
+        t = s0 + u
+        e = y / h
+        step = (h - t) / (h / t + t * half_m * float(e @ (e / d)))
+        u += step
+        if step <= _ROOT_RTOL * u:
+            return coords_at(u)
+        d, y, h = norm_at(u)
+        if h <= s0 + u:
+            # the root, to rounding
+            return coords_at(u)
+    raise ArithmeticError(
+        f"secular root did not converge in {_ROOT_MAXITER} iterations")
 
 
 def _certified(model: CubicModel, h: np.ndarray, lmin: float,
@@ -272,7 +206,9 @@ def _certified(model: CubicModel, h: np.ndarray, lmin: float,
     tol = 1e-10 * (1.0 + norm_v)
     v, U, M = model.v, model.U, model.M
     half_m = M / 2.0
-    s_actual = float(np.linalg.norm(h))
+    # hypot, not a root of the squares: a step below about 1e-162 would
+    # read 0 and fail the PSD check
+    s_actual = math.hypot(*h)
     Uh = U @ h
     stationarity = float(np.linalg.norm(v + Uh + half_m * s_actual * h))
     m_val = float(v @ h + 0.5 * h @ Uh + M / 6.0 * s_actual ** 3)

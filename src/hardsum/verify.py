@@ -96,7 +96,7 @@ def check_derivatives(F: FiniteSumFunction, num_points: int, tol: float,
     wherever third derivatives are large, as they are for the chain bumps).
     The points are drawn first.  Then, per block of points, each component
     answers the block's points in one stacked call (order 2) and their
-    stencils, concatenated, in one stacked call per order, so
+    stencils, concatenated, in one stacked call (order 1), so
     ``F.component`` must answer stacks of points.  Each answer's stencils
     are combined in one Richardson pass with one step per point, and the
     worst error is found by walking (point, component) in order: the first
@@ -120,10 +120,9 @@ def check_derivatives(F: FiniteSumFunction, num_points: int, tol: float,
         errs = []                        # per component: (grad, hess) rows
         for i in range(F.n):
             der = F.component(i, xs, 2)
-            g_fd = _richardson_combine(
-                F.component(i, stencil, 0).value.reshape(P, rows), h)
-            H_fd = _richardson_combine(
-                F.component(i, stencil, 1).grad.reshape(P, rows, F.d), h)
+            sten = F.component(i, stencil, 1)
+            g_fd = _richardson_combine(sten.value.reshape(P, rows), h)
+            H_fd = _richardson_combine(sten.grad.reshape(P, rows, F.d), h)
             errs.append((_row_rel_errs(der.grad, g_fd).tolist(),
                          _row_rel_errs(der.hess, H_fd).tolist()))
         for k in range(P):

@@ -80,6 +80,13 @@ class TestPsi:
         with pytest.raises(ValueError):
             psi(1.0, 3)
 
+    def test_nan_poisons_every_order(self):
+        # a NaN coordinate must not pass for one in the flat region
+        for q in range(3):
+            assert np.isnan(psi(np.nan, q))
+            got = psi(np.array([1.0, np.nan, -1.0]), q)
+            assert np.isnan(got).tolist() == [False, True, False]
+
 
 class TestPhi:
     def test_value_at_zero(self):
@@ -168,24 +175,30 @@ class TestPhiTable:
         assert same_bits(_phi_table(x, 0), table[:1])
 
     def test_edge_arguments(self):
-        # alone and all together; no overflow, invalid operation or division
-        # by zero on the way
+        # alone and all together, at every order; no overflow, invalid
+        # operation or division by zero on the way
         mags = [0.0, 5e-324, 1e-300, 38.0, 1e154, 1e300, np.inf]
         x = np.array(mags + [-m for m in mags] + [np.nan])
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            together = _phi_table(x, 0)[0]
+            table = _phi_table(x, 2)
             for k, a in enumerate(x):
-                assert same_bits(_phi_table(np.array([a]), 0)[0, :, 0],
-                                 together[:, k]), a
+                assert same_bits(_phi_table(np.array([a]), 2)[..., 0],
+                                 table[..., k]), a
+            assert same_bits(_phi_table(x, 0), table[:1])
+        together = table[0]
         pos, neg = together[0, :7], together[0, 7:14]
         assert pos[0] == neg[0] == PHI_AT_ZERO              # +-0
         assert pos[6] == 2.0 * PHI_AT_ZERO and neg[6] == 0.0  # +-inf
         assert pos[4] == 2.0 * PHI_AT_ZERO                  # 1e154
         assert 0.0 < neg[3] < 1e-300                        # -38
-        assert np.isnan(together[:, -1]).all()
+        assert np.isnan(table[..., -1]).all()
         # the pair's halves are each other's reflection
         assert same_bits(together[1, :7], neg)
         assert same_bits(together[1, 7:14], pos)
+        # the derivatives: SQRT_E and 0 at +-0, 0 from +-1e154 to +-inf
+        assert (table[1, :, [0, 7]] == SQRT_E).all()
+        assert (table[2, :, [0, 7]] == 0.0).all()
+        assert (table[1:, :, [4, 5, 6, 11, 12, 13]] == 0.0).all()
 
 
 class TestChain:

@@ -116,6 +116,24 @@ class TestCheckDerivatives:
         with pytest.raises(ValueError):
             check_derivatives(F, num_points=2, tol=0.0)
 
+    def test_two_component_calls_per_block(self, monkeypatch):
+        # per block, each component answers its points (order 2) and their
+        # stencils once (order 1): the stencils' values come with the
+        # gradients, so no order-0 call is made
+        F = quadratic_cosine_sum(3, 4, seed=0)
+        block = _STENCIL_BLOCK // (4 * F.d)
+        calls = []
+        component = F.component
+
+        def spy(i, x, order=2):
+            calls.append((i, order))
+            return component(i, x, order)
+
+        monkeypatch.setattr(F, "component", spy)
+        check_derivatives(F, num_points=2 * block + 1, tol=1e-6, seed=1)
+        assert calls == [(i, order) for _ in range(3) for i in range(F.n)
+                         for order in (2, 1)]
+
 
 class TestZeroChain:
     @pytest.mark.parametrize("K", [2, 4, 8])
