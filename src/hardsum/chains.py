@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,6 +53,12 @@ class Derivatives:
     value: float | np.ndarray
     grad: np.ndarray | None = None
     hess: np.ndarray | None = None
+
+
+def _check_order(order) -> None:
+    """The check of a derivative order where it enters the package."""
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be in 0..2, got {order}")
 
 
 def psi(x, order: int = 0):
@@ -97,8 +103,7 @@ def phi(x, order: int = 0):
 def _at(table, x, order: int):
     """The order-``order`` derivative at x, a float or x's shape, from
     slot 0 (the pairs' x half) of a pair table."""
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be in 0..2, got {order}")
+    _check_order(order)
     x = np.asarray(x, dtype=float)
     out = table(x.reshape(-1), order)[order, 0]
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
@@ -170,8 +175,7 @@ def chain_eval(K: int, mask, x, order: int = 0) -> Derivatives:
     a stack's answer holds values (P,), gradients (P, K) and Hessians
     (P, K, K), row p equal to the answer at ``x[p]``.
     """
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be in 0..2, got {order}")
+    _check_order(order)
     return _chain_eval(K, _check_mask(mask, K), as_points(x, dim=K), order)
 
 
@@ -267,46 +271,65 @@ def soft_clamp(y, R: float, order: int = 0):
     """
     if R <= 0:
         raise ValueError("R must be positive")
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be in 0..2, got {order}")
+    _check_order(order)
     y = as_points(y)
-    rho, J, d2c = _soft_clamp(y, row_dot(y, y), R, order)
-    if d2c is None:
-        return rho, J, None
+    clamp = _Clamp(y, row_dot(y, y), R)
+    if order == 0:
+        return clamp.rho, None, None
+    J = clamp.jacobian()
+    if order == 1:
+        return clamp.rho, J, None
 
     def d2_contract(a) -> np.ndarray:
         a = as_points(a, dim=y.shape[-1])
         if a.shape != y.shape:
             raise ValueError(f"expected shape {y.shape}, got {a.shape}")
-        return d2c(a)
+        return clamp.d2_contract(a)
 
-    return rho, J, d2_contract
+    return clamp.rho, J, d2_contract
 
 
-def _soft_clamp(y: np.ndarray, yy, R: float, order: int):
-    """``soft_clamp`` on already validated points of any leading shape
-    (..., m) with squared norms ``yy``; its ``d2_contract`` takes vectors
-    of y's shape unchecked."""
-    s = 1.0 / np.sqrt(1.0 + yy / R ** 2)
-    rho = s[..., None] * y
-    if order == 0:
-        return rho, None, None
-    eye = _eye(y.shape[-1])
-    c3 = s ** 3 / R ** 2
-    yyT = y[..., :, None] * y[..., None, :]
-    J = s[..., None, None] * eye - c3[..., None, None] * yyT
-    if order == 1:
-        return rho, J, None
+class _Clamp:
+    """The soft clamp of radius R at validated points y of any leading
+    shape (..., m), with squared norms yy.
 
-    def d2_contract(a: np.ndarray) -> np.ndarray:
+    With s = 1 / sqrt(1 + yy / R^2) and c3 = s^3 / R^2, rho = s y and the
+    Jacobian is the symmetric J = s I - c3 y y^T, so its product with a
+    vector needs no J: J a = s a - c3 (y . a) y.  Vectors ``a`` have y's
+    shape and go unchecked.
+    """
+
+    def __init__(self, y: np.ndarray, yy, R: float):
+        self.y, self.R = y, R
+        self.s = 1.0 / np.sqrt(1.0 + yy / R ** 2)
+        self.rho = self.s[..., None] * y
+
+    @cached_property
+    def c3(self):
+        return self.s ** 3 / self.R ** 2
+
+    @cached_property
+    def yyT(self) -> np.ndarray:
+        return self.y[..., :, None] * self.y[..., None, :]
+
+    def product(self, a: np.ndarray) -> np.ndarray:
+        """J a, one vector per point."""
+        return (self.s[..., None] * a
+                - (self.c3 * row_dot(self.y, a))[..., None] * self.y)
+
+    def jacobian(self) -> np.ndarray:
+        return (self.s[..., None, None] * _eye(self.y.shape[-1])
+                - self.c3[..., None, None] * self.yyT)
+
+    def d2_contract(self, a: np.ndarray) -> np.ndarray:
+        """sum_k a_k (second-derivative matrix of rho_k), one per point."""
+        y, c3 = self.y, self.c3
         ay = row_dot(a, y)
         M = -c3[..., None, None] * (a[..., :, None] * y[..., None, :]
                                     + y[..., :, None] * a[..., None, :]
-                                    + ay[..., None, None] * eye)
-        M += (3.0 * s ** 5 / R ** 4 * ay)[..., None, None] * yyT
+                                    + ay[..., None, None] * _eye(y.shape[-1]))
+        M += (3.0 * self.s ** 5 / self.R ** 4 * ay)[..., None, None] * self.yyT
         return M
-
-    return rho, J, d2_contract
 
 
 def hat_f_eval(K: int, B: TallOrthogonal, y, order: int = 0) -> Derivatives:
@@ -316,7 +339,12 @@ def hat_f_eval(K: int, B: TallOrthogonal, y, order: int = 0) -> Derivatives:
 
     with B an m x K matrix with orthonormal columns and rho the soft clamp of
     radius clamp_radius(K) = 230 sqrt(K).  Value/gradient/Hessian are
-    assembled by the chain rule; the Hessian is
+    assembled by the chain rule; the gradient is
+
+        J_rho B grad_chain + y/5,
+
+    with the clamp's Jacobian J_rho applied in closed form (never built),
+    and the Hessian is
 
         J_rho B H_chain B^T J_rho + (second-derivative contraction of rho
         against B grad_chain) + I/5.
@@ -324,50 +352,44 @@ def hat_f_eval(K: int, B: TallOrthogonal, y, order: int = 0) -> Derivatives:
     ``y`` is one point, shape (m,), or a stack of P points, shape (P, m),
     answered as :func:`chain_eval` answers a stack.  Values equal the
     single-point answers bit for bit; gradients and Hessians go through the
-    clamp's Jacobian and agree to rounding (see :func:`soft_clamp`).
+    clamp's s^3 and agree to rounding (see :func:`soft_clamp`).  The
+    gradients of orders 1 and 2 are equal bit for bit.
     """
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be in 0..2, got {order}")
+    _check_order(order)
     if B.k != K:
         raise ValueError(f"B must have K={K} columns, got {B.k}")
-    return _hat_f(K, [(..., B.columns)], as_points(y, dim=B.d), order)
+    return _hat_f(K, B.columns, as_points(y, dim=B.d), order)
 
 
-def _hat_f(K: int, blocks, y: np.ndarray, order: int) -> Derivatives:
-    """``hat_f_eval`` of several blocks in one evaluation, each at its own
-    part of the validated points y.
+def _hat_f(K: int, cols: np.ndarray, y: np.ndarray, order: int) -> Derivatives:
+    """``hat_f_eval`` of one or several blocks in one evaluation, at
+    validated points y.
 
-    ``blocks`` pairs an index into y with a block's m x K columns: the
-    block answers at ``y[index]``.  The index is b along a leading block
-    axis of y, shape (nb, ..., m), or ``...`` for one block answering all
-    of y (what :func:`hat_f_eval` asks).  The answer has y's leading shape.
-    Clamp, chain and Jacobian run once over all of y; the products with
-    the columns go block by block, each through its block's own columns on
-    a C-contiguous part of y, so each part's rows equal the one-block
-    answer bit for bit.
+    ``cols`` holds the blocks' m x K columns: one block, shape (m, K),
+    answers all of y; nb blocks, shape (nb, m, K), answer y of shape
+    (nb, ..., m), block b at ``y[b]``.  The answer has y's leading shape.
+    Every product is one broadcast matmul that makes, row by row, the
+    call a block alone makes on its part of y, so each block's rows equal
+    its one-block answer bit for bit.
     """
+    if cols.ndim == 3:      # block b's columns against every point of y[b]
+        cols = np.expand_dims(cols, tuple(range(1, y.ndim - 1)))
+    cols_t = cols.swapaxes(-1, -2)
     yy = row_dot(y, y)
-    rho, J, d2c = _soft_clamp(y, yy, clamp_radius(K), order)
-    w = np.empty(y.shape[:-1] + (K,))
-    for b, cols in blocks:
-        w[b] = row_matvec(cols.T, rho[b])
-    ch = _chain_eval(K, np.ones(K), w, order)
+    clamp = _Clamp(y, yy, clamp_radius(K))
+    ch = _chain_eval(K, np.ones(K), row_matvec(cols_t, clamp.rho), order)
 
     val = _as_value(ch.value + 0.1 * yy)
     if order == 0:
         return Derivatives(val)
 
-    g_chain = np.empty(y.shape)  # gradient w.r.t. rho
-    for b, cols in blocks:
-        g_chain[b] = row_matvec(cols, ch.grad[b])
-    grad = row_matvec(J, g_chain) + 0.2 * y   # J is symmetric
+    g_chain = row_matvec(cols, ch.grad)  # gradient w.r.t. rho
+    grad = clamp.product(g_chain) + 0.2 * y
     if order == 1:
         return Derivatives(val, grad)
 
-    H = np.empty(y.shape + y.shape[-1:])
-    for b, cols in blocks:
-        H[b] = cols @ ch.hess[b] @ cols.T
-    H = J @ H @ J
-    H += d2c(g_chain)
+    J = clamp.jacobian()
+    H = J @ (cols @ ch.hess @ cols_t) @ J
+    H += clamp.d2_contract(g_chain)
     H += 0.2 * _eye(y.shape[-1])
     return Derivatives(val, grad, _sym_part(H))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -244,7 +245,10 @@ def cmd_verify(cfg: RunConfig, quiet: bool = False) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, so every :func:`main` call parses as a fresh process."""
     parser = argparse.ArgumentParser(
         prog="hardsum",
         description="hard finite-sum instances, metered oracles, SVRC")

@@ -14,10 +14,10 @@ import warnings
 
 import numpy as np
 
-from ..chains import Derivatives, _hat_f
+from ..chains import Derivatives, _check_order, _hat_f
 from ..linalg import (TallOrthogonal, as_points, as_rng, row_matvec,
                       sample_orthonormal_columns)
-from ..oracle import FiniteSumFunction, _row_answers
+from ..oracle import FiniteSumFunction
 from .params import HardInstanceSpec
 
 __all__ = [
@@ -93,10 +93,9 @@ class RandomizedHardInstance(FiniteSumFunction):
         self.B = B
         self.C = C
         self.scaled = scaled
-        # component i's K columns of B, copied contiguous once
-        self._blocks = [
-            np.ascontiguousarray(B.columns[:, i * spec.K:(i + 1) * spec.K])
-            for i in range(spec.n)]
+        # component i's K columns of B at [i], copied contiguous once
+        self._cols = np.ascontiguousarray(
+            B.columns.reshape(self._m, spec.n, spec.K).swapaxes(0, 1))
         if scaled:
             self._sigma = spec.sigma
             self._pref = spec.lam * spec.sigma ** (spec.p + 1)
@@ -113,7 +112,12 @@ class RandomizedHardInstance(FiniteSumFunction):
     def _slot(self, i: int, x: np.ndarray) -> np.ndarray:
         if self.C is None:
             return x[..., i * self._m:(i + 1) * self._m]
-        return row_matvec(self.C.columns[:, i * self._m:(i + 1) * self._m].T, x)
+        return row_matvec(self._C_slots[i].T, x)
+
+    @property
+    def _C_slots(self) -> np.ndarray:
+        """C's columns of slot i at [i], shape (n, d, m): views of C."""
+        return self.C.columns.reshape(self.d, self.n, self._m).swapaxes(0, 1)
 
     def embed(self, i: int, v: np.ndarray) -> np.ndarray:
         """The ambient d-vector C_i v that places the m-vector v in slot i
@@ -123,43 +127,23 @@ class RandomizedHardInstance(FiniteSumFunction):
             out = np.zeros(v.shape[:-1] + (self.d,))
             out[..., i * self._m:(i + 1) * self._m] = v
             return out
-        return row_matvec(self.C.columns[:, i * self._m:(i + 1) * self._m], v)
+        return row_matvec(self._C_slots[i], v)
 
     def _unslot_hess(self, i: int, H: np.ndarray) -> np.ndarray:
         if self.C is None:
             out = np.zeros(H.shape[:-2] + (self.d, self.d))
             s = slice(i * self._m, (i + 1) * self._m)
             out[..., s, s] = H
-        else:
-            Ci = self.C.columns[:, i * self._m:(i + 1) * self._m]
-            out = Ci @ H @ Ci.T
-        return out
+            return out
+        Ci = self._C_slots[i]
+        return Ci @ H @ Ci.T
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
         i = self.check_index(i)
         x = as_points(x, dim=self.d)
-        if order not in (0, 1, 2):
-            raise ValueError(f"order must be in 0..2, got {order}")
+        _check_order(order)
         y = self._slot(i, x) / self._sigma
-        base = _hat_f(self._K, [(..., self._blocks[i])], y, order)
-        return self._scaled(i, base, order)
-
-    def _answers(self, x: np.ndarray, order: int):
-        """At a stack of points, every component in one clamped-chain
-        evaluation: the n slots are stacked as (n, P, m) and answered by
-        the one kernel behind :func:`hat_f_eval`, each row equal to
-        :meth:`component`'s bit for bit."""
-        if x.ndim == 1:
-            return super()._answers(x, order)
-        y = np.stack([self._slot(i, x) for i in range(self.n)]) / self._sigma
-        base = _hat_f(self._K, list(enumerate(self._blocks)), y, order)
-        return (self._scaled(i, der, order)
-                for i, der in enumerate(_row_answers(base, order)))
-
-    def _scaled(self, i: int, base: Derivatives, order: int) -> Derivatives:
-        """Component i's answer from the clamped chain's answer at its
-        slot: the prefactor and argument scale applied, the slot embedded
-        in the ambient space."""
+        base = _hat_f(self._K, self._cols[i], y, order)
         val = self._pref * base.value
         if order == 0:
             return Derivatives(val)
@@ -167,6 +151,39 @@ class RandomizedHardInstance(FiniteSumFunction):
         if order == 1:
             return Derivatives(val, grad)
         hess = self._unslot_hess(i, (self._pref / self._sigma ** 2) * base.hess)
+        return Derivatives(val, grad, hess)
+
+    def _answers(self, x: np.ndarray, order: int):
+        """At a stack of P points, every component in one clamped-chain
+        evaluation, answered as one stack: the n slots are stacked as
+        (n, P, m) and answered by the one kernel behind :func:`hat_f_eval`;
+        values (n, P), gradients (n, P, d) and Hessians (n, P, d, d), rows
+        in component order, each equal to :meth:`component`'s bit for
+        bit."""
+        if x.ndim == 1:
+            return super()._answers(x, order)
+        y = np.stack([self._slot(i, x) for i in range(self.n)]) / self._sigma
+        base = _hat_f(self._K, self._cols, y, order)
+        val = self._pref * base.value
+        if order == 0:
+            return Derivatives(val)
+        every = np.arange(self.n)
+        lead, slot = base.value.shape, (self.n, self._m)
+        g = (self._pref / self._sigma) * base.grad
+        if self.C is None:
+            grad = np.zeros(lead + (self.d,))
+            grad.reshape(lead + slot)[every, :, every] = g
+        else:
+            grad = row_matvec(self._C_slots[:, None], g)
+        if order == 1:
+            return Derivatives(val, grad)
+        H = (self._pref / self._sigma ** 2) * base.hess
+        if self.C is None:
+            hess = np.zeros(lead + (self.d, self.d))
+            hess.reshape(lead + slot + slot)[every, :, every, :, every] = H
+        else:
+            C = self._C_slots[:, None]
+            hess = C @ H @ C.swapaxes(-1, -2)
         return Derivatives(val, grad, hess)
 
 

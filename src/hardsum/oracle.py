@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import Derivatives
+from .chains import Derivatives, _check_order
 from .linalg import (_added, _dense, _Factored, _symmetrized, as_points,
                      as_rng, as_vector, row_dot, row_matvec)
 
@@ -63,6 +63,7 @@ class FiniteSumFunction:
         The default asks :meth:`component` once per row, in row order, so a
         stateful sum sees the calls that a loop over the rows makes.
         """
+        _check_order(order)
         rows = self.check_rows(rows).tolist()
         return _stacked([self.component(i, x, order) for i in rows], rows,
                         order, self.d)
@@ -105,6 +106,7 @@ class FiniteSumFunction:
         :meth:`_answers`.  Its Hessian is dense.  Never goes through a
         ledger; use :func:`query` for charged access.
         """
+        _check_order(order)
         x = as_points(x, dim=self.d)
         mean = mean_derivatives(self._answers(x, order), x.shape, order)
         return Derivatives(mean.value, mean.grad, _dense(mean.hess))
@@ -298,6 +300,7 @@ class _QuadraticCosineSum(FiniteSumFunction):
                               order)
 
     def components(self, rows, x, order: int = 2) -> Derivatives:
+        _check_order(order)
         rows = self.check_rows(rows)
         if rows.size == self.n and (rows == np.arange(self.n)).all():
             rows = slice(None)
@@ -450,8 +453,7 @@ def query(ledger: OracleLedger, F: FiniteSumFunction, i: int, x,
     ``requery`` marks the charge as a snapshot-point re-read so the ledger
     can report both raw and cache-adjusted totals.
     """
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be in 0..2, got {order}")
+    _check_order(order)
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError(f"query takes one point, got shape {x.shape}")

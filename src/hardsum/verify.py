@@ -611,11 +611,11 @@ class SuboptimalityReport(_Report):
 
 
 #: the backtracking line search's trial steps 1, 1/2, ..., 2^-39 (exact), in
-#: two blocks: a round evaluates the second only for the starts that found
-#: no step in the first.  On the battery's instances step 1 passes in about
-#: 97% of searches (24,390 of about 25,100 on six instances), while in about
-#: half the rounds one nearly stationary start needs a step near 2^-27, so
-#: step 1 alone, then the other 39, evaluates the fewest trial points.
+#: two blocks: step 1, then the other 39.  On the battery's instances step 1
+#: passes in about 97% of searches (24,390 of about 25,100 on six
+#: instances), while in about half the rounds one nearly stationary start
+#: needs a step near 2^-27, and that start needs one again in most of the
+#: rounds that follow.
 _TRIAL_STEPS = np.split(np.ldexp(1.0, -np.arange(40)), [1])
 
 
@@ -628,37 +628,53 @@ def _gd_backtracking(F: FiniteSumFunction, starts: np.ndarray,
     longest of the steps 1, 1/2, ..., 2^-39 that decreases f by at least
     1e-4 * step * |g|^2, and stops once |g|^2 falls below 1e-18, when no
     trial step decreases f enough, or after ``iters`` steps.  All starts
-    move in lockstep: a round evaluates a block of trial points of every
-    start still searching in one stacked ``F.full(., 0)`` call, and the
-    accepted iterates in one stacked ``F.full(., 1)`` call.
+    move in lockstep, and every trial point is evaluated at order 1, so a
+    start takes its next value and gradient from the call that accepted
+    its step.  A round's first stacked ``F.full(., 1)`` call evaluates, for
+    every moving start, the first block of ``_TRIAL_STEPS``, and the
+    second block too for a start whose last step lay past the first; each
+    later call evaluates the next block of the starts still searching.  A
+    start that keeps needing short steps thus adds rows to a round's one
+    call, not calls.
     """
     x = np.array(starts, dtype=float)
     der = F.full(x, 1)
     f_val, g = der.value, der.grad
     moving = np.ones(len(x), dtype=bool)
-    step = np.empty(len(x))
+    steps = np.concatenate(_TRIAL_STEPS)
+    #: end of each block in ``steps``; a start's first span ends at
+    #: ``ends[0]``, or at ``ends[1]`` after a step past the first block
+    ends = np.cumsum([len(block) for block in _TRIAL_STEPS])
+    lead = np.zeros(len(x), dtype=int)
     for _ in range(iters):
         gnorm2 = row_dot(g, g)
         moving &= gnorm2 >= 1e-18
-        searching = moving.copy()
-        for steps in _TRIAL_STEPS:
-            idx = np.flatnonzero(searching)
-            if idx.size == 0:
-                break
-            cand = x[idx, None, :] - steps[:, None] * g[idx, None, :]
-            f_new = F.full(cand.reshape(-1, x.shape[1]), 0).value
-            ok = f_new.reshape(idx.size, -1) <= (
-                f_val[idx, None] - 1e-4 * steps * gnorm2[idx, None])
-            found = ok.any(axis=1)
-            step[idx[found]] = steps[ok[found].argmax(axis=1)]
-            searching[idx[found]] = False
-        moving &= ~searching
         idx = np.flatnonzero(moving)
         if idx.size == 0:
             break
-        x[idx] = x[idx] - step[idx, None] * g[idx]
-        der = F.full(x[idx], 1)
-        f_val[idx], g[idx] = der.value, der.grad
+        lo, hi = np.zeros(idx.size, dtype=int), ends[lead[idx]]
+        while idx.size:
+            # one row per (start, trial step) pair, starts in order
+            count = hi - lo
+            rows = np.repeat(idx, count)
+            first_row = np.cumsum(count) - count
+            k = np.arange(rows.size) + np.repeat(lo - first_row, count)
+            cand = x[rows] - steps[k, None] * g[rows]
+            der = F.full(cand, 1)
+            ok = der.value <= f_val[rows] - 1e-4 * steps[k] * gnorm2[rows]
+            # a start's first passing row holds its longest passing step
+            hit = np.flatnonzero(ok)
+            hit = hit[np.unique(rows[hit], return_index=True)[1]]
+            took = rows[hit]
+            x[took], f_val[took] = cand[hit], der.value[hit]
+            g[took] = der.grad[hit]
+            lead[took] = np.minimum(k[hit] >= ends[0], len(ends) - 1)
+            left = ~np.isin(idx, took)
+            idx, lo, hi = idx[left], hi[left], hi[left]
+            over = hi == ends[-1]
+            moving[idx[over]] = False   # no trial step decreased f enough
+            idx, lo = idx[~over], lo[~over]
+            hi = ends[np.searchsorted(ends, lo, side="right")]
     return f_val
 
 

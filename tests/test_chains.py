@@ -449,13 +449,14 @@ class TestStacks:
 
     @pytest.mark.parametrize("P", [1, 6])
     def test_blocks_equal_one_block_calls(self, P, rng):
-        # every block of a (nb, P, m) stack answers as it does alone
+        # every block of an (nb, m, K) array answers its part of an
+        # (nb, ..., m) stack as it does alone
         K, m, nb = 3, 7, 4
         Bs = [sample_orthonormal_columns(m, K, seed=b) for b in range(nb)]
+        cols = np.stack([B.columns for B in Bs])
         Y = rng.standard_normal((nb, P, m)) * 200.0
         for order in range(3):
-            got = _hat_f(K, [(b, B.columns) for b, B in enumerate(Bs)], Y,
-                         order)
+            got = _hat_f(K, cols, Y, order)
             for b, B in enumerate(Bs):
                 want = hat_f_eval(K, B, Y[b], order)
                 for field in ("value", "grad", "hess"):
@@ -463,6 +464,35 @@ class TestStacks:
                     assert same_bits(
                         None if stacked is None else stacked[b],
                         getattr(want, field))
+
+    @pytest.mark.parametrize("shape", [(12,), (8, 12)])
+    def test_clamp_product_is_the_jacobian_product(self, shape):
+        # the gradient applies the clamp's Jacobian in closed form; at |y|
+        # from 1 to 50 the clamp is far from saturated and the chain's
+        # gradient is not near 0, so the product carries the clamp's action
+        K = 3
+        B = sample_orthonormal_columns(12, K, seed=4)
+        rng = np.random.default_rng(0)
+        U = rng.standard_normal(shape)
+        Y = U / np.linalg.norm(U, axis=-1, keepdims=True) \
+            * rng.uniform(1.0, 50.0, shape[:-1] + (1,))
+        rho, J, _ = soft_clamp(Y, clamp_radius(K), 1)
+        ch = chain_eval(K, np.ones(K), row_matvec(B.columns.T, rho), 1)
+        g_chain = row_matvec(B.columns, ch.grad)
+        assert np.all(np.linalg.norm(g_chain, axis=-1) > 1e-2)
+        want = row_matvec(J, g_chain) + 0.2 * Y
+        got = hat_f_eval(K, B, Y, 1).grad
+        for a, b in zip(np.reshape(want, (-1, 12)), np.reshape(got, (-1, 12))):
+            assert np.linalg.norm(a - b) <= 1e-15 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("shape", [(12,), (5, 12)])
+    @pytest.mark.parametrize("scale", [1.0, 20.0, 300.0])
+    def test_gradients_of_orders_1_and_2_are_equal(self, shape, scale, rng):
+        K = 3
+        B = sample_orthonormal_columns(12, K, seed=4)
+        Y = rng.standard_normal(shape) * scale
+        assert same_bits(hat_f_eval(K, B, Y, 1).grad,
+                         hat_f_eval(K, B, Y, 2).grad)
 
     def test_single_point_answers_stay_scalar(self):
         B = sample_orthonormal_columns(5, 2, seed=0)
@@ -490,16 +520,22 @@ class TestStacks:
 
 def _one_block_hat_f(K, B, y, order):
     """(value, grad, hess) of hat_f by the chain rule on one block, through
-    the public clamp and chain (the reference)."""
-    rho, J, d2c = soft_clamp(y, clamp_radius(K), order)
+    the public clamp and chain (the reference).  The gradient applies the
+    clamp's Jacobian J = s I - (s^3 / R^2) y y^T in closed form."""
+    R = clamp_radius(K)
+    rho, J, d2c = soft_clamp(y, R, order)
     w = row_matvec(B.columns.T, rho)
     ch = chain_eval(K, np.ones(K), w, order)
-    val = ch.value + 0.1 * row_dot(y, y)
+    yy = row_dot(y, y)
+    val = ch.value + 0.1 * yy
     val = float(val) if np.ndim(val) == 0 else val
     if order == 0:
         return val, None, None
     g_chain = row_matvec(B.columns, ch.grad)
-    grad = row_matvec(J, g_chain) + 0.2 * y
+    s = 1.0 / np.sqrt(1.0 + yy / R ** 2)
+    c3 = s ** 3 / R ** 2
+    grad = (s[..., None] * g_chain
+            - (c3 * row_dot(y, g_chain))[..., None] * y) + 0.2 * y
     if order == 1:
         return val, grad, None
     H = J @ (B.columns @ ch.hess @ B.columns.T) @ J

@@ -1,7 +1,15 @@
 import dataclasses
+import importlib
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
+
+import hardsum
 
 from hardsum.cli import RunConfig, main
 from hardsum.instances import ell_p
@@ -531,3 +539,49 @@ class TestVerify:
             main(["verify", "--quiet", "--budget", "5"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+
+
+def test_main_calls_in_one_process_answer_as_separate_processes(
+        tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; calls with other subcommands
+    # and other flags after it (a run without --seeds after one with them,
+    # a refused seed list) answer byte for byte as fresh processes do
+    svrc = _write(tmp_path, "svrc.ini", _synthetic_svrc_ini())
+    small = _write(tmp_path, "verify.ini", (
+        "[verify]\nnum_points = 4\nzero_chain_samples = 40\n"
+        "pairs = 12\ntrials = 1000\nstarts = 2\n"))
+    calls = (["run", "--config", svrc, "--seeds", "1,2", "--out", "a.jsonl"],
+             ["verify", "--config", small, "--seed", "3", "--quiet",
+              "--out", "rep.json"],
+             ["run", "--config", svrc, "--budget", "30", "--out", "b.jsonl"],
+             ["run", "--config", svrc, "--seeds", "1,x"])
+    one, fresh = tmp_path / "one", tmp_path / "fresh"
+    one.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(one)
+    in_process = []
+    for args in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(args)
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hardsum.__file__).resolve().parents[1]))
+    processes = [subprocess.run(
+        [sys.executable, "-W", "ignore", "-c",
+         "import sys; from hardsum.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *args],
+        cwd=fresh, env=env, capture_output=True, text=True, check=False)
+        for args in calls]
+    assert in_process == [(p.returncode, p.stdout, p.stderr)
+                          for p in processes]
+    build = importlib.import_module("hardsum.cli.main")._build_parser
+    assert build() is build()
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 2]
+    files = sorted(path.name for path in fresh.iterdir())
+    assert files == ["a.seed1.jsonl", "a.seed2.jsonl", "b.jsonl", "rep.json"]
+    assert sorted(path.name for path in one.iterdir()) == files
+    for name in files:
+        assert (one / name).read_bytes() == (fresh / name).read_bytes()

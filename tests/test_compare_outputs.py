@@ -4,6 +4,7 @@ moved JSON key is named with its change."""
 import dataclasses
 import importlib.util
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -118,3 +119,21 @@ def test_moved_float_key_is_named_with_its_change(tool, tmp_path):
     at = lines.index("DIFF     rows/run.jsonl")
     assert lines[at + 1] == "         mu: max rel change 0.25 (1 value)"
     assert lines[at + 2].startswith("same ")
+
+
+def test_named_list_items_are_named_in_key_paths(tool):
+    # battery checks carry a name: a moved key under one is named by it;
+    # items without one name on both sides keep the shared "[]"
+    a = [{"name": "check_derivatives", "details": {"max_rel_err": 1e-10}},
+         {"name": "suboptimality", "passed": True},
+         {"name": "x", "v": 1}, {"v": 1}, [1]]
+    b = [{"name": "check_derivatives", "details": {"max_rel_err": 2e-10}},
+         {"name": "suboptimality", "passed": False},
+         {"name": "y", "v": 1}, {"v": 2}, [2]]
+    text = [json.dumps(doc).encode() for doc in (a, b)]
+    assert tool.moved_keys("rep.json", *text) == [
+        "[].name: max rel change inf (1 value)",
+        "[].v: max rel change 1 (1 value)",
+        "[][]: max rel change 1 (1 value)",
+        "[check_derivatives].details.max_rel_err: max rel change 1 (1 value)",
+        "[suboptimality].passed: max rel change inf (1 value)"]

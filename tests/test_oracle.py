@@ -535,6 +535,16 @@ SUMS = {
     "stack-hat": (lambda: _hat_sum(3, 12, seed=2), 1e-15),
 }
 
+def _at_order(where: str, order):
+    """A call at a derivative order: ``full`` at one point or at a stack of
+    two, or ``components`` at one point."""
+    if where == "components":
+        return lambda F, x: F.components([0, F.n - 1], x, order)
+    if where == "full":
+        return lambda F, x: F.full(x, order)
+    return lambda F, x: F.full(np.stack([x, x]), order)
+
+
 #: calls a sum refuses before it evaluates anything, and their errors
 REFUSALS = {
     "index-n": (lambda F, x: F.component(F.n, x), "out of range"),
@@ -552,6 +562,10 @@ REFUSALS = {
     "dim-components": (lambda F, x: F.components([0], x[:-1]), "dimension"),
     "dim-full": (lambda F, x: F.full(x[:-1]), "dimension"),
     "dim-full-stack": (lambda F, x: F.full(x[None, :-1]), "dimension"),
+    **{f"order-{order}-{where}": (_at_order(where, order),
+                                  rf"order must be in 0\.\.2, got {order}")
+       for order in (3, -1, 1.5)
+       for where in ("full", "full-stack", "components")},
 }
 
 

@@ -13,6 +13,7 @@ from hardsum.chains import Derivatives, chain_eval
 from hardsum.linalg import (as_rng, finite_diff_gradient, finite_diff_jacobian,
                             rel_err, row_dot)
 from hardsum.instances import (
+    RandomizedHardInstance,
     ResistingOracle,
     deterministic_params,
     ell_p,
@@ -458,6 +459,30 @@ class TestLockstepDescent:
                             np.split(np.concatenate(_TRIAL_STEPS), range(1, 40)))
         want = _gd_backtracking(F, starts)
         assert got.tobytes() == want.tobytes()
+
+    def test_a_round_is_one_stacked_order_1_call(self, monkeypatch):
+        # verify_suboptimality on battery instances 6-8, 20 starts and the
+        # origin: a round answers every trial point at order 1, the first
+        # two blocks of a start whose last step was shorter than 1 in the
+        # round's one call; a second call comes only when a start that took
+        # step 1 in its last round rejects it.  The order-0 calls are the
+        # origin's one-point values.
+        counts = {0: [0, 0], 1: [0, 0]}
+        full = RandomizedHardInstance.full
+
+        def spy(F, x, order=1):
+            counts[order][0] += 1
+            counts[order][1] += len(x) if np.ndim(x) == 2 else 1
+            return full(F, x, order)
+
+        monkeypatch.setattr(RandomizedHardInstance, "full", spy)
+        for seed in (6, 7, 8):
+            with pytest.warns(UserWarning):
+                inst = _battery_instance(seed)
+            verify_suboptimality(inst, num_starts=20, seed=8)
+        # 200 rounds per instance: 600 first calls, 3 first evaluations and
+        # 11 second calls
+        assert counts == {0: [3, 3], 1: [614, 24373]}
 
     def test_failed_line_search_stops_only_its_start(self):
         # 0.5|x|^2 with the gradient's sign flipped where x_0 < 0: there no

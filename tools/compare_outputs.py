@@ -15,7 +15,9 @@ Under a ``.jsonl`` or ``.json`` output that differs, one indented line names
 each key path whose values moved, with the largest relative change among
 them (``inf`` where a value is not a number or a key is on one side only)
 and how many values moved.  The rows of a ``.jsonl`` file, and the items of
-a list (``[]`` in a path), share their key paths.
+a list (``[]`` in a path), share their key paths; list items that are dicts
+with the same string ``name`` on both sides, such as battery checks, are
+named by it (``[check_derivatives_composite]``).
 
 Warnings are printed as ``Category: message`` and each tree's root is
 replaced by ``<tree>``, so only what the program says is compared, not where
@@ -266,6 +268,14 @@ def _leaf_change(a, b) -> float:
     return abs(b - a) / abs(a) if a else math.inf
 
 
+def _item_name(a, b) -> str:
+    """The ``name`` that two list items share, as a battery check names
+    itself, or "" when they are not dicts of one string name."""
+    name = a.get("name") if isinstance(a, dict) else None
+    same = isinstance(b, dict) and b.get("name") == name
+    return name if isinstance(name, str) and same else ""
+
+
 def _walk(a, b, path: str, moved: dict) -> None:
     """Record in ``moved`` (path -> list of relative changes) every value of
     two parsed JSON documents that differs."""
@@ -279,7 +289,7 @@ def _walk(a, b, path: str, moved: dict) -> None:
     elif (isinstance(a, list) and isinstance(b, list)
           and len(a) == len(b)):
         for u, v in zip(a, b):
-            _walk(u, v, path + "[]", moved)
+            _walk(u, v, f"{path}[{_item_name(u, v)}]", moved)
     elif type(a) is not type(b) or repr(a) != repr(b):
         moved.setdefault(path or "(document)", []).append(_leaf_change(a, b))
 
