@@ -75,18 +75,23 @@ def _psi_table(x: np.ndarray, order: int) -> np.ndarray:
     :func:`_phi_table`'s layout (order + 1, 2) + x.shape.  At most one
     member of a pair is above the cutoff, so a pair costs one
     exponential."""
-    flat = x.reshape(-1)
-    xx = np.concatenate((flat, -flat)).reshape((2,) + x.shape)
+    xx = np.empty((2,) + x.shape)
+    xx[0] = x
+    np.negative(x, out=xx[1])
     out = np.zeros((order + 1,) + xx.shape)
-    m = ~(xx <= _PSI_CUTOFF)        # a NaN is live, so it poisons every order
-    if m.any():
-        u = 2.0 * xx[m] - 1.0
+    # the flat positions above the cutoff; a NaN is live, so it poisons
+    # every order
+    live = (~(xx <= _PSI_CUTOFF)).reshape(-1).nonzero()[0]
+    if live.size:
+        u = 2.0 * xx.take(live) - 1.0
         val = np.exp(np.maximum(1.0 - u ** -2, _EXP_FLOOR))
-        out[0, m] = val
+        table = np.empty((order + 1, live.size))
+        table[0] = val
         if order >= 1:
-            out[1, m] = val * 4.0 * u ** -3
+            np.multiply(val * 4.0, u ** -3, out=table[1])
         if order >= 2:
-            out[2, m] = val * (16.0 * u ** -6 - 24.0 * u ** -4)
+            np.multiply(val, 16.0 * u ** -6 - 24.0 * u ** -4, out=table[2])
+        out.reshape(order + 1, -1)[:, live] = table
     return out
 
 
@@ -130,8 +135,10 @@ def _phi_table(x: np.ndarray, order: int) -> np.ndarray:
     out[0, 1] = np.where(neg, high, low)
     if order >= 1:
         # exp(-x^2/2) is 0 beyond |x| of about 38.6: clipping keeps every
-        # finite x's bits and keeps x^2 and x * 0 finite at huge or infinite x
-        c = np.clip(x, -40.0, 40.0)
+        # finite x's bits and keeps x^2 and x * 0 finite at huge or infinite
+        # x; a NaN passes through (minimum and maximum are np.clip's
+        # arithmetic without its wrapper)
+        c = np.minimum(np.maximum(x, -40.0), 40.0)
         g = SQRT_E * np.exp(-0.5 * c * c)
         out[1] = g
         if order >= 2:
@@ -179,26 +186,29 @@ def chain_eval(K: int, mask, x, order: int = 0) -> Derivatives:
     return _chain_eval(K, _check_mask(mask, K), as_points(x, dim=K), order)
 
 
-def _chain_eval(K: int, m: np.ndarray, x: np.ndarray, order: int) -> Derivatives:
+def _chain_eval(K: int, m: np.ndarray | None, x: np.ndarray,
+                order: int) -> Derivatives:
     """``chain_eval`` on already validated masks and points.
 
-    ``m`` is one mask, shape (K,), or a stack of masks whose leading shape
-    broadcasts against the points': masks (n, K) at one point (K,) answer
-    values (n,), gradients (n, K) and Hessians (n, K, K), one row per mask;
-    masks (n, K) paired row by row with points (n, K) answer one row per
-    pair; masks (n, 1, K) against points (P, K) answer (n, P) values, and so
-    on.  The psi/phi tables are built once over the points, and every row
-    equals the one-mask answer at its point bit for bit.
+    ``m`` is None for the unmasked chain (every mask entry 1: its products
+    by 1.0 are exact, so they are skipped and the bits are kept), one mask,
+    shape (K,), or a stack of masks whose leading shape broadcasts against
+    the points': masks (n, K) at one point (K,) answer values (n,),
+    gradients (n, K) and Hessians (n, K, K), one row per mask; masks (n, K)
+    paired row by row with points (n, K) answer one row per pair; masks
+    (n, 1, K) against points (P, K) answer (n, P) values, and so on.  The
+    psi/phi tables are built once over the points, and every row equals the
+    one-mask answer at its point bit for bit.
     """
     # psi/phi tables at the pairs +-x for all needed orders; psi is only
     # read at x_{k-1}, phi at x_1 and at x_k for the terms k = 2..K
     psi_pm = _psi_table(x[..., :-1], order)
     phi_pm = _phi_table(x, order)
-    phi_k = phi_pm[..., 1:]
+    phi_k = np.ascontiguousarray(phi_pm[..., 1:])  # for _term's products
     phi_1 = phi_pm[:, 0, ..., 0]  # phi(x_1) and its derivatives
-    m0, m1 = m[..., 0], m[..., 1:]
+    m0, m1 = (None, None) if m is None else (m[..., 0], m[..., 1:])
 
-    val = -m0 * phi_1[0]  # psi(1) = 1 exactly
+    val = _first_term(m0, phi_1[0])  # psi(1) = 1 exactly
     if K > 1:
         val = val + _term(m1, psi_pm, phi_k, 0, 0).sum(axis=-1)
     shape = val.shape + (K,)  # the masks' and points' broadcast shape
@@ -207,7 +217,7 @@ def _chain_eval(K: int, m: np.ndarray, x: np.ndarray, order: int) -> Derivatives
         return Derivatives(val)
 
     grad = np.zeros(shape)
-    grad[..., 0] = -m0 * phi_1[1]
+    grad[..., 0] = _first_term(m0, phi_1[1])
     if K > 1:
         grad[..., :-1] += _term(m1, psi_pm, phi_k, 1, 0)   # d/dx_{k-1}
         grad[..., 1:] += _term(m1, psi_pm, phi_k, 0, 1)    # d/dx_k
@@ -218,7 +228,7 @@ def _chain_eval(K: int, m: np.ndarray, x: np.ndarray, order: int) -> Derivatives
     # the diagonal, super- and sub-diagonal as strided views of flat H
     flat = H.reshape(shape[:-1] + (K * K,))
     diag = flat[..., ::K + 1]
-    diag[..., 0] = -m0 * phi_1[2]
+    diag[..., 0] = _first_term(m0, phi_1[2])
     if K > 1:
         diag[..., :-1] += _term(m1, psi_pm, phi_k, 2, 0)   # d2/dx_{k-1}^2
         diag[..., 1:] += _term(m1, psi_pm, phi_k, 0, 2)    # d2/dx_k^2
@@ -228,18 +238,26 @@ def _chain_eval(K: int, m: np.ndarray, x: np.ndarray, order: int) -> Derivatives
     return Derivatives(val, grad, H)
 
 
-def _term(m1: np.ndarray, psi_pm: np.ndarray, phi_pm: np.ndarray, a: int,
-          b: int) -> np.ndarray:
+def _first_term(m0, phi_1):
+    """The first term's derivative -m0 phi(x_1), -phi(x_1) unmasked."""
+    return -phi_1 if m0 is None else -m0 * phi_1
+
+
+def _term(m1: np.ndarray | None, psi_pm: np.ndarray, phi_pm: np.ndarray,
+          a: int, b: int) -> np.ndarray:
     """The (a, b) derivative of the masked terms k = 2..K, from pair tables
     of psi at x_{k-1} and phi at x_k:
 
         m1 ((-1)^(a+b) psi^(a)(-x_{k-1}) phi^(b)(-x_k)
-            - psi^(a)(x_{k-1}) phi^(b)(x_k))
+            - psi^(a)(x_{k-1}) phi^(b)(x_k)),
+
+    without the factor m1 when it is None (unmasked).
     """
     minus = psi_pm[a, 1] * phi_pm[b, 1]
     if (a + b) % 2:
         np.negative(minus, out=minus)
-    return m1 * (minus - psi_pm[a, 0] * phi_pm[b, 0])
+    minus -= psi_pm[a, 0] * phi_pm[b, 0]
+    return minus if m1 is None else m1 * minus
 
 
 @lru_cache(maxsize=64)
@@ -373,11 +391,12 @@ def _hat_f(K: int, cols: np.ndarray, y: np.ndarray, order: int) -> Derivatives:
     its one-block answer bit for bit.
     """
     if cols.ndim == 3:      # block b's columns against every point of y[b]
-        cols = np.expand_dims(cols, tuple(range(1, y.ndim - 1)))
+        cols = cols.reshape(cols.shape[:1] + (1,) * (y.ndim - 2)
+                            + cols.shape[1:])
     cols_t = cols.swapaxes(-1, -2)
     yy = row_dot(y, y)
     clamp = _Clamp(y, yy, clamp_radius(K))
-    ch = _chain_eval(K, np.ones(K), row_matvec(cols_t, clamp.rho), order)
+    ch = _chain_eval(K, None, row_matvec(cols_t, clamp.rho), order)
 
     val = _as_value(ch.value + 0.1 * yy)
     if order == 0:

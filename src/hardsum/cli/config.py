@@ -64,6 +64,11 @@ class RunConfig:
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, "
                                  f"got {name} = {value}")
+        for name in self._SECTIONS["verify"]:   # zero skips checks
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be at least 0, "
+                                 f"got {name} = {value}")
         for name in ("delta", "L", "eps"):
             value = getattr(self, name)
             if not value > 0:

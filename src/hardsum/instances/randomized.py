@@ -139,9 +139,9 @@ class RandomizedHardInstance(FiniteSumFunction):
         return Ci @ H @ Ci.T
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
+        _check_order(order)
         i = self.check_index(i)
         x = as_points(x, dim=self.d)
-        _check_order(order)
         y = self._slot(i, x) / self._sigma
         base = _hat_f(self._K, self._cols[i], y, order)
         val = self._pref * base.value
@@ -162,17 +162,26 @@ class RandomizedHardInstance(FiniteSumFunction):
         bit."""
         if x.ndim == 1:
             return super()._answers(x, order)
-        y = np.stack([self._slot(i, x) for i in range(self.n)]) / self._sigma
+        n, m = self.n, self._m
+        lead = (n, len(x))
+        if self.C is None:
+            # the slots are the point's consecutive m-blocks
+            y = np.empty(lead + (m,))
+            np.divide(x.reshape(len(x), n, m).swapaxes(0, 1), self._sigma,
+                      out=y)
+        else:
+            y = np.stack([self._slot(i, x) for i in range(n)]) / self._sigma
         base = _hat_f(self._K, self._cols, y, order)
         val = self._pref * base.value
         if order == 0:
             return Derivatives(val)
-        every = np.arange(self.n)
-        lead, slot = base.value.shape, (self.n, self._m)
         g = (self._pref / self._sigma) * base.grad
         if self.C is None:
+            # component i's gradient fills slot i of its rows
             grad = np.zeros(lead + (self.d,))
-            grad.reshape(lead + slot)[every, :, every] = g
+            slots = grad.reshape(lead + (n, m))
+            for i in range(n):
+                slots[i, :, i] = g[i]
         else:
             grad = row_matvec(self._C_slots[:, None], g)
         if order == 1:
@@ -180,7 +189,9 @@ class RandomizedHardInstance(FiniteSumFunction):
         H = (self._pref / self._sigma ** 2) * base.hess
         if self.C is None:
             hess = np.zeros(lead + (self.d, self.d))
-            hess.reshape(lead + slot + slot)[every, :, every, :, every] = H
+            slots = hess.reshape(lead + (n, m, n, m))
+            for i in range(n):
+                slots[i, :, i, :, i] = H[i]
         else:
             C = self._C_slots[:, None]
             hess = C @ H @ C.swapaxes(-1, -2)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..chains import Derivatives, _as_value, _chain_eval
+from ..chains import Derivatives, _as_value, _chain_eval, _check_order
 from ..linalg import _Factored, _dense, as_rng, as_vector, rel_err, row_matvec
 from ..oracle import FiniteSumFunction, _check_answer, _row_answers
 from .params import HardInstanceSpec
@@ -250,7 +250,9 @@ class ResistingOracle(FiniteSumFunction):
     def _move(self, i: int, x, order: int) -> tuple[Derivatives, int]:
         """One answered query of component i at one point x: its chain
         answer and the number of directions it used.  During play the query
-        is archived and may close a round."""
+        is archived and may close a round.  The order, index and point are
+        checked before anything is archived."""
+        _check_order(order)
         i = self.check_index(i)
         if np.ndim(x) != 1:
             raise ValueError(f"a game move is one point: component takes x "

@@ -223,16 +223,15 @@ def mean_derivatives(answers, shape: tuple, order: int) -> Derivatives:
 def _stack_mean(stack: Derivatives, shape: tuple, order: int) -> Derivatives:
     """:func:`mean_derivatives` of a stack, bit for bit."""
     parts = (stack.value, stack.grad, stack.hess)[:order + 1]
-    lead = np.shape(stack.value)[:1]
-    tails = (shape[:-1], shape, shape + shape[-1:])
-    if not lead or any(np.shape(part) != lead + tail
-                       for part, tail in zip(parts, tails)):
+    shapes = [np.shape(part) for part in parts]
+    lead = shapes[0][:1]
+    tails = [shape[:-1], shape, shape + shape[-1:]][:order + 1]
+    if not lead or shapes != [lead + tail for tail in tails]:
         if lead:    # the loop raises the error of its first bad row
             mean_derivatives(_row_answers(stack, order), shape, order)
-        raise ValueError(f"a stack of answers has parts of shapes "
-                         f"{[np.shape(part) for part in parts]}, not one row "
-                         f"each of shapes {list(tails[:order + 1])}")
-    return Derivatives(*(_row_sum(part) / lead[0] for part in parts))
+        raise ValueError(f"a stack of answers has parts of shapes {shapes}, "
+                         f"not one row each of shapes {tails}")
+    return Derivatives(*[_row_sum(part) / lead[0] for part in parts])
 
 
 def _row_sum(part):
@@ -271,6 +270,7 @@ class CallableFiniteSum(FiniteSumFunction):
             raise ValueError("need at least one component")
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
+        _check_order(order)
         i = self.check_index(i)
         x = as_points(x, dim=self.d)
         f = self._components[i]
@@ -296,6 +296,7 @@ class _QuadraticCosineSum(FiniteSumFunction):
         self.n, self.d = b.shape
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
+        _check_order(order)
         return self._evaluate(self.check_index(i), as_points(x, dim=self.d),
                               order)
 

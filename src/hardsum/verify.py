@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chains import Derivatives, chain_eval, hat_f_eval
+from .chains import Derivatives, _check_order, chain_eval, hat_f_eval
 from .instances.params import HardInstanceSpec, randomized_params
 from .instances.randomized import (RandomizedHardInstance,
                                    sample_randomized_instance)
@@ -58,6 +58,13 @@ def _int_seed(seed) -> int | None:
         return operator.index(seed)
     except TypeError:
         return None
+
+
+def _check_counts(**counts) -> None:
+    """Refuse a sample count below zero; zero is a valid count."""
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 class _Report:
@@ -100,8 +107,10 @@ def check_derivatives(F: FiniteSumFunction, num_points: int, tol: float,
     ``F.component`` must answer stacks of points.  Each answer's stencils
     are combined in one Richardson pass with one step per point, and the
     worst error is found by walking (point, component) in order: the first
-    occurrence wins, and the Hessian wins a tie with the gradient.
+    occurrence wins, and the Hessian wins a tie with the gradient.  A
+    negative ``num_points`` is refused.
     """
+    _check_counts(num_points=num_points)
     if not tol > 0:
         raise ValueError("tol must be positive")
     rng = as_rng(seed)
@@ -169,10 +178,12 @@ def check_zero_chain(K: int, num_samples: int, seed=0) -> ZeroChainReport:
 
     Trials whose sampled prefix covers the whole chain are vacuous and
     counted as skipped.  The samples are drawn first and the chain is then
-    evaluated at all of them in one stacked call per order.
+    evaluated at all of them in one stacked call per order.  A negative
+    ``num_samples`` is refused.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
+    _check_counts(num_samples=num_samples)
     rng = as_rng(seed)
     mask = np.ones(K)
     prefixes, points = [], []
@@ -558,7 +569,10 @@ def verify_large_gradient(subject, seed=0) -> LargeGradientReport:
     For a randomized instance: in unscaled units, the full gradient norm
     exceeds 1/(4 sqrt(n)) at the origin and at any point supported on
     already-discovered columns (block inner products with undiscovered
-    columns are then exactly zero, keeping every chain unfinished).
+    columns are then exactly zero, keeping every chain unfinished).  The
+    points are drawn first and answered by one stacked ``full(., 1)``
+    call, whose rows are the one-point answers bit for bit; the norm is
+    taken row by row.
 
     For the adaptive game, delegates to the adversary's own certificate
     (the bound there is lam * sigma^p / 4 in scaled units).
@@ -592,7 +606,8 @@ def verify_large_gradient(subject, seed=0) -> LargeGradientReport:
             points.append(x)
             if prefix == 0:
                 break
-    norms = [float(np.linalg.norm(inst.full(x, 1).grad)) for x in points]
+    grads = inst.full(np.array(points), 1).grad
+    norms = [float(np.linalg.norm(g)) for g in grads]
     min_norm = min(norms)
     return LargeGradientReport(
         passed=bool(min_norm > bound), kind="randomized-instance",
@@ -636,12 +651,20 @@ def _gd_backtracking(F: FiniteSumFunction, starts: np.ndarray,
     later call evaluates the next block of the starts still searching.  A
     start that keeps needing short steps thus adds rows to a round's one
     call, not calls.
+
+    The rows of a call are sorted by start, so a start's first passing row
+    (its longest passing step) is a passing row whose start differs from
+    the previous passing row's, and the starts still searching are read
+    from a reusable mask over the starts: the round's bookkeeping makes no
+    set operation.
     """
     x = np.array(starts, dtype=float)
     der = F.full(x, 1)
     f_val, g = der.value, der.grad
     moving = np.ones(len(x), dtype=bool)
+    taken = np.zeros(len(x), dtype=bool)    # scratch: the starts just moved
     steps = np.concatenate(_TRIAL_STEPS)
+    armijo = 1e-4 * steps                   # each trial step's slope factor
     #: end of each block in ``steps``; a start's first span ends at
     #: ``ends[0]``, or at ``ends[1]`` after a step past the first block
     ends = np.cumsum([len(block) for block in _TRIAL_STEPS])
@@ -649,32 +672,41 @@ def _gd_backtracking(F: FiniteSumFunction, starts: np.ndarray,
     for _ in range(iters):
         gnorm2 = row_dot(g, g)
         moving &= gnorm2 >= 1e-18
-        idx = np.flatnonzero(moving)
+        idx = moving.nonzero()[0]
         if idx.size == 0:
             break
-        lo, hi = np.zeros(idx.size, dtype=int), ends[lead[idx]]
+        lo, hi = 0, ends[lead[idx]]
         while idx.size:
             # one row per (start, trial step) pair, starts in order
             count = hi - lo
-            rows = np.repeat(idx, count)
-            first_row = np.cumsum(count) - count
-            k = np.arange(rows.size) + np.repeat(lo - first_row, count)
+            rows = idx.repeat(count)
+            k = (np.arange(rows.size)
+                 + (lo - count.cumsum() + count).repeat(count))
             cand = x[rows] - steps[k, None] * g[rows]
             der = F.full(cand, 1)
-            ok = der.value <= f_val[rows] - 1e-4 * steps[k] * gnorm2[rows]
-            # a start's first passing row holds its longest passing step
-            hit = np.flatnonzero(ok)
-            hit = hit[np.unique(rows[hit], return_index=True)[1]]
+            ok = der.value <= f_val[rows] - armijo[k] * gnorm2[rows]
+            # a start's first passing row holds its longest passing step:
+            # rows are sorted by start, so it is the passing row whose start
+            # differs from the previous passing row's
+            hit = ok.nonzero()[0]
             took = rows[hit]
+            first = np.empty(hit.size, dtype=bool)
+            first[:1] = True
+            np.not_equal(took[1:], took[:-1], out=first[1:])
+            hit, took = hit[first], took[first]
             x[took], f_val[took] = cand[hit], der.value[hit]
             g[took] = der.grad[hit]
             lead[took] = np.minimum(k[hit] >= ends[0], len(ends) - 1)
-            left = ~np.isin(idx, took)
-            idx, lo, hi = idx[left], hi[left], hi[left]
-            over = hi == ends[-1]
+            if took.size == idx.size:     # the round's usual end
+                break
+            taken[took] = True
+            left = ~taken[idx]
+            taken[took] = False
+            idx, lo = idx[left], hi[left]
+            over = lo == ends[-1]
             moving[idx[over]] = False   # no trial step decreased f enough
             idx, lo = idx[~over], lo[~over]
-            hi = ends[np.searchsorted(ends, lo, side="right")]
+            hi = ends[ends.searchsorted(lo, side="right")]
     return f_val
 
 
@@ -688,8 +720,9 @@ def verify_suboptimality(instance: RandomizedHardInstance,
     bound oracle, so the check can never spuriously fail on the inf side;
     it fails only if f(0) - inf genuinely exceeds the bound.  The
     ``num_starts`` random starts and the origin descend together in one
-    lockstep run.
+    lockstep run.  Negative counts are refused.
     """
+    _check_counts(num_starts=num_starts, gd_iters=gd_iters)
     inst = instance.unscaled_view()
     rng = as_rng(seed)
     f0 = inst.full(np.zeros(inst.d), 0).value
@@ -727,6 +760,7 @@ class _StackSum(CallableFiniteSum):
     themselves, so a stack goes to them in one call."""
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
+        _check_order(order)
         return self._components[self.check_index(i)](
             as_points(x, dim=self.d), order)
 
@@ -757,9 +791,12 @@ def run_battery(num_points: int = 60, zero_chain_samples: int = 500,
     """The default desk-scale verification battery.
 
     Any sample count set to zero skips the checks it drives, under the
-    names a run reports.  A run passes iff no check failed (skips are
-    allowed).
+    names a run reports; a negative count is refused.  A run passes iff no
+    check failed (skips are allowed).
     """
+    _check_counts(num_points=num_points,
+                  zero_chain_samples=zero_chain_samples, pairs=pairs,
+                  trials=trials, starts=starts)
     def outcome(rep):
         return rep.passed, rep.to_dict()
 

@@ -398,6 +398,22 @@ class TestStacks:
             assert_rows(cross, [chain_eval(K, m, X[:3], order)
                                 for m in masks])
 
+    @pytest.mark.parametrize("K", [1, 2, 3, 9, 17])
+    def test_unmasked_chain_is_the_all_ones_mask(self, K, rng):
+        # the unmasked chain skips the mask's products by 1.0, which are
+        # exact: on an (n, P, K) stack, and at one point, every order keeps
+        # the bits of an explicit all-ones mask, beyond the clamp of phi's
+        # exponential too
+        X = rng.standard_normal((4, 21, K)) * rng.choice([0.3, 2.5, 50.0],
+                                                         (4, 21, 1))
+        for order in range(3):
+            for x in (X, X[0, 0]):
+                got = _chain_eval(K, None, x, order)
+                want = _chain_eval(K, np.ones(K), x, order)
+                for field in ("value", "grad", "hess"):
+                    assert same_bits(getattr(got, field),
+                                     getattr(want, field))
+
     @pytest.mark.parametrize("P", range(1, 8))
     def test_soft_clamp_rows_equal_single_calls(self, P, rng):
         m, R = 6, 40.0

@@ -529,6 +529,20 @@ class TestVerify:
         assert rc == 1
         assert "FAILED: stub_check" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["num_points", "zero_chain_samples",
+                                     "pairs", "trials", "starts"])
+    def test_negative_count_exits_2(self, tmp_path, monkeypatch, capsys,
+                                    key):
+        # refused where the config is read: one error line, no check run
+        import importlib
+        cli_main = importlib.import_module("hardsum.cli.main")
+        monkeypatch.setattr(cli_main, "run_battery", lambda **kw: 1 / 0)
+        cfg_path = _write(tmp_path, "c.ini", f"[verify]\n{key} = -1\n")
+        assert main(["verify", "--config", cfg_path, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: bad config: {key} must be at least 0, "
+                       f"got {key} = -1\n")
+
     def test_budget_flag_is_refused(self, monkeypatch, capsys):
         # the battery charges no query: the flag is not one of verify's, so
         # argparse exits 2 before any check runs

@@ -81,6 +81,20 @@ def test_library_refusals_exit_2(tool, name, tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == [tool.CONFIG]
 
 
+def test_negative_verify_count_exits_2(tool, tmp_path, monkeypatch, capsys):
+    # refused as the config is read: one error line, no report written
+    entry = next(e for e in tool.ENTRIES
+                 if e.name == "verify-negative-starts")
+    assert entry.exit_code == 2
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / tool.CONFIG).write_text(entry.config, encoding="utf-8")
+    assert main([entry.args[0], "--config", tool.CONFIG,
+                 *entry.args[1:]]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad config: starts must be at least 0, got starts = -1\n")
+    assert [p.name for p in tmp_path.iterdir()] == [tool.CONFIG]
+
+
 def test_tree_against_itself_is_identical(tool):
     entry = next(e for e in tool.ENTRIES if e.name == "acc10-synth-svrc")
     out = io.StringIO()

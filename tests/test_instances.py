@@ -2,7 +2,8 @@ import dataclasses
 import math
 import struct
 
-from conftest import assert_rows, assert_shapes, chain_points, same_answer
+from conftest import (assert_rows, assert_shapes, chain_points, same_answer,
+                      same_bits)
 
 import numpy as np
 import pytest
@@ -323,6 +324,22 @@ class TestRandomizedInstance:
             rows = [n - 1, 0, n - 1]
             assert_rows(F.components(rows, X[0], order),
                         [F.component(i, X[0], order) for i in rows])
+
+    @pytest.mark.parametrize("P", [1, 21, 60])
+    @pytest.mark.parametrize("haar_c", [False, True])
+    def test_stacked_full_rows_are_one_point_answers(self, rng, haar_c, P):
+        # the descent's and the gradient floor's order-1 stacks: each row's
+        # value and gradient are the one-point full's, bit for bit, inside
+        # and beyond the clamp radius
+        spec, F = self._make(n=4, haar_c=haar_c)
+        for G in (F, F.unscaled_view()):
+            X = rng.standard_normal((P, spec.d)) * rng.choice(
+                [0.3, 3.0, 300.0, 3000.0], (P, 1))
+            stacked = G.full(X, 1)
+            for p in range(P):
+                one = G.full(X[p], 1)
+                assert same_bits(stacked.value[p], one.value)
+                assert same_bits(stacked.grad[p], one.grad)
 
     def test_sampling_deterministic(self):
         spec, F1 = self._make(seed=42)

@@ -537,7 +537,9 @@ SUMS = {
 
 def _at_order(where: str, order):
     """A call at a derivative order: ``full`` at one point or at a stack of
-    two, or ``components`` at one point."""
+    two, or ``component`` or ``components`` at one point."""
+    if where == "component":
+        return lambda F, x: F.component(0, x, order)
     if where == "components":
         return lambda F, x: F.components([0, F.n - 1], x, order)
     if where == "full":
@@ -565,7 +567,7 @@ REFUSALS = {
     **{f"order-{order}-{where}": (_at_order(where, order),
                                   rf"order must be in 0\.\.2, got {order}")
        for order in (3, -1, 1.5)
-       for where in ("full", "full-stack", "components")},
+       for where in ("full", "full-stack", "component", "components")},
 }
 
 

@@ -529,6 +529,33 @@ class TestBattery:
             (name, "passed" if "zero_chain" in name else "skipped")
             for name in BATTERY_NAMES]
 
+    @pytest.mark.parametrize("key", ["num_points", "zero_chain_samples",
+                                     "pairs", "trials", "starts"])
+    def test_negative_count_is_refused(self, key, monkeypatch):
+        # before any check runs
+        monkeypatch.setattr(hardsum.verify, "default_ell_hat", lambda p: 1 / 0)
+        with pytest.raises(ValueError, match=f"{key} must be >= 0, got -1"):
+            run_battery(**{key: -1})
+
+    @pytest.mark.parametrize("check, match", [
+        (lambda inst: check_derivatives(quadratic_cosine_sum(2, 3, seed=0),
+                                        -2, 1e-6),
+         "num_points must be >= 0, got -2"),
+        (lambda inst: check_zero_chain(3, -5),
+         "num_samples must be >= 0, got -5"),
+        (lambda inst: verify_suboptimality(inst, num_starts=-3),
+         "num_starts must be >= 0, got -3"),
+        (lambda inst: verify_suboptimality(inst, gd_iters=-1),
+         "gd_iters must be >= 0, got -1"),
+    ], ids=["check_derivatives", "check_zero_chain", "suboptimality-starts",
+            "suboptimality-gd-iters"])
+    def test_negative_check_count_is_refused(self, check, match):
+        # a negative count used to pass vacuously and report itself
+        with pytest.warns(UserWarning):
+            inst = _battery_instance(6)
+        with pytest.raises(ValueError, match=match):
+            check(inst)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_smoothness_constants_match_two_estimates(self, seed):
         # one pass of Hessian differences gives both constants, as two
@@ -670,6 +697,28 @@ def _one_point_zero_chain(K, num_samples, seed, tol=1e-12):
             "max_value_change": max_change}
 
 
+def _one_point_large_gradient(subject, seed):
+    """Reference: the gradient floor's points drawn in turn, each answered
+    by a one-point ``full``."""
+    inst = subject.unscaled_view()
+    n, K = inst.spec.n, inst.spec.K
+    bound = 1.0 / (4.0 * math.sqrt(n))
+    rng = as_rng(seed)
+    # the origin, then the prefix-0 point, the origin again
+    norms = 2 * [float(np.linalg.norm(inst.full(np.zeros(inst.d), 1).grad))]
+    for prefix in range(1, K):
+        for scale in (0.5, 2.0, 8.0):
+            x = np.zeros(inst.d)
+            for i in range(n):
+                w = rng.standard_normal(prefix)
+                w *= scale / np.linalg.norm(w)
+                x += inst.embed(i, inst.B.columns[:, i * K:i * K + prefix] @ w)
+            norms.append(float(np.linalg.norm(inst.full(x, 1).grad)))
+    return {"passed": bool(min(norms) > bound), "kind": "randomized-instance",
+            "bound": bound, "min_grad_norm": min(norms),
+            "num_points": len(norms), "details": {"n": n, "K": K}}
+
+
 def _subjects():
     """The battery's sums, a randomized instance and a sum of one-point
     callables (answered point by point)."""
@@ -740,6 +789,29 @@ class TestStackedChecksMatchOnePointLoops:
         got = estimate_smoothness(F, mode, 25, seed=4)
         assert _bits(got.constant) == _bits(
             _one_point_smoothness(F, mode, 25, seed=4))
+
+    @pytest.mark.parametrize("seed", [3, 6, 9])
+    @pytest.mark.parametrize("haar_c", [False, True])
+    def test_verify_large_gradient(self, seed, haar_c, monkeypatch):
+        # every point of the floor is answered by one stacked full call,
+        # with the one-point loop's report bit for bit
+        with pytest.warns(UserWarning):
+            inst = _battery_instance(seed)
+            if haar_c:
+                inst = sample_randomized_instance(inst.spec, seed=seed,
+                                                  haar_c=True)
+        want = _one_point_large_gradient(inst, seed + 1)
+        calls = []
+        full = RandomizedHardInstance.full
+
+        def spy(F, x, order=1):
+            calls.append((np.shape(x), order))
+            return full(F, x, order)
+
+        monkeypatch.setattr(RandomizedHardInstance, "full", spy)
+        got = verify_large_gradient(inst, seed=seed + 1)
+        assert calls == [((want["num_points"], inst.d), 1)]
+        assert _bits(got.to_dict()) == _bits(want)
 
     @pytest.mark.parametrize("K,num_samples", [(2, 60), (4, 60), (8, 60),
                                                (2, 1), (3, 0)])

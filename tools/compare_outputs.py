@@ -143,6 +143,8 @@ VERIFY_SMALL = ("[verify]\nnum_points = 4\nzero_chain_samples = 40\n"
 VERIFY_BLOCKS = "[verify]\ntrials = 1500\nstarts = 7\n"
 # 13 points end each derivative check on a partial block of stencils
 VERIFY_STENCIL_BLOCKS = "[verify]\nnum_points = 13\n"
+# a negative count: refused where the config is read
+VERIFY_NEGATIVE_STARTS = "[verify]\nstarts = -1\n"
 
 
 @dataclass(frozen=True)
@@ -232,6 +234,8 @@ ENTRIES = (
     _run("adv-cubic-budget16", ADV_CUBIC, "--budget", "16"),
     # verify has no budget to override
     Entry("verify-budget", None, ("verify", "--budget", "5"), 2),
+    Entry("verify-negative-starts", VERIFY_NEGATIVE_STARTS,
+          ("verify", "--out", "rep.json"), 2),
 )
 
 
