@@ -44,11 +44,16 @@ _EXP_FLOOR = -745.0
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Derivatives:
     """Value + optional gradient + optional Hessian of a scalar function:
     a float, (d,) and (d, d) at one point; arrays (P,), (P, d) and
-    (P, d, d) at a stack of P points."""
+    (P, d, d) at a stack of P points.
+
+    Not frozen: a frozen dataclass sets each field through
+    ``object.__setattr__``, which triples the cost of building one, and
+    every charged row of a pass builds one.  No code assigns to or hashes
+    an answer."""
 
     value: float | np.ndarray
     grad: np.ndarray | None = None

@@ -13,8 +13,10 @@ is S*n + S*T*(b_g + b_h).  Hessian-estimator reads at the snapshot are served
 from the snapshot cache and recorded as zero-cost cache hits; the gradient
 estimator's snapshot re-reads are served from the same cache but charged.
 
-Every SVRC pass evaluates each (point, order) once, as a stack of
-components (``F.components``), and checks it as it is built with the check
+Every SVRC pass asks for each (point, order) once, as a stack of
+components (``F.components``; :func:`~hardsum.oracle.quadratic_cosine_sum`
+answers a step's estimators from the previous step's measurement at the
+same point), and checks it as it is built with the check
 ``query`` makes of one answer (shapes, finite values and gradients,
 symmetric Hessians).  The estimators work on the stacks; what is left per
 row is the charge, one ``query`` per distinct drawn index in index order,
@@ -200,8 +202,9 @@ def _estimator_pass(F: FiniteSumFunction, x, batch, order: int, snapshot):
     """The estimators' shared prologue: ``snapshot`` checked to be the
     snapshot pass's view (else TypeError) of F itself (else ValueError), x
     validated, the batch counted once.  Returns (x, rows, their counts, b,
-    the rows at xh, their view at x up to ``order``); the rows are taken
-    from the snapshot before any is evaluated at x or charged."""
+    where the rows sit in the snapshot's stack, their view at x up to
+    ``order``); the rows are found in the snapshot before any is evaluated
+    at x or charged."""
     if not isinstance(snapshot, _Evaluated):
         raise TypeError("snapshot must be the snapshot pass's answers, got "
                         f"{type(snapshot).__name__}")
@@ -212,7 +215,7 @@ def _estimator_pass(F: FiniteSumFunction, x, batch, order: int, snapshot):
     x = as_vector(x, dim=F.d)
     counts, b = _batch_counts(batch, F.n)
     rows = np.flatnonzero(counts)
-    return (x, rows, counts[rows], b, snapshot.take(rows),
+    return (x, rows, counts[rows], b, snapshot.held(rows),
             _Evaluated.evaluate(F, rows, x, order))
 
 
@@ -229,14 +232,16 @@ def svrc_gradient_estimator(F: FiniteSumFunction, ledger: OracleLedger,
     re-read) queries at the snapshot, served from it but charged; repeated
     indices in the batch are charged per draw but evaluated once.
     """
-    x, rows, counts, b, hat, at_x = _estimator_pass(F, x, batch, 1, snapshot)
-    x_hat = snapshot.x
+    x, rows, counts, b, k, at_x = _estimator_pass(F, x, batch, 1, snapshot)
+    x_hat, hat = snapshot.x, snapshot.stack
     dx = x - x_hat
     for i, c in zip(rows.tolist(), counts.tolist()):
         query(ledger, at_x, i, x, order=1, count=c)
         query(ledger, snapshot, i, x_hat, order=2, count=c, requery=True)
-    return _gradient_estimate(counts, at_x.stack.grad - hat.grad,
-                              row_matvec(hat.hess, dx), b, g_s, H_s, dx)
+    # every held row's product, then the drawn ones: a row's product is
+    # the same per-row BLAS call either way, and no Hessian is copied
+    return _gradient_estimate(counts, at_x.stack.grad - hat.grad[k],
+                              row_matvec(hat.hess, dx)[k], b, g_s, H_s, dx)
 
 
 def svrc_hessian_estimator(F: FiniteSumFunction, ledger: OracleLedger,
@@ -248,11 +253,12 @@ def svrc_hessian_estimator(F: FiniteSumFunction, ledger: OracleLedger,
     ``snapshot``, as for :func:`svrc_gradient_estimator`, as b zero-cost
     cache hits.
     """
-    x, rows, counts, b, hat, at_x = _estimator_pass(F, x, batch, 2, snapshot)
+    x, rows, counts, b, k, at_x = _estimator_pass(F, x, batch, 2, snapshot)
     for j, c in zip(rows.tolist(), counts.tolist()):
         query(ledger, at_x, j, x, order=2, count=c)
     ledger.record_cache_hit(b)
-    return _hessian_estimate(counts, at_x.stack.hess - hat.hess, b, H_s)
+    return _hessian_estimate(counts, at_x.stack.hess - snapshot.stack.hess[k],
+                             b, H_s)
 
 
 def _stationarity(der: Derivatives, L2: float) -> tuple[float, float]:

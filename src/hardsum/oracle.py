@@ -288,12 +288,21 @@ class _QuadraticCosineSum(FiniteSumFunction):
     evaluation whose products go through ``row_dot`` / ``row_matvec``, so
     each row of a stack equals the one-point answer of its component at its
     point bit for bit.
+
+    The last order-2 evaluation of every component at one point is kept,
+    read only, as a table keyed by the point's bytes (``_table``), and
+    the one-point :meth:`components` and :meth:`full` calls at that point
+    read their rows from it: an SVRC step's measurement ``full(x, 2)`` and
+    the next step's estimators at x share one evaluation.  Only such an
+    evaluation fills it; :meth:`component` and stacks of points never touch
+    it.
     """
 
     def __init__(self, A, b, c, r):
         self._A, self._b, self._c, self._r = A, b, c, r
         self._bbT = b[:, :, None] * b[:, None, :]
         self.n, self.d = b.shape
+        self._table_key = self._table = None
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
         _check_order(order)
@@ -305,13 +314,30 @@ class _QuadraticCosineSum(FiniteSumFunction):
         rows = self.check_rows(rows)
         if rows.size == self.n and (rows == np.arange(self.n)).all():
             rows = slice(None)
-        return self._evaluate(rows, as_vector(x, dim=self.d), order)
+        return self._at_point(rows, as_vector(x, dim=self.d), order)
 
     def _answers(self, x: np.ndarray, order: int):
         """At one point, every component as one stack."""
         if x.ndim == 1:
-            return self._evaluate(slice(None), x, order)
+            return self._at_point(slice(None), x, order)
         return super()._answers(x, order)
+
+    def _at_point(self, rows, x: np.ndarray, order: int) -> Derivatives:
+        """Components ``rows`` (an index array, or the slice of every
+        component) at one point x, read from the table when it holds x.
+        An order-2 evaluation of every component refills the table; its
+        rows and their leading parts equal an evaluation of those rows at
+        that order bit for bit."""
+        key = x.tobytes()
+        if key != self._table_key:
+            if order < 2 or not isinstance(rows, slice):
+                return self._evaluate(rows, x, order)
+            table = self._evaluate(rows, x, 2)
+            for part in (table.value, table.grad, table.hess):
+                part.flags.writeable = False
+            self._table_key, self._table = key, table
+        parts = (self._table.value, self._table.grad, self._table.hess)
+        return Derivatives(*(part[rows] for part in parts[:order + 1]))
 
     def _evaluate(self, i, x, order: int) -> Derivatives:
         """Component i (an index, an index array, or the slice of every
@@ -488,6 +514,8 @@ class _Evaluated(FiniteSumFunction):
         self.x, self._order = x, order
         self.where = np.full(F.n, -1)
         self.where[rows] = np.arange(rows.size)
+        # the per-row charge reads a Python int, not a numpy scalar
+        self._where = self.where.tolist()
         self.stack = _check_answer(stack, rows, order, F.d)
 
     @classmethod
@@ -495,15 +523,19 @@ class _Evaluated(FiniteSumFunction):
                  order: int) -> _Evaluated:
         return cls(F, x, order, rows, F.components(rows, x, order))
 
-    def take(self, rows: np.ndarray) -> Derivatives:
-        """The gradients and Hessians of held components ``rows``, stacked
-        in that order; refused as :meth:`_checked` refuses."""
+    def held(self, rows: np.ndarray):
+        """Where the order-2 answers of held components ``rows`` sit in the
+        stack: an index array in that order, or the slice of the whole
+        stack when ``rows`` are its rows in order, which reads the stack in
+        place; refused as :meth:`_checked` refuses."""
         self._refuse(self.x, 2)
         k = self.where[rows]
         if k.min() < 0:
             raise ValueError(f"component {rows[k.argmin()]} was not "
                              "evaluated here")
-        return Derivatives(None, self.stack.grad[k], self.stack.hess[k])
+        if k.size == len(self.stack.value) and (k == np.arange(k.size)).all():
+            return slice(None)
+        return k
 
     def _refuse(self, x: np.ndarray, order: int) -> None:
         """Raise unless these answers were evaluated at x up to ``order``."""
@@ -514,8 +546,9 @@ class _Evaluated(FiniteSumFunction):
                              f"not {order}")
 
     def _checked(self, i: int, x: np.ndarray, order: int) -> Derivatives:
-        self._refuse(x, order)
-        k = self.where[i]
+        if x is not self.x or order > self._order:
+            self._refuse(x, order)
+        k = self._where[i]
         if k < 0:
             raise ValueError(f"component {i} was not evaluated here")
         value, grad, hess = self.stack.value, self.stack.grad, self.stack.hess

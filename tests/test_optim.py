@@ -628,6 +628,23 @@ class TestSvrcChargingOrder:
         assert len(evaluations) == fresh + params.S * params.T * F.n
 
 
+def test_a_benchmark_op_evaluates_each_point_once(monkeypatch):
+    # svrc-synthetic's op: the snapshot pass, then each step's measurement
+    # full(x, 2), whose evaluation the next step's estimators at x read
+    params = dataclasses.replace(svrc_default_params(
+        n=256, d=20, Delta=0.005, L2=6.0, eps=1e7), seed=3)
+    assert (params.S, params.T) == (1, 4)
+    F = quadratic_cosine_sum(256, 20, seed=3)
+    calls, evaluate = [], F._evaluate
+    monkeypatch.setattr(F, "_evaluate", lambda i, x, order: calls.append(
+        (i, np.shape(x), order)) or evaluate(i, x, order))
+    led = OracleLedger(n=F.n)
+    svrc_run(F, params, x0=np.zeros(F.d), ledger=led)
+    assert calls == [(slice(None), (F.d,), 2)] * (1 + params.T)
+    assert (led.total, led.requery_queries, led.cache_hits) == (
+        2_968_380, 1_692, 2_964_740)
+
+
 def _bad_away_from_origin(part, bad, d=3):
     """Components 0.5 |x|^2 + <g_i, x>; component 1 answers a non-finite
     ``part`` (value or gradient) anywhere but the origin."""

@@ -482,6 +482,105 @@ class TestComponents:
         assert_rows(stack, answers)
 
 
+def _spy_evaluations(F, monkeypatch) -> list:
+    """Record the (rows, point shape, order) of every evaluation F makes."""
+    calls, evaluate = [], F._evaluate
+    monkeypatch.setattr(F, "_evaluate", lambda i, x, order: calls.append(
+        (i, np.shape(x), order)) or evaluate(i, x, order))
+    return calls
+
+
+class TestQuadraticTable:
+    """The table of ``quadratic_cosine_sum``'s last order-2 evaluation of
+    every component at one point: what fills it, what reads it, and that
+    its answers are a fresh sum's bit for bit."""
+
+    N, D, SEED = 6, 4, 8
+    ROWS = ([4, 0, 3], [2, 2, 5, 2, 0], list(range(6)), list(range(6))[::-1])
+
+    def _sum(self):
+        return quadratic_cosine_sum(self.N, self.D, seed=self.SEED)
+
+    def _point(self):
+        return np.array([0.7, 0.0, -1.3, 2.1])
+
+    @pytest.mark.parametrize("fill", [
+        lambda F, x: F.full(x, 2),
+        lambda F, x: mu(F, x, 1.0),
+        lambda F, x: F.components(np.arange(F.n), x, 2),
+    ], ids=["full", "mu", "components"])
+    def test_reads_equal_a_fresh_sum(self, fill, monkeypatch):
+        F, x = self._sum(), self._point()
+        fill(F, x)
+        assert F._table_key == x.tobytes()
+        calls = _spy_evaluations(F, monkeypatch)
+        for order in range(3):
+            for rows in self.ROWS:
+                assert same_answer(F.components(rows, x.copy(), order),
+                                   self._sum().components(rows, x, order))
+            assert same_answer(F.full(x.copy(), order),
+                               self._sum().full(x, order))
+        assert calls == []
+
+    def test_what_leaves_it_unfilled(self, monkeypatch):
+        F, x = self._sum(), self._point()
+        calls = _spy_evaluations(F, monkeypatch)
+        X = np.stack([x, 2.0 * x])
+        asks = [lambda: F.component(1, x, 2),
+                lambda: F.components([0, 1, 2, 3, 4], x, 2),
+                lambda: F.components(np.arange(F.n), x, 1),
+                lambda: F.full(x, 1),
+                lambda: F.full(X, 2),
+                lambda: F.component(1, X, 2)]
+        for ask in asks + asks:     # asked again, each evaluates again
+            ask()
+        # full of a stack evaluates component by component
+        assert len(calls) == 2 * (len(asks) - 1 + F.n)
+        assert F._table_key is None
+
+    def test_component_and_stacks_never_read_it(self, monkeypatch):
+        F, x = self._sum(), self._point()
+        F.full(x, 2)
+        calls = _spy_evaluations(F, monkeypatch)
+        F.component(3, x, 2)
+        F.component(3, np.stack([x, x]), 1)
+        F.full(np.stack([x, x]), 2)
+        assert [(i, shape) for i, shape, _ in calls] == (
+            [(3, (4,)), (3, (2, 4))] + [(i, (2, 4)) for i in range(F.n)])
+        assert F._table_key == x.tobytes()
+
+    def test_its_arrays_are_read_only(self):
+        F, x = self._sum(), self._point()
+        table = F.components(np.arange(F.n), x, 2)
+        for part in (table.value, table.grad, table.hess):
+            assert not part.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            F.components(np.arange(F.n), x, 2).hess[0, 0, 0] = 1.0
+
+    def test_a_point_of_other_bytes_misses(self, monkeypatch):
+        F, x = self._sum(), self._point()
+        F.full(x, 2)
+        ulp = x.copy()
+        ulp[2] = np.nextafter(ulp[2], np.inf)
+        signed = x.copy()
+        signed[1] = -0.0
+        calls = _spy_evaluations(F, monkeypatch)
+        for y in (ulp, signed):
+            assert same_answer(F.components([1, 4], y, 2),
+                               self._sum().components([1, 4], y, 2))
+        assert len(calls) == 2
+        assert F._table_key == x.tobytes()
+
+
+def test_derivatives_is_a_slotted_dataclass():
+    # tests/test_instances.py::_nbytes walks answers through their fields
+    der = Derivatives(1.0)
+    assert [f.name for f in dataclasses.fields(der)] == [
+        "value", "grad", "hess"]
+    assert der.grad is None and der.hess is None
+    assert not hasattr(der, "__dict__")
+
+
 def _package_sums() -> set:
     """Every FiniteSumFunction subclass the package defines."""
     for mod in pkgutil.walk_packages(hardsum.__path__, "hardsum."):

@@ -313,7 +313,7 @@ class TestLargeGradient:
         assert inst.C is not None
         rep = verify_large_gradient(inst, seed=5)
         assert rep.passed
-        assert rep.num_points == 2 + 3 * (spec.K - 1)
+        assert rep.num_points == 1 + 3 * (spec.K - 1)
         assert rep.bound == pytest.approx(1.0 / (4.0 * math.sqrt(3)))
         assert rep.min_grad_norm > rep.bound
 
@@ -704,8 +704,7 @@ def _one_point_large_gradient(subject, seed):
     n, K = inst.spec.n, inst.spec.K
     bound = 1.0 / (4.0 * math.sqrt(n))
     rng = as_rng(seed)
-    # the origin, then the prefix-0 point, the origin again
-    norms = 2 * [float(np.linalg.norm(inst.full(np.zeros(inst.d), 1).grad))]
+    norms = [float(np.linalg.norm(inst.full(np.zeros(inst.d), 1).grad))]
     for prefix in range(1, K):
         for scale in (0.5, 2.0, 8.0):
             x = np.zeros(inst.d)
