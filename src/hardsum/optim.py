@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .instances.params import _real_count
 from .linalg import (_lambda_min, _shifted_pd, as_rng, as_vector, row_matvec,
                      sym_matrix)
 from .oracle import (FiniteSumFunction, OracleLedger, _Answered, _Evaluated,
-                     mean_derivatives, query, record_iterate)
+                     _integer, mean_derivatives, query, record_iterate)
 
 __all__ = [
     "C_M",
@@ -80,6 +81,9 @@ class SvrcParams:
     def __post_init__(self):
         if not self.M > 0:
             raise ValueError("M must be positive")
+        # stored as Python ints: they size the draws' integers calls
+        for name in ("b_g", "b_h", "S", "T"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.b_g < 1 or self.b_h < 1:
             raise ValueError("batch sizes must be at least 1")
         if self.S < 1 or self.T < 1:
@@ -143,16 +147,58 @@ def _draw_batches(params: SvrcParams, n: int, rng: np.random.Generator,
     batch under a full-batch schedule.  numpy draws bounded 32-bit integers
     through the bit generator's buffered ``next_uint32``, so the rows are
     the values, and leave the state, of two draws per step, gradient batch
-    first; a test pins this."""
+    first; a test pins this.  It serves the Monte-Carlo check
+    (:func:`~hardsum.verify.verify_estimator_bounds`), whose blocks count
+    every trial's row; :func:`svrc_run` draws through :func:`_draw_counts`
+    instead."""
     b_g, _ = params.batch_sizes(n)
     draws = (np.tile(np.arange(n), (steps, 2)) if params.full_batch
              else rng.integers(0, n, size=(steps, params.b_g + params.b_h)))
     return draws[:, :b_g], draws[:, b_g:]
 
 
-def _batch_counts(batch, n: int) -> tuple[np.ndarray, int]:
+#: most indices one ``integers`` call of :func:`_draw_counts` draws: a
+#: chunk and its counts stay in cache, where one call per batch would
+#: hold 8 bytes per index of b_h = 741,185 at the benchmark's schedule
+_DRAW_CHUNK = 1 << 15
+
+
+class _Counts(NamedTuple):
+    """A drawn batch as the draw count of every component 0..n-1 and the
+    batch size, what :func:`_batch_counts` makes of an index batch."""
+
+    counts: np.ndarray
+    size: int
+
+
+def _drawn_counts(rng: np.random.Generator, n: int, size: int) -> _Counts:
+    """``size`` i.i.d. uniform indices below n, counted chunk by chunk."""
+    counts = np.zeros(n, dtype=np.intp)
+    for start in range(0, size, _DRAW_CHUNK):
+        counts += np.bincount(rng.integers(
+            0, n, size=min(_DRAW_CHUNK, size - start)), minlength=n)
+    return _Counts(counts, size)
+
+
+def _draw_counts(params: SvrcParams, n: int, rng: np.random.Generator
+                 ) -> tuple[_Counts, _Counts]:
+    """One step's (gradient, Hessian) batches as draw counts, ones under a
+    full-batch schedule.  Each batch is drawn by consecutive ``integers``
+    calls of at most ``_DRAW_CHUNK`` indices, which give the values, and
+    leave the state, of ``_draw_batches(params, n, rng, 1)`` (numpy keeps
+    the buffered 32-bit word in the bit generator between calls), so the
+    counts are those of its batches; a test pins this."""
+    if params.full_batch:
+        every = _Counts(np.ones(n, dtype=np.intp), n)
+        return every, every
+    return _drawn_counts(rng, n, params.b_g), _drawn_counts(rng, n, params.b_h)
+
+
+def _batch_counts(batch, n: int) -> _Counts:
     """Draw count of every component index 0..n-1 in a batch, and the batch
-    size."""
+    size; a :class:`_Counts` record is returned as it is."""
+    if isinstance(batch, _Counts):
+        return batch
     idx = np.asarray(batch).ravel()
     if idx.size == 0:
         raise ValueError("batch must be non-empty")
@@ -169,7 +215,7 @@ def _batch_counts(batch, n: int) -> tuple[np.ndarray, int]:
         lo, hi = int(idx.min()), int(idx.max())
         raise ValueError(f"component index {lo if lo < 0 else hi} out of "
                          f"range [0, {n})")
-    return counts, idx.size
+    return _Counts(counts, idx.size)
 
 
 def _weighted_rows(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -337,7 +383,7 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
             mean = mean_derivatives(snapshot.stack, (d,), 2)
             g_s, H_s = mean.grad, mean.hess
             continue
-        (batch_g,), (batch_h,) = _draw_batches(params, n, rng, 1)
+        batch_g, batch_h = _draw_counts(params, n, rng)
         v = svrc_gradient_estimator(F, ledger, x, g_s, H_s, batch_g,
                                     snapshot)
         U = svrc_hessian_estimator(F, ledger, x, H_s, batch_h, snapshot)

@@ -388,6 +388,28 @@ def quadratic_cosine_sum(n: int, d: int, seed, *, curvature: float = 1.0,
     return _QuadraticCosineSum(A, b, c, r)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; ValueError naming it for a bool (which
+    ``operator.index`` reads as 0 or 1) or a non-integer.  numpy integers
+    are accepted."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got "
+                         f"{type(value).__name__}") from None
+
+
+def _count(count) -> int:
+    """A ledger count as a Python int: a bool, a non-integer or a negative
+    count raises ValueError, so every counter stays an exact int."""
+    count = _integer(count, "count")
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    return count
+
+
 @dataclass
 class OracleLedger:
     """Exact query accounting for one run.
@@ -432,8 +454,11 @@ class OracleLedger:
 
     def charge(self, i: int, order: int, count: int = 1,
                requery: bool = False) -> None:
-        if count < 0:
-            raise ValueError("count must be non-negative")
+        """Book ``count`` queries to component i up to ``order``; a count
+        that is not a non-negative integer raises ValueError (see
+        :func:`_count`) and books nothing."""
+        if type(count) is not int or count < 0:
+            count = _count(count)
         self.per_index[i] += count
         if order >= 1:
             self.grad_queries += count
@@ -443,10 +468,9 @@ class OracleLedger:
             self.requery_queries += count
 
     def record_cache_hit(self, count: int = 1) -> None:
-        """A lookup served from a snapshot cache at zero query cost."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        self.cache_hits += count
+        """Record ``count`` lookups served from a snapshot cache at zero
+        query cost; the count is checked as :meth:`charge` checks it."""
+        self.cache_hits += _count(count)
 
     def counters(self) -> dict:
         return {

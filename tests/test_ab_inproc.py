@@ -1,6 +1,8 @@
 """tools/ab_inproc.py: a tree against itself reads the same outputs, a
-changed output exits 1, and a package that imports itself by its absolute
-name is refused."""
+changed output exits 1, a change that holds more memory shows in the traced
+peaks, and a package that imports itself by its absolute name is
+refused."""
+import re
 import shutil
 import subprocess
 import sys
@@ -28,9 +30,34 @@ def test_a_tree_against_itself_reads_the_same():
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert [line.split()[-1] for line in lines[2:4]] == ["same", "same"]
+    assert re.fullmatch(r"traced peak of op 0: parent \d+\.\d\d MB, "
+                        r"change \d+\.\d\d MB", lines[-3])
     assert lines[-2].startswith("paired ratio change/parent: median ")
     assert lines[-2].endswith(" of 2 ops")
     assert lines[-1] == "outputs: 2 of 2 ops the same"
+
+
+def _traced_peaks(stdout: str) -> tuple[float, float]:
+    (line,) = [line for line in stdout.splitlines()
+               if line.startswith("traced peak of op 0: ")]
+    return tuple(map(float, re.findall(r"(\d+\.\d+) MB", line)))
+
+
+def test_a_change_that_holds_its_batches_shows_in_the_traced_peaks(tmp_path):
+    # a chunk above b_h = 741,185 draws each Hessian batch as one int64
+    # array of 5.9 MB, with the outputs unchanged
+    change = _copy_tree(tmp_path / "change")
+    optim = change / "src" / "hardsum" / "optim.py"
+    text = optim.read_text(encoding="utf-8")
+    assert text.count("_DRAW_CHUNK = 1 << 15\n") == 1
+    optim.write_text(text.replace("_DRAW_CHUNK = 1 << 15\n",
+                                  "_DRAW_CHUNK = 1 << 20\n"),
+                     encoding="utf-8")
+    run = _ab(ROOT, change, ops=1)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "outputs: 1 of 1 ops the same"
+    parent, held = _traced_peaks(run.stdout)
+    assert held > max(parent + 2.0, 8 * 741_185 / 1e6)
 
 
 def test_a_changed_output_exits_1(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 from conftest import good_and_short
 
@@ -13,6 +14,7 @@ from hardsum.cubic import CubicModel, solve
 from hardsum.linalg import _lambda_min, sample_orthonormal_columns
 from hardsum.oracle import (CallableFiniteSum, OracleLedger, _Evaluated,
                             quadratic_cosine_sum, query)
+import hardsum.optim
 from hardsum.optim import (
     C_M,
     SvrcParams,
@@ -23,6 +25,10 @@ from hardsum.optim import (
     svrc_gradient_estimator,
     svrc_hessian_estimator,
     svrc_run,
+    _batch_counts,
+    _Counts,
+    _draw_batches,
+    _draw_counts,
     _stationarity,
 )
 
@@ -92,6 +98,30 @@ class TestSchedule:
             SvrcParams(M=1.0, b_g=0, b_h=1, S=1, T=1, eps=1.0, Delta=1.0, L2=1.0)
         with pytest.raises(ValueError):
             svrc_default_params(n=0, d=3, Delta=1.0, L2=1.0, eps=1.0)
+
+    @pytest.mark.parametrize("field", ["b_g", "b_h", "S", "T"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(2.0), True,
+                                       np.bool_(True), "2"])
+    def test_counts_must_be_integers(self, field, value):
+        base = dict(M=1.0, b_g=2, b_h=2, S=1, T=1, eps=1.0, Delta=1.0,
+                    L2=1.0)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SvrcParams(**{**base, field: value})
+
+    def test_a_non_integer_count_is_refused_before_any_charge(self):
+        # it used to charge the snapshot pass, then fail at the first draw
+        F = quadratic_cosine_sum(4, 3, seed=0)
+        params = SvrcParams(M=1.0, b_g=2, b_h=2, S=1, T=1, eps=1.0,
+                            Delta=1.0, L2=1.0)
+        with pytest.raises(ValueError, match="b_g must be an integer"):
+            svrc_run(F, dataclasses.replace(params, b_g=2.5))
+
+    def test_numpy_integer_counts_are_kept_as_python_ints(self):
+        p = SvrcParams(M=1.0, b_g=np.int64(3), b_h=np.uint16(5),
+                       S=np.int32(1), T=np.int8(2), eps=1.0, Delta=1.0,
+                       L2=1.0)
+        assert [(type(v), v) for v in (p.b_g, p.b_h, p.S, p.T)] == [
+            (int, 3), (int, 5), (int, 1), (int, 2)]
 
 
 class TestEstimators:
@@ -626,6 +656,91 @@ class TestSvrcChargingOrder:
         svrc_run(F, params, x0=np.full(F.d, 0.7))
         fresh = sum(1 for *_, requery in calls if not requery)
         assert len(evaluations) == fresh + params.S * params.T * F.n
+
+    def test_batches_drawn_in_several_chunks(self, monkeypatch):
+        # b_g = 9 and b_h = 13 take three and four calls of 4 indices
+        monkeypatch.setattr(hardsum.optim, "_DRAW_CHUNK", 4)
+        F, params = quadratic_cosine_sum(6, 4, seed=21), self._params()
+        x0 = np.full(F.d, 0.7)
+        x_ref, h_ref, led_ref, calls_ref = _per_row_svrc(F, params, x0)
+        calls = _recording_query(monkeypatch)
+        led = OracleLedger(n=F.n)
+        x_out, traj = svrc_run(F, params, x0=x0, ledger=led)
+        assert calls == calls_ref
+        assert led.counters() == led_ref.counters()
+        assert x_out.tobytes() == x_ref.tobytes()
+        assert [rec.h_norm for rec in traj] == h_ref
+
+
+class TestDrawCounts:
+    """svrc_run's batches, drawn as counts in chunks, are the counts of
+    ``_draw_batches``' one draw per step, and leave the same stream."""
+
+    @staticmethod
+    def _agree(n, b_g, b_h, full_batch=False, seed=0, steps=3):
+        params = SvrcParams(M=1.0, b_g=b_g, b_h=b_h, S=1, T=1, eps=1.0,
+                            Delta=1.0, L2=1.0, full_batch=full_batch)
+        got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+        for _ in range(steps):
+            got = _draw_counts(params, n, got_rng)
+            want = [_batch_counts(batch, n)
+                    for (batch,) in _draw_batches(params, n, want_rng, 1)]
+            for drawn, counted in zip(got, want):
+                assert isinstance(drawn, _Counts)
+                assert drawn.size == counted.size
+                assert type(drawn.size) is int
+                assert drawn.counts.dtype == counted.counts.dtype
+                assert drawn.counts.tobytes() == counted.counts.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 3, 255, 256, 1000])
+    @pytest.mark.parametrize("b_g, b_h", [
+        (1, 1), (5, 8), (7, 9), (8, 29), (9, 32), (31, 5)])
+    def test_small_chunks(self, monkeypatch, n, b_g, b_h):
+        # chunks of 8: batches of 1, odd, exactly one chunk, one chunk
+        # either side of it, and several chunks, whole or not
+        monkeypatch.setattr(hardsum.optim, "_DRAW_CHUNK", 8)
+        for seed in range(3):
+            self._agree(n, b_g, b_h, seed=seed)
+
+    @pytest.mark.parametrize("n", [3, 256])
+    def test_the_default_chunk(self, n):
+        chunk = hardsum.optim._DRAW_CHUNK
+        assert 1 << 15 <= chunk <= 1 << 16
+        self._agree(n, chunk - 1, 2 * chunk + 1, steps=2)
+        self._agree(n, chunk, chunk + 1, steps=1)
+
+    @pytest.mark.parametrize("n", [1, 3, 256])
+    def test_full_batch_schedule(self, n):
+        self._agree(n, 5, 9, full_batch=True)
+        params = SvrcParams(M=1.0, b_g=5, b_h=9, S=1, T=1, eps=1.0,
+                            Delta=1.0, L2=1.0, full_batch=True)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for drawn in _draw_counts(params, n, rng):
+            assert drawn.size == n and (drawn.counts == 1).all()
+        assert rng.bit_generator.state == state
+
+    def test_a_count_record_passes_unchanged(self):
+        drawn = _Counts(np.array([2, 0, 1]), 3)
+        assert _batch_counts(drawn, 3) is drawn
+        counts, size = _batch_counts(np.array([0, 2, 0]), 3)
+        assert counts.tolist() == [2, 0, 1] and size == 3
+
+
+def test_a_benchmark_op_holds_no_hessian_batch():
+    # the Hessian batch of 741,185 indices is drawn and counted in chunks;
+    # holding it as one int64 array took 8 b_h bytes, twice over while the
+    # next step's batch was drawn
+    params = svrc_default_params(n=256, d=20, Delta=0.005, L2=6.0, eps=1e7)
+    F = quadratic_cosine_sum(256, 20, seed=3)
+    tracemalloc.start()
+    try:
+        svrc_run(F, params, x0=np.zeros(F.d))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * params.b_h, peak
 
 
 def test_a_benchmark_op_evaluates_each_point_once(monkeypatch):

@@ -161,6 +161,34 @@ class TestLedger:
         with pytest.raises(ValueError):
             led.record_cache_hit(-1)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, np.float64(2.0), True,
+                                       np.bool_(True), "2", None])
+    def test_rejects_a_non_integer_count_and_books_nothing(self, count):
+        F = _two_quadratics()
+        led = OracleLedger(n=2)
+        with pytest.raises(ValueError, match="count must be an integer"):
+            query(led, F, 0, np.zeros(3), order=2, count=count)
+        with pytest.raises(ValueError, match="count must be an integer"):
+            led.charge(1, 1, count=count, requery=True)
+        with pytest.raises(ValueError, match="count must be an integer"):
+            led.record_cache_hit(count)
+        assert led.counters() == OracleLedger(n=2).counters()
+        assert not led.per_index.any()
+
+    @pytest.mark.parametrize("count", [np.int64(3), np.uint8(3), np.int32(3)])
+    def test_numpy_integer_counts_are_booked_as_python_ints(self, count):
+        F = _two_quadratics()
+        led = OracleLedger(n=2)
+        query(led, F, 0, np.zeros(3), order=2, count=count)
+        led.charge(1, 1, count=count, requery=True)
+        led.record_cache_hit(count)
+        counters = led.counters()
+        assert counters == {"total": 6, "adjusted_total": 3, "value": 6,
+                            "grad": 6, "hess": 3, "cache_hits": 3,
+                            "requeries": 3}
+        assert all(type(v) is int for v in counters.values())
+        assert list(led.per_index) == [3, 3]
+
     def test_rejects_bad_order(self):
         F = _two_quadratics()
         led = OracleLedger(n=2)

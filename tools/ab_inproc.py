@@ -16,7 +16,9 @@ defined here, not imported from ``bench/``.  After one warm-up op per side
 (seed S + 1,000,000), the two sides of each op run back to back, the side
 that goes first alternating from op to op, with BLAS pinned to one thread;
 only the op itself is timed.  One line per op gives both times, their ratio
-(change / parent) and whether the outputs are equal bit for bit.  The last
+(change / parent) and whether the outputs are equal bit for bit.  After the
+timed pairs, op 0 runs once more on each side under ``tracemalloc``,
+untimed, and one line gives each side's traced allocation peak.  The last
 lines give the paired median ratio, its quartiles and the number of ops the
 change ran faster.  The exit status is 1 when any op's outputs differ, 2 when
 a tree is refused.
@@ -42,6 +44,7 @@ import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -152,6 +155,17 @@ def canonical(obj):
     return repr(obj)
 
 
+def traced_peak(op, pkg, seed: int, workdir: Path) -> int:
+    """Bytes at the peak of the allocations ``tracemalloc`` traces while
+    one op runs."""
+    tracemalloc.start()
+    try:
+        op(pkg, seed, workdir)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def run(parent: Path, change: Path, workload: str, ops: int,
         seed: int) -> int:
     op = WORKLOADS[workload]
@@ -186,6 +200,10 @@ def run(parent: Path, change: Path, workload: str, ops: int,
                 print(f"{i:<3d} {seconds['parent']:.6f}  "
                       f"{seconds['change']:.6f}  {ratio:.3f}  "
                       f"{'same' if same else 'DIFF'}")
+            peaks = {side: traced_peak(op, pkgs[side], seed, workdirs[side])
+                     for side in SIDES}
+            print(f"traced peak of op 0: parent {peaks['parent'] / 1e6:.2f} "
+                  f"MB, change {peaks['change'] / 1e6:.2f} MB")
         finally:
             sys.path.remove(str(tmp / "pkgs"))
             for name in list(sys.modules):
