@@ -35,8 +35,7 @@ import numpy as np
 from .chains import Derivatives
 from .cubic import CubicModel, solve
 from .instances.params import _real_count
-from .linalg import (_lambda_min, _shifted_pd, as_rng, as_vector, row_matvec,
-                     sym_matrix)
+from .linalg import _lambda_min, _shifted_pd, as_vector, row_matvec, sym_matrix
 from .oracle import (FiniteSumFunction, OracleLedger, _Answered, _Evaluated,
                      _integer, mean_derivatives, query, record_iterate)
 
@@ -81,8 +80,9 @@ class SvrcParams:
     def __post_init__(self):
         if not self.M > 0:
             raise ValueError("M must be positive")
-        # stored as Python ints: they size the draws' integers calls
-        for name in ("b_g", "b_h", "S", "T"):
+        # stored as Python ints: they size the draws, and the seed makes
+        # svrc_run's generator default_rng's PCG64, which its draws read
+        for name in ("b_g", "b_h", "S", "T", "seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.b_g < 1 or self.b_h < 1:
             raise ValueError("batch sizes must be at least 1")
@@ -157,9 +157,11 @@ def _draw_batches(params: SvrcParams, n: int, rng: np.random.Generator,
     return draws[:, :b_g], draws[:, b_g:]
 
 
-#: most indices one ``integers`` call of :func:`_draw_counts` draws: a
-#: chunk and its counts stay in cache, where one call per batch would
-#: hold 8 bytes per index of b_h = 741,185 at the benchmark's schedule
+#: most indices one chunk of :func:`_drawn_counts` draws and counts: its
+#: raw words and the 64-bit products of one half of them (256 kB) stay in
+#: L2 between the passes over them, where a whole batch's (8.9 MB at
+#: b_h = 741,185) would stream through memory on each pass; rebuilt whole,
+#: the draw ran slower than ``integers``
 _DRAW_CHUNK = 1 << 15
 
 
@@ -171,23 +173,71 @@ class _Counts(NamedTuple):
     size: int
 
 
+def _bounded_indices(u: np.ndarray, n: int,
+                     products: np.ndarray) -> np.ndarray:
+    """numpy's bounded draws below n, 2 <= n <= 2^32, from the 32-bit words
+    u, in the uint64 buffer ``products``: Lemire's multiply-shift
+    (u n) >> 32 of every word whose product's low half is not below
+    (2^32 - n) mod n, which numpy drops for the next word."""
+    idx = np.multiply(u, np.uint64(n), out=products[:u.size])
+    threshold = (2 ** 32 - n) % n       # 0 for a power of two
+    if threshold:
+        # the products' low halves, as uint32 arithmetic wraps
+        low = np.multiply(u, np.uint32(n))
+        if low.min() < threshold:
+            idx = idx[low >= threshold]
+    return np.right_shift(idx, 32, out=idx)
+
+
 def _drawn_counts(rng: np.random.Generator, n: int, size: int) -> _Counts:
-    """``size`` i.i.d. uniform indices below n, counted chunk by chunk."""
+    """``size`` i.i.d. uniform indices below n, counted: the counts of
+    ``rng.integers(0, n, size=size)``, leaving the state it leaves.
+
+    numpy draws an index below n >= 2 from the bit generator's
+    ``next_uint32`` stream (:func:`_bounded_indices`).  PCG64 hands out
+    each 64-bit word's low half and buffers its high half, so a chunk of
+    ``random_raw`` words, both halves of each, is that stream, and is
+    reduced and counted here, up to ``_DRAW_CHUNK`` indices at a time;
+    a chunk's order does not change its counts.  A buffered half-word
+    left by an earlier draw, and the last one or two indices, go through
+    ``integers`` itself, so the buffer is left as numpy leaves it.  n = 1
+    draws nothing, as in numpy.  The stream is PCG64's (``default_rng``'s):
+    another bit generator raises TypeError.
+    """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError("drawn counts read PCG64 words, got a "
+                        f"{type(bitgen).__name__} generator")
     counts = np.zeros(n, dtype=np.intp)
-    for start in range(0, size, _DRAW_CHUNK):
-        counts += np.bincount(rng.integers(
-            0, n, size=min(_DRAW_CHUNK, size - start)), minlength=n)
+    if n == 1:
+        counts[0] = size
+        return _Counts(counts, size)
+    left = size
+    while left and bitgen.state["has_uint32"]:
+        counts[rng.integers(0, n)] += 1
+        left -= 1
+    products = np.empty(min(_DRAW_CHUNK, left) // 2, dtype=np.uint64)
+    while left > 2:
+        # at most left - 1 half-words, so that integers draws the last index
+        u = bitgen.random_raw(min(_DRAW_CHUNK, left - 1) // 2).view(
+            np.uint32)
+        for part in (u[:u.size // 2], u[u.size // 2:]):
+            idx = _bounded_indices(part, n, products)
+            counts += np.bincount(idx.view(np.int64), minlength=n)
+            left -= idx.size
+    if left:
+        counts += np.bincount(rng.integers(0, n, size=left), minlength=n)
     return _Counts(counts, size)
 
 
 def _draw_counts(params: SvrcParams, n: int, rng: np.random.Generator
                  ) -> tuple[_Counts, _Counts]:
     """One step's (gradient, Hessian) batches as draw counts, ones under a
-    full-batch schedule.  Each batch is drawn by consecutive ``integers``
-    calls of at most ``_DRAW_CHUNK`` indices, which give the values, and
-    leave the state, of ``_draw_batches(params, n, rng, 1)`` (numpy keeps
-    the buffered 32-bit word in the bit generator between calls), so the
-    counts are those of its batches; a test pins this."""
+    full-batch schedule.  Each batch is counted by :func:`_drawn_counts`,
+    whose draws give the values, and leave the state, of
+    ``_draw_batches(params, n, rng, 1)`` (numpy keeps the buffered 32-bit
+    word in the bit generator between calls), so the counts are those of
+    its batches; tests pin this."""
     if params.full_batch:
         every = _Counts(np.ones(n, dtype=np.intp), n)
         return every, every
@@ -359,7 +409,7 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
         ledger = OracleLedger(n=n, eps=params.eps)
     elif ledger.eps is None:
         ledger.eps = params.eps
-    rng = as_rng(params.seed)
+    rng = np.random.default_rng(params.seed)
     x = np.zeros(d) if x0 is None else as_vector(x0, dim=d).copy()
 
     trajectory: list[TrajectoryRecord] = []

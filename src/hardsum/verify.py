@@ -449,6 +449,11 @@ class EstimatorBoundsReport(_Report):
 #: memory stays at a few (block, d, d) stacks whatever the trial count
 _MC_BLOCK = 512
 
+#: most indices one block of :func:`verify_estimator_bounds` draws: its
+#: blocks hold fewer than ``_MC_BLOCK`` trials when b_g + b_h is above 2048,
+#: so a block's draw and its offset copy stay at 8 MB each
+_MC_BLOCK_INDICES = 1 << 20
+
 #: the relative margin :func:`verify_estimator_bounds` allows over each bound
 _BOUND_SLACK = 0.1
 
@@ -472,10 +477,12 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     Pass iff each mean is at most bound * (1 + ``_BOUND_SLACK``).  The
     Hessian bound's premise (b_h >= 12000 log^3 d) is reported, not
     enforced.  Trials draw their batches one after another as the run does
-    (a full-batch schedule has b = n), a block of trials in one draw.
-    Blocks then apply the estimators' own count-weighted contractions, as
-    one weight stack, to per-component tables evaluated once; the first 8
-    trials are cross-checked against the metered estimator calls, which
+    (a full-batch schedule has b = n), a block of trials in one draw of at
+    most ``_MC_BLOCK`` trials and ``_MC_BLOCK_INDICES`` indices (one trial
+    at least).  Blocks then apply the estimators' own count-weighted
+    contractions, as one weight stack, to per-component tables evaluated
+    once; the first 8 trials, from however many blocks they take, are
+    cross-checked against the metered estimator calls, which
     read xh from a snapshot view of the xh table as
     :func:`~hardsum.optim.svrc_run` does.
     """
@@ -505,12 +512,14 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     dH = H_x - H_h                       # (n, d, d)
 
     b_g, b_h = params.batch_sizes(n)
-    g_moments, h_moments = [], []
-    for start in range(0, trials, _MC_BLOCK):
+    block = min(_MC_BLOCK, max(1, _MC_BLOCK_INDICES // (b_g + b_h)))
+    g_moments, h_moments, cross = [], [], []
+    for start in range(0, trials, block):
         draws_g, draws_h = _draw_batches(params, n, rng,
-                                         min(_MC_BLOCK, trials - start))
-        if start == 0:
-            cross = list(zip(draws_g[:8], draws_h[:8]))
+                                         min(block, trials - start))
+        # copies, so that the block's draw is freed with the block
+        cross += [(g.copy(), h.copy()) for g, h in
+                  zip(draws_g[:8 - len(cross)], draws_h[:8 - len(cross)])]
         V = _gradient_estimate(_trial_counts(draws_g, n), dG, Hdx, b_g,
                                g_s, H_s, dx)
         U = _hessian_estimate(_trial_counts(draws_h, n), dH, b_h, H_s)

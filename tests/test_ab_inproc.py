@@ -31,10 +31,30 @@ def test_a_tree_against_itself_reads_the_same():
     lines = run.stdout.splitlines()
     assert [line.split()[-1] for line in lines[2:4]] == ["same", "same"]
     assert re.fullmatch(r"traced peak of op 0: parent \d+\.\d\d MB, "
-                        r"change \d+\.\d\d MB", lines[-3])
+                        r"change \d+\.\d\d MB", lines[-4])
+    seconds = _op_seconds(lines[-3])
+    assert set(seconds) == {"parent", "change"}
+    for side, (median, q1, q3) in seconds.items():
+        times = [float(line.split()[1 if side == "parent" else 2])
+                 for line in lines[2:4]]
+        # the per-op lines and this one are each rounded to the microsecond
+        assert min(times) - 1e-6 <= q1 <= median <= q3 <= max(times) + 1e-6
+        assert abs(median - sum(times) / 2) <= 1e-6
     assert lines[-2].startswith("paired ratio change/parent: median ")
     assert lines[-2].endswith(" of 2 ops")
     assert lines[-1] == "outputs: 2 of 2 ops the same"
+
+
+def _op_seconds(line: str) -> dict[str, tuple[float, float, float]]:
+    """Each side's (median, first quartile, third quartile) op seconds from
+    the tool's op seconds line."""
+    number = r"(\d+\.\d{6})"
+    side = rf"(parent|change) median {number} \(quartiles {number}, {number}\)"
+    match = re.fullmatch(rf"op seconds: {side}, {side}", line)
+    assert match, line
+    fields = match.groups()
+    return {fields[i]: tuple(map(float, fields[i + 1:i + 4]))
+            for i in (0, 4)}
 
 
 def _traced_peaks(stdout: str) -> tuple[float, float]:
@@ -44,8 +64,9 @@ def _traced_peaks(stdout: str) -> tuple[float, float]:
 
 
 def test_a_change_that_holds_its_batches_shows_in_the_traced_peaks(tmp_path):
-    # a chunk above b_h = 741,185 draws each Hessian batch as one int64
-    # array of 5.9 MB, with the outputs unchanged
+    # a chunk above b_h = 741,185 draws each Hessian batch at once, its raw
+    # words and the products of half of them 5.9 MB together, with the
+    # outputs unchanged
     change = _copy_tree(tmp_path / "change")
     optim = change / "src" / "hardsum" / "optim.py"
     text = optim.read_text(encoding="utf-8")

@@ -26,9 +26,11 @@ from hardsum.optim import (
     svrc_hessian_estimator,
     svrc_run,
     _batch_counts,
+    _bounded_indices,
     _Counts,
     _draw_batches,
     _draw_counts,
+    _drawn_counts,
     _stationarity,
 )
 
@@ -99,7 +101,7 @@ class TestSchedule:
         with pytest.raises(ValueError):
             svrc_default_params(n=0, d=3, Delta=1.0, L2=1.0, eps=1.0)
 
-    @pytest.mark.parametrize("field", ["b_g", "b_h", "S", "T"])
+    @pytest.mark.parametrize("field", ["b_g", "b_h", "S", "T", "seed"])
     @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(2.0), True,
                                        np.bool_(True), "2"])
     def test_counts_must_be_integers(self, field, value):
@@ -122,6 +124,23 @@ class TestSchedule:
                        L2=1.0)
         assert [(type(v), v) for v in (p.b_g, p.b_h, p.S, p.T)] == [
             (int, 3), (int, 5), (int, 1), (int, 2)]
+
+    def test_numpy_integer_seed_is_kept_as_a_python_int(self):
+        base = dict(M=1.0, b_g=2, b_h=2, S=1, T=1, eps=1.0, Delta=1.0,
+                    L2=1.0)
+        p = SvrcParams(**base, seed=np.uint32(7))
+        assert type(p.seed) is int and p.seed == 7
+        F = quadratic_cosine_sum(4, 3, seed=0)
+        (x_got, got), (x_want, want) = (svrc_run(F, q) for q in (
+            p, SvrcParams(**base, seed=7)))
+        assert x_got.tobytes() == x_want.tobytes() and got == want
+
+    def test_a_generator_seed_is_refused(self):
+        # svrc_run draws from default_rng(seed), whose PCG64 words its
+        # batch counts read
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            SvrcParams(M=1.0, b_g=2, b_h=2, S=1, T=1, eps=1.0, Delta=1.0,
+                       L2=1.0, seed=np.random.default_rng(0))
 
 
 class TestEstimators:
@@ -693,7 +712,7 @@ class TestDrawCounts:
                 assert drawn.counts.tobytes() == counted.counts.tobytes()
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
-    @pytest.mark.parametrize("n", [1, 3, 255, 256, 1000])
+    @pytest.mark.parametrize("n", [1, 3, 255, 256, 1000, 2, 7, 100_003])
     @pytest.mark.parametrize("b_g, b_h", [
         (1, 1), (5, 8), (7, 9), (8, 29), (9, 32), (31, 5)])
     def test_small_chunks(self, monkeypatch, n, b_g, b_h):
@@ -721,11 +740,108 @@ class TestDrawCounts:
             assert drawn.size == n and (drawn.counts == 1).all()
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("n", [2, 7, 256, 1000])
+    def test_a_batch_that_starts_on_a_buffered_half_word(self, n):
+        # an odd draw before leaves the high half of its last word
+        # buffered, which numpy hands out first
+        for prefix in (1, 3):
+            got_rng, want_rng = (np.random.default_rng(prefix)
+                                 for _ in range(2))
+            for rng in (got_rng, want_rng):
+                rng.integers(0, n, size=prefix)
+            assert got_rng.bit_generator.state["has_uint32"] == 1
+            got = _drawn_counts(got_rng, n, 99)
+            want = _batch_counts(want_rng.integers(0, n, size=99), n)
+            assert got.counts.tobytes() == want.counts.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_dropped_draws_at_a_large_n(self):
+        # at n = 5,000,011 numpy drops a 32-bit word whose product's low
+        # half falls below (2^32 - n) mod n, about 0.12% of them
+        n = 5_000_011
+        chunk = hardsum.optim._DRAW_CHUNK
+        spy = _WordSpy(0)
+        got_rng, want_rng = np.random.Generator(spy), np.random.default_rng(0)
+        for size in (3, 2 * chunk + 5):
+            got = _drawn_counts(got_rng, n, size)
+            want = _batch_counts(want_rng.integers(0, n, size=size), n)
+            assert got.counts.tobytes() == want.counts.tobytes()
+            assert _pcg64_state(got_rng) == _pcg64_state(want_rng)
+        threshold = (2 ** 32 - n) % n
+        dropped = [int(((words.view(np.uint32).astype(np.uint64) * n)
+                        % 2 ** 32 < threshold).sum())
+                   for words in spy.blocks]
+        assert len(dropped) >= 2 and any(dropped), dropped
+
+    @given(n=st.one_of(st.integers(1, 300),
+                       st.sampled_from([1000, 100_003, 5_000_011]),
+                       st.integers(1, 1 << 20)),
+           b_g=st.integers(1, 70), b_h=st.integers(1, 70),
+           prefix=st.integers(0, 3), chunk=st.sampled_from([2, 3, 8, 64]))
+    def test_the_draws_of_draw_batches(self, n, b_g, b_h, prefix, chunk):
+        params = SvrcParams(M=1.0, b_g=b_g, b_h=b_h, S=1, T=1, eps=1.0,
+                            Delta=1.0, L2=1.0)
+        got_rng, want_rng = (np.random.default_rng(n + prefix)
+                             for _ in range(2))
+        for rng in (got_rng, want_rng):
+            rng.integers(0, n, size=prefix)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hardsum.optim, "_DRAW_CHUNK", chunk)
+            got = _draw_counts(params, n, got_rng)
+        want = [_batch_counts(batch, n)
+                for (batch,) in _draw_batches(params, n, want_rng, 1)]
+        for drawn, counted in zip(got, want):
+            assert drawn.size == counted.size
+            assert drawn.counts.tobytes() == counted.counts.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2, 3, 5_000_011, 2 ** 31 + 1,
+                                   3 << 30, 2 ** 32 - 1, 2 ** 32])
+    def test_bounded_indices_are_numpys_draws(self, n):
+        # up to half the words dropped near 2^31, none at 2^32, where
+        # numpy returns the word itself; no count array of n is built
+        u = np.random.PCG64(n).random_raw(500).view(np.uint32)
+        got = _bounded_indices(u, n, np.empty(1000, np.uint64))
+        want = np.random.default_rng(n).integers(0, n, size=got.size)
+        assert got.dtype == np.uint64 and got.tolist() == want.tolist()
+        if n == 2 ** 31 + 1:
+            assert got.size < 600
+
+    @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox,
+                                        np.random.PCG64DXSM, np.random.SFC64])
+    def test_another_bit_generator_is_refused(self, bitgen):
+        rng = np.random.Generator(bitgen(0))
+        with pytest.raises(TypeError, match=f"got a {bitgen.__name__} "):
+            _drawn_counts(rng, 3, 10)
+        # nothing drawn
+        assert rng.random() == np.random.Generator(bitgen(0)).random()
+
     def test_a_count_record_passes_unchanged(self):
         drawn = _Counts(np.array([2, 0, 1]), 3)
         assert _batch_counts(drawn, 3) is drawn
         counts, size = _batch_counts(np.array([0, 2, 0]), 3)
         assert counts.tolist() == [2, 0, 1] and size == 3
+
+
+class _WordSpy(np.random.PCG64):
+    """PCG64 that keeps a copy of every block of words ``random_raw``
+    hands out."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.blocks = []
+
+    def random_raw(self, size=None, output=True):
+        words = super().random_raw(size, output)
+        self.blocks.append(words.copy())
+        return words
+
+
+def _pcg64_state(rng):
+    """The generator's state without the bit generator's class name."""
+    state = dict(rng.bit_generator.state)
+    del state["bit_generator"]
+    return state
 
 
 def test_a_benchmark_op_holds_no_hessian_batch():

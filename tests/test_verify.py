@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1114,6 +1115,31 @@ class TestStackedMonteCarlo:
     def test_trials_span_several_blocks(self):
         trials = 2 * _MC_BLOCK + 76
         self._agree(*self._setup(b_g=16, b_h=64), trials=trials, seed=5)
+
+    def test_long_batches_take_smaller_blocks(self, monkeypatch):
+        # b_g + b_h = 10,016 indices a trial: a block of 512 trials held
+        # 41 MB of draws and as much again in offset copies
+        F, params, x_hat, x = self._setup(b_g=16, b_h=10_000)
+        tracemalloc.start()
+        try:
+            got = verify_estimator_bounds(F, x_hat, x, params, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6, peak
+        monkeypatch.setattr(hardsum.verify, "_MC_BLOCK_INDICES", 1 << 40)
+        want = verify_estimator_bounds(F, x_hat, x, params, 1000)
+        assert _bits(got.to_dict()) == _bits(want.to_dict())
+
+    def test_the_cross_check_spans_blocks(self, monkeypatch):
+        # blocks of 3 trials: the 8 metered trials come from three blocks
+        monkeypatch.setattr(hardsum.verify, "_MC_BLOCK_INDICES", 3 * 40)
+        hits, hit = [], OracleLedger.record_cache_hit
+        monkeypatch.setattr(OracleLedger, "record_cache_hit", lambda led, c=1:
+                            hits.append(c) or hit(led, c))
+        rep = self._agree(*self._setup(), trials=1000, seed=6)
+        # 8 metered Hessian estimates on each side, the per-trial loop's too
+        assert rep.passed and hits == [32] * 16
 
     @pytest.mark.parametrize("name", ["_gradient_estimate",
                                       "_hessian_estimate"])

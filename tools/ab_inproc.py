@@ -19,9 +19,10 @@ only the op itself is timed.  One line per op gives both times, their ratio
 (change / parent) and whether the outputs are equal bit for bit.  After the
 timed pairs, op 0 runs once more on each side under ``tracemalloc``,
 untimed, and one line gives each side's traced allocation peak.  The last
-lines give the paired median ratio, its quartiles and the number of ops the
-change ran faster.  The exit status is 1 when any op's outputs differ, 2 when
-a tree is refused.
+lines give each side's median op seconds and their quartiles, the paired
+median ratio, its quartiles and the number of ops the change ran faster.
+The exit status is 1 when any op's outputs differ, 2 when a tree is
+refused.
 
 Pairs in one process share the host's load from moment to moment, so a
 paired ratio resolves effects of a few percent that separate benchmark runs
@@ -184,6 +185,7 @@ def run(parent: Path, change: Path, workload: str, ops: int,
             print(f"{workload}: {ops} ops from seed {seed}, BLAS 1 thread")
             print("op  parent_s  change_s  ratio  outputs")
             ratios, wins, differ = [], 0, 0
+            times = {side: [] for side in SIDES}
             for i in range(ops):
                 seconds, outputs = {}, {}
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -191,6 +193,7 @@ def run(parent: Path, change: Path, workload: str, ops: int,
                     t0 = time.perf_counter()
                     result = op(pkgs[side], seed + i, workdirs[side])
                     seconds[side] = time.perf_counter() - t0
+                    times[side].append(seconds[side])
                     outputs[side] = canonical(result)
                 same = outputs["parent"] == outputs["change"]
                 differ += not same
@@ -209,6 +212,10 @@ def run(parent: Path, change: Path, workload: str, ops: int,
             for name in list(sys.modules):
                 if name.split(".")[0] in {f"hardsum_{s}" for s in SIDES}:
                     del sys.modules[name]
+    print("op seconds: " + ", ".join(
+        "{} median {:.6f} (quartiles {:.6f}, {:.6f})".format(
+            side, *np.percentile(times[side], [50, 25, 75]))
+        for side in SIDES))
     q1, median, q3 = np.percentile(ratios, [25, 50, 75])
     print(f"paired ratio change/parent: median {median:.4f} (quartiles "
           f"{q1:.4f}, {q3:.4f}); change faster in {wins} of {ops} ops")
