@@ -109,10 +109,26 @@ class RandomizedHardInstance(FiniteSumFunction):
         """The same geometry with prefactor and argument scale stripped."""
         return RandomizedHardInstance(self.spec, self.B, self.C, scaled=False)
 
-    def _slot(self, i: int, x: np.ndarray) -> np.ndarray:
-        if self.C is None:
-            return x[..., i * self._m:(i + 1) * self._m]
-        return row_matvec(self._C_slots[i].T, x)
+    def _placement(self, i) -> tuple:
+        """Where component i (an index) sits: the index of its m-block in an
+        array of shape lead + (n, m), and C's columns of its slot (None when
+        C is the identity).  With i = slice(None), every component, component
+        k in row k of a leading axis of n."""
+        C = None if self.C is None else self._C_slots[i]
+        if isinstance(i, slice):
+            k = np.arange(self.n)
+            return (k, ..., k, slice(None)), None if C is None else C[:, None]
+        return (..., i, slice(None)), C
+
+    def _slot(self, i, x: np.ndarray) -> np.ndarray:
+        """Slot i of x, an m-vector per point; with i = slice(None), every
+        slot of a stack of P points, shape (n, P, m) (with C the identity,
+        views of x)."""
+        at, C = self._placement(i)
+        if C is not None:
+            return row_matvec(C.swapaxes(-1, -2), x)
+        blocks = x.reshape(x.shape[:-1] + (self.n, self._m))
+        return blocks.swapaxes(0, 1) if isinstance(i, slice) else blocks[at]
 
     @property
     def _C_slots(self) -> np.ndarray:
@@ -122,27 +138,37 @@ class RandomizedHardInstance(FiniteSumFunction):
     def embed(self, i: int, v: np.ndarray) -> np.ndarray:
         """The ambient d-vector C_i v that places the m-vector v in slot i
         (with C the identity, v written into coordinates i*m..(i+1)*m-1);
-        a stack of m-vectors gives a stack of d-vectors."""
-        if self.C is None:
-            out = np.zeros(v.shape[:-1] + (self.d,))
-            out[..., i * self._m:(i + 1) * self._m] = v
-            return out
-        return row_matvec(self._C_slots[i], v)
-
-    def _unslot_hess(self, i: int, H: np.ndarray) -> np.ndarray:
-        if self.C is None:
-            out = np.zeros(H.shape[:-2] + (self.d, self.d))
-            s = slice(i * self._m, (i + 1) * self._m)
-            out[..., s, s] = H
-            return out
-        Ci = self._C_slots[i]
-        return Ci @ H @ Ci.T
+        a stack of m-vectors gives a stack of d-vectors, and with
+        i = slice(None) row k of a stack (n, ..., m) goes to slot k."""
+        at, C = self._placement(i)
+        if C is not None:
+            return row_matvec(C, v)
+        out = np.zeros(v.shape[:-1] + (self.d,))
+        out.reshape(v.shape[:-1] + (self.n, self._m))[at] = v
+        return out
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
         _check_order(order)
-        i = self.check_index(i)
-        x = as_points(x, dim=self.d)
-        y = self._slot(i, x) / self._sigma
+        return self._evaluate(self.check_index(i), as_points(x, dim=self.d),
+                              order)
+
+    def _answers(self, x: np.ndarray, order: int):
+        """Every component at one point, one answer each as they are
+        consumed; at a stack of points, one stack in one evaluation."""
+        if x.ndim == 1:
+            return (self._evaluate(i, x, order) for i in range(self.n))
+        return self._evaluate(slice(None), x, order)
+
+    def _evaluate(self, i, x: np.ndarray, order: int) -> Derivatives:
+        """Component i (an index) at x (a point or a stack of points), or,
+        with i = slice(None), every component at a stack of P points as one
+        stack, rows in component order: values (n, P), gradients (n, P, d)
+        and Hessians (n, P, d, d).  Either way the slots go to the one
+        kernel behind :func:`hat_f_eval` in one call, so each row of the
+        stack equals its component's answer bit for bit."""
+        # C order: the slots of a stack, read as strided views, are laid out
+        # component by component
+        y = np.divide(self._slot(i, x), self._sigma, order="C")
         base = _hat_f(self._K, self._cols[i], y, order)
         val = self._pref * base.value
         if order == 0:
@@ -150,51 +176,13 @@ class RandomizedHardInstance(FiniteSumFunction):
         grad = self.embed(i, (self._pref / self._sigma) * base.grad)
         if order == 1:
             return Derivatives(val, grad)
-        hess = self._unslot_hess(i, (self._pref / self._sigma ** 2) * base.hess)
-        return Derivatives(val, grad, hess)
-
-    def _answers(self, x: np.ndarray, order: int):
-        """At a stack of P points, every component in one clamped-chain
-        evaluation, answered as one stack: the n slots are stacked as
-        (n, P, m) and answered by the one kernel behind :func:`hat_f_eval`;
-        values (n, P), gradients (n, P, d) and Hessians (n, P, d, d), rows
-        in component order, each equal to :meth:`component`'s bit for
-        bit."""
-        if x.ndim == 1:
-            return super()._answers(x, order)
-        n, m = self.n, self._m
-        lead = (n, len(x))
-        if self.C is None:
-            # the slots are the point's consecutive m-blocks
-            y = np.empty(lead + (m,))
-            np.divide(x.reshape(len(x), n, m).swapaxes(0, 1), self._sigma,
-                      out=y)
-        else:
-            y = np.stack([self._slot(i, x) for i in range(n)]) / self._sigma
-        base = _hat_f(self._K, self._cols, y, order)
-        val = self._pref * base.value
-        if order == 0:
-            return Derivatives(val)
-        g = (self._pref / self._sigma) * base.grad
-        if self.C is None:
-            # component i's gradient fills slot i of its rows
-            grad = np.zeros(lead + (self.d,))
-            slots = grad.reshape(lead + (n, m))
-            for i in range(n):
-                slots[i, :, i] = g[i]
-        else:
-            grad = row_matvec(self._C_slots[:, None], g)
-        if order == 1:
-            return Derivatives(val, grad)
         H = (self._pref / self._sigma ** 2) * base.hess
-        if self.C is None:
-            hess = np.zeros(lead + (self.d, self.d))
-            slots = hess.reshape(lead + (n, m, n, m))
-            for i in range(n):
-                slots[i, :, i, :, i] = H[i]
-        else:
-            C = self._C_slots[:, None]
-            hess = C @ H @ C.swapaxes(-1, -2)
+        at, C = self._placement(i)
+        if C is not None:
+            return Derivatives(val, grad, C @ H @ C.swapaxes(-1, -2))
+        lead = H.shape[:-2]
+        hess = np.zeros(lead + (self.d, self.d))
+        hess.reshape(lead + (self.n, self._m) * 2)[at + at[-2:]] = H
         return Derivatives(val, grad, hess)
 
 

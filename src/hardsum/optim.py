@@ -34,7 +34,7 @@ import numpy as np
 
 from .chains import Derivatives
 from .cubic import CubicModel, solve
-from .instances.params import _real_count
+from .instances.params import _check_positive, _real_count
 from .linalg import _lambda_min, _shifted_pd, as_vector, row_matvec, sym_matrix
 from .oracle import (FiniteSumFunction, OracleLedger, _Answered, _Evaluated,
                      _integer, mean_derivatives, query, record_iterate)
@@ -124,10 +124,7 @@ def svrc_default_params(n: int, d: int, Delta: float, L2: float,
     n^(-1/5) eps^(-3/2));  b_g = 5 max(n^(4/5), 16);
     b_h = 3000 max(4, n^(2/5)) log^3 d.
     """
-    for name, v in (("n", n), ("d", d), ("Delta", Delta), ("L2", L2),
-                    ("eps", eps)):
-        if not v > 0:
-            raise ValueError(f"{name} must be positive")
+    _check_positive(n=n, d=d, Delta=Delta, L2=L2, eps=eps)
     T = _iceil(max(2.0, float(n) ** 0.2))
     S = _iceil(max(1.0, _real_count("the epoch count S", lambda: (
         240.0 * C_M ** 2 * math.sqrt(L2) * Delta * float(n) ** -0.2
@@ -158,10 +155,10 @@ def _draw_batches(params: SvrcParams, n: int, rng: np.random.Generator,
 
 
 #: most indices one chunk of :func:`_drawn_counts` draws and counts: its
-#: raw words and the 64-bit products of one half of them (256 kB) stay in
-#: L2 between the passes over them, where a whole batch's (8.9 MB at
-#: b_h = 741,185) would stream through memory on each pass; rebuilt whole,
-#: the draw ran slower than ``integers``
+#: raw words (128 kB) and their 64-bit products (256 kB) stay in L2 between
+#: the passes over them, where a whole batch's (8.9 MB at b_h = 741,185)
+#: would stream through memory on each pass; rebuilt whole, the draw ran
+#: slower than ``integers``
 _DRAW_CHUNK = 1 << 15
 
 
@@ -197,12 +194,13 @@ def _drawn_counts(rng: np.random.Generator, n: int, size: int) -> _Counts:
     ``next_uint32`` stream (:func:`_bounded_indices`).  PCG64 hands out
     each 64-bit word's low half and buffers its high half, so a chunk of
     ``random_raw`` words, both halves of each, is that stream, and is
-    reduced and counted here, up to ``_DRAW_CHUNK`` indices at a time;
-    a chunk's order does not change its counts.  A buffered half-word
-    left by an earlier draw, and the last one or two indices, go through
-    ``integers`` itself, so the buffer is left as numpy leaves it.  n = 1
-    draws nothing, as in numpy.  The stream is PCG64's (``default_rng``'s):
-    another bit generator raises TypeError.
+    reduced and counted here, up to ``_DRAW_CHUNK`` indices at a time with
+    one ``bincount`` each (so at n far above the chunk each chunk still
+    costs O(n)); a chunk's order does not change its counts.  A buffered
+    half-word left by an earlier draw, and the last one or two indices, go
+    through ``integers`` itself, so the buffer is left as numpy leaves it.
+    n = 1 draws nothing, as in numpy.  The stream is PCG64's
+    (``default_rng``'s): another bit generator raises TypeError.
     """
     bitgen = rng.bit_generator
     if not isinstance(bitgen, np.random.PCG64):
@@ -216,15 +214,14 @@ def _drawn_counts(rng: np.random.Generator, n: int, size: int) -> _Counts:
     while left and bitgen.state["has_uint32"]:
         counts[rng.integers(0, n)] += 1
         left -= 1
-    products = np.empty(min(_DRAW_CHUNK, left) // 2, dtype=np.uint64)
+    products = np.empty(min(_DRAW_CHUNK, left), dtype=np.uint64)
     while left > 2:
         # at most left - 1 half-words, so that integers draws the last index
         u = bitgen.random_raw(min(_DRAW_CHUNK, left - 1) // 2).view(
             np.uint32)
-        for part in (u[:u.size // 2], u[u.size // 2:]):
-            idx = _bounded_indices(part, n, products)
-            counts += np.bincount(idx.view(np.int64), minlength=n)
-            left -= idx.size
+        idx = _bounded_indices(u, n, products)
+        counts += np.bincount(idx.view(np.int64), minlength=n)
+        left -= idx.size
     if left:
         counts += np.bincount(rng.integers(0, n, size=left), minlength=n)
     return _Counts(counts, size)

@@ -317,10 +317,11 @@ class _QuadraticCosineSum(FiniteSumFunction):
         return self._at_point(rows, as_vector(x, dim=self.d), order)
 
     def _answers(self, x: np.ndarray, order: int):
-        """At one point, every component as one stack."""
+        """At one point, every component as one stack; at a stack of
+        points, one answer per component as they are consumed."""
         if x.ndim == 1:
             return self._at_point(slice(None), x, order)
-        return super()._answers(x, order)
+        return (self._evaluate(i, x, order) for i in range(self.n))
 
     def _at_point(self, rows, x: np.ndarray, order: int) -> Derivatives:
         """Components ``rows`` (an index array, or the slice of every

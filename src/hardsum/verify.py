@@ -641,9 +641,10 @@ _TRIAL_STEPS = np.split(np.ldexp(1.0, -np.arange(40)), [1])
 
 
 def _gd_backtracking(F: FiniteSumFunction, starts: np.ndarray,
-                     iters: int = 200) -> np.ndarray:
+                     iters: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """Gradient descent with Armijo backtracking from every row of
-    ``starts`` (shape (P, d)); returns the P final values.
+    ``starts`` (shape (P, d)); returns the P start values and the P final
+    values.
 
     Each start keeps the rules of a descent run on its own: it takes the
     longest of the steps 1, 1/2, ..., 2^-39 that decreases f by at least
@@ -667,6 +668,7 @@ def _gd_backtracking(F: FiniteSumFunction, starts: np.ndarray,
     x = np.array(starts, dtype=float)
     der = F.full(x, 1)
     f_val, g = der.value, der.grad
+    start = f_val.copy()
     moving = np.ones(len(x), dtype=bool)
     taken = np.zeros(len(x), dtype=bool)    # scratch: the starts just moved
     steps = np.concatenate(_TRIAL_STEPS)
@@ -713,7 +715,7 @@ def _gd_backtracking(F: FiniteSumFunction, starts: np.ndarray,
             moving[idx[over]] = False   # no trial step decreased f enough
             idx, lo = idx[~over], lo[~over]
             hi = ends[ends.searchsorted(lo, side="right")]
-    return f_val
+    return start, f_val
 
 
 def verify_suboptimality(instance: RandomizedHardInstance,
@@ -726,17 +728,18 @@ def verify_suboptimality(instance: RandomizedHardInstance,
     bound oracle, so the check can never spuriously fail on the inf side;
     it fails only if f(0) - inf genuinely exceeds the bound.  The
     ``num_starts`` random starts and the origin descend together in one
-    lockstep run.  Negative counts are refused.
+    lockstep run, whose first stacked call gives f(0).  Negative counts are
+    refused.
     """
     _check_counts(num_starts=num_starts, gd_iters=gd_iters)
     inst = instance.unscaled_view()
     rng = as_rng(seed)
-    f0 = inst.full(np.zeros(inst.d), 0).value
     scales = (0.5, 2.0, 5.0)
     starts = [rng.standard_normal(inst.d) * scales[s % len(scales)]
               for s in range(num_starts)]
     starts.append(np.zeros(inst.d))
-    finals = _gd_backtracking(inst, np.array(starts), iters=gd_iters)
+    values, finals = _gd_backtracking(inst, np.array(starts), iters=gd_iters)
+    f0 = values[-1]     # the origin's row of the first stacked call
     best = min(f0, float(finals.min()))
     gap = f0 - best
     bound = 12.0 * inst.spec.K

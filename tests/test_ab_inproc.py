@@ -65,8 +65,7 @@ def _traced_peaks(stdout: str) -> tuple[float, float]:
 
 def test_a_change_that_holds_its_batches_shows_in_the_traced_peaks(tmp_path):
     # a chunk above b_h = 741,185 draws each Hessian batch at once, its raw
-    # words and the products of half of them 5.9 MB together, with the
-    # outputs unchanged
+    # words and their products 8.9 MB together, with the outputs unchanged
     change = _copy_tree(tmp_path / "change")
     optim = change / "src" / "hardsum" / "optim.py"
     text = optim.read_text(encoding="utf-8")

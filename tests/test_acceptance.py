@@ -379,8 +379,9 @@ def test_acceptance_08_svrc_convergence():
     rng = np.random.default_rng(82)
     best = f0
     for _ in range(5):
-        best = min(best, _gd_backtracking(F, rng.standard_normal((1, 20)),
-                                          iters=60)[0])
+        _, finals = _gd_backtracking(F, rng.standard_normal((1, 20)),
+                                     iters=60)
+        best = min(best, finals[0])
     delta_hat = max(f0 - best, 1e-3)
 
     params = svrc_default_params(n=256, d=20, Delta=delta_hat, L2=L2_hat,

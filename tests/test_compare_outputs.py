@@ -99,11 +99,12 @@ def test_tree_against_itself_is_identical(tool):
     entry = next(e for e in tool.ENTRIES if e.name == "acc10-synth-svrc")
     out = io.StringIO()
     assert tool.compare(ROOT, ROOT, [entry], out=out)
-    lines = out.getvalue().splitlines()
+    *lines, summary = out.getvalue().splitlines()
     assert [line.split()[-1] for line in lines] == [
         "acc10-synth-svrc/exit", "acc10-synth-svrc/run.jsonl",
         "acc10-synth-svrc/stderr", "acc10-synth-svrc/stdout"]
     assert all(line.startswith("same ") for line in lines)
+    assert summary == "4 of 4 outputs the same"
 
 
 def test_changed_output_and_bad_exit_are_reported(tool, tmp_path):
@@ -112,12 +113,16 @@ def test_changed_output_and_bad_exit_are_reported(tool, tmp_path):
     b = _fake_tree(tmp_path / "b", "print('b'); return 0")
     out = io.StringIO()
     assert not tool.compare(a, b, [entry], out=out)
-    assert "DIFF     echo/stdout" in out.getvalue().splitlines()
+    lines = out.getvalue().splitlines()
+    assert "DIFF     echo/stdout" in lines
+    assert lines[-1] == "2 of 3 outputs the same"
 
     failing = _fake_tree(tmp_path / "c", "return 3")
     out = io.StringIO()
     assert not tool.compare(failing, failing, [entry], out=out)
-    assert "EXIT 3 (expected 0) echo/exit" in out.getvalue()
+    lines = out.getvalue().splitlines()
+    assert "EXIT 3 (expected 0) echo/exit" in lines
+    assert lines[-1] == "2 of 3 outputs the same"
 
 
 def test_moved_float_key_is_named_with_its_change(tool, tmp_path):

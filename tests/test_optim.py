@@ -101,6 +101,14 @@ class TestSchedule:
         with pytest.raises(ValueError):
             svrc_default_params(n=0, d=3, Delta=1.0, L2=1.0, eps=1.0)
 
+    @pytest.mark.parametrize("name", ["n", "d", "Delta", "L2", "eps"])
+    @pytest.mark.parametrize("value", [0, -1.5, float("nan")])
+    def test_default_params_name_the_refused_value(self, name, value):
+        base = dict(n=8, d=3, Delta=1.0, L2=1.0, eps=1.0)
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be positive, got {value}$"):
+            svrc_default_params(**{**base, name: value})
+
     @pytest.mark.parametrize("field", ["b_g", "b_h", "S", "T", "seed"])
     @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(2.0), True,
                                        np.bool_(True), "2"])

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import hardsum
 from hardsum.chains import Derivatives
-from hardsum.instances import (ResistingOracle, deterministic_params, ell_p,
-                               randomized_params, sample_randomized_instance)
+from hardsum.instances import (RandomizedHardInstance, ResistingOracle,
+                               deterministic_params, ell_p, randomized_params,
+                               sample_randomized_instance)
 from hardsum.linalg import _Factored, _symmetrized, rel_err
 from hardsum.optim import mu
 from hardsum.oracle import (
@@ -21,6 +22,7 @@ from hardsum.oracle import (
     FiniteSumFunction,
     OracleLedger,
     _Evaluated,
+    _QuadraticCosineSum,
     _row_answers,
     mean_derivatives,
     quadratic_cosine_sum,
@@ -821,6 +823,48 @@ class TestSumContract:
         assert calls == [] and _game_state(F) == state
         F.full(x, 0)
         assert calls    # the spies see this sum's evaluations
+
+
+def _calls(owner, name: str, monkeypatch) -> list:
+    """Record the arguments of every call of ``owner.name`` from here on."""
+    calls, f = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(
+        args) or f(*args, **kwargs))
+    return calls
+
+
+class TestFullAnswersThroughItsKernel:
+    """``full`` answers from each sum's own evaluation, never through the
+    validating public ``component``."""
+
+    @ORDERS
+    @pytest.mark.parametrize("name", ["randomized", "randomized-n1",
+                                      "randomized-unscaled",
+                                      "randomized-haar-c"])
+    def test_randomized_instance(self, name, order, monkeypatch):
+        # one clamped-chain pass per component at one point, one for all of
+        # them at a stack
+        F = SUMS[name][0]()
+        X = _points(F, 3, np.random.default_rng(3))
+        component = _calls(RandomizedHardInstance, "component", monkeypatch)
+        kernel = _calls(hardsum.instances.randomized, "_hat_f", monkeypatch)
+        F.full(X[0], order)
+        assert (len(component), len(kernel)) == (0, F.n)
+        assert all(y.shape == (F.d // F.n,) for _, _, y, _ in kernel)
+        kernel.clear()
+        F.full(X, order)
+        assert (len(component), len(kernel)) == (0, 1)
+
+    @ORDERS
+    def test_quadratic_cosine_sum_at_a_stack(self, order, monkeypatch):
+        F = SUMS["quadratic-cosine"][0]()
+        X = _points(F, 3, np.random.default_rng(3))
+        component = _calls(_QuadraticCosineSum, "component", monkeypatch)
+        evaluate = _calls(_QuadraticCosineSum, "_evaluate", monkeypatch)
+        F.full(X, order)
+        assert component == []
+        assert [(i, x.shape) for _, i, x, _ in evaluate] == [
+            (i, X.shape) for i in range(F.n)]
 
 
 class TestEvaluatedView:

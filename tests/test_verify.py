@@ -390,9 +390,12 @@ class TestLockstepDescent:
 
     @staticmethod
     def _agree(F, starts, iters):
-        """Asserts lockstep and one-start runs end at the same values;
-        returns the one-start values."""
-        lockstep = _gd_backtracking(F, starts, iters=iters)
+        """Asserts lockstep and one-start runs end at the same values, and
+        that the lockstep's start values are the one-point values; returns
+        the one-start values."""
+        values, lockstep = _gd_backtracking(F, starts, iters=iters)
+        assert values.tobytes() == np.array(
+            [F.full(x0, 0).value for x0 in starts]).tobytes()
         want = np.array([_sequential_gd(F, x0, iters) for x0 in starts])
         assert lockstep.shape == want.shape
         assert np.all(np.abs(lockstep - want)
@@ -429,8 +432,8 @@ class TestLockstepDescent:
     def test_single_start_is_a_stack_of_one(self, rng):
         F = quadratic_cosine_sum(4, 3, seed=1)
         x0 = rng.standard_normal(3)
-        got = _gd_backtracking(F, x0[None, :], iters=30)
-        assert got.shape == (1,)
+        values, got = _gd_backtracking(F, x0[None, :], iters=30)
+        assert values.shape == got.shape == (1,)
         assert got[0] == _sequential_gd(F, x0, 30)
 
     def test_starts_stop_on_their_own_rounds(self):
@@ -439,7 +442,8 @@ class TestLockstepDescent:
         F = CallableFiniteSum([_cubic_norm_component(1.0)], d=2)
         starts = np.array([[0.0, 0.0], [3.0, -1.0], [-0.2, 0.1]])
         self._agree(F, starts, iters=25)
-        assert _gd_backtracking(F, starts, iters=25)[0] == 0.0
+        _, finals = _gd_backtracking(F, starts, iters=25)
+        assert finals[0] == 0.0
 
     @pytest.mark.parametrize("case", ["battery-6", "battery-7", "battery-8",
                                       "battery-9", "synthetic"])
@@ -459,15 +463,15 @@ class TestLockstepDescent:
         monkeypatch.setattr(hardsum.verify, "_TRIAL_STEPS",
                             np.split(np.concatenate(_TRIAL_STEPS), range(1, 40)))
         want = _gd_backtracking(F, starts)
-        assert got.tobytes() == want.tobytes()
+        assert [part.tobytes() for part in got] == [
+            part.tobytes() for part in want]
 
     def test_a_round_is_one_stacked_order_1_call(self, monkeypatch):
         # verify_suboptimality on battery instances 6-8, 20 starts and the
         # origin: a round answers every trial point at order 1, the first
         # two blocks of a start whose last step was shorter than 1 in the
         # round's one call; a second call comes only when a start that took
-        # step 1 in its last round rejects it.  The order-0 calls are the
-        # origin's one-point values.
+        # step 1 in its last round rejects it.
         counts = {0: [0, 0], 1: [0, 0]}
         full = RandomizedHardInstance.full
 
@@ -483,7 +487,7 @@ class TestLockstepDescent:
             verify_suboptimality(inst, num_starts=20, seed=8)
         # 200 rounds per instance: 600 first calls, 3 first evaluations and
         # 11 second calls
-        assert counts == {0: [3, 3], 1: [614, 24373]}
+        assert counts == {0: [0, 0], 1: [614, 24373]}
 
     def test_failed_line_search_stops_only_its_start(self):
         # 0.5|x|^2 with the gradient's sign flipped where x_0 < 0: there no

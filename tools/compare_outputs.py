@@ -6,10 +6,11 @@ PARENT and CHANGE are checkouts of the repository (each with a ``src/``).
 Every entry of :data:`ENTRIES` runs once against each tree's ``src/``, in a
 fresh temporary directory, with BLAS pinned to one thread.  Every file the
 run writes, its stdout, its stderr and its exit code are compared byte for
-byte; one line per output is printed, and the exit status is 1 when any
-output differs or any run exits with a code other than the entry's expected
-one (so an entry whose config stops parsing fails instead of comparing two
-identical error messages).
+byte; one line per output is printed, then the summary line ``N of M
+outputs the same``.  The exit status is 1 when any output differs or any
+run exits with a code other than the entry's expected one (so an entry
+whose config stops parsing fails instead of comparing two identical error
+messages).
 
 Under a ``.jsonl`` or ``.json`` output that differs, one indented line names
 each key path whose values moved, with the largest relative change among
@@ -326,9 +327,9 @@ def moved_keys(name: str, a: bytes, b: bytes) -> list[str]:
 def compare(parent: Path, change: Path, entries=ENTRIES, out=None
             ) -> bool:
     """Run every entry against both trees, print one line per output and
-    return True when all outputs are identical and every run exited with
-    its entry's code."""
-    ok = True
+    a summary line, and return True when all outputs are identical and
+    every run exited with its entry's code."""
+    same = total = 0
     for entry in entries:
         runs = []
         for tree in (parent, change):
@@ -345,12 +346,14 @@ def compare(parent: Path, change: Path, entries=ENTRIES, out=None
                 verdict = f"EXIT {a.decode()} (expected {entry.exit_code})"
             else:
                 verdict = "same"
-            ok = ok and verdict == "same"
+            total += 1
+            same += verdict == "same"
             print(f"{verdict:<8} {entry.name}/{key}", file=out, flush=True)
             if verdict == "DIFF":
                 for line in moved_keys(key, a, b):
                     print(f"{'':<8} {line}", file=out, flush=True)
-    return ok
+    print(f"{same} of {total} outputs the same", file=out, flush=True)
+    return same == total
 
 
 def main(argv=None) -> int:
