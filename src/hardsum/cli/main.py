@@ -194,13 +194,19 @@ def _seed_out_path(base: str, seed: int) -> str:
 
 
 def _parse_seeds(text: str | None) -> list[int] | None:
-    if not text:
+    """``--seeds``' list, or None; no seed or one named twice is refused."""
+    if text is None:
         return None
     try:
-        return [int(s) for s in text.split(",") if s.strip()]
+        seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
         raise ValueError(
             f"--seeds must be comma-separated integers, got {text!r}") from None
+    if not seeds:
+        raise ValueError(f"--seeds names no seed, got {text!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"--seeds names a seed twice, got {text!r}")
+    return seeds
 
 
 def cmd_run(cfg: RunConfig, quiet: bool = False,

@@ -143,12 +143,6 @@ def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
     w_bot = float(np.sqrt(w2[bottom].sum()))
     interior = ~bottom
 
-    def coords_at(u: float) -> np.ndarray:
-        d = shift + half_m * u
-        y = np.zeros_like(w)
-        y[d > 0] = -w[d > 0] / d[d > 0]
-        return y
-
     hard_threshold = _HARD_CASE_TOL * (1.0 + norm_v)
     L0 = np.sqrt(np.sum(w2[interior] / shift[interior] ** 2)) if interior.any() else 0.0
 
@@ -169,8 +163,8 @@ def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
         y = w / d
         return d, y, math.hypot(*y)
 
-    # easy case: probe down from the length scale for a u below the root of
-    # |h(u)| = s0 + u
+    # easy case (u > 0, so every d_j(u) > 0 and the step is -y): probe down
+    # from the length scale for a u below the root of |h(u)| = s0 + u
     u = 1e-3 * scale
     d, y, h = norm_at(u)
     while h <= s0 + u:
@@ -188,12 +182,10 @@ def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
         e = y / h
         step = (h - t) / (h / t + t * half_m * float(e @ (e / d)))
         u += step
-        if step <= _ROOT_RTOL * u:
-            return coords_at(u)
         d, y, h = norm_at(u)
-        if h <= s0 + u:
+        if step <= _ROOT_RTOL * u or h <= s0 + u:
             # the root, to rounding
-            return coords_at(u)
+            return -y
     raise ArithmeticError(
         f"secular root did not converge in {_ROOT_MAXITER} iterations")
 

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..chains import Derivatives, _as_value, _chain_eval, _check_order
+from ..chains import Derivatives, _chain_eval, _check_order
 from ..linalg import _Factored, _dense, as_rng, as_vector, rel_err, row_matvec
-from ..oracle import FiniteSumFunction, _check_answer, _row_answers
+from ..oracle import FiniteSumFunction, _check_answer, _row, _row_answers
 from .params import HardInstanceSpec
 
 __all__ = ["ResistingOracle", "ResistingCertificate", "NotFinalizedError"]
@@ -109,10 +109,10 @@ class ResistingOracle(FiniteSumFunction):
     A charged pass over the n components is n game moves, each archived and
     counted towards closing the round, made and checked in row order (so a
     round can close mid-pass), and one ledger charge per row.
-    The chain itself is evaluated once per (point, ``active``,
-    ``rounds_closed``) for all n components at once (``_table``): the
-    moves of a pass, the order-1 and order-2 passes at one iterate and a
-    measurement there read one evaluation until a round closes.
+    The chain is evaluated once per point for all n components, into the
+    answer table, which a round close drops: the moves of a pass, the
+    order-1 and order-2 passes at one iterate and a measurement there read
+    one evaluation.
     """
 
     def __init__(self, spec: HardInstanceSpec, seed):
@@ -138,7 +138,6 @@ class ResistingOracle(FiniteSumFunction):
         self._rounds_closed = 0
         self._round_seen: set[int] = set()
         self._archive: list[_ArchivedQuery] = []
-        self._table_key = self._table_value = None
 
         self._V[:, 0] = self._draw_direction()
 
@@ -201,20 +200,10 @@ class ResistingOracle(FiniteSumFunction):
                 masks = masks[:, None, :]
         return _chain_eval(active, masks, w, order)
 
-    def _table(self, x: np.ndarray, active: int) -> Derivatives:
-        """The order-2 chain answers of every component at one point x, read
-        only: evaluated once per (point, ``active``, ``rounds_closed``) and
-        kept until the next such key, so the n moves of a pass, its
-        order-1 and order-2 passes and a measurement at the same point share
-        one evaluation.  Lower orders read its leading parts, which equal an
-        evaluation at that order bit for bit."""
-        key = (x.tobytes(), active, self._rounds_closed)
-        if self._table_key != key:
-            table = self._chains(x, 2, active)
-            table.grad.flags.writeable = False
-            table.hess.flags.writeable = False
-            self._table_key, self._table_value = key, table
-        return self._table_value
+    def _evaluate_all(self, x: np.ndarray) -> Derivatives:
+        """The chain answers with the current directions, which a round
+        close changes, so :meth:`_close_round` drops the table."""
+        return self._chains(x, 2, self._active)
 
     def _scales(self) -> tuple[float, float, float]:
         """The factors of the value, gradient and Hessian of a chain answer
@@ -259,7 +248,7 @@ class ResistingOracle(FiniteSumFunction):
                              f"of shape ({self.d},), got {np.shape(x)}")
         x = as_vector(x, dim=self.d)
         active = self._active
-        ch = _row(self._table(x, active), i, order)
+        ch = _row(self._table(x), i, order)
         if self.finalized:
             return ch, active
 
@@ -295,6 +284,7 @@ class ResistingOracle(FiniteSumFunction):
         self._V[:, j] = self._draw_direction()
         self._rounds_closed = j
         self._round_seen = set()
+        self._table_key = None
 
     def finalize(self) -> None:
         """Force-close all remaining rounds (e.g. after an early stop).
@@ -315,7 +305,7 @@ class ResistingOracle(FiniteSumFunction):
         index order and Hessians factored: what :meth:`full` sums, from one
         chain evaluation."""
         active = self._active
-        ch = (self._table(x, active) if x.ndim == 1
+        ch = (self._table(x) if x.ndim == 1
               else self._chains(x, order, active))
         return self._answer(ch, order, active)
 
@@ -396,12 +386,6 @@ class ResistingOracle(FiniteSumFunction):
             max_replay_rel_err=max_replay,
             replay_consistent=bool(max_replay <= _ORTHO_TOL),
         )
-
-
-def _row(ch: Derivatives, i: int, order: int) -> Derivatives:
-    return Derivatives(_as_value(ch.value[i]),
-                       ch.grad[i] if order >= 1 else None,
-                       ch.hess[i] if order >= 2 else None)
 
 
 def _padded(a: np.ndarray, size: int) -> np.ndarray:

@@ -9,14 +9,13 @@ the *algorithm* consumed, not what the experimenter looked at.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import Derivatives, _check_order
+from .chains import Derivatives, _as_value, _check_order
 from .linalg import (_added, _dense, _Factored, _symmetrized, as_points,
                      as_rng, as_vector, row_dot, row_matvec)
 
@@ -51,6 +50,7 @@ class FiniteSumFunction:
 
     n: int
     d: int
+    _table_key = None       # the bytes of the point _table holds, or None
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
         raise NotImplementedError
@@ -114,11 +114,28 @@ class FiniteSumFunction:
     def _answers(self, x: np.ndarray, order: int):
         """Every component at a validated point or stack of points x, one
         :class:`Derivatives` per component in index order, or one stack of
-        them (rows in index order): what :meth:`full` sums.  The default
+        them (rows in index order): what :meth:`full` sums up to ``order``
+        (a stack's higher parts are not read).  The default
         asks :meth:`component` once per component as the answers are
         consumed, so no stack of n Hessians is held; a sum that evaluates
         all components at once overrides it."""
         return (self.component(i, x, order) for i in range(self.n))
+
+    def _table(self, x: np.ndarray) -> Derivatives:
+        """:meth:`_evaluate_all` at one point x, read only, kept until a
+        point of other bytes asks or ``_table_key`` is set to None."""
+        key = x.tobytes()
+        if key != self._table_key:
+            table = self._evaluate_all(x)
+            for part in (table.value, table.grad, table.hess):
+                part.flags.writeable = False
+            self._table_key, self._table_value = key, table
+        return self._table_value
+
+    def _evaluate_all(self, x: np.ndarray) -> Derivatives:
+        """Every component's order-2 answer at one point x as one stack;
+        each row, up to any order, has the bits of that row's evaluation."""
+        raise NotImplementedError
 
 
 def _stacked(answers: list, rows, order: int, d: int) -> Derivatives:
@@ -172,11 +189,17 @@ def _check_answer(der: Derivatives, rows, order: int, d: int) -> Derivatives:
     return Derivatives(der.value, der.grad, hess)
 
 
+def _row(stack: Derivatives, k: int, order: int) -> Derivatives:
+    """Row k of a stack of answers up to ``order``, its value a float."""
+    return Derivatives(_as_value(stack.value[k]),
+                       stack.grad[k] if order >= 1 else None,
+                       stack.hess[k] if order >= 2 else None)
+
+
 def _row_answers(stack: Derivatives, order: int):
-    none = itertools.repeat(None)
-    return itertools.starmap(Derivatives, zip(
-        stack.value, stack.grad if order >= 1 else none,
-        stack.hess if order >= 2 else none))
+    """A stack's rows up to ``order``, as far as its shortest part goes."""
+    parts = (stack.value, stack.grad, stack.hess)[:order + 1]
+    return (_row(stack, k, order) for k in range(min(map(len, parts))))
 
 
 def mean_derivatives(answers, shape: tuple, order: int) -> Derivatives:
@@ -289,20 +312,17 @@ class _QuadraticCosineSum(FiniteSumFunction):
     each row of a stack equals the one-point answer of its component at its
     point bit for bit.
 
-    The last order-2 evaluation of every component at one point is kept,
-    read only, as a table keyed by the point's bytes (``_table``), and
-    the one-point :meth:`components` and :meth:`full` calls at that point
-    read their rows from it: an SVRC step's measurement ``full(x, 2)`` and
-    the next step's estimators at x share one evaluation.  Only such an
-    evaluation fills it; :meth:`component` and stacks of points never touch
-    it.
+    One-point :meth:`components` and :meth:`full` calls read the answer
+    table (:meth:`~FiniteSumFunction._table`), which the first of them at a
+    point fills: an SVRC step's measurement ``full(x, 2)`` and the next
+    step's estimators at x share one evaluation.  :meth:`component` and
+    stacks of points never touch it.
     """
 
     def __init__(self, A, b, c, r):
         self._A, self._b, self._c, self._r = A, b, c, r
         self._bbT = b[:, :, None] * b[:, None, :]
         self.n, self.d = b.shape
-        self._table_key = self._table = None
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
         _check_order(order)
@@ -314,31 +334,19 @@ class _QuadraticCosineSum(FiniteSumFunction):
         rows = self.check_rows(rows)
         if rows.size == self.n and (rows == np.arange(self.n)).all():
             rows = slice(None)
-        return self._at_point(rows, as_vector(x, dim=self.d), order)
+        table = self._table(as_vector(x, dim=self.d))
+        return Derivatives(*(part[rows] for part in
+                             (table.value, table.grad, table.hess)[:order + 1]))
 
     def _answers(self, x: np.ndarray, order: int):
-        """At one point, every component as one stack; at a stack of
-        points, one answer per component as they are consumed."""
+        """At one point, the answer table; at a stack of points, one answer
+        per component as they are consumed."""
         if x.ndim == 1:
-            return self._at_point(slice(None), x, order)
+            return self._table(x)
         return (self._evaluate(i, x, order) for i in range(self.n))
 
-    def _at_point(self, rows, x: np.ndarray, order: int) -> Derivatives:
-        """Components ``rows`` (an index array, or the slice of every
-        component) at one point x, read from the table when it holds x.
-        An order-2 evaluation of every component refills the table; its
-        rows and their leading parts equal an evaluation of those rows at
-        that order bit for bit."""
-        key = x.tobytes()
-        if key != self._table_key:
-            if order < 2 or not isinstance(rows, slice):
-                return self._evaluate(rows, x, order)
-            table = self._evaluate(rows, x, 2)
-            for part in (table.value, table.grad, table.hess):
-                part.flags.writeable = False
-            self._table_key, self._table = key, table
-        parts = (self._table.value, self._table.grad, self._table.hess)
-        return Derivatives(*(part[rows] for part in parts[:order + 1]))
+    def _evaluate_all(self, x: np.ndarray) -> Derivatives:
+        return self._evaluate(slice(None), x, 2)
 
     def _evaluate(self, i, x, order: int) -> Derivatives:
         """Component i (an index, an index array, or the slice of every
@@ -367,8 +375,9 @@ def quadratic_cosine_sum(n: int, d: int, seed, *, curvature: float = 1.0,
     is exactly |c_i| * |b_i|^3, which makes the sum a convenient target for
     smoothness estimation with a known ground truth.
     """
-    if n < 1:
-        raise ValueError("need at least one component")
+    n, d = _integer(n, "n"), _integer(d, "d")
+    if min(n, d) < 1:
+        raise ValueError(f"n and d must be at least one, got {n} and {d}")
     rng = as_rng(seed)
     # the draws of component after component, then the arithmetic on the
     # stacks; row i equals the one-component products bit for bit
@@ -402,12 +411,13 @@ def _integer(value, name: str) -> int:
                          f"{type(value).__name__}") from None
 
 
-def _count(count) -> int:
-    """A ledger count as a Python int: a bool, a non-integer or a negative
-    count raises ValueError, so every counter stays an exact int."""
-    count = _integer(count, "count")
+def _count(count, name: str = "count") -> int:
+    """A count (a ledger's, or a check's sample count) as a Python int: a
+    bool, a non-integer or a negative count raises ValueError naming it,
+    so every counter stays an exact int."""
+    count = _integer(count, name)
     if count < 0:
-        raise ValueError("count must be non-negative")
+        raise ValueError(f"{name} must be >= 0, got {count}")
     return count
 
 
@@ -576,6 +586,8 @@ class _Evaluated(FiniteSumFunction):
         k = self._where[i]
         if k < 0:
             raise ValueError(f"component {i} was not evaluated here")
+        # read inline: through _row, this per-row charge path read the
+        # svrc-synthetic op 1.8% slower (tools/ab_inproc.py, paired)
         value, grad, hess = self.stack.value, self.stack.grad, self.stack.hess
         return Derivatives(value[k], grad[k] if order >= 1 else None,
                            hess[k] if order >= 2 else None)

@@ -27,7 +27,7 @@ from .linalg import (_richardson_combine, _stencil_points, _sym_part,
                      as_points, as_rng, as_vector, rel_err, row_dot,
                      sample_orthonormal_columns)
 from .oracle import (CallableFiniteSum, FiniteSumFunction, OracleLedger,
-                     _Evaluated, quadratic_cosine_sum)
+                     _count, _Evaluated, _integer, quadratic_cosine_sum)
 from .optim import (SvrcParams, _draw_batches, _gradient_estimate,
                     _hessian_estimate, svrc_gradient_estimator,
                     svrc_hessian_estimator)
@@ -60,11 +60,10 @@ def _int_seed(seed) -> int | None:
         return None
 
 
-def _check_counts(**counts) -> None:
-    """Refuse a sample count below zero; zero is a valid count."""
-    for name, value in counts.items():
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+def _check_counts(**counts) -> list[int]:
+    """The sample counts, in the order given, as Python ints, each checked
+    by :func:`~hardsum.oracle._count`; zero is a valid count."""
+    return [_count(value, name) for name, value in counts.items()]
 
 
 class _Report:
@@ -110,7 +109,7 @@ def check_derivatives(F: FiniteSumFunction, num_points: int, tol: float,
     occurrence wins, and the Hessian wins a tie with the gradient.  A
     negative ``num_points`` is refused.
     """
-    _check_counts(num_points=num_points)
+    num_points, = _check_counts(num_points=num_points)
     if not tol > 0:
         raise ValueError("tol must be positive")
     rng = as_rng(seed)
@@ -181,9 +180,10 @@ def check_zero_chain(K: int, num_samples: int, seed=0) -> ZeroChainReport:
     evaluated at all of them in one stacked call per order.  A negative
     ``num_samples`` is refused.
     """
+    K = _integer(K, "K")
     if K < 2:
         raise ValueError("K must be >= 2")
-    _check_counts(num_samples=num_samples)
+    num_samples, = _check_counts(num_samples=num_samples)
     rng = as_rng(seed)
     mask = np.ones(K)
     prefixes, points = [], []
@@ -390,6 +390,7 @@ def estimate_smoothness(F: FiniteSumFunction, mode: str, num_pairs: int,
     """
     if mode not in _SMOOTHNESS_MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    num_pairs = _integer(num_pairs, "num_pairs")
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")
     order = 1 if mode == "mean-squared" else 2
@@ -486,6 +487,7 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     read xh from a snapshot view of the xh table as
     :func:`~hardsum.optim.svrc_run` does.
     """
+    trials = _integer(trials, "trials")
     if trials < 1000:
         raise ValueError("trials must be at least 10^3")
     n, d = instance.n, instance.d
@@ -731,7 +733,8 @@ def verify_suboptimality(instance: RandomizedHardInstance,
     lockstep run, whose first stacked call gives f(0).  Negative counts are
     refused.
     """
-    _check_counts(num_starts=num_starts, gd_iters=gd_iters)
+    num_starts, gd_iters = _check_counts(num_starts=num_starts,
+                                         gd_iters=gd_iters)
     inst = instance.unscaled_view()
     rng = as_rng(seed)
     scales = (0.5, 2.0, 5.0)
@@ -803,9 +806,9 @@ def run_battery(num_points: int = 60, zero_chain_samples: int = 500,
     names a run reports; a negative count is refused.  A run passes iff no
     check failed (skips are allowed).
     """
-    _check_counts(num_points=num_points,
-                  zero_chain_samples=zero_chain_samples, pairs=pairs,
-                  trials=trials, starts=starts)
+    num_points, zero_chain_samples, pairs, trials, starts = _check_counts(
+        num_points=num_points, zero_chain_samples=zero_chain_samples,
+        pairs=pairs, trials=trials, starts=starts)
     def outcome(rep):
         return rep.passed, rep.to_dict()
 

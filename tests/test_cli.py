@@ -441,12 +441,17 @@ class TestRun:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [tmp_path / "c.ini"]
 
-    def test_bad_seed_list_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("seeds", ["1,x", ",", "", "3,3", "1,2,1"])
+    def test_bad_seed_list_exits_2(self, seeds, tmp_path, capsys):
+        # a list with a non-integer, with no seed, or naming a seed twice
         cfg_path = _write(tmp_path, "c.ini", _synthetic_svrc_ini())
         assert main(["run", "--config", cfg_path, "--quiet", "--out",
-                     str(tmp_path / "m.jsonl"), "--seeds", "1,x"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "--seeds" in err
+                     str(tmp_path / "m.jsonl"), "--seeds", seeds]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error:") and "--seeds" in out.err
+        assert out.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.ini"]
 
 
 _SVRC_INI = _synthetic_svrc_ini()

@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import signal
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,14 @@ from scipy.optimize import brentq
 from hardsum import cubic
 from hardsum.cubic import CubicModel, CubicSolution, model_value, solve
 from hardsum.linalg import _Factored, _shifted_pd, sample_orthonormal_columns
+
+_SWEEP = importlib.util.spec_from_file_location(
+    "cubic_sweep", Path(__file__).resolve().parents[1] / "tools"
+    / "cubic_sweep.py")
+cubic_sweep = importlib.util.module_from_spec(_SWEEP)
+_SWEEP.loader.exec_module(cubic_sweep)
+#: the seeded sweep's model generator (tools/cubic_sweep.py)
+_model_at_scales = cubic_sweep._model_at_scales
 
 
 def _check_optimality(model: CubicModel, sol: CubicSolution, tol=1e-9):
@@ -616,20 +626,6 @@ def _brentq_coords(lam, w, norm_v, M):
         u_lo *= 1e-2
     u = brentq(phi_u, u_lo, u_hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
     return -w / (shift + half_m * u)
-
-
-def _model_at_scales(seed, d, factored, log_v, log_m):
-    """A model with |v| = 10^log_v, M = 10^log_m and an N(0, 1) spectrum:
-    U dense, or factored as V S V^T with V of rank 1 to d."""
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, d + 1)) if factored else d
-    R = sample_orthonormal_columns(k, k, seed=rng).columns
-    S = (R * rng.standard_normal(k)) @ R.T
-    v = rng.standard_normal(d)
-    v *= 10.0 ** log_v / np.linalg.norm(v)
-    U = (_Factored(sample_orthonormal_columns(d, k, seed=rng).columns, S)
-         if factored else S)
-    return CubicModel(v=v, U=U, M=10.0 ** log_m)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.booleans(),

@@ -552,14 +552,11 @@ class TestQuadraticTable:
                                self._sum().full(x, order))
         assert calls == []
 
-    def test_what_leaves_it_unfilled(self, monkeypatch):
+    def test_component_and_stacks_leave_it_unfilled(self, monkeypatch):
         F, x = self._sum(), self._point()
         calls = _spy_evaluations(F, monkeypatch)
         X = np.stack([x, 2.0 * x])
         asks = [lambda: F.component(1, x, 2),
-                lambda: F.components([0, 1, 2, 3, 4], x, 2),
-                lambda: F.components(np.arange(F.n), x, 1),
-                lambda: F.full(x, 1),
                 lambda: F.full(X, 2),
                 lambda: F.component(1, X, 2)]
         for ask in asks + asks:     # asked again, each evaluates again
@@ -567,6 +564,33 @@ class TestQuadraticTable:
         # full of a stack evaluates component by component
         assert len(calls) == 2 * (len(asks) - 1 + F.n)
         assert F._table_key is None
+
+    @pytest.mark.parametrize("first", [
+        lambda F, x: F.components([0, 1, 2, 3, 4], x, 2),
+        lambda F, x: F.components([3], x, 0),
+        lambda F, x: F.components(np.arange(F.n), x, 1),
+        lambda F, x: F.full(x, 0),
+        lambda F, x: F.full(x, 1),
+    ], ids=["partial-rows", "one-row-order-0", "all-rows-order-1",
+            "full-order-0", "full-order-1"])
+    def test_the_first_one_point_request_fills_it(self, first, monkeypatch):
+        # whatever rows and order it asks, it evaluates every component at
+        # order 2 once, and every later one-point read at that point is a
+        # read of the table with a fresh sum's bits
+        F, x = self._sum(), self._point()
+        calls = _spy_evaluations(F, monkeypatch)
+        first(F, x)
+        assert calls == [(slice(None), x.shape, 2)]
+        assert F._table_key == x.tobytes()
+        fresh = self._sum()
+        for order in range(3):
+            for rows in self.ROWS:
+                got = F.components(rows, x.copy(), order)
+                assert same_answer(got, self._sum().components(rows, x, order))
+                assert_rows(got, [fresh.component(i, x, order) for i in rows])
+            assert same_answer(F.full(x.copy(), order),
+                               self._sum().full(x, order))
+        assert len(calls) == 1
 
     def test_component_and_stacks_never_read_it(self, monkeypatch):
         F, x = self._sum(), self._point()
@@ -598,8 +622,9 @@ class TestQuadraticTable:
         for y in (ulp, signed):
             assert same_answer(F.components([1, 4], y, 2),
                                self._sum().components([1, 4], y, 2))
-        assert len(calls) == 2
-        assert F._table_key == x.tobytes()
+        # each new point is evaluated once, and the table holds the last
+        assert calls == [(slice(None), x.shape, 2)] * 2
+        assert F._table_key == signed.tobytes()
 
 
 def test_derivatives_is_a_slotted_dataclass():

@@ -561,6 +561,57 @@ class TestBattery:
         with pytest.raises(ValueError, match=match):
             check(inst)
 
+    #: (the count's name, a call that passes v as that count)
+    COUNTS = [
+        ("num_points", lambda v, rng, inst: check_derivatives(
+            quadratic_cosine_sum(2, 3, seed=0), v, 1e-6, seed=rng)),
+        ("K", lambda v, rng, inst: check_zero_chain(v, 5, seed=rng)),
+        ("num_samples", lambda v, rng, inst: check_zero_chain(4, v,
+                                                              seed=rng)),
+        ("num_pairs", lambda v, rng, inst: estimate_smoothness(
+            quadratic_cosine_sum(2, 3, seed=0), "individual", v, seed=rng)),
+        ("trials", lambda v, rng, inst: verify_estimator_bounds(
+            quadratic_cosine_sum(4, 3, seed=0), np.zeros(3), np.ones(3),
+            SvrcParams(M=1.0, b_g=2, b_h=2, S=1, T=1, eps=1.0, Delta=1.0,
+                       L2=1.0, seed=0), v, seed=rng)),
+        ("num_starts", lambda v, rng, inst: verify_suboptimality(
+            inst, num_starts=v, seed=rng)),
+        ("gd_iters", lambda v, rng, inst: verify_suboptimality(
+            inst, gd_iters=v, seed=rng)),
+        ("starts", lambda v, rng, inst: run_battery(starts=v)),
+        ("n", lambda v, rng, inst: quadratic_cosine_sum(v, 3, seed=rng)),
+        ("d", lambda v, rng, inst: quadratic_cosine_sum(4, v, seed=rng)),
+    ]
+
+    @pytest.mark.parametrize("value", [True, 2.5, np.float64(3.0), "3"],
+                             ids=["bool", "float", "numpy-float", "str"])
+    @pytest.mark.parametrize("name, check", COUNTS,
+                             ids=[name for name, _ in COUNTS])
+    def test_a_count_that_is_no_integer_is_refused(self, name, check, value,
+                                                    monkeypatch):
+        # refused by name, before anything is drawn or any check runs
+        with pytest.warns(UserWarning):
+            inst = _battery_instance(6)
+        monkeypatch.setattr(hardsum.verify, "default_ell_hat", lambda p: 1 / 0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            check(value, rng, inst)
+        assert rng.bit_generator.state == state
+
+    def test_numpy_integer_counts_are_python_ints(self):
+        rep = check_zero_chain(np.int64(4), np.int32(3))
+        assert type(rep.K) is int and type(rep.num_samples) is int
+        with pytest.warns(UserWarning):
+            inst = _battery_instance(6)
+        rep = verify_suboptimality(inst, num_starts=np.int64(2),
+                                   gd_iters=np.int8(3))
+        assert type(rep.num_starts) is int
+        F = quadratic_cosine_sum(np.int64(3), np.uint8(2), seed=0)
+        assert (type(F.n), type(F.d)) == (int, int) and (F.n, F.d) == (3, 2)
+        with pytest.raises(ValueError, match="n and d must be at least one"):
+            quadratic_cosine_sum(4, 0, seed=0)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_smoothness_constants_match_two_estimates(self, seed):
         # one pass of Hessian differences gives both constants, as two
