@@ -194,27 +194,28 @@ def _seed_out_path(base: str, seed: int) -> str:
 
 
 def _parse_seeds(text: str | None) -> list[int] | None:
-    """``--seeds``' list, or None; no seed or one named twice is refused."""
+    """``--seeds``' integers, or None; :func:`cmd_run` checks the list."""
     if text is None:
         return None
     try:
-        seeds = [int(s) for s in text.split(",") if s.strip()]
+        return [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
         raise ValueError(
             f"--seeds must be comma-separated integers, got {text!r}") from None
-    if not seeds:
-        raise ValueError(f"--seeds names no seed, got {text!r}")
-    if len(set(seeds)) < len(seeds):
-        raise ValueError(f"--seeds names a seed twice, got {text!r}")
-    return seeds
 
 
 def cmd_run(cfg: RunConfig, quiet: bool = False,
             seeds: list[int] | None = None) -> int:
-    """Run ``seeds`` (default: the config's one seed) in the order given;
+    """Run ``seeds`` (None: the config's one seed) in the order given;
     nothing is written until every seed has run.  Several seeds write one
-    ``<out>.seedN.jsonl`` each, one seed writes ``--out`` or stdout."""
-    seeds = seeds or [cfg.seed]
+    ``<out>.seedN.jsonl`` each, one seed writes ``--out`` or stdout.  A
+    list with no seed, or naming one twice, raises ValueError."""
+    if seeds is None:
+        seeds = [cfg.seed]
+    elif not seeds:
+        raise ValueError("--seeds names no seed")
+    elif len(set(seeds)) < len(seeds):
+        raise ValueError(f"--seeds names a seed twice, got {seeds}")
     if len(seeds) > 1 and not cfg.out:
         print("error: multi-seed runs require --out", file=sys.stderr)
         return 2
@@ -289,18 +290,12 @@ def main(argv=None) -> int:
         print(f"error: bad config: {err}", file=sys.stderr)
         return 2
 
-    if args.command == "run":
-        try:
-            seeds = _parse_seeds(args.seeds)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-
     try:
         if args.command == "gen":
             return cmd_gen(cfg, quiet=args.quiet)
         if args.command == "run":
-            return cmd_run(cfg, quiet=args.quiet, seeds=seeds)
+            return cmd_run(cfg, quiet=args.quiet,
+                           seeds=_parse_seeds(args.seeds))
         return cmd_verify(cfg, quiet=args.quiet)
     except InstanceTooSmallError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+from ..oracle import _count, _integer
+
 __all__ = [
     "ell_p",
     "HardInstanceSpec",
@@ -42,7 +44,12 @@ class InstanceTooSmallError(ValueError):
 
 @dataclass(frozen=True)
 class HardInstanceSpec:
-    """The scaling bundle shared by all hard-instance constructions."""
+    """The scaling bundle shared by all hard-instance constructions.
+
+    Every instance is built from one, so it checks the geometry, from
+    :meth:`from_dict` too: p, n, K and d are ints of at least one, and R^d
+    holds the adversary's K + 1 directions or n slots of d/n >= nK columns.
+    """
 
     mode: str
     p: int
@@ -62,10 +69,20 @@ class HardInstanceSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
+        for name in ("p", "n", "K", "d"):
+            size = _count(getattr(self, name), name, 1)
+            object.__setattr__(self, name, size)
         if not (self.sigma > 0 and self.lam > 0):
             raise ValueError("sigma and lambda must be positive")
+        n, K, d = self.n, self.K, self.d
+        if self.mode == "deterministic":
+            if d < K + 1:
+                raise ValueError("d must be at least K + 1")
+        elif d % n != 0:
+            raise ValueError(f"d = {d} must be divisible by n = {n}")
+        elif d // n < n * K:
+            raise ValueError(f"d/n = {d // n} too small to draw {n * K} "
+                             "orthonormal columns")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -121,6 +138,7 @@ def deterministic_params(p: int, n: int, Delta: float, L: float, eps: float,
     budget of 2 n (K + 2) queries.
     """
     _check_positive(p=p, n=n, Delta=Delta, L=L, eps=eps)
+    p, n = _integer(p, "p"), _integer(n, "n")
     ell = ell_p(p)
     lam = L / ell
     sigma = (4.0 * eps * ell / L) ** (1.0 / p)
@@ -132,9 +150,8 @@ def deterministic_params(p: int, n: int, Delta: float, L: float, eps: float,
             f"chain would be empty (K+1 = {k_plus_1} < 2); "
             f"smallest workable Delta is {min_delta:.6g}", min_delta)
     K = k_plus_1 - 1
-    if budget is None:
-        budget = 2 * n * (K + 2)
-    d = K + 1 + int(budget)
+    budget = 2 * n * (K + 2) if budget is None else _count(budget, "budget")
+    d = K + 1 + budget
     return HardInstanceSpec(mode="deterministic", p=p, n=n, Delta=Delta, L=L,
                             eps=eps, lam=lam, sigma=sigma, K=K, d=d, ell=ell)
 
@@ -159,6 +176,7 @@ def randomized_params(mode: str, p: int, n: int, Delta: float, L: float,
     d = n^2 K (d divisible by n with d/n >= nK columns to draw).
     """
     _check_positive(p=p, n=n, Delta=Delta, L=L, eps=eps)
+    p, n = _integer(p, "p"), _integer(n, "n")
     if mode not in ("randomized-individual", "randomized-third-moment"):
         raise ValueError(f"unknown randomized mode {mode!r}")
     if mode == "randomized-third-moment" and p != 2:
@@ -189,11 +207,6 @@ def randomized_params(mode: str, p: int, n: int, Delta: float, L: float,
 
     if d is None:
         d = n * n * K
-    if d % n != 0:
-        raise ValueError(f"d = {d} must be divisible by n = {n}")
-    if d // n < n * K:
-        raise ValueError(
-            f"d/n = {d // n} too small to draw {n * K} orthonormal columns")
     d_req = lemma_d_requirement(n, K)
     return HardInstanceSpec(mode=mode, p=p, n=n, Delta=Delta, L=L, eps=eps,
                             lam=lam, sigma=sigma, K=K, d=d, ell=ell_hat,

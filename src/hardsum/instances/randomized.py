@@ -78,8 +78,6 @@ class RandomizedHardInstance(FiniteSumFunction):
                  C: TallOrthogonal | None = None, scaled: bool = True):
         if spec.mode == "deterministic":
             raise ValueError("randomized instance requires a randomized-mode spec")
-        if spec.d % spec.n != 0:
-            raise ValueError("d must be divisible by n")
         self.spec = spec
         self.n = spec.n
         self.d = spec.d

@@ -122,8 +122,6 @@ class ResistingOracle(FiniteSumFunction):
         self.n = spec.n
         self.d = spec.d
         self._K = spec.K
-        if self.d < self._K + 1:
-            raise ValueError("d must be at least K + 1")
         self._rng = as_rng(seed)
         self._half = math.ceil(self.n / 2)
 

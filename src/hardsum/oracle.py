@@ -411,13 +411,13 @@ def _integer(value, name: str) -> int:
                          f"{type(value).__name__}") from None
 
 
-def _count(count, name: str = "count") -> int:
-    """A count (a ledger's, or a check's sample count) as a Python int: a
-    bool, a non-integer or a negative count raises ValueError naming it,
-    so every counter stays an exact int."""
+def _count(count, name: str = "count", least: int = 0) -> int:
+    """A count (a ledger's, a check's sample count or an instance size) as
+    a Python int: a bool, a non-integer or a count below ``least`` raises
+    ValueError naming it, so every counter stays an exact int."""
     count = _integer(count, name)
-    if count < 0:
-        raise ValueError(f"{name} must be >= 0, got {count}")
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
     return count
 
 

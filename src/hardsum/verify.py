@@ -180,9 +180,7 @@ def check_zero_chain(K: int, num_samples: int, seed=0) -> ZeroChainReport:
     evaluated at all of them in one stacked call per order.  A negative
     ``num_samples`` is refused.
     """
-    K = _integer(K, "K")
-    if K < 2:
-        raise ValueError("K must be >= 2")
+    K = _count(K, "K", 2)
     num_samples, = _check_counts(num_samples=num_samples)
     rng = as_rng(seed)
     mask = np.ones(K)
@@ -390,9 +388,7 @@ def estimate_smoothness(F: FiniteSumFunction, mode: str, num_pairs: int,
     """
     if mode not in _SMOOTHNESS_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    num_pairs = _integer(num_pairs, "num_pairs")
-    if num_pairs < 1:
-        raise ValueError("num_pairs must be >= 1")
+    num_pairs = _count(num_pairs, "num_pairs", 1)
     order = 1 if mode == "mean-squared" else 2
     best = _smoothness_constant(
         mode, *_pair_differences(F, order, num_pairs, seed,
@@ -809,6 +805,8 @@ def run_battery(num_points: int = 60, zero_chain_samples: int = 500,
     num_points, zero_chain_samples, pairs, trials, starts = _check_counts(
         num_points=num_points, zero_chain_samples=zero_chain_samples,
         pairs=pairs, trials=trials, starts=starts)
+    seed = _integer(seed, "seed")     # the checks draw from seed + offsets
+
     def outcome(rep):
         return rep.passed, rep.to_dict()
 

@@ -11,7 +11,7 @@ import pytest
 
 import hardsum
 
-from hardsum.cli import RunConfig, main
+from hardsum.cli import RunConfig, cmd_run, main
 from hardsum.instances import ell_p
 from hardsum.verify import BatteryCheck
 
@@ -451,6 +451,16 @@ class TestRun:
         assert out.out == ""
         assert out.err.startswith("error:") and "--seeds" in out.err
         assert out.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.ini"]
+
+    @pytest.mark.parametrize("seeds", [[], [3, 3]], ids=["empty", "repeat"])
+    def test_cmd_run_refuses_a_bad_seed_list(self, seeds, tmp_path):
+        # a library call is held to the --seeds rule, and writes nothing
+        cfg = dataclasses.replace(
+            RunConfig.load(_write(tmp_path, "c.ini", _synthetic_svrc_ini())),
+            out=str(tmp_path / "m.jsonl"))
+        with pytest.raises(ValueError, match="--seeds"):
+            cmd_run(cfg, quiet=True, seeds=seeds)
         assert list(tmp_path.iterdir()) == [tmp_path / "c.ini"]
 
 

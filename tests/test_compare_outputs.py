@@ -49,7 +49,9 @@ def _entry_config(entry):
 
 #: entries expected to exit 2 whose configs parse: the scaling calculators
 #: refuse them
-LIBRARY_REFUSALS = ("gen-deterministic-tiny-eps", "run-synthetic-tiny-eps")
+LIBRARY_REFUSALS = ("gen-deterministic-tiny-eps", "run-synthetic-tiny-eps",
+                    "gen-randomized-d-not-divisible",
+                    "run-randomized-d-too-small")
 
 
 def test_every_entry_config_parses(tool):

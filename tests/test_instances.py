@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import struct
 
@@ -92,6 +93,19 @@ class TestDeterministicParams:
         with pytest.raises(ValueError):
             deterministic_params(p=1, n=0, Delta=384.0, L=1.0, eps=1.0)
 
+    @pytest.mark.parametrize("name, value, match", [
+        ("p", 1.5, "p must be an integer, got float"),
+        ("n", 2.5, "n must be an integer, got float"),
+        ("n", True, "n must be an integer, got bool"),
+        ("budget", -3, "budget must be >= 0, got -3"),
+        ("budget", 2.5, "budget must be an integer, got float"),
+    ], ids=["p-float", "n-float", "n-bool", "budget-negative",
+            "budget-float"])
+    def test_rejects_a_count_that_is_no_integer(self, name, value, match):
+        args = dict(p=1, n=4, Delta=384.0, L=ell_p(1), eps=1.0)
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            deterministic_params(**(args | {name: value}))
+
 
 class TestRandomizedParams:
     def test_third_moment_worked_example(self):
@@ -134,6 +148,17 @@ class TestRandomizedParams:
             randomized_params("randomized-individual", p=1, n=4, Delta=1920.0,
                               L=1.0, eps=1.0, ell_hat=1.0, d=4)
 
+    @pytest.mark.parametrize("name, value, match", [
+        ("p", 1.5, "p must be an integer, got float"),
+        ("n", 2.5, "n must be an integer, got float"),
+        ("n", True, "n must be an integer, got bool"),
+    ], ids=["p-float", "n-float", "n-bool"])
+    def test_rejects_a_count_that_is_no_integer(self, name, value, match):
+        args = dict(mode="randomized-individual", p=1, n=2, Delta=800.0,
+                    L=1.0, eps=1.0, ell_hat=1.0)
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            randomized_params(**(args | {name: value}))
+
 
 class TestSpecContainer:
     def _spec(self):
@@ -154,6 +179,45 @@ class TestSpecContainer:
         payload["K"] = 0
         with pytest.raises(ValueError):
             HardInstanceSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("name, value, match", [
+        ("n", "4", "n must be an integer, got str"),
+        ("K", 2.5, "K must be an integer, got float"),
+        ("d", True, "d must be an integer, got bool"),
+        ("p", 0, "p must be >= 1, got 0"),
+    ], ids=["n-str", "K-float", "d-bool", "p-0"])
+    def test_rejects_a_size_that_is_no_positive_integer(self, name, value,
+                                                        match):
+        payload = self._spec().to_dict() | {name: value}
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            HardInstanceSpec.from_dict(payload)
+
+    def test_rejects_a_deterministic_d_below_k_plus_1(self):
+        payload = self._spec().to_dict()
+        payload["d"] = payload["K"]
+        with pytest.raises(ValueError, match=r"^d must be at least K \+ 1$"):
+            HardInstanceSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("d, match", [
+        (9, "d = 9 must be divisible by n = 2"),
+        (2, "d/n = 1 too small to draw 4 orthonormal columns"),
+    ], ids=["not-divisible", "too-small"])
+    def test_rejects_a_randomized_d_without_room(self, d, match):
+        # n = 2 and K = 2: d = 8 is the smallest legal dimension
+        spec = randomized_params("randomized-individual", p=1, n=2,
+                                 Delta=800.0, L=1.0, eps=1.0, ell_hat=1.0)
+        assert (spec.n, spec.K, spec.d) == (2, 2, 8)
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            HardInstanceSpec.from_dict(spec.to_dict() | {"d": d})
+
+    def test_numpy_sizes_are_stored_as_python_ints(self):
+        # so the spec serializes to JSON
+        spec = deterministic_params(1, np.int64(4), 384.0, ell_p(1), 1.0)
+        again = HardInstanceSpec.from_dict(
+            spec.to_dict() | {"K": np.int64(spec.K), "d": np.int32(spec.d)})
+        for s in (spec, again):
+            assert [type(getattr(s, k)) for k in "pnKd"] == [int] * 4
+            assert json.loads(json.dumps(s.to_dict())) == spec.to_dict()
 
 
 class TestBMatrixFile:

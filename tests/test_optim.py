@@ -109,6 +109,14 @@ class TestSchedule:
                            match=f"^{name} must be positive, got {value}$"):
             svrc_default_params(**{**base, name: value})
 
+    @pytest.mark.parametrize("name", ["n", "d"])
+    @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+    def test_default_params_refuse_a_size_that_is_no_integer(self, name,
+                                                              value):
+        base = dict(n=8, d=3, Delta=1.0, L2=1.0, eps=1.0)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            svrc_default_params(**{**base, name: value})
+
     @pytest.mark.parametrize("field", ["b_g", "b_h", "S", "T", "seed"])
     @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(2.0), True,
                                        np.bool_(True), "2"])

@@ -561,6 +561,30 @@ class TestBattery:
         with pytest.raises(ValueError, match=match):
             check(inst)
 
+    @pytest.mark.parametrize("check, match", [
+        (lambda: check_zero_chain(1, 10), "K must be >= 2, got 1"),
+        (lambda: estimate_smoothness(quadratic_cosine_sum(2, 3, seed=0),
+                                     "individual", 0),
+         "num_pairs must be >= 1, got 0"),
+    ], ids=["check_zero_chain-K", "estimate_smoothness-num_pairs"])
+    def test_a_count_below_its_least_is_refused_with_its_value(self, check,
+                                                               match):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            check()
+
+    @pytest.mark.parametrize("seed, match", [
+        (True, "seed must be an integer, got bool"),
+        (2.5, "seed must be an integer, got float"),
+    ], ids=["bool", "float"])
+    def test_a_battery_seed_that_is_no_integer_is_refused(self, seed, match,
+                                                          monkeypatch):
+        # before any check runs: every check draws from the seed plus an
+        # offset, and the first builds its sum from the seed
+        monkeypatch.setattr(hardsum.verify, "quadratic_cosine_sum",
+                            lambda *args, **kwargs: 1 / 0)
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            run_battery(seed=seed)
+
     #: (the count's name, a call that passes v as that count)
     COUNTS = [
         ("num_points", lambda v, rng, inst: check_derivatives(

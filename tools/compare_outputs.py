@@ -131,6 +131,9 @@ RANDOMIZED_P2 = ("[instance]\nmode = randomized-individual\np = 2\nn = 2\n"
 RANDOMIZED_P3 = ("[instance]\nmode = randomized-individual\np = 3\nn = 2\n"
                  "delta = 800.0\nL = 1.0\neps = 1.0\n"
                  "[optimizer]\noptimizer = gd\nbudget = 20\n")
+# K = 2 at n = 2, so the smallest legal dimension is d = n^2 K = 8
+RANDOMIZED_K2 = ("[instance]\nmode = randomized-individual\np = 1\nn = 2\n"
+                 "delta = 800.0\nL = 1.0\neps = 1.0\nell_hat = 1.0\n")
 DETERMINISTIC_P0 = ("[instance]\nmode = deterministic\np = 0\nn = 4\n"
                     "delta = 960.0\nL = 1.0\neps = 1.0\n")
 SYNTH_SVRC_N0 = SYNTH_SVRC.replace("n = 4\n", "n = 0\n")
@@ -221,6 +224,12 @@ ENTRIES = (
           2),
     Entry("run-synthetic-n0", SYNTH_SVRC_N0, ("run", "--out", "run.jsonl"),
           2),
+    # a dimension the spec refuses: n does not divide it, or its slots are
+    # too small for their columns
+    Entry("gen-randomized-d-not-divisible", RANDOMIZED_K2 + "d = 5\n",
+          ("gen", "--out", "gen"), 2),
+    Entry("run-randomized-d-too-small", RANDOMIZED_K2 + "d = 4\n",
+          ("run", "--out", "run.jsonl"), 2),
     # counts beyond the float range
     Entry("gen-deterministic-tiny-eps", ADV_CUBIC_TINY_EPS,
           ("gen", "--out", "gen"), 2),
