@@ -209,7 +209,8 @@ def cmd_run(cfg: RunConfig, quiet: bool = False,
     """Run ``seeds`` (None: the config's one seed) in the order given;
     nothing is written until every seed has run.  Several seeds write one
     ``<out>.seedN.jsonl`` each, one seed writes ``--out`` or stdout.  A
-    list with no seed, or naming one twice, raises ValueError."""
+    list with no seed, or naming one twice, and several seeds with no
+    ``--out`` raise ValueError."""
     if seeds is None:
         seeds = [cfg.seed]
     elif not seeds:
@@ -217,8 +218,7 @@ def cmd_run(cfg: RunConfig, quiet: bool = False,
     elif len(set(seeds)) < len(seeds):
         raise ValueError(f"--seeds names a seed twice, got {seeds}")
     if len(seeds) > 1 and not cfg.out:
-        print("error: multi-seed runs require --out", file=sys.stderr)
-        return 2
+        raise ValueError("multi-seed runs require --out")
     texts = [_run_one(dataclasses.replace(cfg, seed=s), quiet) for s in seeds]
     if not cfg.out:
         sys.stdout.write(texts[0])

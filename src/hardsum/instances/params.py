@@ -137,8 +137,8 @@ def deterministic_params(p: int, n: int, Delta: float, L: float, eps: float,
     remaining directions), so d = K + 1 + budget with a generous default
     budget of 2 n (K + 2) queries.
     """
-    _check_positive(p=p, n=n, Delta=Delta, L=L, eps=eps)
     p, n = _integer(p, "p"), _integer(n, "n")
+    _check_positive(p=p, n=n, Delta=Delta, L=L, eps=eps)
     ell = ell_p(p)
     lam = L / ell
     sigma = (4.0 * eps * ell / L) ** (1.0 / p)
@@ -175,8 +175,8 @@ def randomized_params(mode: str, p: int, n: int, Delta: float, L: float,
     module.  The default ambient dimension is the smallest legal one,
     d = n^2 K (d divisible by n with d/n >= nK columns to draw).
     """
-    _check_positive(p=p, n=n, Delta=Delta, L=L, eps=eps)
     p, n = _integer(p, "p"), _integer(n, "n")
+    _check_positive(p=p, n=n, Delta=Delta, L=L, eps=eps)
     if mode not in ("randomized-individual", "randomized-third-moment"):
         raise ValueError(f"unknown randomized mode {mode!r}")
     if mode == "randomized-third-moment" and p != 2:

@@ -109,7 +109,8 @@ _TINY = float(np.finfo(float).tiny)
 
 def sym_matrix(a) -> SymMatrix:
     """Validate symmetry of a square matrix (relative max-norm test) and
-    return the exactly symmetrized copy (A + A^T)/2."""
+    return it exactly symmetric: A itself when it equals its transpose bit
+    for bit, else the symmetrized copy (A + A^T)/2."""
     A = a if isinstance(a, _Factored) else np.asarray(a, dtype=float)
     if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -121,12 +122,19 @@ def _sym_part(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.swapaxes(-1, -2))
 
 
+#: two entries of at most this magnitude add without overflow
+_HALF_MAX = float(np.finfo(float).max) / 2
+
+
 def _symmetrized(A):
     """The check and symmetrization of :func:`sym_matrix`, over the last two
     axes of a matrix or a stack of matrices; a :class:`_Factored` one is
-    checked and symmetrized through its S."""
+    checked and symmetrized through its S.  An input that equals its
+    transpose bit for bit is returned as it is ((a + a) / 2 is a, -0.0
+    included); any other passing input gets a new array."""
     if isinstance(A, _Factored):
-        return _Factored(A.V, _symmetrized(A.S))
+        S = _symmetrized(A.S)
+        return A if S is A.S else _Factored(A.V, S)
     A = np.asarray(A, dtype=float)
     At = A.swapaxes(-1, -2)
     # one buffer holds |A|, then the skew, then the output
@@ -135,12 +143,20 @@ def _symmetrized(A):
     scale = np.maximum.reduce(out, axis=(-2, -1))
     if not np.isfinite(scale).all():
         raise ValueError("matrix has non-finite entries")
+    # the bits, not the values: a -0.0 facing a +0.0 takes the path below
+    if (A.view(np.uint64) == At.view(np.uint64)).all():
+        return A
     np.subtract(A, At, out=out)
     skew = np.maximum.reduce(np.absolute(out, out=out), axis=(-2, -1))
     if (skew > np.maximum(SYMMETRY_TOL * scale, _TINY)).any():
         raise ValueError("matrix is not symmetric within tolerance")
-    np.add(A, At, out=out)
+    with np.errstate(over="ignore"):
+        np.add(A, At, out=out)
     out *= 0.5
+    if scale.max() > _HALF_MAX:
+        # a pair whose sum overflowed takes the finite midpoint a/2 + b/2
+        over = np.isinf(out)
+        out[over] = 0.5 * A[over] + 0.5 * At[over]
     return out
 
 

@@ -124,8 +124,8 @@ def svrc_default_params(n: int, d: int, Delta: float, L2: float,
     n^(-1/5) eps^(-3/2));  b_g = 5 max(n^(4/5), 16);
     b_h = 3000 max(4, n^(2/5)) log^3 d.
     """
-    _check_positive(n=n, d=d, Delta=Delta, L2=L2, eps=eps)
     n, d = _integer(n, "n"), _integer(d, "d")
+    _check_positive(n=n, d=d, Delta=Delta, L2=L2, eps=eps)
     T = _iceil(max(2.0, float(n) ** 0.2))
     S = _iceil(max(1.0, _real_count("the epoch count S", lambda: (
         240.0 * C_M ** 2 * math.sqrt(L2) * Delta * float(n) ** -0.2

@@ -157,8 +157,9 @@ def _check_answer(der: Derivatives, rows, order: int, d: int) -> Derivatives:
     or of a stack of components ``rows`` (an array of shape lead): up to
     ``order``, shapes lead, lead + (d,), lead + (d, d); finite values and
     gradients; Hessians that pass ``sym_matrix``'s test, returned
-    symmetrized (a factored ``V S V^T`` one through its S).  A stack passes
-    or fails as its first failing row would."""
+    symmetrized (a factored ``V S V^T`` one through its S): as they are,
+    with no copy, when they equal their transposes bit for bit.  A stack
+    passes or fails as its first failing row would."""
     lead = getattr(rows, "shape", ())
     parts = (der.value, der.grad, der.hess)[:order + 1]
     try:
@@ -379,16 +380,25 @@ def quadratic_cosine_sum(n: int, d: int, seed, *, curvature: float = 1.0,
     if min(n, d) < 1:
         raise ValueError(f"n and d must be at least one, got {n} and {d}")
     rng = as_rng(seed)
-    # the draws of component after component, then the arithmetic on the
-    # stacks; row i equals the one-component products bit for bit
-    G, b, r = np.empty((n, d, d)), np.empty((n, d)), np.empty((n, d))
-    scale, c = np.empty(n), np.empty(n)
+    # component i draws G_i (d x d normals), b_i (d normals), scale_i and c_i
+    # (uniform on [0.5, 1.5)) and r_i (d normals), in this order.  Row i of
+    # ``normals`` holds G_i, b_i, r_i, so r_{i-1}, G_i and b_i are one run
+    # of the buffer and one call fills them; uniform(0.5, 1.5) is
+    # 0.5 + 1.0 * u, and 1.0 * u is u.  Then the arithmetic on the stacks;
+    # row i equals the one-component products bit for bit.
+    width = d * d + 2 * d
+    normals, uniforms = np.empty(n * width), np.empty((n, 2))
+    start = 0
     for i in range(n):
-        G[i] = rng.standard_normal((d, d))
-        b[i] = rng.standard_normal(d)
-        scale[i] = rng.uniform(0.5, 1.5)
-        c[i] = rng.uniform(0.5, 1.5)
-        r[i] = rng.standard_normal(d)
+        stop = i * width + d * d + d
+        rng.standard_normal(out=normals[start:stop])
+        rng.random(out=uniforms[i])
+        start = stop
+    rng.standard_normal(out=normals[start:])
+    normals = normals.reshape(n, width)
+    G = normals[:, :d * d].reshape(n, d, d)
+    b, r = normals[:, d * d:].reshape(n, 2, d).swapaxes(0, 1).copy()
+    scale, c = uniforms[:, 0] + 0.5, uniforms[:, 1] + 0.5
     G /= np.sqrt(d)
     b *= (scale / np.sqrt(row_dot(b, b)))[:, None]
     c *= ripple

@@ -30,6 +30,8 @@ def test_a_tree_against_itself_reads_the_same():
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert [line.split()[-1] for line in lines[2:4]] == ["same", "same"]
+    assert re.fullmatch(r"minor page faults per op: parent median "
+                        r"\d+\.\d, change median \d+\.\d", lines[-5])
     assert re.fullmatch(r"traced peak of op 0: parent \d+\.\d\d MB, "
                         r"change \d+\.\d\d MB", lines[-4])
     seconds = _op_seconds(lines[-3])

@@ -368,7 +368,16 @@ class TestRun:
         cfg_path = _write(tmp_path, "c.ini", _synthetic_svrc_ini())
         assert main(["run", "--config", cfg_path, "--quiet",
                      "--seeds", "1,2"]) == 2
-        assert "--out" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == "error: multi-seed runs require --out\n"
+        assert captured.out == ""
+        # the library call raises, as its other refusals do, and runs
+        # nothing
+        with pytest.raises(ValueError,
+                           match="^multi-seed runs require --out$"):
+            cmd_run(RunConfig.load(cfg_path), quiet=True, seeds=[1, 2])
+        assert capsys.readouterr() == ("", "")
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.ini"]
 
     def test_run_too_small_exits_2(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "c.ini", (

@@ -106,6 +106,14 @@ class TestDeterministicParams:
         with pytest.raises(ValueError, match=f"^{match}$"):
             deterministic_params(**(args | {name: value}))
 
+    @pytest.mark.parametrize("name", ["p", "n"])
+    def test_rejects_a_size_given_as_a_string(self, name):
+        # it was compared with 0 first: a bare TypeError naming nothing
+        args = dict(p=1, n=4, Delta=960.0, L=ell_p(1), eps=1.0)
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer, got str$"):
+            deterministic_params(**(args | {name: "3"}))
+
 
 class TestRandomizedParams:
     def test_third_moment_worked_example(self):
@@ -158,6 +166,15 @@ class TestRandomizedParams:
                     L=1.0, eps=1.0, ell_hat=1.0)
         with pytest.raises(ValueError, match=f"^{match}$"):
             randomized_params(**(args | {name: value}))
+
+    @pytest.mark.parametrize("name", ["p", "n"])
+    def test_rejects_a_size_given_as_a_string(self, name):
+        # it was compared with 0 first: a bare TypeError naming nothing
+        args = dict(mode="randomized-individual", p=1, n=2, Delta=800.0,
+                    L=1.0, eps=1.0, ell_hat=1.0)
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer, got str$"):
+            randomized_params(**(args | {name: "2"}))
 
 
 class TestSpecContainer:

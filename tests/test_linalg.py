@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -219,9 +221,16 @@ class TestSymMatrixMatchesReference:
             CubicModel(v=np.ones(3), U=np.ones((3, 3, 3)), M=1.0)
 
 
+def _reference_bits(A) -> bytes:
+    """The bytes of :func:`_reference_sym_matrix` over each matrix of A."""
+    return b"".join(_reference_sym_matrix(M).tobytes()
+                    for M in A.reshape((-1,) + A.shape[-2:]))
+
+
 class TestSymmetrizedOutput:
-    @pytest.mark.parametrize("shape", [(5, 5), (4, 5, 5), (4, 1, 1)])
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 5, 5), (4, 2, 2)])
     def test_a_new_array_with_the_reference_bits(self, shape):
+        # a perturbed input: its (0, d-1) entry is off its mirror's
         G = np.random.default_rng(len(shape)).standard_normal(shape)
         A = G + G.swapaxes(-1, -2)
         A[..., 0, -1] *= 1.0 + 1e-15
@@ -230,9 +239,68 @@ class TestSymmetrizedOutput:
         out = check(A)
         assert not np.shares_memory(out, A)
         assert A.tobytes() == before.tobytes()
-        assert out.tobytes() == b"".join(
-            _reference_sym_matrix(M).tobytes() for M in A.reshape(
-                (-1,) + shape[-2:]))
+        assert out.tobytes() == _reference_bits(A)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 5, 5), (4, 1, 1)])
+    def test_a_bitwise_symmetric_input_is_returned_as_it_is(self, shape):
+        G = np.random.default_rng(len(shape)).standard_normal(shape)
+        A = G + G.swapaxes(-1, -2)
+        A[..., -1, -1] = -0.0
+        before = A.copy()
+        check = sym_matrix if A.ndim == 2 else _symmetrized
+        assert check(A) is A
+        assert A.tobytes() == before.tobytes() == _reference_bits(A)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("mirror", ["signed zero", "one ulp"])
+    def test_a_pair_whose_bits_differ_gets_a_new_array(self, mirror,
+                                                       stacked):
+        # -0.0 facing +0.0 has no skew, and one ulp is within tolerance;
+        # both still take the symmetrized copy's bits
+        G = np.random.default_rng(5).standard_normal((3, 4, 4))
+        A = G + G.swapaxes(-1, -2)
+        if mirror == "signed zero":
+            A[1, 0, 2], A[1, 2, 0] = -0.0, 0.0
+        else:
+            A[1, 2, 0] = np.nextafter(A[1, 0, 2], np.inf)
+        if not stacked:
+            A = A[1].copy()
+        before = A.copy()
+        out = (_symmetrized if stacked else sym_matrix)(A)
+        assert not np.shares_memory(out, A)
+        assert A.tobytes() == before.tobytes()
+        assert out.tobytes() == _reference_bits(A)
+
+    def test_a_finite_diagonal_near_the_float_maximum_stays(self):
+        # (a + a) / 2 overflowed to inf for a symmetric matrix
+        A = [[1e308, 0.0], [0.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sym_matrix(A)
+        assert out.tobytes() == np.array(A).tobytes()
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_a_pair_whose_sum_overflows_takes_the_finite_midpoint(
+            self, stacked):
+        big = 1.7e308
+        A = np.eye(3)
+        A[0, 1], A[1, 0] = big, np.nextafter(big, np.inf)
+        # a subnormal pair whose halves round apart: 0.5a + 0.5b is one
+        # unit, (a + b) * 0.5 two, and a finite sum keeps the latter
+        unit = 5e-324
+        A[0, 2], A[2, 0] = unit, 2 * unit
+        stack = np.stack([np.eye(3), A, -A])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _symmetrized(stack)[1:] if stacked else sym_matrix(A)[None]
+        mid = 0.5 * big + 0.5 * np.nextafter(big, np.inf)
+        assert np.isfinite(mid)
+        for sign, M in zip((1.0, -1.0), out):
+            assert M[0, 1] == M[1, 0] == sign * mid
+            assert M[0, 2] == M[2, 0] == sign * 2 * unit
+            np.testing.assert_array_equal(M[[0, 1, 2], [0, 1, 2]], sign)
+        if stacked:
+            assert _symmetrized(stack)[0].tobytes() == np.eye(3).tobytes()
 
     @pytest.mark.parametrize("bad, match", [
         (np.nan, "matrix has non-finite entries"),
@@ -293,8 +361,8 @@ class TestFactored:
     def test_sym_matrix_checks_s(self, rng):
         A = _factored(rng, 20, 4)
         out = sym_matrix(A)
-        assert isinstance(out, _Factored) and out.V is A.V
-        assert np.array_equal(out.S, A.S)
+        # S is symmetric bit for bit, so A comes back as it is
+        assert out is A
         skew = A.S.copy()
         skew[0, 1] += 1e-6
         with pytest.raises(ValueError, match="not symmetric"):

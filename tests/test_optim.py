@@ -104,9 +104,12 @@ class TestSchedule:
     @pytest.mark.parametrize("name", ["n", "d", "Delta", "L2", "eps"])
     @pytest.mark.parametrize("value", [0, -1.5, float("nan")])
     def test_default_params_name_the_refused_value(self, name, value):
+        # a size is checked to be an integer first, as the spec checks it
         base = dict(n=8, d=3, Delta=1.0, L2=1.0, eps=1.0)
-        with pytest.raises(ValueError,
-                           match=f"^{name} must be positive, got {value}$"):
+        match = (f"{name} must be an integer, got float"
+                 if name in ("n", "d") and value != 0
+                 else f"{name} must be positive, got {value}")
+        with pytest.raises(ValueError, match=f"^{match}$"):
             svrc_default_params(**{**base, name: value})
 
     @pytest.mark.parametrize("name", ["n", "d"])
@@ -116,6 +119,14 @@ class TestSchedule:
         base = dict(n=8, d=3, Delta=1.0, L2=1.0, eps=1.0)
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             svrc_default_params(**{**base, name: value})
+
+    @pytest.mark.parametrize("name", ["n", "d"])
+    def test_default_params_refuse_a_size_given_as_a_string(self, name):
+        # it was compared with 0 first: a bare TypeError naming nothing
+        base = dict(n=8, d=3, Delta=1.0, L2=1.0, eps=1.0)
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer, got str$"):
+            svrc_default_params(**{**base, name: "8"})
 
     @pytest.mark.parametrize("field", ["b_g", "b_h", "S", "T", "seed"])
     @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(2.0), True,

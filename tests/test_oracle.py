@@ -15,7 +15,7 @@ from hardsum.chains import Derivatives
 from hardsum.instances import (RandomizedHardInstance, ResistingOracle,
                                deterministic_params, ell_p, randomized_params,
                                sample_randomized_instance)
-from hardsum.linalg import _Factored, _symmetrized, rel_err
+from hardsum.linalg import _Factored, _symmetrized, rel_err, row_dot
 from hardsum.optim import mu
 from hardsum.oracle import (
     CallableFiniteSum,
@@ -23,6 +23,7 @@ from hardsum.oracle import (
     OracleLedger,
     _Evaluated,
     _QuadraticCosineSum,
+    _check_answer,
     _row_answers,
     mean_derivatives,
     quadratic_cosine_sum,
@@ -365,6 +366,49 @@ class TestQuadraticCosineConstruction:
                                                      ripple)
                 for got, ref in zip((F._A, F._b, F._c, F._r), want):
                     assert same_bits(got, ref)
+
+
+def _five_call_quadratic_cosine_arrays(n, d, seed, curvature, ripple):
+    """Reference: the construction with five generator calls per component
+    (G_i, b_i, scale_i, c_i, r_i), each written into its row of a stack,
+    then the arithmetic on the stacks."""
+    rng = np.random.default_rng(seed)
+    G, b, r = np.empty((n, d, d)), np.empty((n, d)), np.empty((n, d))
+    scale, c = np.empty(n), np.empty(n)
+    for i in range(n):
+        G[i] = rng.standard_normal((d, d))
+        b[i] = rng.standard_normal(d)
+        scale[i] = rng.uniform(0.5, 1.5)
+        c[i] = rng.uniform(0.5, 1.5)
+        r[i] = rng.standard_normal(d)
+    G /= np.sqrt(d)
+    b *= (scale / np.sqrt(row_dot(b, b)))[:, None]
+    c *= ripple
+    r *= 0.3
+    A = G @ G.swapaxes(-1, -2)
+    A *= curvature
+    return A, b, c, r
+
+
+class TestQuadraticCosineDraws:
+    @pytest.mark.parametrize("n, d", [(1, 1), (1, 5), (3, 1), (7, 4),
+                                      (256, 20)])
+    def test_arrays_equal_the_five_call_draws(self, n, d):
+        for seed in (0, 3, 17):
+            for curvature, ripple in ((1.0, 1.0), (2.5, 0.4)):
+                F = quadratic_cosine_sum(n, d, seed, curvature=curvature,
+                                         ripple=ripple)
+                want = _five_call_quadratic_cosine_arrays(
+                    n, d, seed, curvature, ripple)
+                for got, ref in zip((F._A, F._b, F._c, F._r), want):
+                    assert same_bits(got, ref)
+                    assert got.flags.c_contiguous
+
+    def test_the_generator_is_left_where_the_draws_end(self):
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        quadratic_cosine_sum(5, 3, rng)
+        _five_call_quadratic_cosine_arrays(5, 3, ref, 1.0, 1.0)
+        assert rng.random() == ref.random()
 
 
 def _spread_stack(rng, n: int, d: int, order: int) -> Derivatives:
@@ -939,6 +983,24 @@ class TestEvaluatedView:
                                want[i])
         assert shapes == [(3, 3, 3)]
         assert led.per_index.tolist() == [0, 2, 2, 0, 4]
+
+    def test_keeps_a_bitwise_symmetric_stack_without_a_copy(self):
+        F = quadratic_cosine_sum(5, 3, seed=4)
+        x = np.array([0.3, -1.0, 2.0])
+        stack = F.components([4, 1, 2], x, 2)
+        assert stack.hess.flags.writeable
+        assert _check_answer(stack, np.array([4, 1, 2]), 2, 3).hess \
+            is stack.hess
+        assert _Evaluated(F, x, 2, [4, 1, 2], stack).stack.hess is stack.hess
+        # every row in order reads the answer table in place, read-only
+        table = F._table(x)
+        view = _Evaluated.evaluate(F, np.arange(F.n), x, 2)
+        assert view.stack.hess.base is table.hess
+        assert not view.stack.hess.flags.writeable
+        assert not table.hess.flags.writeable
+        # and one answer's Hessian comes back as it is
+        der = F.component(3, x, 2)
+        assert _check_answer(der, 3, 2, 3).hess is der.hess
 
     @pytest.mark.parametrize("bad, match", [
         (Derivatives(np.nan, np.zeros(3), np.eye(3)),

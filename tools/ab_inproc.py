@@ -16,9 +16,12 @@ defined here, not imported from ``bench/``.  After one warm-up op per side
 (seed S + 1,000,000), the two sides of each op run back to back, the side
 that goes first alternating from op to op, with BLAS pinned to one thread;
 only the op itself is timed.  One line per op gives both times, their ratio
-(change / parent) and whether the outputs are equal bit for bit.  After the
-timed pairs, op 0 runs once more on each side under ``tracemalloc``,
-untimed, and one line gives each side's traced allocation peak.  The last
+(change / parent) and whether the outputs are equal bit for bit.  The
+process's minor page faults (``getrusage``'s ``ru_minflt``) are counted
+around each timed op, and one line gives each side's median per op: a
+fresh array the allocator must map shows there.  After the timed pairs,
+op 0 runs once more on each side under ``tracemalloc``, untimed, and one
+line gives each side's traced allocation peak.  The last
 lines give each side's median op seconds and their quartiles, the paired
 median ratio, its quartiles and the number of ops the change ran faster.
 The exit status is 1 when any op's outputs differ, 2 when a tree is
@@ -41,6 +44,7 @@ import argparse  # noqa: E402
 import ast  # noqa: E402
 import dataclasses  # noqa: E402
 import importlib  # noqa: E402
+import resource  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -156,6 +160,11 @@ def canonical(obj):
     return repr(obj)
 
 
+def _minor_faults() -> int:
+    """This process's minor page faults so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def traced_peak(op, pkg, seed: int, workdir: Path) -> int:
     """Bytes at the peak of the allocations ``tracemalloc`` traces while
     one op runs."""
@@ -186,13 +195,16 @@ def run(parent: Path, change: Path, workload: str, ops: int,
             print("op  parent_s  change_s  ratio  outputs")
             ratios, wins, differ = [], 0, 0
             times = {side: [] for side in SIDES}
+            faults = {side: [] for side in SIDES}
             for i in range(ops):
                 seconds, outputs = {}, {}
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
+                    f0 = _minor_faults()
                     t0 = time.perf_counter()
                     result = op(pkgs[side], seed + i, workdirs[side])
                     seconds[side] = time.perf_counter() - t0
+                    faults[side].append(_minor_faults() - f0)
                     times[side].append(seconds[side])
                     outputs[side] = canonical(result)
                 same = outputs["parent"] == outputs["change"]
@@ -203,6 +215,9 @@ def run(parent: Path, change: Path, workload: str, ops: int,
                 print(f"{i:<3d} {seconds['parent']:.6f}  "
                       f"{seconds['change']:.6f}  {ratio:.3f}  "
                       f"{'same' if same else 'DIFF'}")
+            print("minor page faults per op: " + ", ".join(
+                f"{side} median {np.median(faults[side]):.1f}"
+                for side in SIDES))
             peaks = {side: traced_peak(op, pkgs[side], seed, workdirs[side])
                      for side in SIDES}
             print(f"traced peak of op 0: parent {peaks['parent'] / 1e6:.2f} "
