@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _subspace_holding, as_vector, eig_sym, sym_matrix
+from .linalg import _norm, _subspace_holding, as_vector, eig_sym, sym_matrix
 
 __all__ = ["CubicModel", "CubicSolution", "solve", "model_value"]
 
@@ -96,8 +96,8 @@ class CubicSolution:
 def model_value(model: CubicModel, h) -> float:
     """<v,h> + 0.5 h^T U h + (M/6)|h|^3, evaluated exactly as written."""
     h = as_vector(h, dim=model.v.shape[0])
-    s = float(np.linalg.norm(h))
-    return float(model.v @ h + 0.5 * h @ (model.U @ h) + model.M / 6.0 * s ** 3)
+    return float(model.v @ h + 0.5 * h @ (model.U @ h)
+                 + model.M / 6.0 * _norm(h) ** 3)
 
 
 def _length_scale(lmin: float, norm_v: float, M: float):
@@ -105,7 +105,10 @@ def _length_scale(lmin: float, norm_v: float, M: float):
     Hessian is indefinite, and the step's length scale max(1, s0,
     sqrt(2 |v| / M))."""
     s0 = max(0.0, -2.0 * lmin / M)
-    return s0, max(1.0, s0, np.sqrt(2.0 * norm_v / M))
+    q = 2.0 * norm_v / M
+    root = (math.sqrt(q) if q < math.inf
+            else math.sqrt(2.0) * math.sqrt(norm_v) / math.sqrt(M))
+    return s0, max(1.0, s0, root)
 
 
 def _unit(lmin: float, norm_v: float, M: float) -> float:
@@ -127,7 +130,6 @@ def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
     """The minimizer's coordinates in an eigenbasis: lam holds the
     eigenvalues (ascending) and w the coordinates of v in that basis."""
     lmin = float(lam[0])
-    w2 = w ** 2
     half_m = M / 2.0
 
     # the search for the secular root starts from the step's length scale
@@ -138,24 +140,21 @@ def _secular_coords(lam, w, norm_v: float, M: float) -> np.ndarray:
     # shift_j = lam_j - lmin (>= 0) when lmin < 0, else lam_j itself
     shift = (lam - lmin) if lmin < 0 else lam.copy()
 
-    gap_tol = _HARD_CASE_TOL * max(1.0, abs(lmin))
-    bottom = shift <= gap_tol
-    w_bot = float(np.sqrt(w2[bottom].sum()))
+    bottom = shift <= _HARD_CASE_TOL * max(1.0, abs(lmin))
     interior = ~bottom
-
-    hard_threshold = _HARD_CASE_TOL * (1.0 + norm_v)
-    L0 = np.sqrt(np.sum(w2[interior] / shift[interior] ** 2)) if interior.any() else 0.0
+    w_bot = _norm(w[bottom])
+    L0 = _norm(w[interior] / shift[interior])
 
     def hard_case_coords() -> np.ndarray:
         # interior part at the pole plus a boundary component along the
         # bottom eigenvector to stretch the step to length s0
         y = np.zeros_like(w)
         y[interior] = -w[interior] / shift[interior]
-        if bottom.any():
-            y[np.argmax(bottom)] += np.sqrt(max(s0 ** 2 - L0 ** 2, 0.0))
+        if bottom.any() and L0 < s0:
+            y[np.argmax(bottom)] += s0 * math.sqrt(1.0 - (L0 / s0) ** 2)
         return y
 
-    if w_bot <= hard_threshold and L0 <= s0:
+    if w_bot <= _HARD_CASE_TOL * (1.0 + norm_v) and L0 <= s0:
         return hard_case_coords()
 
     def norm_at(u: float):
@@ -198,11 +197,9 @@ def _certified(model: CubicModel, h: np.ndarray, lmin: float,
     tol = 1e-10 * (1.0 + norm_v)
     v, U, M = model.v, model.U, model.M
     half_m = M / 2.0
-    # hypot, not a root of the squares: a step below about 1e-162 would
-    # read 0 and fail the PSD check
-    s_actual = math.hypot(*h)
+    s_actual = _norm(h)
     Uh = U @ h
-    stationarity = float(np.linalg.norm(v + Uh + half_m * s_actual * h))
+    stationarity = _norm(v + Uh + half_m * s_actual * h)
     m_val = float(v @ h + 0.5 * h @ Uh + M / 6.0 * s_actual ** 3)
 
     if stationarity > tol:
@@ -233,8 +230,7 @@ def solve(model: CubicModel) -> CubicSolution:
     subproblem always has a global minimizer).
     """
     v, M = model.v, model.M
-    with np.errstate(over="ignore"):
-        norm_v = float(np.linalg.norm(v))
+    norm_v = _norm(v)
     if not math.isfinite(norm_v):
         raise ArithmeticError("|v| overflows")
 

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..chains import Derivatives, _chain_eval, _check_order
-from ..linalg import _Factored, _dense, as_rng, as_vector, rel_err, row_matvec
+from ..linalg import (_Factored, _dense, _norm, as_rng, as_vector, rel_err,
+                      row_matvec)
 from ..oracle import FiniteSumFunction, _check_answer, _row, _row_answers
 from .params import HardInstanceSpec
 
@@ -150,11 +151,11 @@ class ResistingOracle(FiniteSumFunction):
         return r
 
     def _insert_basis(self, x: np.ndarray) -> None:
-        nx = np.linalg.norm(x)
+        nx = _norm(x)
         if nx == 0.0:
             return
         r = self._project_out(x)
-        nr = np.linalg.norm(r)
+        nr = _norm(r)
         if nr > 1e-12 * nx:
             if self._nbasis >= self.d:
                 raise RuntimeError(
@@ -172,8 +173,8 @@ class ResistingOracle(FiniteSumFunction):
         for _ in range(8):
             g = self._rng.standard_normal(self.d)
             r = self._project_out(g)
-            nr = np.linalg.norm(r)
-            if nr > 1e-8 * np.linalg.norm(g):
+            nr = _norm(r)
+            if nr > 1e-8 * _norm(g):
                 v = r / nr
                 self._basis[:, self._nbasis] = v
                 self._nbasis += 1

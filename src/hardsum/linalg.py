@@ -15,6 +15,7 @@ seed or generator (no global RNG state is ever touched).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,13 +99,22 @@ def rel_err(a, b) -> float:
     scale.  ``a`` is the reference; scalars, vectors and matrices (Frobenius
     norm) alike."""
     a = np.asarray(a, dtype=float)
-    return float(np.linalg.norm(a - b)) / max(1.0, float(np.linalg.norm(a)))
+    return _norm(a - b) / max(1.0, _norm(a))
 
 
 #: the absolute floor of the symmetry tolerance: it keeps the tolerance from
 #: underflowing to zero when every entry is subnormal (one-ulp asymmetry is
 #: still symmetry there)
 _TINY = float(np.finfo(float).tiny)
+
+
+def _norm(x) -> float:
+    """The Euclidean (Frobenius) norm: ``np.linalg.norm``'s bits, the root
+    of x . x, while x . x is normal and finite (``np.vdot`` makes its BLAS
+    call with no overflow warning), else ``math.hypot`` over the entries."""
+    x = np.asarray(x).ravel("K")
+    sq = float(np.vdot(x, x))
+    return math.sqrt(sq) if _TINY <= sq < math.inf else math.hypot(*x.tolist())
 
 
 def sym_matrix(a) -> SymMatrix:
@@ -117,13 +127,18 @@ def sym_matrix(a) -> SymMatrix:
     return _symmetrized(A)
 
 
-def _sym_part(A: np.ndarray) -> np.ndarray:
-    """(A + A^T) / 2 over the last two axes; exactly symmetric."""
-    return 0.5 * (A + A.swapaxes(-1, -2))
-
-
-#: two entries of at most this magnitude add without overflow
-_HALF_MAX = float(np.finfo(float).max) / 2
+def _sym_part(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(A + A^T) / 2 over the last two axes, exactly symmetric, into ``out``
+    when given: (a + b) * 0.5, or a/2 + b/2 where a + b overflows."""
+    A = np.asarray(A, dtype=float)
+    At = A.swapaxes(-1, -2)
+    with np.errstate(over="ignore"):
+        out = np.add(A, At, out=out)
+    out *= 0.5
+    over = np.isinf(out)
+    if over.any():
+        out[over] = 0.5 * A[over] + 0.5 * At[over]
+    return out
 
 
 def _symmetrized(A):
@@ -150,14 +165,7 @@ def _symmetrized(A):
     skew = np.maximum.reduce(np.absolute(out, out=out), axis=(-2, -1))
     if (skew > np.maximum(SYMMETRY_TOL * scale, _TINY)).any():
         raise ValueError("matrix is not symmetric within tolerance")
-    with np.errstate(over="ignore"):
-        np.add(A, At, out=out)
-    out *= 0.5
-    if scale.max() > _HALF_MAX:
-        # a pair whose sum overflowed takes the finite midpoint a/2 + b/2
-        over = np.isinf(out)
-        out[over] = 0.5 * A[over] + 0.5 * At[over]
-    return out
+    return _sym_part(A, out=out)
 
 
 class _Factored:
@@ -315,8 +323,8 @@ def _subspace_holding(A: SymMatrix, v: Vector
     Q, T = A.V, A.S
     r = v - Q @ (Q.T @ v)
     r -= Q @ (Q.T @ r)
-    norm_r = float(np.linalg.norm(r))
-    if norm_r > _OUTSIDE_SPAN_TOL * float(np.linalg.norm(v)):
+    norm_r = _norm(r)
+    if norm_r > _OUTSIDE_SPAN_TOL * _norm(v):
         Q = np.column_stack([Q, r / norm_r])
         T = np.pad(T, (0, 1))
     return Q, T

@@ -274,21 +274,17 @@ def _pair_stream(d: int, num_pairs: int, rng):
             yield base, base + 0.3 * delta / nrm
 
 
-def _sym_op_norm(S: np.ndarray):
-    """Operator norm of one symmetric matrix, or of each matrix of a stack
-    (one stacked ``eigvalsh``)."""
-    return np.abs(np.linalg.eigvalsh(S)).max(axis=-1)
-
-
 def _op_norm(A: np.ndarray):
     """Operator norm of the symmetric part of one matrix, or of each matrix
-    of a stack."""
-    return _sym_op_norm(_sym_part(A))
+    of a stack (one stacked ``eigvalsh``)."""
+    return np.abs(np.linalg.eigvalsh(_sym_part(A))).max(axis=-1)
 
 
 #: the relative margin of the Frobenius bound that lets
-#: :func:`_pair_differences` skip an eigensolve.  A symmetric matrix's
-#: operator norm is at most its Frobenius norm.  Computed, the Frobenius
+#: :func:`_pair_differences` skip an eigensolve.  The operator norm of a
+#: matrix's symmetric part is at most the Frobenius norm of that part, and
+#: that at most the matrix's own (an equality for the checked, exactly
+#: symmetric Hessians a sum answers).  Computed, the Frobenius
 #: norm (d^2 squares summed, then a square root) reads low by at most about
 #: d^2 / 2 machine epsilons, and ``eigvalsh`` (LAPACK's backward-stable
 #: ``syevd``) reads the largest |eigenvalue| high by at most a small
@@ -337,12 +333,11 @@ def _pair_differences(F: FiniteSumFunction, order: int, num_pairs: int,
         diffs = np.zeros(num_pairs)
         for i in range(F.n):
             dH = F.component(i, xs, order).hess - F.component(i, ys, order).hess
-            sym = _sym_part(dH)
-            flat = sym.reshape(num_pairs, -1)
+            flat = dH.reshape(num_pairs, -1)
             bound = (np.sqrt(row_dot(flat, flat)) * (1.0 + _FRO_MARGIN)
                      + _FRO_FLOOR)
             todo = np.flatnonzero(~(bound < diffs))
-            diffs[todo] = np.maximum(diffs[todo], _sym_op_norm(sym[todo]))
+            diffs[todo] = np.maximum(diffs[todo], _op_norm(dH[todo]))
     else:
         diffs = np.empty((num_pairs, F.n))
         for i in range(F.n):

@@ -203,21 +203,19 @@ def _dense_step(model: CubicModel) -> np.ndarray:
     lam, Q = np.linalg.eigh(U)
     lmin = float(lam[0])
     w = Q.T @ v
-    w2 = w ** 2
     half_m = M / 2.0
     s0 = max(0.0, -2.0 * lmin / M)
     shift = (lam - lmin) if lmin < 0 else lam.copy()
     bottom = shift <= 1e-13 * max(1.0, abs(lmin))
     interior = ~bottom
-    w_bot = float(np.sqrt(w2[bottom].sum()))
-    L0 = np.sqrt(np.sum(w2[interior] / shift[interior] ** 2)) \
-        if interior.any() else 0.0
+    w_bot = float(np.linalg.norm(w[bottom]))
+    L0 = float(np.linalg.norm(w[interior] / shift[interior]))
 
     def hard_case_step():
         y = np.zeros_like(w)
         y[interior] = -w[interior] / shift[interior]
-        if bottom.any():
-            y[np.argmax(bottom)] += np.sqrt(max(s0 ** 2 - L0 ** 2, 0.0))
+        if bottom.any() and L0 < s0:
+            y[np.argmax(bottom)] += s0 * math.sqrt(1.0 - (L0 / s0) ** 2)
         return Q @ y
 
     if w_bot <= 1e-13 * (1.0 + norm_v) and L0 <= s0:
@@ -509,11 +507,12 @@ class TestOverflow:
     svrc_run and baseline_full_cubic stop on; an overflow inside the solve
     that leaves the answer right raises nothing."""
 
-    @pytest.mark.parametrize("v, lam", [([1.0, 2.0], [1.0, 1.0]),
+    @pytest.mark.parametrize("v, lam", [([1e308, 1e308], [1.0, 1.0]),
                                         ([0.0, 1.0], [-1.0, 1.0])],
                              ids=["easy", "hard"])
     def test_length_scale_overflow_raises_instead_of_hanging(self, v, lam):
-        # M = 1e-320 makes sqrt(2 |v| / M) inf, and a root search that
+        # M = 1e-320 makes sqrt(2 |v| / M) about 1.7e314 in the easy case
+        # (first model), beyond the float range, and a root search that
         # starts at inf never shrinks; in the hard case (second model) it
         # makes s0 = 2 |lmin| / M inf.  The alarm turns a hang into a failure
         def hang(*_):
@@ -528,10 +527,32 @@ class TestOverflow:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
 
+    def test_length_scale_whose_quotient_overflows_is_solved(self):
+        # 2 |v| / M = 4.5e320 overflows, but its root 2.1e160 does not: the
+        # model is solved in units of a power of two above that scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(CubicModel(v=np.array([1.0, 2.0]), U=np.eye(2),
+                                   M=1e-320))
+        assert sol.h == pytest.approx([-1.0, -2.0], rel=1e-15)
+
     def test_gradient_norm_overflow_raises(self):
-        # |v| = inf would make every tolerance inf and certify h = 0
+        # |v| = 2.1e308 is beyond the float range; |v| = inf would make
+        # every tolerance inf and certify h = 0
         with pytest.raises(ArithmeticError, match="overflows"):
-            solve(CubicModel(v=np.array([1e308, 1e308]), U=np.eye(2), M=1.0))
+            solve(CubicModel(v=np.array([1.5e308, 1.5e308]), U=np.eye(2),
+                             M=1.0))
+
+    def test_finite_gradient_norm_near_the_float_range_is_certified(self):
+        # |v| = 1.41e308: its square overflows, its norm does not; the step
+        # is about sqrt(2 |v| / M) = 1.68e154 long
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(CubicModel(v=np.array([1e308, 1e308]), U=np.eye(2),
+                                   M=1.0))
+        assert sol.s == pytest.approx(math.sqrt(2.0 * math.sqrt(2.0)) * 1e154,
+                                      rel=1e-12)
+        assert sol.h[0] == sol.h[1] < 0.0
 
     @pytest.mark.parametrize("M", [1e200, 1e300])
     def test_huge_penalty_takes_the_short_step(self, M):

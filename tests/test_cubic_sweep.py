@@ -1,5 +1,6 @@
-"""tools/cubic_sweep.py: it reads this tree, and every model of the
-10^±150 range is certified."""
+"""tools/cubic_sweep.py: it reads this tree, every model of the 10^±150
+range is certified, and at 10^±300 the only refusal left is a length scale
+beyond the float range."""
 import re
 import subprocess
 import sys
@@ -19,3 +20,7 @@ def test_sweep_of_this_tree():
         assert sum(map(int, counts)) == 3000
         assert re.search(r"; steps sha256 [0-9a-f]{16}$", line)
     assert re.match(r"10\^±150: 3000 'certified'; ", lines[0])
+    # no "|v| overflows", no "not PSD" and no warning
+    outcomes = re.findall(r"\d+ ('[^']*'|\"[^\"]*\")", lines[1])
+    assert set(outcomes) <= {"'certified'",
+                             "\"the step's length scale overflows\""}

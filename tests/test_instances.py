@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import struct
+import warnings
 
 from conftest import (assert_rows, assert_shapes, chain_points, same_answer,
                       same_bits)
@@ -780,6 +781,23 @@ class TestResistingOracle:
                         rng.standard_normal(spec.d), 1)
         V = F.directions
         assert np.abs(V.T @ V - np.eye(spec.K + 1)).max() < 1e-12
+
+    def test_an_iterate_whose_square_overflows_joins_the_basis(self):
+        # |x| = 1.7e200 is finite though x . x is not: the iterate is
+        # archived into the basis, and the direction committed when the
+        # round closes is orthogonal to it to rounding
+        spec = deterministic_params(p=1, n=4, Delta=384.0, L=ell_p(1),
+                                    eps=1.0)
+        F = ResistingOracle(spec, seed=0)
+        x = np.zeros(spec.d)
+        x[:3] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(spec.n):
+                F.component(i, x, 1)
+        assert F.rounds_closed == 1
+        v = F.directions[:, 1]
+        assert abs(v @ x) <= 1e-15 * math.sqrt(3.0) * 1e200
 
     def test_directions_hold_every_column(self, rng):
         # all K + 1 columns, committed or not: during play the columns past

@@ -1,8 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hardsum.chains import Derivatives
@@ -11,7 +12,9 @@ from hardsum.linalg import (
     TallOrthogonal,
     _Factored,
     _lambda_min,
+    _norm,
     _richardson_combine,
+    _sym_part,
     _symmetrized,
     _shifted_pd,
     as_rng,
@@ -20,6 +23,7 @@ from hardsum.linalg import (
     default_fd_step,
     finite_diff_gradient,
     finite_diff_jacobian,
+    rel_err,
     sample_orthonormal_columns,
     sym_matrix,
 )
@@ -555,3 +559,104 @@ def test_stiefel_sample_property(seed):
     k = int(rng.integers(1, d + 1))
     Q = sample_orthonormal_columns(d, k, seed=rng).columns
     assert np.abs(Q.T @ Q - np.eye(k)).max() < 1e-10
+
+
+@st.composite
+def _scaled_arrays(draw, low=-300, high=300):
+    """A vector or matrix whose entries share a scale 10^e, e in [low,
+    high], and spread 20 decades below it: its squares leave the float
+    range at either end of the scales."""
+    shape = draw(st.sampled_from([(1,), (2,), (5,), (21,), (3, 3), (2, 6)]))
+    size = math.prod(shape)
+    scale = draw(st.floats(low, high))
+    mantissas = draw(st.lists(st.floats(-1.0, 1.0), min_size=size,
+                              max_size=size))
+    spreads = draw(st.lists(st.floats(-20.0, 0.0), min_size=size,
+                            max_size=size))
+    return np.reshape([m * 10.0 ** (scale + e)
+                       for m, e in zip(mantissas, spreads)], shape)
+
+
+@given(_scaled_arrays())
+@example(np.array([1e200, 1e200]))
+@example(np.array([1e-170, -1e-170]))
+@example(np.array([1e308, 1e308]))
+@example(np.zeros(3))
+def test_norm_is_numpys_where_the_squares_are_normal(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _norm(x)
+    with np.errstate(over="ignore"):
+        squares = x.ravel().dot(x.ravel())
+    if np.finfo(float).tiny <= squares < np.inf:
+        assert got == float(np.linalg.norm(x))
+    else:
+        ref = math.hypot(*x.ravel().tolist())
+        assert abs(got - ref) <= 2.0 * math.ulp(ref)
+        assert (got > 0.0) == x.any()
+
+
+def _midpoints(A):
+    """The midpoint of each entry and its mirror, one pair at a time in
+    Python floats: (a + b) * 0.5 while a + b is finite, else a/2 + b/2."""
+    A = np.asarray(A)
+    out = np.empty_like(A)
+    for index in np.ndindex(A.shape):
+        a, b = float(A[index]), float(A[index[:-2] + index[:-3:-1]])
+        total = a + b
+        out[index] = (total * 0.5 if math.isfinite(total)
+                      else 0.5 * a + 0.5 * b)
+    return out
+
+
+@st.composite
+def _nearly_symmetric(draw):
+    """A matrix or a stack of two, entries anywhere in the float range, each
+    mirrored entry up to two ulps nearer 0 than its pair."""
+    d = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(d, d), (2, d, d)]))
+    entries = st.floats(allow_nan=False, allow_infinity=False)
+    A = np.reshape(draw(st.lists(entries, min_size=math.prod(shape),
+                                 max_size=math.prod(shape))), shape)
+    lower = np.tril(np.ones((d, d), dtype=bool), -1)
+    A = np.where(lower, A.swapaxes(-1, -2), A)
+    ulps = draw(st.lists(st.integers(0, 2), min_size=math.prod(shape),
+                         max_size=math.prod(shape)))
+    for index, k in zip(np.ndindex(shape), ulps):
+        for _ in range(k * lower[index[-2:]]):
+            A[index] = np.nextafter(A[index], 0.0)
+    return A
+
+
+@given(_nearly_symmetric(), st.randoms(use_true_random=False))
+@example(np.array([[1e308, 0.0], [0.0, 1.0]]), None)
+# a subnormal pair whose halves round apart: a finite sum keeps its bits
+@example(np.array([[0.0, 5e-324], [1e-323, 0.0]]), None)
+def test_every_symmetric_part_is_the_finite_midpoint(A, random):
+    want = _midpoints(A).tobytes()
+    d = A.shape[-1]
+    # a signed permutation V makes V S V^T the entries of S moved about
+    columns = list(range(d))
+    if random is not None:
+        random.shuffle(columns)
+    V = np.eye(d)[:, columns] * np.where(np.arange(d) % 2, -1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _sym_part(A).tobytes() == want
+        assert _symmetrized(A).tobytes() == want
+        for S in A.reshape((-1, d, d)):
+            lift = _Factored(V, S).lift()
+            assert lift.tobytes() == _midpoints(V @ S @ V.T).tobytes()
+            assert np.isfinite(lift).all()
+
+
+@given(_scaled_arrays(0, 300))
+@example(np.array([1e200, 1e200]))
+def test_rel_err_of_half_is_a_half(x):
+    # |x - x/2| / |x| where x . x may overflow: x/2 is exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = rel_err(x, x / 2.0)
+    if _norm(x) >= 1.0:
+        assert err == pytest.approx(0.5, rel=1e-15)
+    assert rel_err([1e200, 1e200], [0.5e200, 0.5e200]) == 0.5
