@@ -31,9 +31,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..chains import Derivatives, _chain_eval, _check_order
-from ..linalg import (_Factored, _dense, _norm, as_rng, as_vector, rel_err,
-                      row_matvec)
-from ..oracle import FiniteSumFunction, _check_answer, _row, _row_answers
+from ..linalg import (_Factored, _dense, _norm, _norms, _rel_errs, as_rng,
+                      as_vector, row_dot, row_matvec)
+from ..oracle import FiniteSumFunction, _check_answer, _row
 from .params import HardInstanceSpec
 
 __all__ = ["ResistingOracle", "ResistingCertificate", "NotFinalizedError"]
@@ -344,50 +344,42 @@ class ResistingOracle(FiniteSumFunction):
         bound = spec.lam * spec.sigma ** spec.p / 4.0
         v_last = self._V[:, self._K]
 
-        # the finalized gradient at every archived point, and the replay of
-        # every archived move in chain coordinates, each in one pass
+        # one pass over the archive for each: the inner products with v_last,
+        # the finalized gradient norms, and the replay of every move in chain
+        # coordinates against its answer, padded with zeros for the
+        # directions committed after it
         archive = self._archive
-        top = self._K + 1
-        grads, replays = (), ()
+        inner, gnorms, max_replay = np.empty(0), np.empty(0), 0.0
         if archive:
             X = np.stack([rec.x for rec in archive])
-            grads = self.full(X, order=1).grad
-            replays = _row_answers(self._coordinates(self._chains(
-                X, 2, top, self._delta[[rec.i for rec in archive]])), 2)
-        inner, gnorms = [], []
-        max_replay = 0.0
-        for rec, grad, replay in zip(archive, grads, replays):
-            inner.append(abs(float(v_last @ rec.x)))
-            gnorms.append(float(np.linalg.norm(grad)))
-            # the recorded answer padded with the directions committed
-            # after it
-            got = rec.response
-            err = rel_err(replay.value, got.value)
-            if rec.order >= 1:
-                err = max(err, rel_err(replay.grad, _padded(got.grad, top)))
-            if rec.order >= 2:
-                err = max(err, rel_err(replay.hess, _padded(got.hess, top)))
-            max_replay = max(max_replay, err)
-
-        inner = np.asarray(inner)
-        gnorms = np.asarray(gnorms)
-        empty = len(self._archive) == 0
+            inner = np.abs(row_dot(X, v_last))
+            gnorms = _norms(self.full(X, order=1).grad)
+            top = self._K + 1
+            replay = self._coordinates(self._chains(
+                X, 2, top, self._delta[[rec.i for rec in archive]]))
+            value = np.array([rec.response.value for rec in archive])
+            grad = np.zeros((len(archive), top))
+            hess = np.zeros((len(archive), top, top))
+            for k, rec in enumerate(archive):
+                a = rec.active
+                if rec.order >= 1:
+                    grad[k, :a] = rec.response.grad
+                if rec.order == 2:
+                    hess[k, :a, :a] = rec.response.hess
+            orders = np.array([rec.order for rec in archive])
+            g, h = orders >= 1, orders == 2
+            max_replay = float(max(
+                _rel_errs(replay.value, value).max(),
+                _rel_errs(replay.grad[g], grad[g]).max(initial=0.0),
+                _rel_errs(replay.hess[h], hess[h]).max(initial=0.0)))
+        max_inner = float(inner.max(initial=0.0))
+        min_gnorm = float(gnorms.min(initial=math.inf))
         return ResistingCertificate(
-            num_queries=len(self._archive),
-            rounds_closed=self._rounds_closed,
-            bound=bound,
-            inner_products=inner,
-            grad_norms=gnorms,
-            max_inner_product=0.0 if empty else float(inner.max()),
-            min_grad_norm=math.inf if empty else float(gnorms.min()),
-            all_orthogonal=bool(empty or inner.max() <= _ORTHO_TOL),
-            all_above_bound=bool(empty or gnorms.min() > bound),
+            num_queries=len(archive), rounds_closed=self._rounds_closed,
+            bound=bound, inner_products=inner, grad_norms=gnorms,
+            max_inner_product=max_inner, min_grad_norm=min_gnorm,
+            all_orthogonal=max_inner <= _ORTHO_TOL,
+            all_above_bound=min_gnorm > bound,
             max_replay_rel_err=max_replay,
-            replay_consistent=bool(max_replay <= _ORTHO_TOL),
-        )
+            replay_consistent=max_replay <= _ORTHO_TOL)
 
-
-def _padded(a: np.ndarray, size: int) -> np.ndarray:
-    out = np.zeros((size,) * a.ndim)
-    out[tuple(slice(0, n) for n in a.shape)] = a
-    return out

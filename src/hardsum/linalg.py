@@ -97,9 +97,22 @@ def row_matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 def rel_err(a, b) -> float:
     """||a - b|| / max(1, ||a||): absolute near the origin, relative at
     scale.  ``a`` is the reference; scalars, vectors and matrices (Frobenius
-    norm) alike."""
-    a = np.asarray(a, dtype=float)
-    return _norm(a - b) / max(1.0, _norm(a))
+    norm) alike.  The one-row case of :func:`_rel_errs`."""
+    return float(_rel_errs([a], [b])[0])
+
+
+def _rel_errs(a, b) -> np.ndarray:
+    """:func:`rel_err` of each row of two stacks (rows first); a row whose
+    a - b or norm overflows takes ||a/2 - b/2|| / max(1/2, ||a/2||)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num, den = _norms(np.concatenate([a - b, a])).reshape(2, len(a))
+        errs = num / np.fmax(1.0, den)
+        halve = ~np.isfinite(np.maximum(num, den))
+        if halve.any():
+            a, b = 0.5 * a[halve], 0.5 * b[halve]
+            errs[halve] = _norms(a - b) / np.fmax(0.5, _norms(a))
+    return errs
 
 
 #: the absolute floor of the symmetry tolerance: it keeps the tolerance from
@@ -109,12 +122,27 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def _norm(x) -> float:
-    """The Euclidean (Frobenius) norm: ``np.linalg.norm``'s bits, the root
-    of x . x, while x . x is normal and finite (``np.vdot`` makes its BLAS
-    call with no overflow warning), else ``math.hypot`` over the entries."""
-    x = np.asarray(x).ravel("K")
+    """The Euclidean (Frobenius) norm over the entries in C order: the root
+    of x . x (``np.linalg.norm``'s bits for a C-ordered x; ``np.vdot`` makes
+    its BLAS call with no overflow warning) while x . x is normal and
+    finite, else ``math.hypot`` over the entries."""
+    x = np.asarray(x).ravel()
     sq = float(np.vdot(x, x))
     return math.sqrt(sq) if _TINY <= sq < math.inf else math.hypot(*x.tolist())
+
+
+def _norms(A) -> np.ndarray:
+    """:func:`_norm` of each row of a stack, bit for bit: each row is made
+    contiguous (a strided BLAS dot sums in another order)."""
+    A = np.ascontiguousarray(A, dtype=float)
+    A = A.reshape(len(A), math.prod(A.shape[1:]))
+    with np.errstate(over="ignore"):
+        sq = row_dot(A, A)
+    norms = np.sqrt(sq)
+    for k in np.flatnonzero(~((sq >= _TINY) & (sq < math.inf))):
+        if A[k].any():                  # a zero row's root, 0, is exact
+            norms[k] = math.hypot(*A[k].tolist())
+    return norms
 
 
 def sym_matrix(a) -> SymMatrix:
@@ -161,7 +189,8 @@ def _symmetrized(A):
     # the bits, not the values: a -0.0 facing a +0.0 takes the path below
     if (A.view(np.uint64) == At.view(np.uint64)).all():
         return A
-    np.subtract(A, At, out=out)
+    with np.errstate(over="ignore"):    # an infinite skew is a refusal
+        np.subtract(A, At, out=out)
     skew = np.maximum.reduce(np.absolute(out, out=out), axis=(-2, -1))
     if (skew > np.maximum(SYMMETRY_TOL * scale, _TINY)).any():
         raise ValueError("matrix is not symmetric within tolerance")
@@ -359,7 +388,7 @@ def _shifted_pd(A: SymMatrix, c0: float) -> bool:
 
 def default_fd_step(x: Vector) -> float:
     # Balances truncation against cancellation at double precision.
-    return 1e-5 * max(1.0, float(np.linalg.norm(x)))
+    return 1e-5 * max(1.0, _norm(x))
 
 
 def _stencil_points(x, step: float | None) -> tuple[np.ndarray, float]:

@@ -35,7 +35,8 @@ import numpy as np
 from .chains import Derivatives
 from .cubic import CubicModel, solve
 from .instances.params import _check_positive, _real_count
-from .linalg import _lambda_min, _shifted_pd, as_vector, row_matvec, sym_matrix
+from .linalg import (_lambda_min, _norm, _shifted_pd, as_vector, row_matvec,
+                     sym_matrix)
 from .oracle import (FiniteSumFunction, OracleLedger, _Answered, _Evaluated,
                      _integer, mean_derivatives, query, record_iterate)
 
@@ -365,7 +366,7 @@ def _stationarity(der: Derivatives, L2: float) -> tuple[float, float]:
     """
     if not (math.isfinite(der.value) and np.isfinite(der.grad).all()):
         raise ValueError("the measured full sum is not finite")
-    gnorm = float(np.linalg.norm(der.grad))
+    gnorm = _norm(der.grad)
     H = sym_matrix(der.hess)
     if _shifted_pd(H, math.sqrt(gnorm * L2)):
         return gnorm, gnorm ** 1.5
@@ -446,7 +447,7 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
         record_iterate(ledger, gnorm)
         trajectory.append(TrajectoryRecord(
             epoch=s, step=t, f=float(measured.value), grad_norm=gnorm,
-            mu=m, h_norm=float(np.linalg.norm(sol.h)),
+            mu=m, h_norm=_norm(sol.h),
             counters=ledger.counters()))
 
     if iterates:
@@ -485,7 +486,7 @@ def _exact_information_run(F: FiniteSumFunction, p: int, step, budget: int,
                 query(ledger, view, i, x, order=order)
             passes.append(mean_derivatives(view.answers, (d,), order))
         grad = passes[0].grad
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = _norm(grad)
         record_iterate(ledger, gnorm)
         m = mu(F, x, L2) if L2 is not None else None
         t = len(trajectory)
@@ -494,7 +495,7 @@ def _exact_information_run(F: FiniteSumFunction, p: int, step, budget: int,
             break
         trajectory.append(TrajectoryRecord(
             epoch=0, step=t, f=passes[0].value, grad_norm=gnorm, mu=m,
-            h_norm=float(np.linalg.norm(h)), counters=ledger.counters()))
+            h_norm=_norm(h), counters=ledger.counters()))
         x = x + h
     return trajectory
 

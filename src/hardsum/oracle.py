@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import Derivatives, _as_value, _check_order
-from .linalg import (_added, _dense, _Factored, _symmetrized, as_points,
-                     as_rng, as_vector, row_dot, row_matvec)
+from .linalg import (_added, _dense, _Factored, _norms, _symmetrized,
+                     as_points, as_rng, as_vector, row_dot, row_matvec)
 
 __all__ = [
     "FiniteSumFunction",
@@ -400,7 +400,7 @@ def quadratic_cosine_sum(n: int, d: int, seed, *, curvature: float = 1.0,
     b, r = normals[:, d * d:].reshape(n, 2, d).swapaxes(0, 1).copy()
     scale, c = uniforms[:, 0] + 0.5, uniforms[:, 1] + 0.5
     G /= np.sqrt(d)
-    b *= (scale / np.sqrt(row_dot(b, b)))[:, None]
+    b *= (scale / _norms(b))[:, None]
     c *= ripple
     r *= 0.3
     A = G @ G.swapaxes(-1, -2)

@@ -23,9 +23,9 @@ from .instances.params import HardInstanceSpec, randomized_params
 from .instances.randomized import (RandomizedHardInstance,
                                    sample_randomized_instance)
 from .instances.resisting import ResistingCertificate, ResistingOracle
-from .linalg import (_richardson_combine, _stencil_points, _sym_part,
-                     as_points, as_rng, as_vector, rel_err, row_dot,
-                     sample_orthonormal_columns)
+from .linalg import (_norm, _norms, _rel_errs, _richardson_combine,
+                     _stencil_points, _sym_part, as_points, as_rng, as_vector,
+                     rel_err, row_dot, sample_orthonormal_columns)
 from .oracle import (CallableFiniteSum, FiniteSumFunction, OracleLedger,
                      _count, _Evaluated, _integer, quadratic_cosine_sum)
 from .optim import (SvrcParams, _draw_batches, _gradient_estimate,
@@ -131,8 +131,8 @@ def check_derivatives(F: FiniteSumFunction, num_points: int, tol: float,
             sten = F.component(i, stencil, 1)
             g_fd = _richardson_combine(sten.value.reshape(P, rows), h)
             H_fd = _richardson_combine(sten.grad.reshape(P, rows, F.d), h)
-            errs.append((_row_rel_errs(der.grad, g_fd).tolist(),
-                         _row_rel_errs(der.hess, H_fd).tolist()))
+            errs.append((_rel_errs(der.grad, g_fd).tolist(),
+                         _rel_errs(der.hess, H_fd).tolist()))
         for k in range(P):
             for i, (e_g, e_h) in enumerate(errs):
                 err, which = max((e_g[k], "grad"), (e_h[k], "hess"))
@@ -143,16 +143,6 @@ def check_derivatives(F: FiniteSumFunction, num_points: int, tol: float,
         passed=bool(worst["rel_err"] <= tol),
         max_rel_err=float(worst["rel_err"]), tol=tol,
         num_points=num_points, worst=worst)
-
-
-def _row_rel_errs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`~hardsum.linalg.rel_err` of each row of two stacks (points
-    first), with the same bits: each norm is the square root of one BLAS
-    dot of the row, as ``np.linalg.norm`` takes it."""
-    a = np.asarray(a, dtype=float).reshape(len(a), -1)
-    diff = a - b.reshape(len(b), -1)
-    return (np.sqrt(row_dot(diff, diff))
-            / np.fmax(1.0, np.sqrt(row_dot(a, a))))
 
 
 @dataclass(frozen=True)
@@ -250,7 +240,7 @@ def _pair_stream(d: int, num_pairs: int, rng):
         base = rng.standard_normal(d) * 2.0
         other = rng.standard_normal(d) * 2.0
         u = rng.standard_normal(d)
-        u /= np.linalg.norm(u)
+        u /= _norm(u)
         radius = rng.uniform(1.0, 8.0)
         start = int(rng.integers(0, d))
         width = int(2 ** rng.integers(0, max(1, int(math.log2(d)) + 1)))
@@ -267,7 +257,7 @@ def _pair_stream(d: int, num_pairs: int, rng):
             delta = np.zeros(d)
             stop = min(d, start + width)
             delta[start:stop] = u[start:stop]
-            nrm = np.linalg.norm(delta)
+            nrm = _norm(delta)
             if nrm == 0.0:
                 delta[start % d] = 1.0
                 nrm = 1.0
@@ -283,21 +273,17 @@ def _op_norm(A: np.ndarray):
 #: the relative margin of the Frobenius bound that lets
 #: :func:`_pair_differences` skip an eigensolve.  The operator norm of a
 #: matrix's symmetric part is at most the Frobenius norm of that part, and
-#: that at most the matrix's own (an equality for the checked, exactly
-#: symmetric Hessians a sum answers).  Computed, the Frobenius
-#: norm (d^2 squares summed, then a square root) reads low by at most about
-#: d^2 / 2 machine epsilons, and ``eigvalsh`` (LAPACK's backward-stable
-#: ``syevd``) reads the largest |eigenvalue| high by at most a small
-#: multiple of d machine epsilons.  Both stay below 1e-8 for d up to about
-#: 9,000, where a single d x d difference takes 650 MB, so a difference
-#: whose Frobenius norm, widened by this margin, is below its pair's running
-#: maximum cannot raise that maximum.
+#: that at most the matrix's own (an equality for the exactly symmetric
+#: Hessians a sum answers).  ``linalg._norms`` reads the Frobenius norm low
+#: by at most about d^2 / 2 machine epsilons: the rounding of d^2 squares
+#: summed, and the squares below the normal range, each losing at most
+#: 2^-1075 against a normal sum (a smaller sum is taken by ``math.hypot``).
+#: ``eigvalsh`` (LAPACK's backward-stable ``syevd``) reads the largest
+#: |eigenvalue| high by at most a small multiple of d machine epsilons.
+#: Both stay below 1e-8 for d up to about 9,000 (650 MB per d x d
+#: difference), so a difference whose widened Frobenius norm is below its
+#: pair's running maximum cannot raise that maximum.
 _FRO_MARGIN = 1e-8
-
-#: the bound's absolute margin: a square below the smallest normal number
-#: loses up to 2^-1075, so a Frobenius norm of d^2 squares can read low by
-#: up to d 2^-537.5 where they underflow
-_FRO_FLOOR = 2.0 ** -500
 
 
 def _pair_differences(F: FiniteSumFunction, order: int, num_pairs: int,
@@ -316,10 +302,10 @@ def _pair_differences(F: FiniteSumFunction, order: int, num_pairs: int,
 
     With ``pair_max`` the maxima run over the components in index order, and
     a component's difference is eigendecomposed only where its Frobenius
-    norm (widened by ``_FRO_MARGIN`` and ``_FRO_FLOOR``) is not below its
-    pair's maximum so far.  A skipped difference cannot hold that maximum,
-    and a NaN bound is never skipped, so each maximum is the full table's row
-    maximum bit for bit.
+    norm (widened by ``_FRO_MARGIN``) is not below its pair's maximum so
+    far.  A skipped difference cannot hold that maximum, and a NaN bound is
+    never skipped, so each maximum is the full table's row maximum bit for
+    bit.
     """
     pairs = list(_pair_stream(F.d, num_pairs, as_rng(seed)))
     xs = np.array([x for x, _ in pairs])
@@ -333,9 +319,7 @@ def _pair_differences(F: FiniteSumFunction, order: int, num_pairs: int,
         diffs = np.zeros(num_pairs)
         for i in range(F.n):
             dH = F.component(i, xs, order).hess - F.component(i, ys, order).hess
-            flat = dH.reshape(num_pairs, -1)
-            bound = (np.sqrt(row_dot(flat, flat)) * (1.0 + _FRO_MARGIN)
-                     + _FRO_FLOOR)
+            bound = _norms(dH) * (1.0 + _FRO_MARGIN)
             todo = np.flatnonzero(~(bound < diffs))
             diffs[todo] = np.maximum(diffs[todo], _op_norm(dH[todo]))
     else:
@@ -343,7 +327,7 @@ def _pair_differences(F: FiniteSumFunction, order: int, num_pairs: int,
         for i in range(F.n):
             dH = F.component(i, xs, order).hess - F.component(i, ys, order).hess
             diffs[:, i] = _op_norm(dH)
-    return [float(np.linalg.norm(x - y)) for x, y in pairs], diffs
+    return _norms(xs - ys).tolist(), diffs
 
 
 def _smoothness_constant(mode: str, dists: list, diffs: np.ndarray,
@@ -490,7 +474,7 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
             instance, "individual", 150,
             seed=1 if int_seed is None else int_seed + 1).constant
     rng = as_rng(seed)
-    dist = float(np.linalg.norm(x - x_hat))
+    dist = _norm(x - x_hat)
 
     # per-component tables (evaluated once; the MC only re-weights them)
     at_x = instance.components(range(n), x, 2)
@@ -519,7 +503,7 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
         D = gF - V
         # powers of Python floats: numpy's vectorized pow can round the
         # last bit differently from the one-trial values
-        g_moments += [float(g) ** 1.5 for g in np.sqrt(row_dot(D, D))]
+        g_moments += [g ** 1.5 for g in _norms(D).tolist()]
         h_moments += [float(h) ** 3 for h in _op_norm(HF - U)]
 
     snapshot = _Evaluated(instance, x_hat, 2, np.arange(n), at_hat)
@@ -531,7 +515,7 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
         U_ref = svrc_hessian_estimator(instance, led, x, H_s, idx_h, snapshot)
         cross_err = max(
             cross_err,
-            rel_err(g_moments[t], float(np.linalg.norm(gF - v_ref)) ** 1.5),
+            rel_err(g_moments[t], _norm(gF - v_ref) ** 1.5),
             rel_err(h_moments[t], float(_op_norm(HF - U_ref)) ** 3))
 
     grad_bound = 2.0 * L2_hat ** 1.5 * b_g ** -0.75 * dist ** 3
@@ -602,12 +586,11 @@ def verify_large_gradient(subject, seed=0) -> LargeGradientReport:
             x = np.zeros(inst.d)
             for i in range(n):
                 w = rng.standard_normal(prefix)
-                w *= scale / np.linalg.norm(w)
+                w *= scale / _norm(w)
                 x += inst.embed(i, inst.B.columns[:, i * K:i * K + prefix] @ w)
             points.append(x)
     grads = inst.full(np.array(points), 1).grad
-    norms = [float(np.linalg.norm(g)) for g in grads]
-    min_norm = min(norms)
+    min_norm = float(_norms(grads).min())
     return LargeGradientReport(
         passed=bool(min_norm > bound), kind="randomized-instance",
         bound=bound, min_grad_norm=min_norm, num_points=len(points),
@@ -650,13 +633,8 @@ def _gd_backtracking(F: FiniteSumFunction, starts: np.ndarray,
     second block too for a start whose last step lay past the first; each
     later call evaluates the next block of the starts still searching.  A
     start that keeps needing short steps thus adds rows to a round's one
-    call, not calls.
-
-    The rows of a call are sorted by start, so a start's first passing row
-    (its longest passing step) is a passing row whose start differs from
-    the previous passing row's, and the starts still searching are read
-    from a reusable mask over the starts: the round's bookkeeping makes no
-    set operation.
+    call, not calls.  The starts still searching are read from a reusable
+    mask over the starts: the round's bookkeeping makes no set operation.
     """
     x = np.array(starts, dtype=float)
     der = F.full(x, 1)

@@ -502,6 +502,17 @@ def _certificate_by_record(F) -> ResistingCertificate:
         replay_consistent=bool(max_replay <= 1e-10))
 
 
+def _assert_same_certificate(cert, ref):
+    """Every field of two certificates bit for bit, and both pass."""
+    for field in dataclasses.fields(ResistingCertificate):
+        a, b = getattr(cert, field.name), getattr(ref, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        else:
+            assert a == b, field.name
+    assert cert.passed
+
+
 def _nbytes(obj) -> int:
     """Bytes an archive holds in arrays and numbers (8 per scalar), through
     lists, dataclasses and nested answers."""
@@ -846,14 +857,21 @@ class TestResistingOracle:
         while F.num_archived < steps and not F.finalized:
             _play(F, rng, 1)
         F.finalize()
-        cert, ref = F.certificate(), _certificate_by_record(F)
-        for field in dataclasses.fields(ResistingCertificate):
-            a, b = getattr(cert, field.name), getattr(ref, field.name)
-            if isinstance(b, np.ndarray):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            else:
-                assert a == b, field.name
-        assert cert.passed
+        _assert_same_certificate(F.certificate(), _certificate_by_record(F))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_certificate_equals_the_per_record_measurement_at_any_seed(
+            self, seed):
+        # games of any length, points at scales 10^-3 to 10^3
+        rng = np.random.default_rng(3000 + seed)
+        spec = _small_game_spec(p=seed % 2 + 1, n=3 + seed % 3, rounds=6)
+        F = ResistingOracle(spec, seed=seed)
+        for _ in range(int(rng.integers(1, 60))):
+            F.component(int(rng.integers(F.n)),
+                        rng.standard_normal(F.d) * 10.0 ** rng.uniform(-3, 3),
+                        order=int(rng.integers(3)))
+        F.finalize()
+        _assert_same_certificate(F.certificate(), _certificate_by_record(F))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_random_play_always_certifies(self, seed):

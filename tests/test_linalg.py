@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from hardsum.linalg import (
     _Factored,
     _lambda_min,
     _norm,
+    _norms,
+    _rel_errs,
     _richardson_combine,
     _sym_part,
     _symmetrized,
@@ -660,3 +664,146 @@ def test_rel_err_of_half_is_a_half(x):
     if _norm(x) >= 1.0:
         assert err == pytest.approx(0.5, rel=1e-15)
     assert rel_err([1e200, 1e200], [0.5e200, 0.5e200]) == 0.5
+
+
+@st.composite
+def _scaled_stacks(draw):
+    """A stack of 1-64 rows of 1-441 entries, each row at its own scale
+    10^e, e in [-300, 300], its entries spread 20 decades below it; or a
+    row of zeros or of subnormals.  Laid out C-contiguous, as the transpose
+    of a stack, strided, reversed within each row, or as a stack of
+    matrices transposed in place."""
+    rows = draw(st.integers(1, 64))
+    width = draw(st.integers(1, 441))
+    kinds = draw(st.lists(st.sampled_from(["scaled", "scaled", "zero",
+                                           "subnormal"]),
+                          min_size=rows, max_size=rows))
+    scales = draw(st.lists(st.floats(-300.0, 300.0), min_size=rows,
+                           max_size=rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = (rng.uniform(-1.0, 1.0, (rows, width))
+         * 10.0 ** rng.uniform(-20.0, 0.0, (rows, width)))
+    for k, (kind, scale) in enumerate(zip(kinds, scales)):
+        if kind == "scaled":
+            A[k] *= 10.0 ** scale
+        elif kind == "zero":
+            A[k] = 0.0
+        else:
+            A[k] = rng.integers(-2 ** 20, 2 ** 20, width) * 5e-324
+    layout = draw(st.sampled_from(["C", "T", "strided", "reversed",
+                                   "matrices"]))
+    if layout == "T":
+        A = np.ascontiguousarray(A.T).T
+    elif layout == "strided":
+        wide = np.zeros((2 * rows, 3 * width))
+        wide[::2, ::3] = A
+        A = wide[::2, ::3]
+    elif layout == "reversed":
+        A = A[:, ::-1]
+    elif layout == "matrices":
+        m = next(k for k in (3, 2, 1) if width % k == 0)
+        A = A.reshape(rows, width // m, m).swapaxes(1, 2)
+    return A
+
+
+@given(_scaled_stacks())
+@example(np.array([[1e-170, 0.0], [1e200, 1e200]]))
+@example(np.zeros((3, 0)))
+def test_norms_are_the_norm_of_each_row(A):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _norms(A)
+        want = [_norm(row) for row in A]
+    assert got.shape == (len(A),)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_norms_at_both_ends_of_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _norms([[1e-170, 0.0], [1e200, 1e200]])
+    assert got.tolist() == [1e-170, math.hypot(1e200, 1e200)]
+
+
+@given(_scaled_stacks(), st.sampled_from(["half", "negated", "other"]))
+@example(np.array([[1e-170, 0.0], [1e200, 1e200]]), "other")
+@example(np.array([[1e308], [-1e308], [1e308], [0.0]]), "negated")
+# ||a|| below 1, ||a - b|| beyond the float range: the quotient is inf
+@example(np.array([[0.5, 0.5], [-1.5e308, -1.5e308]]), "other")
+def test_rel_errs_are_the_rel_err_of_each_row(A, against):
+    if against == "half":
+        B = A / 2.0
+    elif against == "negated":
+        B = -A
+    else:
+        B = np.roll(A, 1, axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _rel_errs(A, B)
+        ones = [rel_err(a, b) for a, b in zip(A, B)]
+    want = [_rel_err_reference(a, b) for a, b in zip(A, B)]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert ones == want
+
+
+def _rel_err_reference(a, b) -> float:
+    """The relative error of one row from ``_norm``, in Python floats: from
+    the halves where a - b or a norm overflows."""
+    with np.errstate(over="ignore"):
+        num, den = _norm(a - b), _norm(a)
+    if math.isfinite(num) and math.isfinite(den):
+        return num / max(1.0, den)
+    return _norm(0.5 * a - 0.5 * b) / max(0.5, _norm(0.5 * a))
+
+
+def test_rel_errs_read_an_error_whose_square_underflows():
+    # each norm's square leaves the float range: the error is measured,
+    # with no overflow warning
+    A = np.array([[1e-170, 0.0], [1e200, 1e200]])
+    B = np.array([[0.0, 0.0], [0.5e200, 0.5e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _rel_errs(A, B).tolist() == [1e-170, 0.5]
+
+
+@given(_scaled_arrays(0, 300))
+@example(np.array([1e308]))
+@example(np.array([1e308, -1e308]))
+@example(np.array([1.7e308, 1e-300]))
+def test_rel_err_of_the_negation_is_two(x):
+    # a - (-a) may overflow where the quotient, 2, does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = rel_err(x, -x)
+    if _norm(x) >= 1.0:
+        assert err == pytest.approx(2.0, rel=1e-15)
+    assert rel_err([1e308], [-1e308]) == 2.0
+
+
+def test_rel_err_keeps_its_bits_where_the_difference_is_finite():
+    rng = np.random.default_rng(7)
+    for scale in (1e-3, 1.0, 1e5, 1e150):
+        a = rng.standard_normal(20) * scale
+        b = a + rng.standard_normal(20) * scale * 1e-6
+        want = float(np.linalg.norm(a - b)) / max(1.0,
+                                                   float(np.linalg.norm(a)))
+        assert rel_err(a, b) == want
+
+
+def test_a_skew_that_overflows_is_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not symmetric"):
+            sym_matrix([[1.0, 1e308], [-1e308, 1.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            _symmetrized(np.array([[[1.0, -1.7e308], [1.7e308, 1.0]]] * 2))
+
+
+def test_every_norm_in_the_package_is_norm_or_norms():
+    # a norm taken another way drifts from _norm's bits and scale safety
+    src = Path(__file__).resolve().parent.parent / "src" / "hardsum"
+    found = [f"{path.relative_to(src)}:{k}"
+             for path in sorted(src.rglob("*.py"))
+             for k, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"linalg\.norm\(|sqrt\(row_dot\(", line)]
+    assert found == []

@@ -108,6 +108,33 @@ class TestCheckDerivatives:
         assert not rep.passed
         assert rep.worst["which"] == "hess"
 
+    def test_an_error_whose_square_underflows_is_read(self):
+        # the zero function, its gradient answered 1e-170 off: the square
+        # of that error underflows, and the error still reads 1e-170
+        def off(x, order=2):
+            g = np.zeros(x.size)
+            g[0] = 1e-170
+            return Derivatives(0.0, g if order >= 1 else None,
+                               np.zeros((x.size, x.size)) if order >= 2
+                               else None)
+        F = CallableFiniteSum([off], d=3)
+        rep = check_derivatives(F, num_points=2, tol=1e-6, seed=0)
+        assert rep.max_rel_err == 1e-170
+        assert rep.worst == {"rel_err": 1e-170, "component": 0,
+                             "point_index": 0, "which": "grad"}
+
+    def test_derivatives_whose_squares_overflow_are_checked(self):
+        # 1e200 |x|^2 / 2: the squares of its gradient and Hessian entries
+        # overflow, and no norm warns or reads inf
+        def steep(x, order=2):
+            return Derivatives(0.5e200 * float(x @ x),
+                               1e200 * x if order >= 1 else None,
+                               1e200 * np.eye(x.size) if order >= 2 else None)
+        F = CallableFiniteSum([steep], d=3)
+        rep = check_derivatives(F, num_points=4, tol=1e-6, seed=0)
+        assert rep.passed
+        assert 0.0 < rep.max_rel_err <= 1e-6
+
     def test_report_serializes(self):
         F = quadratic_cosine_sum(2, 3, seed=0)
         d = check_derivatives(F, num_points=2, tol=1e-6).to_dict()
