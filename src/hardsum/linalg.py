@@ -101,17 +101,39 @@ def rel_err(a, b) -> float:
     return float(_rel_errs([a], [b])[0])
 
 
+#: the largest entry of a row that :func:`_rel_errs` measures at a power
+#: of two lands in [2^255, 2^256): its sums of squares stay finite below
+#: 2^500 entries, and where the scaling makes its difference subnormal,
+#: the quotient rounds to 0 either way
+_SCALED_EXP = 256
+
+
 def _rel_errs(a, b) -> np.ndarray:
-    """:func:`rel_err` of each row of two stacks (rows first); a row whose
-    a - b or norm overflows takes ||a/2 - b/2|| / max(1/2, ||a/2||)."""
+    """:func:`rel_err` of each row of two stacks (rows first).  A row whose
+    a - b or a norm overflows is measured from s a and s b as
+    ||s a - s b|| / max(s, ||s a||): at s = 1/2, and where that overflows
+    too, at the power of two s of :data:`_SCALED_EXP` (1/2 again for a row
+    with an infinite or NaN entry)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         num, den = _norms(np.concatenate([a - b, a])).reshape(2, len(a))
         errs = num / np.fmax(1.0, den)
-        halve = ~np.isfinite(np.maximum(num, den))
-        if halve.any():
-            a, b = 0.5 * a[halve], 0.5 * b[halve]
-            errs[halve] = _norms(a - b) / np.fmax(0.5, _norms(a))
+        over = ~np.isfinite(np.maximum(num, den))
+        if over.any():
+            a, b = a[over], b[over]
+            big = np.fmax(abs(a), abs(b)).reshape(len(a), -1).max(axis=1)
+            # each row at the halves and at its power of two (frexp gives
+            # an infinite or NaN entry the exponent 0); the halves answer
+            # where they stay finite
+            s = np.array([np.full(len(a), 0.5), np.ldexp(1.0, np.minimum(
+                _SCALED_EXP - np.frexp(big)[1], -1))])
+            by = s.reshape(s.shape + (1,) * (a.ndim - 1))
+            num, den = _norms(np.concatenate([by * a - by * b, by * a])
+                              .reshape((4 * len(a),) + a.shape[1:])
+                              ).reshape(2, 2, len(a))
+            errs[over] = np.where(np.isfinite(np.maximum(num[0], den[0])),
+                                  num[0] / np.fmax(0.5, den[0]),
+                                  num[1] / np.fmax(s[1], den[1]))
     return errs
 
 

@@ -73,16 +73,7 @@ class FiniteSumFunction:
         return _check_answer(self.component(i, x, order), i, order, self.d)
 
     def check_index(self, i: int) -> int:
-        if type(i) is bool:              # operator.index reads it as 0 or 1
-            raise ValueError("component indices must be integers, got bool")
-        try:
-            i = operator.index(i)
-        except TypeError:
-            raise ValueError(f"component indices must be integers, got "
-                             f"{type(i).__name__}") from None
-        if not 0 <= i < self.n:
-            raise ValueError(f"component index {i} out of range [0, {self.n})")
-        return i
+        return _index(i, self.n)
 
     def check_rows(self, rows) -> np.ndarray:
         idx = np.asarray(rows)
@@ -126,6 +117,9 @@ class FiniteSumFunction:
         point of other bytes asks or ``_table_key`` is set to None."""
         key = x.tobytes()
         if key != self._table_key:
+            # the old table goes before the new one is filled, so the two
+            # are never held at once
+            self._table_key = self._table_value = None
             table = self._evaluate_all(x)
             for part in (table.value, table.grad, table.hess):
                 part.flags.writeable = False
@@ -136,6 +130,22 @@ class FiniteSumFunction:
         """Every component's order-2 answer at one point x as one stack;
         each row, up to any order, has the bits of that row's evaluation."""
         raise NotImplementedError
+
+
+def _index(i, n: int) -> int:
+    """Component index i of a sum of n as a Python int; ValueError for a
+    bool (which ``operator.index`` reads as 0 or 1), a non-integer or an
+    index outside [0, n)."""
+    if type(i) is bool:
+        raise ValueError("component indices must be integers, got bool")
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise ValueError(f"component indices must be integers, got "
+                         f"{type(i).__name__}") from None
+    if not 0 <= i < n:
+        raise ValueError(f"component index {i} out of range [0, {n})")
+    return i
 
 
 def _stacked(answers: list, rows, order: int, d: int) -> Derivatives:
@@ -305,7 +315,7 @@ class CallableFiniteSum(FiniteSumFunction):
 
 class _QuadraticCosineSum(FiniteSumFunction):
     """The components of :func:`quadratic_cosine_sum`, held as stacked
-    arrays: A (n, d, d), b (n, d), c (n,), r (n, d) and b b^T (n, d, d).
+    arrays: A (n, d, d), b (n, d), c (n,) and r (n, d).
 
     One component at one point, a stack of points, or a stack of
     components at one point (:meth:`components`) is answered in one
@@ -322,7 +332,6 @@ class _QuadraticCosineSum(FiniteSumFunction):
 
     def __init__(self, A, b, c, r):
         self._A, self._b, self._c, self._r = A, b, c, r
-        self._bbT = b[:, :, None] * b[:, None, :]
         self.n, self.d = b.shape
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
@@ -362,7 +371,17 @@ class _QuadraticCosineSum(FiniteSumFunction):
         grad = Ax - (c * np.sin(t))[..., None] * b + r
         if order == 1:
             return Derivatives(val, grad)
-        hess = (c * np.cos(t))[..., None, None] * self._bbT[i]
+        # b b^T is formed per evaluation, for a stack of components by
+        # einsum (half the broadcast product's time at n = 256, d = 20,
+        # with its bits), and scaled in place, s (b_j b_k) having the bits
+        # of (b_j b_k) s; one component at a stack of points needs a new
+        # (P, d, d) array
+        s = (c * np.cos(t))[..., None, None]
+        hess = np.einsum("ij,ik->ijk", b, b) if b.ndim == 2 else b[:, None] * b
+        if x.ndim > b.ndim:
+            hess = s * hess
+        else:
+            hess *= s
         return Derivatives(val, grad, np.subtract(A, hess, out=hess))
 
 
@@ -458,6 +477,17 @@ class OracleLedger:
 
     def __post_init__(self):
         self.per_index = np.zeros(self.n, dtype=np.int64)
+        # per_index's slots as Python ints: a charge books without a numpy
+        # scalar round trip
+        self._slots = memoryview(self.per_index)
+
+    def __getstate__(self) -> dict:
+        # a copy or a pickle rebuilds the memoryview, which neither takes
+        return {k: v for k, v in vars(self).items() if k != "_slots"}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._slots = memoryview(self.per_index)
 
     @property
     def total(self) -> int:
@@ -475,12 +505,17 @@ class OracleLedger:
 
     def charge(self, i: int, order: int, count: int = 1,
                requery: bool = False) -> None:
-        """Book ``count`` queries to component i up to ``order``; a count
-        that is not a non-negative integer raises ValueError (see
-        :func:`_count`) and books nothing."""
+        """Book ``count`` queries to component i up to ``order``; an index
+        that is not an integer in [0, n) (see :func:`_index`) or a count
+        that is not a non-negative integer (see :func:`_count`) raises
+        ValueError and books nothing."""
+        self._book(_index(i, self.n), order, count, requery)
+
+    def _book(self, i: int, order: int, count, requery) -> None:
+        """:meth:`charge` of a checked index i: every charge lands here."""
         if type(count) is not int or count < 0:
             count = _count(count)
-        self.per_index[i] += count
+        self._slots[i] += count
         if order >= 1:
             self.grad_queries += count
         if order >= 2:
@@ -517,21 +552,27 @@ def query(ledger: OracleLedger, F: FiniteSumFunction, i: int, x,
     returned Hessian is exactly symmetric, so callers never re-symmetrize.
     F may be a read-only view of answers already checked at x (the SVRC
     passes charge through one), which answers without evaluating or
-    checking again.  A stack of points is rejected: charged access is one
-    point per call.
+    checking again; its answer to a component at the order it holds is
+    one object, returned to every such query, so a caller must not assign
+    to an answer's fields.  A stack of points is rejected: charged access
+    is one point per call.
     ``count > 1`` records `count` i.i.d. repetitions of the identical query
     (the answer is deterministic, so it is evaluated once); this keeps the
     accounting exact while letting batch samplers aggregate repeated draws.
     ``requery`` marks the charge as a snapshot-point re-read so the ledger
     can report both raw and cache-adjusted totals.
     """
-    _check_order(order)
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ValueError(f"query takes one point, got shape {x.shape}")
-    i = F.check_index(i)
+    # the common case by type tests alone; anything else takes the checks
+    # that name what is wrong, in this order
+    if not (type(order) is int and 0 <= order <= 2 and type(x) is np.ndarray
+            and x.ndim == 1 and type(i) is int and 0 <= i < F.n):
+        _check_order(order)
+        x = np.asarray(x)
+        if x.ndim != 1:
+            raise ValueError(f"query takes one point, got shape {x.shape}")
+        i = F.check_index(i)
     der = F._checked(i, x, order)
-    ledger.charge(i, order, count, requery=requery)
+    ledger._book(i, order, count, requery)
     return der
 
 
@@ -547,9 +588,11 @@ class _Evaluated(FiniteSumFunction):
     Building the view checks the whole stack as :func:`query` checks one
     answer (:func:`_check_answer`: a bad row raises the error it would
     raise alone; Hessians are kept symmetrized), so each row is checked
-    once however often it is charged.  The view refuses another point, a
-    higher order and an index it does not hold; the SVRC estimators refuse
-    a view of another sum.
+    once however often it is charged, and builds each row's answer once
+    (its value a numpy float, as a row of the stack reads), so that a
+    charge of a row returns that answer, shared.  The view refuses another
+    point, a higher order and an index it does not hold; the SVRC
+    estimators refuse a view of another sum.
     """
 
     def __init__(self, F: FiniteSumFunction, x: np.ndarray, order: int,
@@ -559,9 +602,13 @@ class _Evaluated(FiniteSumFunction):
         self.x, self._order = x, order
         self.where = np.full(F.n, -1)
         self.where[rows] = np.arange(rows.size)
-        # the per-row charge reads a Python int, not a numpy scalar
-        self._where = self.where.tolist()
         self.stack = _check_answer(stack, rows, order, F.d)
+        parts = (self.stack.value, self.stack.grad, self.stack.hess)
+        # component i's answer, None where the view does not hold it
+        self._rows = [None] * F.n
+        for i, der in zip(rows.tolist(),
+                          map(Derivatives, *parts[:order + 1])):
+            self._rows[i] = der
 
     @classmethod
     def evaluate(cls, F: FiniteSumFunction, rows, x: np.ndarray,
@@ -593,14 +640,12 @@ class _Evaluated(FiniteSumFunction):
     def _checked(self, i: int, x: np.ndarray, order: int) -> Derivatives:
         if x is not self.x or order > self._order:
             self._refuse(x, order)
-        k = self._where[i]
-        if k < 0:
+        der = self._rows[i]
+        if der is None:
             raise ValueError(f"component {i} was not evaluated here")
-        # read inline: through _row, this per-row charge path read the
-        # svrc-synthetic op 1.8% slower (tools/ab_inproc.py, paired)
-        value, grad, hess = self.stack.value, self.stack.grad, self.stack.hess
-        return Derivatives(value[k], grad[k] if order >= 1 else None,
-                           hess[k] if order >= 2 else None)
+        if order < self._order:
+            der = Derivatives(der.value, der.grad if order >= 1 else None)
+        return der
 
 
 class _Answered(FiniteSumFunction):

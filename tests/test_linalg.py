@@ -747,13 +747,18 @@ def test_rel_errs_are_the_rel_err_of_each_row(A, against):
 
 
 def _rel_err_reference(a, b) -> float:
-    """The relative error of one row from ``_norm``, in Python floats: from
-    the halves where a - b or a norm overflows."""
+    """The relative error of one row of finite entries from ``_norm``, in
+    Python floats: from the halves where a - b or a norm overflows, and
+    where those overflow too, from the row scaled by 2^(256 - e), e the
+    binary exponent of its largest entry."""
     with np.errstate(over="ignore"):
-        num, den = _norm(a - b), _norm(a)
-    if math.isfinite(num) and math.isfinite(den):
-        return num / max(1.0, den)
-    return _norm(0.5 * a - 0.5 * b) / max(0.5, _norm(0.5 * a))
+        for s in (1.0, 0.5):
+            num, den = _norm(s * a - s * b), _norm(s * a)
+            if math.isfinite(num) and math.isfinite(den):
+                return num / max(s, den)
+    big = max(float(np.abs(a).max()), float(np.abs(b).max()))
+    s = math.ldexp(1.0, 256 - math.frexp(big)[1])
+    return _norm(s * a - s * b) / max(s, _norm(s * a))
 
 
 def test_rel_errs_read_an_error_whose_square_underflows():
@@ -778,6 +783,46 @@ def test_rel_err_of_the_negation_is_two(x):
     if _norm(x) >= 1.0:
         assert err == pytest.approx(2.0, rel=1e-15)
     assert rel_err([1e308], [-1e308]) == 2.0
+
+
+@pytest.mark.parametrize("a, b, want", [
+    ([1e308] * 4, [-1e308] * 4, 2.0),
+    ([-1.7e308] * 64, [1.7e308] * 64, 2.0),
+    ([[1.7e308, 1e308], [-1e308, 1.7e308]],
+     [[-1.7e308, -1e308], [1e308, -1.7e308]], 2.0),
+    ([1.7e308] * 16, [1.7e308 * (1.0 - 2.0 ** -20)] * 16,
+     (1.7e308 - 1.7e308 * (1.0 - 2.0 ** -20)) / 1.7e308),
+    ([1.7e308] * 16, [0.85e308] * 16, 0.5),
+    ([1.7e308] * 16, [0.0] * 16, 1.0),
+])
+def test_rel_err_of_rows_whose_halves_overflow(a, b, want):
+    # ||a/2 - b/2|| or ||a/2|| overflows too: the row is measured at a
+    # power of two below its largest entry, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = rel_err(a, b)
+        errs = _rel_errs(np.array([a, np.ones_like(a)]),
+                         np.array([b, np.zeros_like(a)]))
+    assert err == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert errs.tolist() == [err, 1.0]
+    assert err == _rel_err_reference(np.array(a), np.array(b))
+
+
+def test_rel_err_keeps_the_bits_of_the_halves_where_they_are_finite():
+    # rows whose a - b or norm overflows but whose halves do not
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-1.0, 1.0, (200, 3)) * 1.7e308
+    b = rng.uniform(-1.0, 1.0, (200, 3)) * 1.7e308 * rng.random((200, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _rel_errs(a, b)
+    halves = np.array([_norm(0.5 * x - 0.5 * y) / max(0.5, _norm(0.5 * x))
+                       for x, y in zip(a, b)])
+    with np.errstate(over="ignore"):
+        over = ~np.isfinite(_norms(a - b)) | ~np.isfinite(_norms(a))
+    over &= np.isfinite(halves)
+    assert over.sum() > 100
+    assert got[over].tolist() == halves[over].tolist()
 
 
 def test_rel_err_keeps_its_bits_where_the_difference_is_finite():

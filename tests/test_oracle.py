@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import importlib
+import pickle
 import pkgutil
 
 from conftest import (assert_rows, assert_shapes, chain_points, good_and_short,
@@ -24,6 +26,7 @@ from hardsum.oracle import (
     _Evaluated,
     _QuadraticCosineSum,
     _check_answer,
+    _row,
     _row_answers,
     mean_derivatives,
     quadratic_cosine_sum,
@@ -197,6 +200,45 @@ class TestLedger:
         led = OracleLedger(n=2)
         with pytest.raises(ValueError, match="order"):
             query(led, F, 0, np.zeros(3), order=3)
+
+    @pytest.mark.parametrize("i, match", [
+        (-1, r"^component index -1 out of range \[0, 3\)$"),
+        (3, r"^component index 3 out of range \[0, 3\)$"),
+        (5, r"^component index 5 out of range \[0, 3\)$"),
+        (np.int64(-1), r"^component index -1 out of range \[0, 3\)$"),
+        (True, "^component indices must be integers, got bool$"),
+        (np.True_, "^component indices must be integers, got bool$"),
+        (1.0, "^component indices must be integers, got float$"),
+        ("1", "^component indices must be integers, got str$"),
+    ])
+    def test_charge_refuses_a_bad_index_and_books_nothing(self, i, match):
+        # the messages of check_index, which query's own index check gives
+        led = OracleLedger(n=3)
+        with pytest.raises(ValueError, match=match):
+            led.charge(i, 2, 4, requery=True)
+        assert led.counters() == OracleLedger(n=3).counters()
+        assert not led.per_index.any()
+
+    def test_charge_books_a_numpy_integer_index(self):
+        led = OracleLedger(n=3)
+        led.charge(np.int64(2), 1, 2)
+        led.charge(np.uint8(0), 2, 1)
+        assert led.per_index.tolist() == [1, 0, 2]
+        assert (led.grad_queries, led.hess_queries) == (3, 1)
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda led: pickle.loads(pickle.dumps(led))])
+    def test_a_copy_books_into_its_own_counts(self, clone):
+        led = OracleLedger(n=3, eps=0.5)
+        led.charge(1, 2, 4, requery=True)
+        twin = clone(led)
+        twin.charge(2, 1, 3)
+        led.charge(0, 0)
+        assert led.per_index.tolist() == [1, 4, 0]
+        assert twin.per_index.tolist() == [0, 4, 3]
+        assert twin.counters() == {"total": 7, "adjusted_total": 3,
+                                   "value": 7, "grad": 7, "hess": 4,
+                                   "cache_hits": 0, "requeries": 4}
 
 
 class TestQuery:
@@ -562,6 +604,67 @@ def _spy_evaluations(F, monkeypatch) -> list:
     monkeypatch.setattr(F, "_evaluate", lambda i, x, order: calls.append(
         (i, np.shape(x), order)) or evaluate(i, x, order))
     return calls
+
+
+def _reference_hessians(F, i, x):
+    """Component i's Hessians at x (a point or a stack of points), or every
+    component's at one point for i the slice of all: A_i - s (b_i b_i^T)
+    with s = c_i cos(<b_i, x>), b b^T formed first and then scaled."""
+    b, c = F._b[i], F._c[i]
+    bbT = b[..., :, None] * b[..., None, :]
+    s = c * np.cos(row_dot(b, x))
+    return F._A[i] - s[..., None, None] * bbT
+
+
+class TestQuadraticHessians:
+    """The Hessians of ``quadratic_cosine_sum``, formed at each evaluation
+    from b, equal A_i - s (b_i b_i^T) bit for bit."""
+
+    @staticmethod
+    def _sum_and_points():
+        F = quadratic_cosine_sum(7, 5, seed=13)
+        return F, np.random.default_rng(2).standard_normal((3, F.d)) * 2.0
+
+    def test_at_one_point(self):
+        F, X = self._sum_and_points()
+        for x in X:
+            for i in range(F.n):
+                assert same_bits(F.component(i, x, 2).hess,
+                                 _reference_hessians(F, i, x))
+
+    def test_at_a_stack_of_points(self):
+        F, X = self._sum_and_points()
+        for i in range(F.n):
+            hess = F.component(i, X, 2).hess
+            assert hess.shape == (len(X), F.d, F.d)
+            assert same_bits(hess, _reference_hessians(F, i, X))
+
+    def test_for_all_components(self):
+        F, X = self._sum_and_points()
+        for x in X:
+            want = _reference_hessians(F, slice(None), x)
+            assert same_bits(F._evaluate_all(x).hess, want)
+            assert same_bits(F.components(np.arange(F.n), x, 2).hess, want)
+            assert same_bits(F.full(x, 2).hess, want.sum(axis=0) / F.n)
+
+    def test_holds_no_stack_but_its_components(self):
+        # A (n, d, d), b, c and r: no stack of b b^T beside them
+        F = quadratic_cosine_sum(16, 9, seed=1)
+        held = [v for v in vars(F).values() if isinstance(v, np.ndarray)]
+        assert sum(v.nbytes for v in held) == sum(
+            v.nbytes for v in (F._A, F._b, F._c, F._r))
+
+    def test_the_old_table_goes_before_the_new_one_is_filled(self,
+                                                            monkeypatch):
+        F = quadratic_cosine_sum(5, 3, seed=4)
+        F.full(np.zeros(3), 2)
+        held = []
+        evaluate_all = F._evaluate_all
+        monkeypatch.setattr(F, "_evaluate_all", lambda x: held.append(
+            (F._table_key, F._table_value)) or evaluate_all(x))
+        F.full(np.ones(3), 2)
+        assert held == [(None, None)]
+        assert F._table_key == np.ones(3).tobytes()
 
 
 class TestQuadraticTable:
@@ -964,6 +1067,63 @@ class TestEvaluatedView:
         with pytest.raises(ValueError, match="out of range"):
             query(led, view, 5, x, order=1)
         assert led.total == 0
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda v, x: dict(i=True), "component indices must be integers, "
+                                    "got bool"),
+        (lambda v, x: dict(i=4.0), "component indices must be integers, "
+                                   "got float"),
+        (lambda v, x: dict(i=5), "component index 5 out of range [0, 5)"),
+        (lambda v, x: dict(i=-1), "component index -1 out of range [0, 5)"),
+        (lambda v, x: dict(x=x + 1e-12), "these answers were evaluated at "
+                                         "another point"),
+        (lambda v, x: dict(x=x[:2]), "these answers were evaluated at "
+                                     "another point"),
+        (lambda v, x: dict(x=np.stack([x, x])), "query takes one point, got "
+                                                "shape (2, 3)"),
+        (lambda v, x: dict(order=2), "these answers go up to order 1, not 2"),
+        (lambda v, x: dict(order=3), "order must be in 0..2, got 3"),
+        (lambda v, x: dict(order=-1), "order must be in 0..2, got -1"),
+        (lambda v, x: dict(i=2), "component 2 was not evaluated here"),
+        (lambda v, x: dict(i=0, x=[0.3, -1.0]), "these answers were "
+                                                "evaluated at another point"),
+    ])
+    def test_refuses_as_the_per_row_path_did(self, call, error):
+        # the type and message of every refusal, the ledger untouched
+        F, x, view = self._view()
+        led = OracleLedger(n=F.n)
+        args = dict(i=4, x=x, order=1) | call(view, x)
+        with pytest.raises(ValueError) as info:
+            query(led, view, args["i"], args["x"], order=args["order"])
+        assert type(info.value) is ValueError
+        assert str(info.value) == error
+        assert led.counters() == OracleLedger(n=F.n).counters()
+        assert not led.per_index.any()
+
+    def test_accepts_a_numpy_index_and_an_equal_copy_of_the_point(self):
+        F, x, view = self._view()
+        led = OracleLedger(n=F.n)
+        want = _row(view.stack, 0, 1)
+        for i, at in ((np.int64(4), x), (4, x.copy()), (np.uint8(4), list(x)),
+                      (4, x.reshape(1, 3)[0])):
+            assert same_answer(query(led, view, i, at, order=1), want)
+        assert led.per_index.tolist() == [0, 0, 0, 0, 4]
+
+    @pytest.mark.parametrize("held", [0, 1, 2])
+    def test_rows_are_the_stack_rows_bit_for_bit(self, held):
+        F = quadratic_cosine_sum(6, 4, seed=11)
+        x = np.array([0.4, -0.9, 1.6, 0.1])
+        rows = [5, 0, 3, 2]
+        view = _Evaluated.evaluate(F, rows, x, held)
+        led = OracleLedger(n=F.n)
+        for order in range(held + 1):
+            for k, i in enumerate(rows):
+                der = query(led, view, i, x, order=order, count=2)
+                assert type(der.value) is np.float64
+                assert same_answer(der, _row(view.stack, k, order))
+                assert same_answer(der, F.component(i, x, order))
+        assert led.per_index.tolist() == [2 * (held + 1) * (i in rows)
+                                          for i in range(F.n)]
 
     def test_checks_its_stack_once_when_built(self, monkeypatch):
         # one symmetry check of the whole stack; charging its rows, however
