@@ -33,7 +33,7 @@ import numpy as np
 from ..chains import Derivatives, _chain_eval, _check_order
 from ..linalg import (_Factored, _dense, _norm, _norms, _rel_errs, as_rng,
                       as_vector, row_dot, row_matvec)
-from ..oracle import FiniteSumFunction, _check_answer, _row
+from ..oracle import FiniteSumFunction, _check_answer, _row, _row_answers
 from .params import HardInstanceSpec
 
 __all__ = ["ResistingOracle", "ResistingCertificate", "NotFinalizedError"]
@@ -108,8 +108,9 @@ class ResistingOracle(FiniteSumFunction):
     finalization they are the true finalized objective.
 
     A charged pass over the n components is n game moves, each archived and
-    counted towards closing the round, made and checked in row order (so a
-    round can close mid-pass), and one ledger charge per row.
+    counted towards closing the round, made in row order (so a round can
+    close mid-pass) and checked once per table and order, and one ledger
+    charge per row; the moves that read one row share its answer.
     The chain is evaluated once per point for all n components, into the
     answer table, which a round close drops: the moves of a pass, the
     order-1 and order-2 passes at one iterate and a measurement there read
@@ -133,6 +134,9 @@ class ResistingOracle(FiniteSumFunction):
         # orthonormal basis of span(committed directions + archived iterates)
         self._basis = np.zeros((self.d, self.d))
         self._nbasis = 0
+        self._basis_key = None      # the bytes of the last point given
+        # the table the row sets (by order) were built from
+        self._row_table, self._row_sets = None, {}
 
         self._rounds_closed = 0
         self._round_seen: set[int] = set()
@@ -151,6 +155,11 @@ class ResistingOracle(FiniteSumFunction):
         return r
 
     def _insert_basis(self, x: np.ndarray) -> None:
+        # the last iterate given already lies in the span, which only grows
+        key = x.tobytes()
+        if key == self._basis_key:
+            return
+        self._basis_key = key
         nx = _norm(x)
         if nx == 0.0:
             return
@@ -236,10 +245,10 @@ class ResistingOracle(FiniteSumFunction):
     # -- game play -----------------------------------------------------------
 
     def _move(self, i: int, x, order: int) -> tuple[Derivatives, int]:
-        """One answered query of component i at one point x: its chain
-        answer and the number of directions it used.  During play the query
-        is archived and may close a round.  The order, index and point are
-        checked before anything is archived."""
+        """One answered query of component i at one point x: the answer
+        table it read and the number of directions it used.  During play
+        the query is archived and may close a round.  The order, index and
+        point are checked before anything is archived."""
         _check_order(order)
         i = self.check_index(i)
         if np.ndim(x) != 1:
@@ -247,33 +256,52 @@ class ResistingOracle(FiniteSumFunction):
                              f"of shape ({self.d},), got {np.shape(x)}")
         x = as_vector(x, dim=self.d)
         active = self._active
-        ch = _row(self._table(x), i, order)
+        table = self._table(x)
         if self.finalized:
-            return ch, active
+            return table, active
 
-        self._archive.append(_ArchivedQuery(i, x.copy(), order, active,
-                                            self._coordinates(ch)))
+        self._archive.append(_ArchivedQuery(
+            i, x.copy(), order, active,
+            self._coordinates(_row(table, i, order))))
         self._insert_basis(x)
         if i not in self._round_seen:
             self._round_seen.add(i)
             if len(self._round_seen) == self._half:
                 self._close_round()
-        return ch, active
+        return table, active
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
         """Component i at one point x up to ``order``, its Hessian lifted to
         a dense one: a move of the game (archived during play), so a stack
         raises."""
-        ch, active = self._move(i, x, order)
-        der = self._answer(ch, order, active)
+        table, active = self._move(i, x, order)
+        der = self._answer(_row(table, i, order), order, active)
         return Derivatives(der.value, der.grad, _dense(der.hess))
 
     def _checked(self, i: int, x, order: int) -> Derivatives:
-        """The game move of :meth:`component`, its Hessian factored, checked
-        by ``_check_answer``."""
-        ch, active = self._move(i, x, order)
-        return _check_answer(self._answer(ch, order, active), i, order,
-                             self.d)
+        """The game move of :meth:`component`, its Hessian factored: its row
+        of the checked row set of its table and order; where that set failed
+        its check, its answer checked alone, which raises its own error."""
+        table, active = self._move(i, x, order)
+        if self._row_table is not table:
+            self._row_table, self._row_sets = table, {}
+        if order not in self._row_sets:
+            self._row_sets[order] = self._row_set(table, order, active)
+        if self._row_sets[order] is not None:
+            return self._row_sets[order][i]
+        return _check_answer(self._answer(_row(table, i, order), order,
+                                          active), i, order, self.d)
+
+    def _row_set(self, table: Derivatives, order: int, active: int
+                 ) -> list[Derivatives] | None:
+        """Every component's checked answer from one table up to ``order``,
+        each its answer alone bit for bit; None where the stack fails."""
+        try:
+            stack = _check_answer(self._answer(table, order, active),
+                                  np.arange(self.n), order, self.d)
+        except ValueError:
+            return None
+        return list(_row_answers(stack, order))
 
     def _close_round(self) -> None:
         j = self._rounds_closed + 1   # the column this round commits
@@ -353,7 +381,11 @@ class ResistingOracle(FiniteSumFunction):
         if archive:
             X = np.stack([rec.x for rec in archive])
             inner = np.abs(row_dot(X, v_last))
-            gnorms = _norms(self.full(X, order=1).grad)
+            # the gradient once per distinct point (by its bytes; a stacked
+            # row of full is its one-point answer), read back for each move
+            _, first, where = np.unique(X.view(f"V{X.itemsize * self.d}"),
+                                        return_index=True, return_inverse=True)
+            gnorms = _norms(self.full(X[first], order=1).grad)[where.ravel()]
             top = self._K + 1
             replay = self._coordinates(self._chains(
                 X, 2, top, self._delta[[rec.i for rec in archive]]))

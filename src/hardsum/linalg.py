@@ -243,6 +243,12 @@ class _Factored:
     def shape(self) -> tuple:
         return self.S.shape[:-2] + (self.V.shape[0],) * 2
 
+    def __len__(self) -> int:
+        return len(self.S)
+
+    def __getitem__(self, k) -> _Factored:
+        return _Factored(self.V, self.S[k])
+
     def __matmul__(self, q: np.ndarray) -> np.ndarray:
         """V (S (V^T q)) for one matrix and a vector or a (d, k) matrix q."""
         return self.V @ (self.S @ (self.V.T @ q))

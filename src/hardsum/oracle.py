@@ -506,9 +506,11 @@ class OracleLedger:
     def charge(self, i: int, order: int, count: int = 1,
                requery: bool = False) -> None:
         """Book ``count`` queries to component i up to ``order``; an index
-        that is not an integer in [0, n) (see :func:`_index`) or a count
-        that is not a non-negative integer (see :func:`_count`) raises
-        ValueError and books nothing."""
+        that is not an integer in [0, n) (see :func:`_index`), an order
+        outside 0..2 (see :func:`_check_order`) or a count that is not a
+        non-negative integer (see :func:`_count`) raises ValueError and
+        books nothing."""
+        _check_order(order)
         self._book(_index(i, self.n), order, count, requery)
 
     def _book(self, i: int, order: int, count, requery) -> None:

@@ -30,14 +30,16 @@ from hardsum.instances import resisting
 from hardsum.linalg import (
     _dense,
     _Factored,
+    _norms,
     finite_diff_gradient,
     finite_diff_jacobian,
     rel_err,
     row_matvec,
     sample_orthonormal_columns,
 )
-from hardsum.optim import C_M, baseline_full_cubic, mu
-from hardsum.oracle import OracleLedger, mean_derivatives, query
+from hardsum.optim import C_M, baseline_full_cubic, baseline_full_gd, mu
+from hardsum.oracle import (OracleLedger, _check_answer, _row,
+                            mean_derivatives, query)
 
 # Frozen closed-form constants: 2^(p+1) exp(2.5p + ln p + 4p + 10)
 ELL_1 = 58602877.71581407
@@ -707,6 +709,155 @@ class TestChainTable:
                                       hess, -1, -2)))):
                     assert (np.linalg.norm(got - want)
                             <= 1e-13 * np.linalg.norm(want))
+
+
+def _same_move(a: Derivatives, b: Derivatives) -> bool:
+    """Two charged answers bit for bit: value (a float each), gradient, and
+    the factors of a factored Hessian."""
+    if not (isinstance(a.value, float) and isinstance(b.value, float)):
+        return False
+    hess = [(None, None) if h is None else (h.V, h.S) for h in (a.hess, b.hess)]
+    return (same_bits(a.value, b.value) and same_bits(a.grad, b.grad)
+            and all(map(same_bits, *hess)))
+
+
+def _checked_move(F, i, x, order):
+    """A charged move of F and its per-row reference: component i's answer
+    alone, from the table and directions the move reads, checked alone."""
+    table, active = F._table(x), F._active
+    got = F._checked(i, x, order)
+    ref = _check_answer(F._answer(_row(table, i, order), order, active), i,
+                        order, F.d)
+    return got, ref
+
+
+class TestRowSets:
+    """A charged move reads its answer from the row set of its answer table
+    and order, checked once as a stack: bit for bit the answer it would get
+    alone, and a bad row still raises the error naming it."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_move_equals_its_answer_alone(self, rng, n):
+        # passes at orders 0, 1 and 2 over every component, a component
+        # moved twice at one point and the previous point revisited: rounds
+        # close, and the game finalizes, mid-pass
+        F = ResistingOracle(_small_game_spec(n=n, rounds=9), seed=30 + n)
+        previous, after, closes = None, 0, set()
+        while after < 2:
+            after += F.finalized
+            x = chain_points(F, rng, 1)[0]
+            moves = [(i, x, order) for order in range(3) for i in range(n)]
+            moves.append((n - 1, x, 2))
+            if previous is not None:
+                moves += [(0, previous, 1), (0, previous, 1)]
+            for k, (i, point, order) in enumerate(moves):
+                closed = F.rounds_closed
+                got, ref = _checked_move(F, i, point, order)
+                assert _same_move(got, ref), (n, k, order)
+                if F.rounds_closed > closed and i < n - 1:
+                    closes.add(F.finalized)
+            previous = x
+        assert closes == {False, True}
+
+    @pytest.mark.parametrize("defect", ["nan-gradient", "asymmetric-S"])
+    @pytest.mark.parametrize("finalized", [False, True])
+    def test_a_bad_row_raises_its_own_error(self, rng, monkeypatch, defect,
+                                            finalized):
+        spec = _small_game_spec(n=4, rounds=6)
+        F = ResistingOracle(spec, seed=40)
+        for i in range(spec.n):       # two rounds close: S is 3 x 3
+            F.component(i, rng.standard_normal(spec.d), 1)
+        if finalized:
+            F.finalize()
+        bad = 2
+        kernel = resisting._chain_eval
+
+        def broken(*args):
+            ch = kernel(*args)
+            if defect == "nan-gradient":
+                grad = ch.grad.copy()
+                grad[bad, 0] = np.nan
+                return Derivatives(ch.value, grad, ch.hess)
+            hess = ch.hess.copy()
+            hess[bad, 0, 1] += 1.0 + np.abs(hess[bad]).max()
+            return Derivatives(ch.value, ch.grad, hess)
+
+        monkeypatch.setattr(resisting, "_chain_eval", broken)
+        order = 1 if defect == "nan-gradient" else 2
+        match = ("non-finite gradient" if order == 1
+                 else "Hessian: matrix is not symmetric")
+        x = chain_points(F, rng, 1)[0]
+        ledger = OracleLedger(n=spec.n)
+        # the other components answer before and after the bad one (during
+        # play the bad move closes a round, and the next table fails too)
+        got, ref = _checked_move(F, 0, x, order)
+        assert _same_move(got, ref)
+        with pytest.raises(ValueError,
+                           match=rf"^component {bad} answered a {match}.* "
+                                 rf"\(order {order}\)$"):
+            query(ledger, F, bad, x, order=order)
+        assert ledger.counters() == OracleLedger(n=spec.n).counters()
+        assert not ledger.per_index.any()
+        for i in (1, 3):
+            got, ref = _checked_move(F, i, x, order)
+            assert _same_move(got, ref)
+            query(ledger, F, i, x, order=order)
+        assert ledger.per_index.tolist() == [0, 1, 0, 1]
+
+
+class _EveryMoveTwin(ResistingOracle):
+    """The oracle that projects every move's point into its basis and
+    certifies from the finalized gradient at every archived move."""
+
+    def _insert_basis(self, x):
+        self._basis_key = None
+        super()._insert_basis(x)
+
+    def certificate(self):
+        cert = super().certificate()
+        if not self._archive:
+            return cert
+        X = np.stack([rec.x for rec in self._archive])
+        gnorms = _norms(self.full(X, order=1).grad)
+        low = float(gnorms.min())
+        return dataclasses.replace(cert, grad_norms=gnorms, min_grad_norm=low,
+                                   all_above_bound=low > cert.bound)
+
+
+class TestBasisAndCertificateSkips:
+    """A move at the last point inserted skips the projection, and the
+    certificate evaluates the gradient once per distinct archived point;
+    neither changes a bit of the game or of its certificate."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_whole_games_equal_the_every_move_twin(self, seed):
+        n = 3 + seed % 3
+        spec = _small_game_spec(p=1 + seed % 2, n=n, rounds=6)
+        pair = ResistingOracle(spec, seed=seed), _EveryMoveTwin(spec, seed=seed)
+        projections = []
+        for F in pair:
+            calls = []
+            project = F._project_out
+            F._project_out = lambda x, f=project, c=calls: c.append(1) or f(x)
+            projections.append(calls)
+            play = np.random.default_rng(50 + seed)
+            # points off the committed span, each moved to twice and the
+            # first revisited last; one index closes no round
+            points = play.standard_normal((4, spec.d))
+            for x in [*np.repeat(points, 2, axis=0), points[0]]:
+                F.component(0, x, 1)
+            assert F._nbasis == 5 and F.rounds_closed == 0
+            if seed % 2:
+                baseline_full_cubic(F, C_M * spec.L, 2 * n * (spec.K + 3))
+            else:
+                baseline_full_gd(F, 1e-6, n * (spec.K + 3))
+            assert F.finalized
+        F, twin = pair
+        assert len(projections[0]) < len(projections[1])
+        assert F._nbasis == twin._nbasis
+        assert F._basis.tobytes() == twin._basis.tobytes()
+        assert F.num_archived == twin.num_archived > 0
+        _assert_same_certificate(F.certificate(), twin.certificate())
 
 
 class TestResistingOracle:

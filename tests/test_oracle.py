@@ -219,6 +219,19 @@ class TestLedger:
         assert led.counters() == OracleLedger(n=3).counters()
         assert not led.per_index.any()
 
+    @pytest.mark.parametrize("i, order", [(0, 7), (1, 2.5), (1, -3)])
+    def test_charge_refuses_a_bad_order_and_books_nothing(self, i, order):
+        # booked unchecked, 7 and 2.5 would count as gradient and Hessian
+        # queries and -3 as a value query
+        led = OracleLedger(n=3)
+        led.charge(1, 2, 2)
+        before = led.counters()
+        with pytest.raises(ValueError,
+                           match=rf"^order must be in 0\.\.2, got {order}$"):
+            led.charge(i, order)
+        assert led.counters() == before
+        assert led.per_index.tolist() == [0, 2, 0]
+
     def test_charge_books_a_numpy_integer_index(self):
         led = OracleLedger(n=3)
         led.charge(np.int64(2), 1, 2)

@@ -105,6 +105,11 @@ GD_SYNTH = ("[instance]\nmode = synthetic\nn = 3\nd = 4\neps = 1e-9\n"
 GD_ADV = ("[instance]\nmode = deterministic\np = 1\nn = 4\n"
           f"delta = 960.0\nL = {ELL_1}\neps = 1.0\n"
           "[optimizer]\noptimizer = gd\nstep = 1e-6\nseed = 5\n")
+# n = 5: a round closes after ceil(n/2) = 3 distinct indices, so rounds
+# close, and the game finalizes, mid-pass (d = 241)
+ADV_CUBIC_N5 = BENCH_ADV_CUBIC.replace("n = 4\n", "n = 5\n")
+GD_ADV_N5 = (GD_ADV.replace("n = 4\n", "n = 5\n")
+             .replace("delta = 960.0\n", "delta = 4040.0\n"))
 GD_THIRD_MOMENT = ("[instance]\nmode = randomized-third-moment\np = 2\n"
                    "n = 2\ndelta = 800.0\nL = 1.0\neps = 1.0\nell_hat = 1.0\n"
                    "[optimizer]\noptimizer = gd\nstep = 0.01\nbudget = 20\n"
@@ -185,6 +190,8 @@ ENTRIES = (
     _run("svrc-randomized", SVRC_RANDOMIZED),
     _run("gd-synthetic", GD_SYNTH),
     _run("gd-adversary", GD_ADV),
+    _run("adv-cubic-n5", ADV_CUBIC_N5),
+    _run("gd-adversary-n5", GD_ADV_N5),
     _run("gd-third-moment", GD_THIRD_MOMENT),
     _run("cubic-synthetic", CUBIC_SYNTH),
     _run("cubic-haar-c", CUBIC_HAAR),
