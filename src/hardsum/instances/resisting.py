@@ -33,7 +33,7 @@ import numpy as np
 from ..chains import Derivatives, _chain_eval, _check_order
 from ..linalg import (_Factored, _dense, _norm, _norms, _rel_errs, as_rng,
                       as_vector, row_dot, row_matvec)
-from ..oracle import FiniteSumFunction, _check_answer, _row, _row_answers
+from ..oracle import FiniteSumFunction, _check_answer, _Evaluated, _row
 from .params import HardInstanceSpec
 
 __all__ = ["ResistingOracle", "ResistingCertificate", "NotFinalizedError"]
@@ -107,10 +107,11 @@ class ResistingOracle(FiniteSumFunction):
     truncated responses (what the algorithm could reconstruct); after
     finalization they are the true finalized objective.
 
-    A charged pass over the n components is n game moves, each archived and
-    counted towards closing the round, made in row order (so a round can
-    close mid-pass) and checked once per table and order, and one ledger
-    charge per row; the moves that read one row share its answer.
+    A charged pass over the n components is n game moves in row order (so
+    a round can close mid-pass) and one ledger charge per row.  A move is
+    checked before it is archived and counted towards closing the round,
+    so a refused move is neither; the answers are checked once per table
+    and order, and the moves that read one row share its answer.
     The chain is evaluated once per point for all n components, into the
     answer table, which a round close drops: the moves of a pass, the
     order-1 and order-2 passes at one iterate and a measurement there read
@@ -244,11 +245,18 @@ class ResistingOracle(FiniteSumFunction):
 
     # -- game play -----------------------------------------------------------
 
-    def _move(self, i: int, x, order: int) -> tuple[Derivatives, int]:
-        """One answered query of component i at one point x: the answer
-        table it read and the number of directions it used.  During play
-        the query is archived and may close a round.  The order, index and
-        point are checked before anything is archived."""
+    def component(self, i: int, x, order: int = 2) -> Derivatives:
+        """Component i at one point x up to ``order``, its Hessian lifted to
+        a dense one: the game move of :meth:`_checked`, so a stack raises."""
+        der = self._checked(i, x, order)
+        return Derivatives(der.value, der.grad, _dense(der.hess))
+
+    def _checked(self, i: int, x, order: int) -> Derivatives:
+        """One game move, component i at one point x up to ``order``, its
+        Hessian factored: its row of the row set of its table and order,
+        checked once, or where that set fails, its answer checked alone,
+        which raises its own error.  Only a checked move is archived (during
+        play) and counted towards closing the round."""
         _check_order(order)
         i = self.check_index(i)
         if np.ndim(x) != 1:
@@ -257,9 +265,21 @@ class ResistingOracle(FiniteSumFunction):
         x = as_vector(x, dim=self.d)
         active = self._active
         table = self._table(x)
+        if self._row_table is not table:
+            self._row_table, self._row_sets = table, {}
+        if order not in self._row_sets:
+            try:
+                self._row_sets[order] = _Evaluated.from_stack(
+                    self, np.arange(self.n), x, order,
+                    self._answer(table, order, active)).answers
+            except ValueError:
+                self._row_sets[order] = [None] * self.n
+        der = self._row_sets[order][i]
+        if der is None:
+            der = _check_answer(self._answer(_row(table, i, order), order,
+                                             active), i, order, self.d)
         if self.finalized:
-            return table, active
-
+            return der
         self._archive.append(_ArchivedQuery(
             i, x.copy(), order, active,
             self._coordinates(_row(table, i, order))))
@@ -268,40 +288,7 @@ class ResistingOracle(FiniteSumFunction):
             self._round_seen.add(i)
             if len(self._round_seen) == self._half:
                 self._close_round()
-        return table, active
-
-    def component(self, i: int, x, order: int = 2) -> Derivatives:
-        """Component i at one point x up to ``order``, its Hessian lifted to
-        a dense one: a move of the game (archived during play), so a stack
-        raises."""
-        table, active = self._move(i, x, order)
-        der = self._answer(_row(table, i, order), order, active)
-        return Derivatives(der.value, der.grad, _dense(der.hess))
-
-    def _checked(self, i: int, x, order: int) -> Derivatives:
-        """The game move of :meth:`component`, its Hessian factored: its row
-        of the checked row set of its table and order; where that set failed
-        its check, its answer checked alone, which raises its own error."""
-        table, active = self._move(i, x, order)
-        if self._row_table is not table:
-            self._row_table, self._row_sets = table, {}
-        if order not in self._row_sets:
-            self._row_sets[order] = self._row_set(table, order, active)
-        if self._row_sets[order] is not None:
-            return self._row_sets[order][i]
-        return _check_answer(self._answer(_row(table, i, order), order,
-                                          active), i, order, self.d)
-
-    def _row_set(self, table: Derivatives, order: int, active: int
-                 ) -> list[Derivatives] | None:
-        """Every component's checked answer from one table up to ``order``,
-        each its answer alone bit for bit; None where the stack fails."""
-        try:
-            stack = _check_answer(self._answer(table, order, active),
-                                  np.arange(self.n), order, self.d)
-        except ValueError:
-            return None
-        return list(_row_answers(stack, order))
+        return der
 
     def _close_round(self) -> None:
         j = self._rounds_closed + 1   # the column this round commits

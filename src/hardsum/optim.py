@@ -37,7 +37,7 @@ from .cubic import CubicModel, solve
 from .instances.params import _check_positive, _real_count
 from .linalg import (_lambda_min, _norm, _shifted_pd, as_vector, row_matvec,
                      sym_matrix)
-from .oracle import (FiniteSumFunction, OracleLedger, _Answered, _Evaluated,
+from .oracle import (FiniteSumFunction, OracleLedger, _Evaluated,
                      _integer, mean_derivatives, query, record_iterate)
 
 __all__ = [
@@ -389,6 +389,20 @@ def mu(F: FiniteSumFunction, x, L2: float) -> float:
                          L2)[1]
 
 
+def _run_ledger(F: FiniteSumFunction, ledger: OracleLedger | None,
+                eps: float | None) -> OracleLedger:
+    """``ledger``, or a new one for F, its first-hit threshold defaulting
+    to ``eps``; one of another size than F raises before any evaluation."""
+    if ledger is None:
+        ledger = OracleLedger(n=F.n)
+    if ledger.n != F.n:
+        raise ValueError(f"the ledger counts {ledger.n} components, not the "
+                         f"{F.n} of this sum")
+    if ledger.eps is None:
+        ledger.eps = eps
+    return ledger
+
+
 def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
              ledger: OracleLedger | None = None, budget: int | None = None
              ) -> tuple[np.ndarray, list[TrajectoryRecord]]:
@@ -404,10 +418,7 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
     The ledger's first-hit threshold defaults to ``params.eps``.
     """
     n, d = F.n, F.d
-    if ledger is None:
-        ledger = OracleLedger(n=n, eps=params.eps)
-    elif ledger.eps is None:
-        ledger.eps = params.eps
+    ledger = _run_ledger(F, ledger, params.eps)
     rng = np.random.default_rng(params.seed)
     x = np.zeros(d) if x0 is None else as_vector(x0, dim=d).copy()
 
@@ -473,15 +484,14 @@ def _exact_information_run(F: FiniteSumFunction, p: int, step, budget: int,
     if budget <= 0:
         raise ValueError("budget must be positive")
     n, d = F.n, F.d
-    if ledger is None:
-        ledger = OracleLedger(n=n)
+    ledger = _run_ledger(F, ledger, None)
     x = np.zeros(d) if x0 is None else as_vector(x0, dim=d).copy()
     trajectory: list[TrajectoryRecord] = []
     while ledger.total + p * n <= budget:
         passes = []
         for order in range(1, p + 1):
-            view = _Answered(F, x, order,
-                             [F._checked(i, x, order) for i in range(n)])
+            view = _Evaluated(F, x, order,
+                              [F._checked(i, x, order) for i in range(n)])
             for i in range(n):
                 query(ledger, view, i, x, order=order)
             passes.append(mean_derivatives(view.answers, (d,), order))

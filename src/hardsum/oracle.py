@@ -553,10 +553,10 @@ def query(ledger: OracleLedger, F: FiniteSumFunction, i: int, x,
     raises ValueError naming i and the order, and charges nothing.  A
     returned Hessian is exactly symmetric, so callers never re-symmetrize.
     F may be a read-only view of answers already checked at x (the SVRC
-    passes charge through one), which answers without evaluating or
-    checking again; its answer to a component at the order it holds is
-    one object, returned to every such query, so a caller must not assign
-    to an answer's fields.  A stack of points is rejected: charged access
+    and baseline passes charge through one), which answers without
+    evaluating or checking again; its answer to a component at the order
+    it holds is one object, returned to every such query, so a caller must
+    not assign to an answer's fields.  A stack of points is rejected: charged access
     is one point per call.
     ``count > 1`` records `count` i.i.d. repetitions of the identical query
     (the answer is deterministic, so it is evaluated once); this keeps the
@@ -579,43 +579,44 @@ def query(ledger: OracleLedger, F: FiniteSumFunction, i: int, x,
 
 
 class _Evaluated(FiniteSumFunction):
-    """Answers of some components of a sum at one point x, up to one
-    derivative order, held as one stack: a read-only view that
-    :func:`query` charges rows through without evaluating or checking them
-    again.
-
-    ``source`` is the sum F the answers are of, ``x`` the point; ``stack``
-    holds the answers, row k answering component ``rows[k]``; ``where[i]``
-    is the row of component i, -1 where the view does not hold it.
-    Building the view checks the whole stack as :func:`query` checks one
-    answer (:func:`_check_answer`: a bad row raises the error it would
-    raise alone; Hessians are kept symmetrized), so each row is checked
-    once however often it is charged, and builds each row's answer once
-    (its value a numpy float, as a row of the stack reads), so that a
-    charge of a row returns that answer, shared.  The view refuses another
+    """Checked answers of some components of a sum F (``source``) at one
+    point ``x`` up to one order: a read-only view that :func:`query`
+    charges rows through without evaluating or checking them again.
+    ``answers[i]`` is component i's answer, None where not held, one object
+    to every charge of it: a baseline pass's rows (a resisting oracle's
+    round can close mid-pass, leaving them factored over bases of two
+    widths) or one stack's (:meth:`from_stack`).  The view refuses another
     point, a higher order and an index it does not hold; the SVRC
-    estimators refuse a view of another sum.
-    """
+    estimators refuse a view of another sum."""
 
     def __init__(self, F: FiniteSumFunction, x: np.ndarray, order: int,
-                 rows, stack: Derivatives):
-        rows = np.asarray(rows)
+                 answers: list):
         self.source, self.n, self.d = F, F.n, F.d
-        self.x, self._order = x, order
-        self.where = np.full(F.n, -1)
-        self.where[rows] = np.arange(rows.size)
-        self.stack = _check_answer(stack, rows, order, F.d)
-        parts = (self.stack.value, self.stack.grad, self.stack.hess)
-        # component i's answer, None where the view does not hold it
-        self._rows = [None] * F.n
-        for i, der in zip(rows.tolist(),
-                          map(Derivatives, *parts[:order + 1])):
-            self._rows[i] = der
+        self.x, self._order, self.answers = x, order, answers
+
+    @classmethod
+    def from_stack(cls, F: FiniteSumFunction, rows, x: np.ndarray,
+                   order: int, stack: Derivatives) -> _Evaluated:
+        """The view of ``stack``, row k answering component ``rows[k]``,
+        checked once as :func:`query` checks one answer (a bad row raises
+        its own error; Hessians are kept symmetrized) and split into one
+        answer per row, its value a numpy float.  It keeps the checked
+        ``stack`` and ``where[i]``, the row of component i or -1."""
+        rows = np.asarray(rows)
+        stack = _check_answer(stack, rows, order, F.d)
+        answers = [None] * F.n
+        parts = (stack.value, stack.grad, stack.hess)[:order + 1]
+        for i, der in zip(rows.tolist(), map(Derivatives, *parts)):
+            answers[i] = der
+        view = cls(F, x, order, answers)
+        view.stack, view.where = stack, np.full(F.n, -1)
+        view.where[rows] = np.arange(rows.size)
+        return view
 
     @classmethod
     def evaluate(cls, F: FiniteSumFunction, rows, x: np.ndarray,
                  order: int) -> _Evaluated:
-        return cls(F, x, order, rows, F.components(rows, x, order))
+        return cls.from_stack(F, rows, x, order, F.components(rows, x, order))
 
     def held(self, rows: np.ndarray):
         """Where the order-2 answers of held components ``rows`` sit in the
@@ -642,32 +643,12 @@ class _Evaluated(FiniteSumFunction):
     def _checked(self, i: int, x: np.ndarray, order: int) -> Derivatives:
         if x is not self.x or order > self._order:
             self._refuse(x, order)
-        der = self._rows[i]
+        der = self.answers[i]
         if der is None:
             raise ValueError(f"component {i} was not evaluated here")
         if order < self._order:
             der = Derivatives(der.value, der.grad if order >= 1 else None)
         return der
-
-
-class _Answered(FiniteSumFunction):
-    """The checked answers of every component of F at one point x up to
-    one order, one :class:`Derivatives` each in index order: the read-only
-    view a baseline pass charges through once all of it has answered.  It
-    keeps rows, not a stack, because a round of the resisting oracle can
-    close mid-pass and leave rows factored over bases of two widths.  It
-    refuses as :class:`_Evaluated` refuses."""
-
-    def __init__(self, F: FiniteSumFunction, x: np.ndarray, order: int,
-                 answers: list):
-        self.n, self.d = F.n, F.d
-        self.x, self._order, self.answers = x, order, answers
-
-    _refuse = _Evaluated._refuse
-
-    def _checked(self, i: int, x: np.ndarray, order: int) -> Derivatives:
-        self._refuse(x, order)
-        return self.answers[i]
 
 
 def record_iterate(ledger: OracleLedger,

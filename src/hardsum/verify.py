@@ -506,7 +506,7 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
         g_moments += [g ** 1.5 for g in _norms(D).tolist()]
         h_moments += [float(h) ** 3 for h in _op_norm(HF - U)]
 
-    snapshot = _Evaluated(instance, x_hat, 2, np.arange(n), at_hat)
+    snapshot = _Evaluated.from_stack(instance, np.arange(n), x_hat, 2, at_hat)
     cross_err = 0.0
     for t, (idx_g, idx_h) in enumerate(cross):
         led = OracleLedger(n=n)

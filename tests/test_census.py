@@ -23,10 +23,10 @@ def test_census_of_this_tree():
         r"keys, (\d+) CLI flags, (\d+) environment variables\)", lines[1])
     total, params, keys, flags, env = map(int, settable.groups())
     assert total == params + keys + flags + env
-    # RunConfig's fields; --config --seed --out --budget --quiet --seeds;
-    # no environment variable
-    assert (keys, flags, env) == (29, 6, 0)
-    assert params > 0
+    # the public callables' defaulted parameters; RunConfig's fields;
+    # --config --seed --out --budget --quiet --seeds; no environment
+    # variable
+    assert (params, keys, flags, env) == (70, 29, 6, 0)
     tests = re.fullmatch(r"test lines: (\d+)", lines[2])
     assert int(tests[1]) == sum(path.read_bytes().count(b"\n")
                                 for path in (ROOT / "tests").glob("*.py"))

@@ -789,7 +789,8 @@ class TestRowSets:
         x = chain_points(F, rng, 1)[0]
         ledger = OracleLedger(n=spec.n)
         # the other components answer before and after the bad one (during
-        # play the bad move closes a round, and the next table fails too)
+        # play the refused move counts nothing, the move of component 1
+        # closes a round, and the next table fails too)
         got, ref = _checked_move(F, 0, x, order)
         assert _same_move(got, ref)
         with pytest.raises(ValueError,
@@ -803,6 +804,90 @@ class TestRowSets:
             assert _same_move(got, ref)
             query(ledger, F, i, x, order=order)
         assert ledger.per_index.tolist() == [0, 1, 0, 1]
+
+
+    def test_a_refused_move_leaves_the_game_as_it_was(self, rng,
+                                                      monkeypatch):
+        # a charged query that is refused charges nothing, is not archived
+        # and counts nothing towards closing the round, so the certificate
+        # does not replay it
+        spec = _small_game_spec(n=4, rounds=6)
+        F = ResistingOracle(spec, seed=41)
+        _nan_gradient(monkeypatch, 2)
+        x = chain_points(F, rng, 1)[0]
+        ledger = OracleLedger(n=spec.n)
+        query(ledger, F, 0, x, 1)
+
+        def state():
+            return (F.rounds_closed, F.num_archived, set(F._round_seen),
+                    ledger.counters(), ledger.per_index.tolist())
+
+        before = state()
+        assert before[:3] == (0, 1, {0})
+        with pytest.raises(ValueError, match=r"^component 2 answered a "
+                           r"non-finite gradient \(order 1\)$"):
+            query(ledger, F, 2, x, 1)
+        assert state() == before
+        monkeypatch.undo()
+        F.finalize()
+        assert F.certificate().num_queries == 1
+
+
+def _nan_gradient(monkeypatch, bad):
+    """Patch the resisting oracle's chain kernel so that component
+    ``bad``'s gradient is NaN in every answer table."""
+    kernel = resisting._chain_eval
+
+    def broken(*args):
+        ch = kernel(*args)
+        grad = ch.grad.copy()
+        grad[bad, 0] = np.nan
+        return Derivatives(ch.value, grad, ch.hess)
+
+    monkeypatch.setattr(resisting, "_chain_eval", broken)
+
+
+class TestPublicComponent:
+    """``component`` is the dense lift of the charged move ``_checked``:
+    one path for every move, so a bad answer is refused on both."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_is_the_dense_lift_of_the_checked_move(self, rng, n):
+        # twin games, one moved through component, one through _checked,
+        # at orders 0-2 during play and after finalize
+        spec = _small_game_spec(n=n, rounds=6)
+        F, twin = (ResistingOracle(spec, seed=60 + n) for _ in range(2))
+        for stage in ("play", "finalized"):
+            if stage == "finalized":
+                F.finalize()
+                twin.finalize()
+            for x in chain_points(F, rng, 2):
+                for order in range(3):
+                    for i in range(n):
+                        got = F.component(i, x, order)
+                        move = twin._checked(i, x, order)
+                        assert isinstance(got.value, float)
+                        assert same_answer(got, Derivatives(
+                            move.value, move.grad, _dense(move.hess)))
+                assert (F.num_archived, F.rounds_closed) == (
+                    twin.num_archived, twin.rounds_closed)
+            assert F.finalized or F.rounds_closed > 0
+        assert F.num_archived > 0
+        _assert_same_certificate(F.certificate(), twin.certificate())
+
+    def test_a_bad_answer_raises_and_archives_nothing(self, rng,
+                                                      monkeypatch):
+        spec = _small_game_spec(n=4, rounds=6)
+        F = ResistingOracle(spec, seed=62)
+        _nan_gradient(monkeypatch, 2)
+        x = chain_points(F, rng, 1)[0]
+        F.component(0, x, 1)
+        for order in (1, 2):
+            with pytest.raises(ValueError, match=r"^component 2 answered a "
+                               rf"non-finite gradient \(order {order}\)$"):
+                F.component(2, x, order)
+        assert (F.num_archived, F.rounds_closed, F._round_seen) == (
+            1, 0, {0})
 
 
 class _EveryMoveTwin(ResistingOracle):

@@ -1099,6 +1099,32 @@ def test_a_bad_answer_is_refused_alike_on_every_path(n, d, data):
         assert led.per_index.tolist() == [0] * n
 
 
+@pytest.mark.parametrize("size", [2, 6])
+@pytest.mark.parametrize("run", [
+    lambda F, led: svrc_run(F, svrc_default_params(
+        n=F.n, d=F.d, Delta=1.0, L2=1.0, eps=1e-3), ledger=led, budget=40),
+    lambda F, led: baseline_full_gd(F, 0.1, 40, ledger=led),
+    lambda F, led: baseline_full_cubic(F, 10.0, 40, ledger=led),
+], ids=["svrc_run", "baseline_full_gd", "baseline_full_cubic"])
+def test_a_ledger_of_another_size_is_refused(size, run, monkeypatch):
+    # a narrower ledger used to raise IndexError after booking part of the
+    # first pass, a wider one to book silently; both are refused before
+    # any component is evaluated, and the ledger is left as it was
+    F = quadratic_cosine_sum(4, 3, seed=7)
+    evaluations = []
+    kernel = type(F)._evaluate
+    monkeypatch.setattr(type(F), "_evaluate",
+                        lambda *a: evaluations.append(1) or kernel(*a))
+    led = OracleLedger(n=size)
+    with pytest.raises(ValueError, match=rf"^the ledger counts {size} "
+                       r"components, not the 4 of this sum$"):
+        run(F, led)
+    assert evaluations == []
+    assert led.counters() == OracleLedger(n=size).counters()
+    assert led.per_index.tolist() == [0] * size
+    assert led.eps is None and led.iterates_recorded == 0
+
+
 class TestBaselines:
     def test_a_failing_order_2_pass_charges_none_of_its_rows(self):
         # the last row's Hessian is asymmetric: the order-1 pass is charged

@@ -83,7 +83,6 @@ class TestFiniteSum:
             "CallableFiniteSum": {"component"},
             "_QuadraticCosineSum": {"component", "components", "_answers"},
             "_Evaluated": {"_checked"},
-            "_Answered": {"_checked"},
             "RandomizedHardInstance": {"component", "_answers"},
             "ResistingOracle": {"component", "_answers", "_checked", "full"},
             "_StackSum": {"component"},
@@ -928,11 +927,10 @@ class TestSumContract:
     refusal moves the resisting oracle's game."""
 
     def test_every_sum_has_an_entry(self):
-        # _Evaluated and _Answered are views of answers already given, not
-        # sums
+        # _Evaluated is a view of answers already given, not a sum
         built = {type(build()) for build, _ in SUMS.values()}
         assert {cls.__name__ for cls in _package_sums() - built} == {
-            "FiniteSumFunction", "_Evaluated", "_Answered"}
+            "FiniteSumFunction", "_Evaluated"}
 
     @ORDERS
     @NAMES
@@ -1164,7 +1162,8 @@ class TestEvaluatedView:
         assert stack.hess.flags.writeable
         assert _check_answer(stack, np.array([4, 1, 2]), 2, 3).hess \
             is stack.hess
-        assert _Evaluated(F, x, 2, [4, 1, 2], stack).stack.hess is stack.hess
+        assert _Evaluated.from_stack(F, [4, 1, 2], x, 2,
+                                     stack).stack.hess is stack.hess
         # every row in order reads the answer table in place, read-only
         table = F._table(x)
         view = _Evaluated.evaluate(F, np.arange(F.n), x, 2)
