@@ -47,8 +47,9 @@ class HardInstanceSpec:
     """The scaling bundle shared by all hard-instance constructions.
 
     Every instance is built from one, so it checks the geometry, from
-    :meth:`from_dict` too: p, n, K and d are ints of at least one, and R^d
-    holds the adversary's K + 1 directions or n slots of d/n >= nK columns.
+    :meth:`from_dict` too: p, n, K and d are ints of at least one, the
+    adversary's game has n >= 2 components, and R^d holds its K + 1
+    directions or n slots of d/n >= nK columns.
     """
 
     mode: str
@@ -76,6 +77,10 @@ class HardInstanceSpec:
             raise ValueError("sigma and lambda must be positive")
         n, K, d = self.n, self.K, self.d
         if self.mode == "deterministic":
+            if n < 2:
+                raise ValueError(f"a deterministic game needs n >= 2, got "
+                                 f"n = {n}: no component would carry the "
+                                 "chain terms of rounds after the first")
             if d < K + 1:
                 raise ValueError("d must be at least K + 1")
         elif d % n != 0:

@@ -37,7 +37,7 @@ from .cubic import CubicModel, solve
 from .instances.params import _check_positive, _real_count
 from .linalg import (_lambda_min, _norm, _shifted_pd, as_vector, row_matvec,
                      sym_matrix)
-from .oracle import (FiniteSumFunction, OracleLedger, _Evaluated,
+from .oracle import (FiniteSumFunction, OracleLedger, _Evaluated, _indices,
                      _integer, mean_derivatives, query, record_iterate)
 
 __all__ = [
@@ -251,20 +251,8 @@ def _batch_counts(batch, n: int) -> _Counts:
     idx = np.asarray(batch).ravel()
     if idx.size == 0:
         raise ValueError("batch must be non-empty")
-    if idx.dtype.kind not in "iu":
-        raise ValueError(f"batch indices must be integers, got {idx.dtype}")
-    idx = idx.astype(int, copy=False)
-    # bincount scans the range itself: it refuses a negative index, and an
-    # index >= n gives it more than n bins
-    try:
-        counts = np.bincount(idx, minlength=n)
-    except ValueError:
-        counts = None
-    if counts is None or counts.size > n:
-        lo, hi = int(idx.min()), int(idx.max())
-        raise ValueError(f"component index {lo if lo < 0 else hi} out of "
-                         f"range [0, {n})")
-    return _Counts(counts, idx.size)
+    idx = _indices(idx, n).astype(int, copy=False)
+    return _Counts(np.bincount(idx, minlength=n), idx.size)
 
 
 def _weighted_rows(w: np.ndarray, rows: np.ndarray) -> np.ndarray:

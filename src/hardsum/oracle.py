@@ -34,18 +34,19 @@ class FiniteSumFunction:
     """A finite sum F = (1/n) * sum_i f_i with components on R^d answering
     value/gradient/Hessian queries.
 
-    Subclasses implement :meth:`component`.  :meth:`full` answers one point
-    x of shape (d,) or a stack of P points of shape (P, d), and so does
-    :meth:`component` of every sum in the package except the resisting
-    oracle's, a game move of one point, which refuses a stack; a stack's
+    Subclasses write one private hook, :meth:`_evaluate`, component i at
+    checked points; the base derives :meth:`component` (order, index and
+    points checked, then :meth:`_evaluate`), :meth:`full` (the mean of
+    :meth:`_answers`, one evaluation per component by default) and
+    :meth:`_evaluate_all`.  :meth:`full` and :meth:`component` answer one
+    point x of shape (d,) or a stack of P points of shape (P, d), except
+    the resisting oracle's game move, which refuses a stack; a stack's
     answer holds values (P,), gradients (P, d) and Hessians (P, d, d).
     :meth:`components` answers several components at one point as the same
     kind of stack, one row per component, and :func:`query` one component
-    at one point.  Component indices are 0-based.  A sum that answers all
-    components at once may also override :meth:`_answers`, the one private
-    hook behind :meth:`full` and :func:`~hardsum.optim.mu`.  Charged
-    answers are checked by :func:`_check_answer`, which refuses other
-    shapes.
+    at one point.  Component indices are 0-based.  A sum that keeps a table
+    or stacks its answers overrides :meth:`components` or :meth:`_answers`.
+    Charged answers are checked by :func:`_check_answer`.
     """
 
     n: int
@@ -53,6 +54,14 @@ class FiniteSumFunction:
     _table_key = None       # the bytes of the point _table holds, or None
 
     def component(self, i: int, x, order: int = 2) -> Derivatives:
+        _check_order(order)
+        return self._evaluate(self.check_index(i), as_points(x, dim=self.d),
+                              order)
+
+    def _evaluate(self, i, x: np.ndarray, order: int) -> Derivatives:
+        """Component i at checked points x, (d,) or (P, d), up to ``order``:
+        the one hook a sum writes.  i is a checked index, or ``slice(None)``
+        for every component at once (:meth:`_evaluate_all`)."""
         raise NotImplementedError
 
     def components(self, rows, x, order: int = 2) -> Derivatives:
@@ -80,14 +89,7 @@ class FiniteSumFunction:
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("rows must be a non-empty sequence of indices, "
                              f"got shape {idx.shape}")
-        if idx.dtype.kind not in "iu":
-            raise ValueError(f"component indices must be integers, got "
-                             f"{idx.dtype}")
-        lo, hi = int(idx.min()), int(idx.max())
-        if lo < 0 or hi >= self.n:
-            raise ValueError(f"component index {lo if lo < 0 else hi} out of "
-                             f"range [0, {self.n})")
-        return idx
+        return _indices(idx, self.n)
 
     def full(self, x, order: int = 1) -> Derivatives:
         """Average of all components -- the free measurement side channel.
@@ -107,10 +109,10 @@ class FiniteSumFunction:
         :class:`Derivatives` per component in index order, or one stack of
         them (rows in index order): what :meth:`full` sums up to ``order``
         (a stack's higher parts are not read).  The default
-        asks :meth:`component` once per component as the answers are
-        consumed, so no stack of n Hessians is held; a sum that evaluates
-        all components at once overrides it."""
-        return (self.component(i, x, order) for i in range(self.n))
+        evaluates one component at a time as the answers are consumed, so
+        no stack of n Hessians is held; a sum that evaluates all components
+        at once overrides it."""
+        return (self._evaluate(i, x, order) for i in range(self.n))
 
     def _table(self, x: np.ndarray) -> Derivatives:
         """:meth:`_evaluate_all` at one point x, read only, kept until a
@@ -129,7 +131,7 @@ class FiniteSumFunction:
     def _evaluate_all(self, x: np.ndarray) -> Derivatives:
         """Every component's order-2 answer at one point x as one stack;
         each row, up to any order, has the bits of that row's evaluation."""
-        raise NotImplementedError
+        return self._evaluate(slice(None), x, 2)
 
 
 def _index(i, n: int) -> int:
@@ -146,6 +148,20 @@ def _index(i, n: int) -> int:
     if not 0 <= i < n:
         raise ValueError(f"component index {i} out of range [0, {n})")
     return i
+
+
+def _indices(idx: np.ndarray, n: int) -> np.ndarray:
+    """A non-empty array of component indices, checked as :func:`_index`
+    checks one; out of range names the smallest if negative, else the
+    largest."""
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"component indices must be integers, got "
+                         f"{idx.dtype}")
+    lo, hi = int(idx.min()), int(idx.max())
+    if lo < 0 or hi >= n:
+        raise ValueError(f"component index {lo if lo < 0 else hi} out of "
+                         f"range [0, {n})")
+    return idx
 
 
 def _stacked(answers: list, rows, order: int, d: int) -> Derivatives:
@@ -292,21 +308,21 @@ def _row_sum(part):
 class CallableFiniteSum(FiniteSumFunction):
     """Finite sum built from a list of ``f(x, order) -> Derivatives``.
 
-    The callables take one point; a stack of points is answered point by
-    point and the answers stacked.
+    Its :meth:`_evaluate` hands one point to callable i; a stack of points
+    is answered point by point and the answers stacked.
     """
 
     def __init__(self, components, d: int):
         self._components = list(components)
         self.n = len(self._components)
-        self.d = int(d)
+        self.d = _count(d, "d", 1)
         if self.n < 1:
             raise ValueError("need at least one component")
 
-    def component(self, i: int, x, order: int = 2) -> Derivatives:
-        _check_order(order)
-        i = self.check_index(i)
-        x = as_points(x, dim=self.d)
+    # bound here, not inherited, for the benchmark's tracer to patch
+    component = FiniteSumFunction.component
+
+    def _evaluate(self, i: int, x: np.ndarray, order: int) -> Derivatives:
         f = self._components[i]
         if x.ndim == 1:
             return f(x, order)
@@ -334,11 +350,6 @@ class _QuadraticCosineSum(FiniteSumFunction):
         self._A, self._b, self._c, self._r = A, b, c, r
         self.n, self.d = b.shape
 
-    def component(self, i: int, x, order: int = 2) -> Derivatives:
-        _check_order(order)
-        return self._evaluate(self.check_index(i), as_points(x, dim=self.d),
-                              order)
-
     def components(self, rows, x, order: int = 2) -> Derivatives:
         _check_order(order)
         rows = self.check_rows(rows)
@@ -351,12 +362,7 @@ class _QuadraticCosineSum(FiniteSumFunction):
     def _answers(self, x: np.ndarray, order: int):
         """At one point, the answer table; at a stack of points, one answer
         per component as they are consumed."""
-        if x.ndim == 1:
-            return self._table(x)
-        return (self._evaluate(i, x, order) for i in range(self.n))
-
-    def _evaluate_all(self, x: np.ndarray) -> Derivatives:
-        return self._evaluate(slice(None), x, 2)
+        return self._table(x) if x.ndim == 1 else super()._answers(x, order)
 
     def _evaluate(self, i, x, order: int) -> Derivatives:
         """Component i (an index, an index array, or the slice of every
@@ -542,8 +548,8 @@ class OracleLedger:
         }
 
 
-def query(ledger: OracleLedger, F: FiniteSumFunction, i: int, x,
-          order: int = 2, *, count: int = 1,
+def query(ledger: OracleLedger, F: FiniteSumFunction | _Evaluated, i: int,
+          x, order: int = 2, *, count: int = 1,
           requery: bool = False) -> Derivatives:
     """Charged oracle access to component i of F at one point x.
 
@@ -572,16 +578,17 @@ def query(ledger: OracleLedger, F: FiniteSumFunction, i: int, x,
         x = np.asarray(x)
         if x.ndim != 1:
             raise ValueError(f"query takes one point, got shape {x.shape}")
-        i = F.check_index(i)
+        i = _index(i, F.n)
     der = F._checked(i, x, order)
     ledger._book(i, order, count, requery)
     return der
 
 
-class _Evaluated(FiniteSumFunction):
+class _Evaluated:
     """Checked answers of some components of a sum F (``source``) at one
-    point ``x`` up to one order: a read-only view that :func:`query`
-    charges rows through without evaluating or checking them again.
+    point ``x`` up to one order: not a sum but a read-only view, with F's
+    ``n`` and ``d``, that :func:`query` charges rows through without
+    evaluating or checking them again.
     ``answers[i]`` is component i's answer, None where not held, one object
     to every charge of it: a baseline pass's rows (a resisting oracle's
     round can close mid-pass, leaving them factored over bases of two

@@ -18,13 +18,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chains import Derivatives, _check_order, chain_eval, hat_f_eval
+from .chains import Derivatives, chain_eval, hat_f_eval
 from .instances.params import HardInstanceSpec, randomized_params
 from .instances.randomized import (RandomizedHardInstance,
                                    sample_randomized_instance)
 from .instances.resisting import ResistingCertificate, ResistingOracle
 from .linalg import (_norm, _norms, _rel_errs, _richardson_combine,
-                     _stencil_points, _sym_part, as_points, as_rng, as_vector,
+                     _stencil_points, _sym_part, as_rng, as_vector,
                      rel_err, row_dot, sample_orthonormal_columns)
 from .oracle import (CallableFiniteSum, FiniteSumFunction, OracleLedger,
                      _count, _Evaluated, _integer, quadratic_cosine_sum)
@@ -738,12 +738,10 @@ def _status(passed: bool) -> str:
 
 class _StackSum(CallableFiniteSum):
     """A :class:`CallableFiniteSum` whose callables answer stacks of points
-    themselves, so a stack goes to them in one call."""
+    themselves: its :meth:`_evaluate` hands a stack to one in one call."""
 
-    def component(self, i: int, x, order: int = 2) -> Derivatives:
-        _check_order(order)
-        return self._components[self.check_index(i)](
-            as_points(x, dim=self.d), order)
+    def _evaluate(self, i: int, x: np.ndarray, order: int) -> Derivatives:
+        return self._components[i](x, order)
 
 
 def _chain_sum(K: int) -> _StackSum:

@@ -386,6 +386,20 @@ class TestRun:
         assert main(["run", "--config", cfg_path, "--quiet"]) == 2
         assert "hint" in capsys.readouterr().err
 
+    def test_deterministic_game_of_one_component_exits_2(self, tmp_path,
+                                                         capsys):
+        # it used to run its 16 moves and exit 0 with a failed certificate
+        cfg_path = _write(tmp_path, "c.ini", (
+            "[instance]\nmode = deterministic\np = 1\nn = 1\n"
+            f"delta = 3264\nL = {ell_p(1)!r}\neps = 1.0\n"
+            "[optimizer]\noptimizer = gd\nstep = 0.25\n"))
+        out = tmp_path / "m.jsonl"
+        assert main(["run", "--config", cfg_path, "--quiet",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a deterministic game needs n >= 2")
+        assert not out.exists()
+
     def test_run_and_gen_give_the_same_hint(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "c.ini", (
             "[instance]\nmode = deterministic\np = 1\nn = 2\n"

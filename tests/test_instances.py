@@ -230,6 +230,16 @@ class TestSpecContainer:
         with pytest.raises(ValueError, match=f"^{match}$"):
             HardInstanceSpec.from_dict(spec.to_dict() | {"d": d})
 
+    def test_rejects_a_deterministic_game_of_one_component(self):
+        # with n = 1 a round closes after its one move and gives its chain
+        # term to no component, so the finalized sum is term 0 alone and
+        # its gradient floor fails (min grad / bound 0.571 at K = 16)
+        match = r"^a deterministic game needs n >= 2, got n = 1: "
+        with pytest.raises(ValueError, match=match):
+            deterministic_params(p=1, n=1, Delta=3264.0, L=ell_p(1), eps=1.0)
+        with pytest.raises(ValueError, match=match):
+            HardInstanceSpec.from_dict(self._spec().to_dict() | {"n": 1})
+
     def test_numpy_sizes_are_stored_as_python_ints(self):
         # so the spec serializes to JSON
         spec = deterministic_params(1, np.int64(4), 384.0, ell_p(1), 1.0)

@@ -71,22 +71,41 @@ class TestFiniteSum:
         with pytest.raises(ValueError):
             CallableFiniteSum([], d=2)
 
+    @pytest.mark.parametrize("d, match", [
+        (2.7, "d must be an integer, got float"),
+        (True, "d must be an integer, got bool"),
+        ("3", "d must be an integer, got str"),
+        (0, "d must be >= 1, got 0"),
+        (-3, "d must be >= 1, got -3"),
+    ], ids=["float", "bool", "str", "zero", "negative"])
+    def test_dimension_that_is_no_positive_integer_rejected(self, d, match):
+        # int(d) used to read 2.7 as 2, True as 1 and "3" as 3
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            CallableFiniteSum([lambda x, order=2: Derivatives(0.0)], d=d)
+
     def test_answer_hooks_of_each_sum(self):
-        # each finite sum in the package answers through these hooks only;
-        # `_answers` is the one private evaluation hook
-        hooks = {"component", "components", "_answers", "_checked", "full"}
+        # each finite sum in the package writes `_evaluate`, its one kernel
+        # hook, and overrides `components` and `_answers` only where it
+        # keeps a table or stacks its answers; the resisting oracle's
+        # `component` is a game move
+        hooks = {"component", "components", "_answers", "_checked", "full",
+                 "_evaluate", "_evaluate_all"}
         found = {cls.__name__: {name for name in vars(cls) if name in hooks
                                 or name.startswith("_answers")}
                  for cls in _package_sums()}
         assert found == {
             "FiniteSumFunction": hooks,
-            "CallableFiniteSum": {"component"},
-            "_QuadraticCosineSum": {"component", "components", "_answers"},
-            "_Evaluated": {"_checked"},
-            "RandomizedHardInstance": {"component", "_answers"},
-            "ResistingOracle": {"component", "_answers", "_checked", "full"},
-            "_StackSum": {"component"},
+            "CallableFiniteSum": {"component", "_evaluate"},
+            "_QuadraticCosineSum": {"_evaluate", "components", "_answers"},
+            "RandomizedHardInstance": {"component", "_evaluate", "_answers"},
+            "ResistingOracle": {"component", "_answers", "_checked", "full",
+                                "_evaluate_all"},
+            "_StackSum": {"_evaluate"},
         }
+        # the two bound in their classes for the benchmark's tracer are the
+        # base's own, so no subclass checks its entry again
+        for cls in (CallableFiniteSum, RandomizedHardInstance):
+            assert vars(cls)["component"] is FiniteSumFunction.component
 
 
 class TestSyntheticBenchmark:
@@ -830,6 +849,24 @@ def _resisting(p, finalized):
     return F
 
 
+class _KernelOnlySum(FiniteSumFunction):
+    """A sum that writes the kernel hook alone: component i is
+    0.5 a_i |x|^2 + <g_i, x>, at a point or a stack of points."""
+
+    def __init__(self, n: int = 3, d: int = 4):
+        self.n, self.d = n, d
+        rng = np.random.default_rng(5)
+        self._a = rng.uniform(0.5, 1.5, n)
+        self._g = rng.standard_normal((n, d))
+
+    def _evaluate(self, i, x, order):
+        a, g = self._a[i], self._g[i]
+        hess = np.broadcast_to(a * np.eye(self.d),
+                               x.shape[:-1] + (self.d, self.d)).copy()
+        return Derivatives(*(0.5 * a * row_dot(x, x) + row_dot(g, x),
+                             a * x + g, hess)[:order + 1])
+
+
 #: every sum of the package, and how closely a row of its stacked answers
 #: agrees with the answer at its point: the clamp-based sums' batched clamp
 #: rounds derivatives (tests/test_chains.py TestStacks); values, and the
@@ -846,6 +883,9 @@ SUMS = {
        for p in (1, 2) for stage in ("play", "final")},
     "stack-chain": (lambda: _chain_sum(4), 0.0),
     "stack-hat": (lambda: _hat_sum(3, 12, seed=2), 1e-15),
+    # not the package's: the checks and stacks `component` derives from
+    # `_evaluate` alone
+    "kernel-only": (_KernelOnlySum, 0.0),
 }
 
 def _at_order(where: str, order):
@@ -908,6 +948,8 @@ def _evaluations(F, monkeypatch) -> list:
 
     if isinstance(F, CallableFiniteSum):
         monkeypatch.setattr(F, "_components", [spy(f) for f in F._components])
+    if isinstance(F, _KernelOnlySum):
+        monkeypatch.setattr(F, "_evaluate", spy(F._evaluate))
     for module, name in ((hardsum.oracle, "row_dot"),
                          (hardsum.instances.randomized, "_hat_f"),
                          (hardsum.instances.resisting, "_chain_eval")):
@@ -927,10 +969,9 @@ class TestSumContract:
     refusal moves the resisting oracle's game."""
 
     def test_every_sum_has_an_entry(self):
-        # _Evaluated is a view of answers already given, not a sum
         built = {type(build()) for build, _ in SUMS.values()}
         assert {cls.__name__ for cls in _package_sums() - built} == {
-            "FiniteSumFunction", "_Evaluated"}
+            "FiniteSumFunction"}
 
     @ORDERS
     @NAMES
