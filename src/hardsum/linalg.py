@@ -170,7 +170,8 @@ def _norms(A) -> np.ndarray:
 def sym_matrix(a) -> SymMatrix:
     """Validate symmetry of a square matrix (relative max-norm test) and
     return it exactly symmetric: A itself when it equals its transpose bit
-    for bit, else the symmetrized copy (A + A^T)/2."""
+    for bit (decided first, with no copy, when A is also finite), else the
+    symmetrized copy (A + A^T)/2."""
     A = a if isinstance(a, _Factored) else np.asarray(a, dtype=float)
     if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -194,22 +195,30 @@ def _sym_part(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _symmetrized(A):
     """The check and symmetrization of :func:`sym_matrix`, over the last two
     axes of a matrix or a stack of matrices; a :class:`_Factored` one is
-    checked and symmetrized through its S.  An input that equals its
-    transpose bit for bit is returned as it is ((a + a) / 2 is a, -0.0
-    included); any other passing input gets a new array."""
+    checked and symmetrized through its S.  A non-empty input that is
+    finite and equals its transpose bit for bit is decided first, with no
+    buffer the size of A, and returned as it is ((a + a) / 2 is a, -0.0
+    included).  Any other input is then tested for finite entries (an
+    empty matrix, which has no maximum, is refused) and for symmetry within
+    the tolerance; a passing one gets a new array, except a stack of no
+    matrices, returned as it is."""
     if isinstance(A, _Factored):
         S = _symmetrized(A.S)
         return A if S is A.S else _Factored(A.V, S)
     A = np.asarray(A, dtype=float)
     At = A.swapaxes(-1, -2)
+    # the bits, not the values: a -0.0 facing a +0.0 takes the path below,
+    # as does a mirrored NaN or inf pair, which is refused there
+    if (A.size and (A.view(np.uint64) == At.view(np.uint64)).all()
+            and np.isfinite(A).all()):
+        return A
     # one buffer holds |A|, then the skew, then the output
     out = np.absolute(A)
     # max|A| is NaN or inf exactly when some entry is
     scale = np.maximum.reduce(out, axis=(-2, -1))
     if not np.isfinite(scale).all():
         raise ValueError("matrix has non-finite entries")
-    # the bits, not the values: a -0.0 facing a +0.0 takes the path below
-    if (A.view(np.uint64) == At.view(np.uint64)).all():
+    if not A.size:
         return A
     with np.errstate(over="ignore"):    # an infinite skew is a refusal
         np.subtract(A, At, out=out)

@@ -127,13 +127,18 @@ class TestSymMatrixMatchesReference:
             A += rel * np.abs(A).max() * rng.standard_normal((d, d))
             assert _outcome(sym_matrix, A) == _outcome(_reference_sym_matrix, A)
 
+    @pytest.mark.parametrize("mirrored", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("d", [1, 20])
-    def test_non_finite_rejected(self, d, bad):
+    def test_non_finite_rejected(self, d, bad, mirrored):
+        # a mirrored pair leaves A equal to its transpose bit for bit
         A = np.eye(d)
         A[d - 1, 0] = bad
+        if mirrored:
+            A[0, d - 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             sym_matrix(A)
+        assert _outcome(sym_matrix, A) == _outcome(_reference_sym_matrix, A)
 
     def test_subnormal_floor(self):
         # every entry subnormal: a one-ulp asymmetry is still symmetry, a
@@ -178,11 +183,14 @@ class TestSymMatrixMatchesReference:
                            "Hessian: matrix is not symmetric"):
             _checked_hessians(stack)
 
+    @pytest.mark.parametrize("mirrored", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("k", [0, 3])
-    def test_stack_with_one_non_finite_member(self, k, bad):
+    def test_stack_with_one_non_finite_member(self, k, bad, mirrored):
         stack = [np.eye(4) for _ in range(4)]
         stack[k][2, 1] = bad
+        if mirrored:
+            stack[k][1, 2] = bad
         assert _stack_outcome(stack) == _member_outcome(stack)
         with pytest.raises(ValueError, match=f"component {k} answered a "
                            "Hessian: matrix has non-finite entries"):
@@ -249,15 +257,32 @@ class TestSymmetrizedOutput:
         assert A.tobytes() == before.tobytes()
         assert out.tobytes() == _reference_bits(A)
 
-    @pytest.mark.parametrize("shape", [(5, 5), (4, 5, 5), (4, 1, 1)])
-    def test_a_bitwise_symmetric_input_is_returned_as_it_is(self, shape):
+    @pytest.mark.parametrize("factored", [False, True])
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 5, 5), (4, 1, 1),
+                                       (0, 3, 3)])
+    def test_a_bitwise_symmetric_input_is_returned_as_it_is(self, shape,
+                                                            factored):
+        # a stack of no matrices included; a factored one is decided by
+        # its S
         G = np.random.default_rng(len(shape)).standard_normal(shape)
         A = G + G.swapaxes(-1, -2)
         A[..., -1, -1] = -0.0
         before = A.copy()
         check = sym_matrix if A.ndim == 2 else _symmetrized
-        assert check(A) is A
+        M = (_Factored(sample_orthonormal_columns(7, shape[-1], seed=1)
+                       .columns, A) if factored else A)
+        assert check(M) is M
         assert A.tobytes() == before.tobytes() == _reference_bits(A)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0)])
+    def test_an_empty_matrix_is_refused_by_its_maximum(self, shape):
+        A = np.zeros(shape)
+        with pytest.raises(ValueError) as want:     # its first matrix's
+            _reference_sym_matrix(A[(0,) * (A.ndim - 2)])
+        check = sym_matrix if A.ndim == 2 else _symmetrized
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(want.value))}$"):
+            check(A)
 
     @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("mirror", ["signed zero", "one ulp"])
@@ -279,13 +304,20 @@ class TestSymmetrizedOutput:
         assert A.tobytes() == before.tobytes()
         assert out.tobytes() == _reference_bits(A)
 
-    def test_a_finite_diagonal_near_the_float_maximum_stays(self):
-        # (a + a) / 2 overflowed to inf for a symmetric matrix
-        A = [[1e308, 0.0], [0.0, 1.0]]
+    @pytest.mark.parametrize("A", [
+        [[1e308, 0.0], [0.0, 1.0]], np.full((3, 4, 4), 1e308)],
+        ids=["one-matrix", "stack-summing-past-the-maximum"])
+    def test_a_finite_diagonal_near_the_float_maximum_stays(self, A):
+        # (a + a) / 2 overflowed to inf for a symmetric matrix; and a sum
+        # of the entries, as a finiteness test, would overflow with a
+        # warning
+        check = sym_matrix if np.ndim(A) == 2 else _symmetrized
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = sym_matrix(A)
+            out = check(A)
         assert out.tobytes() == np.array(A).tobytes()
+        if isinstance(A, np.ndarray):
+            assert out is A
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_a_pair_whose_sum_overflows_takes_the_finite_midpoint(
@@ -310,13 +342,18 @@ class TestSymmetrizedOutput:
         if stacked:
             assert _symmetrized(stack)[0].tobytes() == np.eye(3).tobytes()
 
-    @pytest.mark.parametrize("bad, match", [
-        (np.nan, "matrix has non-finite entries"),
-        (np.inf, "matrix has non-finite entries"),
-        (5.0, "matrix is not symmetric within tolerance")])
-    def test_a_bad_row_keeps_its_message(self, bad, match):
+    @pytest.mark.parametrize("bad, mirrored, match", [
+        (np.nan, False, "matrix has non-finite entries"),
+        (np.inf, False, "matrix has non-finite entries"),
+        (np.nan, True, "matrix has non-finite entries"),
+        (np.inf, True, "matrix has non-finite entries"),
+        (-np.inf, True, "matrix has non-finite entries"),
+        (5.0, False, "matrix is not symmetric within tolerance")])
+    def test_a_bad_row_keeps_its_message(self, bad, mirrored, match):
         stack = np.stack([np.eye(3)] * 4)
         stack[2, 0, 1] = bad
+        if mirrored:
+            stack[2, 1, 0] = bad
         for check, A in ((_symmetrized, stack), (sym_matrix, stack[2])):
             with pytest.raises(ValueError, match=f"^{match}$"):
                 check(A)

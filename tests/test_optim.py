@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
+import weakref
 
 from conftest import good_and_short
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from hardsum.chains import Derivatives
 from hardsum.cubic import CubicModel, solve
+from hardsum.instances import ResistingOracle, deterministic_params, ell_p
 from hardsum.linalg import _lambda_min, sample_orthonormal_columns
 from hardsum.oracle import (CallableFiniteSum, OracleLedger, _Evaluated,
                             quadratic_cosine_sum, query)
@@ -884,6 +887,38 @@ def test_a_benchmark_op_holds_no_hessian_batch():
     finally:
         tracemalloc.stop()
     assert peak < 8 * params.b_h, peak
+
+
+def _finished_cubic_game():
+    spec = deterministic_params(p=1, n=4, Delta=384.0, L=ell_p(1), eps=1.0)
+    F = ResistingOracle(spec, seed=5)
+    baseline_full_cubic(F, C_M * spec.L, 40, ledger=OracleLedger(n=spec.n))
+    F.finalize()
+    F.certificate()
+    return F
+
+
+def _svrc_sum():
+    F = quadratic_cosine_sum(16, 5, seed=2)
+    params = SvrcParams(M=15.0, b_g=4, b_h=4, S=2, T=3, eps=1e-4,
+                        Delta=10.0, L2=0.1, seed=0)
+    svrc_run(F, params, ledger=OracleLedger(n=F.n))
+    return F
+
+
+@pytest.mark.parametrize("run", [_finished_cubic_game, _svrc_sum],
+                         ids=["resisting-oracle", "svrc-sum"])
+def test_a_runs_sum_dies_by_reference_counting(run):
+    # a sum that holds a view whose source is the sum itself (a cache of
+    # checked row-set views, say) is a reference cycle: every benchmark op
+    # would leave its sum to the cycle collector, and peak RSS grows
+    gc.collect()
+    gc.disable()
+    try:
+        ref = weakref.ref(run())
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_a_benchmark_op_evaluates_each_point_once(monkeypatch):

@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import pickle
 import pkgutil
+import tracemalloc
 
 from conftest import (assert_rows, assert_shapes, chain_points, good_and_short,
                       same_answer, same_bits)
@@ -788,6 +789,22 @@ class TestQuadraticTable:
             assert not part.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             F.components(np.arange(F.n), x, 2).hess[0, 0, 0] = 1.0
+
+    def test_its_checked_hessians_are_its_own_array(self):
+        # svrc-synthetic's table stack is symmetric bit for bit, and its
+        # check reads it with no buffer the size of the stack
+        F = quadratic_cosine_sum(256, 20, seed=3)
+        x = np.random.default_rng(1).standard_normal(F.d)
+        table = F.components(np.arange(F.n), x, 2)
+        assert same_bits(table.hess, table.hess.swapaxes(-1, -2))
+        tracemalloc.start()
+        try:
+            checked = _check_answer(table, np.arange(F.n), 2, F.d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert checked.hess is table.hess
+        assert peak < table.hess.nbytes / 2, peak
 
     def test_a_point_of_other_bytes_misses(self, monkeypatch):
         F, x = self._sum(), self._point()

@@ -30,6 +30,13 @@ refused.
 Pairs in one process share the host's load from moment to moment, so a
 paired ratio resolves effects of a few percent that separate benchmark runs
 cannot.  The figures are raw seconds, not scaled to the host's speed.
+
+Pairs in one process under-read a saving in fresh allocations: both trees
+draw from one warm allocator, so an array the change no longer allocates
+costs the parent less here than in a fresh benchmark process.  A version
+of ``linalg._symmetrized`` that skipped its stack-sized |A| buffer read
+svrc 0.982 here (73 of 100 ops faster), against -3.3% to -4.3% of
+``op_s.p50`` in alternated benchmark pairs (``tools/bench_pairs.py``).
 """
 from __future__ import annotations
 
