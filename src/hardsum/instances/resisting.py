@@ -110,8 +110,10 @@ class ResistingOracle(FiniteSumFunction):
     A charged pass over the n components is n game moves in row order (so
     a round can close mid-pass) and one ledger charge per row.  A move is
     checked before it is archived and counted towards closing the round,
-    so a refused move is neither; the answers are checked once per table
-    and order, and the moves that read one row share its answer.
+    so a refused move is neither.  The answers are read-only views of one
+    order-2 stack per table, checked once, and the moves that read one
+    row share its answer; :meth:`full` and ``mu`` at that point sum the
+    same stack.
     The chain is evaluated once per point for all n components, into the
     answer table, which a round close drops: the moves of a pass, the
     order-1 and order-2 passes at one iterate and a measurement there read
@@ -136,8 +138,9 @@ class ResistingOracle(FiniteSumFunction):
         self._basis = np.zeros((self.d, self.d))
         self._nbasis = 0
         self._basis_key = None      # the bytes of the last point given
-        # the table the row sets (by order) were built from
-        self._row_table, self._row_sets = None, {}
+        # the table whose order-2 stack (unchecked) and checked answers
+        # (None where its check failed) the moves read
+        self._row_table = self._row_stack = self._row_answers = None
 
         self._rounds_closed = 0
         self._round_seen: set[int] = set()
@@ -227,6 +230,7 @@ class ResistingOracle(FiniteSumFunction):
         them: value, gradient and Hessian, factored as V S V^T."""
         a, a_grad, a_hess = self._scales()
         Vk = self._V[:, :active]
+        Vk.flags.writeable = False      # _V itself stays writeable
         val = a * ch.value
         if order == 0:
             return Derivatives(val)
@@ -253,10 +257,13 @@ class ResistingOracle(FiniteSumFunction):
 
     def _checked(self, i: int, x, order: int) -> Derivatives:
         """One game move, component i at one point x up to ``order``, its
-        Hessian factored: its row of the row set of its table and order,
-        checked once, or where that set fails, its answer checked alone,
-        which raises its own error.  Only a checked move is archived (during
-        play) and counted towards closing the round."""
+        Hessian factored: its row of the row set of its table, the table's
+        order-2 stack checked once, truncated to ``order``.  The checked
+        stack is read-only, so every move shares its rows; :meth:`_answers`
+        at x reads the stack as it was before its check.  Where that check
+        fails, the move's answer at ``order`` is checked alone, which raises
+        its own error.  Only a checked move is archived (during play) and
+        counted towards closing the round."""
         _check_order(order)
         i = self.check_index(i)
         if np.ndim(x) != 1:
@@ -266,18 +273,21 @@ class ResistingOracle(FiniteSumFunction):
         active = self._active
         table = self._table(x)
         if self._row_table is not table:
-            self._row_table, self._row_sets = table, {}
-        if order not in self._row_sets:
+            stack = self._answer(table, 2, active)
             try:
-                self._row_sets[order] = _Evaluated.from_stack(
-                    self, np.arange(self.n), x, order,
-                    self._answer(table, order, active)).answers
+                # the view is not kept: its source is this oracle
+                answers = _Evaluated.from_stack(self, np.arange(self.n), x,
+                                                2, stack).answers
             except ValueError:
-                self._row_sets[order] = [None] * self.n
-        der = self._row_sets[order][i]
+                answers = [None] * self.n
+            self._row_table, self._row_stack = table, stack
+            self._row_answers = answers
+        der = self._row_answers[i]
         if der is None:
             der = _check_answer(self._answer(_row(table, i, order), order,
                                              active), i, order, self.d)
+        elif order < 2:
+            der = Derivatives(der.value, der.grad if order >= 1 else None)
         if self.finalized:
             return der
         self._archive.append(_ArchivedQuery(
@@ -317,11 +327,15 @@ class ResistingOracle(FiniteSumFunction):
     def _answers(self, x: np.ndarray, order: int) -> Derivatives:
         """Every component's current answer at x as one stack, rows in
         index order and Hessians factored: what :meth:`full` sums, from one
-        chain evaluation."""
+        chain evaluation; at the point of the moves' row set, its order-2
+        stack as it was before its check."""
         active = self._active
-        ch = (self._table(x) if x.ndim == 1
-              else self._chains(x, order, active))
-        return self._answer(ch, order, active)
+        if x.ndim == 2:
+            return self._answer(self._chains(x, order, active), order, active)
+        table = self._table(x)
+        if table is self._row_table:
+            return self._row_stack
+        return self._answer(table, order, active)
 
     @property
     def _active(self) -> int:

@@ -198,10 +198,10 @@ def _symmetrized(A):
     checked and symmetrized through its S.  A non-empty input that is
     finite and equals its transpose bit for bit is decided first, with no
     buffer the size of A, and returned as it is ((a + a) / 2 is a, -0.0
-    included).  Any other input is then tested for finite entries (an
-    empty matrix, which has no maximum, is refused) and for symmetry within
-    the tolerance; a passing one gets a new array, except a stack of no
-    matrices, returned as it is."""
+    included).  Any other input is then refused if its matrices are 0 x 0,
+    with its shape named, and tested for finite entries and for symmetry
+    within the tolerance; a passing one gets a new array, except a stack of
+    no matrices, returned as it is."""
     if isinstance(A, _Factored):
         S = _symmetrized(A.S)
         return A if S is A.S else _Factored(A.V, S)
@@ -212,6 +212,8 @@ def _symmetrized(A):
     if (A.size and (A.view(np.uint64) == At.view(np.uint64)).all()
             and np.isfinite(A).all()):
         return A
+    if not A.shape[-1]:     # before the reduction, which has no identity
+        raise ValueError(f"matrix has no entries (shape {A.shape})")
     # one buffer holds |A|, then the skew, then the output
     out = np.absolute(A)
     # max|A| is NaN or inf exactly when some entry is

@@ -606,13 +606,17 @@ class _Evaluated:
                    order: int, stack: Derivatives) -> _Evaluated:
         """The view of ``stack``, row k answering component ``rows[k]``,
         checked once as :func:`query` checks one answer (a bad row raises
-        its own error; Hessians are kept symmetrized) and split into one
-        answer per row, its value a numpy float.  It keeps the checked
-        ``stack`` and ``where[i]``, the row of component i or -1."""
+        its own error; Hessians are kept symmetrized), its arrays made
+        read-only, and split into one answer per row, its value a numpy
+        float.  It keeps the checked ``stack`` and ``where[i]``, the row of
+        component i or -1."""
         rows = np.asarray(rows)
         stack = _check_answer(stack, rows, order, F.d)
-        answers = [None] * F.n
         parts = (stack.value, stack.grad, stack.hess)[:order + 1]
+        # before the split: a view takes its base's flag when it is made
+        for part in parts:
+            getattr(part, "S", part).flags.writeable = False
+        answers = [None] * F.n
         for i, der in zip(rows.tolist(), map(Derivatives, *parts)):
             answers[i] = der
         view = cls(F, x, order, answers)

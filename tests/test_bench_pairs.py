@@ -192,3 +192,43 @@ def test_a_failed_run_is_printed_and_exits_non_zero(tmp_path):
     assert lines[2].startswith("pair 0 change FAILED (exit 1)")
     assert lines[3] == "0 of 1 pairs judged, 1 runs failed"
     assert len(lines) == 4
+
+
+#: a stand-in benchmark whose op_s.p50 is the tree's number times the seed
+SEEDED_BENCH = FAKE_BENCH.replace(
+    'op = float(Path("op_s").read_text())',
+    'op = float(Path("op_s").read_text()) * int(sys.argv[sys.argv.index('
+    '"--seed") + 1])')
+
+
+def test_each_seed_gets_its_pairs_and_its_verdicts(tmp_path):
+    assert SEEDED_BENCH != FAKE_BENCH
+    trees = [_fake_tree(tmp_path / side, op_s)
+             for side, op_s in (("p", 2.0), ("c", 1.0))]
+    for tree in trees:
+        _write(tree / "bench" / "run.py", SEEDED_BENCH)
+    run = subprocess.run(
+        [sys.executable, str(TOOL), *map(str, trees), "--workload", "w",
+         "--seed", "3", "--seed", "5", "--pairs", "1", "--seconds", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 2 * 6
+    for block, seed in zip((lines[:6], lines[6:]), (3, 5)):
+        assert block[0].startswith(f"w: 1 pairs from seed {seed}, ")
+        assert block[1].startswith(f"pair 0 parent op_s.p50 {2 * seed} s")
+        assert block[2].startswith(f"pair 0 change op_s.p50 {seed} s")
+        assert block[3] == "1 of 1 pairs judged, 0 runs failed"
+        assert block[4].startswith(
+            f"op_s.p50 (s, lower is better, bound 0.25): parent {2 * seed} "
+            f"[{2 * seed}, {2 * seed}], change {seed} [{seed}, {seed}]")
+        assert block[5].startswith("peak_rss_mb ")
+
+
+def test_a_seed_given_twice_is_refused(tmp_path):
+    run = subprocess.run(
+        [sys.executable, str(TOOL), str(tmp_path), str(tmp_path),
+         "--workload", "w", "--seed", "3", "--seed", "3", "--pairs", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert "each --seed may be given once" in run.stderr

@@ -38,7 +38,7 @@ from hardsum.linalg import (
     sample_orthonormal_columns,
 )
 from hardsum.optim import C_M, baseline_full_cubic, baseline_full_gd, mu
-from hardsum.oracle import (OracleLedger, _check_answer, _row,
+from hardsum.oracle import (OracleLedger, _check_answer, _Evaluated, _row,
                             mean_derivatives, query)
 
 # Frozen closed-form constants: 2^(p+1) exp(2.5p + ln p + 4p + 10)
@@ -650,7 +650,9 @@ class TestChainTable:
         # during play a round closes after every second distinct index, so
         # the 8 moves read 4 tables, two moves each; after the game they
         # read one.  Each answer is chain_eval's on that move's directions
-        # and mask, and mutating one in place changes no later answer
+        # and mask; its served arrays refuse a write, and a write into a
+        # public answer's lifted Hessian, a fresh array, changes no later
+        # answer
         spec = _small_game_spec(rounds=6)
         F = ResistingOracle(spec, seed=17)
         calls = []
@@ -675,17 +677,22 @@ class TestChainTable:
                         raw = query(ledger, F, i, x, order=order)
                         got = Derivatives(raw.value, raw.grad,
                                           _dense(raw.hess))
-                        parts = (raw.grad, getattr(raw.hess, "S", None))
+                        served = (raw.grad, getattr(raw.hess, "S", None),
+                                  getattr(raw.hess, "V", None))
+                        fresh = None
                     else:
                         got = F.component(i, x, order)
-                        parts = (got.grad, got.hess)
+                        served, fresh = (got.grad,), got.hess
                     assert same_answer(got, public)
                     if not game_over:
                         assert F.num_archived == archived + 1
                         assert same_answer(F._archive[-1].response, coords)
-                    for part in parts:
+                    for part in served:
                         if part is not None:
-                            part[...] = np.nan
+                            with pytest.raises(ValueError, match="read-only"):
+                                part[...] = np.nan
+                    if fresh is not None:
+                        fresh[...] = np.nan
             if game_over:
                 assert calls[before:] == [spec.K + 1]
             else:
@@ -742,9 +749,9 @@ def _checked_move(F, i, x, order):
 
 
 class TestRowSets:
-    """A charged move reads its answer from the row set of its answer table
-    and order, checked once as a stack: bit for bit the answer it would get
-    alone, and a bad row still raises the error naming it."""
+    """A charged move reads its answer from the row set of its answer table,
+    the table's order-2 stack checked once: bit for bit the answer it would
+    get alone, and a bad row still raises the error naming it."""
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_every_move_equals_its_answer_alone(self, rng, n):
@@ -769,7 +776,8 @@ class TestRowSets:
             previous = x
         assert closes == {False, True}
 
-    @pytest.mark.parametrize("defect", ["nan-gradient", "asymmetric-S"])
+    @pytest.mark.parametrize("defect", ["nan-gradient", "asymmetric-S",
+                                        "asymmetric-S-at-order-1"])
     @pytest.mark.parametrize("finalized", [False, True])
     def test_a_bad_row_raises_its_own_error(self, rng, monkeypatch, defect,
                                             finalized):
@@ -793,11 +801,27 @@ class TestRowSets:
             return Derivatives(ch.value, ch.grad, hess)
 
         monkeypatch.setattr(resisting, "_chain_eval", broken)
+        x = chain_points(F, rng, 1)[0]
+        ledger = OracleLedger(n=spec.n)
+        if defect == "asymmetric-S-at-order-1":
+            # a bad Hessian fails the table's stack, so every order-1 move
+            # is answered alone, and only the bad row's order-2 move is
+            # refused; the measurement reads the same unchecked stack
+            for i in range(spec.n):
+                got, ref = _checked_move(F, i, x, 1)
+                assert _same_move(got, ref)
+                assert F._row_answers == [None] * spec.n
+            with pytest.raises(ValueError, match=rf"^component {bad} "
+                               r"answered a Hessian: matrix is not "
+                               r"symmetric.* \(order 2\)$"):
+                query(ledger, F, bad, x, order=2)
+            assert not ledger.per_index.any()
+            assert F._answers(x, 2) is F._row_stack
+            assert np.isfinite(F.full(x, 2).hess).all()
+            return
         order = 1 if defect == "nan-gradient" else 2
         match = ("non-finite gradient" if order == 1
                  else "Hessian: matrix is not symmetric")
-        x = chain_points(F, rng, 1)[0]
-        ledger = OracleLedger(n=spec.n)
         # the other components answer before and after the bad one (during
         # play the refused move counts nothing, the move of component 1
         # closes a round, and the next table fails too)
@@ -815,6 +839,78 @@ class TestRowSets:
             query(ledger, F, i, x, order=order)
         assert ledger.per_index.tolist() == [0, 1, 0, 1]
 
+    def test_one_iteration_reads_one_stack_and_one_row_set(self,
+                                                           monkeypatch):
+        # a finalized baseline iteration at one point: the order-1 and
+        # order-2 passes and mu read one order-2 stack, checked once
+        spec = _small_game_spec(n=4, rounds=6)
+        F = ResistingOracle(spec, seed=42)
+        F.finalize()
+        stacks, row_sets = [], []
+        answer, from_stack = ResistingOracle._answer, _Evaluated.from_stack
+
+        def spy_answer(self, ch, order, active):
+            if np.ndim(ch.value):
+                stacks.append(order)
+            return answer(self, ch, order, active)
+
+        def spy_from_stack(F, rows, x, order, stack):
+            row_sets.append(order)
+            return from_stack(F, rows, x, order, stack)
+
+        monkeypatch.setattr(ResistingOracle, "_answer", spy_answer)
+        monkeypatch.setattr(_Evaluated, "from_stack", spy_from_stack)
+        ledger = OracleLedger(n=spec.n)
+        rows = baseline_full_cubic(F, C_M * spec.L, 2 * spec.n,
+                                   ledger=ledger, L2=spec.L)
+        assert len(rows) == 1 and rows[0].mu is not None
+        assert ledger.total == 2 * spec.n
+        assert stacks == [2] and row_sets == [2]
+
+    def test_a_served_direction_matrix_refuses_a_write(self, rng):
+        # the V of a served Hessian is a view of the game's directions: a
+        # write into it is refused, and every later answer keeps the bits
+        # of a twin's
+        spec = _small_game_spec(n=4, rounds=6)
+        F, twin = (ResistingOracle(spec, seed=43) for _ in range(2))
+        F.finalize()
+        twin.finalize()
+        x, y = chain_points(F, rng, 2)
+        V = query(OracleLedger(n=spec.n), F, 0, x, 2).hess.V
+        with pytest.raises(ValueError, match="read-only"):
+            V[:] = 0.0
+        for point in (y, x):
+            for order in range(3):
+                assert same_answer(F.full(point, order),
+                                   twin.full(point, order))
+                for i in range(spec.n):
+                    assert _same_move(F._checked(i, point, order),
+                                      twin._checked(i, point, order))
+        assert mu(F, y, spec.L) == mu(twin, y, spec.L)
+
+    def test_a_symmetrized_stack_is_served_read_only(self, rng,
+                                                     monkeypatch):
+        # a stack one ulp from symmetric passes its check as a new,
+        # symmetrized S: the one the moves are served, read-only
+        spec = _small_game_spec(n=4, rounds=6)
+        F = ResistingOracle(spec, seed=44)
+        F.finalize()
+        kernel = resisting._chain_eval
+
+        def skewed(*args):
+            ch = kernel(*args)
+            hess = ch.hess.copy()
+            hess[..., 0, 1] = np.nextafter(hess[..., 0, 1], np.inf)
+            return Derivatives(ch.value, ch.grad, hess)
+
+        monkeypatch.setattr(resisting, "_chain_eval", skewed)
+        x = chain_points(F, rng, 1)[0]
+        for i in range(spec.n):
+            got, ref = _checked_move(F, i, x, 2)
+            assert _same_move(got, ref)
+            assert not same_bits(got.hess.S, F._row_stack.hess.S[i])
+            with pytest.raises(ValueError, match="read-only"):
+                got.hess.S[...] = np.nan
 
     def test_a_refused_move_leaves_the_game_as_it_was(self, rng,
                                                       monkeypatch):

@@ -276,13 +276,12 @@ class TestSymmetrizedOutput:
 
     @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0)])
     def test_an_empty_matrix_is_refused_by_its_maximum(self, shape):
-        A = np.zeros(shape)
-        with pytest.raises(ValueError) as want:     # its first matrix's
-            _reference_sym_matrix(A[(0,) * (A.ndim - 2)])
-        check = sym_matrix if A.ndim == 2 else _symmetrized
-        with pytest.raises(ValueError,
-                           match=f"^{re.escape(str(want.value))}$"):
-            check(A)
+        # refused before the maximum, which has no identity, by the
+        # package's own message naming the shape
+        check = sym_matrix if len(shape) == 2 else _symmetrized
+        with pytest.raises(ValueError, match=r"^matrix has no entries "
+                           rf"\(shape {re.escape(str(shape))}\)$"):
+            check(np.zeros(shape))
 
     @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("mirror", ["signed zero", "one ulp"])

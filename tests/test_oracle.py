@@ -1124,6 +1124,19 @@ class TestEvaluatedView:
                            F.component(1, x, 0))
         assert led.per_index.tolist() == [0, 1, 0, 0, 3]
 
+    def test_its_answers_refuse_a_write(self):
+        # an answer is one object to every charge of it, so its arrays and
+        # the stack they are views of are read-only
+        F = quadratic_cosine_sum(5, 3, seed=4)
+        x = np.array([0.3, -1.0, 2.0])
+        view = _Evaluated.evaluate(F, [4, 1], x, 2)
+        der = query(OracleLedger(n=F.n), view, 4, x, order=2)
+        for part in (view.stack.value, der.grad, der.hess):
+            with pytest.raises(ValueError, match="read-only"):
+                part[...] = 0.0
+        assert same_answer(query(OracleLedger(n=F.n), view, 4, x, order=2),
+                           F.component(4, x, 2))
+
     def test_refuses_what_it_does_not_hold(self):
         F, x, view = self._view()
         led = OracleLedger(n=F.n)

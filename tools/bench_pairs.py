@@ -1,7 +1,7 @@
 """Run the benchmark on two versions of the repository in alternated pairs,
 then judge every end-to-end metric of the parent's ``BENCHMARK.json``.
 
-    python tools/bench_pairs.py PARENT CHANGE --workload W --seed S --pairs N [--seconds 20]
+    python tools/bench_pairs.py PARENT CHANGE --workload W --seed S [--seed S2 ...] --pairs N [--seconds 20]
 
 PARENT and CHANGE are each a git revision of the repository this tool sits
 in, exported with ``git archive``, or a directory, copied without ``.git``
@@ -9,13 +9,16 @@ and without what its root ``.gitignore`` lists (``__pycache__``,
 ``.bench_out`` and the other caches).  Every run gets a fresh copy of its
 side and runs the parent's benchmark command (``python3 bench/run.py``)
 with ``--workload W --seed S --seconds T --trace 0`` in it; pair i runs the
-parent first when i is even and the change first when it is odd.
+parent first when i is even and the change first when it is odd.  Each
+``--seed`` gets its own N pairs and its own block of output, seed by seed
+in the order given, so a claim can be checked on a seed not used while
+writing the change in the same command.
 
-One line per run gives its end-to-end metrics, or why it failed.  Then,
-for each end-to-end metric, one line gives each side's median and
-quartiles over its runs, the ratio of the medians (change / parent), the
-pairs the change won by the metric's ``better`` (ties count for neither),
-the parent's quartile distance and a verdict:
+In a seed's block, one line per run gives its end-to-end metrics, or why
+it failed.  Then, for each end-to-end metric, one line gives each side's
+median and quartiles over its runs, the ratio of the medians (change /
+parent), the pairs the change won by the metric's ``better`` (ties count
+for neither), the parent's quartile distance and a verdict:
 
 - ``gain``: at least ten pairs, the change won at least nine tenths of
   them, and its median is better than the parent's by more than the
@@ -27,8 +30,8 @@ the parent's quartile distance and a verdict:
 - ``no worse`` otherwise.
 
 Only pairs whose two runs both passed are judged.  The exit status is 1
-when any run failed (a non-zero exit, no result line, or a result that is
-not correct), 2 when a side cannot be exported.
+when any run of any seed failed (a non-zero exit, no result line, or a
+result that is not correct), 2 when a side cannot be exported.
 """
 from __future__ import annotations
 
@@ -116,15 +119,16 @@ def export(side: str, dest: Path, repo: Path = ROOT) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_once(template: Path, command: list[str], args, workdir: Path):
-    """One benchmark run in a fresh copy of ``template``: its metrics
-    (name to value), or the reason it failed as a string."""
+def run_once(template: Path, command: list[str], args, seed: int,
+             workdir: Path):
+    """One benchmark run at ``seed`` in a fresh copy of ``template``: its
+    metrics (name to value), or the reason it failed as a string."""
     tree = workdir / "tree"
     shutil.copytree(template, tree)
     timeout = 10 * args.seconds + 600
     try:
         proc = subprocess.run(
-            command + ["--workload", args.workload, "--seed", str(args.seed),
+            command + ["--workload", args.workload, "--seed", str(seed),
                        "--seconds", str(args.seconds), "--trace", "0"],
             cwd=tree, capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
@@ -185,28 +189,24 @@ def _quartiles(q) -> str:
     return f"{median:.6g} [{q1:.6g}, {q3:.6g}]"
 
 
-def run(args) -> int:
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        tmp = Path(tmp)
-        templates = {}
-        for side, name in zip(SIDES, (args.parent, args.change)):
-            templates[side] = tmp / side
-            export(name, templates[side])
-        spec = json.loads((templates["parent"] / "BENCHMARK.json")
-                          .read_text(encoding="utf-8"))
-        metrics = spec["end_to_end"]
-        print(f"{args.workload}: {args.pairs} pairs from seed {args.seed}, "
-              f"--seconds {args.seconds:g}; parent {args.parent}, "
-              f"change {args.change}")
-        results = {side: [] for side in SIDES}
-        for i in range(args.pairs):
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                got = run_once(templates[side], spec["command"], args, tmp)
-                results[side].append(got)
-                text = got if isinstance(got, str) else "  ".join(
-                    f"{m['name']} {got[m['name']]:.6g} {m['unit']}"
-                    for m in metrics)
-                print(f"pair {i} {side:<6} {text}", flush=True)
+def run_seed(templates: dict, spec: dict, args, seed: int,
+             workdir: Path) -> int:
+    """The pairs of one seed and their verdicts, printed; the number of
+    runs that failed."""
+    metrics = spec["end_to_end"]
+    print(f"{args.workload}: {args.pairs} pairs from seed {seed}, "
+          f"--seconds {args.seconds:g}; parent {args.parent}, "
+          f"change {args.change}")
+    results = {side: [] for side in SIDES}
+    for i in range(args.pairs):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            got = run_once(templates[side], spec["command"], args, seed,
+                           workdir)
+            results[side].append(got)
+            text = got if isinstance(got, str) else "  ".join(
+                f"{m['name']} {got[m['name']]:.6g} {m['unit']}"
+                for m in metrics)
+            print(f"pair {i} {side:<6} {text}", flush=True)
     done = [i for i in range(args.pairs)
             if all(isinstance(results[side][i], dict) for side in SIDES)]
     failed = sum(isinstance(r, str) for side in SIDES for r in results[side])
@@ -220,7 +220,21 @@ def run(args) -> int:
               f"{m['bound']:g}): parent {_quartiles(s['parent'])}, change "
               f"{_quartiles(s['change'])}, ratio {s['ratio']:.4f}, change "
               f"wins {s['wins']} of {s['pairs']}, parent quartile distance "
-              f"{s['spread']:.6g}: {s['verdict']}")
+              f"{s['spread']:.6g}: {s['verdict']}", flush=True)
+    return failed
+
+
+def run(args) -> int:
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        tmp = Path(tmp)
+        templates = {}
+        for side, name in zip(SIDES, (args.parent, args.change)):
+            templates[side] = tmp / side
+            export(name, templates[side])
+        spec = json.loads((templates["parent"] / "BENCHMARK.json")
+                          .read_text(encoding="utf-8"))
+        failed = sum([run_seed(templates, spec, args, seed, tmp)
+                      for seed in args.seed])
     return 1 if failed else 0
 
 
@@ -229,7 +243,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="a git revision or a directory")
     parser.add_argument("change", help="a git revision or a directory")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True, action="append",
+                        help="a seed; given again, its pairs follow")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
@@ -237,6 +252,8 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
+    if len(set(args.seed)) < len(args.seed):
+        parser.error("each --seed may be given once")
     try:
         return run(args)
     except ExportError as err:
