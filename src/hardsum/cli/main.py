@@ -82,10 +82,6 @@ def cmd_gen(cfg: RunConfig, quiet: bool = False) -> int:
         if spec.d_required is not None:
             _say(quiet, f"d_required (high-probability regime) = "
                         f"{spec.d_required:.6g}")
-            if spec.d < spec.d_required:
-                _say(quiet, "warning: d is below the high-probability "
-                            "threshold; the instance is valid but the "
-                            "probabilistic guarantee does not apply")
     _say(quiet, "wrote " + ", ".join(files))
     return 0
 

@@ -473,27 +473,22 @@ def _richardson_combine(values, h) -> np.ndarray:
         np.moveaxis((4.0 * fine - coarse) / 3.0, k, -1))
 
 
-def _richardson_jacobian(g, x, step: float | None) -> np.ndarray:
-    """The Richardson stencil with g evaluated at one point per call."""
-    points, h = _stencil_points(x, step)
-    return _richardson_combine([np.asarray(g(z)) for z in points], h)
-
-
 def finite_diff_gradient(f, x: Vector, step: float | None = None) -> Vector:
     """Componentwise central-difference gradient of a scalar function,
     Richardson-extrapolated to fourth order (the chain bumps have fourth
     derivatives large enough that a plain second-order stencil cannot reach
     1e-6 relative accuracy).  This is the Jacobian stencil applied to a
     scalar function."""
-    return _richardson_jacobian(f, x, step)
+    return finite_diff_jacobian(f, x, step)
 
 
 def finite_diff_jacobian(g, x: Vector, step: float | None = None) -> np.ndarray:
     """Central-difference Jacobian of a vector-valued function, Richardson-
-    extrapolated to fourth order.
+    extrapolated to fourth order, with g evaluated at one point per call.
 
     Useful for checking an analytic Hessian against the analytic gradient:
     differencing the gradient keeps one order of accuracy in hand compared
     with double-differencing values.
     """
-    return _richardson_jacobian(g, x, step)
+    points, h = _stencil_points(x, step)
+    return _richardson_combine([np.asarray(g(z)) for z in points], h)

@@ -283,11 +283,13 @@ def _hessian_estimate(counts, dH, b, H_s) -> np.ndarray:
 
 def _estimator_pass(F: FiniteSumFunction, x, batch, order: int, snapshot):
     """The estimators' shared prologue: ``snapshot`` checked to be the
-    snapshot pass's view (else TypeError) of F itself (else ValueError), x
+    snapshot pass's view (else TypeError) of F itself, holding every
+    component in index order up to order 2 (else ValueError), x
     validated, the batch counted once.  Returns (x, rows, their counts, b,
-    where the rows sit in the snapshot's stack, their view at x up to
-    ``order``); the rows are found in the snapshot before any is evaluated
-    at x or charged."""
+    the rows' index into the snapshot's stack, their view at x up to
+    ``order``); the index is the slice of the whole stack, which reads it
+    without a copy, when every row is drawn.  Nothing is evaluated at x or
+    charged before the checks."""
     if not isinstance(snapshot, _Evaluated):
         raise TypeError("snapshot must be the snapshot pass's answers, got "
                         f"{type(snapshot).__name__}")
@@ -295,10 +297,14 @@ def _estimator_pass(F: FiniteSumFunction, x, batch, order: int, snapshot):
         raise ValueError(f"snapshot holds the answers of another sum (n = "
                          f"{snapshot.n}, d = {snapshot.d}), not of this one "
                          f"(n = {F.n}, d = {F.d})")
+    if not (snapshot.whole and snapshot._order == 2):
+        raise ValueError("snapshot must hold every component, in index "
+                         "order, up to order 2")
     x = as_vector(x, dim=F.d)
     counts, b = _batch_counts(batch, F.n)
     rows = np.flatnonzero(counts)
-    return (x, rows, counts[rows], b, snapshot.held(rows),
+    return (x, rows, counts[rows], b,
+            slice(None) if rows.size == F.n else rows,
             _Evaluated.evaluate(F, rows, x, order))
 
 
@@ -321,7 +327,7 @@ def svrc_gradient_estimator(F: FiniteSumFunction, ledger: OracleLedger,
     for i, c in zip(rows.tolist(), counts.tolist()):
         query(ledger, at_x, i, x, order=1, count=c)
         query(ledger, snapshot, i, x_hat, order=2, count=c, requery=True)
-    # every held row's product, then the drawn ones: a row's product is
+    # every component's product, then the drawn ones: a row's product is
     # the same per-row BLAS call either way, and no Hessian is copied
     return _gradient_estimate(counts, at_x.stack.grad - hat.grad[k],
                               row_matvec(hat.hess, dx)[k], b, g_s, H_s, dx)

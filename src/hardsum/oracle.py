@@ -458,7 +458,8 @@ def _count(count, name: str = "count", least: int = 0) -> int:
 
 @dataclass
 class OracleLedger:
-    """Exact query accounting for one run.
+    """Exact query accounting for one run of a sum of ``n`` components
+    (a count of at least one, checked by :func:`_count`).
 
     ``per_index[i]`` counts queries to component i (one per draw, so batched
     repetitions of the same index all count); the per-order counters count
@@ -482,6 +483,7 @@ class OracleLedger:
     iterates_recorded: int = field(default=0, init=False)
 
     def __post_init__(self):
+        self.n = _count(self.n, "n", 1)
         self.per_index = np.zeros(self.n, dtype=np.int64)
         # per_index's slots as Python ints: a charge books without a numpy
         # scalar round trip
@@ -593,8 +595,13 @@ class _Evaluated:
     to every charge of it: a baseline pass's rows (a resisting oracle's
     round can close mid-pass, leaving them factored over bases of two
     widths) or one stack's (:meth:`from_stack`).  The view refuses another
-    point, a higher order and an index it does not hold; the SVRC
-    estimators refuse a view of another sum."""
+    point, a higher order and an index it does not hold.  A view of one
+    stack keeps it (``stack``, else None), and is ``whole`` when its rows
+    are every component, in index order: an SVRC snapshot is a whole view
+    of order 2 of the same sum, and the SVRC estimators refuse any other."""
+
+    stack: Derivatives | None = None
+    whole = False
 
     def __init__(self, F: FiniteSumFunction, x: np.ndarray, order: int,
                  answers: list):
@@ -608,8 +615,8 @@ class _Evaluated:
         checked once as :func:`query` checks one answer (a bad row raises
         its own error; Hessians are kept symmetrized), its arrays made
         read-only, and split into one answer per row, its value a numpy
-        float.  It keeps the checked ``stack`` and ``where[i]``, the row of
-        component i or -1."""
+        float.  It is ``whole`` when ``rows`` are every component in index
+        order, so that row i of the stack answers component i."""
         rows = np.asarray(rows)
         stack = _check_answer(stack, rows, order, F.d)
         parts = (stack.value, stack.grad, stack.hess)[:order + 1]
@@ -620,8 +627,7 @@ class _Evaluated:
         for i, der in zip(rows.tolist(), map(Derivatives, *parts)):
             answers[i] = der
         view = cls(F, x, order, answers)
-        view.stack, view.where = stack, np.full(F.n, -1)
-        view.where[rows] = np.arange(rows.size)
+        view.stack, view.whole = stack, np.array_equal(rows, np.arange(F.n))
         return view
 
     @classmethod
@@ -629,31 +635,12 @@ class _Evaluated:
                  order: int) -> _Evaluated:
         return cls.from_stack(F, rows, x, order, F.components(rows, x, order))
 
-    def held(self, rows: np.ndarray):
-        """Where the order-2 answers of held components ``rows`` sit in the
-        stack: an index array in that order, or the slice of the whole
-        stack when ``rows`` are its rows in order, which reads the stack in
-        place; refused as :meth:`_checked` refuses."""
-        self._refuse(self.x, 2)
-        k = self.where[rows]
-        if k.min() < 0:
-            raise ValueError(f"component {rows[k.argmin()]} was not "
-                             "evaluated here")
-        if k.size == len(self.stack.value) and (k == np.arange(k.size)).all():
-            return slice(None)
-        return k
-
-    def _refuse(self, x: np.ndarray, order: int) -> None:
-        """Raise unless these answers were evaluated at x up to ``order``."""
+    def _checked(self, i: int, x: np.ndarray, order: int) -> Derivatives:
         if x is not self.x and not np.array_equal(x, self.x):
             raise ValueError("these answers were evaluated at another point")
         if order > self._order:
             raise ValueError(f"these answers go up to order {self._order}, "
                              f"not {order}")
-
-    def _checked(self, i: int, x: np.ndarray, order: int) -> Derivatives:
-        if x is not self.x or order > self._order:
-            self._refuse(x, order)
         der = self.answers[i]
         if der is None:
             raise ValueError(f"component {i} was not evaluated here")

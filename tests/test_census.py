@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -46,3 +48,35 @@ def test_line_kinds(monkeypatch):
               "    return x\n")
     assert line_kinds(source) == {"code": 5, "docstring": 4, "comment": 1,
                                   "blank": 1}
+
+
+def test_a_root_without_the_package_is_refused(tmp_path):
+    # "--help" is a flag, not a root; a root with no package exits 2
+    # instead of printing a census of no source
+    census = [sys.executable, str(ROOT / "tools" / "census.py")]
+    shown = subprocess.run(census + ["--help"], capture_output=True,
+                           text=True)
+    assert shown.returncode == 0 and shown.stdout.startswith("usage:")
+    refused = subprocess.run(census + [str(tmp_path)], capture_output=True,
+                             text=True)
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert refused.stderr.endswith(
+        f"error: {tmp_path} holds no src/hardsum/__init__.py\n")
+
+
+def test_a_root_whose_package_is_not_the_imported_one_is_refused(
+        tmp_path, monkeypatch, capsys):
+    # this process has imported the package of this tree already, so
+    # another root's package would go uncounted
+    import hardsum
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    from census import main
+    (tmp_path / "src" / "hardsum").mkdir(parents=True)
+    (tmp_path / "src" / "hardsum" / "__init__.py").write_text("")
+    with pytest.raises(SystemExit) as exit_:
+        main([str(tmp_path)])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: the imported hardsum is {hardsum.__file__}, "
+                        f"not {tmp_path}'s\n")

@@ -34,6 +34,7 @@ from hardsum.optim import (
     _draw_batches,
     _draw_counts,
     _drawn_counts,
+    _estimator_pass,
     _stationarity,
 )
 
@@ -257,6 +258,17 @@ class TestEstimators:
             assert led.counters() == ref.counters()
             assert np.array_equal(led.per_index, ref.per_index)
 
+    def test_a_batch_of_every_row_reads_the_snapshot_in_place(self):
+        # the drawn rows index the whole snapshot's stack directly; when
+        # every row is drawn, the index is the slice that reads it in place
+        F, x, snapshot, _, _ = self._setup()
+        hess = snapshot.stack.hess
+        k = _estimator_pass(F, x, [0, 4, 4], 2, snapshot)[4]
+        assert np.array_equal(k, [0, 4])
+        assert not np.shares_memory(hess[k], hess)
+        k = _estimator_pass(F, x, np.arange(F.n).repeat(2), 2, snapshot)[4]
+        assert k == slice(None) and np.shares_memory(hess[k], hess)
+
     def _refused_uncharged(self, batch, match, make_view=None,
                            error=ValueError):
         """Both estimators raise ``error`` matching ``match`` on ``batch``,
@@ -287,14 +299,19 @@ class TestEstimators:
         # only the snapshot pass's checked view is accepted
         self._refused_uncharged([0, 4, 4], "snapshot", cache, TypeError)
 
-    @pytest.mark.parametrize("rows, order, match", [
-        (np.arange(6), 1, "up to order 1"),
-        (np.array([0, 1, 2, 3, 5]), 2, "component 4 was not evaluated"),
-    ], ids=["order-1", "missing-row"])
-    def test_snapshot_view_must_hold_the_drawn_rows_at_xh(self, rows, order,
-                                                          match):
-        self._refused_uncharged([0, 4, 4], match, lambda F, x_hat:
-                                _Evaluated.evaluate(F, rows, x_hat, order))
+    @pytest.mark.parametrize("rows, order", [
+        (np.arange(6), 1),
+        (np.array([0, 1, 2, 3, 5]), 2),
+        (np.array([5, 4, 3, 2, 1, 0]), 2),
+        (np.array([0, 1, 2, 3, 4, 4]), 2),
+    ], ids=["order-1", "missing-row", "permuted", "repeated-row"])
+    def test_snapshot_view_must_hold_the_drawn_rows_at_xh(self, rows, order):
+        # a snapshot holds every component, in index order, at order 2;
+        # any other view is refused, even one holding the drawn rows 0, 4
+        self._refused_uncharged(
+            [0, 4, 4], "^snapshot must hold every component, in index "
+            "order, up to order 2$", lambda F, x_hat:
+            _Evaluated.evaluate(F, rows, x_hat, order))
 
     @pytest.mark.parametrize("n, d", [(6, 5), (7, 5), (6, 4)],
                              ids=["same-shape", "other-n", "other-d"])
@@ -1108,7 +1125,7 @@ def test_a_bad_answer_is_refused_alike_on_every_path(n, d, data):
             if isinstance(alone[order], str):
                 assert view == alone[order]
                 continue
-            row = view.where[k]
+            row = list(rows).index(k)
             for got, want in ((view.stack.value[row], alone[order].value),
                               (None if order < 1 else view.stack.grad[row],
                                alone[order].grad),

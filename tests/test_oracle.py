@@ -251,6 +251,23 @@ class TestLedger:
         assert led.counters() == before
         assert led.per_index.tolist() == [0, 2, 0]
 
+    @pytest.mark.parametrize("n, match", [
+        (0, "^n must be >= 1, got 0$"),
+        (-1, "^n must be >= 1, got -1$"),
+        (True, "^n must be an integer, got bool$"),
+        (2.5, "^n must be an integer, got float$"),
+        ("3", "^n must be an integer, got str$"),
+    ])
+    def test_a_bad_size_is_refused_by_name(self, n, match):
+        # a ledger's size is checked as every other count is
+        with pytest.raises(ValueError, match=match):
+            OracleLedger(n=n)
+
+    def test_a_numpy_integer_size_is_kept_as_an_int(self):
+        led = OracleLedger(n=np.int64(3))
+        assert type(led.n) is int and led.n == 3
+        assert led.per_index.tolist() == [0, 0, 0]
+
     def test_charge_books_a_numpy_integer_index(self):
         led = OracleLedger(n=3)
         led.charge(np.int64(2), 1, 2)

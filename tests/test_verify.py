@@ -1262,8 +1262,8 @@ class TestStackedMonteCarlo:
         assert not rep.passed
 
     def test_cross_check_runs_the_snapshot_path(self, monkeypatch):
-        # the 8 metered trials read xh from one view that holds every row,
-        # so each Hessian estimate records b_h cache hits
+        # the 8 metered trials read xh from one whole view, every row in
+        # index order, so each Hessian estimate records b_h cache hits
         F, params, x_hat, x = self._setup()
         hits, views = [], []
         hit = OracleLedger.record_cache_hit
@@ -1277,7 +1277,7 @@ class TestStackedMonteCarlo:
         assert hits == [32] * 8 and len(views) == 16
         assert all(v is views[0] for v in views)
         assert np.array_equal(views[0].x, x_hat)
-        assert np.array_equal(views[0].where, np.arange(F.n))
+        assert views[0].whole
 
 
 class TestNumpyIntegerSeeds:

@@ -3,7 +3,9 @@
     python tools/census.py [ROOT]
 
 ROOT is a checkout of the repository (default: the one holding this file).
-Prints three lines:
+A ROOT without ``src/hardsum/__init__.py``, or one whose package is not the
+``hardsum`` that gets imported, exits 2 with a message.  Prints three
+lines:
 
 - ``src lines``: the newline count of every ``.py`` file under ``src/``
   (what ``wc -l`` totals over them), split into code, docstring, comment
@@ -23,6 +25,7 @@ the config keys, which are counted on their own.
 """
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -131,10 +134,23 @@ def env_variables(src: Path) -> set[str]:
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1]
+    parser = argparse.ArgumentParser(
+        description="Count the package's source lines and its independently "
+                    "settable values.")
+    parser.add_argument("root", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parents[1],
+                        help="a checkout of the repository (default: the one "
+                             "holding this file)")
+    root = parser.parse_args(argv).root
     src = root / "src"
+    init = src / "hardsum" / "__init__.py"
+    if not init.is_file():
+        parser.error(f"{root} holds no src/hardsum/__init__.py")
     sys.path.insert(0, str(src))
     package = importlib.import_module("hardsum")
+    if Path(package.__file__).resolve() != init.resolve():
+        parser.error(f"the imported hardsum is {package.__file__}, not "
+                     f"{root}'s")
     from hardsum.cli.config import RunConfig
     from hardsum.cli.main import _build_parser
 
