@@ -61,8 +61,10 @@ class Derivatives:
 
 
 def _check_order(order) -> None:
-    """The check of a derivative order where it enters the package."""
-    if order not in (0, 1, 2):
+    """The check of a derivative order where it enters the package: an
+    integer (a numpy integer too, but not a bool) in 0..2."""
+    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
+            or not 0 <= order <= 2):
         raise ValueError(f"order must be in 0..2, got {order}")
 
 

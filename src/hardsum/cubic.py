@@ -67,10 +67,17 @@ _ROOT_MAXITER = 200
 _SCALE_MAX = 2.0 ** 16
 
 
+def _check_penalty(M) -> None:
+    """The check of a cubic penalty M wherever one enters: positive and
+    finite, else ValueError."""
+    if not 0 < M < math.inf:
+        raise ValueError("M must be positive and finite")
+
+
 @dataclass(frozen=True)
 class CubicModel:
     """Gradient estimate v, Hessian estimate U (dense, or factored as
-    V S V^T), cubic penalty M > 0."""
+    V S V^T), cubic penalty M, positive and finite."""
 
     v: np.ndarray
     U: np.ndarray
@@ -81,8 +88,7 @@ class CubicModel:
         object.__setattr__(self, "U", sym_matrix(self.U))
         if self.U.shape[0] != self.v.shape[0]:
             raise ValueError("v and U dimensions disagree")
-        if not self.M > 0:
-            raise ValueError("M must be positive")
+        _check_penalty(self.M)
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .chains import Derivatives
-from .cubic import CubicModel, solve
+from .cubic import CubicModel, _check_penalty, solve
 from .instances.params import _check_positive, _real_count
 from .linalg import (_lambda_min, _norm, _shifted_pd, as_vector, row_matvec,
                      sym_matrix)
-from .oracle import (FiniteSumFunction, OracleLedger, _Evaluated, _indices,
-                     _integer, mean_derivatives, query, record_iterate)
+from .oracle import (FiniteSumFunction, OracleLedger, _check_ledger, _count,
+                     _Evaluated, _indices, _integer, mean_derivatives, query,
+                     record_iterate)
 
 __all__ = [
     "C_M",
@@ -79,8 +80,7 @@ class SvrcParams:
     full_batch: bool = False
 
     def __post_init__(self):
-        if not self.M > 0:
-            raise ValueError("M must be positive")
+        _check_penalty(self.M)
         # stored as Python ints: they size the draws, and the seed makes
         # svrc_run's generator default_rng's PCG64, which its draws read
         for name in ("b_g", "b_h", "S", "T", "seed"):
@@ -281,25 +281,23 @@ def _hessian_estimate(counts, dH, b, H_s) -> np.ndarray:
     return U.reshape(U.shape[:-1] + (d, d)) + H_s
 
 
-def _estimator_pass(F: FiniteSumFunction, x, batch, order: int, snapshot):
+def _estimator_pass(ledger: OracleLedger, x, batch, order: int, snapshot):
     """The estimators' shared prologue: ``snapshot`` checked to be the
-    snapshot pass's view (else TypeError) of F itself, holding every
-    component in index order up to order 2 (else ValueError), x
-    validated, the batch counted once.  Returns (x, rows, their counts, b,
-    the rows' index into the snapshot's stack, their view at x up to
-    ``order``); the index is the slice of the whole stack, which reads it
-    without a copy, when every row is drawn.  Nothing is evaluated at x or
-    charged before the checks."""
+    snapshot pass's view (else TypeError) holding every component of its
+    sum F in index order up to order 2 (else ValueError), the ledger
+    checked to count F's components, x validated, the batch counted once.
+    Returns (x, rows, their counts, b, the rows' index into the snapshot's
+    stack, their view at x up to ``order``); the index is the slice of the
+    whole stack, which reads it without a copy, when every row is drawn.
+    Nothing is evaluated at x or charged before the checks."""
     if not isinstance(snapshot, _Evaluated):
         raise TypeError("snapshot must be the snapshot pass's answers, got "
                         f"{type(snapshot).__name__}")
-    if snapshot.source is not F:
-        raise ValueError(f"snapshot holds the answers of another sum (n = "
-                         f"{snapshot.n}, d = {snapshot.d}), not of this one "
-                         f"(n = {F.n}, d = {F.d})")
     if not (snapshot.whole and snapshot._order == 2):
         raise ValueError("snapshot must hold every component, in index "
                          "order, up to order 2")
+    F = snapshot.source
+    _check_ledger(ledger, F)
     x = as_vector(x, dim=F.d)
     counts, b = _batch_counts(batch, F.n)
     rows = np.flatnonzero(counts)
@@ -308,21 +306,22 @@ def _estimator_pass(F: FiniteSumFunction, x, batch, order: int, snapshot):
             _Evaluated.evaluate(F, rows, x, order))
 
 
-def svrc_gradient_estimator(F: FiniteSumFunction, ledger: OracleLedger,
-                            x, g_s, H_s, batch, snapshot: _Evaluated
-                            ) -> np.ndarray:
+def svrc_gradient_estimator(ledger: OracleLedger, x, batch,
+                            snapshot: _Evaluated) -> np.ndarray:
     """Semi-stochastic gradient with first-order (Hessian) correction:
 
     v = (1/b) sum_i [grad f_i(x) - grad f_i(xh)] + g_s
         - ((1/b) sum_i hess f_i(xh) - H_s)(x - xh)
 
     at the point xh of ``snapshot``, the view that :func:`svrc_run`'s
-    snapshot pass builds.  Charges b gradient queries at x and b (order-2,
-    re-read) queries at the snapshot, served from it but charged; repeated
-    indices in the batch are charged per draw but evaluated once.
+    snapshot pass builds, whose ``mean`` holds g_s and H_s.  Charges b
+    gradient queries at x and b (order-2, re-read) queries at the
+    snapshot, served from it but charged; repeated indices in the batch
+    are charged per draw but evaluated once.
     """
-    x, rows, counts, b, k, at_x = _estimator_pass(F, x, batch, 1, snapshot)
-    x_hat, hat = snapshot.x, snapshot.stack
+    x, rows, counts, b, k, at_x = _estimator_pass(ledger, x, batch, 1,
+                                                  snapshot)
+    x_hat, hat, mean = snapshot.x, snapshot.stack, snapshot.mean
     dx = x - x_hat
     for i, c in zip(rows.tolist(), counts.tolist()):
         query(ledger, at_x, i, x, order=1, count=c)
@@ -330,24 +329,26 @@ def svrc_gradient_estimator(F: FiniteSumFunction, ledger: OracleLedger,
     # every component's product, then the drawn ones: a row's product is
     # the same per-row BLAS call either way, and no Hessian is copied
     return _gradient_estimate(counts, at_x.stack.grad - hat.grad[k],
-                              row_matvec(hat.hess, dx)[k], b, g_s, H_s, dx)
+                              row_matvec(hat.hess, dx)[k], b, mean.grad,
+                              mean.hess, dx)
 
 
-def svrc_hessian_estimator(F: FiniteSumFunction, ledger: OracleLedger,
-                           x, H_s, batch, snapshot: _Evaluated) -> np.ndarray:
+def svrc_hessian_estimator(ledger: OracleLedger, x, batch,
+                           snapshot: _Evaluated) -> np.ndarray:
     """Semi-stochastic Hessian:  U = (1/b) sum_j [hess f_j(x) - hess f_j(xh)]
     + H_s.
 
-    Charges b Hessian queries at x; the Hessians at xh come from
-    ``snapshot``, as for :func:`svrc_gradient_estimator`, as b zero-cost
-    cache hits.
+    Charges b Hessian queries at x; the Hessians at xh and their mean H_s
+    come from ``snapshot``, as for :func:`svrc_gradient_estimator`, the
+    Hessians as b zero-cost cache hits.
     """
-    x, rows, counts, b, k, at_x = _estimator_pass(F, x, batch, 2, snapshot)
+    x, rows, counts, b, k, at_x = _estimator_pass(ledger, x, batch, 2,
+                                                  snapshot)
     for j, c in zip(rows.tolist(), counts.tolist()):
         query(ledger, at_x, j, x, order=2, count=c)
     ledger.record_cache_hit(b)
     return _hessian_estimate(counts, at_x.stack.hess - snapshot.stack.hess[k],
-                             b, H_s)
+                             b, snapshot.mean.hess)
 
 
 def _stationarity(der: Derivatives, L2: float) -> tuple[float, float]:
@@ -389,9 +390,7 @@ def _run_ledger(F: FiniteSumFunction, ledger: OracleLedger | None,
     to ``eps``; one of another size than F raises before any evaluation."""
     if ledger is None:
         ledger = OracleLedger(n=F.n)
-    if ledger.n != F.n:
-        raise ValueError(f"the ledger counts {ledger.n} components, not the "
-                         f"{F.n} of this sum")
+    _check_ledger(ledger, F)
     if ledger.eps is None:
         ledger.eps = eps
     return ledger
@@ -409,8 +408,11 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
     snapshot alone buys no iterate).  Stats in the trajectory (f, gradient
     norm, mu) come from the free measurement channel and charge nothing; a
     non-finite measurement raises ValueError before its row is recorded.
-    The ledger's first-hit threshold defaults to ``params.eps``.
+    The ledger's first-hit threshold defaults to ``params.eps``; a budget
+    that is not an integer of at least 1 raises ValueError before any
+    charge.
     """
+    budget = math.inf if budget is None else _count(budget, "budget", 1)
     n, d = F.n, F.d
     ledger = _run_ledger(F, ledger, params.eps)
     rng = np.random.default_rng(params.seed)
@@ -426,21 +428,19 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
     for s, t in schedule:
         # a snapshot pass is only worth paying if a step can follow it
         cost = n + step_cost if t < 0 else step_cost
-        if budget is not None and ledger.total + cost > budget:
+        if ledger.total + cost > budget:
             break
         if t < 0:
-            # exact g, H and the epoch's checked snapshot answers
+            # the epoch's checked snapshot answers; the estimators read the
+            # exact g and H from their mean
             x_hat = x.copy()
             snapshot = _Evaluated.evaluate(F, np.arange(n), x_hat, 2)
             for i in range(n):
                 query(ledger, snapshot, i, x_hat, order=2)
-            mean = mean_derivatives(snapshot.stack, (d,), 2)
-            g_s, H_s = mean.grad, mean.hess
             continue
         batch_g, batch_h = _draw_counts(params, n, rng)
-        v = svrc_gradient_estimator(F, ledger, x, g_s, H_s, batch_g,
-                                    snapshot)
-        U = svrc_hessian_estimator(F, ledger, x, H_s, batch_h, snapshot)
+        v = svrc_gradient_estimator(ledger, x, batch_g, snapshot)
+        U = svrc_hessian_estimator(ledger, x, batch_h, snapshot)
         try:
             sol = solve(CubicModel(v=v, U=U, M=params.M))
         except ArithmeticError:
@@ -472,11 +472,11 @@ def _exact_information_run(F: FiniteSumFunction, p: int, step, budget: int,
     with the gradient norm of that first pass, measures mu when L2 is given
     and moves by ``step(t, x, grad, hess) -> h`` (``hess`` is None for
     p = 1).  A step of None ends the run without a row.  Runs until the next
-    iteration would exceed the query budget.  Every row of a pass answers
-    and is checked, in row order (a game's moves), before any is charged.
+    iteration would exceed the query budget, an integer of at least 1.
+    Every row of a pass answers and is checked, in row order (a game's
+    moves), before any is charged.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    budget = _count(budget, "budget", 1)
     n, d = F.n, F.d
     ledger = _run_ledger(F, ledger, None)
     x = np.zeros(d) if x0 is None else as_vector(x0, dim=d).copy()
@@ -532,9 +532,9 @@ def baseline_full_cubic(F: FiniteSumFunction, M: float, budget: int,
                         x0=None, ledger: OracleLedger | None = None,
                         L2: float | None = None) -> list[TrajectoryRecord]:
     """Cubic-regularized Newton with exact derivatives; one order-1 pass plus
-    one order-2 pass (2n queries) per iteration."""
-    if not M > 0:
-        raise ValueError("M must be positive")
+    one order-2 pass (2n queries) per iteration.  An M that is not
+    positive and finite raises ValueError before the first pass."""
+    _check_penalty(M)
 
     def cubic_step(t, x, grad, hess):
         try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -550,6 +551,14 @@ class OracleLedger:
         }
 
 
+def _check_ledger(ledger: OracleLedger, F) -> None:
+    """The check that ``ledger`` counts the components of F, a sum or a
+    view of one, before anything is evaluated or charged."""
+    if ledger.n != F.n:
+        raise ValueError(f"the ledger counts {ledger.n} components, not the "
+                         f"{F.n} of this sum")
+
+
 def query(ledger: OracleLedger, F: FiniteSumFunction | _Evaluated, i: int,
           x, order: int = 2, *, count: int = 1,
           requery: bool = False) -> Derivatives:
@@ -565,7 +574,8 @@ def query(ledger: OracleLedger, F: FiniteSumFunction | _Evaluated, i: int,
     evaluating or checking again; its answer to a component at the order
     it holds is one object, returned to every such query, so a caller must
     not assign to an answer's fields.  A stack of points is rejected: charged access
-    is one point per call.
+    is one point per call.  A ledger of another size than F raises
+    ValueError (:func:`_check_ledger`) before anything is evaluated.
     ``count > 1`` records `count` i.i.d. repetitions of the identical query
     (the answer is deterministic, so it is evaluated once); this keeps the
     accounting exact while letting batch samplers aggregate repeated draws.
@@ -575,7 +585,9 @@ def query(ledger: OracleLedger, F: FiniteSumFunction | _Evaluated, i: int,
     # the common case by type tests alone; anything else takes the checks
     # that name what is wrong, in this order
     if not (type(order) is int and 0 <= order <= 2 and type(x) is np.ndarray
-            and x.ndim == 1 and type(i) is int and 0 <= i < F.n):
+            and x.ndim == 1 and type(i) is int and 0 <= i < F.n
+            and ledger.n == F.n):
+        _check_ledger(ledger, F)
         _check_order(order)
         x = np.asarray(x)
         if x.ndim != 1:
@@ -598,10 +610,17 @@ class _Evaluated:
     point, a higher order and an index it does not hold.  A view of one
     stack keeps it (``stack``, else None), and is ``whole`` when its rows
     are every component, in index order: an SVRC snapshot is a whole view
-    of order 2 of the same sum, and the SVRC estimators refuse any other."""
+    of order 2, and the SVRC estimators refuse any other."""
 
     stack: Derivatives | None = None
     whole = False
+
+    @cached_property
+    def mean(self) -> Derivatives:
+        """The mean of a view's stack, its rows summed in order
+        (:func:`mean_derivatives`): for a snapshot, the full sum's value,
+        gradient and Hessian at x.  Computed when first read, once."""
+        return mean_derivatives(self.stack, (self.d,), self._order)
 
     def __init__(self, F: FiniteSumFunction, x: np.ndarray, order: int,
                  answers: list):

@@ -459,8 +459,9 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     contractions, as one weight stack, to per-component tables evaluated
     once; the first 8 trials, from however many blocks they take, are
     cross-checked against the metered estimator calls, which
-    read xh from a snapshot view of the xh table as
-    :func:`~hardsum.optim.svrc_run` does.
+    read xh, and g_s and H_s as its ``mean``, from a snapshot view of the
+    xh table as :func:`~hardsum.optim.svrc_run` does; the trials keep
+    numpy's means of the tables as their reference.
     """
     trials = _integer(trials, "trials")
     if trials < 1000:
@@ -510,9 +511,8 @@ def verify_estimator_bounds(instance: FiniteSumFunction, x_hat, x,
     cross_err = 0.0
     for t, (idx_g, idx_h) in enumerate(cross):
         led = OracleLedger(n=n)
-        v_ref = svrc_gradient_estimator(instance, led, x, g_s, H_s, idx_g,
-                                        snapshot)
-        U_ref = svrc_hessian_estimator(instance, led, x, H_s, idx_h, snapshot)
+        v_ref = svrc_gradient_estimator(led, x, idx_g, snapshot)
+        U_ref = svrc_hessian_estimator(led, x, idx_h, snapshot)
         cross_err = max(
             cross_err,
             rel_err(g_moments[t], _norm(gF - v_ref) ** 1.5),

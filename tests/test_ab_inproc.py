@@ -1,15 +1,63 @@
-"""tools/ab_inproc.py: a tree against itself reads the same outputs, a
-changed output exits 1, a change that holds more memory shows in the traced
-peaks, and a package that imports itself by its absolute name is
-refused."""
+"""tools/ab_inproc.py: its ops are the benchmark's, a tree against itself
+reads the same outputs, a changed output exits 1, a change that holds more
+memory shows in the traced peaks, and a package that imports itself by its
+absolute name is refused."""
+import importlib.util
+import os
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import hardsum
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab_inproc.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
+
+
+def _load(path: Path, name: str):
+    """The module at ``path``, loaded by path under ``name``; the process
+    environment is restored after it, since the tool pins BLAS threads in
+    it when it loads."""
+    environ = dict(os.environ)
+    try:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        os.environ.clear()
+        os.environ.update(environ)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["svrc-synthetic", "adversary-cubic",
+                                      "verify-battery"])
+def test_its_ops_are_the_benchmarks_ops(workload, tmp_path):
+    # op 0 at seed 3 of the tool's copy and of the benchmark's own
+    # workload give the same outputs, so the two cannot drift apart
+    tool = _load(TOOL, "ab_inproc")
+    bench = _load(WORKLOADS, "bench_workloads").WORKLOADS[workload]
+    (tmp_path / "tool").mkdir()
+    (tmp_path / "bench").mkdir()
+    ours = tool.WORKLOADS[workload](hardsum, 3, tmp_path / "tool")
+    theirs = bench(3, tmp_path / "bench")
+    got = theirs.op(0)
+    if workload == "svrc-synthetic":
+        (counters, x_out, trajectory), (want_c, want_x, want_t) = got, ours
+        assert counters == want_c
+        assert x_out.tobytes() == want_x.tobytes()
+        assert tool.canonical(trajectory) == tool.canonical(want_t)
+    elif workload == "adversary-cubic":
+        assert (got, theirs.out.read_bytes()) == ours
+    else:
+        assert (tool.canonical([c.to_dict() for c in got])
+                == tool.canonical([c.to_dict() for c in ours]))
+    # and the benchmark's gate passes them
+    assert not theirs.check(0, got)[0]
 
 
 def _ab(parent: Path, change: Path, ops: int = 2):

@@ -100,6 +100,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             CubicModel(v=np.zeros(2), U=np.eye(2), M=0.0)
 
+    @pytest.mark.parametrize("M", [math.inf, math.nan, -math.inf])
+    def test_rejects_a_penalty_that_is_not_finite(self, M):
+        # M = inf was solved, and refused as "stationarity residual inf
+        # exceeds tolerance"
+        with pytest.raises(ValueError, match="^M must be positive and "
+                                             "finite$"):
+            CubicModel(v=np.ones(2), U=np.eye(2), M=M)
+
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError):
             CubicModel(v=np.zeros(3), U=np.eye(2), M=1.0)

@@ -16,7 +16,7 @@ from hardsum.cubic import CubicModel, solve
 from hardsum.instances import ResistingOracle, deterministic_params, ell_p
 from hardsum.linalg import _lambda_min, sample_orthonormal_columns
 from hardsum.oracle import (CallableFiniteSum, OracleLedger, _Evaluated,
-                            quadratic_cosine_sum, query)
+                            mean_derivatives, quadratic_cosine_sum, query)
 import hardsum.optim
 from hardsum.optim import (
     C_M,
@@ -188,9 +188,8 @@ class TestEstimators:
         F, _, snapshot, g_s, H_s = self._setup()
         led = OracleLedger(n=F.n)
         batch = np.array([0, 2, 2, 5])
-        v = svrc_gradient_estimator(F, led, snapshot.x, g_s, H_s, batch,
-                                    snapshot)
-        U = svrc_hessian_estimator(F, led, snapshot.x, H_s, batch, snapshot)
+        v = svrc_gradient_estimator(led, snapshot.x, batch, snapshot)
+        U = svrc_hessian_estimator(led, snapshot.x, batch, snapshot)
         assert np.allclose(v, g_s, atol=1e-13)
         assert np.allclose(U, H_s, atol=1e-13)
 
@@ -199,21 +198,20 @@ class TestEstimators:
         # v equals the exact full gradient at x
         F, x, snapshot, g_s, H_s = self._setup()
         led = OracleLedger(n=F.n)
-        v = svrc_gradient_estimator(F, led, x, g_s, H_s, np.arange(F.n),
-                                    snapshot)
+        v = svrc_gradient_estimator(led, x, np.arange(F.n), snapshot)
         assert np.allclose(v, F.full(x, 1).grad, atol=1e-12)
 
     def test_full_batch_hessian_telescopes(self):
         F, x, snapshot, g_s, H_s = self._setup()
         led = OracleLedger(n=F.n)
-        U = svrc_hessian_estimator(F, led, x, H_s, np.arange(F.n), snapshot)
+        U = svrc_hessian_estimator(led, x, np.arange(F.n), snapshot)
         assert np.allclose(U, F.full(x, 2).hess, atol=1e-12)
 
     def test_gradient_estimator_charging(self):
         F, x, snapshot, g_s, H_s = self._setup()
         led = OracleLedger(n=F.n)
         batch = np.array([1, 1, 1, 4])      # 4 draws, 2 unique
-        svrc_gradient_estimator(F, led, x, g_s, H_s, batch, snapshot)
+        svrc_gradient_estimator(led, x, batch, snapshot)
         # b charged at x (order 1) + b re-reads at the snapshot (order 2)
         assert led.total == 8
         assert led.requery_queries == 4
@@ -226,7 +224,7 @@ class TestEstimators:
         F, x, snapshot, g_s, H_s = self._setup()
         led = OracleLedger(n=F.n)
         batch = np.array([0, 3, 3])
-        svrc_hessian_estimator(F, led, x, H_s, batch, snapshot)
+        svrc_hessian_estimator(led, x, batch, snapshot)
         assert led.total == 3               # only the queries at x are charged
         assert led.cache_hits == 3
         assert led.requery_queries == 0
@@ -250,8 +248,8 @@ class TestEstimators:
             ref_h.record_cache_hit()
             U_ref = U_ref + (hess_x - at_hat.hess) / b
         led_g, led_h = OracleLedger(n=F.n), OracleLedger(n=F.n)
-        v = svrc_gradient_estimator(F, led_g, x, g_s, H_s, batch, snapshot)
-        U = svrc_hessian_estimator(F, led_h, x, H_s, batch, snapshot)
+        v = svrc_gradient_estimator(led_g, x, batch, snapshot)
+        U = svrc_hessian_estimator(led_h, x, batch, snapshot)
         for got, want, led, ref in ((v, v_ref, led_g, ref_g),
                                     (U, U_ref, led_h, ref_h)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -263,29 +261,32 @@ class TestEstimators:
         # every row is drawn, the index is the slice that reads it in place
         F, x, snapshot, _, _ = self._setup()
         hess = snapshot.stack.hess
-        k = _estimator_pass(F, x, [0, 4, 4], 2, snapshot)[4]
+        led = OracleLedger(n=F.n)
+        k = _estimator_pass(led, x, [0, 4, 4], 2, snapshot)[4]
         assert np.array_equal(k, [0, 4])
         assert not np.shares_memory(hess[k], hess)
-        k = _estimator_pass(F, x, np.arange(F.n).repeat(2), 2, snapshot)[4]
+        k = _estimator_pass(led, x, np.arange(F.n).repeat(2), 2, snapshot)[4]
         assert k == slice(None) and np.shares_memory(hess[k], hess)
 
     def _refused_uncharged(self, batch, match, make_view=None,
-                           error=ValueError):
+                           error=ValueError, ledger_n=None):
         """Both estimators raise ``error`` matching ``match`` on ``batch``,
-        at the setup's snapshot or ``make_view(F, xh)``, before they
-        evaluate or charge anything."""
-        F, x, snapshot, g_s, H_s = self._setup()
+        at the setup's snapshot or ``make_view(F, xh)``, with a ledger of
+        the sum's size or of ``ledger_n``, before they evaluate or charge
+        anything."""
+        F, x, snapshot, _, _ = self._setup()
         if make_view is not None:
             snapshot = make_view(F, snapshot.x)
         evaluations = []
         F.components = lambda *args: evaluations.append(args)
-        led = OracleLedger(n=F.n)
+        led = OracleLedger(n=F.n if ledger_n is None else ledger_n)
         with pytest.raises(error, match=match):
-            svrc_gradient_estimator(F, led, x, g_s, H_s, batch, snapshot)
+            svrc_gradient_estimator(led, x, batch, snapshot)
         with pytest.raises(error, match=match):
-            svrc_hessian_estimator(F, led, x, H_s, batch, snapshot)
+            svrc_hessian_estimator(led, x, batch, snapshot)
         assert evaluations == []
-        assert led.counters() == OracleLedger(n=F.n).counters()
+        assert led.counters() == OracleLedger(n=led.n).counters()
+        assert not led.per_index.any()
 
     @pytest.mark.parametrize("cache", [
         lambda F, x_hat: {i: (F.component(i, x_hat, 2).grad,
@@ -313,29 +314,27 @@ class TestEstimators:
             "order, up to order 2$", lambda F, x_hat:
             _Evaluated.evaluate(F, rows, x_hat, order))
 
-    @pytest.mark.parametrize("n, d", [(6, 5), (7, 5), (6, 4)],
-                             ids=["same-shape", "other-n", "other-d"])
-    def test_snapshot_view_of_another_sum_rejected(self, n, d):
-        other = quadratic_cosine_sum(n, d, seed=1)
-        self._refused_uncharged([0, 4, 4], "another sum", lambda F, x_hat:
-                                _Evaluated.evaluate(other, np.arange(n),
-                                                    np.resize(x_hat, d), 2))
+    @pytest.mark.parametrize("n", [5, 7], ids=["smaller", "larger"])
+    def test_a_ledger_of_another_size_is_refused(self, n):
+        # the ledger counts the snapshot's sum's 6 components: a smaller
+        # one would be charged row 5 past its end, a larger one would book
+        # a sum it does not count
+        self._refused_uncharged(
+            [0, 5, 5], rf"^the ledger counts {n} components, not the 6 of "
+            "this sum$", ledger_n=n)
 
-    def test_snapshot_view_of_a_sum_of_the_same_shape_charges_nothing(self):
-        # a view of seed 1's sum passed to the estimators on seed 0's: same
-        # n and d, other answers
-        F, other = (quadratic_cosine_sum(4, 3, seed=s) for s in (0, 1))
-        x_hat, x = np.zeros(3), np.full(3, 0.5)
-        view = _Evaluated.evaluate(other, np.arange(4), x_hat, 2)
-        full = other.full(x_hat, 2)
-        led = OracleLedger(n=4)
-        with pytest.raises(ValueError, match="another sum"):
-            svrc_gradient_estimator(F, led, x, full.grad, full.hess,
-                                    [0, 1, 1, 3], view)
-        with pytest.raises(ValueError, match="another sum"):
-            svrc_hessian_estimator(F, led, x, full.hess, [0, 1, 1, 3], view)
-        assert led.per_index.tolist() == [0, 0, 0, 0]
-        assert led.counters() == OracleLedger(n=4).counters()
+    def test_the_epoch_mean_is_the_snapshots_stack_mean(self):
+        # g_s and H_s are the in-order mean of the snapshot's stack, read
+        # once per view and only when an estimator asks
+        F, x, snapshot, _, _ = self._setup()
+        assert "mean" not in vars(snapshot)
+        want = mean_derivatives(snapshot.stack, (F.d,), 2)
+        svrc_hessian_estimator(OracleLedger(n=F.n), x, [1, 2], snapshot)
+        mean = vars(snapshot)["mean"]
+        assert snapshot.mean is mean
+        for got, ref in zip((mean.value, mean.grad, mean.hess),
+                            (want.value, want.grad, want.hess)):
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
     def test_out_of_range_batch_rejected_before_charging(self):
         # the error names the smallest index if it is negative, else the
@@ -1285,6 +1284,44 @@ class TestBaselines:
             baseline_full_gd(F, step_rule=0.1, budget=0)
         with pytest.raises(ValueError):
             baseline_full_cubic(F, M=1.0, budget=-1)
+
+    @pytest.mark.parametrize("budget, match", [
+        (float("nan"), "an integer, got float"),
+        (2.5, "an integer, got float"),
+        (True, "an integer, got bool"),
+        ("30", "an integer, got str"),
+        (0, ">= 1, got 0"),
+    ], ids=["nan", "float", "bool", "str", "zero"])
+    def test_a_budget_is_checked_as_a_count(self, budget, match):
+        # NaN ran svrc's whole S = 2, T = 2 schedule and gave the baselines
+        # no rows; True and 2.5 were budgets and "30" a bare TypeError
+        F = quadratic_cosine_sum(2, 3, seed=0)
+        params = SvrcParams(M=10.0, b_g=2, b_h=2, S=2, T=2, eps=1.0,
+                            Delta=1.0, L2=1.0)
+        for run in (lambda led: svrc_run(F, params, ledger=led,
+                                         budget=budget),
+                    lambda led: baseline_full_gd(F, 0.1, budget, ledger=led),
+                    lambda led: baseline_full_cubic(F, 10.0, budget,
+                                                    ledger=led)):
+            led = OracleLedger(n=2)
+            with pytest.raises(ValueError, match=f"^budget must be {match}$"):
+                run(led)
+            assert led.counters() == OracleLedger(n=2).counters()
+
+    @pytest.mark.parametrize("M", [math.inf, math.nan, 0.0, -1.0])
+    def test_a_penalty_that_is_not_positive_and_finite_is_refused(self, M):
+        # M = inf charged svrc's snapshot and step and the cubic
+        # baseline's first two passes, and gave no rows
+        F = quadratic_cosine_sum(4, 3, seed=0)
+        led = OracleLedger(n=4)
+        with pytest.raises(ValueError, match="^M must be positive and "
+                                             "finite$"):
+            SvrcParams(M=M, b_g=2, b_h=2, S=1, T=1, eps=1.0, Delta=1.0,
+                       L2=1.0)
+        with pytest.raises(ValueError, match="^M must be positive and "
+                                             "finite$"):
+            baseline_full_cubic(F, M, 40, ledger=led)
+        assert led.counters() == OracleLedger(n=4).counters()
 
 
 @given(st.integers(0, 2_000))

@@ -14,11 +14,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hardsum
-from hardsum.chains import Derivatives
+from hardsum.chains import Derivatives, chain_eval, hat_f_eval, psi, soft_clamp
 from hardsum.instances import (RandomizedHardInstance, ResistingOracle,
                                deterministic_params, ell_p, randomized_params,
                                sample_randomized_instance)
-from hardsum.linalg import _Factored, _symmetrized, rel_err, row_dot
+from hardsum.linalg import (_Factored, _symmetrized, rel_err, row_dot,
+                            sample_orthonormal_columns)
 from hardsum.optim import mu
 from hardsum.oracle import (
     CallableFiniteSum,
@@ -338,6 +339,71 @@ class TestQuery:
         assert not np.array_equal(H, H.T)
         assert np.array_equal(der.hess, der.hess.T)
         assert np.allclose(der.hess, H, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("view", [False, True], ids=["sum", "view"])
+    @pytest.mark.parametrize("n", [2, 6], ids=["smaller", "larger"])
+    def test_a_ledger_of_another_size_is_refused(self, n, view):
+        # component 3 of a sum of 4: a ledger of 2 was charged past its
+        # end (IndexError), one of 6 booked it silently
+        F = quadratic_cosine_sum(4, 3, seed=0)
+        x = np.zeros(3)
+        source = _Evaluated.evaluate(F, np.arange(4), x, 2) if view else F
+        evaluated = []
+        source._checked = lambda *args: evaluated.append(args)
+        led = OracleLedger(n=n)
+        with pytest.raises(ValueError, match=rf"^the ledger counts {n} "
+                                             "components, not the 4 of this "
+                                             "sum$"):
+            query(led, source, 3, x, order=2)
+        assert evaluated == []
+        assert led.counters() == OracleLedger(n=n).counters()
+        assert not led.per_index.any()
+
+
+def _order_calls():
+    """Every entry that takes a derivative order, called with one."""
+    F = quadratic_cosine_sum(4, 3, seed=0)
+    x = np.full(3, 0.25)
+    B = sample_orthonormal_columns(8, 3, seed=5)
+    return {
+        "query": lambda led, order: query(led, F, 0, x, order=order),
+        "component": lambda led, order: F.component(0, x, order),
+        "components": lambda led, order: F.components([0, 2], x, order),
+        "full": lambda led, order: F.full(x, order),
+        "chain_eval": lambda led, order: chain_eval(3, np.ones(3), x, order),
+        "hat_f_eval": lambda led, order: hat_f_eval(3, B, np.ones(8), order),
+        "soft_clamp": lambda led, order: soft_clamp(x, 2.0, order),
+        "psi": lambda led, order: psi(0.75, order),
+        "charge": lambda led, order: led.charge(0, order),
+    }
+
+
+@pytest.mark.parametrize("name", list(_order_calls()))
+def test_an_order_must_be_an_integer(name):
+    # 1.0 and 2.0 were taken as orders and failed later as slice indices;
+    # True and np.True_ answered or booked as 1
+    call = _order_calls()[name]
+    led = OracleLedger(n=4)
+    for order in (1.0, 2.0, True, False, np.True_, np.float64(1.0), "1"):
+        with pytest.raises(ValueError,
+                           match=rf"^order must be in 0\.\.2, got {order}$"):
+            call(led, order)
+    assert led.counters() == OracleLedger(n=4).counters()
+    # a numpy integer is an order, as its int is
+    for order in (0, 1, 2):
+        got, want = (_answer_parts(call(led, o)) for o in (np.int64(order),
+                                                           order))
+        assert len(got) == len(want) and all(map(same_bits, got, want))
+
+
+def _answer_parts(answer) -> tuple:
+    """The arrays of an answer: a Derivatives' parts, a tuple's entries but
+    a function (soft_clamp's contraction), or the answer itself."""
+    if isinstance(answer, Derivatives):
+        return (answer.value, answer.grad, answer.hess)
+    if isinstance(answer, tuple):
+        return tuple(part for part in answer if not callable(part))
+    return (answer,)
 
 
 class TestFirstHit:

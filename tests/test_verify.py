@@ -1114,10 +1114,8 @@ def _per_trial_estimator_bounds(instance, x_hat, x, params, trials, seed,
         h_moments[t] = float(op_norm(HF - U)) ** 3
         if t < 8:
             led = OracleLedger(n=n)
-            v_ref = svrc_gradient_estimator(instance, led, x, g_s, H_s,
-                                            idx_g, snapshot)
-            U_ref = svrc_hessian_estimator(instance, led, x, H_s, idx_h,
-                                           snapshot)
+            v_ref = svrc_gradient_estimator(led, x, idx_g, snapshot)
+            U_ref = svrc_hessian_estimator(led, x, idx_h, snapshot)
             cross_err = max(
                 cross_err,
                 rel_err(g_moments[t],
