@@ -292,9 +292,11 @@ def soft_clamp(y, R: float, order: int = 0):
     numpy computes with the C library's pow at one point and with a
     vectorized pow over a stack.
 
-    |rho(y)| < R for every y.
+    |rho(y)| < R for every y.  R = inf gives the identity: rho = y,
+    J = I and no curvature.  An R that is not positive (NaN included)
+    raises ValueError.
     """
-    if R <= 0:
+    if not R > 0:
         raise ValueError("R must be positive")
     _check_order(order)
     y = as_points(y)

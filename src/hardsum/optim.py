@@ -89,8 +89,9 @@ class SvrcParams:
             raise ValueError("batch sizes must be at least 1")
         if self.S < 1 or self.T < 1:
             raise ValueError("S and T must be at least 1")
-        if not (self.eps > 0 and self.Delta > 0 and self.L2 > 0):
-            raise ValueError("eps, Delta and L2 must be positive")
+        if not (self.eps > 0 and self.Delta > 0):
+            raise ValueError("eps and Delta must be positive")
+        _check_l2(self.L2)
 
     def batch_sizes(self, n: int) -> tuple[int, int]:
         """(b_g, b_h) as drawn over n components: a full-batch schedule reads
@@ -368,6 +369,13 @@ def _stationarity(der: Derivatives, L2: float) -> tuple[float, float]:
     return gnorm, max(gnorm ** 1.5, -(_lambda_min(H) ** 3) / L2 ** 1.5)
 
 
+def _check_l2(L2) -> None:
+    """The check of a Hessian-Lipschitz constant L2 wherever one enters:
+    positive and finite, else ValueError."""
+    if not 0 < L2 < math.inf:
+        raise ValueError("L2 must be positive and finite")
+
+
 def mu(F: FiniteSumFunction, x, L2: float) -> float:
     """Combined stationarity measure:
     max(|grad F|^(3/2), -lambda_min(hess F)^3 / L2^(3/2)).
@@ -375,10 +383,10 @@ def mu(F: FiniteSumFunction, x, L2: float) -> float:
     Uses the free measurement channel: the mean of ``F._answers`` that
     ``F.full`` answers, before a factored Hessian is lifted; zero iff x is
     an exact second-order stationary point.  Raises ValueError if the
-    measured value or gradient is not finite.
+    measured value or gradient is not finite, and before any evaluation if
+    L2 is not positive and finite.
     """
-    if not L2 > 0:
-        raise ValueError("L2 must be positive")
+    _check_l2(L2)
     x = as_vector(x, dim=F.d)
     return _stationarity(mean_derivatives(F._answers(x, 2), x.shape, 2),
                          L2)[1]
@@ -474,9 +482,13 @@ def _exact_information_run(F: FiniteSumFunction, p: int, step, budget: int,
     p = 1).  A step of None ends the run without a row.  Runs until the next
     iteration would exceed the query budget, an integer of at least 1.
     Every row of a pass answers and is checked, in row order (a game's
-    moves), before any is charged.
+    moves), before any is charged.  A budget that is not an integer of at
+    least 1, or an L2 that is not positive and finite, raises ValueError
+    before the first pass.
     """
     budget = _count(budget, "budget", 1)
+    if L2 is not None:
+        _check_l2(L2)
     n, d = F.n, F.d
     ledger = _run_ledger(F, ledger, None)
     x = np.zeros(d) if x0 is None else as_vector(x0, dim=d).copy()
@@ -511,8 +523,10 @@ def baseline_full_gd(F: FiniteSumFunction, step_rule, budget: int,
 
     ``step_rule`` is a constant or a callable (t, x, grad) -> step size; a
     non-finite constant raises ValueError before the first pass, and a
-    non-finite step from the callable raises it before the iterate moves.
-    Runs until the next pass would exceed the query budget.
+    non-finite step from the callable raises it before the iterate moves,
+    and an L2 that is given and is not positive and finite raises it before
+    the first pass.  Runs until the next pass would exceed the query
+    budget.
     """
     if not callable(step_rule) and not math.isfinite(float(step_rule)):
         raise ValueError(f"non-finite step {step_rule}")
@@ -532,8 +546,9 @@ def baseline_full_cubic(F: FiniteSumFunction, M: float, budget: int,
                         x0=None, ledger: OracleLedger | None = None,
                         L2: float | None = None) -> list[TrajectoryRecord]:
     """Cubic-regularized Newton with exact derivatives; one order-1 pass plus
-    one order-2 pass (2n queries) per iteration.  An M that is not
-    positive and finite raises ValueError before the first pass."""
+    one order-2 pass (2n queries) per iteration.  An M, or an L2 that is
+    given, that is not positive and finite raises ValueError before the
+    first pass."""
     _check_penalty(M)
 
     def cubic_step(t, x, grad, hess):

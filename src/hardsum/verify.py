@@ -11,8 +11,15 @@ Relative errors throughout are :func:`hardsum.linalg.rel_err`.
 """
 from __future__ import annotations
 
+import gc
 import math
 import operator
+import os
+import pickle
+import signal
+import threading
+import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
@@ -764,6 +771,94 @@ def _battery_instance(seed: int) -> RandomizedHardInstance:
     return sample_randomized_instance(spec, seed=seed)
 
 
+def _fork_helps() -> bool:
+    """Whether :func:`_beside` forks: ``os.fork`` exists, at least two CPUs
+    are usable, and the process runs one Python thread (a child copies only
+    the thread that forks, so a lock another thread held would stay held in
+    it)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (hasattr(os, "fork") and affinity is not None
+            and len(affinity(0)) >= 2 and threading.active_count() == 1)
+
+
+@contextmanager
+def _beside(run):
+    """Yield a function that returns ``run()``, run beside the block.
+
+    Where :func:`_fork_helps`, ``run()`` starts at once in a forked child.
+    The child pickles into a pipe its result, or the exception it raised,
+    with the warnings it caught, and leaves by ``os._exit``: it flushes no
+    inherited stdio and runs no atexit hook.  The yielded function reads
+    the pipe and reaps the child, warns those warnings again and raises
+    that exception again; a child that sent nothing raises RuntimeError
+    naming its exit status.  A block left before that kills and reaps the
+    child.  Elsewhere the yielded function is ``run`` itself.
+    """
+    if not _fork_helps():
+        yield run
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _send(run, write_fd)
+    os.close(write_fd)
+    reaped = False
+
+    def result():
+        nonlocal reaped
+        with open(read_fd, "rb", closefd=False) as pipe:
+            payload = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        if not payload:
+            raise RuntimeError("the check's child process sent no result "
+                               "(exit status "
+                               f"{os.waitstatus_to_exitcode(status)})")
+        value, raised, caught = pickle.loads(payload)
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if raised:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        os.close(read_fd)
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _send(run, fd: int):
+    """The forked child's side of :func:`_beside`; never returns.
+
+    The objects the child inherits are frozen out of the cyclic collector,
+    so no finalizer of the parent's garbage runs in the child.
+    """
+    code = 1
+    try:
+        gc.freeze()
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                value, raised = run(), False
+            except Exception as exc:
+                value, raised = exc, True
+        caught = [(w.message, w.category, w.filename, w.lineno)
+                  for w in caught]
+        try:
+            payload = pickle.dumps((value, raised, caught))
+        except Exception:     # a value that does not pickle
+            payload = pickle.dumps((RuntimeError(
+                f"{type(value).__name__}: {value}"), True, []))
+        with open(fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def run_battery(num_points: int = 60, zero_chain_samples: int = 500,
                 pairs: int = 120, trials: int = 2000, starts: int = 20,
                 seed: int = 0) -> list[BatteryCheck]:
@@ -772,6 +867,16 @@ def run_battery(num_points: int = 60, zero_chain_samples: int = 500,
     Any sample count set to zero skips the checks it drives, under the
     names a run reports; a negative count is refused.  A run passes iff no
     check failed (skips are allowed).
+
+    The suboptimality check's lockstep descent, about half of a default
+    run, charges nothing and shares no state with the other checks.  It
+    descends on the hard instance built here, before the other checks run:
+    in a forked child beside them where ``os.fork`` exists, at least two
+    CPUs are usable and the caller runs one Python thread, else inline
+    after ``large_gradient``.  Either way the checks, their order and their
+    reports are the same; an exception or warning from the child reaches
+    the caller, and no child outlives the call.  A tracer of the calling
+    process sees none of the descent's calls.
     """
     num_points, zero_chain_samples, pairs, trials, starts = _check_counts(
         num_points=num_points, zero_chain_samples=zero_chain_samples,
@@ -812,26 +917,29 @@ def run_battery(num_points: int = 60, zero_chain_samples: int = 500,
                                                 max(1000, trials),
                                                 seed=seed))]
 
-    def hard_instance():
+    descent = nullcontext()
+    if starts > 0:
         inst = _battery_instance(seed + 6)
-        return [outcome(verify_large_gradient(inst, seed=seed + 7)),
-                outcome(verify_suboptimality(inst, num_starts=starts,
-                                             seed=seed + 8))]
-
-    table = [
-        (("check_derivatives", "check_derivatives_chain",
-          "check_derivatives_composite"), num_points, derivatives),
-        (("check_zero_chain_K2", "check_zero_chain_K4",
-          "check_zero_chain_K8"), zero_chain_samples, zero_chain),
-        (("smoothness_power_mean",), pairs, smoothness),
-        (("estimator_bounds",), trials, estimator_bounds),
-        (("large_gradient", "suboptimality"), starts, hard_instance),
-    ]
+        descent = _beside(lambda: outcome(verify_suboptimality(
+            inst, num_starts=starts, seed=seed + 8)))
+    with descent as suboptimality:
+        table = [
+            (("check_derivatives", "check_derivatives_chain",
+              "check_derivatives_composite"), num_points, derivatives),
+            (("check_zero_chain_K2", "check_zero_chain_K4",
+              "check_zero_chain_K8"), zero_chain_samples, zero_chain),
+            (("smoothness_power_mean",), pairs, smoothness),
+            (("estimator_bounds",), trials, estimator_bounds),
+            (("large_gradient", "suboptimality"), starts,
+             lambda: [outcome(verify_large_gradient(inst, seed=seed + 7)),
+                      suboptimality()]),
+        ]
+        found = [run() if count > 0 else None for _, count, run in table]
     checks: list[BatteryCheck] = []
-    for names, count, run in table:
-        if count <= 0:
+    for (names, _, _), outcomes in zip(table, found):
+        if outcomes is None:
             checks.extend(BatteryCheck(name, "skipped") for name in names)
             continue
         checks.extend(BatteryCheck(name, _status(passed), details)
-                      for name, (passed, details) in zip(names, run()))
+                      for name, (passed, details) in zip(names, outcomes))
     return checks

@@ -60,10 +60,11 @@ def test_its_ops_are_the_benchmarks_ops(workload, tmp_path):
     assert not theirs.check(0, got)[0]
 
 
-def _ab(parent: Path, change: Path, ops: int = 2):
+def _ab(parent: Path, change: Path, ops: int = 2,
+        workload: str = "svrc-synthetic"):
     return subprocess.run(
         [sys.executable, str(TOOL), str(parent), str(change),
-         "--workload", "svrc-synthetic", "--ops", str(ops)],
+         "--workload", workload, "--ops", str(ops)],
         capture_output=True, text=True, timeout=300)
 
 
@@ -79,7 +80,9 @@ def test_a_tree_against_itself_reads_the_same():
     lines = run.stdout.splitlines()
     assert [line.split()[-1] for line in lines[2:4]] == ["same", "same"]
     assert re.fullmatch(r"minor page faults per op: parent median "
-                        r"\d+\.\d, change median \d+\.\d", lines[-5])
+                        r"\d+\.\d, change median \d+\.\d", lines[-6])
+    # an SVRC op runs in this process alone
+    assert _cpu_seconds(lines[-5])["children"] == (0.0, 0.0)
     assert re.fullmatch(r"traced peak of op 0: parent \d+\.\d\d MB, "
                         r"change \d+\.\d\d MB", lines[-4])
     seconds = _op_seconds(lines[-3])
@@ -105,6 +108,30 @@ def _op_seconds(line: str) -> dict[str, tuple[float, float, float]]:
     fields = match.groups()
     return {fields[i]: tuple(map(float, fields[i + 1:i + 4]))
             for i in (0, 4)}
+
+
+def _cpu_seconds(line: str) -> dict[str, tuple[float, float]]:
+    """(parent, change) median CPU seconds per op, of the process ("self")
+    and of its children, from the tool's CPU seconds line."""
+    number = r"(\d+\.\d{6})"
+    side = rf"(?:parent|change) median {number} self, {number} children"
+    match = re.fullmatch(rf"CPU seconds per op: {side}, {side}", line)
+    assert match, line
+    got = tuple(map(float, match.groups()))
+    return {"self": got[0::2], "children": got[1::2]}
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0))
+                    < 2, reason="the battery forks only with two CPUs")
+def test_a_battery_op_shows_its_childs_cpu_seconds():
+    # the battery's descent runs in a forked child, whose CPU seconds the
+    # CPU line counts beside the process's own
+    run = _ab(ROOT, ROOT, ops=1, workload="verify-battery")
+    assert run.returncode == 0, run.stderr
+    (line,) = [line for line in run.stdout.splitlines()
+               if line.startswith("CPU seconds per op: ")]
+    cpu = _cpu_seconds(line)
+    assert min(cpu["self"]) > 0 and min(cpu["children"]) > 0
 
 
 def _traced_peaks(stdout: str) -> tuple[float, float]:

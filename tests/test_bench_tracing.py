@@ -1,6 +1,6 @@
 """The benchmark's span tracer still finds every binding it patches, and its
 spans and ledger counters read what a small SVRC run, a small adversary
-game and the estimator-bound cross-check actually did."""
+game, the estimator-bound cross-check and a small battery actually did."""
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,7 +12,7 @@ import hardsum.cli  # noqa: F401  (the tracer patches hardsum.cli.main)
 from hardsum.instances import deterministic_params, ell_p
 from hardsum.oracle import OracleLedger
 from hardsum.optim import C_M, SvrcParams
-from hardsum.verify import verify_estimator_bounds
+from hardsum.verify import run_battery, verify_estimator_bounds
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -86,3 +86,20 @@ def test_traced_cross_check_counters(tracing):
     metrics = tracer.layer_metrics(num_ops=1)
     assert [metrics[f"oracle.{name}"][0] for name in (
         "charged_queries", "requeries", "cache_hits")] == [384, 64, 256]
+
+
+def test_a_traced_battery_counts_its_cross_checks_charges(tracing):
+    # the battery's one charging check runs in the calling process, so the
+    # tracer reads its closed form: 8 metered trials of b_g = 16 charges at
+    # x, 16 charged snapshot re-reads and b_h = 64 Hessians at x whose
+    # snapshot reads are cache hits, 8 (2 b_g + b_h) charges in all
+    b_g, b_h = 16, 64
+    tracer = tracing.Tracer()
+    with pytest.warns(UserWarning), tracer.active(0):
+        checks = run_battery(num_points=1, zero_chain_samples=2, pairs=2,
+                             trials=1, starts=2)
+    assert all(c.status == "passed" for c in checks)
+    metrics = tracer.layer_metrics(num_ops=1)
+    assert [metrics[f"oracle.{name}"][0] for name in (
+        "charged_queries", "requeries", "cache_hits")] == [
+        8 * (2 * b_g + b_h), 8 * b_g, 8 * b_h]

@@ -1,3 +1,5 @@
+import math
+
 from conftest import assert_rows, same_bits
 
 import numpy as np
@@ -302,9 +304,19 @@ class TestSoftClamp:
             lambda z: soft_clamp(z, R=3.0, order=1)[1].T @ a, y, step=1e-6)
         assert np.allclose(d2c(a), fd, rtol=1e-6, atol=1e-7)
 
-    def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            soft_clamp(np.zeros(2), R=0.0)
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan],
+                             ids=["zero", "negative", "nan"])
+    def test_rejects_bad_radius(self, R):
+        # a NaN radius passed an R <= 0 test and gave NaN points
+        with pytest.raises(ValueError, match="^R must be positive$"):
+            soft_clamp(np.ones(2), R=R)
+
+    def test_an_infinite_radius_is_the_identity(self, rng):
+        y = rng.standard_normal((3, 4)) * 100.0
+        rho, J, d2c = soft_clamp(y, R=math.inf, order=2)
+        assert same_bits(rho, y)
+        assert same_bits(J, np.broadcast_to(np.eye(4), (3, 4, 4)))
+        assert not d2c(rng.standard_normal((3, 4))).any()
 
     def test_clamp_radius_formula(self):
         assert clamp_radius(4) == pytest.approx(460.0, rel=1e-15)

@@ -1323,6 +1323,26 @@ class TestBaselines:
             baseline_full_cubic(F, M, 40, ledger=led)
         assert led.counters() == OracleLedger(n=4).counters()
 
+    @pytest.mark.parametrize("L2", [math.inf, math.nan, 0.0, -1.0])
+    def test_an_l2_that_is_not_positive_and_finite_is_refused(self, L2):
+        # L2 = inf made mu's Cholesky screen compute inf - inf, and the
+        # baselines measured mu only after their first charged pass
+        F = quadratic_cosine_sum(4, 3, seed=0)
+        match = "^L2 must be positive and finite$"
+        with pytest.raises(ValueError, match=match):
+            SvrcParams(M=1.0, b_g=2, b_h=2, S=1, T=1, eps=1.0, Delta=1.0,
+                       L2=L2)
+        with pytest.raises(ValueError, match=match):
+            mu(F, np.zeros(3), L2)
+        for run in (lambda led: baseline_full_gd(F, 0.1, 40, ledger=led,
+                                                 L2=L2),
+                    lambda led: baseline_full_cubic(F, 10.0, 40, ledger=led,
+                                                    L2=L2)):
+            led = OracleLedger(n=4)
+            with pytest.raises(ValueError, match=match):
+                run(led)
+            assert led.counters() == OracleLedger(n=4).counters()
+
 
 @given(st.integers(0, 2_000))
 def test_mu_dominates_gradient_norm_property(seed):

@@ -1,7 +1,15 @@
 import dataclasses
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +48,8 @@ from hardsum.verify import (
     BatteryCheck,
     EstimatorBoundsReport,
     SmoothnessReport,
+    SuboptimalityReport,
+    _status,
     check_derivatives,
     check_zero_chain,
     default_ell_hat,
@@ -693,6 +703,216 @@ class TestBattery:
         assert by_name["check_derivatives"] == "passed"
         assert by_name["check_derivatives_chain"] == "failed"
         assert by_name["check_derivatives_composite"] == "failed"
+
+
+#: a battery of the hard-instance checks alone, with a short descent
+HARD_ONLY = dict(num_points=0, zero_chain_samples=0, pairs=0, trials=0,
+                 starts=3)
+
+
+def _forks(monkeypatch, cpus: int = 2) -> list:
+    """``cpus`` usable CPUs, and an ``os.fork`` that records the caller's
+    process id in the returned list at each call."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _descent_pid(instance, num_starts, seed):
+    """A stand-in for verify_suboptimality whose report holds the id of
+    the process that ran it."""
+    return SuboptimalityReport(passed=True, f_origin=float(os.getpid()),
+                               best_found=0.0, gap=0.0, bound=1.0,
+                               num_starts=num_starts)
+
+
+class TestForkedDescent:
+    """``run_battery`` runs the suboptimality descent in a forked child
+    where that can help, with the inline run's reports and refusals."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_the_forked_report_is_the_inline_report(self, seed, monkeypatch):
+        calls = _forks(monkeypatch)
+        with pytest.warns(UserWarning):
+            checks = run_battery(**HARD_ONLY, seed=seed)
+        assert calls == [os.getpid()]
+        _no_child_left()
+        with pytest.warns(UserWarning):
+            inst = _battery_instance(seed + 6)
+        want = [verify_large_gradient(inst, seed=seed + 7),
+                verify_suboptimality(inst, num_starts=3, seed=seed + 8)]
+        assert [c.name for c in checks] == BATTERY_NAMES
+        assert [(c.status, _bits(c.details)) for c in checks[-2:]] == [
+            (_status(rep.passed), _bits(rep.to_dict())) for rep in want]
+
+    def test_the_descent_runs_in_another_process(self, monkeypatch):
+        calls = _forks(monkeypatch)
+        monkeypatch.setattr(hardsum.verify, "verify_suboptimality",
+                            _descent_pid)
+        with pytest.warns(UserWarning):
+            checks = run_battery(**HARD_ONLY)
+        assert len(calls) == 1
+        assert checks[-1].details["f_origin"] not in (0.0, os.getpid())
+        _no_child_left()
+
+    def test_an_exception_in_the_child_reaches_the_caller(self, monkeypatch):
+        _forks(monkeypatch)
+
+        def broken(*args, **kwargs):
+            raise ValueError("the descent broke")
+
+        monkeypatch.setattr(hardsum.verify, "verify_suboptimality", broken)
+        with pytest.warns(UserWarning), \
+                pytest.raises(ValueError, match="^the descent broke$"):
+            run_battery(**HARD_ONLY)
+        _no_child_left()
+
+    def test_a_warning_in_the_child_reaches_the_caller(self, monkeypatch):
+        _forks(monkeypatch)
+
+        def warned(*args, **kwargs):
+            warnings.warn("a warned descent", DeprecationWarning)
+            return _descent_pid(*args, **kwargs)
+
+        monkeypatch.setattr(hardsum.verify, "verify_suboptimality", warned)
+        with pytest.warns(UserWarning), \
+                pytest.warns(DeprecationWarning, match="^a warned descent$"):
+            checks = run_battery(**HARD_ONLY)
+        assert checks[-1].status == "passed"
+        _no_child_left()
+
+    def test_a_child_that_sends_nothing_is_named_by_its_status(
+            self, monkeypatch):
+        _forks(monkeypatch)
+        parent = os.getpid()
+
+        def dies(*args, **kwargs):
+            assert os.getpid() != parent    # never end the test process
+            os._exit(7)
+
+        monkeypatch.setattr(hardsum.verify, "verify_suboptimality", dies)
+        with pytest.warns(UserWarning), pytest.raises(
+                RuntimeError, match=r"sent no result \(exit status 7\)"):
+            run_battery(**HARD_ONLY)
+        _no_child_left()
+
+    def test_a_check_that_raises_in_the_parent_leaves_no_child(
+            self, monkeypatch):
+        # the child would descend for a minute; the parent's error kills it
+        _forks(monkeypatch)
+        parent = os.getpid()
+
+        def slow(*args, **kwargs):
+            assert os.getpid() != parent
+            time.sleep(60)
+
+        def broken(*args, **kwargs):
+            raise KeyError("large gradient")
+
+        monkeypatch.setattr(hardsum.verify, "verify_suboptimality", slow)
+        monkeypatch.setattr(hardsum.verify, "verify_large_gradient", broken)
+        start = time.monotonic()
+        with pytest.warns(UserWarning), pytest.raises(KeyError):
+            run_battery(**HARD_ONLY)
+        assert time.monotonic() - start < 30
+        _no_child_left()
+
+    def test_the_callers_garbage_is_not_finalized_in_the_child(
+            self, tmp_path, monkeypatch):
+        # a cycle the caller dropped before the fork is finalized by the
+        # caller's collector alone, though the child runs a full collection
+        _forks(monkeypatch)
+        finalized = tmp_path / "finalized"
+
+        class Cycle:
+            def __del__(self):
+                with open(finalized, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()}\n")
+
+        def collects(*args, **kwargs):
+            gc.collect()
+            return _descent_pid(*args, **kwargs)
+
+        monkeypatch.setattr(hardsum.verify, "verify_suboptimality", collects)
+        gc.disable()
+        try:
+            cycle = Cycle()
+            cycle.itself = cycle
+            del cycle
+            with pytest.warns(UserWarning):
+                run_battery(**HARD_ONLY)
+        finally:
+            gc.enable()
+        gc.collect()
+        assert finalized.read_text(encoding="utf-8") == f"{os.getpid()}\n"
+        _no_child_left()
+
+    def test_hardsum_verify_prints_its_table_once(self, tmp_path):
+        # the child leaves by os._exit: it returns to no caller and flushes
+        # none of the output the parent had buffered when it forked.  A
+        # fresh interpreter writing to a pipe buffers its stdout, which
+        # pytest's own capture does not.
+        config = tmp_path / "c.ini"
+        config.write_text("[verify]\nnum_points = 0\nzero_chain_samples = 0"
+                          "\npairs = 0\ntrials = 0\nstarts = 2\n",
+                          encoding="utf-8")
+        buffered = "buffered before the battery; "
+        script = (
+            "import os, sys, warnings\n"
+            "warnings.simplefilter('ignore', UserWarning)\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "fork, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "from hardsum.cli import main\n"
+            f"sys.stdout.write({buffered!r})\n"
+            "code = main(['verify', '--config', sys.argv[1]])\n"
+            "sys.exit(code if forks == [1] else 3)\n")
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(hardsum.verify.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-c", script, str(config)],
+                             capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        out = run.stdout
+        assert out.startswith(buffered) and out.count(buffered) == 1
+        lines = out[len(buffered):].splitlines()
+        assert [line.split() for line in lines] == [
+            [name, "passed" if name in ("large_gradient", "suboptimality")
+             else "skipped"] for name in BATTERY_NAMES]
+
+    @pytest.mark.parametrize("where", ["no-fork", "one-cpu", "two-threads"])
+    def test_the_descent_runs_inline_where_a_fork_cannot_help(
+            self, where, monkeypatch):
+        calls = _forks(monkeypatch, cpus=1 if where == "one-cpu" else 2)
+        if where == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(hardsum.verify, "verify_suboptimality",
+                            _descent_pid)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        if where == "two-threads":
+            other.start()
+        try:
+            with pytest.warns(UserWarning):
+                checks = run_battery(**HARD_ONLY)
+        finally:
+            release.set()
+            if other.is_alive():
+                other.join(30)
+        assert calls == []
+        assert checks[-1].details["f_origin"] == os.getpid()
 
 
 def test_report_to_dict_follows_dataclass_fields():

@@ -19,7 +19,11 @@ only the op itself is timed.  One line per op gives both times, their ratio
 (change / parent) and whether the outputs are equal bit for bit.  The
 process's minor page faults (``getrusage``'s ``ru_minflt``) are counted
 around each timed op, and one line gives each side's median per op: a
-fresh array the allocator must map shows there.  After the timed pairs,
+fresh array the allocator must map shows there.  The CPU seconds of the
+process and of the child processes it reaped (``RUSAGE_SELF`` and
+``RUSAGE_CHILDREN``) are taken around each timed op too, and one line
+gives each side's medians per op, so work an op moves into a child shows
+as moved, not removed.  After the timed pairs,
 op 0 runs once more on each side under ``tracemalloc``, untimed, and one
 line gives each side's traced allocation peak.  The last
 lines give each side's median op seconds and their quartiles, the paired
@@ -172,6 +176,13 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def _cpu_seconds() -> tuple[float, float]:
+    """CPU seconds so far of this process and of its reaped children."""
+    return tuple(usage.ru_utime + usage.ru_stime for usage in (
+        resource.getrusage(resource.RUSAGE_SELF),
+        resource.getrusage(resource.RUSAGE_CHILDREN)))
+
+
 def traced_peak(op, pkg, seed: int, workdir: Path) -> int:
     """Bytes at the peak of the allocations ``tracemalloc`` traces while
     one op runs."""
@@ -203,15 +214,17 @@ def run(parent: Path, change: Path, workload: str, ops: int,
             ratios, wins, differ = [], 0, 0
             times = {side: [] for side in SIDES}
             faults = {side: [] for side in SIDES}
+            cpu = {side: [] for side in SIDES}
             for i in range(ops):
                 seconds, outputs = {}, {}
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    f0 = _minor_faults()
+                    f0, c0 = _minor_faults(), _cpu_seconds()
                     t0 = time.perf_counter()
                     result = op(pkgs[side], seed + i, workdirs[side])
                     seconds[side] = time.perf_counter() - t0
                     faults[side].append(_minor_faults() - f0)
+                    cpu[side].append(np.subtract(_cpu_seconds(), c0))
                     times[side].append(seconds[side])
                     outputs[side] = canonical(result)
                 same = outputs["parent"] == outputs["change"]
@@ -224,6 +237,10 @@ def run(parent: Path, change: Path, workload: str, ops: int,
                       f"{'same' if same else 'DIFF'}")
             print("minor page faults per op: " + ", ".join(
                 f"{side} median {np.median(faults[side]):.1f}"
+                for side in SIDES))
+            print("CPU seconds per op: " + ", ".join(
+                "{} median {:.6f} self, {:.6f} children".format(
+                    side, *np.median(cpu[side], axis=0))
                 for side in SIDES))
             peaks = {side: traced_peak(op, pkgs[side], seed, workdirs[side])
                      for side in SIDES}
