@@ -435,12 +435,13 @@ def _stencil_points(x, step: float | None) -> tuple[np.ndarray, float]:
     (4d, d) stack, and the step h.
 
     For the steps h and h/2 in turn and for j = 0..d-1, the stack holds
-    x + step e_j then x - step e_j (only coordinate j moves).
+    x + step e_j then x - step e_j (only coordinate j moves).  A step
+    that is not positive and finite (NaN included) raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     h = default_fd_step(x) if step is None else float(step)
-    if h <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError("step must be positive and finite")
     d = x.size
     points = np.tile(x, (2, d, 2, 1))   # (step, j, sign, coordinate)
     j = np.arange(d)

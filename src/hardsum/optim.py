@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._fork import streamed
 from .chains import Derivatives
 from .cubic import CubicModel, _check_penalty, solve
 from .instances.params import _check_positive, _real_count
@@ -230,18 +231,49 @@ def _drawn_counts(rng: np.random.Generator, n: int, size: int) -> _Counts:
     return _Counts(counts, size)
 
 
-def _draw_counts(params: SvrcParams, n: int, rng: np.random.Generator
-                 ) -> tuple[_Counts, _Counts]:
-    """One step's (gradient, Hessian) batches as draw counts, ones under a
-    full-batch schedule.  Each batch is counted by :func:`_drawn_counts`,
-    whose draws give the values, and leave the state, of
-    ``_draw_batches(params, n, rng, 1)`` (numpy keeps the buffered 32-bit
-    word in the bit generator between calls), so the counts are those of
-    its batches; tests pin this."""
-    if params.full_batch:
-        every = _Counts(np.ones(n, dtype=np.intp), n)
-        return every, every
-    return _drawn_counts(rng, n, params.b_g), _drawn_counts(rng, n, params.b_h)
+def _draw_counts(params: SvrcParams, n: int, rng: np.random.Generator):
+    """One step's gradient batch, then its Hessian batch, as draw counts,
+    each drawn when it is asked for; ones under a full-batch schedule.
+    Each batch is counted by :func:`_drawn_counts`, whose draws give the
+    values, and leave the state, of ``_draw_batches(params, n, rng, 1)``
+    (numpy keeps the buffered 32-bit word in the bit generator between
+    calls), so the counts are those of its batches; tests pin this."""
+    for size in params.batch_sizes(n):
+        yield (_Counts(np.ones(n, dtype=np.intp), n) if params.full_batch
+               else _drawn_counts(rng, n, size))
+
+
+def _step_draws(params: SvrcParams, n: int):
+    """Every step's gradient and Hessian batches as draw counts, in
+    schedule order (:func:`_draw_counts`), each with the state its
+    generator, ``default_rng(params.seed)``, is left in after it."""
+    rng = np.random.default_rng(params.seed)
+    for _ in range(params.S * params.T):
+        for drawn in _draw_counts(params, n, rng):
+            yield drawn, rng.bit_generator.state
+
+
+def _fork_pays(params: SvrcParams, n: int, budget) -> bool:
+    """Whether :func:`svrc_run`'s draws over n components, under a raw-query
+    budget left (``math.inf`` for none), are worth a forked child: the steps
+    draw i.i.d. batches, at least 2^16 indices a step, and the steps after
+    the first that the schedule and the budget allow, whose draws the run
+    need not wait for, at least 2^20 in all.  Below that the fork and the
+    caller's copy-on-write faults cost more than the draws they move off
+    it.  Paired runs on a 2-CPU host (n = 256, b_g = 423, S = 1): the fork
+    lost at T = 1 up to b_h = 1,500,000; at T = 2 it lost at 524,288 and
+    won at 741,185; at T = 4 it lost up to 260,000 and won from 400,000
+    (broke even there at n = 1,024); at T = 8 it won from 150,000; at
+    S = 25, T = 4 it lost at 30,000 and won at 65,000.  The benchmark's
+    schedule with a budget of one step ran 2.1 times as long forked."""
+    per_step, cost = params.b_g + params.b_h, params.step_cost(n)
+    steps = params.S * params.T
+    if budget < math.inf:
+        # whole epochs, then the steps that fit after a last snapshot
+        epochs, left = divmod(budget, n + params.T * cost)
+        steps = min(steps, epochs * params.T + max(0, (left - n) // cost))
+    return (not params.full_batch and per_step >= 1 << 16
+            and (steps - 1) * per_step >= 1 << 20)
 
 
 def _batch_counts(batch, n: int) -> _Counts:
@@ -419,6 +451,15 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
     The ledger's first-hit threshold defaults to ``params.eps``; a budget
     that is not an integer of at least 1 raises ValueError before any
     charge.
+
+    Each step's batches are read, as draw counts with the generator state
+    after each, from a stream of :func:`_step_draws`: where
+    :func:`_fork_pays` and a fork can help (:func:`hardsum._fork.streamed`),
+    a forked child draws them ahead while the run evaluates, no further
+    than the pipe's buffer holds; elsewhere they are drawn inline.  Before
+    it draws x_out the run takes the state left by the last batch it read,
+    so every output is the same either way, and no child outlives the run.
+    A tracer or profiler of the caller does not see a forked child's draws.
     """
     budget = math.inf if budget is None else _count(budget, "budget", 1)
     n, d = F.n, F.d
@@ -433,35 +474,40 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
     # current iterate; t = 0..T-1 are its steps.  The schedule is generated
     # lazily: S can be far larger than any run gets through.
     schedule = ((s, t) for s in range(params.S) for t in range(-1, params.T))
-    for s, t in schedule:
-        # a snapshot pass is only worth paying if a step can follow it
-        cost = n + step_cost if t < 0 else step_cost
-        if ledger.total + cost > budget:
-            break
-        if t < 0:
-            # the epoch's checked snapshot answers; the estimators read the
-            # exact g and H from their mean
-            x_hat = x.copy()
-            snapshot = _Evaluated.evaluate(F, np.arange(n), x_hat, 2)
-            for i in range(n):
-                query(ledger, snapshot, i, x_hat, order=2)
-            continue
-        batch_g, batch_h = _draw_counts(params, n, rng)
-        v = svrc_gradient_estimator(ledger, x, batch_g, snapshot)
-        U = svrc_hessian_estimator(ledger, x, batch_h, snapshot)
-        try:
-            sol = solve(CubicModel(v=v, U=U, M=params.M))
-        except ArithmeticError:
-            break
-        x = x + sol.h
-        iterates.append(x.copy())
-        measured = F.full(x, order=2)
-        gnorm, m = _stationarity(measured, params.L2)
-        record_iterate(ledger, gnorm)
-        trajectory.append(TrajectoryRecord(
-            epoch=s, step=t, f=float(measured.value), grad_norm=gnorm,
-            mu=m, h_norm=_norm(sol.h),
-            counters=ledger.counters()))
+    with streamed(lambda: _step_draws(params, n),
+                  _fork_pays(params, n, budget - ledger.total)) as draws:
+        for s, t in schedule:
+            # a snapshot pass is only worth paying if a step can follow it
+            cost = n + step_cost if t < 0 else step_cost
+            if ledger.total + cost > budget:
+                break
+            if t < 0:
+                # the epoch's checked snapshot answers; the estimators read
+                # the exact g and H from their mean
+                x_hat = x.copy()
+                snapshot = _Evaluated.evaluate(F, np.arange(n), x_hat, 2)
+                for i in range(n):
+                    query(ledger, snapshot, i, x_hat, order=2)
+                continue
+            # a step reads both batches before it can stop the run, so
+            # x_out draws from the state its Hessian batch left
+            batch_g, _ = next(draws)
+            v = svrc_gradient_estimator(ledger, x, batch_g, snapshot)
+            batch_h, rng.bit_generator.state = next(draws)
+            U = svrc_hessian_estimator(ledger, x, batch_h, snapshot)
+            try:
+                sol = solve(CubicModel(v=v, U=U, M=params.M))
+            except ArithmeticError:
+                break
+            x = x + sol.h
+            iterates.append(x.copy())
+            measured = F.full(x, order=2)
+            gnorm, m = _stationarity(measured, params.L2)
+            record_iterate(ledger, gnorm)
+            trajectory.append(TrajectoryRecord(
+                epoch=s, step=t, f=float(measured.value), grad_norm=gnorm,
+                mu=m, h_norm=_norm(sol.h),
+                counters=ledger.counters()))
 
     if iterates:
         x_out = iterates[int(rng.integers(0, len(iterates)))].copy()

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -73,6 +75,27 @@ def good_and_short(d=3, n=2):
                            np.ones((1, 1)) if order >= 2 else None)
 
     return CallableFiniteSum([good] + [short] * (n - 1), d=d)
+
+
+def counted_forks(monkeypatch, cpus: int = 2) -> list:
+    """``cpus`` usable CPUs, and an ``os.fork`` that records the caller's
+    process id in the returned list at each call."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def no_child_left():
+    """No child process of this one is left, reaped or not."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 #: verdict lines recorded by the acceptance tests, echoed after the run

@@ -509,6 +509,15 @@ class TestFiniteDifferences:
         with pytest.raises(ValueError):
             finite_diff_gradient(lambda x: 0.0, np.zeros(2), step=0.0)
 
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_rejects_a_step_that_is_not_finite(self, step):
+        # NaN passed a ``step <= 0`` check and gave a NaN gradient
+        with pytest.raises(ValueError, match="^step must be positive"):
+            finite_diff_gradient(lambda x: float(x @ x), np.ones(3),
+                                 step=step)
+        with pytest.raises(ValueError, match="^step must be positive"):
+            finite_diff_jacobian(lambda x: x, np.ones(3), step=step)
+
 
 def _per_column_richardson(g, x, step=None):
     """Reference: the per-column loop the stencil replaced.  Central

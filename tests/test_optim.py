@@ -1,10 +1,14 @@
 import dataclasses
 import gc
 import math
+import os
+import threading
+import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
-from conftest import good_and_short
+from conftest import counted_forks, good_and_short, no_child_left
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from hardsum.optim import (
     _draw_counts,
     _drawn_counts,
     _estimator_pass,
+    _fork_pays,
     _stationarity,
 )
 
@@ -833,7 +838,7 @@ class TestDrawCounts:
             rng.integers(0, n, size=prefix)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hardsum.optim, "_DRAW_CHUNK", chunk)
-            got = _draw_counts(params, n, got_rng)
+            got = list(_draw_counts(params, n, got_rng))
         want = [_batch_counts(batch, n)
                 for (batch,) in _draw_batches(params, n, want_rng, 1)]
         for drawn, counted in zip(got, want):
@@ -869,6 +874,178 @@ class TestDrawCounts:
         assert counts.tolist() == [2, 0, 1] and size == 3
 
 
+def _traced_run(monkeypatch, F, params, **kwargs):
+    """svrc_run's (x_out bytes, trajectory, ledger counters, the end state
+    of the generator it draws x_out from)."""
+    made, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(default_rng(seed))
+                        or made[-1])
+    led = OracleLedger(n=F.n)
+    x_out, traj = svrc_run(F, params, ledger=led, **kwargs)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return (x_out.tobytes(), _rows(traj), led.counters(),
+            made[0].bit_generator.state)
+
+
+def _rows(traj):
+    return [(r.epoch, r.step, np.float64(r.f).tobytes(),
+             np.float64(r.grad_norm).tobytes(), np.float64(r.mu).tobytes(),
+             np.float64(r.h_norm).tobytes(), r.counters) for r in traj]
+
+
+#: n = 16 components, snapshot 16 queries, a step 2 * 5 + 7 = 17, an epoch
+#: of T = 3 steps 67
+STREAMED = SvrcParams(M=5.0, b_g=5, b_h=7, S=3, T=3, eps=1e-3, Delta=1.0,
+                      L2=1.0)
+#: a schedule that forks: each step draws 2^18 + 5 indices, and the four
+#: after the first 4 (2^18 + 5) >= 2^20
+LARGE = SvrcParams(M=5.0, b_g=5, b_h=1 << 18, S=1, T=5, eps=1e-3, Delta=1.0,
+                   L2=1.0)
+
+
+class TestStreamedDraws:
+    """svrc_run reads each batch's counts, and the generator state after
+    them, from a stream; a forked child draws them where a fork pays, with
+    the inline run's every bit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("budget", [None, 16 + 2 * 17, 67 + 16 + 17],
+                             ids=["none", "after-step-1", "mid-epoch-2"])
+    def test_the_forked_run_is_the_inline_run(self, seed, budget,
+                                              monkeypatch):
+        F = quadratic_cosine_sum(16, 5, seed=1)
+        params = dataclasses.replace(STREAMED, seed=seed)
+        monkeypatch.setattr(hardsum.optim, "_fork_pays", lambda *args: False)
+        inline = _traced_run(monkeypatch, F, params, budget=budget)
+        calls = counted_forks(monkeypatch)
+        monkeypatch.setattr(hardsum.optim, "_fork_pays", lambda *args: True)
+        forked = _traced_run(monkeypatch, F, params, budget=budget)
+        assert calls == [os.getpid()]
+        no_child_left()
+        assert forked == inline
+        rows = {None: 9, 16 + 2 * 17: 2, 67 + 16 + 17: 4}[budget]
+        assert len(inline[1]) == rows
+
+    def test_a_solver_failure_keeps_the_inline_bits(self, monkeypatch):
+        F = quadratic_cosine_sum(16, 5, seed=1)
+        monkeypatch.setattr(hardsum.optim, "_fork_pays", lambda *args: False)
+        _fail_solve_on_second_call(monkeypatch)
+        inline = _traced_run(monkeypatch, F, STREAMED)
+        calls = counted_forks(monkeypatch)
+        monkeypatch.setattr(hardsum.optim, "_fork_pays", lambda *args: True)
+        _fail_solve_on_second_call(monkeypatch)
+        forked = _traced_run(monkeypatch, F, STREAMED)
+        assert len(calls) == 1
+        no_child_left()
+        assert forked == inline and len(inline[1]) == 1
+
+    def test_an_exception_in_the_caller_leaves_no_child(self, monkeypatch):
+        # the child could draw for ever: S = 10^12 steps
+        calls = counted_forks(monkeypatch)
+        monkeypatch.setattr(hardsum.optim, "_fork_pays", lambda *args: True)
+        steps = []
+
+        def broken(model):
+            steps.append(model)
+            if len(steps) == 2:
+                raise KeyError("the second step broke")
+            return solve(model)
+
+        monkeypatch.setattr(hardsum.optim, "solve", broken)
+        F = quadratic_cosine_sum(16, 5, seed=1)
+        with pytest.raises(KeyError, match="the second step broke"):
+            svrc_run(F, dataclasses.replace(STREAMED, S=10 ** 12))
+        assert len(calls) == 1
+        no_child_left()
+
+    def test_an_endless_schedule_with_a_budget_returns_promptly(
+            self, monkeypatch):
+        # the pipe's buffer holds the child a few dozen steps ahead
+        F = quadratic_cosine_sum(16, 5, seed=1)
+        params = dataclasses.replace(STREAMED, S=10 ** 12)
+        monkeypatch.setattr(hardsum.optim, "_fork_pays", lambda *args: False)
+        inline = _traced_run(monkeypatch, F, params, budget=67 + 16 + 17)
+        calls = counted_forks(monkeypatch)
+        monkeypatch.setattr(hardsum.optim, "_fork_pays", lambda *args: True)
+        start = time.monotonic()
+        forked = _traced_run(monkeypatch, F, params, budget=67 + 16 + 17)
+        assert time.monotonic() - start < 30
+        assert len(calls) == 1
+        no_child_left()
+        assert forked == inline
+
+    def test_a_large_schedule_forks(self, monkeypatch):
+        calls = counted_forks(monkeypatch)
+        F = quadratic_cosine_sum(16, 5, seed=1)
+        forked = _traced_run(monkeypatch, F, LARGE)
+        assert len(calls) == 1
+        no_child_left()
+        monkeypatch.setattr(hardsum.optim, "_fork_pays", lambda *args: False)
+        assert forked == _traced_run(monkeypatch, F, LARGE)
+
+    @pytest.mark.parametrize("where", ["full-batch", "small-batch",
+                                       "short-budget", "one-cpu",
+                                       "two-threads"])
+    def test_the_draws_run_inline_where_a_fork_cannot_pay(
+            self, where, monkeypatch):
+        calls = counted_forks(monkeypatch,
+                              cpus=1 if where == "one-cpu" else 2)
+        params = {"full-batch": dataclasses.replace(LARGE, full_batch=True),
+                  "small-batch": dataclasses.replace(LARGE, b_h=1 << 17),
+                  }.get(where, LARGE)
+        # the snapshot and four of the five steps: three after the first
+        budget = (16 + 4 * LARGE.step_cost(16) if where == "short-budget"
+                  else None)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        if where == "two-threads":
+            other.start()
+        try:
+            svrc_run(quadratic_cosine_sum(16, 5, seed=1), params,
+                     budget=budget)
+        finally:
+            release.set()
+            if other.is_alive():
+                other.join(30)
+        assert calls == []
+
+    def test_when_a_fork_pays(self):
+        bench = svrc_default_params(n=256, d=20, Delta=0.005, L2=6.0,
+                                    eps=1e7)
+        assert (bench.S, bench.T, bench.b_h) == (1, 4, 741_185)
+        step = bench.step_cost(256)
+        assert _fork_pays(bench, 256, math.inf)
+        assert _fork_pays(LARGE, 16, math.inf)
+        # the snapshot and three steps: two after the first
+        assert _fork_pays(bench, 256, 256 + 3 * step)
+        # a second epoch's snapshot and first step after one whole epoch
+        assert _fork_pays(dataclasses.replace(bench, S=10 ** 11, T=2), 256,
+                          (256 + 2 * step) + 256 + step)
+        for params, budget in (
+                (dataclasses.replace(bench, full_batch=True), math.inf),
+                (dataclasses.replace(bench, T=1), math.inf),  # one step
+                (dataclasses.replace(bench, T=2), math.inf),  # 741,608 after
+                (dataclasses.replace(LARGE, b_h=(1 << 18) - 6), math.inf),
+                (dataclasses.replace(bench, b_g=3, b_h=3, S=10 ** 12),
+                 math.inf),
+                (dataclasses.replace(bench, b_g=5, b_h=9, S=2, T=3),
+                 math.inf),
+                # one step, then a budget that ends the run
+                (bench, 256 + step), (bench, 256 + 2 * step - 1),
+                (dataclasses.replace(bench, S=10 ** 11, T=2),
+                 (256 + 2 * step) + 256 + step - 1)):
+            assert not _fork_pays(params, 256, budget), (params, budget)
+
+
+def test_the_package_forks_in_one_place():
+    package = Path(hardsum.optim.__file__).parent
+    forks = {path.name: path.read_text(encoding="utf-8").count("os.fork(")
+             for path in package.rglob("*.py")}
+    assert {name: count for name, count in forks.items() if count} == {
+        "_fork.py": 1}
+
+
 class _WordSpy(np.random.PCG64):
     """PCG64 that keeps a copy of every block of words ``random_raw``
     hands out."""
@@ -890,10 +1067,12 @@ def _pcg64_state(rng):
     return state
 
 
-def test_a_benchmark_op_holds_no_hessian_batch():
+def test_a_benchmark_op_holds_no_hessian_batch(monkeypatch):
     # the Hessian batch of 741,185 indices is drawn and counted in chunks;
     # holding it as one int64 array took 8 b_h bytes, twice over while the
     # next step's batch was drawn
+    # (drawn in this process: a forked child's memory is not traced)
+    monkeypatch.setattr(hardsum.optim, "_fork_pays", lambda *args: False)
     params = svrc_default_params(n=256, d=20, Delta=0.005, L2=6.0, eps=1e7)
     F = quadratic_cosine_sum(256, 20, seed=3)
     tracemalloc.start()

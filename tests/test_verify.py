@@ -17,6 +17,8 @@ import pytest
 import hardsum.chains
 import hardsum.optim
 import hardsum.verify
+from conftest import counted_forks as _forks
+from conftest import no_child_left as _no_child_left
 from conftest import same_bits
 from hardsum.chains import Derivatives, chain_eval
 from hardsum.linalg import (as_rng, finite_diff_gradient, finite_diff_jacobian,
@@ -708,26 +710,6 @@ class TestBattery:
 #: a battery of the hard-instance checks alone, with a short descent
 HARD_ONLY = dict(num_points=0, zero_chain_samples=0, pairs=0, trials=0,
                  starts=3)
-
-
-def _forks(monkeypatch, cpus: int = 2) -> list:
-    """``cpus`` usable CPUs, and an ``os.fork`` that records the caller's
-    process id in the returned list at each call."""
-    calls, fork = [], os.fork
-
-    def counted():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)))
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _descent_pid(instance, num_starts, seed):

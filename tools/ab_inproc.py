@@ -25,7 +25,10 @@ process and of the child processes it reaped (``RUSAGE_SELF`` and
 gives each side's medians per op, so work an op moves into a child shows
 as moved, not removed.  After the timed pairs,
 op 0 runs once more on each side under ``tracemalloc``, untimed, and one
-line gives each side's traced allocation peak.  The last
+line gives each side's traced allocation peak.  The page faults and the
+traced peak count the calling process only: what an op does in a forked
+child (the battery's descent, SVRC's batch draws where two CPUs are
+usable) shows in neither, only in the children's CPU seconds.  The last
 lines give each side's median op seconds and their quartiles, the paired
 median ratio, its quartiles and the number of ops the change ran faster.
 The exit status is 1 when any op's outputs differ, 2 when a tree is
