@@ -255,25 +255,30 @@ def _step_draws(params: SvrcParams, n: int):
 
 def _fork_pays(params: SvrcParams, n: int, budget) -> bool:
     """Whether :func:`svrc_run`'s draws over n components, under a raw-query
-    budget left (``math.inf`` for none), are worth a forked child: the steps
-    draw i.i.d. batches, at least 2^16 indices a step, and the steps after
-    the first that the schedule and the budget allow, whose draws the run
-    need not wait for, at least 2^20 in all.  Below that the fork and the
-    caller's copy-on-write faults cost more than the draws they move off
-    it.  Paired runs on a 2-CPU host (n = 256, b_g = 423, S = 1): the fork
-    lost at T = 1 up to b_h = 1,500,000; at T = 2 it lost at 524,288 and
-    won at 741,185; at T = 4 it lost up to 260,000 and won from 400,000
-    (broke even there at n = 1,024); at T = 8 it won from 150,000; at
-    S = 25, T = 4 it lost at 30,000 and won at 65,000.  The benchmark's
-    schedule with a budget of one step ran 2.1 times as long forked."""
+    budget left (``math.inf`` for none), are worth the process's stream
+    helper: the steps draw i.i.d. batches of at least 2^16 indices a step,
+    and either the budget lets the schedule finish, so the helper serves
+    the next stream too, or the steps after the first that the budget
+    allows, whose draws the run need not wait for, draw at least 2^20
+    indices in all.  A run the budget stops leaves its stream early, which
+    kills the helper, so the next stream pays a fork and its copy-on-write
+    faults again.  Paired in-process runs against inline draws (12-16
+    pairs, 2-CPU host, BLAS 1 thread, b_g = 423, S = 1, the helper forked
+    before the pairs), of schedules that finish: at n = 256 and 1,024 and
+    T = 1, 2, 4 and 8 the helper read 0.96-1.05 at b_h = 4,096, 0.98-1.02
+    at 16,384, 0.91-0.99 at 65,536, 0.69-0.92 at 262,144 and 0.57-0.91 at
+    741,185; 0.83 at n = 1,024, T = 4, b_h = 400,000 (1.03 with a fork per
+    run); 0.94 at S = 25, T = 4, b_h = 30,000.  Of runs the budget stops:
+    the benchmark's schedule read 1.76 with a budget of one step, 1.33 of
+    two and 0.88 of three; b_h = 65,536 read 1.88 with three steps."""
     per_step, cost = params.b_g + params.b_h, params.step_cost(n)
-    steps = params.S * params.T
+    steps = allowed = params.S * params.T
     if budget < math.inf:
         # whole epochs, then the steps that fit after a last snapshot
         epochs, left = divmod(budget, n + params.T * cost)
-        steps = min(steps, epochs * params.T + max(0, (left - n) // cost))
+        allowed = min(steps, epochs * params.T + max(0, (left - n) // cost))
     return (not params.full_batch and per_step >= 1 << 16
-            and (steps - 1) * per_step >= 1 << 20)
+            and (allowed == steps or (allowed - 1) * per_step >= 1 << 20))
 
 
 def _batch_counts(batch, n: int) -> _Counts:
@@ -455,11 +460,14 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
     Each step's batches are read, as draw counts with the generator state
     after each, from a stream of :func:`_step_draws`: where
     :func:`_fork_pays` and a fork can help (:func:`hardsum._fork.streamed`),
-    a forked child draws them ahead while the run evaluates, no further
-    than the pipe's buffer holds; elsewhere they are drawn inline.  Before
-    it draws x_out the run takes the state left by the last batch it read,
-    so every output is the same either way, and no child outlives the run.
-    A tracer or profiler of the caller does not see a forked child's draws.
+    the process's forked helper draws them ahead while the run evaluates,
+    no further than the pipe's buffer holds; elsewhere they are drawn
+    inline.  Before it draws x_out the run takes the state left by the last
+    batch it read, so every output is the same either way.  A run that
+    completes its schedule reads the stream's end and leaves the helper to
+    serve the next stream; one that stops early kills it, and no helper
+    outlives the calling process.  A tracer or profiler of the caller does
+    not see the helper's draws.
     """
     budget = math.inf if budget is None else _count(budget, "budget", 1)
     n, d = F.n, F.d
@@ -474,7 +482,7 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
     # current iterate; t = 0..T-1 are its steps.  The schedule is generated
     # lazily: S can be far larger than any run gets through.
     schedule = ((s, t) for s in range(params.S) for t in range(-1, params.T))
-    with streamed(lambda: _step_draws(params, n),
+    with streamed(_step_draws, (params, n),
                   _fork_pays(params, n, budget - ledger.total)) as draws:
         for s, t in schedule:
             # a snapshot pass is only worth paying if a step can follow it
@@ -508,6 +516,10 @@ def svrc_run(F: FiniteSumFunction, params: SvrcParams, x0=None,
                 epoch=s, step=t, f=float(measured.value), grad_norm=gnorm,
                 mu=m, h_norm=_norm(sol.h),
                 counters=ledger.counters()))
+        else:
+            # the stream's end, read so that the helper that drew it serves
+            # the next stream
+            next(draws, None)
 
     if iterates:
         x_out = iterates[int(rng.integers(0, len(iterates)))].copy()

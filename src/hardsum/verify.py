@@ -766,6 +766,15 @@ def _battery_instance(seed: int) -> RandomizedHardInstance:
     return sample_randomized_instance(spec, seed=seed)
 
 
+def _outcome(rep) -> tuple[bool, dict]:
+    return rep.passed, rep.to_dict()
+
+
+def _descent(inst: RandomizedHardInstance, starts: int, seed: int):
+    """The battery's suboptimality outcome, as a one-item stream."""
+    yield _outcome(verify_suboptimality(inst, num_starts=starts, seed=seed))
+
+
 def run_battery(num_points: int = 60, zero_chain_samples: int = 500,
                 pairs: int = 120, trials: int = 2000, starts: int = 20,
                 seed: int = 0) -> list[BatteryCheck]:
@@ -778,31 +787,29 @@ def run_battery(num_points: int = 60, zero_chain_samples: int = 500,
     The suboptimality check's lockstep descent, about half of a default
     run, charges nothing and shares no state with the other checks.  It
     descends on the hard instance built here, before the other checks run:
-    as a one-item stream of :func:`hardsum._fork.streamed`, so in a forked
-    child beside them where ``os.fork`` exists, at least two CPUs are usable
-    and the caller runs one Python thread, else inline after
-    ``large_gradient``.  Either way the checks, their order and their
-    reports are the same; an exception or warning from the child reaches
-    the caller, and no child outlives the call.  A tracer of the calling
-    process sees none of the descent's calls.
+    as a one-item stream of :func:`hardsum._fork.streamed`, so in the
+    process's forked helper beside them where ``os.fork`` exists, at least
+    two CPUs are usable and the caller runs one Python thread, else inline
+    after ``large_gradient``.  Either way the checks, their order and their
+    reports are the same; an exception or warning from the helper reaches
+    the caller.  The helper serves later streams, and no helper outlives
+    the calling process.  A tracer of the calling process sees none of the
+    descent's calls.
     """
     num_points, zero_chain_samples, pairs, trials, starts = _check_counts(
         num_points=num_points, zero_chain_samples=zero_chain_samples,
         pairs=pairs, trials=trials, starts=starts)
     seed = _integer(seed, "seed")     # the checks draw from seed + offsets
 
-    def outcome(rep):
-        return rep.passed, rep.to_dict()
-
     def derivatives():
         sums = ((quadratic_cosine_sum(4, 6, seed=seed), seed),
                 (_chain_sum(4), seed + 1),
                 (_hat_sum(3, 12, seed=seed + 2), seed + 2))
-        return [outcome(check_derivatives(F, num_points, 1e-6, seed=s))
+        return [_outcome(check_derivatives(F, num_points, 1e-6, seed=s))
                 for F, s in sums]
 
     def zero_chain():
-        return [outcome(check_zero_chain(K, zero_chain_samples, seed=seed))
+        return [_outcome(check_zero_chain(K, zero_chain_samples, seed=seed))
                 for K in (2, 4, 8)]
 
     def smoothness():
@@ -821,18 +828,14 @@ def run_battery(num_points: int = 60, zero_chain_samples: int = 500,
         rng = as_rng(seed + 5)
         x_hat = rng.standard_normal(8)
         x = x_hat + 0.5 * rng.standard_normal(8)
-        return [outcome(verify_estimator_bounds(inst, x_hat, x, params,
-                                                max(1000, trials),
-                                                seed=seed))]
-
-    def descent():
-        yield outcome(verify_suboptimality(inst, num_starts=starts,
-                                           seed=seed + 8))
+        return [_outcome(verify_estimator_bounds(inst, x_hat, x, params,
+                                                 max(1000, trials),
+                                                 seed=seed))]
 
     beside = nullcontext()
     if starts > 0:
         inst = _battery_instance(seed + 6)
-        beside = streamed(descent, True)
+        beside = streamed(_descent, (inst, starts, seed + 8), True)
     with beside as suboptimality:
         table = [
             (("check_derivatives", "check_derivatives_chain",
@@ -842,7 +845,7 @@ def run_battery(num_points: int = 60, zero_chain_samples: int = 500,
             (("smoothness_power_mean",), pairs, smoothness),
             (("estimator_bounds",), trials, estimator_bounds),
             (("large_gradient", "suboptimality"), starts,
-             lambda: [outcome(verify_large_gradient(inst, seed=seed + 7)),
+             lambda: [_outcome(verify_large_gradient(inst, seed=seed + 7)),
                       *suboptimality]),
         ]
         found = [run() if count > 0 else None for _, count, run in table]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from hardsum import _fork
 from hardsum.chains import Derivatives
 from hardsum.linalg import rel_err
 from hardsum.oracle import CallableFiniteSum
@@ -13,6 +14,14 @@ settings.register_profile(
     "suite", max_examples=40, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def _no_helper_across_tests():
+    """Each test forks its own stream helper, a copy of the process as the
+    test has patched it, and leaves none behind."""
+    yield
+    _fork._shutdown()
 
 
 @pytest.fixture
@@ -93,7 +102,9 @@ def counted_forks(monkeypatch, cpus: int = 2) -> list:
 
 
 def no_child_left():
-    """No child process of this one is left, reaped or not."""
+    """No child process of this one is left, reaped or not, once its stream
+    helper is stopped: a stream leaves no process but the helper."""
+    _fork._shutdown()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

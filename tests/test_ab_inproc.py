@@ -84,10 +84,14 @@ def test_a_tree_against_itself_reads_the_same():
     lines = run.stdout.splitlines()
     assert [line.split()[-1] for line in lines[2:4]] == ["same", "same"]
     assert re.fullmatch(r"minor page faults per op: parent median "
-                        r"\d+\.\d, change median \d+\.\d", lines[-6])
-    # an SVRC op draws its batches in a forked child where two CPUs are
-    # usable, and in this process alone elsewhere
-    children = _cpu_seconds(lines[-5])["children"]
+                        r"\d+\.\d, change median \d+\.\d", lines[-7])
+    # an SVRC op draws its batches in each side's forked helper where two
+    # CPUs are usable, and in this process alone elsewhere; the helpers
+    # still run when the line is printed, unreaped
+    children = _cpu_seconds(lines[-6])["children"]
+    helper = r"\d+\.\d\d MB" if _usable_cpus() >= 2 else "none"
+    assert re.fullmatch(rf"children's peak RSS \(VmHWM\): parent {helper}, "
+                        rf"change {helper}", lines[-5]), lines[-5]
     if _usable_cpus() >= 2:
         assert min(children) > 0
     else:

@@ -21,6 +21,7 @@ from hardsum.instances import ResistingOracle, deterministic_params, ell_p
 from hardsum.linalg import _lambda_min, sample_orthonormal_columns
 from hardsum.oracle import (CallableFiniteSum, OracleLedger, _Evaluated,
                             mean_derivatives, quadratic_cosine_sum, query)
+import hardsum._fork
 import hardsum.optim
 from hardsum.optim import (
     C_M,
@@ -899,7 +900,7 @@ def _rows(traj):
 STREAMED = SvrcParams(M=5.0, b_g=5, b_h=7, S=3, T=3, eps=1e-3, Delta=1.0,
                       L2=1.0)
 #: a schedule that forks: each step draws 2^18 + 5 indices, and the four
-#: after the first 4 (2^18 + 5) >= 2^20
+#: after the first 4 (2^18 + 5) >= 2^20, so it forks under a budget too
 LARGE = SvrcParams(M=5.0, b_g=5, b_h=1 << 18, S=1, T=5, eps=1e-3, Delta=1.0,
                    L2=1.0)
 
@@ -956,7 +957,7 @@ class TestStreamedDraws:
         F = quadratic_cosine_sum(16, 5, seed=1)
         with pytest.raises(KeyError, match="the second step broke"):
             svrc_run(F, dataclasses.replace(STREAMED, S=10 ** 12))
-        assert len(calls) == 1
+        assert len(calls) == 1 and hardsum._fork._helper is None
         no_child_left()
 
     def test_an_endless_schedule_with_a_budget_returns_promptly(
@@ -992,7 +993,8 @@ class TestStreamedDraws:
         calls = counted_forks(monkeypatch,
                               cpus=1 if where == "one-cpu" else 2)
         params = {"full-batch": dataclasses.replace(LARGE, full_batch=True),
-                  "small-batch": dataclasses.replace(LARGE, b_h=1 << 17),
+                  "small-batch": dataclasses.replace(LARGE,
+                                                     b_h=(1 << 16) - 6),
                   }.get(where, LARGE)
         # the snapshot and four of the five steps: three after the first
         budget = (16 + 4 * LARGE.step_cost(16) if where == "short-budget"
@@ -1015,8 +1017,17 @@ class TestStreamedDraws:
                                     eps=1e7)
         assert (bench.S, bench.T, bench.b_h) == (1, 4, 741_185)
         step = bench.step_cost(256)
-        assert _fork_pays(bench, 256, math.inf)
-        assert _fork_pays(LARGE, 16, math.inf)
+        # schedules that finish, the helper left to serve the next stream:
+        # from 2^16 indices a step, whatever the number of steps
+        for params, budget in (
+                (bench, math.inf), (LARGE, math.inf),
+                (bench, 256 + 4 * step),   # the budget fits the schedule
+                (dataclasses.replace(bench, T=1), math.inf),
+                (dataclasses.replace(bench, T=2), math.inf),
+                (dataclasses.replace(bench, b_h=(1 << 16) - 423), math.inf)):
+            assert _fork_pays(params, 256, budget), (params, budget)
+        # runs the budget stops, which kill the helper: from 2^20 indices
+        # in the steps after the first
         # the snapshot and three steps: two after the first
         assert _fork_pays(bench, 256, 256 + 3 * step)
         # a second epoch's snapshot and first step after one whole epoch
@@ -1024,9 +1035,7 @@ class TestStreamedDraws:
                           (256 + 2 * step) + 256 + step)
         for params, budget in (
                 (dataclasses.replace(bench, full_batch=True), math.inf),
-                (dataclasses.replace(bench, T=1), math.inf),  # one step
-                (dataclasses.replace(bench, T=2), math.inf),  # 741,608 after
-                (dataclasses.replace(LARGE, b_h=(1 << 18) - 6), math.inf),
+                (dataclasses.replace(bench, b_h=(1 << 16) - 424), math.inf),
                 (dataclasses.replace(bench, b_g=3, b_h=3, S=10 ** 12),
                  math.inf),
                 (dataclasses.replace(bench, b_g=5, b_h=9, S=2, T=3),
@@ -1036,6 +1045,10 @@ class TestStreamedDraws:
                 (dataclasses.replace(bench, S=10 ** 11, T=2),
                  (256 + 2 * step) + 256 + step - 1)):
             assert not _fork_pays(params, 256, budget), (params, budget)
+        # three of the four steps at 2^16 indices a step: 2^17 after the
+        # first
+        small = dataclasses.replace(bench, b_h=(1 << 16) - 423)
+        assert not _fork_pays(small, 256, 256 + 3 * small.step_cost(256))
 
 
 def test_the_package_forks_in_one_place():

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hardsum._fork
 import hardsum.chains
 import hardsum.optim
 import hardsum.verify
@@ -809,6 +810,7 @@ class TestForkedDescent:
         with pytest.warns(UserWarning), pytest.raises(KeyError):
             run_battery(**HARD_ONLY)
         assert time.monotonic() - start < 30
+        assert hardsum._fork._helper is None
         _no_child_left()
 
     def test_the_callers_garbage_is_not_finalized_in_the_child(

@@ -20,10 +20,17 @@ only the op itself is timed.  One line per op gives both times, their ratio
 process's minor page faults (``getrusage``'s ``ru_minflt``) are counted
 around each timed op, and one line gives each side's median per op: a
 fresh array the allocator must map shows there.  The CPU seconds of the
-process and of the child processes it reaped (``RUSAGE_SELF`` and
-``RUSAGE_CHILDREN``) are taken around each timed op too, and one line
-gives each side's medians per op, so work an op moves into a child shows
-as moved, not removed.  After the timed pairs,
+process and of its child processes are taken around each timed op too,
+and one line gives each side's medians per op, so work an op moves into a
+child shows as moved, not removed.  The children's seconds are those of
+the children it reaped (``RUSAGE_CHILDREN``) plus those of the children
+still running, found in ``/proc`` and read from each one's CPU-time clock:
+a helper that serves every op of a side is never reaped while the tool
+runs.  (``/proc/<pid>/stat`` counts CPU time in clock ticks, 10 ms on most
+hosts, about a helper's whole share of an SVRC op.)  The
+next line gives the peak resident memory (``VmHWM``) of each side's
+children still running after the timed pairs, "none" for a side that
+leaves none.  After the timed pairs,
 op 0 runs once more on each side under ``tracemalloc``, untimed, and one
 line gives each side's traced allocation peak.  The page faults and the
 traced peak count the calling process only: what an op does in a forked
@@ -179,11 +186,52 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def _stat_fields(pid: int) -> list[str]:
+    """The fields of ``/proc/<pid>/stat`` after the command name, the
+    process's state first; none for a process that has ended."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except OSError:
+        return []
+    return text.rsplit(")", 1)[1].split()
+
+
+def _live_children() -> set[int]:
+    """Ids of this process's children that it has not reaped."""
+    me = str(os.getpid())
+    return {int(path.name) for path in Path("/proc").glob("[0-9]*")
+            if _stat_fields(int(path.name))[1:2] == [me]}
+
+
+def _process_cpu_seconds(pid: int) -> float:
+    """CPU seconds so far of process ``pid``, read from its CPU-time clock,
+    whose id is the one glibc's ``clock_getcpuclockid`` gives on Linux; 0
+    for a process that has ended."""
+    try:
+        return time.clock_gettime((~pid << 3) | 2)
+    except OSError:
+        return 0.0
+
+
 def _cpu_seconds() -> tuple[float, float]:
-    """CPU seconds so far of this process and of its reaped children."""
-    return tuple(usage.ru_utime + usage.ru_stime for usage in (
+    """CPU seconds so far of this process and of its children, reaped or
+    still running."""
+    own, reaped = (usage.ru_utime + usage.ru_stime for usage in (
         resource.getrusage(resource.RUSAGE_SELF),
         resource.getrusage(resource.RUSAGE_CHILDREN)))
+    return own, reaped + sum(map(_process_cpu_seconds, _live_children()))
+
+
+def _peak_rss_mb(pid: int) -> float:
+    """Peak resident memory (``VmHWM``) of process ``pid``, in MB; 0 for a
+    process that has ended."""
+    try:
+        text = Path(f"/proc/{pid}/status").read_text(encoding="utf-8")
+    except OSError:
+        return 0.0
+    kb = [line.split()[1] for line in text.splitlines()
+          if line.startswith("VmHWM:")]
+    return int(kb[0]) / 1024 if kb else 0.0
 
 
 def traced_peak(op, pkg, seed: int, workdir: Path) -> int:
@@ -210,8 +258,18 @@ def run(parent: Path, change: Path, workload: str, ops: int,
             workdirs = {side: tmp / side for side in SIDES}
             for workdir in workdirs.values():
                 workdir.mkdir()
+            # the children each side's ops leave running
+            children = {side: set() for side in SIDES}
+            seen = _live_children()
+
+            def note_children(side):
+                new = _live_children() - seen
+                children[side] |= new
+                seen.update(new)
+
             for side in SIDES:
                 op(pkgs[side], seed + WARM_UP_SEED_OFFSET, workdirs[side])
+                note_children(side)
             print(f"{workload}: {ops} ops from seed {seed}, BLAS 1 thread")
             print("op  parent_s  change_s  ratio  outputs")
             ratios, wins, differ = [], 0, 0
@@ -228,6 +286,7 @@ def run(parent: Path, change: Path, workload: str, ops: int,
                     seconds[side] = time.perf_counter() - t0
                     faults[side].append(_minor_faults() - f0)
                     cpu[side].append(np.subtract(_cpu_seconds(), c0))
+                    note_children(side)
                     times[side].append(seconds[side])
                     outputs[side] = canonical(result)
                 same = outputs["parent"] == outputs["change"]
@@ -245,6 +304,13 @@ def run(parent: Path, change: Path, workload: str, ops: int,
                 "{} median {:.6f} self, {:.6f} children".format(
                     side, *np.median(cpu[side], axis=0))
                 for side in SIDES))
+            peak_rss = {}
+            for side in SIDES:
+                live = children[side] & _live_children()
+                peak_rss[side] = (f"{max(map(_peak_rss_mb, live)):.2f} MB"
+                                  if live else "none")
+            print("children's peak RSS (VmHWM): " + ", ".join(
+                f"{side} {peak_rss[side]}" for side in SIDES))
             peaks = {side: traced_peak(op, pkgs[side], seed, workdirs[side])
                      for side in SIDES}
             print(f"traced peak of op 0: parent {peaks['parent'] / 1e6:.2f} "
